@@ -22,6 +22,7 @@ from stringbands import (
     load_algebra,
     negligible,
 )
+from stringbands.cli import nonnegative_int
 
 
 def class_name(cls):
@@ -43,7 +44,7 @@ def describe_negligible(wit):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("file", help="algebra description file")
-    ap.add_argument("--max-period", type=int, default=6)
+    ap.add_argument("--max-period", type=nonnegative_int, default=6)
     ap.add_argument("--pairs", action="store_true",
                     help="also decide every unordered pair of classes")
     args = ap.parse_args(argv)

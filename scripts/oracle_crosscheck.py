@@ -28,14 +28,15 @@ from stringbands import (
     realize_band,
     realize_string,
 )
+from stringbands.cli import nonnegative_int
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("file", help="algebra description file")
-    ap.add_argument("--max-len", type=int, default=4,
+    ap.add_argument("--max-len", type=nonnegative_int, default=4,
                     help="string length bound (default 4)")
-    ap.add_argument("--max-period", type=int, default=4,
+    ap.add_argument("--max-period", type=nonnegative_int, default=4,
                     help="band period bound (default 4)")
     ap.add_argument("--params", default="2,3",
                     help="comma-separated band parameters (default 2,3)")

@@ -149,7 +149,9 @@ def cmd_hom(args) -> dict:
         elif src_kind == "string" and dst_kind == "band":
             dim = hom_string_band(spec, src, dst)
         else:
-            dim = hom_band_band(spec, src, dst)
+            # equal explicit parameters on one class make both ends the same module
+            same = src == dst and lam is not None and lam == mu
+            dim = hom_band_band(spec, src, dst, same_module=same)
         result = {"dim": dim, "backend": "counts", "lambda": None, "mu": None}
     return _result("hom", inputs, result)
 
@@ -272,6 +274,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for length and period bounds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringbands",
@@ -286,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list strings or band classes")
     p.add_argument("file")
     p.add_argument("kind", choices=("strings", "bands"))
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=nonnegative_int, required=True)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("hom", help="hom dimension between two modules")

@@ -1,10 +1,14 @@
 """Exact matrix realizations of string and band modules over the rationals.
 
 This is the brute-force side of the package: hom dimensions come from
-intertwiner linear systems, ext dimensions from a syzygy, and everything is
-computed with Fraction so there are no tolerances anywhere.  Ranks go
-through a fraction-free integer elimination for speed; kernels, which are
-only needed at syzygy scale, use a plain reduced echelon form.
+intertwiner linear systems, ext dimensions from a syzygy, and nothing is
+ever rounded, so there are no tolerances anywhere.  Besides its dense
+Fraction matrices a module keeps, per arrow, the list of its nonzero
+(i, j, x) entries; every linear system is built from those lists as sparse
+rows, each scaled to integers by the lcm of its own denominators.  One
+fraction-free routine, _reduce, eliminates such a row against the
+gcd-normalised pivot rows found so far.  A rank is the number of pivots, and
+a kernel is read off the same echelon form by back-substitution.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -22,7 +26,7 @@ from functools import lru_cache, cached_property
 from math import gcd, lcm
 
 from .algebra import AlgebraSpec, projective_word
-from .bands import BandClass, QuasiBand, is_quasi_band
+from .bands import QuasiBand, _as_letters, is_quasi_band
 from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
 from .words import (
     Word,
@@ -34,6 +38,8 @@ from .words import (
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Entries = tuple[tuple[int, int, Fraction], ...]
+Cells = dict[str, dict[tuple[int, int], Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,6 +61,21 @@ class MatrixModule:
         return self._mat_map[arrow]
 
     @cached_property
+    def entries(self) -> dict[str, Entries]:
+        """Each arrow's nonzero matrix entries as (row, column, value), row-major."""
+        return {
+            a: tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+            for a, m in self.mats
+        }
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.spec, self.dim, self.grading, tuple(self.entries.items()), self.labels))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
     def vertex_of(self) -> tuple[str, ...]:
         out: list[str | None] = [None] * self.dim
         for u, idxs in self.grading:
@@ -62,40 +83,46 @@ class MatrixModule:
                 out[i] = u
         return tuple(out)  # type: ignore[arg-type]
 
+    @cached_property
+    def position(self) -> tuple[int, ...]:
+        """Each basis index's place inside its vertex block."""
+        out = [0] * self.dim
+        for _, idxs in self.grading:
+            for p, i in enumerate(idxs):
+                out[i] = p
+        return tuple(out)
+
+    @cached_property
+    def _blocks(self) -> dict[str, tuple[int, ...]]:
+        return dict(self.grading)
+
     def block(self, vertex: str) -> tuple[int, ...]:
-        for u, idxs in self.grading:
-            if u == vertex:
-                return idxs
-        return ()
+        return self._blocks.get(vertex, ())
 
     def __repr__(self) -> str:
         return f"MatrixModule(dim={self.dim})"
 
 
-def _zeros(n: int) -> list[list[Fraction]]:
-    return [[_ZERO] * n for _ in range(n)]
+def _product(left: Entries, right: Entries) -> Entries:
+    """Nonzero entries of the matrix product left * right."""
+    by_row: dict[int, list] = {}
+    for k, j, y in right:
+        by_row.setdefault(k, []).append((j, y))
+    out: dict[tuple[int, int], Fraction] = {}
+    for i, k, x in left:
+        for j, y in by_row.get(k, ()):
+            out[i, j] = out.get((i, j), _ZERO) + x * y
+    return tuple((i, j, x) for (i, j), x in out.items() if x)
 
 
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        for k in range(n):
-            x = a[i][k]
-            if x:
-                row = b[k]
-                for j in range(n):
-                    if row[j]:
-                        out[i][j] += x * row[j]
-    return _freeze(out)
-
-
-def _matvec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), _ZERO) for row in a]
+def _apply(entries: Entries, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The image of the sparse vector vec under the matrix with these entries."""
+    out: dict[int, Fraction] = {}
+    for i, j, x in entries:
+        v = vec.get(j)
+        if v:
+            out[i] = out.get(i, _ZERO) + x * v
+    return {i: v for i, v in out.items() if v}
 
 
 def _validate(mod: MatrixModule) -> None:
@@ -114,35 +141,44 @@ def _validate(mod: MatrixModule) -> None:
     names = [a for a, _ in mod.mats]
     if names != list(mod.spec.arrow_names):
         raise ValueError("arrow matrices must follow the declaration order")
-    vof = mod.vertex_of
     for name, m in mod.mats:
         if len(m) != mod.dim or any(len(r) != mod.dim for r in m):
             raise ValueError(f"matrix of {name} has the wrong shape")
+    vof = mod.vertex_of
+    for name, entries in mod.entries.items():
         src = mod.spec.arrow_source(name)
         tgt = mod.spec.arrow_target(name)
-        for i in range(mod.dim):
-            for j in range(mod.dim):
-                if m[i][j] and (vof[i] != tgt or vof[j] != src):
-                    raise ValueError(f"matrix of {name} leaves its block")
+        if any(vof[i] != tgt or vof[j] != src for i, j, _ in entries):
+            raise ValueError(f"matrix of {name} leaves its block")
     for rel in mod.spec.relations:
-        prod = mod.mat(rel[0])
+        prod = mod.entries[rel[0]]
         for name in rel[1:]:
-            prod = _matmul(prod, mod.mat(name))
-        if any(any(row) for row in prod):
+            prod = _product(prod, mod.entries[name])
+        if prod:
             raise ValueError(f"relation {'.'.join(rel)} does not vanish")
 
 
-def _module(spec, vertex_of, mats, labels=None) -> MatrixModule:
+def _module(spec, vertex_of, cells: Cells, labels=None) -> MatrixModule:
+    """Build and validate a module from its nonzero {arrow: {(i, j): x}}."""
     d = len(vertex_of)
     blocks: dict[str, list[int]] = {u: [] for u in spec.vertices}
     for i, u in enumerate(vertex_of):
         blocks[u].append(i)
     grading = tuple((u, tuple(blocks[u])) for u in spec.vertices)
-    frozen = tuple(
-        (a, _freeze(mats[a]) if a in mats else _freeze(_zeros(d)))
-        for a in spec.arrow_names
-    )
-    mod = MatrixModule(spec, d, grading, frozen, labels)
+    zero_row = (_ZERO,) * d
+    mats = []
+    entries: dict[str, Entries] = {}
+    for a in spec.arrow_names:
+        nonzero = sorted((i, j, Fraction(x)) for (i, j), x in cells.get(a, {}).items() if x)
+        rows: list = [zero_row] * d
+        for i, j, x in nonzero:
+            if rows[i] is zero_row:
+                rows[i] = list(zero_row)
+            rows[i][j] = x
+        mats.append((a, tuple(tuple(r) for r in rows)))
+        entries[a] = tuple(nonzero)
+    mod = MatrixModule(spec, d, grading, tuple(mats), labels)
+    mod.__dict__["entries"] = entries  # the same view the property would compute
     _validate(mod)
     return mod
 
@@ -155,26 +191,11 @@ def realize_string(spec, c: Word) -> MatrixModule:
     labels = tuple(format_word(w) for w in left_divisors(spec, c))
     if c.is_trivial:
         return _module(spec, [c.trivial_at], {}, labels)
-    n = len(c)
     vertex_of = [word_target(spec, c)] + [letter_source(spec, l) for l in c.letters]
-    mats: dict[str, list[list[Fraction]]] = {}
+    cells: Cells = {}
     for j, l in enumerate(c.letters, start=1):
-        m = mats.setdefault(l.arrow, _zeros(n + 1))
-        if l.inverted:
-            m[j][j - 1] = _ONE
-        else:
-            m[j - 1][j] = _ONE
-    return _module(spec, vertex_of, mats, labels)
-
-
-def _band_letters(qb) -> tuple:
-    if isinstance(qb, QuasiBand):
-        return qb.letters
-    if isinstance(qb, BandClass):
-        return qb.canonical.letters
-    if isinstance(qb, Word):
-        return qb.letters
-    return tuple(qb)
+        cells.setdefault(l.arrow, {})[(j, j - 1) if l.inverted else (j - 1, j)] = _ONE
+    return _module(spec, vertex_of, cells, labels)
 
 
 def realize_band(spec, qb, lam) -> MatrixModule:
@@ -183,143 +204,109 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
     canonical rotation.
     """
-    letters = _band_letters(qb)
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ZeroParameter("band parameter must be nonzero")
-    if not is_quasi_band(spec, letters):
-        raise NotQuasiBand(format_word(Word(None, letters)) if letters else "empty")
-    return _realize_band(spec, QuasiBand(tuple(letters)), lam)
+    return _realize_band(spec, _as_letters(qb), Fraction(lam))
 
 
 @lru_cache(maxsize=None)
-def _realize_band(spec, qb: QuasiBand, lam: Fraction) -> MatrixModule:
+def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
+    # the input is checked here, once per distinct key; a call that raises
+    # leaves nothing in the cache, so every bad call raises again
+    if lam == 0:
+        raise ZeroParameter("band parameter must be nonzero")
+    if not is_quasi_band(spec, letters):
+        raise NotQuasiBand(format_word(Word(None, letters)))
+    qb = QuasiBand(letters)
     m = qb.period
     vertex_of = [letter_source(spec, qb.at(m))]
     vertex_of += [letter_source(spec, qb.at(j)) for j in range(1, m)]
-    mats: dict[str, list[list[Fraction]]] = {}
+    cells: Cells = {}
     for j in range(1, m + 1):
         l = qb.at(j)
-        mat = mats.setdefault(l.arrow, _zeros(m))
-        if l.inverted:
-            mat[j % m][j - 1] += _ONE / lam if j == m else _ONE
-        else:
-            mat[j - 1][j % m] += lam if j == m else _ONE
+        cell = cells.setdefault(l.arrow, {})
+        key = (j % m, j - 1) if l.inverted else (j - 1, j % m)
+        x = (_ONE / lam if l.inverted else lam) if j == m else _ONE
+        cell[key] = cell.get(key, _ZERO) + x
     labels = tuple(f"e{j}" for j in range(m))
-    return _module(spec, vertex_of, mats, labels)
+    return _module(spec, vertex_of, cells, labels)
 
 
-def _int_rows(rows) -> list[list[int]]:
-    out = []
+def _add(row: dict[int, int], col: int, x: int) -> None:
+    v = row.get(col, 0) + x
+    if v:
+        row[col] = v
+    else:
+        del row[col]
+
+
+def _integral(row: dict[int, Fraction]) -> dict[int, int]:
+    """The row scaled to integers by the lcm of its denominators, zeros dropped."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+
+
+def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
+    """Eliminate an integer row against the pivot rows, fraction-free.
+
+    pivots maps a column to the stored row whose smallest column it is, so
+    every elimination step removes the row's smallest column and brings in
+    only larger ones.  A row that survives is divided by the gcd of its
+    entries, stored under its smallest column, and that column is returned;
+    a row in the span of the pivots gives None.
+    """
+    while row:
+        col = min(row)
+        prow = pivots.get(col)
+        if prow is None:
+            g = gcd(*row.values())
+            pivots[col] = {c: x // g for c, x in row.items()} if g != 1 else row
+            return col
+        x, p = row[col], prow[col]
+        g = gcd(x, p)
+        x, p = x // g, p // g
+        new = {c: p * v for c, v in row.items()}
+        for c, v in prow.items():
+            w = new.get(c, 0) - x * v
+            if w:
+                new[c] = w
+            else:
+                del new[c]
+        row = new
+    return None
+
+
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Pivot rows of the span of the given sparse integer rows."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [x // g for x in ints]
-        if any(ints):
-            out.append(ints)
-    return out
+        _reduce(pivots, row)
+    return pivots
 
 
-def _int_rank(mat: list[list[int]], ncols: int) -> int:
-    rank = 0
-    nrows = len(mat)
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        pv = prow[col]
-        ptail = prow[col:]
-        for r in range(rank + 1, nrows):
-            x = mat[r][col]
-            if not x:
-                continue
-            row = mat[r]
-            row[col:] = [a * pv - b * x for a, b in zip(row[col:], ptail)]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                mat[r] = [v // g for v in row]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank(rows, ncols: int) -> int:
-    return _int_rank(_int_rows(rows), ncols)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
-def _kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[list[Fraction], int]]:
-    """Basis of the null space, one vector per free column, with that
+def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[int, Fraction], int]]:
+    """Null space of an echelon form, one vector per free column, with that
     column's index attached (the vector is 1 there, 0 at other free columns)."""
-    rref, pivots = _rref([r for r in rows if any(r)])
-    pivot_set = set(pivots)
+    order = sorted(pivots, reverse=True)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][free]
+        vec = {free: _ONE}
+        # pivot rows only reach right of their pivot, so pivots right of the
+        # free column stay 0 and the rest are solved from the right
+        for p in order:
+            if p > free:
+                continue
+            prow = pivots[p]
+            s = sum(x * vec[c] for c, x in prow.items() if c in vec)
+            if s:
+                vec[p] = -s / prow[p]
         basis.append((vec, free))
     return basis
 
 
-class _Span:
-    """Incremental row span over the rationals; add() reports independence."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def add(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        for piv, row in self.rows:
-            x = v[piv]
-            if x:
-                v = [a - x * b for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        pv = v[piv]
-        self.rows.append((piv, [x / pv for x in v]))
-        return True
+def _rank(rows) -> int:
+    """Rank of the given sparse rational rows."""
+    return len(_echelon(map(_integral, rows)))
 
 
 @lru_cache(maxsize=None)
@@ -327,40 +314,50 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f."""
     if X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
-    vx, vy = X.vertex_of, Y.vertex_of
-    unknown: dict[tuple[int, int], int] = {}
-    for i in range(Y.dim):
-        for j in range(X.dim):
-            if vy[i] == vx[j]:
-                unknown[(i, j)] = len(unknown)
-    nu = len(unknown)
+    # the unknown f[i][k] (i in Y, k in X, both at vertex u) is numbered
+    # offset[u] + place of i in Y_u * |X_u| + place of k in X_u
+    offset: dict[str, int] = {}
+    width: dict[str, int] = {}
+    nu = 0
+    for u, xs in X.grading:
+        offset[u], width[u] = nu, len(xs)
+        nu += len(xs) * len(Y.block(u))
     if nu == 0:
         return 0
-    rows = []
+    px, py = X.position, Y.position
+    rows: list[dict[int, int]] = []
     for name in X.spec.arrow_names:
-        A = X.mat(name)
-        B = Y.mat(name)
-        if not any(any(r) for r in A) and not any(any(r) for r in B):
+        A = [(k, j, a.numerator, a.denominator) for k, j, a in X.entries[name]]
+        B = [(i, k, b.numerator, b.denominator) for i, k, b in Y.entries[name]]
+        if not A and not B:
             continue
-        for i in range(Y.dim):
-            for j in range(X.dim):
-                coeffs: dict[int, Fraction] = {}
-                for k in range(X.dim):
-                    a = A[k][j]
-                    if a and (i, k) in unknown:
-                        idx = unknown[(i, k)]
-                        coeffs[idx] = coeffs.get(idx, _ZERO) + a
-                for k in range(Y.dim):
-                    b = B[i][k]
-                    if b and (k, j) in unknown:
-                        idx = unknown[(k, j)]
-                        coeffs[idx] = coeffs.get(idx, _ZERO) - b
-                if coeffs:
-                    dense = [_ZERO] * nu
-                    for idx, v in coeffs.items():
-                        dense[idx] = v
-                    rows.append(dense)
-    return nu - _rank(rows, nu)
+        # the equation at (i, j), i in Y_t and j in X_s for the arrow s -> t,
+        # reads sum_k f[i][k] A[k][j] - sum_k B[i][k] f[k][j] = 0; it is
+        # scaled by the lcm of the denominators in column j of A and row i of B
+        t, s = X.spec.arrow_target(name), X.spec.arrow_source(name)
+        ys, xs = Y.block(t), X.block(s)
+        den_a: dict[int, int] = {}
+        den_b: dict[int, int] = {}
+        for _, j, _, d in A:
+            if d != 1:
+                den_a[j] = lcm(den_a.get(j, 1), d)
+        for i, _, _, d in B:
+            if d != 1:
+                den_b[i] = lcm(den_b.get(i, 1), d)
+        eqs: dict[tuple[int, int], dict[int, int]] = {}
+        wt = width[t]
+        for k, j, n, d in A:
+            base, da = offset[t] + px[k], den_a.get(j, 1)
+            for p, i in enumerate(ys):
+                _add(eqs.setdefault((i, j), {}), base + p * wt,
+                     n * (lcm(da, den_b.get(i, 1)) // d))
+        for i, k, n, d in B:
+            base, db = offset[s] + py[k] * width[s], den_b.get(i, 1)
+            for p, j in enumerate(xs):
+                _add(eqs.setdefault((i, j), {}), base + p,
+                     -n * (lcm(den_a.get(j, 1), db) // d))
+        rows.extend(eqs.values())
+    return nu - len(_echelon(rows))
 
 
 def _generator_index(word: Word) -> int:
@@ -381,89 +378,79 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     """
     spec = X.spec
     d = X.dim
-    span = _Span()
-    for name in spec.arrow_names:
-        m = X.mat(name)
-        for j in range(d):
-            col = [m[i][j] for i in range(d)]
-            if any(col):
-                span.add(col)
-    picks: list[int] = []
-    for i in range(d):
-        unit = [_ZERO] * d
-        unit[i] = _ONE
-        if span.add(unit):
-            picks.append(i)
+    # the radical of X is spanned by the columns of the arrow matrices
+    span: dict[int, dict[int, int]] = {}
+    for entries in X.entries.values():
+        cols: dict[int, dict[int, Fraction]] = {}
+        for i, j, x in entries:
+            cols.setdefault(j, {})[i] = x
+        for col in cols.values():
+            _reduce(span, _integral(col))
+    picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     parts = [realize_string(spec, projective_word(spec, X.vertex_of[i])) for i in picks]
-    p_dim = sum(p.dim for p in parts)
     p_vertex: list[str] = []
-    p_mats: dict[str, list[list[Fraction]]] = {a: _zeros(p_dim) for a in spec.arrow_names}
+    p_cells: Cells = {}
     p_labels: list[str] = []
-    pi_cols: list[list[Fraction]] = []
+    pi_cols: list[dict[int, Fraction]] = []  # columns of P0 -> X, sparse
     offset = 0
     for pick, part in zip(picks, parts):
         p_vertex.extend(part.vertex_of)
-        for a in spec.arrow_names:
-            sub = part.mat(a)
-            tgt = p_mats[a]
-            for i in range(part.dim):
-                for j in range(part.dim):
-                    if sub[i][j]:
-                        tgt[offset + i][offset + j] = sub[i][j]
+        for a, entries in part.entries.items():
+            cell = p_cells.setdefault(a, {})
+            for i, j, x in entries:
+                cell[offset + i, offset + j] = x
         p_labels.extend(f"{offset + i}:{lab}" for i, lab in enumerate(part.labels))
         word = projective_word(spec, X.vertex_of[pick])
         gen = _generator_index(word)
-        cols: list[list[Fraction] | None] = [None] * part.dim
-        unit = [_ZERO] * d
-        unit[pick] = _ONE
-        cols[gen] = unit
+        cols_p: list = [None] * part.dim
+        cols_p[gen] = {pick: _ONE}
         for j in range(gen - 1, -1, -1):
-            cols[j] = _matvec(X.mat(word.letters[j].arrow), cols[j + 1])
+            cols_p[j] = _apply(X.entries[word.letters[j].arrow], cols_p[j + 1])
         for j in range(gen + 1, part.dim):
-            cols[j] = _matvec(X.mat(word.letters[j - 1].arrow), cols[j - 1])
-        pi_cols.extend(cols)  # type: ignore[arg-type]
+            cols_p[j] = _apply(X.entries[word.letters[j - 1].arrow], cols_p[j - 1])
+        pi_cols.extend(cols_p)
         offset += part.dim
-    P0 = _module(spec, p_vertex, p_mats, tuple(p_labels))
+    P0 = _module(spec, p_vertex, p_cells, tuple(p_labels))
+    p_dim = P0.dim
 
-    pi = [[pi_cols[j][i] for j in range(p_dim)] for i in range(d)]
-    if _rank([row[:] for row in pi], p_dim) != d:
+    if _rank(pi_cols) != d:
         raise RuntimeError("projective cover fails to surject")
 
-    kernel: list[tuple[list[Fraction], int]] = []
+    kernel: list[tuple[dict[int, Fraction], int]] = []
     k_vertex: list[str] = []
     for u in spec.vertices:
         cols = P0.block(u)
-        rows_u = X.block(u)
-        sub = [[pi[i][j] for j in cols] for i in rows_u]
-        for local, free_local in _kernel_basis(sub, len(cols)):
-            vec = [_ZERO] * p_dim
-            for c, val in zip(cols, local):
-                vec[c] = val
-            kernel.append((vec, cols[free_local]))
+        sub: dict[int, dict[int, Fraction]] = {}  # rows of pi restricted to u
+        for local, c in enumerate(cols):
+            for i, x in pi_cols[c].items():
+                sub.setdefault(i, {})[local] = x
+        for local, free_local in _kernel(_echelon(map(_integral, sub.values())), len(cols)):
+            kernel.append(({cols[c]: x for c, x in local.items()}, cols[free_local]))
             k_vertex.append(u)
     s = len(kernel)
     if s != p_dim - d:
         raise RuntimeError("kernel dimension disagrees with exactness")
-    o_mats: dict[str, list[list[Fraction]]] = {a: _zeros(s) for a in spec.arrow_names}
+    o_cells: Cells = {a: {} for a in spec.arrow_names}
     sig = [free for _, free in kernel]
     for a in spec.arrow_names:
-        mat = P0.mat(a)
+        entries = P0.entries[a]
         for j, (vec, _) in enumerate(kernel):
-            img = _matvec(mat, vec)
-            coords = [img[f] for f in sig]
+            img = _apply(entries, vec)
+            coords = [img.get(f, _ZERO) for f in sig]
             # the signature coordinates determine kernel vectors uniquely;
             # recombine and compare to catch any drift
-            check = [_ZERO] * p_dim
+            check: dict[int, Fraction] = {}
             for c, (kv, _) in zip(coords, kernel):
                 if c:
-                    for t in range(p_dim):
-                        check[t] += c * kv[t]
-            if check != img:
+                    for t, v in kv.items():
+                        check[t] = check.get(t, _ZERO) + c * v
+            if {t: v for t, v in check.items() if v} != img:
                 raise RuntimeError("radical action leaves the kernel")
             for i, c in enumerate(coords):
-                o_mats[a][i][j] = c
-    omega = _module(spec, k_vertex, o_mats)
+                if c:
+                    o_cells[a][i, j] = c
+    omega = _module(spec, k_vertex, o_cells)
     return P0, omega
 
 
@@ -477,9 +464,11 @@ def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
 
 def rank_sum(X: MatrixModule) -> int:
     total = 0
-    for _, m in X.mats:
-        rows = [list(r) for r in m if any(r)]
-        total += _rank(rows, X.dim)
+    for entries in X.entries.values():
+        rows: dict[int, dict[int, Fraction]] = {}
+        for i, j, x in entries:
+            rows.setdefault(i, {})[j] = x
+        total += _rank(rows.values())
     return total
 
 
@@ -494,22 +483,12 @@ def orbit_dimension(X: MatrixModule) -> int:
 def direct_sum(X: MatrixModule, Y: MatrixModule) -> MatrixModule:
     if X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
-    d = X.dim + Y.dim
     vertex_of = list(X.vertex_of) + list(Y.vertex_of)
-    mats: dict[str, list[list[Fraction]]] = {}
+    cells: Cells = {}
     for a in X.spec.arrow_names:
-        m = _zeros(d)
-        xa, ya = X.mat(a), Y.mat(a)
-        for i in range(X.dim):
-            for j in range(X.dim):
-                if xa[i][j]:
-                    m[i][j] = xa[i][j]
-        for i in range(Y.dim):
-            for j in range(Y.dim):
-                if ya[i][j]:
-                    m[X.dim + i][X.dim + j] = ya[i][j]
-        mats[a] = m
+        cell = cells[a] = {(i, j): x for i, j, x in X.entries[a]}
+        cell.update({(X.dim + i, X.dim + j): y for i, j, y in Y.entries[a]})
     labels = None
     if X.labels is not None and Y.labels is not None:
         labels = X.labels + Y.labels
-    return _module(X.spec, vertex_of, mats, labels)
+    return _module(X.spec, vertex_of, cells, labels)

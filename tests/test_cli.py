@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from stringbands import dim_hom, enumerate_bands, format_word, load_algebra, realize_band
 from stringbands.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +107,28 @@ def test_hom_oracle_accepts_explicit_parameters():
     assert doc["result"] == {
         "dim": 1, "backend": "oracle", "lambda": "2", "mu": "7/2",
     }
+
+
+@pytest.mark.parametrize("path", [GP22_FILE, GP33_FILE, KRON_FILE, LOOP_FILE])
+def test_hom_counts_on_one_band_at_equal_parameters_match_the_oracle(path):
+    spec = load_algebra(ROOT / path)
+    for B in enumerate_bands(spec, 4):
+        word = f"band:{format_word(B.canonical.as_word())}"
+        argv = ("hom", path, "--from", word, "--to", word)
+        X = realize_band(spec, B, 2)
+        same = run_json(*argv, "--lambda", "2", "--mu", "2")
+        assert same["result"]["dim"] == dim_hom(X, X)
+        generic = run_json(*argv, "--lambda", "2", "--mu", "3")
+        assert generic["result"]["dim"] == dim_hom(X, realize_band(spec, B, 3))
+        assert run_json(*argv)["result"] == generic["result"]
+
+
+def test_negative_bounds_are_rejected_by_the_parser():
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(["enumerate", KRON_FILE, "strings", "--max-len", "-3"])
+    assert exit_info.value.code == 2
+    assert "must be nonnegative" in err.getvalue()
 
 
 def test_component_verdict_with_witnesses():

@@ -26,7 +26,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
-from stringbands.oracle import _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -64,6 +64,47 @@ def test_band_realization_rejects_bad_input():
         realize_band(GP22, parse_word("a.b^-1"), Fraction(0))
     with pytest.raises(NotQuasiBand):
         realize_band(GP22, parse_word("a.b"), TWO)
+
+
+def test_band_realization_checks_every_bad_call():
+    # the check lives in the realization cache, and failures are not cached
+    for _ in range(2):
+        with pytest.raises(ZeroParameter):
+            realize_band(KRON, parse_word("a.b^-1"), 0)
+        with pytest.raises(NotQuasiBand):
+            realize_band(KRON, parse_word("a.a^-1"), TWO)
+    assert realize_band(KRON, parse_word("a.b^-1"), TWO) is realize_band(
+        KRON, parse_word("a.b^-1"), 2
+    )
+
+
+def test_equal_modules_built_apart_compare_and_hash_equal():
+    X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
+    dense = tuple(
+        (a, tuple(tuple(Fraction(x) for x in row) for row in m)) for a, m in X.mats
+    )
+    Y = MatrixModule(X.spec, X.dim, X.grading, dense, X.labels)
+    assert X is not Y and X == Y and hash(X) == hash(Y)
+    assert Y.entries == X.entries
+    S, T = (direct_sum(X, realize_string(GP33, parse_word("a"))) for _ in range(2))
+    assert S is not T and S == T and hash(S) == hash(T)
+    assert S != direct_sum(realize_string(GP33, parse_word("a")), X)
+
+
+def test_oracle_caches_stay_inspectable():
+    X = realize_string(KRON, parse_word("a.b^-1"))
+    P0, omega = syzygy(X)
+    hits = dim_hom.cache_info().hits, syzygy.cache_info().hits
+    assert dim_hom(X, X) == dim_hom(X, X)
+    assert syzygy(X) == (P0, omega)
+    assert dim_hom.cache_info().hits > hits[0]
+    assert syzygy.cache_info().hits > hits[1]
+
+
+def test_endomorphisms_of_a_long_kronecker_string():
+    M = realize_string(KRON, parse_word(".".join(["a.b^-1"] * 15)))
+    assert M.dim == 31
+    assert dim_hom(M, M) == 1
 
 
 def test_validation_rejects_broken_modules():
@@ -183,3 +224,42 @@ def test_hom_and_ext_are_additive_over_direct_sums(triple):
 def test_realized_modules_pass_validation(triple):
     for M in triple:
         _validate(M)
+
+
+# band parameters of the benchmark pool, with small integers around them
+POOL = (2, 3, 5, Fraction(7, 2), -1, Fraction(2, 3), Fraction(11, 5))
+ENTRIES = (0, 0, 0, 0, 1, -1, 2, -3, 4) + tuple(
+    v for lam in POOL for v in (Fraction(lam), 1 / Fraction(lam))
+)
+
+
+@st.composite
+def rational_matrix(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    return [
+        [Fraction(draw(st.sampled_from(ENTRIES))) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrix())
+def test_elimination_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    reference = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    )
+    pivots = _echelon(map(_integral, sparse))
+    assert len(pivots) == _rank(sparse) == reference.rank()
+    kernel = _kernel(pivots, ncols)
+    free = [f for _, f in kernel]
+    for vec, f in kernel:
+        assert all(vec.get(g, 0) == (g == f) for g in free)
+        assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in rows)
+    # the unit-at-free-column basis is unique, so it is sympy's nullspace too
+    expected = [
+        [Fraction(int(x.p), int(x.q)) for x in v] for v in reference.nullspace()
+    ]
+    assert [[vec.get(c, 0) for c in range(ncols)] for vec, _ in kernel] == expected
