@@ -17,10 +17,8 @@ from stringbands import (
     band_dimension,
     decide_component,
     enumerate_bands,
-    extendable,
     format_word,
     load_algebra,
-    negligible,
 )
 from stringbands.cli import nonnegative_int
 
@@ -65,7 +63,7 @@ def main(argv=None):
             line += f" dim {verdict.dimension:<4}"
         else:
             line += " " * 9
-        print(line + describe_negligible(negligible(spec, cls)))
+        print(line + describe_negligible(dict(verdict.witnesses).get((0,))))
 
     if not args.pairs:
         return 0
@@ -76,11 +74,11 @@ def main(argv=None):
         tag = verdict.status
         if verdict.dimension is not None:
             tag += f" dim {verdict.dimension}"
-        joins = []
-        for left, right in ((B, C), (C, B)):
-            wit = extendable(spec, left, right)
-            if wit is not None:
-                joins.append(format_word(wit.d.as_word()))
+        joins = [
+            format_word(wit.d.as_word())
+            for ix, wit in verdict.witnesses
+            if len(ix) == 2
+        ]
         extra = f"  joins: {', '.join(joins)}" if joins else ""
         print(f"  [{class_name(B)}, {class_name(C)}]  {tag}{extra}")
     return 0

@@ -18,9 +18,10 @@ from .words import (
     canonical_word,
     format_word,
     inverse,
-    is_string,
     letter_source,
     letter_target,
+    runs_avoid_ideal,
+    string_frontiers,
     trivial_word,
 )
 
@@ -95,12 +96,18 @@ def _as_qb(x) -> QuasiBand:
 
 
 def is_quasi_band(spec, letters) -> bool:
-    """Cyclic composability, reducedness, mixed directions, string windows.
+    """Cyclic composability, reducedness, mixed directions, and every
+    maximal cyclic directed run avoids the relation ideal.
 
-    Windows of length max(R, 2) from every start position are checked,
-    R being the longest relation; any longer violating factor would show
-    up in one of these unless the word runs in a single direction, and
-    those words are rejected outright.
+    This is the string condition on every cyclic window of length
+    max(R, 2), R being the longest relation.  The ideal is monomial, so a
+    window fails exactly when a relation sits inside one of its directed
+    runs.  In a word of mixed directions every directed stretch of the
+    periodic reading lies inside one maximal cyclic run, and a relation
+    inside such a run lies inside the window that starts with it.  So one
+    pass checks the adjacent pairs and finds a direction change, and the
+    word, rotated to start there, has its runs read as paths.  A word that
+    runs in a single direction is rejected outright.
     """
     ls = _as_letters(letters)
     if not ls:
@@ -108,17 +115,19 @@ def is_quasi_band(spec, letters) -> bool:
     for l in ls:
         if not spec.has_arrow(l.arrow):
             raise ParseError(f"unknown arrow {l.arrow!r}")
-    qb = QuasiBand(ls)
-    m = qb.period
-    for i in range(1, m + 1):
-        if letter_source(spec, qb.at(i)) != letter_target(spec, qb.at(i + 1)):
+    turn = None
+    for k in range(len(ls)):
+        a, b = ls[k - 1], ls[k]
+        if letter_source(spec, a) != letter_target(spec, b):
             return False
-        if qb.at(i) == qb.at(i + 1).inv():
-            return False
-    if all(l.inverted for l in ls) or all(not l.inverted for l in ls):
+        if a.inverted != b.inverted:
+            if a.arrow == b.arrow:
+                return False  # a letter next to its own inverse
+            if turn is None:
+                turn = k
+    if turn is None:
         return False
-    w = max(spec.max_relation_length, 2)
-    return all(is_string(spec, Word(None, qb.window(i, w))) for i in range(1, m + 1))
+    return runs_avoid_ideal(spec, ls[turn:] + ls[:turn])
 
 
 def _is_primitive(ls: tuple[Letter, ...]) -> bool:
@@ -263,36 +272,14 @@ def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
     return _flank_tally(spec, _as_qb(qb), max_len, inverted_before=False)
 
 
-def _linear_strings(spec, m: int) -> list[tuple[Letter, ...]]:
-    frontier: list[tuple[Letter, ...]] = []
-    for a in spec.arrow_names:
-        for inv in (False, True):
-            w = Word(None, (Letter(a, inv),))
-            if is_string(spec, w):
-                frontier.append(w.letters)
-    for _ in range(m - 1):
-        nxt = []
-        for ls in frontier:
-            src = letter_source(spec, ls[-1])
-            for a in spec.arrow_names:
-                for inv in (False, True):
-                    l = Letter(a, inv)
-                    if letter_target(spec, l) != src or l == ls[-1].inv():
-                        continue
-                    ls2 = ls + (l,)
-                    if is_string(spec, Word(None, ls2)):
-                        nxt.append(ls2)
-        frontier = nxt
-    return frontier
-
-
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     """All band classes of period <= max_len, shortest first, each period
     block sorted by the canonical letter key."""
     out: list[BandClass] = []
-    for m in range(1, max_len + 1):
+    for _, frontier in zip(range(max_len), string_frontiers(spec)):
         found: dict = {}
-        for ls in _linear_strings(spec, m):
+        for w in frontier:
+            ls = w.letters
             if not is_quasi_band(spec, ls) or not _is_primitive(ls):
                 continue
             cls = canonical_class(spec, ls)

@@ -164,31 +164,12 @@ def cmd_component(args) -> dict:
     seq = make_sequence(spec, words)
     verdict = decide_component(spec, seq)
     witnesses = []
-    classes = seq.classes
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            for x, y in ((i, j), (j, i)):
-                wit = extendable(spec, classes[x], classes[y])
-                if wit is not None:
-                    witnesses.append(
-                        {
-                            "kind": "extendable",
-                            "pair": [x, y],
-                            "rot_b": _fmt_band(wit.rot_b),
-                            "rot_c": _fmt_band(wit.rot_c),
-                            "w": format_word(wit.w),
-                            "beta": wit.beta,
-                            "delta": wit.delta,
-                            "concat": _fmt_band(wit.d),
-                        }
-                    )
-    for i, cls in enumerate(classes):
-        wit = negligible(spec, cls)
+    for ix, wit in verdict.witnesses:
         if isinstance(wit, Case1Witness):
             witnesses.append(
                 {
                     "kind": "negligible-case1",
-                    "class": i,
+                    "class": ix[0],
                     "rot": _fmt_band(wit.rot),
                     "n": wit.n,
                     "w": format_word(wit.w),
@@ -199,7 +180,7 @@ def cmd_component(args) -> dict:
             witnesses.append(
                 {
                     "kind": "negligible-case2",
-                    "class": i,
+                    "class": ix[0],
                     "rot": _fmt_band(wit.rot),
                     "w": format_word(wit.w),
                     "u": format_word(wit.u),
@@ -207,7 +188,20 @@ def cmd_component(args) -> dict:
                     "reversed": _fmt_band(wit.reversed_band),
                 }
             )
-    inputs = {"file": args.file, "bands": [_fmt_class(c) for c in classes]}
+        else:
+            witnesses.append(
+                {
+                    "kind": "extendable",
+                    "pair": list(ix),
+                    "rot_b": _fmt_band(wit.rot_b),
+                    "rot_c": _fmt_band(wit.rot_c),
+                    "w": format_word(wit.w),
+                    "beta": wit.beta,
+                    "delta": wit.delta,
+                    "concat": _fmt_band(wit.d),
+                }
+            )
+    inputs = {"file": args.file, "bands": [_fmt_class(c) for c in seq.classes]}
     result = {
         "status": verdict.status,
         "reasons": list(verdict.reasons),

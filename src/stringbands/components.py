@@ -69,6 +69,7 @@ class Case2Witness(NamedTuple):
 
 
 NegligibilityWitness = Union[Case1Witness, Case2Witness]
+Witness = Union[ExtendabilityWitness, Case1Witness, Case2Witness]
 
 
 class QuadraticWitness(NamedTuple):
@@ -81,9 +82,14 @@ class QuadraticWitness(NamedTuple):
 
 @dataclass(frozen=True)
 class ComponentVerdict:
+    """witnesses pairs each refutation, in the order of reasons, with the
+    indices it concerns: (x, y) for an extendable ordered pair and (i,) for
+    a negligible class."""
+
     status: str
     reasons: tuple[str, ...]
     dimension: int | None = None
+    witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
 
 
 def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
@@ -137,30 +143,36 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     return None
 
 
-def _case1_at(spec, rot: QuasiBand) -> Optional[Case1Witness]:
+def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
     m = rot.period
-    if not rot.at(m).inverted:
+    if rot.at(n).inverted:
         return None
-    for n in range(1, m):
-        if rot.at(n).inverted:
-            continue
-        left = rot.window(1, n)
-        right = rot.window(n + 1, m - n)
-        if not is_quasi_band(spec, left) or not is_quasi_band(spec, right):
-            continue
-        # compare the periodic word against its own shift by n
-        p = 0
-        while p < m and rot.at(p + 1) == rot.at(n + p + 1):
-            p += 1
-        if p == m:
-            continue
-        if rot.at(p + 1).inverted or not rot.at(n + p + 1).inverted:
-            continue
-        if p == 0:
-            w = trivial_word(letter_target(spec, rot.at(1)))
-        else:
-            w = Word(None, rot.window(1, p))
-        return Case1Witness(rot, n, w, (QuasiBand(left), QuasiBand(right)))
+    left = rot.window(1, n)
+    right = rot.window(n + 1, m - n)
+    if not is_quasi_band(spec, left) or not is_quasi_band(spec, right):
+        return None
+    # compare the periodic word against its own shift by n
+    p = 0
+    while p < m and rot.at(p + 1) == rot.at(n + p + 1):
+        p += 1
+    if p == m:
+        return None
+    if rot.at(p + 1).inverted or not rot.at(n + p + 1).inverted:
+        return None
+    if p == 0:
+        w = trivial_word(letter_target(spec, rot.at(1)))
+    else:
+        w = Word(None, rot.window(1, p))
+    return Case1Witness(rot, n, w, (QuasiBand(left), QuasiBand(right)))
+
+
+def _case1_at(spec, rot: QuasiBand) -> Optional[Case1Witness]:
+    if not rot.at(rot.period).inverted:
+        return None
+    for n in range(1, rot.period):
+        wit = _case1_split(spec, rot, n)
+        if wit is not None:
+            return wit
     return None
 
 
@@ -314,6 +326,7 @@ def decide_component(spec, S) -> ComponentVerdict:
         raise ValueError("empty band sequence")
     classes = seq.classes
     reasons: list[str] = []
+    found: list[tuple[tuple[int, ...], Witness]] = []
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             for x, y in ((i, j), (j, i)):
@@ -323,13 +336,15 @@ def decide_component(spec, S) -> ComponentVerdict:
                         f"classes {x} and {y} are extendable via "
                         f"{format_word(wit.d.as_word())}"
                     )
+                    found.append(((x, y), wit))
     for i, cls in enumerate(classes):
         wit = negligible(spec, cls)
         if wit is not None:
             kind = "case 1 split" if isinstance(wit, Case1Witness) else "case 2 reversal"
             reasons.append(f"class {i} is negligible ({kind})")
+            found.append(((i,), wit))
     if reasons:
-        return ComponentVerdict(NOT_COMPONENT, tuple(reasons), None)
+        return ComponentVerdict(NOT_COMPONENT, tuple(reasons), None, tuple(found))
     if all(len(r) == 2 for r in spec.relations):
         return ComponentVerdict(
             IS_COMPONENT,
@@ -406,27 +421,16 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
         raise InvalidWitness("split index out of range")
     if not is_quasi_band(spec, rot.letters):
         raise InvalidWitness("rot is not a quasi-band")
-    if not rot.at(m).inverted or rot.at(n).inverted:
-        raise InvalidWitness("edge letters point the wrong way")
-    left = rot.window(1, n)
-    right = rot.window(n + 1, m - n)
-    if not is_quasi_band(spec, left) or not is_quasi_band(spec, right):
-        raise InvalidWitness("a piece is not a quasi-band")
-    p = 0
-    while p < m and rot.at(p + 1) == rot.at(n + p + 1):
-        p += 1
-    if p == m or rot.at(p + 1).inverted or not rot.at(n + p + 1).inverted:
-        raise InvalidWitness("shifted prefix divergence fails")
-    if p == 0:
-        w = trivial_word(letter_target(spec, rot.at(1)))
-    else:
-        w = Word(None, rot.window(1, p))
-    if witness.w != w:
+    if not rot.at(m).inverted:
+        raise InvalidWitness("the rotation must end with an inverse letter")
+    wit = _case1_split(spec, rot, n)
+    if wit is None:
+        raise InvalidWitness("the rotation admits no case 1 split at n")
+    if witness.w != wit.w:
         raise InvalidWitness("stored prefix does not match")
-    pieces = (QuasiBand(left), QuasiBand(right))
-    if witness.pieces != pieces:
+    if witness.pieces != wit.pieces:
         raise InvalidWitness("stored pieces do not match")
-    return pieces
+    return wit.pieces
 
 
 def concat_extension(spec, witness) -> QuasiBand:

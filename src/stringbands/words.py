@@ -50,10 +50,6 @@ def trivial_word(vertex: str) -> Word:
     return Word(vertex, ())
 
 
-def make_word(letters) -> Word:
-    return Word(None, tuple(Letter(a, bool(i)) for a, i in letters))
-
-
 def inverse(word: Word) -> Word:
     """Reverse the letters and invert each one; trivial words are fixed."""
     if word.is_trivial:
@@ -94,11 +90,23 @@ def word_vertices(alg, word: Word) -> tuple[str, ...]:
     return tuple(verts)
 
 
-def _run_path(run: list[Letter]) -> tuple[str, ...]:
+def _run_path(run: tuple[Letter, ...]) -> tuple[str, ...]:
     # a directed run read as a path; inverse runs are paths of the reversed arrows
     if run[0].inverted:
         return tuple(l.arrow for l in reversed(run))
     return tuple(l.arrow for l in run)
+
+
+def runs_avoid_ideal(alg, letters: tuple[Letter, ...]) -> bool:
+    """True iff no maximal directed run of letters, read as a path, lies in
+    the relation ideal."""
+    start = 0
+    for i in range(1, len(letters) + 1):
+        if i == len(letters) or letters[i].inverted != letters[start].inverted:
+            if alg.path_in_ideal(_run_path(letters[start:i])):
+                return False
+            start = i
+    return True
 
 
 def is_string(alg, word: Word) -> bool:
@@ -114,15 +122,7 @@ def is_string(alg, word: Word) -> bool:
             return False
         if letters[i] == letters[i + 1].inv():
             return False
-    run: list[Letter] = [letters[0]]
-    for l in letters[1:]:
-        if l.inverted == run[-1].inverted:
-            run.append(l)
-        else:
-            if alg.path_in_ideal(_run_path(run)):
-                return False
-            run = [l]
-    return not alg.path_in_ideal(_run_path(run))
+    return runs_avoid_ideal(alg, letters)
 
 
 def concat(alg, left: Word, right: Word) -> Word:
@@ -146,18 +146,6 @@ def left_divisors(alg, word: Word) -> list[Word]:
     for i in range(1, len(word) + 1):
         out.append(Word(None, word.letters[:i]))
     return out
-
-
-class SubTriple(NamedTuple):
-    c1: Word
-    c2: Word
-    c3: Word
-
-
-class FacTriple(NamedTuple):
-    c1: Word
-    c2: Word
-    c3: Word
 
 
 def _piece(alg, c: Word, i: int, j: int) -> Word:
@@ -200,19 +188,6 @@ def _triples(alg, d: Word, c: Word, left_inverted: bool):
     return out
 
 
-def sub_triples(alg, d: Word, c: Word) -> list[SubTriple]:
-    """Decompositions c = c1 c2 c3 with c2 in {d, d inverse}, c1 trivial or
-    ending in an inverse letter, c3 trivial or starting (leftmost) with an
-    arrow."""
-    return [SubTriple(*t) for t in _triples(alg, d, c, left_inverted=True)]
-
-
-def fac_triples(alg, d: Word, c: Word) -> list[FacTriple]:
-    """Dual decompositions: c1 trivial or plain on its right edge, c3 trivial
-    or inverse on its left edge."""
-    return [FacTriple(*t) for t in _triples(alg, d, c, left_inverted=False)]
-
-
 @lru_cache(maxsize=None)
 def count_sub(alg, d: Word, c: Word) -> int:
     return len(_triples(alg, d, c, left_inverted=True))
@@ -238,30 +213,21 @@ def canonical_word(alg, word: Word) -> Word:
     return min(word, inv, key=lambda w: word_key(alg, w))
 
 
-def iter_strings(alg, max_len: int):
-    """Yield one representative per {c, c inverse} class, length at most
-    max_len.
+def string_frontiers(alg):
+    """Yield, for lengths 1, 2, ..., the list of every string of that length
+    (both readings of each), until a length has none.
 
-    Trivial words come first in vertex declaration order, then each length
-    in letter order.  Deterministic for a fixed algebra, and lazy: callers
-    that stop early never pay for the longer lengths.
+    Each list extends the previous one by one letter on the right, in
+    declaration order, so the order is fixed for a fixed algebra.
     """
-    for v in alg.vertices:
-        yield trivial_word(v)
     frontier: list[Word] = []
     for a in alg.arrow_names:
         for inv in (False, True):
             w = Word(None, (Letter(a, inv),))
             if is_string(alg, w):
                 frontier.append(w)
-    length = 1
-    while length <= max_len and frontier:
-        reps = {}
-        for w in frontier:
-            cw = canonical_word(alg, w)
-            reps.setdefault(word_key(alg, cw), cw)
-        for k in sorted(reps):
-            yield reps[k]
+    while frontier:
+        yield frontier
         nxt = []
         for w in frontier:
             src = word_source(alg, w)
@@ -275,7 +241,25 @@ def iter_strings(alg, max_len: int):
                     if is_string(alg, w2):
                         nxt.append(w2)
         frontier = nxt
-        length += 1
+
+
+def iter_strings(alg, max_len: int):
+    """Yield one representative per {c, c inverse} class, length at most
+    max_len.
+
+    Trivial words come first in vertex declaration order, then each length
+    in letter order.  Deterministic for a fixed algebra, and lazy: callers
+    that stop early never pay for the longer lengths.
+    """
+    for v in alg.vertices:
+        yield trivial_word(v)
+    for _, frontier in zip(range(max_len), string_frontiers(alg)):
+        reps = {}
+        for w in frontier:
+            cw = canonical_word(alg, w)
+            reps.setdefault(word_key(alg, cw), cw)
+        for k in sorted(reps):
+            yield reps[k]
 
 
 def enumerate_strings(alg, max_len: int) -> list[Word]:

@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
+    AlgebraSpec,
+    ArrowDecl,
     Letter,
     NotBand,
     NotQuasiBand,
+    ParseError,
     TrivialWord,
     Word,
     are_equivalent,
@@ -23,11 +26,12 @@ from stringbands import (
     inverse,
     is_band,
     is_quasi_band,
+    is_string,
     parse_word,
     parti_counts,
     sub_counts,
 )
-from stringbands.words import trivial_word
+from stringbands.words import letter_source, letter_target, trivial_word
 
 
 def fmt(c):
@@ -172,3 +176,89 @@ def test_total_arrow_occurrences_tile_the_period(case):
         arrow = Word(None, (Letter(a, False),))
         total += sum(parti_counts(spec, arrow, cls))
     assert total == cls.period
+
+
+def window_quasi_band(spec, ls):
+    """The window-by-window definition: every cyclic window of length
+    max(R, 2) is a string, on a composable, reduced, mixed cyclic word."""
+    m = len(ls)
+
+    def at(i):
+        return ls[(i - 1) % m]
+
+    for i in range(1, m + 1):
+        if letter_source(spec, at(i)) != letter_target(spec, at(i + 1)):
+            return False
+        if at(i) == at(i + 1).inv():
+            return False
+    if all(l.inverted for l in ls) or all(not l.inverted for l in ls):
+        return False
+    w = max(spec.max_relation_length, 2)
+    return all(
+        is_string(spec, Word(None, tuple(at(i + k) for k in range(w))))
+        for i in range(1, m + 1)
+    )
+
+
+@st.composite
+def monomial_quivers(draw):
+    """At most 3 vertices, at most 4 arrows and relations of length 2-3;
+    not required to be a string algebra."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
+    arrows = tuple(
+        ArrowDecl(f"a{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        for i in range(draw(st.integers(1, 4)))
+    )
+    relations = []
+    for _ in range(draw(st.integers(0, 4))):
+        path = [draw(st.sampled_from(arrows))]
+        for _ in range(draw(st.integers(1, 2))):
+            before = [a for a in arrows if a.target == path[-1].source]
+            if not before:
+                break
+            path.append(draw(st.sampled_from(before)))
+        rel = tuple(a.name for a in path)
+        if len(rel) >= 2 and rel not in relations:
+            relations.append(rel)
+    return AlgebraSpec(vertices, arrows, tuple(relations))
+
+
+@st.composite
+def cyclic_words(draw, spec):
+    """Up to 7 letters.  Most steps continue a reduced walk and most last
+    letters close it, so the draws reach the run check and not only the
+    composability one."""
+    letters = [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
+    ls = [draw(st.sampled_from(letters))]
+    n = draw(st.integers(1, 7))
+    while len(ls) < n:
+        walk = [
+            l for l in letters
+            if letter_target(spec, l) == letter_source(spec, ls[-1]) and l != ls[-1].inv()
+        ]
+        if len(ls) == n - 1:
+            walk = [l for l in walk if letter_source(spec, l) == letter_target(spec, ls[0])]
+        free = draw(st.integers(0, 5)) == 0
+        ls.append(draw(st.sampled_from(letters if free or not walk else walk)))
+    return tuple(ls)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_quasi_band_matches_the_window_definition(spec, data):
+    ls = data.draw(cyclic_words(spec))
+    assert is_quasi_band(spec, ls) == window_quasi_band(spec, ls)
+
+
+def test_quasi_band_errors_and_one_direction_words():
+    with pytest.raises(ParseError):
+        is_quasi_band(GP22, parse_word("a.z^-1").letters)
+    with pytest.raises(NotQuasiBand):
+        is_quasi_band(GP22, ())
+    # a relation-free loop reads as a string in every window, but a cyclic
+    # word in one direction is never a quasi-band
+    free_loop = AlgebraSpec(("u",), (ArrowDecl("a", "u", "u"),), ())
+    for text in ("a", "a.a", "a^-1.a^-1.a^-1"):
+        assert window_quasi_band(free_loop, parse_word(text).letters) is False
+        assert not is_quasi_band(free_loop, parse_word(text).letters)
+    assert is_string(free_loop, parse_word("a.a.a"))

@@ -114,6 +114,20 @@ def test_verdict_reasons_mention_the_refutation():
     assert any("extendable" in r for r in verdict.reasons)
 
 
+def test_verdict_carries_the_witnesses_it_found():
+    verdict = decide_component(GP33, [B33, B33])
+    assert len(verdict.witnesses) == len(verdict.reasons) == 2
+    assert verdict.witnesses == (
+        ((0, 1), extendable(GP33, B33, B33)),
+        ((1, 0), extendable(GP33, B33, B33)),
+    )
+    assert decide_component(LOOP, [L_GOOD, L_BAD]).witnesses == (
+        ((1,), negligible(LOOP, L_BAD)),
+    )
+    assert decide_component(GP22, [B22, B22]).witnesses == ()
+    assert decide_component(GP33, [B33]).witnesses == ()
+
+
 def test_reverse_piece_produces_the_dominating_class():
     wit = negligible(LOOP, L_BAD)
     dominating = reverse_piece(LOOP, wit.rot, wit.w, wit.u, wit.v)
@@ -136,6 +150,14 @@ def test_split_band_revalidates_the_witness():
     tampered = Case1Witness(wit.rot, wit.n + 1, wit.w, wit.pieces)
     with pytest.raises(InvalidWitness):
         split_band(GP33, tampered)
+    for tampered in (
+        Case1Witness(wit.rot, wit.n, parse_word("a"), wit.pieces),
+        Case1Witness(wit.rot, wit.n, wit.w, wit.pieces[::-1]),
+        Case1Witness(wit.rot, 0, wit.w, wit.pieces),
+        Case1Witness(wit.rot.as_word(), wit.n, wit.w, wit.pieces),
+    ):
+        with pytest.raises(InvalidWitness):
+            split_band(GP33, tampered)
     with pytest.raises(InvalidWitness):
         split_band(GP33, "not a witness")
 
