@@ -1,6 +1,9 @@
 """Cyclic words over the quiver: quasi-bands, bands, their classes, and the
 occurrence counts (parti, sub, fac) that drive every hom formula.
 
+The sub and fac counts are band tallies: folds over `words.flanked` read
+cyclically, the same occurrence definition that strings use.
+
 A quasi-band is stored by one period b(1)..b(m); indices wrap, with b(i)
 read 1-based.  The letter b(i) is traversed after b(i+1), matching the
 composition order of finite words.
@@ -15,14 +18,14 @@ from .errors import NotBand, NotQuasiBand, ParseError, TrivialWord
 from .words import (
     Letter,
     Word,
-    canonical_word,
     format_word,
     inverse,
     letter_source,
     letter_target,
     runs_avoid_ideal,
     string_frontiers,
-    trivial_word,
+    tally,
+    tally_count,
 )
 
 
@@ -146,14 +149,10 @@ def is_band(spec, letters) -> bool:
     return _is_primitive(ls)
 
 
-def _candidates(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-    m = len(ls)
+def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """The m rotations of the word, then the m of its inverse-reversal."""
     inv = tuple(l.inv() for l in reversed(ls))
-    out = []
-    for k in range(m):
-        out.append(ls[k:] + ls[:k])
-        out.append(inv[k:] + inv[:k])
-    return out
+    return [base[k:] + base[:k] for base in (ls, inv) for k in range(len(ls))]
 
 
 def canonical_class(spec, letters) -> BandClass:
@@ -162,7 +161,7 @@ def canonical_class(spec, letters) -> BandClass:
     ls = _as_letters(letters)
     if not is_band(spec, ls):
         raise NotBand(f"{_fmt(ls)} is a proper power")
-    best = min(_candidates(ls), key=lambda c: tuple(spec.letter_key(l) for l in c))
+    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_key(l) for l in c))
     return BandClass(QuasiBand(best))
 
 
@@ -173,16 +172,7 @@ def are_equivalent(spec, b, bp) -> bool:
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     """All distinct rotations of the class, canonical ones first, then the
     rotations of the inverse-reversal.  Witness searches iterate this order."""
-    ls = B.canonical.letters
-    m = len(ls)
-    inv = tuple(l.inv() for l in reversed(ls))
-    seen: list[tuple[Letter, ...]] = []
-    for base in (ls, inv):
-        for k in range(m):
-            rot = base[k:] + base[:k]
-            if rot not in seen:
-                seen.append(rot)
-    return tuple(QuasiBand(r) for r in seen)
+    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
 @lru_cache(maxsize=None)
@@ -200,76 +190,28 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     return occ(c.letters), occ(inverse(c).letters)
 
 
-def _flank_count(spec, c: Word, band: QuasiBand, inverted_before: bool) -> int:
-    m = band.period
-    total = 0
-    if c.is_trivial:
-        for i in range(1, m + 1):
-            if band.at(i).inverted != inverted_before:
-                continue
-            if letter_source(spec, band.at(i)) != c.trivial_at:
-                continue
-            if band.at(i + 1).inverted == inverted_before:
-                continue
-            total += 1
-        return total
-    # both orientations count and are disjoint for a nontrivial c
-    for target in (c.letters, inverse(c).letters):
-        n = len(target)
-        for i in range(1, m + 1):
-            if band.at(i).inverted != inverted_before:
-                continue
-            if band.window(i + 1, n) != target:
-                continue
-            if band.at(i + n + 1).inverted == inverted_before:
-                continue
-            total += 1
-    return total
-
-
-@lru_cache(maxsize=None)
-def sub_counts(spec, c: Word, qb) -> int:
-    """Indices i with b(i) inverse, the next l(c) letters spelling c or its
-    inverse, and the letter after that a plain arrow."""
-    return _flank_count(spec, c, _as_qb(qb), inverted_before=True)
-
-
-@lru_cache(maxsize=None)
-def fac_counts(spec, c: Word, qb) -> int:
-    return _flank_count(spec, c, _as_qb(qb), inverted_before=False)
-
-
-def _flank_tally(spec, band: QuasiBand, max_len: int, inverted_before: bool):
-    tally: dict[Word, int] = {}
-    m = band.period
-    for i in range(1, m + 1):
-        first = band.at(i)
-        if first.inverted != inverted_before:
-            continue
-        for l in range(max_len + 1):
-            if band.at(i + l + 1).inverted == inverted_before:
-                continue
-            if l == 0:
-                mid = trivial_word(letter_source(spec, first))
-            else:
-                mid = Word(None, band.window(i + 1, l))
-            key = canonical_word(spec, mid)
-            tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
 @lru_cache(maxsize=None)
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
     """sub counts of every canonical word of length <= max_len in one scan.
 
     Cached; treat the returned mapping as read-only.
     """
-    return _flank_tally(spec, _as_qb(qb), max_len, inverted_before=True)
+    return tally(spec, _as_qb(qb).letters, True, max_len, cyclic=True)
 
 
 @lru_cache(maxsize=None)
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    return _flank_tally(spec, _as_qb(qb), max_len, inverted_before=False)
+    return tally(spec, _as_qb(qb).letters, False, max_len, cyclic=True)
+
+
+def sub_counts(spec, c: Word, qb) -> int:
+    """Indices i with b(i) inverse, the next l(c) letters spelling c or its
+    inverse, and the letter after that a plain arrow."""
+    return tally_count(band_sub_tally(spec, qb, len(c)), c)
+
+
+def fac_counts(spec, c: Word, qb) -> int:
+    return tally_count(band_fac_tally(spec, qb, len(c)), c)
 
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:

@@ -15,6 +15,7 @@ from .algebra import gentle_vertices
 from .bands import (
     BandClass,
     QuasiBand,
+    _as_letters,
     canonical_class,
     class_members,
     is_quasi_band,
@@ -30,10 +31,10 @@ from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
     Letter,
     Word,
+    flanked,
     format_word,
     inverse,
     is_string,
-    letter_source,
     letter_target,
     trivial_word,
     word_key,
@@ -238,26 +239,15 @@ def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool
     along with each reading.
     """
     by_mid: dict[Word, list[tuple[str, str]]] = {}
-    m = band.period
-    for l in range(max_mid + 1):
-        for i in range(1, m + 1):
-            first = band.at(i)
-            last = band.at(i + l + 1)
-            if first.inverted != leftmost_inverted:
-                continue
-            if last.inverted == leftmost_inverted:
-                continue
-            if l == 0:
-                mid = trivial_word(letter_source(spec, first))
-            else:
-                mid = Word(None, band.window(i + 1, l))
-            for a, d, b in (
-                (first.arrow, mid, last.arrow),
-                (last.arrow, inverse(mid), first.arrow),
-            ):
-                pairs = by_mid.setdefault(d, [])
-                if (a, b) not in pairs:
-                    pairs.append((a, b))
+    occurrences = flanked(spec, band.letters, leftmost_inverted, max_mid, cyclic=True)
+    for first, mid, last in occurrences:
+        for a, d, b in (
+            (first.arrow, mid, last.arrow),
+            (last.arrow, inverse(mid), first.arrow),
+        ):
+            pairs = by_mid.setdefault(d, [])
+            if (a, b) not in pairs:
+                pairs.append((a, b))
     return by_mid
 
 
@@ -373,22 +363,12 @@ def component_dimension(spec, S) -> int:
     return verdict.dimension
 
 
-def _cyclic_letters(rot) -> tuple[Letter, ...]:
-    if isinstance(rot, QuasiBand):
-        return rot.letters
-    if isinstance(rot, Word):
-        if rot.is_trivial:
-            raise BadDecomposition("a trivial word has no cyclic reading")
-        return rot.letters
-    return tuple(rot)
-
-
 def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     """Rewrites rot = w.u.w^-1.v into the dominant quasi-band w.u.w^-1.v^-1.
 
     The family of rot lies in the closure of the returned band's family.
     """
-    ls = _cyclic_letters(rot)
+    ls = _as_letters(rot)
     if u.is_trivial or v.is_trivial:
         raise BadDecomposition("u and v must be nonempty")
     w_ls = () if w.is_trivial else w.letters

@@ -3,8 +3,10 @@
 Each formula sums, over representatives d of the inversion classes {d, d^-1},
 the product of a fac count on the source side and a sub count on the target
 side.  Summing over representatives rather than over all words is what keeps
-endomorphism counts honest; both occurrence counters already absorb the two
-orientations of d.
+endomorphism counts honest; both tallies already absorb the two orientations
+of d.  Every count is a fold over `words.flanked`, the one occurrence
+definition, so the four formulas are one pairing of a fac tally with a sub
+tally.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from .bands import (
     parti_counts,
 )
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
-from .words import (
-    Letter,
-    Word,
-    count_fac,
-    count_sub,
-    factor_words,
-    iter_strings,
-)
+from .words import Letter, Word, iter_strings, string_fac_tally, string_sub_tally
 
 
 @dataclass(frozen=True)
@@ -50,30 +45,24 @@ def make_sequence(spec, items) -> BandSequence:
     return BandSequence(tuple(canonical_class(spec, it) for it in items))
 
 
+def _pair(facs: dict[Word, int], subs: dict[Word, int]) -> int:
+    """Sum over d of fac(d, source) * sub(d, target)."""
+    return sum(n * subs[d] for d, n in facs.items() if d in subs)
+
+
 def hom_string_string(spec, c: Word, cp: Word) -> int:
     """dim Hom(M(c), M(c')): fac counts on c against sub counts on c'."""
-    total = 0
-    for d in factor_words(spec, c):
-        f = count_fac(spec, d, c)
-        if f:
-            total += f * count_sub(spec, d, cp)
-    return total
+    return _pair(string_fac_tally(spec, c), string_sub_tally(spec, cp))
 
 
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    tally = band_fac_tally(spec, B.canonical, len(c))
-    return sum(
-        tally[d] * count_sub(spec, d, c) for d in factor_words(spec, c) if d in tally
-    )
+    return _pair(band_fac_tally(spec, B.canonical, len(c)), string_sub_tally(spec, c))
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    tally = band_sub_tally(spec, B.canonical, len(c))
-    return sum(
-        count_fac(spec, d, c) * tally[d] for d in factor_words(spec, c) if d in tally
-    )
+    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, len(c)))
 
 
 def hom_band_band(
@@ -91,7 +80,7 @@ def hom_band_band(
     cap = length_cap if length_cap is not None else 2 * (B.period + C.period)
     facs = band_fac_tally(spec, B.canonical, cap)
     subs = band_sub_tally(spec, C.canonical, cap)
-    total = sum(f * subs[d] for d, f in facs.items() if d in subs)
+    total = _pair(facs, subs)
     return total + 1 if same_module else total
 
 

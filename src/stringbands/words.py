@@ -1,4 +1,9 @@
-"""Walks on a quiver and the substring/factorstring combinatorics of strings.
+"""Walks on a quiver, the flanked-occurrence engine and string tallies.
+
+`flanked` is the one definition of an occurrence of a middle word with
+its two neighbours pointing the required ways; every substring and
+factorstring count, on strings here and on bands in `bands`, is a fold
+over it.
 
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
@@ -9,6 +14,7 @@ the target is t(a1).  "Starts with" refers to the rightmost letter and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -148,54 +154,84 @@ def left_divisors(alg, word: Word) -> list[Word]:
     return out
 
 
-def _piece(alg, c: Word, i: int, j: int) -> Word:
-    if i == j:
-        return trivial_word(word_vertices(alg, c)[i])
-    return Word(None, c.letters[i:j])
+def flanked(
+    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
+):
+    """Yield (left, mid, right) for every flanked occurrence of a middle word
+    of length at most max_mid: the left neighbour has inverted ==
+    left_inverted and the right neighbour does not.
 
-
-def _middle_spans(alg, d: Word, c: Word):
-    """Index pairs (i, j) with c.letters[i:j] equal to d; wraps nothing."""
-    if d.is_trivial:
-        for i, v in enumerate(word_vertices(alg, c)):
-            if v == d.trivial_at:
-                yield i, i
+    This is the one occurrence definition.  Substrings ask for an inverse
+    letter on the left (left_inverted=True), factorstrings for a plain one.
+    A finite word has no neighbour past either end; it is None there and
+    imposes nothing.  A cyclic word is read periodically, with one
+    occurrence per left neighbour b(i) and both neighbours always present,
+    so a middle word may be longer than the period.  A trivial middle is the
+    vertex between its two neighbours.  A trivial finite word has no
+    letters to read and is left to the caller.
+    """
+    n = len(letters)
+    if cyclic:
+        reading = letters * (max_mid // max(n, 1) + 2)
+        starts = range(1, n + 1)
     else:
-        k = len(d)
-        for i in range(len(c) - k + 1):
-            if c.letters[i : i + k] == d.letters:
-                yield i, i + k
+        reading = letters
+        starts = range(n + 1)
+    for k in starts:
+        left = reading[k - 1] if k else None
+        if left is not None and left.inverted != left_inverted:
+            continue
+        vertex = letter_source(alg, left) if k else letter_target(alg, reading[0])
+        for j in range(k, min(k + max_mid, len(reading)) + 1):
+            right = reading[j] if j < len(reading) else None
+            if right is not None and right.inverted == left_inverted:
+                continue
+            mid = Word(None, reading[k:j]) if j > k else trivial_word(vertex)
+            yield left, mid, right
 
 
-def _triples(alg, d: Word, c: Word, left_inverted: bool):
-    # substring triples want c1 to end in an inverse letter, factorstring
-    # triples in a plain one; c3 takes the opposite flavor on its left edge
+def tally(
+    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
+) -> dict[Word, int]:
+    """Flanked occurrences counted by the canonical form of their middle
+    word; both orientations of a middle word land on one key."""
+    return Counter(
+        canonical_word(alg, mid)
+        for _, mid, _ in flanked(alg, letters, left_inverted, max_mid, cyclic)
+    )
+
+
+def tally_count(counts: dict[Word, int], d: Word) -> int:
+    """The count of d's inversion class in a tally.  Tally keys are
+    canonical, so one of d and its inverse is the key if any is."""
+    return counts.get(d) or counts.get(inverse(d), 0)
+
+
+def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
     if c.is_trivial:
-        if d.is_trivial and d.trivial_at == c.trivial_at:
-            return [(c, c, c)]
-        return []
-    out = []
-    variants = [d] if d.is_trivial else [d, inverse(d)]
-    for var in variants:
-        for i, j in _middle_spans(alg, var, c):
-            if i > 0 and c.letters[i - 1].inverted != left_inverted:
-                continue
-            if j < len(c) and c.letters[j].inverted == left_inverted:
-                continue
-            out.append(
-                (_piece(alg, c, 0, i), _piece(alg, c, i, j), _piece(alg, c, j, len(c)))
-            )
-    return out
+        return {c: 1}
+    return tally(alg, c.letters, left_inverted, len(c))
 
 
 @lru_cache(maxsize=None)
+def string_sub_tally(alg, c: Word) -> dict[Word, int]:
+    """sub(d, c) for every canonical d at once.  Cached; treat the returned
+    mapping as read-only."""
+    return _string_tally(alg, c, left_inverted=True)
+
+
+@lru_cache(maxsize=None)
+def string_fac_tally(alg, c: Word) -> dict[Word, int]:
+    """fac(d, c) for every canonical d at once.  Cached; read-only."""
+    return _string_tally(alg, c, left_inverted=False)
+
+
 def count_sub(alg, d: Word, c: Word) -> int:
-    return len(_triples(alg, d, c, left_inverted=True))
+    return tally_count(string_sub_tally(alg, c), d)
 
 
-@lru_cache(maxsize=None)
 def count_fac(alg, d: Word, c: Word) -> int:
-    return len(_triples(alg, d, c, left_inverted=False))
+    return tally_count(string_fac_tally(alg, c), d)
 
 
 def word_key(alg, word: Word):
@@ -265,22 +301,6 @@ def iter_strings(alg, max_len: int):
 def enumerate_strings(alg, max_len: int) -> list[Word]:
     """iter_strings collected into a list."""
     return list(iter_strings(alg, max_len))
-
-
-@lru_cache(maxsize=None)
-def factor_words(alg, c: Word) -> tuple[Word, ...]:
-    """Canonical classes of all factors of c, including the trivial words at
-    visited vertices.  These exhaust the d with fac(d, c) or sub(d, c)
-    nonempty."""
-    seen = {}
-    for v in word_vertices(alg, c):
-        w = trivial_word(v)
-        seen.setdefault(word_key(alg, w), w)
-    for i in range(len(c)):
-        for j in range(i + 1, len(c) + 1):
-            w = canonical_word(alg, Word(None, c.letters[i:j]))
-            seen.setdefault(word_key(alg, w), w)
-    return tuple(seen[k] for k in sorted(seen))
 
 
 def parse_word(text: str) -> Word:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
@@ -10,6 +10,7 @@ from stringbands import (
     NotBand,
     NotQuasiBand,
     ParseError,
+    QuasiBand,
     TrivialWord,
     Word,
     are_equivalent,
@@ -17,7 +18,10 @@ from stringbands import (
     band_fac_tally,
     band_sub_tally,
     canonical_class,
+    canonical_word,
     class_members,
+    count_fac,
+    count_sub,
     dimension_vector,
     enumerate_bands,
     enumerate_strings,
@@ -31,7 +35,8 @@ from stringbands import (
     parti_counts,
     sub_counts,
 )
-from stringbands.words import letter_source, letter_target, trivial_word
+from stringbands.components import _window_triples
+from stringbands.words import letter_source, letter_target, trivial_word, word_vertices
 
 
 def fmt(c):
@@ -123,6 +128,7 @@ def test_occurrence_counts_on_bands():
     assert fac_counts(GP33, trivial_word("u"), B2) == 1
     assert sub_counts(GP33, trivial_word("u"), B4) == 1
     assert sub_counts(GP33, parse_word("a"), B4) == 1
+    assert fac_counts(GP33, parse_word("z"), B4) == 0
 
 
 def test_tallies_agree_with_single_counts():
@@ -262,3 +268,127 @@ def test_quasi_band_errors_and_one_direction_words():
         assert window_quasi_band(free_loop, parse_word(text).letters) is False
         assert not is_quasi_band(free_loop, parse_word(text).letters)
     assert is_string(free_loop, parse_word("a.a.a"))
+
+
+# Reference copies of the occurrence counters as they stood before the
+# flanked-occurrence engine: every count, band tally and quadratic window
+# below is checked against them.
+
+
+def _piece(alg, c, i, j):
+    if i == j:
+        return trivial_word(word_vertices(alg, c)[i])
+    return Word(None, c.letters[i:j])
+
+
+def _middle_spans(alg, d, c):
+    if d.is_trivial:
+        for i, v in enumerate(word_vertices(alg, c)):
+            if v == d.trivial_at:
+                yield i, i
+    else:
+        k = len(d)
+        for i in range(len(c) - k + 1):
+            if c.letters[i : i + k] == d.letters:
+                yield i, i + k
+
+
+def _triples(alg, d, c, left_inverted):
+    if c.is_trivial:
+        if d.is_trivial and d.trivial_at == c.trivial_at:
+            return [(c, c, c)]
+        return []
+    out = []
+    variants = [d] if d.is_trivial else [d, inverse(d)]
+    for var in variants:
+        for i, j in _middle_spans(alg, var, c):
+            if i > 0 and c.letters[i - 1].inverted != left_inverted:
+                continue
+            if j < len(c) and c.letters[j].inverted == left_inverted:
+                continue
+            out.append(
+                (_piece(alg, c, 0, i), _piece(alg, c, i, j), _piece(alg, c, j, len(c)))
+            )
+    return out
+
+
+def _flank_count(spec, c, band, inverted_before):
+    m = band.period
+    total = 0
+    if c.is_trivial:
+        for i in range(1, m + 1):
+            if band.at(i).inverted != inverted_before:
+                continue
+            if letter_source(spec, band.at(i)) != c.trivial_at:
+                continue
+            if band.at(i + 1).inverted == inverted_before:
+                continue
+            total += 1
+        return total
+    for target in (c.letters, inverse(c).letters):
+        n = len(target)
+        for i in range(1, m + 1):
+            if band.at(i).inverted != inverted_before:
+                continue
+            if band.window(i + 1, n) != target:
+                continue
+            if band.at(i + n + 1).inverted == inverted_before:
+                continue
+            total += 1
+    return total
+
+
+def _reference_window_triples(spec, band, max_mid, leftmost_inverted):
+    by_mid = {}
+    m = band.period
+    for l in range(max_mid + 1):
+        for i in range(1, m + 1):
+            first = band.at(i)
+            last = band.at(i + l + 1)
+            if first.inverted != leftmost_inverted:
+                continue
+            if last.inverted == leftmost_inverted:
+                continue
+            if l == 0:
+                mid = trivial_word(letter_source(spec, first))
+            else:
+                mid = Word(None, band.window(i + 1, l))
+            for a, d, b in (
+                (first.arrow, mid, last.arrow),
+                (last.arrow, inverse(mid), first.arrow),
+            ):
+                pairs = by_mid.setdefault(d, [])
+                if (a, b) not in pairs:
+                    pairs.append((a, b))
+    return by_mid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_flanked_folds_match_the_old_counters(spec, data):
+    ls = data.draw(cyclic_words(spec))
+    # the counters are defined on reduced words; a word equal to its own
+    # inverse never occurs in one
+    assume(all(ls[k - 1] != ls[k].inv() for k in range(len(ls))))
+    m = len(ls)
+    c = Word(None, ls)
+    trivials = [trivial_word(v) for v in spec.vertices]
+    factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
+    for d in trivials + factors + [inverse(f) for f in factors]:
+        assert count_sub(spec, d, c) == len(_triples(spec, d, c, True))
+        assert count_fac(spec, d, c) == len(_triples(spec, d, c, False))
+    band = QuasiBand(ls)
+    for cap in (m, 2 * m + 3):
+        windows = [
+            Word(None, band.window(i, n)) for i in range(m) for n in range(1, cap + 1)
+        ]
+        for inv, tally in ((True, band_sub_tally), (False, band_fac_tally)):
+            reference = {}
+            for d in trivials + windows:
+                n = _flank_count(spec, d, band, inv)
+                if n:
+                    reference[canonical_word(spec, d)] = n
+            assert tally(spec, band, cap) == reference
+            assert _window_triples(spec, band, cap, inv) == _reference_window_triples(
+                spec, band, cap, inv
+            )

@@ -194,15 +194,43 @@ def test_exit_code_three_on_domain_errors():
     )
     assert code == 3
     assert json.loads(err)["error"] == "InvalidWitness"
+    code, out, err = run_cli(
+        "degenerate", GP22_FILE, "--band", "1_u", "--mode", "reverse",
+        "--w", "1_u", "--u", "a", "--v", "b^-1",
+    )
+    assert code == 3
+    assert json.loads(err) == {
+        "error": "NotQuasiBand", "detail": "a trivial word has no cyclic reading",
+    }
 
 
-def test_module_entry_point_runs():
+def run_child(*argv):
     # the child finds the package from an uninstalled checkout too
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringbands", "validate", KRON_FILE],
-        cwd=ROOT, capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, env=env,
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_child("-m", "stringbands", "validate", KRON_FILE)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["valid"] is True
+
+
+def test_oracle_crosscheck_script_finds_no_mismatch():
+    proc = run_child(
+        "scripts/oracle_crosscheck.py", KRON_FILE, "--max-len", "3", "--max-period", "3",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "MISMATCHES" not in proc.stdout
+    assert "all counts agree with the oracle" in proc.stdout
+
+
+def test_component_survey_script_runs():
+    proc = run_child(
+        "scripts/component_survey.py", LOOP_FILE, "--max-period", "4", "--pairs",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "unordered pairs" in proc.stdout

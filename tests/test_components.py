@@ -8,6 +8,7 @@ from stringbands import (
     InvalidWitness,
     NotAComponent,
     NotQuadratic,
+    NotQuasiBand,
     canonical_class,
     component_dimension,
     concat_extension,
@@ -140,6 +141,8 @@ def test_reverse_piece_rejects_bad_decompositions():
         reverse_piece(LOOP, wit.rot, wit.w, parse_word("x^-1"), wit.v)
     with pytest.raises(BadDecomposition):
         reverse_piece(LOOP, wit.rot, parse_word("a"), parse_word("a"), wit.v)
+    with pytest.raises(NotQuasiBand, match="^a trivial word has no cyclic reading$"):
+        reverse_piece(LOOP, parse_word("1_1"), wit.w, wit.u, wit.v)
 
 
 def test_split_band_revalidates_the_witness():

@@ -13,13 +13,14 @@ from stringbands import (
     count_fac,
     count_sub,
     enumerate_strings,
-    factor_words,
     format_word,
     hom_string_string,
     inverse,
     is_string,
     left_divisors,
     parse_word,
+    string_fac_tally,
+    string_sub_tally,
 )
 from stringbands.words import (
     trivial_word,
@@ -110,9 +111,12 @@ def test_enumerate_strings_counts_at_length_six():
     assert len(enumerate_strings(LOOP, 6)) == 51
 
 
-def test_factor_words_collects_canonical_factors():
-    fs = {format_word(w) for w in factor_words(GP22, parse_word("a.b^-1"))}
-    assert fs == {"1_u", "a", "b", "a.b^-1"}
+def test_string_tallies_count_canonical_middles():
+    c = parse_word("a.b^-1")
+    facs = {format_word(w): n for w, n in string_fac_tally(GP22, c).items()}
+    subs = {format_word(w): n for w, n in string_sub_tally(GP22, c).items()}
+    assert facs == {"1_u": 1, "a": 1, "b": 1, "a.b^-1": 1}
+    assert subs == {"1_u": 2, "a.b^-1": 1}
 
 
 def test_occurrence_counts_small_cases():
@@ -120,6 +124,8 @@ def test_occurrence_counts_small_cases():
     assert count_fac(GP22, trivial_word("u"), parse_word("a")) == 1
     assert count_sub(GP22, parse_word("a"), parse_word("a.b^-1")) == 0
     assert count_fac(GP22, parse_word("b^-1"), parse_word("a.b^-1")) == 1
+    # a word over an arrow the quiver lacks occurs nowhere
+    assert count_sub(GP22, parse_word("z"), parse_word("a")) == 0
 
 
 POOLS = {
