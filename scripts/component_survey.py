@@ -14,11 +14,13 @@ import sys
 
 from stringbands import (
     Case1Witness,
+    InvalidAlgebra,
     band_dimension,
     decide_component,
     enumerate_bands,
     format_word,
     load_algebra,
+    require_string_algebra,
 )
 from stringbands.cli import nonnegative_int
 
@@ -47,7 +49,11 @@ def main(argv=None):
                     help="also decide every unordered pair of classes")
     args = ap.parse_args(argv)
 
-    spec = load_algebra(args.file)
+    try:
+        spec = require_string_algebra(load_algebra(args.file))
+    except InvalidAlgebra as exc:
+        print(f"{args.file}: invalid algebra: {exc}", file=sys.stderr)
+        return 3
     classes = enumerate_bands(spec, args.max_period)
     print(f"{args.file}: {len(classes)} band classes of period <= {args.max_period}\n")
 

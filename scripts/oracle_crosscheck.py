@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from stringbands import (
+    InvalidAlgebra,
     dim_hom,
     enumerate_bands,
     enumerate_strings,
@@ -27,6 +28,7 @@ from stringbands import (
     load_algebra,
     realize_band,
     realize_string,
+    require_string_algebra,
 )
 from stringbands.cli import nonnegative_int
 
@@ -42,7 +44,11 @@ def main(argv=None):
                     help="comma-separated band parameters (default 2,3)")
     args = ap.parse_args(argv)
 
-    spec = load_algebra(args.file)
+    try:
+        spec = require_string_algebra(load_algebra(args.file))
+    except InvalidAlgebra as exc:
+        print(f"{args.file}: invalid algebra: {exc}", file=sys.stderr)
+        return 3
     lam, mu = (Fraction(p) for p in args.params.split(","))
     if lam == mu:
         ap.error("band parameters must be distinct")

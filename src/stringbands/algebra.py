@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError
+from .errors import InvalidAlgebra, ParseError
 from .words import Letter, Word, trivial_word
 
 
@@ -297,6 +297,15 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
         admissibility_bound=bound,
         redundant_relations=tuple(redundant),
     )
+
+
+def require_string_algebra(spec: AlgebraSpec) -> AlgebraSpec:
+    """Returns spec if it is a string algebra; otherwise raises InvalidAlgebra
+    listing every violation `validate_algebra` found."""
+    report = validate_algebra(spec)
+    if not report.valid:
+        raise InvalidAlgebra("; ".join(f"{k}: {d}" for k, d in report.violations))
+    return spec
 
 
 def gentle_vertices(spec: AlgebraSpec) -> set[str]:

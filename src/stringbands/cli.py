@@ -2,13 +2,17 @@
 
 Every subcommand prints one JSON document on stdout with a fixed key order,
 so outputs are byte-stable for golden tests.  Exit codes: 0 success, 2
-parse error, 3 domain-precondition error, 4 internal invariant violation.
+parse error, 3 domain-precondition error (an algebra that is not a string
+algebra among them: every subcommand but `validate` refuses one), 4
+internal invariant violation.  A reader that closes stdout early ends the
+run quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -17,6 +21,7 @@ from .algebra import (
     gentle_vertices,
     is_gentle_algebra,
     load_algebra,
+    require_string_algebra,
     validate_algebra,
 )
 from .bands import BandClass, canonical_class, enumerate_bands
@@ -86,7 +91,7 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_enumerate(args) -> dict:
-    spec = load_algebra(args.file)
+    spec = require_string_algebra(load_algebra(args.file))
     if args.kind == "strings":
         entries = [format_word(w) for w in enumerate_strings(spec, args.max_len)]
     else:
@@ -113,7 +118,7 @@ def _check_parameter(value):
 
 
 def cmd_hom(args) -> dict:
-    spec = load_algebra(args.file)
+    spec = require_string_algebra(load_algebra(args.file))
     src_kind, src = _parse_module(spec, args.src)
     dst_kind, dst = _parse_module(spec, args.dst)
     lam = _check_parameter(args.lam)
@@ -157,7 +162,7 @@ def cmd_hom(args) -> dict:
 
 
 def cmd_component(args) -> dict:
-    spec = load_algebra(args.file)
+    spec = require_string_algebra(load_algebra(args.file))
     words = [parse_word(w) for w in args.bands.split(",") if w.strip()]
     if not words:
         raise ParseError("--bands needs at least one band word")
@@ -211,7 +216,7 @@ def cmd_component(args) -> dict:
 
 
 def cmd_degenerate(args) -> dict:
-    spec = load_algebra(args.file)
+    spec = require_string_algebra(load_algebra(args.file))
     band_word = parse_word(args.band)
     inputs = {"file": args.file, "band": args.band, "mode": args.mode}
     if args.mode == "reverse":
@@ -340,7 +345,13 @@ def main(argv=None) -> int:
         kind = type(exc).__name__
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
         return 4
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; aim the interpreter's last flush at
+        # devnull so that it does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -35,7 +35,9 @@ from .words import (
     format_word,
     inverse,
     is_string,
+    letter_source,
     letter_target,
+    runs_avoid_ideal,
     trivial_word,
     word_key,
 )
@@ -93,6 +95,35 @@ class ComponentVerdict:
     witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
 
 
+def _seam_ok(spec, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
+    """Whether the seam where left[-1] meets right[0] in a cyclic gluing
+    passes the quasi-band checks: the pair composes, is reduced, and the
+    directed run through the seam avoids the ideal.
+
+    Precondition: left and right are readings of quasi-bands, or windows of
+    one that have mixed directions.  Then every pair inside them composes and is reduced, and every
+    directed stretch inside them avoids the ideal, because it lies inside a
+    cyclic run of a quasi-band and the ideal is monomial.  A glued word of
+    parts with mixed directions has mixed directions itself, and each of its
+    runs either stays inside one part or crosses a seam; a crossing run is
+    the maximal same-direction suffix of the left side joined to the maximal
+    same-direction prefix of the right side.  So the glued cyclic word is a
+    quasi-band exactly when each of its seams passes.
+    """
+    a, b = left[-1], right[0]
+    if letter_source(spec, a) != letter_target(spec, b):
+        return False
+    if a.inverted != b.inverted:
+        return a.arrow != b.arrow  # a letter next to its own inverse
+    i = len(left) - 1
+    while i > 0 and left[i - 1].inverted == a.inverted:
+        i -= 1
+    j = 1
+    while j < len(right) and right[j].inverted == a.inverted:
+        j += 1
+    return runs_avoid_ideal(spec, left[i:] + right[:j])
+
+
 def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
@@ -107,9 +138,11 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
     cl = rot_c.at(k + 1)
     if bl.inverted or not cl.inverted:
         return None
-    d_letters = rot_c.letters + rot_b.letters
-    if not is_quasi_band(spec, d_letters):
+    # both rotations are quasi-bands: only the two seams of rot_c.rot_b can fail
+    c_ls, b_ls = rot_c.letters, rot_b.letters
+    if not (_seam_ok(spec, c_ls, b_ls) and _seam_ok(spec, b_ls, c_ls)):
         return None
+    d_letters = c_ls + b_ls
     if k == 0:
         w = trivial_word(letter_target(spec, rot_b.at(1)))
     else:
@@ -117,6 +150,19 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
     return ExtendabilityWitness(
         rot_b, rot_c, w, bl.arrow, cl.arrow, QuasiBand(d_letters)
     )
+
+
+def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
+    cap = B.period + C.period
+    c_rots = [r for r in class_members(spec, C) if not r.at(r.period).inverted]
+    for rot_b in class_members(spec, B):
+        if not rot_b.at(rot_b.period).inverted:
+            continue
+        for rot_c in c_rots:
+            wit = _try_extension(spec, rot_b, rot_c, cap)
+            if wit is not None:
+                return wit
+    return None
 
 
 def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
@@ -129,19 +175,7 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     inverse letter on the C side, and the cyclic concatenation of the two
     rotations must be a quasi-band.
     """
-    B = canonical_class(spec, B)
-    C = canonical_class(spec, C)
-    cap = B.period + C.period
-    for rot_b in class_members(spec, B):
-        if not rot_b.at(rot_b.period).inverted:
-            continue
-        for rot_c in class_members(spec, C):
-            if rot_c.at(rot_c.period).inverted:
-                continue
-            wit = _try_extension(spec, rot_b, rot_c, cap)
-            if wit is not None:
-                return wit
-    return None
+    return _extendable(spec, canonical_class(spec, B), canonical_class(spec, C))
 
 
 def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
@@ -150,8 +184,12 @@ def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
         return None
     left = rot.window(1, n)
     right = rot.window(n + 1, m - n)
-    if not is_quasi_band(spec, left) or not is_quasi_band(spec, right):
-        return None
+    for piece in (left, right):
+        # a window of rot is a quasi-band once it turns and its own seam passes
+        if all(l.inverted == piece[0].inverted for l in piece):
+            return None
+        if not _seam_ok(spec, piece, piece):
+            return None
     # compare the periodic word against its own shift by n
     p = 0
     while p < m and rot.at(p + 1) == rot.at(n + p + 1):
@@ -206,14 +244,7 @@ def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
     return None
 
 
-def negligible(spec, B) -> Optional[NegligibilityWitness]:
-    """Decides negligibility from the definition, case 1 before case 2.
-
-    Case 1 splits a rotation into two quasi-band pieces whose shifted
-    periodic words diverge the right way; case 2 finds a palindromic frame
-    w.u.w^-1.v whose u-reversal is again a quasi-band.
-    """
-    B = canonical_class(spec, B)
+def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
     members = class_members(spec, B)
     for rot in members:
         wit = _case1_at(spec, rot)
@@ -224,6 +255,16 @@ def negligible(spec, B) -> Optional[NegligibilityWitness]:
         if wit is not None:
             return wit
     return None
+
+
+def negligible(spec, B) -> Optional[NegligibilityWitness]:
+    """Decides negligibility from the definition, case 1 before case 2.
+
+    Case 1 splits a rotation into two quasi-band pieces whose shifted
+    periodic words diverge the right way; case 2 finds a palindromic frame
+    w.u.w^-1.v whose u-reversal is again a quasi-band.
+    """
+    return _negligible(spec, canonical_class(spec, B))
 
 
 def _require_quadratic(spec):
@@ -308,10 +349,7 @@ def decide_component(spec, S) -> ComponentVerdict:
     sufficient and the verdict carries the dimension; otherwise only the
     refutations are available and the answer may stay Unknown.
     """
-    if isinstance(S, BandSequence):
-        seq = BandSequence(tuple(canonical_class(spec, c) for c in S.classes))
-    else:
-        seq = make_sequence(spec, S)
+    seq = make_sequence(spec, S.classes if isinstance(S, BandSequence) else S)
     if not seq.classes:
         raise ValueError("empty band sequence")
     classes = seq.classes
@@ -320,7 +358,7 @@ def decide_component(spec, S) -> ComponentVerdict:
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             for x, y in ((i, j), (j, i)):
-                wit = extendable(spec, classes[x], classes[y])
+                wit = _extendable(spec, classes[x], classes[y])
                 if wit is not None:
                     reasons.append(
                         f"classes {x} and {y} are extendable via "
@@ -328,7 +366,7 @@ def decide_component(spec, S) -> ComponentVerdict:
                     )
                     found.append(((x, y), wit))
     for i, cls in enumerate(classes):
-        wit = negligible(spec, cls)
+        wit = _negligible(spec, cls)
         if wit is not None:
             kind = "case 1 split" if isinstance(wit, Case1Witness) else "case 2 reversal"
             reasons.append(f"class {i} is negligible ({kind})")

@@ -13,6 +13,10 @@ class DomainError(Exception):
     """Base class for every mathematically meaningful failure."""
 
 
+class InvalidAlgebra(DomainError):
+    """The presentation fails the string-algebra axioms every answer assumes."""
+
+
 class NotAString(DomainError):
     """The word violates composability, reducedness, or avoids no relation."""
 

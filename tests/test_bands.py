@@ -35,7 +35,8 @@ from stringbands import (
     parti_counts,
     sub_counts,
 )
-from stringbands.components import _window_triples
+from stringbands.bands import _rotations
+from stringbands.components import _case1_split, _seam_ok, _try_extension, _window_triples
 from stringbands.words import letter_source, letter_target, trivial_word, word_vertices
 
 
@@ -268,6 +269,42 @@ def test_quasi_band_errors_and_one_direction_words():
         assert window_quasi_band(free_loop, parse_word(text).letters) is False
         assert not is_quasi_band(free_loop, parse_word(text).letters)
     assert is_string(free_loop, parse_word("a.a.a"))
+
+
+@st.composite
+def quasi_bands(draw, spec):
+    """A cyclic word that is a quasi-band; the example is dropped when a
+    few draws find none."""
+    for _ in range(5):
+        ls = draw(cyclic_words(spec))
+        if is_quasi_band(spec, ls):
+            return ls
+    assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_seams_decide_gluings_and_split_pieces(spec, data):
+    x = data.draw(quasi_bands(spec))
+    y = data.draw(quasi_bands(spec))
+    for left, right in ((x, y), (y, x)):
+        # every reading of right that leaves from where left does
+        for z in _rotations(right):
+            if letter_target(spec, z[0]) != letter_target(spec, left[0]):
+                continue
+            glued = is_quasi_band(spec, left + z)
+            assert (_seam_ok(spec, left, z) and _seam_ok(spec, z, left)) == glued
+            wit = _try_extension(spec, QuasiBand(z), QuasiBand(left), len(x) + len(y))
+            assert wit is None or is_quasi_band(spec, wit.d.letters)
+        rot = QuasiBand(left)
+        for i in range(1, rot.period + 1):
+            for n in range(1, rot.period + 1):
+                p = rot.window(i, n)
+                turns = any(l.inverted != p[0].inverted for l in p)
+                assert (turns and _seam_ok(spec, p, p)) == is_quasi_band(spec, p)
+        for n in range(1, rot.period):
+            wit = _case1_split(spec, rot, n)
+            assert wit is None or all(is_quasi_band(spec, q.letters) for q in wit.pieces)
 
 
 # Reference copies of the occurrence counters as they stood before the

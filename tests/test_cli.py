@@ -204,12 +204,16 @@ def test_exit_code_three_on_domain_errors():
     }
 
 
-def run_child(*argv):
+def run_child_env():
     # the child finds the package from an uninstalled checkout too
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def run_child(*argv):
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, env=env,
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
+        env=run_child_env(),
     )
 
 
@@ -234,3 +238,75 @@ def test_component_survey_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "unordered pairs" in proc.stdout
+
+
+# Two presentations that are not string algebras.  Before every subcommand
+# validated its algebra, hom on the first counted dim 2 and the oracle gave
+# dim 2 on the second, both with exit 0.
+THREE_LOOPS = """vertex u
+arrow a : u -> u
+arrow b : u -> u
+arrow c : u -> u
+relation a.a
+relation b.b
+relation c.c
+"""
+FREE_LOOP = "vertex u\narrow a : u -> u\n"
+
+
+def assert_invalid_algebra(code, out, err, *violations):
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "InvalidAlgebra"
+    for kind in violations:
+        assert kind in doc["detail"]
+
+
+def test_counted_hom_refuses_a_non_string_algebra(tmp_path):
+    path = tmp_path / "three_loops.alg"
+    path.write_text(THREE_LOOPS)
+    code, out, err = run_cli("hom", str(path), "--from", "string:a", "--to", "string:a")
+    assert_invalid_algebra(code, out, err, "vertex-degree", "unique-continuation")
+
+
+def test_oracle_hom_refuses_a_relation_free_loop(tmp_path):
+    path = tmp_path / "free_loop.alg"
+    path.write_text(FREE_LOOP)
+    code, out, err = run_cli(
+        "hom", str(path), "--from", "string:a", "--to", "string:a", "--oracle",
+    )
+    assert_invalid_algebra(code, out, err, "admissibility")
+
+
+def test_every_subcommand_but_validate_refuses_an_invalid_algebra(tmp_path):
+    path = str(tmp_path / "free_loop.alg")
+    (tmp_path / "free_loop.alg").write_text(FREE_LOOP)
+    for argv in (
+        ("enumerate", path, "strings", "--max-len", "2"),
+        ("enumerate", path, "bands", "--max-len", "2"),
+        ("component", path, "--bands", "a"),
+        ("degenerate", path, "--band", "a", "--mode", "split"),
+    ):
+        assert_invalid_algebra(*run_cli(*argv), "admissibility")
+    doc = run_json("validate", path)
+    assert doc["result"]["valid"] is False
+    for script in ("scripts/component_survey.py", "scripts/oracle_crosscheck.py"):
+        proc = run_child(script, path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "invalid algebra: admissibility" in proc.stderr
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stringbands", "validate", KRON_FILE],
+            cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=run_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

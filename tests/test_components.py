@@ -1,18 +1,25 @@
 import pytest
 
-from fixture_algebras import GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     BadDecomposition,
+    BandClass,
+    BandSequence,
     Case1Witness,
     Case2Witness,
     InvalidWitness,
     NotAComponent,
+    NotBand,
     NotQuadratic,
     NotQuasiBand,
+    ParseError,
+    QuasiBand,
     canonical_class,
+    class_members,
     component_dimension,
     concat_extension,
     decide_component,
+    enumerate_bands,
     extendable,
     extendable_quadratic,
     format_word,
@@ -127,6 +134,47 @@ def test_verdict_carries_the_witnesses_it_found():
     )
     assert decide_component(GP22, [B22, B22]).witnesses == ()
     assert decide_component(GP33, [B33]).witnesses == ()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("a.b^-1.a.b^-1", NotBand), ("a.b", NotQuasiBand), ("a.z^-1", ParseError)],
+)
+def test_searches_refuse_what_is_not_a_band(text, error):
+    word = parse_word(text)
+    # a BandClass built around a bad word is checked like the bare word
+    for bad in (word, word.letters, BandClass(QuasiBand(word.letters))):
+        for call in (
+            lambda: extendable(GP22, bad, B22),
+            lambda: extendable(GP22, B22, bad),
+            lambda: negligible(GP22, bad),
+            lambda: decide_component(GP22, [B22, bad]),
+            lambda: decide_component(GP22, BandSequence((B22, bad))),
+        ):
+            with pytest.raises(error):
+                call()
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_verdict_witnesses_equal_the_public_searches(name):
+    spec = ALL[name]
+    classes = enumerate_bands(spec, 5)
+    for B in classes:
+        for C in classes:
+            # the second class arrives as its last, non-canonical reading
+            c_reading = class_members(spec, C)[-1].as_word()
+            expected = [
+                (ix, wit)
+                for ix, wit in (
+                    ((0, 1), extendable(spec, B, c_reading)),
+                    ((1, 0), extendable(spec, c_reading, B)),
+                    ((0,), negligible(spec, B)),
+                    ((1,), negligible(spec, c_reading)),
+                )
+                if wit is not None
+            ]
+            verdict = decide_component(spec, [B, c_reading])
+            assert verdict.witnesses == tuple(expected)
 
 
 def test_reverse_piece_produces_the_dominating_class():
