@@ -22,7 +22,7 @@ from stringbands import (
     load_algebra,
     require_string_algebra,
 )
-from stringbands.cli import nonnegative_int
+from stringbands.cli import _run_quietly, nonnegative_int
 
 
 def class_name(cls):
@@ -91,4 +91,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run_quietly(main))

@@ -30,7 +30,7 @@ from stringbands import (
     realize_string,
     require_string_algebra,
 )
-from stringbands.cli import nonnegative_int
+from stringbands.cli import _run_quietly, nonnegative_int
 
 
 def main(argv=None):
@@ -99,4 +99,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run_quietly(main))

@@ -80,6 +80,11 @@ class AlgebraSpec:
         return tuple(a.name for a in self.arrows)
 
     @cached_property
+    def quadratic(self) -> bool:
+        """Every relation has length exactly 2."""
+        return all(len(r) == 2 for r in self.relations)
+
+    @cached_property
     def max_relation_length(self) -> int:
         return max((len(r) for r in self.relations), default=0)
 
@@ -147,22 +152,24 @@ class ValidationReport:
     redundant_relations: tuple[tuple[str, ...], ...]
 
 
-def _relation_free_paths(spec: AlgebraSpec, upto: int) -> list[list[tuple[str, ...]]]:
-    # by_len[l] = relation-free paths of length l, grown by prepending arrows
-    by_len: list[list[tuple[str, ...]]] = [[()]]
-    current = [(a,) for a in spec.arrow_names]
-    for _ in range(upto):
-        by_len.append(current)
-        nxt = []
-        for p in current:
-            for b in spec.arrow_names:
-                if spec.arrow_source(b) != spec.arrow_target(p[0]):
-                    continue
-                q = (b,) + p
-                if not spec.path_in_ideal(q):
-                    nxt.append(q)
-        current = nxt
-    return by_len
+def _before(spec: AlgebraSpec, path: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The relation-free paths b.path, one per arrow b in declaration order."""
+    u = spec.arrow_target(path[0])
+    return [
+        (b,) + path
+        for b in spec.arrow_names
+        if spec.arrow_source(b) == u and not spec.path_in_ideal((b,) + path)
+    ]
+
+
+def _after(spec: AlgebraSpec, path: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The relation-free paths path.b, one per arrow b in declaration order."""
+    u = spec.arrow_source(path[-1])
+    return [
+        path + (b,)
+        for b in spec.arrow_names
+        if spec.arrow_target(b) == u and not spec.path_in_ideal(path + (b,))
+    ]
 
 
 def _admissibility(spec: AlgebraSpec):
@@ -173,17 +180,12 @@ def _admissibility(spec: AlgebraSpec):
     has a cycle iff relation-free paths grow without bound.
     """
     K = max(spec.max_relation_length - 1, 1)
-    by_len = _relation_free_paths(spec, K)
-    states = by_len[-1] if len(by_len) > K else []
-    edges: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for p in states:
-        outs = []
-        for b in spec.arrow_names:
-            if spec.arrow_source(b) != spec.arrow_target(p[0]):
-                continue
-            if not spec.path_in_ideal((b,) + p):
-                outs.append(((b,) + p)[:K])
-        edges[p] = outs
+    # by_len[l] = relation-free paths of length l, grown by prepending arrows
+    by_len: list[list[tuple[str, ...]]] = [[()], [(a,) for a in spec.arrow_names]]
+    while len(by_len) <= K:
+        by_len.append([q for p in by_len[-1] for q in _before(spec, p)])
+    states = by_len[K]
+    edges = {p: [q[:K] for q in _before(spec, p)] for p in states}
 
     color: dict[tuple[str, ...], int] = {}
     longest: dict[tuple[str, ...], int] = {}
@@ -215,11 +217,7 @@ def _admissibility(spec: AlgebraSpec):
                 stack.pop()
                 trail.pop()
 
-    best = 0
-    for l in range(len(by_len) - 1, -1, -1):
-        if by_len[l]:
-            best = l
-            break
+    best = max(l for l, paths in enumerate(by_len) if paths)
     if longest:
         best = max(best, K + max(longest.values()))
     if not spec.vertices:
@@ -243,59 +241,33 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
         )
 
     for u in spec.vertices:
-        outs = spec.out_arrows(u)
-        if len(outs) > 2:
-            violations.append(
-                ("vertex-degree", f"vertex {u} has {len(outs)} outgoing arrows")
-            )
-        ins = spec.in_arrows(u)
-        if len(ins) > 2:
-            violations.append(
-                ("vertex-degree", f"vertex {u} has {len(ins)} incoming arrows")
-            )
+        degrees = (("outgoing", spec.out_arrows(u)), ("incoming", spec.in_arrows(u)))
+        for way, arrows in degrees:
+            if len(arrows) > 2:
+                text = f"vertex {u} has {len(arrows)} {way} arrows"
+                violations.append(("vertex-degree", text))
 
-    for alpha in spec.arrow_names:
-        partners = [
-            b
-            for b in spec.arrow_names
-            if spec.arrow_source(alpha) == spec.arrow_target(b)
-            and not spec.path_in_ideal((alpha, b))
-        ]
-        if len(partners) > 1:
-            pair = " and ".join(f"{alpha}.{b}" for b in partners[:2])
-            violations.append(
-                ("unique-continuation", f"both {pair} avoid the ideal")
-            )
+    uniqueness = (("unique-continuation", _after), ("unique-precomposition", _before))
+    for kind, grow in uniqueness:
+        for name in spec.arrow_names:
+            paths = grow(spec, (name,))
+            if len(paths) > 1:
+                pair = " and ".join(".".join(p) for p in paths[:2])
+                violations.append((kind, f"both {pair} avoid the ideal"))
 
-    for beta in spec.arrow_names:
-        partners = [
-            a
-            for a in spec.arrow_names
-            if spec.arrow_source(a) == spec.arrow_target(beta)
-            and not spec.path_in_ideal((a, beta))
-        ]
-        if len(partners) > 1:
-            pair = " and ".join(f"{a}.{beta}" for a in partners[:2])
-            violations.append(
-                ("unique-precomposition", f"both {pair} avoid the ideal")
-            )
-
-    redundant = []
-    for rel in spec.relations:
-        for other in spec.relations:
-            if other is rel or len(other) >= len(rel):
-                continue
-            k = len(other)
-            if any(rel[i : i + k] == other for i in range(len(rel) - k + 1)):
-                redundant.append(rel)
-                break
+    # a shorter generator inside r lies inside r less one of its end arrows
+    redundant = tuple(
+        r
+        for r in spec.relations
+        if spec.path_in_ideal(r[1:]) or spec.path_in_ideal(r[:-1])
+    )
 
     return ValidationReport(
         valid=not violations,
         violations=tuple(violations),
-        quadratic=all(len(r) == 2 for r in spec.relations),
+        quadratic=spec.quadratic,
         admissibility_bound=bound,
-        redundant_relations=tuple(redundant),
+        redundant_relations=redundant,
     )
 
 
@@ -311,29 +283,21 @@ def require_string_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 def gentle_vertices(spec: AlgebraSpec) -> set[str]:
     """Vertices at which the ideal pairs arrows off uniquely.
 
-    An arrow alpha leaving u may annihilate at most one incoming beta
-    (alpha.beta in the ideal), and each incoming beta may be annihilated
-    by at most one alpha.
+    The zero products alpha.beta at u (alpha leaving u, beta entering it)
+    form a partial matching: an alpha annihilates at most one beta, and a
+    beta is annihilated by at most one alpha.
     """
     out = set()
     for u in spec.vertices:
-        ok = True
-        for alpha in spec.out_arrows(u):
-            killed = [b for b in spec.in_arrows(u) if spec.path_in_ideal((alpha, b))]
-            if len(killed) > 1:
-                ok = False
-        for beta in spec.in_arrows(u):
-            killers = [a for a in spec.out_arrows(u) if spec.path_in_ideal((a, beta))]
-            if len(killers) > 1:
-                ok = False
-        if ok:
+        outs, ins = spec.out_arrows(u), spec.in_arrows(u)
+        zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
+        if len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero}):
             out.add(u)
     return out
 
 
 def is_gentle_algebra(spec: AlgebraSpec) -> bool:
-    quadratic = all(len(r) == 2 for r in spec.relations)
-    return quadratic and gentle_vertices(spec) == set(spec.vertices)
+    return spec.quadratic and gentle_vertices(spec) == set(spec.vertices)
 
 
 def projective_word(spec: AlgebraSpec, u: str) -> Word:
@@ -341,24 +305,22 @@ def projective_word(spec: AlgebraSpec, u: str) -> Word:
 
     The module of this word is the indecomposable projective at u; when u
     has no outgoing arrows it degenerates to the trivial word.  Assumes the
-    spec is valid (the extension step then never branches).
+    spec is valid (the extension step then never branches).  There a path's
+    first arrow fixes the one arrow before it, so a relation-free path
+    longer than the arrow count plus the longest relation repeats a cycle
+    whose powers all avoid the ideal: that raises InvalidAlgebra.
     """
     if not spec.has_vertex(u):
         raise ParseError(f"unknown vertex {u!r}")
+    limit = len(spec.arrows) + spec.max_relation_length
     branches = []
     for first in spec.out_arrows(u):
-        path = [first]
-        while True:
-            nxt = [
-                b
-                for b in spec.arrow_names
-                if spec.arrow_source(b) == spec.arrow_target(path[0])
-                and not spec.path_in_ideal((b, *path))
-            ]
-            if not nxt:
-                break
-            path.insert(0, nxt[0])
-        branches.append(tuple(path))
+        path = (first,)
+        while nxt := _before(spec, path):
+            path = nxt[0]
+            if len(path) > limit:
+                raise InvalidAlgebra(f"relation-free paths out of {u} never end")
+        branches.append(path)
     if not branches:
         return trivial_word(u)
     letters = tuple(Letter(a, False) for a in branches[0])

@@ -20,6 +20,7 @@ from .words import (
     Word,
     format_word,
     inverse,
+    is_string,
     letter_source,
     letter_target,
     runs_avoid_ideal,
@@ -90,27 +91,45 @@ def _as_letters(x) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def _as_qb(x) -> QuasiBand:
-    if isinstance(x, QuasiBand):
-        return x
-    if isinstance(x, BandClass):
-        return x.canonical
-    return QuasiBand(_as_letters(x))
+def _seam_ok(spec, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
+    """Whether the seam where left[-1] meets right[0] in a cyclic gluing
+    passes the quasi-band checks: the pair composes, is reduced, and the
+    directed run through the seam avoids the ideal.
+
+    Precondition: left and right are readings of quasi-bands, or windows of
+    one that have mixed directions.  Then every pair inside them composes
+    and is reduced, and every directed stretch inside them avoids the
+    ideal, because it lies inside a cyclic run of a quasi-band and the
+    ideal is monomial.  A glued word of parts with mixed directions has
+    mixed directions itself, and each of its runs either stays inside one
+    part or crosses a seam; a crossing run is the maximal same-direction
+    suffix of the left side joined to the maximal same-direction prefix of
+    the right side.  So the glued cyclic word is a quasi-band exactly when
+    each of its seams passes.
+    """
+    a, b = left[-1], right[0]
+    if letter_source(spec, a) != letter_target(spec, b):
+        return False
+    if a.inverted != b.inverted:
+        return a.arrow != b.arrow  # a letter next to its own inverse
+    i = len(left) - 1
+    while i > 0 and left[i - 1].inverted == a.inverted:
+        i -= 1
+    j = 1
+    while j < len(right) and right[j].inverted == a.inverted:
+        j += 1
+    return runs_avoid_ideal(spec, left[i:] + right[:j])
 
 
 def is_quasi_band(spec, letters) -> bool:
-    """Cyclic composability, reducedness, mixed directions, and every
-    maximal cyclic directed run avoids the relation ideal.
+    """Every rotation and power of the cyclic word is a string: it has
+    mixed directions, its own seam (last letter glued to the first) passes
+    `_seam_ok`, and read linearly it is a string.
 
-    This is the string condition on every cyclic window of length
-    max(R, 2), R being the longest relation.  The ideal is monomial, so a
-    window fails exactly when a relation sits inside one of its directed
-    runs.  In a word of mixed directions every directed stretch of the
-    periodic reading lies inside one maximal cyclic run, and a relation
-    inside such a run lies inside the window that starts with it.  So one
-    pass checks the adjacent pairs and finds a direction change, and the
-    word, rotated to start there, has its runs read as paths.  A word that
-    runs in a single direction is rejected outright.
+    `is_string` covers every inner pair and every run that does not cross
+    the wrap; the seam covers the wrap pair and the one run that crosses
+    it.  The ideal is monomial and, with mixed directions, every run of a
+    rotation or power lies inside one of these.  Cheap rejections first.
     """
     ls = _as_letters(letters)
     if not ls:
@@ -118,19 +137,11 @@ def is_quasi_band(spec, letters) -> bool:
     for l in ls:
         if not spec.has_arrow(l.arrow):
             raise ParseError(f"unknown arrow {l.arrow!r}")
-    turn = None
-    for k in range(len(ls)):
-        a, b = ls[k - 1], ls[k]
-        if letter_source(spec, a) != letter_target(spec, b):
-            return False
-        if a.inverted != b.inverted:
-            if a.arrow == b.arrow:
-                return False  # a letter next to its own inverse
-            if turn is None:
-                turn = k
-    if turn is None:
-        return False
-    return runs_avoid_ideal(spec, ls[turn:] + ls[:turn])
+    return (
+        any(l.inverted != ls[0].inverted for l in ls)
+        and _seam_ok(spec, ls, ls)
+        and is_string(spec, Word(None, ls))
+    )
 
 
 def _is_primitive(ls: tuple[Letter, ...]) -> bool:
@@ -178,7 +189,7 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
 @lru_cache(maxsize=None)
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows."""
-    band = _as_qb(qb)
+    band = QuasiBand(_as_letters(qb))
     if c.is_trivial:
         raise TrivialWord("parti is defined for nonempty words only")
     m = band.period
@@ -196,12 +207,12 @@ def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
 
     Cached; treat the returned mapping as read-only.
     """
-    return tally(spec, _as_qb(qb).letters, True, max_len, cyclic=True)
+    return tally(spec, _as_letters(qb), True, max_len, cyclic=True)
 
 
 @lru_cache(maxsize=None)
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    return tally(spec, _as_qb(qb).letters, False, max_len, cyclic=True)
+    return tally(spec, _as_letters(qb), False, max_len, cyclic=True)
 
 
 def sub_counts(spec, c: Word, qb) -> int:
@@ -221,10 +232,10 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     for _, frontier in zip(range(max_len), string_frontiers(spec)):
         found: dict = {}
         for w in frontier:
-            ls = w.letters
-            if not is_quasi_band(spec, ls) or not _is_primitive(ls):
+            try:
+                cls = canonical_class(spec, w.letters)
+            except (NotQuasiBand, NotBand):
                 continue
-            cls = canonical_class(spec, ls)
             key = tuple(spec.letter_key(l) for l in cls.letters)
             found.setdefault(key, cls)
         out.extend(found[k] for k in sorted(found))
@@ -232,13 +243,12 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
 
 
 def band_dimension(qb) -> int:
-    return _as_qb(qb).period
+    return len(_as_letters(qb))
 
 
 def dimension_vector(spec, qb) -> dict[str, int]:
     """How many basis vectors sit at each vertex: indices i with s(b(i)) = u."""
-    band = _as_qb(qb)
     vec = {v: 0 for v in spec.vertices}
-    for i in range(1, band.period + 1):
-        vec[letter_source(spec, band.at(i))] += 1
+    for l in _as_letters(qb):
+        vec[letter_source(spec, l)] += 1
     return vec

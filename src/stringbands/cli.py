@@ -345,14 +345,20 @@ def main(argv=None) -> int:
         kind = type(exc).__name__
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
         return 4
+    return _run_quietly(print, json.dumps(payload, indent=2))
+
+
+def _run_quietly(fn, *args) -> int:
+    """fn(*args) with stdout flushed, as an exit status (0 for None).  A
+    reader that closes stdout early ends the run quietly with status 0."""
     try:
-        print(json.dumps(payload, indent=2))
+        status = fn(*args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader stopped early; aim the interpreter's last flush at
-        # devnull so that it does not fail a second time
+        # aim the interpreter's last flush at devnull so it cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+        return 0
+    return status or 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .bands import (
     BandClass,
     QuasiBand,
     _as_letters,
+    _seam_ok,
     canonical_class,
     class_members,
     is_quasi_band,
@@ -35,9 +36,7 @@ from .words import (
     format_word,
     inverse,
     is_string,
-    letter_source,
     letter_target,
-    runs_avoid_ideal,
     trivial_word,
     word_key,
 )
@@ -93,35 +92,6 @@ class ComponentVerdict:
     reasons: tuple[str, ...]
     dimension: int | None = None
     witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
-
-
-def _seam_ok(spec, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
-    """Whether the seam where left[-1] meets right[0] in a cyclic gluing
-    passes the quasi-band checks: the pair composes, is reduced, and the
-    directed run through the seam avoids the ideal.
-
-    Precondition: left and right are readings of quasi-bands, or windows of
-    one that have mixed directions.  Then every pair inside them composes and is reduced, and every
-    directed stretch inside them avoids the ideal, because it lies inside a
-    cyclic run of a quasi-band and the ideal is monomial.  A glued word of
-    parts with mixed directions has mixed directions itself, and each of its
-    runs either stays inside one part or crosses a seam; a crossing run is
-    the maximal same-direction suffix of the left side joined to the maximal
-    same-direction prefix of the right side.  So the glued cyclic word is a
-    quasi-band exactly when each of its seams passes.
-    """
-    a, b = left[-1], right[0]
-    if letter_source(spec, a) != letter_target(spec, b):
-        return False
-    if a.inverted != b.inverted:
-        return a.arrow != b.arrow  # a letter next to its own inverse
-    i = len(left) - 1
-    while i > 0 and left[i - 1].inverted == a.inverted:
-        i -= 1
-    j = 1
-    while j < len(right) and right[j].inverted == a.inverted:
-        j += 1
-    return runs_avoid_ideal(spec, left[i:] + right[:j])
 
 
 def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
@@ -268,7 +238,7 @@ def negligible(spec, B) -> Optional[NegligibilityWitness]:
 
 
 def _require_quadratic(spec):
-    if not all(len(r) == 2 for r in spec.relations):
+    if not spec.quadratic:
         raise NotQuadratic("criterion needs relations of length exactly 2")
 
 
@@ -373,7 +343,7 @@ def decide_component(spec, S) -> ComponentVerdict:
             found.append(((i,), wit))
     if reasons:
         return ComponentVerdict(NOT_COMPONENT, tuple(reasons), None, tuple(found))
-    if all(len(r) == 2 for r in spec.relations):
+    if spec.quadratic:
         return ComponentVerdict(
             IS_COMPONENT,
             ("no extendable pair", "no negligible class", "quadratic criterion decisive"),
@@ -393,7 +363,7 @@ def decide_component(spec, S) -> ComponentVerdict:
 def component_dimension(spec, S) -> int:
     """Dimension of the component: total_dim squared minus the correction
     at non-gentle vertices."""
-    if not all(len(r) == 2 for r in spec.relations):
+    if not spec.quadratic:
         raise NotQuadratic("dimension formula needs quadratic relations")
     verdict = decide_component(spec, S)
     if verdict.status != IS_COMPONENT:

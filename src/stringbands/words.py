@@ -123,10 +123,10 @@ def is_string(alg, word: Word) -> bool:
         if not alg.has_arrow(l.arrow):
             raise ParseError(f"unknown arrow {l.arrow!r}")
     letters = word.letters
-    for i in range(len(letters) - 1):
-        if letter_source(alg, letters[i]) != letter_target(alg, letters[i + 1]):
+    for a, b in zip(letters, letters[1:]):
+        if letter_source(alg, a) != letter_target(alg, b):
             return False
-        if letters[i] == letters[i + 1].inv():
+        if a.arrow == b.arrow and a.inverted != b.inverted:
             return False
     return runs_avoid_ideal(alg, letters)
 

@@ -137,3 +137,52 @@ def test_redundant_relation_listed_but_harmless():
     )
     report = validate_algebra(spec)
     assert ("a", "b", "a") in report.redundant_relations
+
+
+GOLDEN_VIOLATIONS = {
+    "relation-free-loop": (
+        "vertex u\narrow a : u -> u\n",
+        (("admissibility", "relation-free walk cycles through a"),),
+    ),
+    "three-squared-loops": (
+        "vertex u\narrow a : u -> u\narrow b : u -> u\narrow c : u -> u\n"
+        "relation a.a\nrelation b.b\nrelation c.c\n",
+        (
+            ("admissibility", "relation-free walk cycles through b.a"),
+            ("vertex-degree", "vertex u has 3 outgoing arrows"),
+            ("vertex-degree", "vertex u has 3 incoming arrows"),
+            ("unique-continuation", "both a.b and a.c avoid the ideal"),
+            ("unique-continuation", "both b.a and b.c avoid the ideal"),
+            ("unique-continuation", "both c.a and c.b avoid the ideal"),
+            ("unique-precomposition", "both b.a and c.a avoid the ideal"),
+            ("unique-precomposition", "both a.b and c.b avoid the ideal"),
+            ("unique-precomposition", "both a.c and b.c avoid the ideal"),
+        ),
+    ),
+    "two-loops-only-a.a": (
+        "vertex u\narrow a : u -> u\narrow b : u -> u\nrelation a.a\n",
+        (
+            ("admissibility", "relation-free walk cycles through b.a"),
+            ("unique-continuation", "both b.a and b.b avoid the ideal"),
+            ("unique-precomposition", "both a.b and b.b avoid the ideal"),
+        ),
+    ),
+    "abab": (
+        "vertex u v\narrow a : u -> v\narrow b : v -> u\narrow c : v -> u\n"
+        "relation a.b.a.b\n",
+        (
+            ("admissibility", "relation-free walk cycles through b.a.c.a"),
+            ("unique-continuation", "both a.b and a.c avoid the ideal"),
+            ("unique-precomposition", "both b.a and c.a avoid the ideal"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_VIOLATIONS)
+def test_validate_texts_follow_the_walk_order(name):
+    # the walk order fixes the cycle witness and the order of the pairs
+    text, violations = GOLDEN_VIOLATIONS[name]
+    report = validate_algebra(parse_algebra(text))
+    assert report.violations == violations
+    assert report.admissibility_bound is None

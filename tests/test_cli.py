@@ -297,12 +297,22 @@ def test_every_subcommand_but_validate_refuses_an_invalid_algebra(tmp_path):
         assert "invalid algebra: admissibility" in proc.stderr
 
 
-def test_a_closed_pipe_ends_the_run_quietly():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-m", "stringbands", "validate", KRON_FILE),
+        # more than a pipe buffer, so the write fails inside the run
+        ("scripts/component_survey.py", GP33_FILE, "--max-period", "8", "--pairs"),
+        ("scripts/oracle_crosscheck.py", KRON_FILE, "--max-len", "3", "--max-period", "3"),
+    ],
+    ids=["cli", "component_survey", "oracle_crosscheck"],
+)
+def test_a_closed_pipe_ends_the_run_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "stringbands", "validate", KRON_FILE],
+            [sys.executable, *argv],
             cwd=ROOT, stdout=write_end, stderr=subprocess.PIPE, text=True,
             env=run_child_env(),
         )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fixture_algebras import GP22, GP33, KRON, LOOP
 from stringbands import (
+    InvalidAlgebra,
     MatrixModule,
     NotAString,
     NotQuasiBand,
@@ -19,6 +20,7 @@ from stringbands import (
     enumerate_strings,
     is_regular,
     orbit_dimension,
+    parse_algebra,
     parse_word,
     projective_word,
     rank_sum,
@@ -167,6 +169,23 @@ def test_ext_detects_the_extendable_self_pair():
     assert dim_ext1(realize_band(GP33, B2, TWO), realize_band(GP33, B2, THREE)) == 1
     BK = canonical_class(KRON, parse_word("a.b^-1"))
     assert dim_ext1(realize_band(KRON, BK, TWO), realize_band(KRON, BK, THREE)) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertex u\narrow a : u -> u\n",
+        "vertex u\narrow a : u -> u\narrow b : u -> u\nrelation a.a\n",
+    ],
+    ids=["relation-free-loop", "two-loops-only-a.a"],
+)
+def test_an_endless_relation_free_path_is_refused(text):
+    spec = parse_algebra(text)
+    with pytest.raises(InvalidAlgebra):
+        projective_word(spec, "u")
+    S = realize_string(spec, trivial_word("u"))
+    with pytest.raises(InvalidAlgebra):
+        dim_ext1(S, S)
 
 
 def test_regularity_ranks():
