@@ -64,6 +64,18 @@ class AlgebraSpec:
                     raise ParseError(f"relation {disp!r} is not a composable path")
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.vertices, self.arrows, self.relations))
+
+    def __hash__(self) -> int:
+        # every cached count is keyed by its spec; hash the fields once
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so no hash crosses into another process
+        return AlgebraSpec, (self.vertices, self.arrows, self.relations)
+
+    @cached_property
     def _arrow_map(self) -> dict[str, ArrowDecl]:
         return {a.name: a for a in self.arrows}
 

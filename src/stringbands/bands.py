@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotBand, NotQuasiBand, ParseError, TrivialWord
+from .errors import NotBand, NotQuasiBand, TrivialWord
 from .words import (
     Letter,
     Word,
+    _check_arrows,
     format_word,
     inverse,
     is_string,
@@ -134,9 +135,7 @@ def is_quasi_band(spec, letters) -> bool:
     ls = _as_letters(letters)
     if not ls:
         raise NotQuasiBand("empty cyclic word")
-    for l in ls:
-        if not spec.has_arrow(l.arrow):
-            raise ParseError(f"unknown arrow {l.arrow!r}")
+    _check_arrows(spec, ls)
     return (
         any(l.inverted != ls[0].inverted for l in ls)
         and _seam_ok(spec, ls, ls)
@@ -202,17 +201,39 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _bucket_tally(spec, letters: tuple[Letter, ...], left_inverted: bool, cap: int):
+    return tally(spec, letters, left_inverted, cap, cyclic=True)
+
+
+def _band_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[Word, int]:
+    """The cyclic tally of middles of length <= max_len, restricted from one
+    cached scan at the next power of two, so every cap of a bucket shares
+    one scan.
+
+    The restriction is exact.  A cyclic reading gives every start both
+    neighbours, so whether a middle of length l is flanked at a start does
+    not depend on the cap, and the occurrences of length <= k at any cap
+    K >= k are exactly those at cap k.  They are met in the same order of
+    start and length, so the restriction equals the tally at cap k,
+    insertion order included.
+    """
+    cap = 1 << max(max_len - 1, 0).bit_length()
+    scan = _bucket_tally(spec, _as_letters(qb), left_inverted, cap)
+    return {d: n for d, n in scan.items() if len(d) <= max_len}
+
+
+@lru_cache(maxsize=None)
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    """sub counts of every canonical word of length <= max_len in one scan.
+    """sub counts of every canonical word of length <= max_len.
 
     Cached; treat the returned mapping as read-only.
     """
-    return tally(spec, _as_letters(qb), True, max_len, cyclic=True)
+    return _band_tally(spec, qb, True, max_len)
 
 
 @lru_cache(maxsize=None)
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    return tally(spec, _as_letters(qb), False, max_len, cyclic=True)
+    return _band_tally(spec, qb, False, max_len)
 
 
 def sub_counts(spec, c: Word, qb) -> int:

@@ -46,8 +46,11 @@ def make_sequence(spec, items) -> BandSequence:
 
 
 def _pair(facs: dict[Word, int], subs: dict[Word, int]) -> int:
-    """Sum over d of fac(d, source) * sub(d, target)."""
-    return sum(n * subs[d] for d, n in facs.items() if d in subs)
+    """Sum over d of fac(d, source) * sub(d, target), walking the smaller
+    tally with one probe of the other per term."""
+    if len(subs) < len(facs):
+        facs, subs = subs, facs
+    return sum(n * subs.get(d, 0) for d, n in facs.items())
 
 
 def hom_string_string(spec, c: Word, cp: Word) -> int:

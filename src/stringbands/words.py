@@ -32,7 +32,11 @@ class Letter(NamedTuple):
 
 @dataclass(frozen=True)
 class Word:
-    """Either a trivial word at a vertex or a nonempty tuple of letters."""
+    """Either a trivial word at a vertex or a nonempty tuple of letters.
+
+    Words are dict keys of every tally, so the hash is computed once, on
+    construction; equality is the field-wise one.
+    """
 
     trivial_at: str | None
     letters: tuple[Letter, ...]
@@ -40,6 +44,14 @@ class Word:
     def __post_init__(self):
         if (self.trivial_at is None) == (len(self.letters) == 0):
             raise ValueError("a word is trivial at a vertex xor carries letters")
+        object.__setattr__(self, "_hash", hash((self.trivial_at, self.letters)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__, so a copy or unpickled word rehashes
+        return Word, (self.trivial_at, self.letters)
 
     @property
     def is_trivial(self) -> bool:
@@ -115,14 +127,19 @@ def runs_avoid_ideal(alg, letters: tuple[Letter, ...]) -> bool:
     return True
 
 
+def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
+    """Raise ParseError on the first letter over an arrow alg lacks."""
+    for l in letters:
+        if not alg.has_arrow(l.arrow):
+            raise ParseError(f"unknown arrow {l.arrow!r}")
+
+
 def is_string(alg, word: Word) -> bool:
     """Composable, reduced, and every directed run avoids the relation ideal."""
     if word.is_trivial:
         return alg.has_vertex(word.trivial_at)
-    for l in word.letters:
-        if not alg.has_arrow(l.arrow):
-            raise ParseError(f"unknown arrow {l.arrow!r}")
     letters = word.letters
+    _check_arrows(alg, letters)
     for a, b in zip(letters, letters[1:]):
         if letter_source(alg, a) != letter_target(alg, b):
             return False
@@ -194,9 +211,11 @@ def tally(
     alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
 ) -> dict[Word, int]:
     """Flanked occurrences counted by the canonical form of their middle
-    word; both orientations of a middle word land on one key."""
+    word; both orientations of a middle word land on one key.  The arrows
+    are checked once per scan, so the middles skip the check."""
+    _check_arrows(alg, letters)
     return Counter(
-        canonical_word(alg, mid)
+        _canonical(alg, mid)
         for _, mid, _ in flanked(alg, letters, left_inverted, max_mid, cyclic)
     )
 
@@ -242,11 +261,25 @@ def word_key(alg, word: Word):
 
 
 def canonical_word(alg, word: Word) -> Word:
-    """The smaller of word and its inverse under the fixed letter order."""
+    """The smaller of word and its inverse under `word_key`, word itself on
+    a tie.  Unknown arrows raise ParseError."""
+    _check_arrows(alg, word.letters)
+    return _canonical(alg, word)
+
+
+def _canonical(alg, word: Word) -> Word:
+    # word and its inverse have one length, so word_key orders them by their
+    # letter keys alone: letter i of the inverse is letter n+1-i of word,
+    # inverted.  The first pair that differs decides, and the inverse is
+    # built only when it wins.
     if word.is_trivial:
         return word
-    inv = inverse(word)
-    return min(word, inv, key=lambda w: word_key(alg, w))
+    ls = word.letters
+    for a, b in zip(ls, reversed(ls)):
+        ka, kb = alg.letter_key(a), alg.letter_key(b.inv())
+        if ka != kb:
+            return word if ka < kb else inverse(word)
+    return word
 
 
 def string_frontiers(alg):
@@ -254,7 +287,10 @@ def string_frontiers(alg):
     (both readings of each), until a length has none.
 
     Each list extends the previous one by one letter on the right, in
-    declaration order, so the order is fixed for a fixed algebra.
+    declaration order, so the order is fixed for a fixed algebra.  An
+    extension of a string that composes and is reduced is a string exactly
+    when its last maximal directed run, the only run the new letter
+    changes, avoids the ideal.
     """
     frontier: list[Word] = []
     for a in alg.arrow_names:
@@ -273,9 +309,12 @@ def string_frontiers(alg):
                     l = Letter(a, inv)
                     if letter_target(alg, l) != src or l == last.inv():
                         continue
-                    w2 = Word(None, w.letters + (l,))
-                    if is_string(alg, w2):
-                        nxt.append(w2)
+                    ls = w.letters + (l,)
+                    i = len(w)
+                    while i and ls[i - 1].inverted == l.inverted:
+                        i -= 1
+                    if runs_avoid_ideal(alg, ls[i:]):
+                        nxt.append(Word(None, ls))
         frontier = nxt
 
 
@@ -292,7 +331,7 @@ def iter_strings(alg, max_len: int):
     for _, frontier in zip(range(max_len), string_frontiers(alg)):
         reps = {}
         for w in frontier:
-            cw = canonical_word(alg, w)
+            cw = _canonical(alg, w)
             reps.setdefault(word_key(alg, cw), cw)
         for k in sorted(reps):
             yield reps[k]

@@ -415,7 +415,11 @@ def test_flanked_folds_match_the_old_counters(spec, data):
         assert count_sub(spec, d, c) == len(_triples(spec, d, c, True))
         assert count_fac(spec, d, c) == len(_triples(spec, d, c, False))
     band = QuasiBand(ls)
-    for cap in (m, 2 * m + 3):
+    # descending caps, so a cap is also served by restricting a scan that a
+    # larger cap of its power-of-two bucket made; 0 and caps off the powers
+    # of two included
+    drawn = data.draw(st.integers(0, 2 * m + 3))
+    for cap in sorted({0, 1, 3, m, m + 1, drawn, 2 * m + 3}, reverse=True):
         windows = [
             Word(None, band.window(i, n)) for i in range(m) for n in range(1, cap + 1)
         ]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     Letter,
     NotAString,
@@ -24,6 +24,7 @@ from stringbands import (
 )
 from stringbands.words import (
     trivial_word,
+    word_key,
     word_source,
     word_target,
     word_vertices,
@@ -32,7 +33,14 @@ from stringbands.words import (
 
 def test_parse_format_roundtrip():
     for text in ("a", "a^-1", "a.b^-1", "1_u", "y.a.x.a^-1.y^-1"):
-        assert format_word(parse_word(text)) == text
+        w = parse_word(text)
+        assert format_word(w) == text
+        # a word parsed again, or rebuilt from its fields, is the same key
+        for twin in (parse_word(text), Word(w.trivial_at, w.letters)):
+            assert twin == w and twin is not w
+            assert hash(twin) == hash(w)
+            assert {w: text}[twin] == text
+            assert len({w, twin}) == 1
 
 
 def test_parse_rejects_junk():
@@ -95,6 +103,24 @@ def test_canonical_word_picks_inverse_class_representative():
     assert format_word(canonical_word(GP22, parse_word("b^-1.a"))) == "a^-1.b"
     w = canonical_word(GP22, parse_word("a.b^-1"))
     assert canonical_word(GP22, w) == w
+    # the word_key minimum of w and its inverse, on every reading of the
+    # fixtures' strings and on non-reduced words, some equal to their own
+    # inverse (a tie keeps w)
+    odd = ("a.a^-1", "a^-1.a", "b.a.a^-1.b^-1", "a.a^-1.b", "b^-1.b.a", "b.b^-1.a.a^-1")
+    for spec in ALL.values():
+        words = enumerate_strings(spec, 5) + [parse_word(t) for t in odd]
+        for w in words + [inverse(w) for w in words]:
+            if any(not spec.has_arrow(l.arrow) for l in w.letters):
+                continue
+            assert canonical_word(spec, w) == min(
+                w, inverse(w), key=lambda v: word_key(spec, v)
+            )
+    tie = parse_word("a.a^-1")
+    assert canonical_word(GP22, tie) is tie
+    # an unknown arrow is refused even where the first letters decide
+    for text in ("z.a", "a.z.b^-1"):
+        with pytest.raises(ParseError, match="unknown arrow 'z'"):
+            canonical_word(KRON, parse_word(text))
 
 
 def test_enumerate_strings_small_fixed_lists():
@@ -126,6 +152,16 @@ def test_occurrence_counts_small_cases():
     assert count_fac(GP22, parse_word("b^-1"), parse_word("a.b^-1")) == 1
     # a word over an arrow the quiver lacks occurs nowhere
     assert count_sub(GP22, parse_word("z"), parse_word("a")) == 0
+    # but a string over one is refused
+    z = parse_word("z.a")
+    for call in (
+        lambda: string_sub_tally(KRON, z),
+        lambda: string_fac_tally(KRON, z),
+        lambda: count_sub(KRON, parse_word("a"), z),
+        lambda: count_fac(KRON, parse_word("a"), z),
+    ):
+        with pytest.raises(ParseError, match="unknown arrow 'z'"):
+            call()
 
 
 POOLS = {
