@@ -8,12 +8,11 @@ rightmost arrow is applied first and s(a_i) = t(a_{i+1}).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidAlgebra, ParseError
-from .words import Letter, Word, trivial_word
+from .words import Letter, Word, _Frozen, trivial_word
 
 
 class ArrowDecl(NamedTuple):
@@ -22,8 +21,7 @@ class ArrowDecl(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(_Frozen):
     """Quiver and relations, in declaration order.
 
     Declaration order is part of the data: enumeration, canonical forms and
@@ -31,11 +29,17 @@ class AlgebraSpec:
     only in ordering are distinct specs.
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[ArrowDecl, ...]
-    relations: tuple[tuple[str, ...], ...]
+    _fields = ("vertices", "arrows", "relations")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        arrows: tuple[ArrowDecl, ...],
+        relations: tuple[tuple[str, ...], ...],
+    ):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "relations", relations)
         seen_v = set()
         for v in self.vertices:
             if v in seen_v:
@@ -65,15 +69,7 @@ class AlgebraSpec:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.vertices, self.arrows, self.relations))
-
-    def __hash__(self) -> int:
-        # every cached count is keyed by its spec; hash the fields once
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__, so no hash crosses into another process
-        return AlgebraSpec, (self.vertices, self.arrows, self.relations)
+        return hash(self._values)
 
     @cached_property
     def _arrow_map(self) -> dict[str, ArrowDecl]:
@@ -147,8 +143,7 @@ def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:
     return spec.path_in_ideal(path)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the axiom check.
 
     admissibility_bound is the least N with every path of length N in the

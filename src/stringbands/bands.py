@@ -11,13 +11,13 @@ composition order of finite words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotBand, NotQuasiBand, TrivialWord
 from .words import (
     Letter,
     Word,
+    _Frozen,
     _check_arrows,
     format_word,
     inverse,
@@ -31,9 +31,16 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class QuasiBand:
-    letters: tuple[Letter, ...]
+class QuasiBand(_Frozen):
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...]):
+        object.__setattr__(self, "letters", letters)
+
+    def __hash__(self) -> int:
+        # not cached: the witness searches build many more rotations than
+        # are ever hashed
+        return hash((self.letters,))
 
     @property
     def period(self) -> int:
@@ -53,11 +60,15 @@ class QuasiBand:
         return f"QuasiBand({format_word(self.as_word())!r})"
 
 
-@dataclass(frozen=True)
-class BandClass:
+class BandClass(_Frozen):
     """A band up to rotation and inverse-reversal, held in canonical form."""
 
-    canonical: QuasiBand
+    __slots__ = ("canonical", "_hash")
+    _fields = ("canonical",)
+
+    def __init__(self, canonical: QuasiBand):
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "_hash", hash((canonical,)))
 
     @property
     def period(self) -> int:

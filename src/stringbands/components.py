@@ -8,7 +8,6 @@ split positions and segment lengths ascend, and the first witness wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .algebra import gentle_vertices
@@ -82,8 +81,7 @@ class QuadraticWitness(NamedTuple):
     delta: str
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     """witnesses pairs each refutation, in the order of reasons, with the
     indices it concerns: (x, y) for an extendable ordered pair and (i,) for
     a negligible class."""

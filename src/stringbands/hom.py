@@ -12,7 +12,6 @@ tally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bands import (
@@ -23,14 +22,18 @@ from .bands import (
     parti_counts,
 )
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
-from .words import Letter, Word, iter_strings, string_fac_tally, string_sub_tally
+from .words import Letter, Word, _Frozen, iter_strings, string_fac_tally, string_sub_tally
 
 
-@dataclass(frozen=True)
-class BandSequence:
+class BandSequence(_Frozen):
     """A finite list of band classes; repetition allowed and meaningful."""
 
-    classes: tuple[BandClass, ...]
+    __slots__ = ("classes", "_hash")
+    _fields = ("classes",)
+
+    def __init__(self, classes: tuple[BandClass, ...]):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_hash", hash((classes,)))
 
     @property
     def total_dim(self) -> int:

@@ -20,7 +20,6 @@ an isomorphic module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import gcd, lcm
@@ -30,6 +29,7 @@ from .bands import QuasiBand, _as_letters, is_quasi_band
 from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
 from .words import (
     Word,
+    _Frozen,
     format_word,
     is_string,
     left_divisors,
@@ -45,13 +45,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class MatrixModule:
-    spec: AlgebraSpec
-    dim: int
-    grading: tuple[tuple[str, tuple[int, ...]], ...]
-    mats: tuple[tuple[str, Matrix], ...]
-    labels: tuple[str, ...] | None = None
+class MatrixModule(_Frozen):
+    _fields = ("spec", "dim", "grading", "mats", "labels")
+
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        dim: int,
+        grading: tuple[tuple[str, tuple[int, ...]], ...],
+        mats: tuple[tuple[str, Matrix], ...],
+        labels: tuple[str, ...] | None = None,
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "labels", labels)
 
     @cached_property
     def _mat_map(self) -> dict[str, Matrix]:
@@ -70,10 +79,8 @@ class MatrixModule:
 
     @cached_property
     def _hash(self) -> int:
+        # the entries are mats' nonzero part, and cheaper to hash
         return hash((self.spec, self.dim, self.grading, tuple(self.entries.items()), self.labels))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @cached_property
     def vertex_of(self) -> tuple[str, ...]:

@@ -15,8 +15,8 @@ the target is t(a1).  "Starts with" refers to the rightmost letter and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import NotAString, ParseError
@@ -30,28 +30,69 @@ class Letter(NamedTuple):
         return Letter(self.arrow, not self.inverted)
 
 
-@dataclass(frozen=True)
-class Word:
-    """Either a trivial word at a vertex or a nonempty tuple of letters.
+class _Frozen:
+    """Base of the package's immutable value types.
 
-    Words are dict keys of every tally, so the hash is computed once, on
-    construction; equality is the field-wise one.
+    A subclass names its constructor's parameters, in order, in _fields and
+    sets them in __init__ with object.__setattr__ (writing a __dict__
+    directly would cost CPython its fast attribute lookups).  Its hash is
+    _hash, computed once: the hash of _values, the tuple of field values,
+    unless a cheaper one agrees with equality.  A class built far more often
+    than hashed overrides __hash__ instead.  Equality compares every field
+    and holds only within one class.  Copies and pickles are rebuilt through
+    the constructor, so no hash leaves its process.
     """
 
-    trivial_at: str | None
-    letters: tuple[Letter, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if (self.trivial_at is None) == (len(self.letters) == 0):
-            raise ValueError("a word is trivial at a vertex xor carries letters")
-        object.__setattr__(self, "_hash", hash((self.trivial_at, self.letters)))
+    def __init_subclass__(cls):
+        # _values, the tuple of field values, is read by one C-level getter
+        get = attrgetter(*cls._fields)
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # rebuild through __init__, so a copy or unpickled word rehashes
-        return Word, (self.trivial_at, self.letters)
+        return self.__class__, self._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
+    """Either a trivial word at a vertex or a nonempty tuple of letters."""
+
+    __slots__ = ("trivial_at", "letters", "_hash")
+    _fields = ("trivial_at", "letters")
+
+    def __init__(self, trivial_at: str | None, letters: tuple[Letter, ...]):
+        if (trivial_at is None) == (len(letters) == 0):
+            raise ValueError("a word is trivial at a vertex xor carries letters")
+        object.__setattr__(self, "trivial_at", trivial_at)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash((trivial_at, letters)))
+
+    def __eq__(self, other):
+        # words are the keys of every tally; spelled out for the lookups
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.letters == other.letters and self.trivial_at == other.trivial_at
+
+    __hash__ = _Frozen.__hash__  # a class that defines __eq__ loses the inherited one
 
     @property
     def is_trivial(self) -> bool:
@@ -132,6 +173,13 @@ def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
     for l in letters:
         if not alg.has_arrow(l.arrow):
             raise ParseError(f"unknown arrow {l.arrow!r}")
+
+
+def _check_word(alg, word: Word) -> None:
+    """_check_arrows, and for a trivial word a ParseError on a vertex alg lacks."""
+    if word.is_trivial and not alg.has_vertex(word.trivial_at):
+        raise ParseError(f"unknown vertex {word.trivial_at!r}")
+    _check_arrows(alg, word.letters)
 
 
 def is_string(alg, word: Word) -> bool:
@@ -228,6 +276,7 @@ def tally_count(counts: dict[Word, int], d: Word) -> int:
 
 def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
     if c.is_trivial:
+        _check_word(alg, c)
         return {c: 1}
     return tally(alg, c.letters, left_inverted, len(c))
 
@@ -262,8 +311,8 @@ def word_key(alg, word: Word):
 
 def canonical_word(alg, word: Word) -> Word:
     """The smaller of word and its inverse under `word_key`, word itself on
-    a tie.  Unknown arrows raise ParseError."""
-    _check_arrows(alg, word.letters)
+    a tie.  Unknown arrows and vertices raise ParseError."""
+    _check_word(alg, word)
     return _canonical(alg, word)
 
 

@@ -217,6 +217,17 @@ def run_child(*argv):
     )
 
 
+def test_importing_the_cli_skips_dataclasses():
+    # a cold start pays for no dataclass machinery, and still loads the
+    # modules the benchmark's CLI probe wraps
+    proc = run_child("-c", (
+        "import sys, stringbands.cli; print(*(m in sys.modules for m in "
+        "('dataclasses', 'stringbands.oracle', 'stringbands.components')))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
 def test_module_entry_point_runs():
     proc = run_child("-m", "stringbands", "validate", KRON_FILE)
     assert proc.returncode == 0

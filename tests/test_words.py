@@ -121,6 +121,9 @@ def test_canonical_word_picks_inverse_class_representative():
     for text in ("z.a", "a.z.b^-1"):
         with pytest.raises(ParseError, match="unknown arrow 'z'"):
             canonical_word(KRON, parse_word(text))
+    # and so is a trivial word at a vertex the quiver lacks
+    with pytest.raises(ParseError, match="unknown vertex '9'"):
+        canonical_word(KRON, trivial_word("9"))
 
 
 def test_enumerate_strings_small_fixed_lists():
@@ -161,6 +164,18 @@ def test_occurrence_counts_small_cases():
         lambda: count_fac(KRON, parse_word("a"), z),
     ):
         with pytest.raises(ParseError, match="unknown arrow 'z'"):
+            call()
+    # as is a trivial string at a vertex it lacks, though it occurs nowhere
+    nine = trivial_word("9")
+    assert not is_string(KRON, nine)
+    assert count_sub(KRON, nine, parse_word("a")) == 0
+    for call in (
+        lambda: string_sub_tally(KRON, nine),
+        lambda: string_fac_tally(KRON, nine),
+        lambda: count_fac(KRON, nine, nine),
+        lambda: hom_string_string(KRON, nine, nine),
+    ):
+        with pytest.raises(ParseError, match="unknown vertex '9'"):
             call()
 
 
