@@ -3,12 +3,18 @@
 This is the brute-force side of the package: hom dimensions come from
 intertwiner linear systems, ext dimensions from a syzygy, and nothing is
 ever rounded, so there are no tolerances anywhere.  Besides its dense
-Fraction matrices a module keeps, per arrow, the list of its nonzero
-(i, j, x) entries; every linear system is built from those lists as sparse
-rows, each scaled to integers by the lcm of its own denominators.  One
-fraction-free routine, _reduce, eliminates such a row against the
-gcd-normalised pivot rows found so far.  A rank is the number of pivots, and
-a kernel is read off the same echelon form by back-substitution.
+Fraction matrices a module keeps views derived from them, computed once and
+left out of equality, hashing, pickles and the repr: entries, each arrow's
+nonzero (i, j, x) list; int_tables, each arrow as X(a) = N / D with D the
+lcm of its denominators and N an integer matrix listed by columns and by
+rows; vertex_of, position and the vertex blocks; and the hash.  dim_hom
+builds each equation straight from the columns of one module's N and the
+rows of the other's, scaled by the lcm of the two D.  One fraction-free
+routine, _reduce, eliminates such an integer row against the gcd-normalised
+pivot rows found so far; _echelon first settles the one-term rows, whose
+unknown is forced to zero, as unit pivots and drops their columns from the
+longer rows.  A rank is the number of pivots, and a kernel is read off the
+same echelon form by back-substitution.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -40,6 +46,7 @@ from .words import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 Entries = tuple[tuple[int, int, Fraction], ...]
 Cells = dict[str, dict[tuple[int, int], Fraction]]
+IntTable = tuple[int, dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -76,6 +83,23 @@ class MatrixModule(_Frozen):
             a: tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
             for a, m in self.mats
         }
+
+    @cached_property
+    def int_tables(self) -> dict[str, IntTable]:
+        """Each arrow a as (D, columns, rows) with X(a) = N / D: D is the lcm
+        of the entries' denominators, N an integer matrix kept as its columns
+        j -> [(k, N[k][j])] and its rows k -> [(j, N[k][j])], nonzeros only."""
+        out = {}
+        for a, entries in self.entries.items():
+            den = lcm(*(x.denominator for _, _, x in entries))
+            cols: dict[int, list[tuple[int, int]]] = {}
+            rows: dict[int, list[tuple[int, int]]] = {}
+            for i, j, x in entries:
+                n = x.numerator * (den // x.denominator)
+                cols.setdefault(j, []).append((i, n))
+                rows.setdefault(i, []).append((j, n))
+            out[a] = (den, cols, rows)
+        return out
 
     @cached_property
     def _hash(self) -> int:
@@ -237,14 +261,6 @@ def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
     return _module(spec, vertex_of, cells, labels)
 
 
-def _add(row: dict[int, int], col: int, x: int) -> None:
-    v = row.get(col, 0) + x
-    if v:
-        row[col] = v
-    else:
-        del row[col]
-
-
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The row scaled to integers by the lcm of its denominators, zeros dropped."""
     den = lcm(*(x.denominator for x in row.values()))
@@ -282,9 +298,29 @@ def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | Non
 
 
 def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Pivot rows of the span of the given sparse integer rows."""
-    pivots: dict[int, dict[int, int]] = {}
+    """Pivot rows of the span of the given sparse integer rows.
+
+    A one-term row forces its column to zero, so it is stored as the unit
+    pivot {c: 1} and c is dropped from every longer row before _reduce sees
+    it; a longer row left with one term on a new column is settled the same
+    way.  A unit row reaches nothing right of its pivot, so the pivots remain
+    an echelon form that _kernel can read.
+    """
+    rows = list(rows)
+    pivots = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
+    units = set(pivots)  # the unit pivots only; _reduce adds longer ones
     for row in rows:
+        if len(row) < 2:
+            continue
+        if not units.isdisjoint(row):
+            row = {c: x for c, x in row.items() if c not in units}
+            if len(row) == 1:
+                (c,) = row
+                if c not in pivots:
+                    # what is left of the row forces its unknown to zero too
+                    units.add(c)
+                    pivots[c] = {c: 1}
+                    continue
         _reduce(pivots, row)
     return pivots
 
@@ -319,51 +355,65 @@ def _rank(rows) -> int:
 @lru_cache(maxsize=None)
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f."""
-    if X.spec != Y.spec:
+    if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     # the unknown f[i][k] (i in Y, k in X, both at vertex u) is numbered
     # offset[u] + place of i in Y_u * |X_u| + place of k in X_u
+    xb, yb = X._blocks, Y._blocks
     offset: dict[str, int] = {}
-    width: dict[str, int] = {}
     nu = 0
     for u, xs in X.grading:
-        offset[u], width[u] = nu, len(xs)
-        nu += len(xs) * len(Y.block(u))
+        offset[u] = nu
+        nu += len(xs) * len(yb.get(u, ()))
     if nu == 0:
         return 0
     px, py = X.position, Y.position
+    xt, yt = X.int_tables, Y.int_tables
     rows: list[dict[int, int]] = []
-    for name in X.spec.arrow_names:
-        A = [(k, j, a.numerator, a.denominator) for k, j, a in X.entries[name]]
-        B = [(i, k, b.numerator, b.denominator) for i, k, b in Y.entries[name]]
-        if not A and not B:
+    for name, s, t in X.spec.arrows:
+        dx, xcols, _ = xt[name]
+        dy, _, yrows = yt[name]
+        if not xcols and not yrows:
             continue
         # the equation at (i, j), i in Y_t and j in X_s for the arrow s -> t,
-        # reads sum_k f[i][k] A[k][j] - sum_k B[i][k] f[k][j] = 0; it is
-        # scaled by the lcm of the denominators in column j of A and row i of B
-        t, s = X.spec.arrow_target(name), X.spec.arrow_source(name)
-        ys, xs = Y.block(t), X.block(s)
-        den_a: dict[int, int] = {}
-        den_b: dict[int, int] = {}
-        for _, j, _, d in A:
-            if d != 1:
-                den_a[j] = lcm(den_a.get(j, 1), d)
-        for i, _, _, d in B:
-            if d != 1:
-                den_b[i] = lcm(den_b.get(i, 1), d)
-        eqs: dict[tuple[int, int], dict[int, int]] = {}
-        wt = width[t]
-        for k, j, n, d in A:
-            base, da = offset[t] + px[k], den_a.get(j, 1)
-            for p, i in enumerate(ys):
-                _add(eqs.setdefault((i, j), {}), base + p * wt,
-                     n * (lcm(da, den_b.get(i, 1)) // d))
-        for i, k, n, d in B:
-            base, db = offset[s] + py[k] * width[s], den_b.get(i, 1)
-            for p, j in enumerate(xs):
-                _add(eqs.setdefault((i, j), {}), base + p,
-                     -n * (lcm(den_a.get(j, 1), db) // d))
-        rows.extend(eqs.values())
+        # reads sum_k f[i][k] X(a)[k][j] - sum_k Y(a)[i][k] f[k][j] = 0; times
+        # lcm(D_X, D_Y) its coefficients are the integers sx N_X and sy N_Y
+        d = lcm(dx, dy)
+        sx, sy = d // dx, -(d // dy)
+        xs = xb.get(s, ())
+        bt, wt = offset.get(t, 0), len(xb.get(t, ()))
+        bs, ws = offset.get(s, 0), len(xs)
+        stop = bt + len(yb.get(t, ())) * wt
+        for j, col in xcols.items():
+            # column j of X gives the equations (i, j) for all i in Y_t, in
+            # the order of Y_t: f[i][k] is bt + place of i * wt + place of k
+            if len(col) == 1:
+                ((k, n),) = col
+                c, n = px[k], sx * n
+                eqs = [{f: n} for f in range(bt + c, stop + c, wt)]
+            else:
+                eqs = [{f + px[k]: sx * n for k, n in col} for f in range(bt, stop, wt)]
+            # the rows of Y add their side: f[k][j] is fj + place of k * ws
+            fj = bs + px[j]
+            for i, yrow in yrows.items():
+                row = eqs[py[i]]
+                for k, n in yrow:
+                    c = fj + py[k] * ws
+                    n = row.pop(c, 0) + sy * n  # a loop's f[i][j] is on both sides
+                    if n:
+                        row[c] = n
+            rows.extend(eqs)
+        if not yrows:
+            continue
+        # the equations (i, j) where column j of X is zero have Y's side only
+        free = [bs + p for p, j in enumerate(xs) if j not in xcols]
+        for yrow in yrows.values():
+            if len(yrow) == 1:
+                ((k, n),) = yrow
+                c, n = py[k] * ws, sy * n
+                rows.extend([{fj + c: n} for fj in free])
+            else:
+                rows.extend([{fj + py[k] * ws: sy * n for k, n in yrow} for fj in free])
     return nu - len(_echelon(rows))
 
 
@@ -387,12 +437,9 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     d = X.dim
     # the radical of X is spanned by the columns of the arrow matrices
     span: dict[int, dict[int, int]] = {}
-    for entries in X.entries.values():
-        cols: dict[int, dict[int, Fraction]] = {}
-        for i, j, x in entries:
-            cols.setdefault(j, {})[i] = x
+    for _, cols, _ in X.int_tables.values():
         for col in cols.values():
-            _reduce(span, _integral(col))
+            _reduce(span, dict(col))
     picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     parts = [realize_string(spec, projective_word(spec, X.vertex_of[i])) for i in picks]
@@ -470,13 +517,8 @@ def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
 
 
 def rank_sum(X: MatrixModule) -> int:
-    total = 0
-    for entries in X.entries.values():
-        rows: dict[int, dict[int, Fraction]] = {}
-        for i, j, x in entries:
-            rows.setdefault(i, {})[j] = x
-        total += _rank(rows.values())
-    return total
+    """Sum of the ranks of the arrow matrices, each read as its integer N."""
+    return sum(len(_echelon(map(dict, rows.values()))) for _, _, rows in X.int_tables.values())
 
 
 def is_regular(X: MatrixModule) -> bool:

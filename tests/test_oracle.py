@@ -1,10 +1,11 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     InvalidAlgebra,
     MatrixModule,
@@ -28,7 +29,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
-from stringbands.oracle import _echelon, _integral, _kernel, _rank, _validate
+from stringbands.oracle import _ZERO, _echelon, _integral, _kernel, _module, _rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -261,9 +262,8 @@ def rational_matrix(draw):
     ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(rational_matrix())
-def test_elimination_matches_sympy(rows):
+def assert_matches_sympy(rows):
+    """_echelon's rank and _kernel's basis agree with sympy on dense Fraction rows."""
     sympy = pytest.importorskip("sympy")
     ncols = len(rows[0])
     sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
@@ -282,3 +282,103 @@ def test_elimination_matches_sympy(rows):
         [Fraction(int(x.p), int(x.q)) for x in v] for v in reference.nullspace()
     ]
     assert [[vec.get(c, 0) for c in range(ncols)] for vec, _ in kernel] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrix())
+def test_elimination_matches_sympy(rows):
+    assert_matches_sympy(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 3, 0], [0, -2, 0], [1, 0, 1]],
+        [[1, 2, 0, 0], [0, 5, 0, 0], [0, 1, 1, 0], [0, 1, 0, -1]],
+        [[2, 0, 0], [0, 1, 0], [1, -1, 0]],
+        [[0, 0, 1], [1, 0, 4], [3, 1, 0]],
+        [[1, 1, 0], [2, 2, 0], [0, 0, 1]],
+        [[Fraction(1, 2), 0, Fraction(2, 3)], [0, 0, Fraction(7, 2)], [0, 1, 1]],
+    ],
+    ids=[
+        "one-term-row-twice",
+        "one-term-column-in-longer-rows",
+        "longer-row-strips-to-nothing",
+        "longer-row-strips-to-one-term",
+        "longer-rows-share-a-non-unit-pivot",
+        "fractional-rows",
+    ],
+)
+def test_unit_rows_settle_before_elimination(rows):
+    assert_matches_sympy([[Fraction(x) for x in row] for row in rows])
+
+
+def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
+    X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
+    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2), so N(b) = 2 X(b)
+    assert X.int_tables["b"] == (2, {3: [(0, 3)], 2: [(3, 2)]}, {0: [(3, 3)], 3: [(2, 2)]})
+    fresh = MatrixModule(X.spec, X.dim, X.grading, X.mats, X.labels)
+    assert "int_tables" in X.__dict__ and "int_tables" not in fresh.__dict__
+    assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
+    assert pickle.dumps(X) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(X)) == fresh
+
+
+LOWER = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+CONJUGATION_POOL = {}
+for _name, _spec in ALL.items():
+    mods = [realize_string(_spec, w) for w in enumerate_strings(_spec, 3)]
+    mods += [realize_band(_spec, B, lam) for B in enumerate_bands(_spec, 4)
+             for lam in (TWO, Fraction(7, 2))]
+    CONJUGATION_POOL[_name] = mods
+
+
+def conjugate(M, lower):
+    """M in a new basis: X'(a) = g_t X(a) g_s^-1, where g_u is unit lower
+    triangular on the block of u with its lower entries taken from lower."""
+    d = M.dim
+    g = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    values = iter(lower)
+    for _, idxs in M.grading:
+        for p, i in enumerate(idxs):
+            for j in idxs[:p]:
+                g[i][j] = Fraction(next(values, 0))
+    # g is unit lower triangular, so its inverse follows by forward substitution
+    inv = [[_ZERO] * d for _ in range(d)]
+    for c in range(d):
+        for i in range(d):
+            inv[i][c] = (i == c) - sum(g[i][k] * inv[k][c] for k in range(i))
+    cells = {}
+    for a, m in M.mats:
+        gm = [[sum(g[i][k] * m[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        cells[a] = {
+            (i, j): x
+            for i in range(d) for j in range(d)
+            if (x := sum(gm[i][k] * inv[k][j] for k in range(d)))
+        }
+    return _module(M.spec, M.vertex_of, cells, M.labels)
+
+
+@st.composite
+def conjugated_pair(draw):
+    mods = CONJUGATION_POOL[draw(st.sampled_from(sorted(CONJUGATION_POOL)))]
+    X, Y = (draw(st.sampled_from(mods)) for _ in range(2))
+    lowers = (draw(st.lists(st.sampled_from(LOWER), max_size=12)) for _ in range(2))
+    return X, Y, *(conjugate(M, lower) for M, lower in zip((X, Y), lowers))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(conjugated_pair())
+def test_a_change_of_basis_keeps_hom_ext_and_ranks(pair):
+    X, Y, X2, Y2 = pair
+    assert dim_hom(X2, Y2) == dim_hom(X, Y)
+    assert dim_hom(Y2, X2) == dim_hom(Y, X)
+    assert dim_ext1(X2, Y2) == dim_ext1(X, Y)
+    assert rank_sum(X2) == rank_sum(X) and is_regular(X2) == is_regular(X)
+
+
+def test_conjugated_modules_reach_beyond_one_entry_per_column():
+    M = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(7, 2))
+    N = conjugate(M, (1, Fraction(1, 2), -1, 2, 3, 1))
+    assert max(len(col) for _, cols, _ in N.int_tables.values() for col in cols.values()) > 1
+    assert M != N and dim_hom(N, M) == dim_hom(M, M) and dim_ext1(N, N) == dim_ext1(M, M)
