@@ -29,7 +29,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
-from stringbands.oracle import _ZERO, _echelon, _integral, _kernel, _module, _rank, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _module, _rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -298,7 +298,6 @@ def test_elimination_matches_sympy(rows):
         [[2, 0, 0], [0, 1, 0], [1, -1, 0]],
         [[0, 0, 1], [1, 0, 4], [3, 1, 0]],
         [[1, 1, 0], [2, 2, 0], [0, 0, 1]],
-        [[Fraction(1, 2), 0, Fraction(2, 3)], [0, 0, Fraction(7, 2)], [0, 1, 1]],
     ],
     ids=[
         "one-term-row-twice",
@@ -306,7 +305,6 @@ def test_elimination_matches_sympy(rows):
         "longer-row-strips-to-nothing",
         "longer-row-strips-to-one-term",
         "longer-rows-share-a-non-unit-pivot",
-        "fractional-rows",
     ],
 )
 def test_unit_rows_settle_before_elimination(rows):
@@ -344,7 +342,7 @@ def conjugate(M, lower):
             for j in idxs[:p]:
                 g[i][j] = Fraction(next(values, 0))
     # g is unit lower triangular, so its inverse follows by forward substitution
-    inv = [[_ZERO] * d for _ in range(d)]
+    inv = [[Fraction(0)] * d for _ in range(d)]
     for c in range(d):
         for i in range(d):
             inv[i][c] = (i == c) - sum(g[i][k] * inv[k][c] for k in range(i))
