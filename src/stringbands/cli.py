@@ -24,10 +24,11 @@ from .algebra import (
     require_string_algebra,
     validate_algebra,
 )
-from .bands import BandClass, canonical_class, enumerate_bands
+from .bands import BandClass, QuasiBand, canonical_class, enumerate_bands
 from .components import (
     Case1Witness,
     Case2Witness,
+    ExtendabilityWitness,
     concat_extension,
     decide_component,
     extendable,
@@ -44,7 +45,7 @@ from .hom import (
     make_sequence,
 )
 from .oracle import dim_hom, realize_band, realize_string
-from .words import canonical_word, enumerate_strings, format_word, is_string, parse_word
+from .words import Word, canonical_word, enumerate_strings, format_word, is_string, parse_word
 
 _PARAMETER_POOL = (Fraction(2), Fraction(3), Fraction(5))
 
@@ -69,6 +70,29 @@ def _class_or_none(spec, qb):
         return _fmt_class(canonical_class(spec, qb))
     except NotBand:
         return None
+
+
+_KINDS = {
+    ExtendabilityWitness: "extendable",
+    Case1Witness: "negligible-case1",
+    Case2Witness: "negligible-case2",
+}
+_RENAMED = {"d": "concat", "reversed_band": "reversed"}
+
+
+def _fmt_witness(wit) -> dict:
+    """The witness's fields in order, with d printed as concat and
+    reversed_band as reversed."""
+    out = {}
+    for key, value in wit._asdict().items():
+        if isinstance(value, QuasiBand):
+            value = _fmt_band(value)
+        elif isinstance(value, Word):
+            value = format_word(value)
+        elif isinstance(value, tuple):
+            value = [_fmt_band(p) for p in value]
+        out[_RENAMED.get(key, key)] = value
+    return out
 
 
 def cmd_validate(args) -> dict:
@@ -170,42 +194,8 @@ def cmd_component(args) -> dict:
     verdict = decide_component(spec, seq)
     witnesses = []
     for ix, wit in verdict.witnesses:
-        if isinstance(wit, Case1Witness):
-            witnesses.append(
-                {
-                    "kind": "negligible-case1",
-                    "class": ix[0],
-                    "rot": _fmt_band(wit.rot),
-                    "n": wit.n,
-                    "w": format_word(wit.w),
-                    "pieces": [_fmt_band(p) for p in wit.pieces],
-                }
-            )
-        elif isinstance(wit, Case2Witness):
-            witnesses.append(
-                {
-                    "kind": "negligible-case2",
-                    "class": ix[0],
-                    "rot": _fmt_band(wit.rot),
-                    "w": format_word(wit.w),
-                    "u": format_word(wit.u),
-                    "v": format_word(wit.v),
-                    "reversed": _fmt_band(wit.reversed_band),
-                }
-            )
-        else:
-            witnesses.append(
-                {
-                    "kind": "extendable",
-                    "pair": list(ix),
-                    "rot_b": _fmt_band(wit.rot_b),
-                    "rot_c": _fmt_band(wit.rot_c),
-                    "w": format_word(wit.w),
-                    "beta": wit.beta,
-                    "delta": wit.delta,
-                    "concat": _fmt_band(wit.d),
-                }
-            )
+        at = {"class": ix[0]} if len(ix) == 1 else {"pair": list(ix)}
+        witnesses.append({"kind": _KINDS[type(wit)], **at, **_fmt_witness(wit)})
     inputs = {"file": args.file, "bands": [_fmt_class(c) for c in seq.classes]}
     result = {
         "status": verdict.status,
@@ -222,7 +212,7 @@ def cmd_degenerate(args) -> dict:
     if args.mode == "reverse":
         if args.w is None or args.u is None or args.v is None:
             raise ParseError("reverse mode needs --w, --u and --v")
-        inputs.update({"w": args.w, "u": args.u, "v": args.v})
+        inputs.update(w=args.w, u=args.u, v=args.v)
         out = reverse_piece(
             spec,
             band_word,
@@ -239,13 +229,7 @@ def cmd_degenerate(args) -> dict:
         if not isinstance(wit, Case1Witness):
             raise InvalidWitness("band admits no case 1 witness")
         pieces = split_band(spec, wit)
-        result = {
-            "rot": _fmt_band(wit.rot),
-            "n": wit.n,
-            "w": format_word(wit.w),
-            "pieces": [_fmt_band(p) for p in pieces],
-            "piece_classes": [_class_or_none(spec, p) for p in pieces],
-        }
+        result = {**_fmt_witness(wit), "piece_classes": [_class_or_none(spec, p) for p in pieces]}
     else:
         if args.other is None:
             raise ParseError("concat mode needs --with")
@@ -254,15 +238,7 @@ def cmd_degenerate(args) -> dict:
         if wit is None:
             raise InvalidWitness("pair is not extendable")
         d = concat_extension(spec, wit)
-        result = {
-            "rot_b": _fmt_band(wit.rot_b),
-            "rot_c": _fmt_band(wit.rot_c),
-            "w": format_word(wit.w),
-            "beta": wit.beta,
-            "delta": wit.delta,
-            "concat": _fmt_band(d),
-            "class": _class_or_none(spec, d),
-        }
+        result = {**_fmt_witness(wit), "class": _class_or_none(spec, d)}
     return _result("degenerate", inputs, result)
 
 

@@ -11,8 +11,8 @@ rows; vertex_of, position and the vertex blocks; and the hash.  dim_hom
 builds each equation straight from the columns of one module's N and the
 rows of the other's, scaled by the lcm of the two D.  One fraction-free
 routine, _reduce, eliminates such an integer row against the gcd-normalised
-pivot rows found so far; _echelon first settles the one-term rows, whose
-unknown is forced to zero, as unit pivots and drops their columns from the
+pivot rows found so far; _echelon first stores each one-term row, whose
+unknown is forced to zero, as its own pivot and drops its column from the
 longer rows.  A rank is the number of pivots, and a kernel is read off the
 same echelon form by back-substitution.
 
@@ -300,15 +300,16 @@ def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | Non
 def _echelon(rows) -> dict[int, dict[int, int]]:
     """Pivot rows of the span of the given sparse integer rows.
 
-    A one-term row forces its column to zero, so it is stored as the unit
-    pivot {c: 1} and c is dropped from every longer row before _reduce sees
-    it; a longer row left with one term on a new column is settled the same
-    way.  A unit row reaches nothing right of its pivot, so the pivots remain
+    A one-term row forces its column to zero, so it is stored as its own
+    pivot and that column is dropped from every longer row before _reduce
+    sees it; a longer row left with one term on a new column is settled the
+    same way.
+    A one-term row reaches nothing right of its pivot, so the pivots remain
     an echelon form that _kernel can read.
     """
     rows = list(rows)
-    pivots = {c: {c: 1} for row in rows if len(row) == 1 for c in row}
-    units = set(pivots)  # the unit pivots only; _reduce adds longer ones
+    pivots = {c: row for row in rows if len(row) == 1 for c in row}
+    units = set(pivots)  # the one-term pivots only; _reduce adds longer ones
     for row in rows:
         if len(row) < 2:
             continue
@@ -319,7 +320,7 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
                 if c not in pivots:
                     # what is left of the row forces its unknown to zero too
                     units.add(c)
-                    pivots[c] = {c: 1}
+                    pivots[c] = row
                     continue
         _reduce(pivots, row)
     return pivots
@@ -442,31 +443,20 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
             _reduce(span, dict(col))
     picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
-    parts = [realize_string(spec, projective_word(spec, X.vertex_of[i])) for i in picks]
-    p_vertex: list[str] = []
-    p_cells: Cells = {}
-    p_labels: list[str] = []
+    words = [projective_word(spec, X.vertex_of[i]) for i in picks]
+    # the zero module is its own projective cover
+    P0 = direct_sum(*(realize_string(spec, w) for w in words)) if words else X
+    p_dim = P0.dim
     pi_cols: list[dict[int, Fraction]] = []  # columns of P0 -> X, sparse
-    offset = 0
-    for pick, part in zip(picks, parts):
-        p_vertex.extend(part.vertex_of)
-        for a, entries in part.entries.items():
-            cell = p_cells.setdefault(a, {})
-            for i, j, x in entries:
-                cell[offset + i, offset + j] = x
-        p_labels.extend(f"{offset + i}:{lab}" for i, lab in enumerate(part.labels))
-        word = projective_word(spec, X.vertex_of[pick])
+    for pick, word in zip(picks, words):
         gen = _generator_index(word)
-        cols_p: list = [None] * part.dim
+        cols_p: list = [None] * (len(word) + 1)
         cols_p[gen] = {pick: _ONE}
         for j in range(gen - 1, -1, -1):
             cols_p[j] = _apply(X.entries[word.letters[j].arrow], cols_p[j + 1])
-        for j in range(gen + 1, part.dim):
+        for j in range(gen + 1, len(cols_p)):
             cols_p[j] = _apply(X.entries[word.letters[j - 1].arrow], cols_p[j - 1])
         pi_cols.extend(cols_p)
-        offset += part.dim
-    P0 = _module(spec, p_vertex, p_cells, tuple(p_labels))
-    p_dim = P0.dim
 
     if _rank(pi_cols) != d:
         raise RuntimeError("projective cover fails to surject")
@@ -529,15 +519,20 @@ def orbit_dimension(X: MatrixModule) -> int:
     return X.dim * X.dim - dim_hom(X, X)
 
 
-def direct_sum(X: MatrixModule, Y: MatrixModule) -> MatrixModule:
-    if X.spec != Y.spec:
+def direct_sum(X: MatrixModule, *rest: MatrixModule) -> MatrixModule:
+    """X plus each module of rest, blocks in argument order; the labels are
+    concatenated when every summand has them."""
+    mods = (X, *rest)
+    if any(Y.spec != X.spec for Y in rest):
         raise SpecMismatch("modules over different algebras")
-    vertex_of = list(X.vertex_of) + list(Y.vertex_of)
-    cells: Cells = {}
-    for a in X.spec.arrow_names:
-        cell = cells[a] = {(i, j): x for i, j, x in X.entries[a]}
-        cell.update({(X.dim + i, X.dim + j): y for i, j, y in Y.entries[a]})
+    vertex_of: list[str] = []
+    cells: Cells = {a: {} for a in X.spec.arrow_names}
+    for M in mods:
+        offset = len(vertex_of)
+        for a, entries in M.entries.items():
+            cells[a].update({(offset + i, offset + j): x for i, j, x in entries})
+        vertex_of.extend(M.vertex_of)
     labels = None
-    if X.labels is not None and Y.labels is not None:
-        labels = X.labels + Y.labels
+    if all(M.labels is not None for M in mods):
+        labels = sum((M.labels for M in mods), ())
     return _module(X.spec, vertex_of, cells, labels)

@@ -183,11 +183,10 @@ def _check_word(alg, word: Word) -> None:
 
 
 def is_string(alg, word: Word) -> bool:
-    """Composable, reduced, and every directed run avoids the relation ideal."""
-    if word.is_trivial:
-        return alg.has_vertex(word.trivial_at)
+    """Composable, reduced, and every directed run avoids the relation ideal.
+    A vertex or arrow alg lacks raises ParseError (_check_word)."""
+    _check_word(alg, word)
     letters = word.letters
-    _check_arrows(alg, letters)
     for a, b in zip(letters, letters[1:]):
         if letter_source(alg, a) != letter_target(alg, b):
             return False

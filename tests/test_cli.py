@@ -144,27 +144,116 @@ def test_component_verdict_with_witnesses():
     assert doc["result"]["status"] == "Unknown"
 
 
+def assert_golden(argv, expected):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    # key order is part of the format
+    assert json.dumps(json.loads(out)) == json.dumps(expected)
+
+
+# Whole documents for every witness layout: both extendable orders and a
+# case 1 split in one verdict, and a case 2 reversal.  Witness keys are the
+# witness fields in order, with d printed as concat and reversed_band as
+# reversed.
+GOLDEN_COMPONENTS = [
+    (
+        ("component", GP33_FILE, "--bands", "a.a.b^-1.a.b^-1,a.b^-1"),
+        {
+            "command": "component",
+            "inputs": {"file": GP33_FILE, "bands": ["a.a.b^-1.a.b^-1", "a.b^-1"]},
+            "result": {
+                "status": "NotComponent",
+                "reasons": [
+                    "classes 0 and 1 are extendable via b^-1.a.a.b^-1.a.a.b^-1",
+                    "classes 1 and 0 are extendable via b^-1.a.a.b^-1.a.a.b^-1",
+                    "class 0 is negligible (case 1 split)",
+                ],
+                "dimension": None,
+            },
+            "witnesses": [
+                {
+                    "kind": "extendable", "pair": [0, 1],
+                    "rot_b": "a.b^-1.a.a.b^-1", "rot_c": "b^-1.a", "w": "1_u",
+                    "beta": "a", "delta": "b", "concat": "b^-1.a.a.b^-1.a.a.b^-1",
+                },
+                {
+                    "kind": "extendable", "pair": [1, 0],
+                    "rot_b": "a.b^-1", "rot_c": "b^-1.a.a.b^-1.a", "w": "1_u",
+                    "beta": "a", "delta": "b", "concat": "b^-1.a.a.b^-1.a.a.b^-1",
+                },
+                {
+                    "kind": "negligible-case1", "class": 0,
+                    "rot": "a.b^-1.a.a.b^-1", "n": 3, "w": "a.b^-1.a",
+                    "pieces": ["a.b^-1.a", "a.b^-1"],
+                },
+            ],
+        },
+    ),
+    (
+        ("component", LOOP_FILE, "--bands", "x.a^-1.y^-1.a"),
+        {
+            "command": "component",
+            "inputs": {"file": LOOP_FILE, "bands": ["x.a^-1.y^-1.a"]},
+            "result": {
+                "status": "NotComponent",
+                "reasons": ["class 0 is negligible (case 2 reversal)"],
+                "dimension": None,
+            },
+            "witnesses": [
+                {
+                    "kind": "negligible-case2", "class": 0,
+                    "rot": "a.x.a^-1.y^-1", "w": "a", "u": "x", "v": "y^-1",
+                    "reversed": "a.x^-1.a^-1.y^-1",
+                },
+            ],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_COMPONENTS, ids=["extendable-and-case1", "case2"])
+def test_component_witness_documents_are_golden(argv, expected):
+    assert_golden(argv, expected)
+
+
 def test_degenerate_reverse():
-    doc = run_json(
+    argv = (
         "degenerate", LOOP_FILE, "--band", "a.x.a^-1.y^-1", "--mode", "reverse",
         "--w", "a", "--u", "x", "--v", "y^-1",
     )
-    assert doc["result"]["dominating"] == "x.a^-1.y.a"
+    assert_golden(argv, {
+        "command": "degenerate",
+        "inputs": {
+            "file": LOOP_FILE, "band": "a.x.a^-1.y^-1", "mode": "reverse",
+            "w": "a", "u": "x", "v": "y^-1",
+        },
+        "result": {"rotation": "a.x.a^-1.y", "dominating": "x.a^-1.y.a"},
+    })
 
 
 def test_degenerate_split():
-    doc = run_json(
-        "degenerate", GP33_FILE, "--band", "b.a^-1.b.b.a^-1", "--mode", "split",
-    )
-    assert sorted(doc["result"]["piece_classes"]) == ["a.b^-1", "a.b^-1.b^-1"]
+    argv = ("degenerate", GP33_FILE, "--band", "b.a^-1.b.b.a^-1", "--mode", "split")
+    assert_golden(argv, {
+        "command": "degenerate",
+        "inputs": {"file": GP33_FILE, "band": "b.a^-1.b.b.a^-1", "mode": "split"},
+        "result": {
+            "rot": "b^-1.a.b^-1.a.b^-1", "n": 2, "w": "b^-1.a.b^-1",
+            "pieces": ["b^-1.a", "b^-1.a.b^-1"],
+            "piece_classes": ["a.b^-1", "a.b^-1.b^-1"],
+        },
+    })
 
 
 def test_degenerate_concat():
-    doc = run_json(
-        "degenerate", GP33_FILE, "--band", "a^-1.b", "--mode", "concat",
-        "--with", "a^-1.b",
-    )
-    assert doc["result"]["class"] == "a.a.b^-1.b^-1"
+    argv = ("degenerate", GP33_FILE, "--band", "a^-1.b", "--mode", "concat", "--with", "a^-1.b")
+    assert_golden(argv, {
+        "command": "degenerate",
+        "inputs": {"file": GP33_FILE, "band": "a^-1.b", "mode": "concat", "with": "a^-1.b"},
+        "result": {
+            "rot_b": "a.b^-1", "rot_c": "b^-1.a", "w": "1_u", "beta": "a",
+            "delta": "b", "concat": "b^-1.a.a.b^-1", "class": "a.a.b^-1.b^-1",
+        },
+    })
 
 
 def test_exit_code_two_on_unreadable_or_malformed_input(tmp_path):
@@ -177,6 +266,11 @@ def test_exit_code_two_on_unreadable_or_malformed_input(tmp_path):
     assert json.loads(err)["error"] == "ParseError"
     code, out, err = run_cli("hom", GP22_FILE, "--from", "string:??", "--to", "string:a")
     assert code == 2
+    # a vertex the algebra lacks is refused like an arrow it lacks
+    for word in ("1_9", "z"):
+        code, out, err = run_cli("hom", KRON_FILE, "--from", f"string:{word}", "--to", "string:a")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_exit_code_three_on_domain_errors():

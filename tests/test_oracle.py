@@ -165,6 +165,16 @@ def test_projectives_have_no_self_extensions():
     assert dim_ext1(P, P) == 0
 
 
+def test_the_zero_module_has_a_zero_syzygy():
+    P = realize_string(GP22, projective_word(GP22, "u"))
+    Z = syzygy(P)[1]  # a projective's syzygy is zero
+    assert Z.dim == 0
+    P0, omega = syzygy(Z)
+    assert (P0.dim, omega.dim) == (0, 0)
+    assert dim_ext1(Z, P) == 0
+    assert dim_ext1(Z, realize_band(GP22, parse_word("a.b^-1"), TWO)) == 0
+
+
 def test_ext_detects_the_extendable_self_pair():
     B2 = canonical_class(GP33, parse_word("a^-1.b"))
     assert dim_ext1(realize_band(GP33, B2, TWO), realize_band(GP33, B2, THREE)) == 1
@@ -203,6 +213,10 @@ def test_orbit_dimension_and_direct_sum():
     S = direct_sum(X2, X3)
     assert S.dim == 4
     assert dim_hom(S, S) == 6
+    # any number of summands, in argument order, labels concatenated
+    assert direct_sum(X2) == X2
+    assert direct_sum(X2, X3, X2) == direct_sum(S, X2)
+    assert direct_sum(X2, X3, X2).labels == ("e0", "e1") * 3
     with pytest.raises(SpecMismatch):
         direct_sum(X2, realize_string(GP33, parse_word("a")))
 
