@@ -30,7 +30,18 @@ from stringbands import (
     realize_string,
     require_string_algebra,
 )
-from stringbands.cli import _run_quietly, nonnegative_int
+from stringbands.cli import _fraction, _run_quietly, nonnegative_int
+
+
+def parameter_pair(text: str) -> tuple[Fraction, Fraction]:
+    """argparse type for --params: two nonzero rationals, comma-separated."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"need two comma-separated rationals: {text!r}")
+    lam, mu = (_fraction(p) for p in parts)
+    if lam == 0 or mu == 0:
+        raise argparse.ArgumentTypeError(f"band parameters must be nonzero: {text!r}")
+    return lam, mu
 
 
 def main(argv=None):
@@ -40,8 +51,8 @@ def main(argv=None):
                     help="string length bound (default 4)")
     ap.add_argument("--max-period", type=nonnegative_int, default=4,
                     help="band period bound (default 4)")
-    ap.add_argument("--params", default="2,3",
-                    help="comma-separated band parameters (default 2,3)")
+    ap.add_argument("--params", type=parameter_pair, default="2,3",
+                    help="two distinct nonzero band parameters (default 2,3)")
     args = ap.parse_args(argv)
 
     try:
@@ -49,7 +60,7 @@ def main(argv=None):
     except InvalidAlgebra as exc:
         print(f"{args.file}: invalid algebra: {exc}", file=sys.stderr)
         return 3
-    lam, mu = (Fraction(p) for p in args.params.split(","))
+    lam, mu = args.params
     if lam == mu:
         ap.error("band parameters must be distinct")
 

@@ -92,31 +92,35 @@ class ComponentVerdict(NamedTuple):
     witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
 
 
+def _fork(spec, x: QuasiBand, y: QuasiBand, shift: int, cap: int) -> Optional[Word]:
+    """The common prefix w of the periodic words x and y read from y(shift + 1),
+    when they diverge within cap letters with an arrow of x against an
+    inverse letter of y; w is trivial at t(x(1)) when they diverge at once."""
+    k = 0
+    while k < cap and x.at(k + 1) == y.at(shift + k + 1):
+        k += 1
+    if k == cap or x.at(k + 1).inverted or not y.at(shift + k + 1).inverted:
+        return None
+    if k == 0:
+        return trivial_word(letter_target(spec, x.at(1)))
+    return Word(None, x.window(1, k))
+
+
 def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
     if letter_target(spec, rot_b.at(1)) != letter_target(spec, rot_c.at(1)):
         return None
-    k = 0
-    while k < cap and rot_b.at(k + 1) == rot_c.at(k + 1):
-        k += 1
-    if k == cap:
-        return None
-    bl = rot_b.at(k + 1)
-    cl = rot_c.at(k + 1)
-    if bl.inverted or not cl.inverted:
+    w = _fork(spec, rot_b, rot_c, 0, cap)
+    if w is None:
         return None
     # both rotations are quasi-bands: only the two seams of rot_c.rot_b can fail
     c_ls, b_ls = rot_c.letters, rot_b.letters
     if not (_seam_ok(spec, c_ls, b_ls) and _seam_ok(spec, b_ls, c_ls)):
         return None
-    d_letters = c_ls + b_ls
-    if k == 0:
-        w = trivial_word(letter_target(spec, rot_b.at(1)))
-    else:
-        w = Word(None, rot_b.window(1, k))
+    k = len(w)
     return ExtendabilityWitness(
-        rot_b, rot_c, w, bl.arrow, cl.arrow, QuasiBand(d_letters)
+        rot_b, rot_c, w, rot_b.at(k + 1).arrow, rot_c.at(k + 1).arrow, QuasiBand(c_ls + b_ls)
     )
 
 
@@ -159,17 +163,9 @@ def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
         if not _seam_ok(spec, piece, piece):
             return None
     # compare the periodic word against its own shift by n
-    p = 0
-    while p < m and rot.at(p + 1) == rot.at(n + p + 1):
-        p += 1
-    if p == m:
+    w = _fork(spec, rot, rot, n, m)
+    if w is None:
         return None
-    if rot.at(p + 1).inverted or not rot.at(n + p + 1).inverted:
-        return None
-    if p == 0:
-        w = trivial_word(letter_target(spec, rot.at(1)))
-    else:
-        w = Word(None, rot.window(1, p))
     return Case1Witness(rot, n, w, (QuasiBand(left), QuasiBand(right)))
 
 

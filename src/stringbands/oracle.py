@@ -2,19 +2,24 @@
 
 This is the brute-force side of the package: hom dimensions come from
 intertwiner linear systems, ext dimensions from a syzygy, and nothing is
-ever rounded, so there are no tolerances anywhere.  Besides its dense
-Fraction matrices a module keeps views derived from them, computed once and
-left out of equality, hashing, pickles and the repr: entries, each arrow's
-nonzero (i, j, x) list; int_tables, each arrow as X(a) = N / D with D the
-lcm of its denominators and N an integer matrix listed by columns and by
-rows; vertex_of, position and the vertex blocks; and the hash.  dim_hom
-builds each equation straight from the columns of one module's N and the
-rows of the other's, scaled by the lcm of the two D.  One fraction-free
-routine, _reduce, eliminates such an integer row against the gcd-normalised
-pivot rows found so far; _echelon first stores each one-term row, whose
-unknown is forced to zero, as its own pivot and drops its column from the
-longer rows.  A rank is the number of pivots, and a kernel is read off the
-same echelon form by back-substitution.
+ever rounded, so there are no tolerances anywhere.  A module is a point of
+mod(A, d) and stores only that: the vertex of each basis vector
+(vertex_of) and each arrow's nonzero (i, j, x) entries (entries, a
+read-only mapping), besides the algebra and optional basis labels.  Its
+one constructor sorts the entries and checks that they stay in their
+vertex blocks and satisfy every relation, so every module, realized,
+summed, a syzygy or a copy, is validated.  Everything else is derived:
+dim, the vertex blocks (grading), each index's place in its block
+(position), dense matrices (mats) and int_tables, each arrow as
+X(a) = N / D with D the lcm of its denominators and N an integer matrix
+listed by columns and by rows.  dim_hom builds each equation straight from
+the columns of one module's N and the rows of the other's, scaled by the
+lcm of the two D.  One fraction-free routine, _reduce, eliminates such an
+integer row against the gcd-normalised pivot rows found so far; _echelon
+first stores each one-term row, whose unknown is forced to zero, as its
+own pivot and drops its column from the longer rows.  A rank is the
+number of pivots, and a kernel is read off the same echelon form by
+back-substitution.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -29,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .algebra import AlgebraSpec, projective_word
 from .bands import QuasiBand, _as_letters, is_quasi_band
@@ -40,12 +46,11 @@ from .words import (
     is_string,
     left_divisors,
     letter_source,
-    word_target,
+    word_vertices,
 )
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Entries = tuple[tuple[int, int, Fraction], ...]
-Cells = dict[str, dict[tuple[int, int], Fraction]]
 IntTable = tuple[int, dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 
 _ZERO = Fraction(0)
@@ -53,36 +58,58 @@ _ONE = Fraction(1)
 
 
 class MatrixModule(_Frozen):
-    _fields = ("spec", "dim", "grading", "mats", "labels")
+    _fields = ("spec", "vertex_of", "entries", "labels")
 
-    def __init__(
-        self,
-        spec: AlgebraSpec,
-        dim: int,
-        grading: tuple[tuple[str, tuple[int, ...]], ...],
-        mats: tuple[tuple[str, Matrix], ...],
-        labels: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, spec: AlgebraSpec, vertex_of, entries, labels=None):
+        """entries maps arrows to (row, column, value) triples in any order;
+        an arrow left out acts by zero.  Raises ValueError unless the data is
+        a module over spec."""
+        for a in entries:
+            if not spec.has_arrow(a):
+                raise ValueError(f"the algebra has no arrow {a}")
+        stored: dict[str, Entries] = {}
+        for a in spec.arrow_names:
+            cells = sorted((i, j, Fraction(x)) for i, j, x in entries.get(a, ()))
+            if any(p[:2] == q[:2] for p, q in zip(cells, cells[1:])):
+                raise ValueError(f"matrix of {a} repeats an entry")
+            stored[a] = tuple(c for c in cells if c[2])
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "vertex_of", tuple(vertex_of))
+        object.__setattr__(self, "entries", MappingProxyType(stored))
         object.__setattr__(self, "labels", labels)
+        _validate(self)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the constructor takes a plain dict
+        return MatrixModule, (self.spec, self.vertex_of, dict(self.entries), self.labels)
+
+    @property
+    def dim(self) -> int:
+        return len(self.vertex_of)
 
     @cached_property
-    def _mat_map(self) -> dict[str, Matrix]:
-        return dict(self.mats)
+    def _blocks(self) -> dict[str, tuple[int, ...]]:
+        """Each vertex of the algebra with the basis indices it grades."""
+        blocks: dict[str, list[int]] = {u: [] for u in self.spec.vertices}
+        for i, u in enumerate(self.vertex_of):
+            blocks[u].append(i)
+        return {u: tuple(b) for u, b in blocks.items()}
 
-    def mat(self, arrow: str) -> Matrix:
-        return self._mat_map[arrow]
+    @property
+    def grading(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple(self._blocks.items())
 
-    @cached_property
-    def entries(self) -> dict[str, Entries]:
-        """Each arrow's nonzero matrix entries as (row, column, value), row-major."""
-        return {
-            a: tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
-            for a, m in self.mats
-        }
+    @property
+    def mats(self) -> tuple[tuple[str, Matrix], ...]:
+        """Each arrow's dense matrix, in declaration order."""
+        d = self.dim
+        out = []
+        for a, entries in self.entries.items():
+            rows = [[_ZERO] * d for _ in range(d)]
+            for i, j, x in entries:
+                rows[i][j] = x
+            out.append((a, tuple(map(tuple, rows))))
+        return tuple(out)
 
     @cached_property
     def int_tables(self) -> dict[str, IntTable]:
@@ -103,32 +130,16 @@ class MatrixModule(_Frozen):
 
     @cached_property
     def _hash(self) -> int:
-        # the entries are mats' nonzero part, and cheaper to hash
-        return hash((self.spec, self.dim, self.grading, tuple(self.entries.items()), self.labels))
-
-    @cached_property
-    def vertex_of(self) -> tuple[str, ...]:
-        out: list[str | None] = [None] * self.dim
-        for u, idxs in self.grading:
-            for i in idxs:
-                out[i] = u
-        return tuple(out)  # type: ignore[arg-type]
+        return hash((self.spec, self.vertex_of, tuple(self.entries.items()), self.labels))
 
     @cached_property
     def position(self) -> tuple[int, ...]:
         """Each basis index's place inside its vertex block."""
         out = [0] * self.dim
-        for _, idxs in self.grading:
+        for idxs in self._blocks.values():
             for p, i in enumerate(idxs):
                 out[i] = p
         return tuple(out)
-
-    @cached_property
-    def _blocks(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.grading)
-
-    def block(self, vertex: str) -> tuple[int, ...]:
-        return self._blocks.get(vertex, ())
 
     def __repr__(self) -> str:
         return f"MatrixModule(dim={self.dim})"
@@ -157,61 +168,23 @@ def _apply(entries: Entries, vec: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 def _validate(mod: MatrixModule) -> None:
-    seen: set[int] = set()
-    for u, idxs in mod.grading:
-        if not mod.spec.has_vertex(u):
-            raise ValueError(f"grading names unknown vertex {u}")
-        if list(idxs) != sorted(idxs):
-            raise ValueError("grading block not sorted")
-        for i in idxs:
-            if i in seen or not 0 <= i < mod.dim:
-                raise ValueError("grading does not partition the basis")
-            seen.add(i)
-    if len(seen) != mod.dim:
-        raise ValueError("grading does not cover the basis")
-    names = [a for a, _ in mod.mats]
-    if names != list(mod.spec.arrow_names):
-        raise ValueError("arrow matrices must follow the declaration order")
-    for name, m in mod.mats:
-        if len(m) != mod.dim or any(len(r) != mod.dim for r in m):
-            raise ValueError(f"matrix of {name} has the wrong shape")
-    vof = mod.vertex_of
-    for name, entries in mod.entries.items():
-        src = mod.spec.arrow_source(name)
-        tgt = mod.spec.arrow_target(name)
-        if any(vof[i] != tgt or vof[j] != src for i, j, _ in entries):
-            raise ValueError(f"matrix of {name} leaves its block")
-    for rel in mod.spec.relations:
+    spec, vof = mod.spec, mod.vertex_of
+    for u in dict.fromkeys(vof):
+        if not spec.has_vertex(u):
+            raise ValueError(f"basis vector at unknown vertex {u}")
+    d = len(vof)
+    for name, src, tgt in spec.arrows:
+        for i, j, _ in mod.entries[name]:
+            if not (0 <= i < d and 0 <= j < d):
+                raise ValueError(f"matrix of {name} has an entry outside the basis")
+            if vof[i] != tgt or vof[j] != src:
+                raise ValueError(f"matrix of {name} leaves its block")
+    for rel in spec.relations:
         prod = mod.entries[rel[0]]
         for name in rel[1:]:
             prod = _product(prod, mod.entries[name])
         if prod:
             raise ValueError(f"relation {'.'.join(rel)} does not vanish")
-
-
-def _module(spec, vertex_of, cells: Cells, labels=None) -> MatrixModule:
-    """Build and validate a module from its nonzero {arrow: {(i, j): x}}."""
-    d = len(vertex_of)
-    blocks: dict[str, list[int]] = {u: [] for u in spec.vertices}
-    for i, u in enumerate(vertex_of):
-        blocks[u].append(i)
-    grading = tuple((u, tuple(blocks[u])) for u in spec.vertices)
-    zero_row = (_ZERO,) * d
-    mats = []
-    entries: dict[str, Entries] = {}
-    for a in spec.arrow_names:
-        nonzero = sorted((i, j, Fraction(x)) for (i, j), x in cells.get(a, {}).items() if x)
-        rows: list = [zero_row] * d
-        for i, j, x in nonzero:
-            if rows[i] is zero_row:
-                rows[i] = list(zero_row)
-            rows[i][j] = x
-        mats.append((a, tuple(tuple(r) for r in rows)))
-        entries[a] = tuple(nonzero)
-    mod = MatrixModule(spec, d, grading, tuple(mats), labels)
-    mod.__dict__["entries"] = entries  # the same view the property would compute
-    _validate(mod)
-    return mod
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +193,10 @@ def realize_string(spec, c: Word) -> MatrixModule:
     if not isinstance(c, Word) or not is_string(spec, c):
         raise NotAString(format_word(c) if isinstance(c, Word) else repr(c))
     labels = tuple(format_word(w) for w in left_divisors(spec, c))
-    if c.is_trivial:
-        return _module(spec, [c.trivial_at], {}, labels)
-    vertex_of = [word_target(spec, c)] + [letter_source(spec, l) for l in c.letters]
-    cells: Cells = {}
+    entries: dict[str, list] = {}
     for j, l in enumerate(c.letters, start=1):
-        cells.setdefault(l.arrow, {})[(j, j - 1) if l.inverted else (j - 1, j)] = _ONE
-    return _module(spec, vertex_of, cells, labels)
+        entries.setdefault(l.arrow, []).append((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE))
+    return MatrixModule(spec, word_vertices(spec, c), entries, labels)
 
 
 def realize_band(spec, qb, lam) -> MatrixModule:
@@ -248,17 +218,16 @@ def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
         raise NotQuasiBand(format_word(Word(None, letters)))
     qb = QuasiBand(letters)
     m = qb.period
-    vertex_of = [letter_source(spec, qb.at(m))]
-    vertex_of += [letter_source(spec, qb.at(j)) for j in range(1, m)]
-    cells: Cells = {}
+    # e_j sits at the source of b(j), e0 at that of the seam letter b(m) = b(0)
+    vertex_of = [letter_source(spec, qb.at(j)) for j in range(m)]
+    entries: dict[str, list] = {}
     for j in range(1, m + 1):
         l = qb.at(j)
-        cell = cells.setdefault(l.arrow, {})
-        key = (j % m, j - 1) if l.inverted else (j - 1, j % m)
         x = (_ONE / lam if l.inverted else lam) if j == m else _ONE
-        cell[key] = cell.get(key, _ZERO) + x
+        cell = (j % m, j - 1, x) if l.inverted else (j - 1, j % m, x)
+        entries.setdefault(l.arrow, []).append(cell)
     labels = tuple(f"e{j}" for j in range(m))
-    return _module(spec, vertex_of, cells, labels)
+    return MatrixModule(spec, vertex_of, entries, labels)
 
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
@@ -363,7 +332,7 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     xb, yb = X._blocks, Y._blocks
     offset: dict[str, int] = {}
     nu = 0
-    for u, xs in X.grading:
+    for u, xs in xb.items():
         offset[u] = nu
         nu += len(xs) * len(yb.get(u, ()))
     if nu == 0:
@@ -464,7 +433,7 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     kernel: list[tuple[dict[int, Fraction], int]] = []
     k_vertex: list[str] = []
     for u in spec.vertices:
-        cols = P0.block(u)
+        cols = P0._blocks[u]
         sub: dict[int, dict[int, Fraction]] = {}  # rows of pi restricted to u
         for local, c in enumerate(cols):
             for i, x in pi_cols[c].items():
@@ -475,7 +444,7 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     s = len(kernel)
     if s != p_dim - d:
         raise RuntimeError("kernel dimension disagrees with exactness")
-    o_cells: Cells = {a: {} for a in spec.arrow_names}
+    o_entries: dict[str, list] = {a: [] for a in spec.arrow_names}
     sig = [free for _, free in kernel]
     for a in spec.arrow_names:
         entries = P0.entries[a]
@@ -493,8 +462,8 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
                 raise RuntimeError("radical action leaves the kernel")
             for i, c in enumerate(coords):
                 if c:
-                    o_cells[a][i, j] = c
-    omega = _module(spec, k_vertex, o_cells)
+                    o_entries[a].append((i, j, c))
+    omega = MatrixModule(spec, k_vertex, o_entries)
     return P0, omega
 
 
@@ -526,13 +495,13 @@ def direct_sum(X: MatrixModule, *rest: MatrixModule) -> MatrixModule:
     if any(Y.spec != X.spec for Y in rest):
         raise SpecMismatch("modules over different algebras")
     vertex_of: list[str] = []
-    cells: Cells = {a: {} for a in X.spec.arrow_names}
+    entries: dict[str, list] = {a: [] for a in X.spec.arrow_names}
     for M in mods:
         offset = len(vertex_of)
-        for a, entries in M.entries.items():
-            cells[a].update({(offset + i, offset + j): x for i, j, x in entries})
-        vertex_of.extend(M.vertex_of)
+        for a, cells in M.entries.items():
+            entries[a] += [(offset + i, offset + j, x) for i, j, x in cells]
+        vertex_of += M.vertex_of
     labels = None
     if all(M.labels is not None for M in mods):
         labels = sum((M.labels for M in mods), ())
-    return _module(X.spec, vertex_of, cells, labels)
+    return MatrixModule(X.spec, vertex_of, entries, labels)

@@ -337,6 +337,14 @@ def test_oracle_crosscheck_script_finds_no_mismatch():
     assert "all counts agree with the oracle" in proc.stdout
 
 
+@pytest.mark.parametrize("params", ["2", "0,3", "x,2", "2,3,5", "1/0,2", "2,2"])
+def test_oracle_crosscheck_script_refuses_bad_parameters(params):
+    proc = run_child("scripts/oracle_crosscheck.py", KRON_FILE, "--params", params)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_component_survey_script_runs():
     proc = run_child(
         "scripts/component_survey.py", LOOP_FILE, "--max-period", "4", "--pairs",

@@ -91,8 +91,10 @@ def test_family_rank_matches_realized_matrices():
     from stringbands.oracle import _rank
 
     for arrow in GP33.arrow_names:
-        rows = [dict(enumerate(r)) for r in X.mat(arrow)]
-        assert family_rank(GP33, arrow, seq) == _rank(rows)
+        rows: dict = {}
+        for i, j, x in X.entries[arrow]:
+            rows.setdefault(i, {})[j] = x
+        assert family_rank(GP33, arrow, seq) == _rank(rows.values())
 
 
 def test_make_sequence_keeps_order_but_reorderings_agree_as_families():

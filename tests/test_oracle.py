@@ -1,3 +1,4 @@
+import copy
 import pickle
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
-from stringbands.oracle import _echelon, _integral, _kernel, _module, _rank, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -41,10 +42,9 @@ def test_string_realization_shape_and_labels():
     M = realize_string(KRON, parse_word("a.b^-1"))
     assert M.dim == 3
     assert M.labels == ("1_2", "a", "a.b^-1")
-    assert M.grading == (("1", (1,)), ("2", (0, 2)))
+    assert M.vertex_of == ("2", "1", "2")
     # each letter contributes a single unit entry
-    assert M.mat("a")[0][1] == 1
-    assert M.mat("b")[2][1] == 1
+    assert M.entries == {"a": ((0, 1, 1),), "b": ((2, 1, 1),)}
     assert realize_string(GP22, trivial_word("u")).dim == 1
     with pytest.raises(NotAString):
         realize_string(GP22, parse_word("a.a"))
@@ -55,11 +55,9 @@ def test_band_realization_seam_carries_the_parameter():
     X = realize_band(GP33, parse_word("a^-1.b"), lam)
     assert X.dim == 2
     # the final letter of the period acts through the parameter
-    assert X.mat("a")[1][0] == 1
-    assert X.mat("b")[1][0] == lam
+    assert X.entries == {"a": ((1, 0, 1),), "b": ((1, 0, lam),)}
     Y = realize_band(GP33, canonical_class(GP33, parse_word("a^-1.b")), lam)
-    assert Y.mat("a")[0][1] == 1
-    assert Y.mat("b")[0][1] == 1 / lam
+    assert Y.entries == {"a": ((0, 1, 1),), "b": ((0, 1, 1 / lam),)}
 
 
 def test_band_realization_rejects_bad_input():
@@ -83,10 +81,13 @@ def test_band_realization_checks_every_bad_call():
 
 def test_equal_modules_built_apart_compare_and_hash_equal():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
-    dense = tuple(
-        (a, tuple(tuple(Fraction(x) for x in row) for row in m)) for a, m in X.mats
-    )
-    Y = MatrixModule(X.spec, X.dim, X.grading, dense, X.labels)
+    # the same entries listed column-major, as integers where they are integral
+    shuffled = {
+        a: [(i, j, int(x) if x.denominator == 1 else x)
+            for i, j, x in sorted(e, key=lambda t: t[1])]
+        for a, e in X.entries.items()
+    }
+    Y = MatrixModule(X.spec, X.vertex_of, shuffled, X.labels)
     assert X is not Y and X == Y and hash(X) == hash(Y)
     assert Y.entries == X.entries
     S, T = (direct_sum(X, realize_string(GP33, parse_word("a"))) for _ in range(2))
@@ -114,23 +115,46 @@ def test_validation_rejects_broken_modules():
     M = realize_string(KRON, parse_word("a"))
     _validate(M)
     # entry outside the (target-rows, source-cols) block of b
-    outside = tuple(
-        tuple(Fraction(int(i == j == 1)) for j in range(2)) for i in range(2)
-    )
-    bad = MatrixModule(
-        spec=M.spec, dim=2, grading=M.grading,
-        mats=(("a", M.mat("a")), ("b", outside)),
-    )
-    with pytest.raises(ValueError):
-        _validate(bad)
+    with pytest.raises(ValueError, match="leaves its block"):
+        MatrixModule(M.spec, M.vertex_of, {**M.entries, "b": [(1, 1, 1)]})
     # break a relation: both loops acting invertibly cannot satisfy a.a = 0
     G = realize_string(GP22, parse_word("a"))
-    eye = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    bad2 = MatrixModule(
-        spec=G.spec, dim=2, grading=G.grading, mats=(("a", eye), ("b", eye)),
-    )
-    with pytest.raises(ValueError):
-        _validate(bad2)
+    eye = [(0, 0, 1), (1, 1, 1)]
+    with pytest.raises(ValueError, match="does not vanish"):
+        MatrixModule(G.spec, G.vertex_of, {"a": eye, "b": eye})
+
+
+@pytest.mark.parametrize(
+    "vertex_of, entries, message",
+    [
+        (("u", "u"), {"a": [(0, 1, 1)], "b": [(1, 0, 1)]}, "relation a.b does not vanish"),
+        (("u", "u"), {"a": [(0, 2, 1)]}, "outside the basis"),
+        (("u", "u"), {"a": [(-1, 0, 1)]}, "outside the basis"),
+        (("u", "w"), {}, "unknown vertex w"),
+        (("u", "u"), {"c": [(0, 1, 1)]}, "no arrow c"),
+        (("u", "u"), {"a": [(0, 1, 1), (0, 1, 0)]}, "repeats an entry"),
+    ],
+    ids=["two-loops-compose", "index-past-dim", "negative-index",
+         "unknown-vertex", "unknown-arrow", "repeated-entry"],
+)
+def test_the_constructor_refuses_points_outside_the_variety(vertex_of, entries, message):
+    with pytest.raises(ValueError, match=message):
+        MatrixModule(GP22, vertex_of, entries)
+
+
+def test_a_module_is_its_vertices_and_sorted_entries():
+    M = MatrixModule(GP22, ["u", "u", "u"], {"b": [(2, 1, Fraction(1, 2)), (1, 0, 0), (0, 1, 3)]})
+    assert M.vertex_of == ("u", "u", "u") and M.dim == 3
+    assert M.entries == {"a": (), "b": ((0, 1, 3), (2, 1, Fraction(1, 2)))}
+    assert M.grading == (("u", (0, 1, 2)),)
+    assert dict(M.mats)["b"][2] == (0, Fraction(1, 2), 0)
+    N = MatrixModule(GP22, ("u",) * 3, {"a": [], "b": [(0, 1, 3), (2, 1, Fraction(1, 2))]})
+    assert M == N and hash(M) == hash(N)
+    for dup in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert dup == M and hash(dup) == hash(M) and dup.entries == M.entries
+    assert M != MatrixModule(GP22, ("u",) * 3, {"b": [(0, 1, 3)]})
+    with pytest.raises(TypeError):
+        M.entries["a"] = ((0, 1, 1),)
 
 
 def test_hom_dimensions_match_known_values():
@@ -329,7 +353,7 @@ def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
     # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2), so N(b) = 2 X(b)
     assert X.int_tables["b"] == (2, {3: [(0, 3)], 2: [(3, 2)]}, {0: [(3, 3)], 3: [(2, 2)]})
-    fresh = MatrixModule(X.spec, X.dim, X.grading, X.mats, X.labels)
+    fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
     assert "int_tables" in X.__dict__ and "int_tables" not in fresh.__dict__
     assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
     assert pickle.dumps(X) == pickle.dumps(fresh)
@@ -351,7 +375,8 @@ def conjugate(M, lower):
     d = M.dim
     g = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     values = iter(lower)
-    for _, idxs in M.grading:
+    for u in M.spec.vertices:
+        idxs = [i for i, v in enumerate(M.vertex_of) if v == u]
         for p, i in enumerate(idxs):
             for j in idxs[:p]:
                 g[i][j] = Fraction(next(values, 0))
@@ -361,14 +386,17 @@ def conjugate(M, lower):
         for i in range(d):
             inv[i][c] = (i == c) - sum(g[i][k] * inv[k][c] for k in range(i))
     cells = {}
-    for a, m in M.mats:
+    for a, entries in M.entries.items():
+        m = [[0] * d for _ in range(d)]
+        for i, j, x in entries:
+            m[i][j] = x
         gm = [[sum(g[i][k] * m[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-        cells[a] = {
-            (i, j): x
+        cells[a] = [
+            (i, j, x)
             for i in range(d) for j in range(d)
             if (x := sum(gm[i][k] * inv[k][j] for k in range(d)))
-        }
-    return _module(M.spec, M.vertex_of, cells, M.labels)
+        ]
+    return MatrixModule(M.spec, M.vertex_of, cells, M.labels)
 
 
 @st.composite

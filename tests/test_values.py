@@ -40,7 +40,7 @@ FIELDS = {
     BandClass: ("canonical",),
     BandSequence: ("classes",),
     ComponentVerdict: ("status", "reasons", "dimension", "witnesses"),
-    MatrixModule: ("spec", "dim", "grading", "mats", "labels"),
+    MatrixModule: ("spec", "vertex_of", "entries", "labels"),
 }
 
 
