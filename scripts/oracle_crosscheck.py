@@ -52,7 +52,8 @@ def main(argv=None):
     ap.add_argument("--max-period", type=nonnegative_int, default=4,
                     help="band period bound (default 4)")
     ap.add_argument("--params", type=parameter_pair, default="2,3",
-                    help="two distinct nonzero band parameters (default 2,3)")
+                    help="two distinct nonzero band parameters (default 2,3); "
+                         "write a negative one as --params=-1,2")
     args = ap.parse_args(argv)
 
     try:

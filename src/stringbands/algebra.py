@@ -111,9 +111,6 @@ class AlgebraSpec(_Frozen):
     def vertex_index(self, v: str) -> int:
         return self._vertex_order[v]
 
-    def arrow_index(self, name: str) -> int:
-        return self._arrow_order[name]
-
     def letter_key(self, letter: Letter) -> tuple[int, bool]:
         return (self._arrow_order[letter.arrow], letter.inverted)
 

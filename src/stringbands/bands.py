@@ -196,7 +196,6 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
-@lru_cache(maxsize=None)
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows."""
     band = QuasiBand(_as_letters(qb))

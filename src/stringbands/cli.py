@@ -279,8 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=None)
-    p.add_argument("--mu", dest="mu", type=_fraction, default=None)
+    p.add_argument("--lambda", dest="lam", type=_fraction, default=None,
+                   help="parameter of a --from band, an exact rational; "
+                        "write a negative fraction as --lambda=-2/3")
+    p.add_argument("--mu", dest="mu", type=_fraction, default=None,
+                   help="parameter of a --to band; write a negative fraction as --mu=-2/3")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_hom)
 

@@ -17,9 +17,11 @@ the columns of one module's N and the rows of the other's, scaled by the
 lcm of the two D.  One fraction-free routine, _reduce, eliminates such an
 integer row against the gcd-normalised pivot rows found so far; _echelon
 first stores each one-term row, whose unknown is forced to zero, as its
-own pivot and drops its column from the longer rows.  A rank is the
-number of pivots, and a kernel is read off the same echelon form by
-back-substitution.
+own pivot and drops its column from the longer rows.  Every system is
+eliminated once: a rank is the number of pivots, and a kernel is read off
+the same echelon form by back-substitution.  The syzygy's cover map is
+graded, so its one echelon form gives both the surjectivity check and the
+kernel, read vertex by vertex.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -317,11 +319,6 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[in
     return basis
 
 
-def _rank(rows) -> int:
-    """Rank of the given sparse rational rows."""
-    return len(_echelon(map(_integral, rows)))
-
-
 @lru_cache(maxsize=None)
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f."""
@@ -387,15 +384,6 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     return nu - len(_echelon(rows))
 
 
-def _generator_index(word: Word) -> int:
-    if word.is_trivial:
-        return 0
-    n1 = 0
-    while n1 < len(word) and not word.letters[n1].inverted:
-        n1 += 1
-    return n1
-
-
 @lru_cache(maxsize=None)
 def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     """Minimal projective cover P0 -> X and its kernel.
@@ -415,10 +403,10 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     words = [projective_word(spec, X.vertex_of[i]) for i in picks]
     # the zero module is its own projective cover
     P0 = direct_sum(*(realize_string(spec, w) for w in words)) if words else X
-    p_dim = P0.dim
     pi_cols: list[dict[int, Fraction]] = []  # columns of P0 -> X, sparse
     for pick, word in zip(picks, words):
-        gen = _generator_index(word)
+        # the top generator is the left divisor that stops at the first inverse letter
+        gen = next((j for j, l in enumerate(word.letters) if l.inverted), len(word))
         cols_p: list = [None] * (len(word) + 1)
         cols_p[gen] = {pick: _ONE}
         for j in range(gen - 1, -1, -1):
@@ -426,23 +414,19 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
         for j in range(gen + 1, len(cols_p)):
             cols_p[j] = _apply(X.entries[word.letters[j - 1].arrow], cols_p[j - 1])
         pi_cols.extend(cols_p)
+    pi_rows: list[dict[int, Fraction]] = [{} for _ in range(d)]
+    for c, col in enumerate(pi_cols):
+        for i, x in col.items():
+            pi_rows[i][c] = x
 
-    if _rank(pi_cols) != d:
+    pivots = _echelon(map(_integral, pi_rows))
+    if len(pivots) != d:
         raise RuntimeError("projective cover fails to surject")
-
-    kernel: list[tuple[dict[int, Fraction], int]] = []
-    k_vertex: list[str] = []
-    for u in spec.vertices:
-        cols = P0._blocks[u]
-        sub: dict[int, dict[int, Fraction]] = {}  # rows of pi restricted to u
-        for local, c in enumerate(cols):
-            for i, x in pi_cols[c].items():
-                sub.setdefault(i, {})[local] = x
-        for local, free_local in _kernel(_echelon(map(_integral, sub.values())), len(cols)):
-            kernel.append(({cols[c]: x for c, x in local.items()}, cols[free_local]))
-            k_vertex.append(u)
-    s = len(kernel)
-    if s != p_dim - d:
+    # the map is graded, so elimination never mixes vertex blocks and each
+    # kernel vector lives at the vertex of its free column; list them vertex
+    # by vertex, by free column within a vertex
+    kernel = sorted(_kernel(pivots, P0.dim), key=lambda k: spec.vertex_index(P0.vertex_of[k[1]]))
+    if len(kernel) != P0.dim - d:
         raise RuntimeError("kernel dimension disagrees with exactness")
     o_entries: dict[str, list] = {a: [] for a in spec.arrow_names}
     sig = [free for _, free in kernel]
@@ -463,7 +447,7 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
             for i, c in enumerate(coords):
                 if c:
                     o_entries[a].append((i, j, c))
-    omega = MatrixModule(spec, k_vertex, o_entries)
+    omega = MatrixModule(spec, [P0.vertex_of[free] for free in sig], o_entries)
     return P0, omega
 
 

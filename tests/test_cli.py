@@ -110,6 +110,18 @@ def test_hom_oracle_accepts_explicit_parameters():
     }
 
 
+def test_a_negative_fraction_parameter_is_given_with_an_equals_sign():
+    # argparse reads a separate "-2/3" as an option, so the help names this form
+    doc = run_json(
+        "hom", KRON_FILE, "--from", "band:a.b^-1", "--to", "band:a.b^-1",
+        "--oracle", "--lambda=-2/3", "--mu", "2",
+    )
+    assert doc["inputs"]["lambda"] == "-2/3"
+    assert doc["result"] == {
+        "dim": 0, "backend": "oracle", "lambda": "-2/3", "mu": "2",
+    }
+
+
 @pytest.mark.parametrize("path", [GP22_FILE, GP33_FILE, KRON_FILE, LOOP_FILE])
 def test_hom_counts_on_one_band_at_equal_parameters_match_the_oracle(path):
     spec = load_algebra(ROOT / path)
@@ -335,6 +347,15 @@ def test_oracle_crosscheck_script_finds_no_mismatch():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCHES" not in proc.stdout
     assert "all counts agree with the oracle" in proc.stdout
+
+
+def test_oracle_crosscheck_script_takes_a_negative_parameter_after_an_equals_sign():
+    proc = run_child(
+        "scripts/oracle_crosscheck.py", KRON_FILE, "--max-len", "3", "--max-period", "3",
+        "--params=-1,2",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "params -1,2" in proc.stdout
 
 
 @pytest.mark.parametrize("params", ["2", "0,3", "x,2", "2,3,5", "1/0,2", "2,2"])
