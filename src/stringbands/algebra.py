@@ -179,54 +179,36 @@ def _after(spec: AlgebraSpec, path: tuple[str, ...]) -> list[tuple[str, ...]]:
 def _admissibility(spec: AlgebraSpec):
     """Returns (bound, cycle_witness); exactly one of the two is None.
 
-    Whether a relation-free path extends depends only on its last R-1
-    arrows, so the walk graph on relation-free windows of that length
-    has a cycle iff relation-free paths grow without bound.
+    Whether a relation-free path extends depends only on its last K = R-1
+    arrows, so the walk graph on relation-free windows of that length has a
+    cycle iff relation-free paths grow without bound.  Each round peels the
+    windows with no surviving successor; what survives leads into a cycle,
+    read off the first survivor by always taking its first surviving
+    successor.  Otherwise the longest path has K + rounds - 1 arrows.
     """
     K = max(spec.max_relation_length - 1, 1)
     # by_len[l] = relation-free paths of length l, grown by prepending arrows
     by_len: list[list[tuple[str, ...]]] = [[()], [(a,) for a in spec.arrow_names]]
     while len(by_len) <= K:
         by_len.append([q for p in by_len[-1] for q in _before(spec, p)])
-    states = by_len[K]
-    edges = {p: [q[:K] for q in _before(spec, p)] for p in states}
+    live = {p: [q[:K] for q in _before(spec, p)] for p in by_len[K]}
+    rounds = 0
+    while dead := [p for p, nxt in live.items() if not any(q in live for q in nxt)]:
+        for p in dead:
+            del live[p]
+        rounds += 1
 
-    color: dict[tuple[str, ...], int] = {}
-    longest: dict[tuple[str, ...], int] = {}
-    for root in states:
-        if color.get(root, 0) == 2:
-            continue
-        stack = [(root, iter(edges[root]))]
-        color[root] = 1
-        trail = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, 0) == 1:
-                    i = trail.index(nxt)
-                    cycle = trail[i:]
-                    return None, ".".join(q[0] for q in reversed(cycle))
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    trail.append(nxt)
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                longest[node] = 1 + max(
-                    (longest[n] for n in edges[node]), default=-1
-                )
-                stack.pop()
-                trail.pop()
-
-    best = max(l for l, paths in enumerate(by_len) if paths)
-    if longest:
-        best = max(best, K + max(longest.values()))
+    if live:
+        walk = [next(iter(live))]
+        while (step := next(q for q in live[walk[-1]] if q in live)) not in walk:
+            walk.append(step)
+        return None, ".".join(q[0] for q in reversed(walk[walk.index(step) :]))
     if not spec.vertices:
         return 0, None
-    return best + 1, None
+    if rounds:
+        return K + rounds, None
+    # with no window of length K, no path reaches K arrows
+    return max(l for l, paths in enumerate(by_len) if paths) + 1, None
 
 
 def validate_algebra(spec: AlgebraSpec) -> ValidationReport:

@@ -8,6 +8,7 @@ split positions and segment lengths ascend, and the first witness wins.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional, Union
 
 from .algebra import gentle_vertices
@@ -106,12 +107,19 @@ def _fork(spec, x: QuasiBand, y: QuasiBand, shift: int, cap: int) -> Optional[Wo
     return Word(None, x.window(1, k))
 
 
-def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
+def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[ExtendabilityWitness]:
+    """The extension of rot_b by rot_c, when rot_b ends with an inverse
+    letter, rot_c with an arrow, their periodic words share a prefix w that
+    diverges within period(B) + period(C) letters with an arrow beta of rot_b
+    against an inverse letter delta^-1 of rot_c, and rot_c.rot_b is a
+    quasi-band; None otherwise."""
+    if not rot_b.letters[-1].inverted or rot_c.letters[-1].inverted:
+        return None
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
     if letter_target(spec, rot_b.at(1)) != letter_target(spec, rot_c.at(1)):
         return None
-    w = _fork(spec, rot_b, rot_c, 0, cap)
+    w = _fork(spec, rot_b, rot_c, 0, rot_b.period + rot_c.period)
     if w is None:
         return None
     # both rotations are quasi-bands: only the two seams of rot_c.rot_b can fail
@@ -125,13 +133,14 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand, cap: int):
 
 
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
-    cap = B.period + C.period
+    # _try_extension tests the end letters itself; filtering here first
+    # skips most pairs before the inner loop
     c_rots = [r for r in class_members(spec, C) if not r.at(r.period).inverted]
     for rot_b in class_members(spec, B):
         if not rot_b.at(rot_b.period).inverted:
             continue
         for rot_c in c_rots:
-            wit = _try_extension(spec, rot_b, rot_c, cap)
+            wit = _try_extension(spec, rot_b, rot_c)
             if wit is not None:
                 return wit
     return None
@@ -151,8 +160,12 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
 
 
 def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
+    """The case 1 split of rot after its n-th letter, when 1 <= n < period,
+    rot ends with an inverse letter and letter n is an arrow, both windows
+    are quasi-bands, and the periodic word of rot diverges from its own shift
+    by n the right way; None otherwise."""
     m = rot.period
-    if rot.at(n).inverted:
+    if not 1 <= n < m or not rot.letters[-1].inverted or rot.at(n).inverted:
         return None
     left = rot.window(1, n)
     right = rot.window(n + 1, m - n)
@@ -169,56 +182,56 @@ def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
     return Case1Witness(rot, n, w, (QuasiBand(left), QuasiBand(right)))
 
 
-def _case1_at(spec, rot: QuasiBand) -> Optional[Case1Witness]:
-    if not rot.at(rot.period).inverted:
+def _inverse_letters(ls: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple(l.inv() for l in reversed(ls))
+
+
+def _case2_frame(ls: tuple[Letter, ...], p: int, q: int):
+    """The frame ls = w.u.w^-1.v with |w| = p and |u| = q, as the letters
+    (w, u, v), when u is nonempty and runs from an arrow to an arrow and v is
+    nonempty and runs from an inverse letter to an inverse letter; None
+    otherwise."""
+    w, u, v = ls[:p], ls[p : p + q], ls[2 * p + q :]
+    if not (u and v) or u[0].inverted or u[-1].inverted:
         return None
-    for n in range(1, rot.period):
-        wit = _case1_split(spec, rot, n)
-        if wit is not None:
-            return wit
-    return None
+    if not (v[0].inverted and v[-1].inverted):
+        return None
+    if ls[p + q : 2 * p + q] != _inverse_letters(w):
+        return None
+    return w, u, v
 
 
 def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
-    m = rot.period
+    """The first case 2 frame of rot, by |w| then |u|, whose reversal
+    w.u^-1.w^-1.v is again a quasi-band."""
     ls = rot.letters
-    for p in range(0, (m - 2) // 2 + 1):
-        w_part = ls[:p]
-        w_inv = tuple(l.inv() for l in reversed(w_part))
-        for q in range(1, m - 2 * p):
-            u_part = ls[p : p + q]
-            v_part = ls[2 * p + q :]
-            if u_part[0].inverted or u_part[-1].inverted:
+    for p in range(0, (rot.period - 2) // 2 + 1):
+        for q in range(1, rot.period - 2 * p):
+            frame = _case2_frame(ls, p, q)
+            if frame is None:
                 continue
-            if not (v_part[0].inverted and v_part[-1].inverted):
-                continue
-            if ls[p + q : 2 * p + q] != w_inv:
-                continue
-            u_inv = tuple(l.inv() for l in reversed(u_part))
-            c_letters = w_part + u_inv + w_inv + v_part
-            if not is_quasi_band(spec, c_letters):
-                continue
-            if p == 0:
-                w = trivial_word(letter_target(spec, ls[0]))
-            else:
-                w = Word(None, w_part)
-            return Case2Witness(
-                rot, w, Word(None, u_part), Word(None, v_part), QuasiBand(c_letters)
-            )
+            w, u, v = frame
+            c_letters = w + _inverse_letters(u) + _inverse_letters(w) + v
+            if is_quasi_band(spec, c_letters):
+                w_word = Word(None, w) if w else trivial_word(letter_target(spec, ls[0]))
+                return Case2Witness(
+                    rot, w_word, Word(None, u), Word(None, v), QuasiBand(c_letters)
+                )
     return None
 
 
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
     members = class_members(spec, B)
-    for rot in members:
-        wit = _case1_at(spec, rot)
-        if wit is not None:
-            return wit
-    for rot in members:
-        wit = _case2_at(spec, rot)
-        if wit is not None:
-            return wit
-    return None
+    # _case1_split tests the last letter itself; skipping the rotations that
+    # end with an arrow here saves a call per split position
+    case1 = (
+        _case1_split(spec, rot, n)
+        for rot in members
+        if rot.letters[-1].inverted
+        for n in range(1, rot.period)
+    )
+    case2 = (_case2_at(spec, rot) for rot in members)
+    return next(filter(None, chain(case1, case2)), None)
 
 
 def negligible(spec, B) -> Optional[NegligibilityWitness]:
@@ -368,23 +381,17 @@ def component_dimension(spec, S) -> int:
 def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     """Rewrites rot = w.u.w^-1.v into the dominant quasi-band w.u.w^-1.v^-1.
 
-    The family of rot lies in the closure of the returned band's family.
+    The decomposition must be the case 2 frame of rot at |w| and |u|.  The
+    family of rot lies in the closure of the returned band's family.
     """
     ls = _as_letters(rot)
-    if u.is_trivial or v.is_trivial:
-        raise BadDecomposition("u and v must be nonempty")
-    w_ls = () if w.is_trivial else w.letters
-    w_inv = tuple(l.inv() for l in reversed(w_ls))
-    if ls != w_ls + u.letters + w_inv + v.letters:
-        raise BadDecomposition("rot does not factor as w.u.w^-1.v")
-    if u.letters[0].inverted or u.letters[-1].inverted:
-        raise BadDecomposition("u must start and end with an arrow")
-    if not (v.letters[0].inverted and v.letters[-1].inverted):
-        raise BadDecomposition("v must start and end with an inverse letter")
+    pieces = (w.letters, u.letters, v.letters)
+    if _case2_frame(ls, len(w), len(u)) != pieces:
+        raise BadDecomposition("w, u and v are not a case 2 frame w.u.w^-1.v of rot")
     if not is_quasi_band(spec, ls):
         raise BadDecomposition("rot is not a quasi-band")
-    v_inv = tuple(l.inv() for l in reversed(v.letters))
-    c_letters = w_ls + u.letters + w_inv + v_inv
+    w_ls, u_ls, v_ls = pieces
+    c_letters = w_ls + u_ls + _inverse_letters(w_ls) + _inverse_letters(v_ls)
     if not is_quasi_band(spec, c_letters):
         raise NotQuasiBand(format_word(Word(None, c_letters)))
     return QuasiBand(c_letters)
@@ -395,24 +402,12 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
     the pair family dominates the family of the original band."""
     if not isinstance(witness, Case1Witness):
         raise InvalidWitness("expected a case 1 witness")
-    rot, n = witness.rot, witness.n
-    if not isinstance(rot, QuasiBand):
+    rot = witness.rot
+    if not isinstance(rot, QuasiBand) or not is_quasi_band(spec, rot.letters):
         raise InvalidWitness("rot must be a quasi-band")
-    m = rot.period
-    if not 1 <= n < m:
-        raise InvalidWitness("split index out of range")
-    if not is_quasi_band(spec, rot.letters):
-        raise InvalidWitness("rot is not a quasi-band")
-    if not rot.at(m).inverted:
-        raise InvalidWitness("the rotation must end with an inverse letter")
-    wit = _case1_split(spec, rot, n)
-    if wit is None:
-        raise InvalidWitness("the rotation admits no case 1 split at n")
-    if witness.w != wit.w:
-        raise InvalidWitness("stored prefix does not match")
-    if witness.pieces != wit.pieces:
-        raise InvalidWitness("stored pieces do not match")
-    return wit.pieces
+    if _case1_split(spec, rot, witness.n) != witness:
+        raise InvalidWitness("witness is not the case 1 split of rot at n")
+    return witness.pieces
 
 
 def concat_extension(spec, witness) -> QuasiBand:
@@ -420,20 +415,9 @@ def concat_extension(spec, witness) -> QuasiBand:
     concatenated quasi-band d; the pair family lies in the closure of d's."""
     if not isinstance(witness, ExtendabilityWitness):
         raise InvalidWitness("expected an extendability witness")
-    rot_b, rot_c = witness.rot_b, witness.rot_c
-    if not isinstance(rot_b, QuasiBand) or not isinstance(rot_c, QuasiBand):
+    rots = (witness.rot_b, witness.rot_c)
+    if not all(isinstance(r, QuasiBand) and is_quasi_band(spec, r.letters) for r in rots):
         raise InvalidWitness("rotations must be quasi-bands")
-    if not is_quasi_band(spec, rot_b.letters) or not is_quasi_band(spec, rot_c.letters):
-        raise InvalidWitness("a rotation is not a quasi-band")
-    if not rot_b.at(rot_b.period).inverted:
-        raise InvalidWitness("the first rotation must end with an inverse letter")
-    if rot_c.at(rot_c.period).inverted:
-        raise InvalidWitness("the second rotation must end with an arrow")
-    wit = _try_extension(spec, rot_b, rot_c, rot_b.period + rot_c.period)
-    if wit is None:
-        raise InvalidWitness("rotations admit no extension")
-    if wit.w != witness.w or wit.beta != witness.beta or wit.delta != witness.delta:
-        raise InvalidWitness("stored prefix data does not match")
-    if witness.d != wit.d:
-        raise InvalidWitness("stored concatenation does not match")
-    return wit.d
+    if _try_extension(spec, *rots) != witness:
+        raise InvalidWitness("witness is not the extension of rot_b by rot_c")
+    return witness.d

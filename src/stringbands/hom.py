@@ -71,19 +71,17 @@ def hom_string_band(spec, c: Word, B: BandClass) -> int:
     return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, len(c)))
 
 
-def hom_band_band(
-    spec, B: BandClass, C: BandClass, same_module: bool = False, length_cap=None
-) -> int:
+def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:
     """dim Hom(M(b,m,lambda), M(c,n,mu)).
 
     same_module adds the identity's contribution and is legal only for equal
     classes (equal parameters are implied).  The sum over d is truncated at
-    2(m+n) by default; any common occurrence longer than that would force
-    the two primitive periods to align, which cannot happen.
+    2(m+n); any common occurrence longer than that would force the two
+    primitive periods to align, which cannot happen.
     """
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
-    cap = length_cap if length_cap is not None else 2 * (B.period + C.period)
+    cap = 2 * (B.period + C.period)
     facs = band_fac_tally(spec, B.canonical, cap)
     subs = band_sub_tally(spec, C.canonical, cap)
     total = _pair(facs, subs)

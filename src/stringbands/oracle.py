@@ -426,8 +426,10 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     # kernel vector lives at the vertex of its free column; list them vertex
     # by vertex, by free column within a vertex
     kernel = sorted(_kernel(pivots, P0.dim), key=lambda k: spec.vertex_index(P0.vertex_of[k[1]]))
-    if len(kernel) != P0.dim - d:
-        raise RuntimeError("kernel dimension disagrees with exactness")
+    # exactness at P0: pi maps every kernel vector to zero
+    for vec, _ in kernel:
+        if _apply(((i, c, x) for c in vec for i, x in pi_cols[c].items()), vec):
+            raise RuntimeError("a kernel vector does not map to zero")
     o_entries: dict[str, list] = {a: [] for a in spec.arrow_names}
     sig = [free for _, free in kernel]
     for a in spec.arrow_names:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from stringbands import (
     ParseError,
@@ -10,6 +11,8 @@ from stringbands import (
     projective_word,
     validate_algebra,
 )
+from stringbands.algebra import _admissibility, _before
+from test_bands import monomial_quivers
 
 
 def test_fixture_algebras_are_valid(all_fixtures):
@@ -186,3 +189,56 @@ def test_validate_texts_follow_the_walk_order(name):
     report = validate_algebra(parse_algebra(text))
     assert report.violations == violations
     assert report.admissibility_bound is None
+
+
+def _dfs_admissibility(spec):
+    """The reference: a three-colour depth-first search over the walk graph
+    of relation-free windows, with a trail for the cycle and a longest-walk
+    table for the bound."""
+    K = max(spec.max_relation_length - 1, 1)
+    by_len = [[()], [(a,) for a in spec.arrow_names]]
+    while len(by_len) <= K:
+        by_len.append([q for p in by_len[-1] for q in _before(spec, p)])
+    states = by_len[K]
+    edges = {p: [q[:K] for q in _before(spec, p)] for p in states}
+
+    color = {}
+    longest = {}
+    for root in states:
+        if color.get(root, 0) == 2:
+            continue
+        stack = [(root, iter(edges[root]))]
+        color[root] = 1
+        trail = [root]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt, 0) == 1:
+                    i = trail.index(nxt)
+                    cycle = trail[i:]
+                    return None, ".".join(q[0] for q in reversed(cycle))
+                if color.get(nxt, 0) == 0:
+                    color[nxt] = 1
+                    trail.append(nxt)
+                    stack.append((nxt, iter(edges[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                longest[node] = 1 + max((longest[n] for n in edges[node]), default=-1)
+                stack.pop()
+                trail.pop()
+
+    best = max(l for l, paths in enumerate(by_len) if paths)
+    if longest:
+        best = max(best, K + max(longest.values()))
+    if not spec.vertices:
+        return 0, None
+    return best + 1, None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(monomial_quivers(max_relation_length=4))
+def test_the_peel_finds_the_bound_and_cycle_of_a_depth_first_search(spec):
+    assert _admissibility(spec) == _dfs_admissibility(spec)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
@@ -7,6 +9,7 @@ from stringbands import (
     BandSequence,
     Case1Witness,
     Case2Witness,
+    ExtendabilityWitness,
     InvalidWitness,
     NotAComponent,
     NotBand,
@@ -30,6 +33,8 @@ from stringbands import (
     reverse_piece,
     split_band,
 )
+from stringbands.bands import _rotations
+from stringbands.words import Word, inverse, letter_target, trivial_word
 
 B33 = canonical_class(GP33, parse_word("a^-1.b"))
 B22 = canonical_class(GP22, parse_word("a.b^-1"))
@@ -221,3 +226,67 @@ def test_concat_extension_revalidates_the_witness():
     )
     with pytest.raises(InvalidWitness):
         concat_extension(GP33, "not a witness")
+
+
+def _found_witnesses():
+    """Each fixture's witness, or None, for every class of period <= 6 and
+    every ordered pair of classes of period <= 5."""
+    for spec in ALL.values():
+        classes = enumerate_bands(spec, 6)
+        for B in classes:
+            yield spec, negligible(spec, B)
+        small = [C for C in classes if C.period <= 5]
+        for B in small:
+            for C in small:
+                yield spec, extendable(spec, B, C)
+
+
+def _another_word(spec, w, rot):
+    """A word other than w: the trivial word if w has letters, else rot's
+    first letter."""
+    if w.is_trivial:
+        return Word(None, rot.letters[:1])
+    return trivial_word(letter_target(spec, rot.at(1)))
+
+
+# sha256 over the reprs of _found_witnesses, one a line, recorded before the
+# case 2 frame moved into one function; the searches find the same first
+# witness
+FOUND_WITNESSES_SHA256 = "efe466d181ca879633316fc2bedad0b875aefbb6e6c8e314d79d7ba19f1d25bd"
+
+
+def test_every_found_witness_replays_and_a_tampered_copy_does_not():
+    reprs = []
+    for spec, wit in _found_witnesses():
+        reprs.append(repr(wit))
+        if isinstance(wit, Case1Witness):
+            assert split_band(spec, wit) == wit.pieces
+            other = _another_word(spec, wit.w, wit.rot)
+            for tampered in (
+                wit._replace(n=wit.n + 1),
+                wit._replace(n=wit.n - 1),
+                wit._replace(w=other),
+                wit._replace(pieces=wit.pieces[::-1]),
+            ):
+                with pytest.raises(InvalidWitness):
+                    split_band(spec, tampered)
+        elif isinstance(wit, Case2Witness):
+            out = reverse_piece(spec, wit.rot, wit.w, wit.u, wit.v)
+            # w.u.w^-1.v^-1 reads the reversed band backwards
+            assert inverse(out.as_word()).letters in _rotations(wit.reversed_band.letters)
+            other = _another_word(spec, wit.w, wit.rot)
+            with pytest.raises(BadDecomposition):
+                reverse_piece(spec, wit.rot, other, wit.u, wit.v)
+            with pytest.raises(BadDecomposition):
+                reverse_piece(spec, wit.rot, wit.w, wit.v, wit.u)
+        elif isinstance(wit, ExtendabilityWitness):
+            assert concat_extension(spec, wit) == wit.d
+            other = _another_word(spec, wit.w, wit.rot_b)
+            for tampered in (
+                wit._replace(w=other),
+                wit._replace(rot_b=wit.rot_c, rot_c=wit.rot_b),
+            ):
+                with pytest.raises(InvalidWitness):
+                    concat_extension(spec, tampered)
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == FOUND_WITNESSES_SHA256

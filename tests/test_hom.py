@@ -8,6 +8,8 @@ from fixture_algebras import GP22, GP33, KRON, LOOP
 from stringbands import (
     DimensionMismatch,
     SameModuleMismatch,
+    band_fac_tally,
+    band_sub_tally,
     canonical_class,
     dim_hom,
     enumerate_bands,
@@ -24,7 +26,7 @@ from stringbands import (
     realize_band,
     realize_string,
 )
-from stringbands.hom import family_rank, seq_count_from, seq_count_into
+from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
 from stringbands.words import trivial_word
 
 
@@ -62,11 +64,16 @@ def test_band_band_counts():
 
 
 def test_band_band_count_is_stable_under_longer_caps():
-    B2 = canonical_class(GP33, parse_word("a^-1.b"))
-    B3 = canonical_class(GP33, parse_word("a.a.b^-1"))
-    default = hom_band_band(GP33, B2, B3)
-    cap = 4 * (B2.period + B3.period)
-    assert hom_band_band(GP33, B2, B3, length_cap=cap) == default
+    # doubling the 2(m+n) cap on the middle words adds no term
+    for spec in (GP22, GP33, KRON, LOOP):
+        classes = enumerate_bands(spec, 4)
+        for B in classes:
+            for C in classes:
+                cap = 4 * (B.period + C.period)
+                longer = _pair(
+                    band_fac_tally(spec, B.canonical, cap), band_sub_tally(spec, C.canonical, cap)
+                )
+                assert longer == hom_band_band(spec, B, C)
 
 
 def test_sequence_counts_add_up():

@@ -30,6 +30,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
+from stringbands import oracle
 from stringbands.oracle import _echelon, _integral, _kernel, _validate
 from stringbands.words import trivial_word
 
@@ -216,6 +217,27 @@ def test_syzygy_presentation_is_pinned(spec, word, lam, expected):
     w = parse_word(word)
     X = realize_string(spec, w) if lam is None else realize_band(spec, w, lam)
     assert tuple((M.vertex_of, dict(M.entries), M.labels) for M in syzygy(X)) == expected
+
+
+def test_syzygy_refuses_a_kernel_vector_the_cover_does_not_kill(monkeypatch):
+    X = realize_band(GP22, parse_word("a.b^-1"), TWO)
+
+    def bent_kernel(pivots, ncols):
+        basis = _kernel(pivots, ncols)
+        # moving a vector along a pivot column of the cover map takes it out
+        # of the kernel: the pivot columns are independent, so none is zero
+        vec, free = next((vec, free) for vec, free in basis if len(vec) > 1)
+        pivot = next(c for c in vec if c != free)
+        vec[pivot] += 1
+        return basis
+
+    monkeypatch.setattr(oracle, "_kernel", bent_kernel)
+    syzygy.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="^a kernel vector does not map to zero$"):
+            syzygy(X)
+    finally:
+        syzygy.cache_clear()
 
 
 def test_projectives_have_no_self_extensions():
