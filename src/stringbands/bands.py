@@ -61,14 +61,18 @@ class QuasiBand(_Frozen):
 
 
 class BandClass(_Frozen):
-    """A band up to rotation and inverse-reversal, held in canonical form."""
+    """A band up to rotation and inverse-reversal, held in canonical form.
+    Like _hash, _spec (set by `canonical_class`) and _members (by
+    `class_members`) are not fields: copies and pickles arrive without them."""
 
-    __slots__ = ("canonical", "_hash")
+    __slots__ = ("canonical", "_hash", "_spec", "_members")
     _fields = ("canonical",)
 
     def __init__(self, canonical: QuasiBand):
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_hash", hash((canonical,)))
+        object.__setattr__(self, "_spec", None)
+        object.__setattr__(self, "_members", None)
 
     @property
     def period(self) -> int:
@@ -178,12 +182,23 @@ def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
 
 def canonical_class(spec, letters) -> BandClass:
     """Lexicographically least among the 2m rotations of the word and of
-    its inverse-reversal, under the declaration-order letter key."""
+    its inverse-reversal, under the declaration-order letter key; ties go
+    to the first in `_rotations` order.  A class this function built for
+    this spec object is returned as it is; any other input, a copied or
+    unpickled class included, is checked by `is_band` and canonicalised."""
+    if isinstance(letters, BandClass) and letters._spec is spec:
+        return letters
     ls = _as_letters(letters)
     if not is_band(spec, ls):
         raise NotBand(f"{_fmt(ls)} is a proper power")
-    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_key(l) for l in c))
-    return BandClass(QuasiBand(best))
+    m = len(ls)
+    rots = _rotations(ls)
+    # key each letter once: rots[0] is the word and rots[m] its inverse-reversal
+    keys = (tuple(map(spec.letter_key, rots[0])), tuple(map(spec.letter_key, rots[m])))
+    best = min(range(2 * m), key=lambda i: keys[i // m][i % m :] + keys[i // m][: i % m])
+    cls = BandClass(QuasiBand(rots[best]))
+    object.__setattr__(cls, "_spec", spec)
+    return cls
 
 
 def are_equivalent(spec, b, bp) -> bool:
@@ -192,8 +207,12 @@ def are_equivalent(spec, b, bp) -> bool:
 
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     """All distinct rotations of the class, canonical ones first, then the
-    rotations of the inverse-reversal.  Witness searches iterate this order."""
-    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
+    rotations of the inverse-reversal.  Witness searches iterate this order.
+    Built on the first call and kept on B."""
+    if B._members is None:
+        members = tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
+        object.__setattr__(B, "_members", members)
+    return B._members
 
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:

@@ -135,9 +135,9 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[Extenda
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
-    c_rots = [r for r in class_members(spec, C) if not r.at(r.period).inverted]
+    c_rots = [r for r in class_members(spec, C) if not r.letters[-1].inverted]
     for rot_b in class_members(spec, B):
-        if not rot_b.at(rot_b.period).inverted:
+        if not rot_b.letters[-1].inverted:
             continue
         for rot_c in c_rots:
             wit = _try_extension(spec, rot_b, rot_c)
@@ -405,6 +405,8 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
     rot = witness.rot
     if not isinstance(rot, QuasiBand) or not is_quasi_band(spec, rot.letters):
         raise InvalidWitness("rot must be a quasi-band")
+    if not isinstance(witness.n, int):
+        raise InvalidWitness("n must be an int")
     if _case1_split(spec, rot, witness.n) != witness:
         raise InvalidWitness("witness is not the case 1 split of rot at n")
     return witness.pieces

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     AlgebraSpec,
     ArrowDecl,
+    BandClass,
     Letter,
     NotBand,
     NotQuasiBand,
@@ -25,12 +29,14 @@ from stringbands import (
     dimension_vector,
     enumerate_bands,
     enumerate_strings,
+    extendable,
     fac_counts,
     format_word,
     inverse,
     is_band,
     is_quasi_band,
     is_string,
+    negligible,
     parse_word,
     parti_counts,
     sub_counts,
@@ -90,6 +96,50 @@ def test_class_members_lists_every_reading():
     assert [format_word(q.as_word()) for q in members] == [
         "a.b^-1", "b^-1.a", "b.a^-1", "a^-1.b",
     ]
+
+
+def test_canonical_class_returns_the_classes_it_built():
+    for spec in ALL.values():
+        for cls in enumerate_bands(spec, 6):
+            assert canonical_class(spec, cls) is cls
+            # an equal spec that is another object takes the full path
+            assert canonical_class(copy.copy(spec), cls) is not cls
+
+
+def test_a_class_passed_with_another_spec_is_checked_in_full():
+    cubic = canonical_class(GP33, parse_word("a.a.b^-1"))
+    # a.a lies in the ideal of the radical-square-zero algebra
+    with pytest.raises(NotQuasiBand):
+        canonical_class(GP22, cubic)
+    with pytest.raises(NotQuasiBand):
+        negligible(GP22, cubic)
+    # the same arrows declared the other way round order the letters anew
+    swapped = AlgebraSpec(GP33.vertices, GP33.arrows[::-1], GP33.relations)
+    again = canonical_class(swapped, cubic)
+    assert fmt(again) == "b.a^-1.a^-1"
+    assert again == canonical_class(swapped, cubic.letters)
+    assert canonical_class(swapped, again) is again
+    assert canonical_class(GP33, again) == cubic
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copied_classes_take_the_full_path(clone):
+    for spec in ALL.values():
+        classes = enumerate_bands(spec, 5)
+        for cls in classes:
+            twin = clone(cls)
+            assert twin == cls and hash(twin) == hash(cls)
+            again = canonical_class(spec, twin)
+            assert again == cls and again is not twin
+            assert class_members(spec, twin) == class_members(spec, cls)
+            assert negligible(spec, twin) == negligible(spec, cls)
+            for other in classes:
+                assert extendable(spec, twin, other) == extendable(spec, cls, other)
+                assert extendable(spec, other, twin) == extendable(spec, other, cls)
 
 
 def test_enumerate_bands_fixed_inventories():
@@ -280,6 +330,64 @@ def quasi_bands(draw, spec):
         if is_quasi_band(spec, ls):
             return ls
     assume(False)
+
+
+# The definitions of canonical_class and class_members before a class kept
+# its algebra and its readings: the current ones must agree with them.
+
+
+def _reference_canonical_class(spec, ls):
+    if not is_band(spec, ls):
+        raise NotBand(f"{format_word(Word(None, ls))} is a proper power")
+    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_key(l) for l in c))
+    return BandClass(QuasiBand(best))
+
+
+def _reference_class_members(B):
+    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
+
+
+class _DirectionKeySpec(AlgebraSpec):
+    """Keys a letter by its direction alone, so that many rotations tie."""
+
+    def letter_key(self, letter):
+        return letter.inverted
+
+
+def _outcome(f, spec, x):
+    try:
+        return f(spec, x)
+    except (NotQuasiBand, NotBand) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_canonical_class_and_members_match_the_reference(spec, data):
+    coarse = _DirectionKeySpec(spec.vertices, spec.arrows, spec.relations)
+    words = []
+    for _ in range(2):
+        # a few tries for a quasi-band; the last draw is kept either way, so
+        # the errors are compared too
+        for _ in range(5):
+            ls = data.draw(cyclic_words(spec))
+            if is_quasi_band(spec, ls):
+                break
+        words.append(ls)
+    for s, other in ((spec, coarse), (coarse, spec)):
+        for ls in words:
+            got = _outcome(canonical_class, s, ls)
+            assert got == _outcome(_reference_canonical_class, s, ls)
+            if not isinstance(got, BandClass):
+                continue
+            assert canonical_class(s, got) is got
+            for _ in range(2):
+                assert class_members(s, got) == _reference_class_members(got)
+            # an equal spec object and another spec take the full path
+            assert canonical_class(copy.copy(s), got) is not got
+            assert _outcome(canonical_class, other, got) == _outcome(
+                _reference_canonical_class, other, got.letters
+            )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

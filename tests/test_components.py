@@ -211,6 +211,8 @@ def test_split_band_revalidates_the_witness():
         Case1Witness(wit.rot, wit.n, wit.w, wit.pieces[::-1]),
         Case1Witness(wit.rot, 0, wit.w, wit.pieces),
         Case1Witness(wit.rot.as_word(), wit.n, wit.w, wit.pieces),
+        Case1Witness(wit.rot, str(wit.n), wit.w, wit.pieces),
+        Case1Witness(wit.rot, float(wit.n), wit.w, wit.pieces),
     ):
         with pytest.raises(InvalidWitness):
             split_band(GP33, tampered)
