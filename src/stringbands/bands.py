@@ -4,9 +4,10 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 The sub and fac counts are band tallies: folds over `words.flanked` read
 cyclically, the same occurrence definition that strings use.
 
-A quasi-band is stored by one period b(1)..b(m); indices wrap, with b(i)
-read 1-based.  The letter b(i) is traversed after b(i+1), matching the
-composition order of finite words.
+A quasi-band is stored as the plain tuple of the letters of one period,
+and every reader slices that tuple; a read that wraps slices a repeated
+copy of it.  Each letter is traversed after the one to its right, matching
+the composition order of finite words.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .words import (
     _Frozen,
     _check_arrows,
     format_word,
+    glues,
     inverse,
+    inverse_letters,
     is_string,
     letter_source,
-    letter_target,
-    runs_avoid_ideal,
     string_frontiers,
     tally,
     tally_count,
@@ -45,13 +46,6 @@ class QuasiBand(_Frozen):
     @property
     def period(self) -> int:
         return len(self.letters)
-
-    def at(self, i: int) -> Letter:
-        """b(i), 1-based and periodic in both directions."""
-        return self.letters[(i - 1) % len(self.letters)]
-
-    def window(self, i: int, length: int) -> tuple[Letter, ...]:
-        return tuple(self.at(i + k) for k in range(length))
 
     def as_word(self) -> Word:
         return Word(None, self.letters)
@@ -101,46 +95,13 @@ def _as_letters(x) -> tuple[Letter, ...]:
         if x.is_trivial:
             raise NotQuasiBand("a trivial word has no cyclic reading")
         return x.letters
-    out = []
-    for l in x:
-        out.append(l if isinstance(l, Letter) else Letter(l[0], bool(l[1])))
-    return tuple(out)
-
-
-def _seam_ok(spec, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
-    """Whether the seam where left[-1] meets right[0] in a cyclic gluing
-    passes the quasi-band checks: the pair composes, is reduced, and the
-    directed run through the seam avoids the ideal.
-
-    Precondition: left and right are readings of quasi-bands, or windows of
-    one that have mixed directions.  Then every pair inside them composes
-    and is reduced, and every directed stretch inside them avoids the
-    ideal, because it lies inside a cyclic run of a quasi-band and the
-    ideal is monomial.  A glued word of parts with mixed directions has
-    mixed directions itself, and each of its runs either stays inside one
-    part or crosses a seam; a crossing run is the maximal same-direction
-    suffix of the left side joined to the maximal same-direction prefix of
-    the right side.  So the glued cyclic word is a quasi-band exactly when
-    each of its seams passes.
-    """
-    a, b = left[-1], right[0]
-    if letter_source(spec, a) != letter_target(spec, b):
-        return False
-    if a.inverted != b.inverted:
-        return a.arrow != b.arrow  # a letter next to its own inverse
-    i = len(left) - 1
-    while i > 0 and left[i - 1].inverted == a.inverted:
-        i -= 1
-    j = 1
-    while j < len(right) and right[j].inverted == a.inverted:
-        j += 1
-    return runs_avoid_ideal(spec, left[i:] + right[:j])
+    return tuple(x)
 
 
 def is_quasi_band(spec, letters) -> bool:
     """Every rotation and power of the cyclic word is a string: it has
     mixed directions, its own seam (last letter glued to the first) passes
-    `_seam_ok`, and read linearly it is a string.
+    `words.glues`, and read linearly it is a string.
 
     `is_string` covers every inner pair and every run that does not cross
     the wrap; the seam covers the wrap pair and the one run that crosses
@@ -153,7 +114,7 @@ def is_quasi_band(spec, letters) -> bool:
     _check_arrows(spec, ls)
     return (
         any(l.inverted != ls[0].inverted for l in ls)
-        and _seam_ok(spec, ls, ls)
+        and glues(spec, ls, ls)
         and is_string(spec, Word(None, ls))
     )
 
@@ -176,8 +137,7 @@ def is_band(spec, letters) -> bool:
 
 def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
     """The m rotations of the word, then the m of its inverse-reversal."""
-    inv = tuple(l.inv() for l in reversed(ls))
-    return [base[k:] + base[:k] for base in (ls, inv) for k in range(len(ls))]
+    return [base[k:] + base[:k] for base in (ls, inverse_letters(ls)) for k in range(len(ls))]
 
 
 def canonical_class(spec, letters) -> BandClass:
@@ -217,14 +177,15 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows."""
-    band = QuasiBand(_as_letters(qb))
+    ls = _as_letters(qb)
     if c.is_trivial:
         raise TrivialWord("parti is defined for nonempty words only")
-    m = band.period
+    m = len(ls)
 
     def occ(target: tuple[Letter, ...]) -> int:
         n = len(target)
-        return sum(1 for i in range(1, m + 1) if band.window(i, n) == target)
+        reading = ls * (n // max(m, 1) + 2)
+        return sum(1 for i in range(m) if reading[i : i + n] == target)
 
     return occ(c.letters), occ(inverse(c).letters)
 
@@ -266,8 +227,8 @@ def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
 
 
 def sub_counts(spec, c: Word, qb) -> int:
-    """Indices i with b(i) inverse, the next l(c) letters spelling c or its
-    inverse, and the letter after that a plain arrow."""
+    """Cyclic positions with an inverse letter, then l(c) letters spelling c
+    or its inverse, then a plain arrow."""
     return tally_count(band_sub_tally(spec, qb, len(c)), c)
 
 
@@ -297,7 +258,7 @@ def band_dimension(qb) -> int:
 
 
 def dimension_vector(spec, qb) -> dict[str, int]:
-    """How many basis vectors sit at each vertex: indices i with s(b(i)) = u."""
+    """How many basis vectors sit at each vertex u: letters with source u."""
     vec = {v: 0 for v in spec.vertices}
     for l in _as_letters(qb):
         vec[letter_source(spec, l)] += 1

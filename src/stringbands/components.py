@@ -16,7 +16,6 @@ from .bands import (
     BandClass,
     QuasiBand,
     _as_letters,
-    _seam_ok,
     canonical_class,
     class_members,
     is_quasi_band,
@@ -32,9 +31,13 @@ from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
     Letter,
     Word,
+    _check_arrows,
+    _check_word,
     flanked,
     format_word,
+    glues,
     inverse,
+    inverse_letters,
     is_string,
     letter_target,
     trivial_word,
@@ -93,18 +96,22 @@ class ComponentVerdict(NamedTuple):
     witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
 
 
-def _fork(spec, x: QuasiBand, y: QuasiBand, shift: int, cap: int) -> Optional[Word]:
-    """The common prefix w of the periodic words x and y read from y(shift + 1),
-    when they diverge within cap letters with an arrow of x against an
-    inverse letter of y; w is trivial at t(x(1)) when they diverge at once."""
+def _fork(
+    spec, x: tuple[Letter, ...], y: tuple[Letter, ...], cap: int
+) -> Optional[tuple[Word, str, str]]:
+    """(w, beta, delta) when the periodic words of x and y share a prefix w
+    and then diverge, within cap letters, with an arrow beta of x against an
+    inverse letter delta^-1 of y; w is trivial at t(x[0]) when they diverge
+    at once.  None otherwise."""
+    xs = x * (cap // len(x) + 1)
+    ys = y * (cap // len(y) + 1)
     k = 0
-    while k < cap and x.at(k + 1) == y.at(shift + k + 1):
+    while k < cap and xs[k] == ys[k]:
         k += 1
-    if k == cap or x.at(k + 1).inverted or not y.at(shift + k + 1).inverted:
+    if k == cap or xs[k].inverted or not ys[k].inverted:
         return None
-    if k == 0:
-        return trivial_word(letter_target(spec, x.at(1)))
-    return Word(None, x.window(1, k))
+    w = Word(None, xs[:k]) if k else trivial_word(letter_target(spec, x[0]))
+    return w, xs[k].arrow, ys[k].arrow
 
 
 def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[ExtendabilityWitness]:
@@ -113,23 +120,20 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[Extenda
     diverges within period(B) + period(C) letters with an arrow beta of rot_b
     against an inverse letter delta^-1 of rot_c, and rot_c.rot_b is a
     quasi-band; None otherwise."""
-    if not rot_b.letters[-1].inverted or rot_c.letters[-1].inverted:
+    b_ls, c_ls = rot_b.letters, rot_c.letters
+    if not b_ls[-1].inverted or c_ls[-1].inverted:
         return None
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
-    if letter_target(spec, rot_b.at(1)) != letter_target(spec, rot_c.at(1)):
+    if letter_target(spec, b_ls[0]) != letter_target(spec, c_ls[0]):
         return None
-    w = _fork(spec, rot_b, rot_c, 0, rot_b.period + rot_c.period)
-    if w is None:
+    fork = _fork(spec, b_ls, c_ls, len(b_ls) + len(c_ls))
+    if fork is None:
         return None
     # both rotations are quasi-bands: only the two seams of rot_c.rot_b can fail
-    c_ls, b_ls = rot_c.letters, rot_b.letters
-    if not (_seam_ok(spec, c_ls, b_ls) and _seam_ok(spec, b_ls, c_ls)):
+    if not (glues(spec, c_ls, b_ls) and glues(spec, b_ls, c_ls)):
         return None
-    k = len(w)
-    return ExtendabilityWitness(
-        rot_b, rot_c, w, rot_b.at(k + 1).arrow, rot_c.at(k + 1).arrow, QuasiBand(c_ls + b_ls)
-    )
+    return ExtendabilityWitness(rot_b, rot_c, *fork, QuasiBand(c_ls + b_ls))
 
 
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
@@ -164,26 +168,21 @@ def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
     rot ends with an inverse letter and letter n is an arrow, both windows
     are quasi-bands, and the periodic word of rot diverges from its own shift
     by n the right way; None otherwise."""
-    m = rot.period
-    if not 1 <= n < m or not rot.letters[-1].inverted or rot.at(n).inverted:
+    ls = rot.letters
+    if not 1 <= n < len(ls) or not ls[-1].inverted or ls[n - 1].inverted:
         return None
-    left = rot.window(1, n)
-    right = rot.window(n + 1, m - n)
+    left, right = ls[:n], ls[n:]
     for piece in (left, right):
         # a window of rot is a quasi-band once it turns and its own seam passes
         if all(l.inverted == piece[0].inverted for l in piece):
             return None
-        if not _seam_ok(spec, piece, piece):
+        if not glues(spec, piece, piece):
             return None
     # compare the periodic word against its own shift by n
-    w = _fork(spec, rot, rot, n, m)
-    if w is None:
+    fork = _fork(spec, ls, right + left, len(ls))
+    if fork is None:
         return None
-    return Case1Witness(rot, n, w, (QuasiBand(left), QuasiBand(right)))
-
-
-def _inverse_letters(ls: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple(l.inv() for l in reversed(ls))
+    return Case1Witness(rot, n, fork[0], (QuasiBand(left), QuasiBand(right)))
 
 
 def _case2_frame(ls: tuple[Letter, ...], p: int, q: int):
@@ -196,7 +195,7 @@ def _case2_frame(ls: tuple[Letter, ...], p: int, q: int):
         return None
     if not (v[0].inverted and v[-1].inverted):
         return None
-    if ls[p + q : 2 * p + q] != _inverse_letters(w):
+    if ls[p + q : 2 * p + q] != inverse_letters(w):
         return None
     return w, u, v
 
@@ -211,7 +210,7 @@ def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
             if frame is None:
                 continue
             w, u, v = frame
-            c_letters = w + _inverse_letters(u) + _inverse_letters(w) + v
+            c_letters = w + inverse_letters(u) + inverse_letters(w) + v
             if is_quasi_band(spec, c_letters):
                 w_word = Word(None, w) if w else trivial_word(letter_target(spec, ls[0]))
                 return Case2Witness(
@@ -385,13 +384,16 @@ def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     family of rot lies in the closure of the returned band's family.
     """
     ls = _as_letters(rot)
+    _check_arrows(spec, ls)
+    for word in (w, u, v):
+        _check_word(spec, word)
     pieces = (w.letters, u.letters, v.letters)
     if _case2_frame(ls, len(w), len(u)) != pieces:
         raise BadDecomposition("w, u and v are not a case 2 frame w.u.w^-1.v of rot")
     if not is_quasi_band(spec, ls):
         raise BadDecomposition("rot is not a quasi-band")
     w_ls, u_ls, v_ls = pieces
-    c_letters = w_ls + u_ls + _inverse_letters(w_ls) + _inverse_letters(v_ls)
+    c_letters = w_ls + u_ls + inverse_letters(w_ls) + inverse_letters(v_ls)
     if not is_quasi_band(spec, c_letters):
         raise NotQuasiBand(format_word(Word(None, c_letters)))
     return QuasiBand(c_letters)

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .algebra import AlgebraSpec, projective_word
-from .bands import QuasiBand, _as_letters, is_quasi_band
+from .bands import _as_letters, is_quasi_band
 from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
 from .words import (
     Word,
@@ -218,13 +218,12 @@ def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
         raise ZeroParameter("band parameter must be nonzero")
     if not is_quasi_band(spec, letters):
         raise NotQuasiBand(format_word(Word(None, letters)))
-    qb = QuasiBand(letters)
-    m = qb.period
-    # e_j sits at the source of b(j), e0 at that of the seam letter b(m) = b(0)
-    vertex_of = [letter_source(spec, qb.at(j)) for j in range(m)]
+    m = len(letters)
+    # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
+    # letters[-1]
+    vertex_of = [letter_source(spec, l) for l in letters[-1:] + letters[:-1]]
     entries: dict[str, list] = {}
-    for j in range(1, m + 1):
-        l = qb.at(j)
+    for j, l in enumerate(letters, 1):
         x = (_ONE / lam if l.inverted else lam) if j == m else _ONE
         cell = (j % m, j - 1, x) if l.inverted else (j - 1, j % m, x)
         entries.setdefault(l.arrow, []).append(cell)

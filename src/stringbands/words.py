@@ -1,9 +1,10 @@
-"""Walks on a quiver, the flanked-occurrence engine and string tallies.
+"""Walks on a quiver, the gluing check, the flanked-occurrence engine and
+string tallies.
 
-`flanked` is the one definition of an occurrence of a middle word with
-its two neighbours pointing the required ways; every substring and
-factorstring count, on strings here and on bands in `bands`, is a fold
-over it.
+`glues` is the one check at a seam where two readings meet.  `flanked` is
+the one definition of an occurrence of a middle word with its two
+neighbours pointing the required ways; every substring and factorstring
+count, on strings here and on bands in `bands`, is a fold over it.
 
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
@@ -109,11 +110,16 @@ def trivial_word(vertex: str) -> Word:
     return Word(vertex, ())
 
 
+def inverse_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters reversed, each one inverted."""
+    return tuple(l.inv() for l in reversed(letters))
+
+
 def inverse(word: Word) -> Word:
     """Reverse the letters and invert each one; trivial words are fixed."""
     if word.is_trivial:
         return word
-    return Word(None, tuple(l.inv() for l in reversed(word.letters)))
+    return Word(None, inverse_letters(word.letters))
 
 
 def letter_source(alg, letter: Letter) -> str:
@@ -166,6 +172,36 @@ def runs_avoid_ideal(alg, letters: tuple[Letter, ...]) -> bool:
                 return False
             start = i
     return True
+
+
+def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
+    """The one gluing check, at the seam where left[-1] meets right[0]: the
+    pair composes, is reduced, and the directed run through the seam, the
+    maximal same-direction suffix of left joined to the maximal
+    same-direction prefix of right, avoids the ideal.
+
+    Every run of the glued word either lies inside one side or is the run
+    through the seam, and the ideal is monomial.  So for two strings,
+    left + right is a string exactly when they glue; `string_frontiers`
+    extends strings by this.  Readings of quasi-bands, and windows of one
+    that have mixed directions, have every directed stretch inside a
+    cyclic run of a quasi-band, so inside them nothing can fail; a cyclic
+    gluing of such parts has mixed directions itself and is a quasi-band
+    exactly when each of its seams glues.  That decides a quasi-band's own
+    seam (`bands.is_quasi_band`) and the witness gluings in `components`.
+    """
+    a, b = left[-1], right[0]
+    if letter_source(alg, a) != letter_target(alg, b):
+        return False
+    if a.inverted != b.inverted:
+        return a.arrow != b.arrow  # a letter next to its own inverse
+    i = len(left) - 1
+    while i > 0 and left[i - 1].inverted == a.inverted:
+        i -= 1
+    j = 1
+    while j < len(right) and right[j].inverted == a.inverted:
+        j += 1
+    return runs_avoid_ideal(alg, left[i:] + right[:j])
 
 
 def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
@@ -229,7 +265,7 @@ def flanked(
     letter on the left (left_inverted=True), factorstrings for a plain one.
     A finite word has no neighbour past either end; it is None there and
     imposes nothing.  A cyclic word is read periodically, with one
-    occurrence per left neighbour b(i) and both neighbours always present,
+    occurrence per left neighbour letter and both neighbours always present,
     so a middle word may be longer than the period.  A trivial middle is the
     vertex between its two neighbours.  A trivial finite word has no
     letters to read and is left to the caller.
@@ -335,35 +371,16 @@ def string_frontiers(alg):
     (both readings of each), until a length has none.
 
     Each list extends the previous one by one letter on the right, in
-    declaration order, so the order is fixed for a fixed algebra.  An
-    extension of a string that composes and is reduced is a string exactly
-    when its last maximal directed run, the only run the new letter
-    changes, avoids the ideal.
+    declaration order, so the order is fixed for a fixed algebra.  A string
+    extended by one letter is a string exactly when the two glue (`glues`).
     """
-    frontier: list[Word] = []
-    for a in alg.arrow_names:
-        for inv in (False, True):
-            w = Word(None, (Letter(a, inv),))
-            if is_string(alg, w):
-                frontier.append(w)
+    singles = [(Letter(a, inv),) for a in alg.arrow_names for inv in (False, True)]
+    frontier = [Word(None, l) for l in singles if is_string(alg, Word(None, l))]
     while frontier:
         yield frontier
-        nxt = []
-        for w in frontier:
-            src = word_source(alg, w)
-            last = w.letters[-1]
-            for a in alg.arrow_names:
-                for inv in (False, True):
-                    l = Letter(a, inv)
-                    if letter_target(alg, l) != src or l == last.inv():
-                        continue
-                    ls = w.letters + (l,)
-                    i = len(w)
-                    while i and ls[i - 1].inverted == l.inverted:
-                        i -= 1
-                    if runs_avoid_ideal(alg, ls[i:]):
-                        nxt.append(Word(None, ls))
-        frontier = nxt
+        frontier = [
+            Word(None, w.letters + l) for w in frontier for l in singles if glues(alg, w.letters, l)
+        ]
 
 
 def iter_strings(alg, max_len: int):

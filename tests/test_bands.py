@@ -1,5 +1,6 @@
 import copy
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,12 +43,29 @@ from stringbands import (
     sub_counts,
 )
 from stringbands.bands import _rotations
-from stringbands.components import _case1_split, _seam_ok, _try_extension, _window_triples
-from stringbands.words import letter_source, letter_target, trivial_word, word_vertices
+from stringbands.components import _case1_split, _try_extension, _window_triples
+from stringbands.words import (
+    glues,
+    letter_source,
+    letter_target,
+    trivial_word,
+    word_key,
+    word_vertices,
+)
 
 
 def fmt(c):
     return format_word(c.canonical.as_word())
+
+
+# letter i, 1-based, of a quasi-band's periodic word, and the length letters
+# read from there
+def _at(band, i):
+    return band.letters[(i - 1) % band.period]
+
+
+def _window(band, i, length):
+    return tuple(_at(band, i + k) for k in range(length))
 
 
 def test_quasi_band_versus_band():
@@ -321,6 +339,29 @@ def test_quasi_band_errors_and_one_direction_words():
     assert is_string(free_loop, parse_word("a.a.a"))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()))
+def test_enumeration_matches_brute_force(spec):
+    # every letter sequence of length <= 4, read once as a word and once as
+    # a cyclic word; the frontier walk must find exactly the accepted ones
+    letters = [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
+    sequences = [ls for n in range(1, 5) for ls in product(letters, repeat=n)]
+    strings = {trivial_word(v) for v in spec.vertices}
+    strings.update(
+        canonical_word(spec, Word(None, ls))
+        for ls in sequences
+        if is_string(spec, Word(None, ls))
+    )
+    assert enumerate_strings(spec, 4) == sorted(strings, key=lambda w: word_key(spec, w))
+    bands = {
+        canonical_class(spec, ls)
+        for ls in sequences
+        if is_quasi_band(spec, ls) and is_band(spec, ls)
+    }
+    expected = sorted(bands, key=lambda B: (B.period, tuple(map(spec.letter_key, B.letters))))
+    assert enumerate_bands(spec, 4) == expected
+
+
 @st.composite
 def quasi_bands(draw, spec):
     """A cyclic word that is a quasi-band; the example is dropped when a
@@ -401,15 +442,15 @@ def test_seams_decide_gluings_and_split_pieces(spec, data):
             if letter_target(spec, z[0]) != letter_target(spec, left[0]):
                 continue
             glued = is_quasi_band(spec, left + z)
-            assert (_seam_ok(spec, left, z) and _seam_ok(spec, z, left)) == glued
+            assert (glues(spec, left, z) and glues(spec, z, left)) == glued
             wit = _try_extension(spec, QuasiBand(z), QuasiBand(left))
             assert wit is None or is_quasi_band(spec, wit.d.letters)
         rot = QuasiBand(left)
         for i in range(1, rot.period + 1):
             for n in range(1, rot.period + 1):
-                p = rot.window(i, n)
+                p = _window(rot, i, n)
                 turns = any(l.inverted != p[0].inverted for l in p)
-                assert (turns and _seam_ok(spec, p, p)) == is_quasi_band(spec, p)
+                assert (turns and glues(spec, p, p)) == is_quasi_band(spec, p)
         for n in range(1, rot.period):
             wit = _case1_split(spec, rot, n)
             assert wit is None or all(is_quasi_band(spec, q.letters) for q in wit.pieces)
@@ -462,22 +503,22 @@ def _flank_count(spec, c, band, inverted_before):
     total = 0
     if c.is_trivial:
         for i in range(1, m + 1):
-            if band.at(i).inverted != inverted_before:
+            if _at(band, i).inverted != inverted_before:
                 continue
-            if letter_source(spec, band.at(i)) != c.trivial_at:
+            if letter_source(spec, _at(band, i)) != c.trivial_at:
                 continue
-            if band.at(i + 1).inverted == inverted_before:
+            if _at(band, i + 1).inverted == inverted_before:
                 continue
             total += 1
         return total
     for target in (c.letters, inverse(c).letters):
         n = len(target)
         for i in range(1, m + 1):
-            if band.at(i).inverted != inverted_before:
+            if _at(band, i).inverted != inverted_before:
                 continue
-            if band.window(i + 1, n) != target:
+            if _window(band, i + 1, n) != target:
                 continue
-            if band.at(i + n + 1).inverted == inverted_before:
+            if _at(band, i + n + 1).inverted == inverted_before:
                 continue
             total += 1
     return total
@@ -488,8 +529,8 @@ def _reference_window_triples(spec, band, max_mid, leftmost_inverted):
     m = band.period
     for l in range(max_mid + 1):
         for i in range(1, m + 1):
-            first = band.at(i)
-            last = band.at(i + l + 1)
+            first = _at(band, i)
+            last = _at(band, i + l + 1)
             if first.inverted != leftmost_inverted:
                 continue
             if last.inverted == leftmost_inverted:
@@ -497,7 +538,7 @@ def _reference_window_triples(spec, band, max_mid, leftmost_inverted):
             if l == 0:
                 mid = trivial_word(letter_source(spec, first))
             else:
-                mid = Word(None, band.window(i + 1, l))
+                mid = Word(None, _window(band, i + 1, l))
             for a, d, b in (
                 (first.arrow, mid, last.arrow),
                 (last.arrow, inverse(mid), first.arrow),
@@ -529,7 +570,7 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     drawn = data.draw(st.integers(0, 2 * m + 3))
     for cap in sorted({0, 1, 3, m, m + 1, drawn, 2 * m + 3}, reverse=True):
         windows = [
-            Word(None, band.window(i, n)) for i in range(m) for n in range(1, cap + 1)
+            Word(None, _window(band, i, n)) for i in range(m) for n in range(1, cap + 1)
         ]
         for inv, tally in ((True, band_sub_tally), (False, band_fac_tally)):
             reference = {}

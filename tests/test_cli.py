@@ -285,6 +285,20 @@ def test_exit_code_two_on_unreadable_or_malformed_input(tmp_path):
         assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("words", [
+    ("a.x.a^-1.y^-1", "a", "q", "y^-1"),
+    ("a.x.a^-1.y^-1", "1_zz", "x", "y^-1"),
+    ("a.q.a^-1.y^-1", "a", "x", "y^-1"),
+])
+def test_reverse_refuses_names_the_algebra_lacks(words):
+    band, w, u, v = words
+    code, out, err = run_cli(
+        "degenerate", LOOP_FILE, "--band", band, "--mode", "reverse", "--w", w, "--u", u, "--v", v,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_exit_code_three_on_domain_errors():
     code, out, err = run_cli(
         "hom", GP22_FILE, "--from", "band:a.b^-1", "--to", "band:a.b^-1",

@@ -243,12 +243,16 @@ def _found_witnesses():
                 yield spec, extendable(spec, B, C)
 
 
+def _at(band, i):
+    return band.letters[(i - 1) % band.period]
+
+
 def _another_word(spec, w, rot):
     """A word other than w: the trivial word if w has letters, else rot's
     first letter."""
     if w.is_trivial:
         return Word(None, rot.letters[:1])
-    return trivial_word(letter_target(spec, rot.at(1)))
+    return trivial_word(letter_target(spec, _at(rot, 1)))
 
 
 # sha256 over the reprs of _found_witnesses, one a line, recorded before the
