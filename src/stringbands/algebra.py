@@ -120,13 +120,17 @@ class AlgebraSpec(_Frozen):
     def in_arrows(self, u: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows if a.target == u)
 
+    @cached_property
+    def _relations_by_length(self) -> dict[int, frozenset[tuple[str, ...]]]:
+        lengths = {len(r) for r in self.relations}
+        return {n: frozenset(r for r in self.relations if len(r) == n) for n in lengths}
+
     def path_in_ideal(self, path: Iterable[str]) -> bool:
         """True iff some relation occurs as a contiguous factor of path."""
         path = tuple(path)
-        for rel in self.relations:
-            k = len(rel)
+        for k, rels in self._relations_by_length.items():
             for i in range(len(path) - k + 1):
-                if path[i : i + k] == rel:
+                if path[i : i + k] in rels:
                     return True
         return False
 

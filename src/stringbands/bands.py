@@ -56,17 +56,18 @@ class QuasiBand(_Frozen):
 
 class BandClass(_Frozen):
     """A band up to rotation and inverse-reversal, held in canonical form.
-    Like _hash, _spec (set by `canonical_class`) and _members (by
-    `class_members`) are not fields: copies and pickles arrive without them."""
+    Like _hash, _spec (set by `canonical_class`), _members (by `class_members`)
+    and the witness answers for _spec, _negligible (a 1-tuple) and _extensions
+    (a dict by partner class), are not fields: copies and pickles lose them."""
 
-    __slots__ = ("canonical", "_hash", "_spec", "_members")
+    __slots__ = ("canonical", "_hash", "_spec", "_members", "_negligible", "_extensions")
     _fields = ("canonical",)
 
     def __init__(self, canonical: QuasiBand):
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_hash", hash((canonical,)))
-        object.__setattr__(self, "_spec", None)
-        object.__setattr__(self, "_members", None)
+        for slot in ("_spec", "_members", "_negligible", "_extensions"):
+            object.__setattr__(self, slot, None)
 
     @property
     def period(self) -> int:
@@ -239,6 +240,8 @@ def fac_counts(spec, c: Word, qb) -> int:
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     """All band classes of period <= max_len, shortest first, each period
     block sorted by the canonical letter key."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     out: list[BandClass] = []
     for _, frontier in zip(range(max_len), string_frontiers(spec)):
         found: dict = {}

@@ -1,9 +1,9 @@
 """Extendability and negligibility of bands, the component verdict for a
 band sequence, the dimension formula, and the degeneration rewrites.
 
-Witness searches are deterministic: rotations are visited in class-member
-order (canonical rotations first, then rotations of the inverse-reversal),
-split positions and segment lengths ascend, and the first witness wins.
+Witness searches are deterministic (rotations in class-member order, canonical
+ones first; split positions and segment lengths ascending; first witness wins),
+and a class that `canonical_class` built for the spec keeps each answer.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[Extenda
 
 
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
+    if B._spec is spec and B._extensions is None:
+        object.__setattr__(B, "_extensions", {})
+    kept = B._extensions if B._spec is spec else {}
+    return kept[C] if C in kept else kept.setdefault(C, _search_extension(spec, B, C))
+
+
+def _search_extension(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
     c_rots = [r for r in class_members(spec, C) if not r.letters[-1].inverted]
@@ -220,6 +227,8 @@ def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
 
 
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
+    if B._spec is spec and B._negligible is not None:
+        return B._negligible[0]
     members = class_members(spec, B)
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
@@ -230,7 +239,10 @@ def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
         for n in range(1, rot.period)
     )
     case2 = (_case2_at(spec, rot) for rot in members)
-    return next(filter(None, chain(case1, case2)), None)
+    wit = next(filter(None, chain(case1, case2)), None)
+    if B._spec is spec:
+        object.__setattr__(B, "_negligible", (wit,))
+    return wit
 
 
 def negligible(spec, B) -> Optional[NegligibilityWitness]:
@@ -269,6 +281,8 @@ def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool
 
 
 def _quadratic_search(spec, B: BandClass, C: BandClass, bound: int):
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
     b_side = _window_triples(spec, B.canonical, bound, leftmost_inverted=True)
     c_side = _window_triples(spec, C.canonical, bound, leftmost_inverted=False)
     shared = sorted(set(b_side) & set(c_side), key=lambda d: word_key(spec, d))

@@ -118,6 +118,8 @@ def find_separating_string(spec, S: BandSequence, T: BandSequence, max_len: int)
     None when the sequences agree as multisets, or when no witness shows up
     within the length bound.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     if S.total_dim != T.total_dim:
         raise DimensionMismatch(
             f"total dimensions differ: {S.total_dim} vs {T.total_dim}"

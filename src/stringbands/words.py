@@ -165,9 +165,9 @@ def _run_path(run: tuple[Letter, ...]) -> tuple[str, ...]:
 def runs_avoid_ideal(alg, letters: tuple[Letter, ...]) -> bool:
     """True iff no maximal directed run of letters, read as a path, lies in
     the relation ideal."""
-    start = 0
-    for i in range(1, len(letters) + 1):
-        if i == len(letters) or letters[i].inverted != letters[start].inverted:
+    n, start = len(letters), 0
+    for i in range(1, n + 1):
+        if i == n or letters[i].inverted != letters[start].inverted:
             if alg.path_in_ideal(_run_path(letters[start:i])):
                 return False
             start = i
@@ -391,6 +391,8 @@ def iter_strings(alg, max_len: int):
     in letter order.  Deterministic for a fixed algebra, and lazy: callers
     that stop early never pay for the longer lengths.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
     for v in alg.vertices:
         yield trivial_word(v)
     for _, frontier in zip(range(max_len), string_frontiers(alg)):

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringbands import (
     ParseError,
@@ -68,6 +71,36 @@ def test_ideal_membership(gp33):
     assert not is_member_monomial_ideal(gp33, ("b",))
     with pytest.raises(ParseError):
         is_member_monomial_ideal(gp33, ("a", "zz"))
+
+
+def _scan_path_in_ideal(spec, path):
+    """path_in_ideal before the relations were grouped by length: every
+    relation compared at every offset."""
+    path = tuple(path)
+    for rel in spec.relations:
+        k = len(rel)
+        for i in range(len(path) - k + 1):
+            if path[i : i + k] == rel:
+                return True
+    return False
+
+
+def test_ideal_membership_matches_the_relation_scan(all_fixtures):
+    for spec in all_fixtures.values():
+        for n in range(6):
+            for path in product(spec.arrow_names, repeat=n):
+                assert spec.path_in_ideal(path) == _scan_path_in_ideal(spec, path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_ideal_membership_matches_the_relation_scan_on_random_quivers(data):
+    spec = data.draw(monomial_quivers(max_relation_length=4))
+    # paths glued from single arrows and whole relations, so that most
+    # draws hold a relation somewhere
+    pieces = [(a,) for a in spec.arrow_names] + list(spec.relations)
+    path = sum(data.draw(st.lists(st.sampled_from(pieces), max_size=5)), ())
+    assert spec.path_in_ideal(path) == _scan_path_in_ideal(spec, path)
 
 
 def test_parse_accepts_comments_and_blank_lines(kron):

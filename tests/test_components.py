@@ -1,9 +1,12 @@
+import copy
 import hashlib
+import pickle
 
 import pytest
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
+    AlgebraSpec,
     BadDecomposition,
     BandClass,
     BandSequence,
@@ -23,9 +26,12 @@ from stringbands import (
     concat_extension,
     decide_component,
     enumerate_bands,
+    enumerate_strings,
     extendable,
     extendable_quadratic,
+    find_separating_string,
     format_word,
+    iter_strings,
     make_sequence,
     negligible,
     negligible_quadratic,
@@ -33,6 +39,7 @@ from stringbands import (
     reverse_piece,
     split_band,
 )
+from stringbands import components
 from stringbands.bands import _rotations
 from stringbands.words import Word, inverse, letter_target, trivial_word
 
@@ -296,3 +303,133 @@ def test_every_found_witness_replays_and_a_tampered_copy_does_not():
                     concat_extension(spec, tampered)
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == FOUND_WITNESSES_SHA256
+
+
+def _call_orders(classes):
+    """Three orders over every ordered pair: forward, reversed, and each
+    (C, B) asked just before its (B, C)."""
+    forward = [(B, C) for B in classes for C in classes]
+    swapped_first = [
+        pair for i, B in enumerate(classes) for C in classes[i:] for pair in ((C, B), (B, C))
+    ]
+    return {"forward": forward, "reverse": forward[::-1], "swapped first": swapped_first}
+
+
+def _verdict_line(name, seq, verdict):
+    classes = [format_word(B.canonical.as_word()) for B in seq]
+    reasons, witnesses = repr(verdict.reasons), repr(verdict.witnesses)
+    return " ".join([name, *classes, verdict.status, reasons, witnesses])
+
+
+# sha256 over the sorted, distinct _verdict_line of every class of period
+# <= 6 alone and of every ordered pair of them, on the four fixtures,
+# recorded before band classes kept their witness answers
+VERDICTS_SHA256 = "0ac628feafa1e0db2e85af54ef645dad50bd247ea1986b33547f77957a636803"
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse", "swapped first"])
+def test_kept_answers_equal_a_fresh_search_in_any_call_order(order):
+    lines = []
+    for name, spec in ALL.items():
+        # enumerate_bands builds new classes, so nothing is kept on them yet
+        classes = enumerate_bands(spec, 6)
+        kept_neg, kept_ext = {}, {}
+        for B, C in _call_orders(classes)[order]:
+            kept_ext[B, C] = extendable(spec, B, C)
+            kept_neg[B] = negligible(spec, B)
+            lines.append(_verdict_line(name, (B, C), decide_component(spec, [B, C])))
+        for B in classes[::-1] if order == "reverse" else classes:
+            lines.append(_verdict_line(name, (B,), decide_component(spec, [B])))
+        # a copy arrives with nothing kept, so it is searched afresh
+        for B in classes:
+            assert B._negligible is not None and len(B._extensions) == len(classes)
+            assert kept_neg[B] == negligible(spec, B) == negligible(spec, copy.copy(B))
+            for C in classes:
+                fresh = extendable(spec, copy.copy(B), copy.copy(C))
+                assert kept_ext[B, C] == extendable(spec, B, C) == fresh
+    # the swapped-first order asks each self pair twice
+    digest = hashlib.sha256("\n".join(sorted(set(lines))).encode()).hexdigest()
+    assert digest == VERDICTS_SHA256
+
+
+def test_kept_answers_leave_the_class_value_unchanged():
+    for spec in ALL.values():
+        classes = enumerate_bands(spec, 6)
+        before = [(copy.copy(B), hash(B), repr(B), pickle.dumps(B)) for B in classes]
+        for B in classes:
+            negligible(spec, B)
+            for C in classes:
+                extendable(spec, B, C)
+        for B, (twin, h, r, p) in zip(classes, before):
+            assert B._negligible is not None and B._extensions
+            assert B == twin and hash(B) == h and repr(B) == r and pickle.dumps(B) == p
+            for clone in (copy.copy(B), copy.deepcopy(B), pickle.loads(p)):
+                assert clone == B
+                assert clone._negligible is None and clone._extensions is None
+
+
+def test_the_replays_ignore_a_planted_answer():
+    B5b = canonical_class(GP33, parse_word("b.a^-1.b.b.a^-1"))
+    split = negligible(GP33, B5b)
+    wrong_split = split._replace(n=split.n + 1)
+    object.__setattr__(B5b, "_negligible", (wrong_split,))
+    # the search trusts what the class keeps; the replay recomputes
+    assert negligible(GP33, B5b) is wrong_split
+    with pytest.raises(InvalidWitness):
+        split_band(GP33, wrong_split)
+    assert split_band(GP33, split) == split.pieces
+
+    B = canonical_class(GP33, parse_word("a^-1.b"))
+    ext = extendable(GP33, B, B)
+    wrong_ext = ext._replace(rot_b=ext.rot_c, rot_c=ext.rot_b)
+    object.__setattr__(B, "_extensions", {B: wrong_ext})
+    assert extendable(GP33, B, B) is wrong_ext
+    with pytest.raises(InvalidWitness):
+        concat_extension(GP33, wrong_ext)
+    assert concat_extension(GP33, ext) == ext.d
+
+    bad = canonical_class(LOOP, parse_word("x.a^-1.y^-1.a"))
+    case2 = negligible(LOOP, bad)
+    object.__setattr__(bad, "_negligible", (case2._replace(u=case2.v, v=case2.u),))
+    with pytest.raises(BadDecomposition):
+        reverse_piece(LOOP, case2.rot, case2.w, case2.v, case2.u)
+    assert reverse_piece(LOOP, case2.rot, case2.w, case2.u, case2.v).letters
+
+
+def test_answers_are_kept_only_for_the_spec_the_class_was_built_for():
+    cubic = canonical_class(GP33, parse_word("a.a.b^-1"))
+    # the same algebra with its arrows declared the other way round
+    swapped = AlgebraSpec(GP33.vertices, GP33.arrows[::-1], GP33.relations)
+    planted = negligible(LOOP, L_BAD)
+    object.__setattr__(cubic, "_negligible", (planted,))
+    object.__setattr__(cubic, "_extensions", {cubic: planted})
+    fresh = copy.copy(cubic)
+    assert components._negligible(swapped, cubic) == negligible(GP33, fresh)
+    assert components._extendable(swapped, cubic, cubic) == extendable(GP33, fresh, fresh)
+    # and a search for another spec keeps nothing on the class
+    other = canonical_class(GP33, parse_word("a.a.b^-1"))
+    components._negligible(swapped, other)
+    components._extendable(swapped, other, other)
+    assert other._negligible is None and other._extensions is None
+
+
+_S = make_sequence(LOOP, [parse_word("x.a^-1.y.a")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(iter_strings(LOOP, -1)),
+        lambda: enumerate_strings(LOOP, -2),
+        lambda: enumerate_bands(LOOP, -1),
+        # sequences equal as multisets, which needs no string at all
+        lambda: find_separating_string(LOOP, _S, _S, -1),
+        lambda: extendable_quadratic(LOOP, L_GOOD, L_BAD, bound=-3),
+        lambda: negligible_quadratic(LOOP, L_GOOD, bound=-1),
+    ],
+    ids=["iter_strings", "enumerate_strings", "enumerate_bands", "find_separating_string",
+         "extendable_quadratic", "negligible_quadratic"],
+)
+def test_a_negative_bound_is_refused(call):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        call()
