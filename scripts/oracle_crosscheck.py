@@ -3,7 +3,9 @@
 
 Enumerates strings and bands of an algebra up to the given bounds, computes
 every hom dimension twice (occurrence counting vs. exact rational linear
-algebra on realized modules) and reports mismatches.  Exit status 1 on any
+algebra on realized modules) and reports mismatches.  Each band class is
+also checked against itself at one parameter, where both ends are the same
+module and the count includes the identity.  Exit status 1 on any
 disagreement.
 
     python3 scripts/oracle_crosscheck.py fixtures/kronecker.alg --max-len 5 --max-period 4
@@ -96,6 +98,11 @@ def main(argv=None):
         nc = format_word(C.canonical.as_word())
         check("band-band", f"{nb}({lam}) -> {nc}({mu})",
               hom_band_band(spec, B, C), bmods[(B, lam)], bmods[(C, mu)])
+    for B in bands:
+        # one module on both ends: the count includes the identity
+        nb = format_word(B.canonical.as_word())
+        check("band-self", f"{nb}({lam}) -> {nb}({lam})",
+              hom_band_band(spec, B, B, same_module=True), bmods[(B, lam)], bmods[(B, lam)])
 
     elapsed = time.perf_counter() - started
     print(f"{args.file}: {len(strings)} strings, {len(bands)} band classes, "

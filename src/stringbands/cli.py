@@ -160,6 +160,8 @@ def cmd_hom(args) -> dict:
         rng = random.Random(args.seed)
         if src_kind == "band" and lam is None:
             lam = rng.choice(_PARAMETER_POOL)
+            if lam == mu:  # an explicit --mu: draw again from the rest of the pool
+                lam = rng.choice([p for p in _PARAMETER_POOL if p != mu])
         if dst_kind == "band" and mu is None:
             mu = rng.choice([p for p in _PARAMETER_POOL if p != lam])
         X = realize_string(spec, src) if src_kind == "string" else realize_band(spec, src, lam)

@@ -12,16 +12,16 @@ summed, a syzygy or a copy, is validated.  Everything else is derived:
 dim, the vertex blocks (grading), each index's place in its block
 (position), dense matrices (mats) and int_tables, each arrow as
 X(a) = N / D with D the lcm of its denominators and N an integer matrix
-listed by columns and by rows.  dim_hom builds each equation straight from
+listed by columns and by rows.  dim_hom reads each equation straight from
 the columns of one module's N and the rows of the other's, scaled by the
-lcm of the two D.  One fraction-free routine, _reduce, eliminates such an
-integer row against the gcd-normalised pivot rows found so far; _echelon
-first stores each one-term row, whose unknown is forced to zero, as its
-own pivot and drops its column from the longer rows.  Every system is
-eliminated once: a rank is the number of pivots, and a kernel is read off
-the same echelon form by back-substitution.  The syzygy's cover map is
-graded, so its one echelon form gives both the surjectivity check and the
-kernel, read vertex by vertex.
+lcm of the two D.  If both modules have one_entry_per_line, as realized
+strings and bands do, an equation ties at most two unknowns, and the rank is
+the merges and zeroed components of a union-find (_linked_rank).  Every
+other system goes through _echelon, a loop over the fraction-free _reduce,
+which eliminates an integer row against the gcd-normalised pivot rows found
+so far: a rank is the number of pivots, and a kernel is read off the same
+echelon form by back-substitution.  The syzygy's cover map is graded, so its
+one echelon form gives both the surjectivity check and the kernel, read vertex by vertex.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -129,6 +129,12 @@ class MatrixModule(_Frozen):
                 rows.setdefault(i, []).append((j, n))
             out[a] = (den, cols, rows)
         return out
+
+    @cached_property
+    def one_entry_per_line(self) -> bool:
+        """Whether each arrow matrix has at most one nonzero per row and per column."""
+        tables = self.int_tables.values()
+        return all(len(v) == 1 for _, c, r in tables for v in (*c.values(), *r.values()))
 
     @cached_property
     def _hash(self) -> int:
@@ -268,30 +274,9 @@ def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | Non
 
 
 def _echelon(rows) -> dict[int, dict[int, int]]:
-    """Pivot rows of the span of the given sparse integer rows.
-
-    A one-term row forces its column to zero, so it is stored as its own
-    pivot and that column is dropped from every longer row before _reduce
-    sees it; a longer row left with one term on a new column is settled the
-    same way.
-    A one-term row reaches nothing right of its pivot, so the pivots remain
-    an echelon form that _kernel can read.
-    """
-    rows = list(rows)
-    pivots = {c: row for row in rows if len(row) == 1 for c in row}
-    units = set(pivots)  # the one-term pivots only; _reduce adds longer ones
+    """Pivot rows of the span of the given sparse integer rows."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if len(row) < 2:
-            continue
-        if not units.isdisjoint(row):
-            row = {c: x for c, x in row.items() if c not in units}
-            if len(row) == 1:
-                (c,) = row
-                if c not in pivots:
-                    # what is left of the row forces its unknown to zero too
-                    units.add(c)
-                    pivots[c] = row
-                    continue
         _reduce(pivots, row)
     return pivots
 
@@ -333,6 +318,13 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
         nu += len(xs) * len(yb.get(u, ()))
     if nu == 0:
         return 0
+    rank = _linked_rank if X.one_entry_per_line and Y.one_entry_per_line else _row_rank
+    return nu - rank(X, Y, offset)
+
+
+def _row_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> int:
+    """Rank of the hom system of any two modules, by eliminating its rows."""
+    xb, yb = X._blocks, Y._blocks
     px, py = X.position, Y.position
     xt, yt = X.int_tables, Y.int_tables
     rows: list[dict[int, int]] = []
@@ -353,12 +345,7 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
         for j, col in xcols.items():
             # column j of X gives the equations (i, j) for all i in Y_t, in
             # the order of Y_t: f[i][k] is bt + place of i * wt + place of k
-            if len(col) == 1:
-                ((k, n),) = col
-                c, n = px[k], sx * n
-                eqs = [{f: n} for f in range(bt + c, stop + c, wt)]
-            else:
-                eqs = [{f + px[k]: sx * n for k, n in col} for f in range(bt, stop, wt)]
+            eqs = [{f + px[k]: sx * n for k, n in col} for f in range(bt, stop, wt)]
             # the rows of Y add their side: f[k][j] is fj + place of k * ws
             fj = bs + px[j]
             for i, yrow in yrows.items():
@@ -369,18 +356,79 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
                     if n:
                         row[c] = n
             rows.extend(eqs)
-        if not yrows:
-            continue
         # the equations (i, j) where column j of X is zero have Y's side only
         free = [bs + p for p, j in enumerate(xs) if j not in xcols]
         for yrow in yrows.values():
-            if len(yrow) == 1:
+            rows.extend([{fj + py[k] * ws: sy * n for k, n in yrow} for fj in free])
+    return len(_echelon(rows))
+
+
+def _linked_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> int:
+    """Rank of the hom system when both modules have one_entry_per_line: each
+    equation reads x f_p = y f_q, or has one side and zeroes its unknown.  A
+    union-find by size keeps f_v = a/b f_parent with integers a, b, and the
+    rank is its merges plus its components zeroed by one side or a cycle."""
+    xb, yb = X._blocks, Y._blocks
+    px, py = X.position, Y.position
+    xt, yt = X.int_tables, Y.int_tables
+    up: dict[int, tuple[int, int, int]] = {}  # v -> (parent, a, b): f_v = a/b f_parent
+    size: dict[int, int] = {}  # each root's component size, when above 1
+    zero: set[int] = set()  # the roots of the components forced to zero
+    merges = 0
+    for name, s, t in X.spec.arrows:
+        dx, xcols, _ = xt[name]
+        dy, _, yrows = yt[name]
+        if not xcols and not yrows:
+            continue
+        d = lcm(dx, dy)
+        sx, sy = d // dx, d // dy
+        xs, ys = xb.get(s, ()), yb.get(t, ())
+        bt, wt = offset.get(t, 0), len(xb.get(t, ()))
+        bs, ws = offset.get(s, 0), len(xs)
+        for j in xs:
+            fj, col = bs + px[j], xcols.get(j)
+            if col is None:  # column j of X is zero: each row of Y zeroes its f[k][j]
+                for ((k, _),) in yrows.values():
+                    q = fj + py[k] * ws
+                    while q in up:
+                        q = up[q][0]
+                    zero.add(q)
+                continue
+            ((k, n),) = col
+            c, sn = bt + px[k], sx * n
+            for i in ys:
+                # _row_rank's equation (i, j) is x f[i][k] = y f[k'][j] for row i of Y at k'
+                p, yrow = c + py[i] * wt, yrows.get(i)
+                if yrow is None:
+                    while p in up:
+                        p = up[p][0]
+                    zero.add(p)
+                    continue
                 ((k, n),) = yrow
-                c, n = py[k] * ws, sy * n
-                rows.extend([{fj + c: n} for fj in free])
-            else:
-                rows.extend([{fj + py[k] * ws: sy * n for k, n in yrow} for fj in free])
-    return nu - len(_echelon(rows))
+                q, x, y = fj + py[k] * ws, sn, sy * n
+                while p in up:  # to the roots, keeping x f_p = y f_q
+                    p, a, b = up[p]
+                    x *= a
+                    y *= b
+                while q in up:
+                    q, a, b = up[q]
+                    y *= a
+                    x *= b
+                if p == q:
+                    if x != y:  # an inconsistent cycle
+                        zero.add(p)
+                    continue
+                sp, sq = size.pop(p, 1), size.pop(q, 1)
+                if sp > sq:  # hang the smaller component under the larger
+                    p, q, x, y = q, p, y, x
+                g = gcd(x, y)  # each link in lowest terms keeps the walks' products small
+                up[p] = (q, y // g, x // g)
+                size[q] = sp + sq
+                merges += 1
+                if p in zero:
+                    zero.remove(p)
+                    zero.add(q)
+    return merges + len(zero)
 
 
 @lru_cache(maxsize=None)

@@ -136,6 +136,43 @@ def test_hom_counts_on_one_band_at_equal_parameters_match_the_oracle(path):
         assert run_json(*argv)["result"] == generic["result"]
 
 
+KRON_SELF = ("hom", KRON_FILE, "--from", "band:a.b^-1", "--to", "band:a.b^-1", "--mu", "2")
+
+
+def test_a_drawn_lambda_never_equals_an_explicit_mu():
+    counted = run_json(*KRON_SELF)["result"]["dim"]
+    for seed in range(20):
+        doc = run_json(*KRON_SELF, "--oracle", "--seed", str(seed))
+        assert doc["result"]["lambda"] != "2"
+        assert doc["result"]["dim"] == counted == 0
+
+
+def test_a_drawn_lambda_away_from_mu_is_the_one_drawn_before():
+    # seed 0 draws 3 at once, so its output is the one printed before a
+    # lambda equal to --mu was drawn again
+    code, out, _ = run_cli(*KRON_SELF, "--oracle", "--seed", "0")
+    assert code == 0
+    assert out == """{
+  "command": "hom",
+  "inputs": {
+    "file": "fixtures/kronecker.alg",
+    "from": "band:a.b^-1",
+    "to": "band:a.b^-1",
+    "oracle": true,
+    "lambda": null,
+    "mu": "2",
+    "seed": 0
+  },
+  "result": {
+    "dim": 0,
+    "backend": "oracle",
+    "lambda": "3",
+    "mu": "2"
+  }
+}
+"""
+
+
 def test_negative_bounds_are_rejected_by_the_parser():
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
@@ -361,6 +398,9 @@ def test_oracle_crosscheck_script_finds_no_mismatch():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCHES" not in proc.stdout
     assert "all counts agree with the oracle" in proc.stdout
+    # 8 strings and 1 band class: 64 string pairs, 16 band-string pairs, the
+    # band against itself at two parameters and once as one module
+    assert "82 hom dimensions checked" in proc.stdout
 
 
 def test_oracle_crosscheck_script_takes_a_negative_parameter_after_an_equals_sign():

@@ -31,7 +31,7 @@ from stringbands import (
     syzygy,
 )
 from stringbands import oracle
-from stringbands.oracle import _echelon, _integral, _kernel, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _linked_rank, _row_rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -480,3 +480,87 @@ def test_conjugated_modules_reach_beyond_one_entry_per_column():
     N = conjugate(M, (1, Fraction(1, 2), -1, 2, 3, 1))
     assert max(len(col) for _, cols, _ in N.int_tables.values() for col in cols.values()) > 1
     assert M != N and dim_hom(N, M) == dim_hom(M, M) and dim_ext1(N, N) == dim_ext1(M, M)
+
+
+def unknown_offsets(X, Y):
+    """dim_hom's numbering of the unknowns: each vertex's first index, and
+    the number of unknowns."""
+    offset, nu = {}, 0
+    for u, xs in X.grading:
+        offset[u] = nu
+        nu += len(xs) * sum(len(ys) for v, ys in Y.grading if v == u)
+    return offset, nu
+
+
+def assert_linked_rank_is_the_elimination_rank(X, Y):
+    offset, nu = unknown_offsets(X, Y)
+    if nu:
+        assert _linked_rank(X, Y, offset) == _row_rank(X, Y, offset), (X.entries, Y.entries)
+
+
+# every module the hom-grid and ext-survey workloads give dim_hom: strings
+# <= 4 and bands <= 6 at three parameters, one negative and one not an
+# integer, with each module's projective cover and syzygy
+LINKED_POOL = {}
+for _name, _spec in ALL.items():
+    mods = [realize_string(_spec, w) for w in enumerate_strings(_spec, 4)]
+    mods += [realize_band(_spec, B, lam) for B in enumerate_bands(_spec, 6)
+             for lam in (TWO, -1, Fraction(2, 3))]
+    LINKED_POOL[_name] = list(dict.fromkeys(mods + [M for X in mods for M in syzygy(X)]))
+
+
+def test_realized_modules_and_their_syzygies_have_one_entry_per_line():
+    # 173 distinct modules, so 10,027 ordered pairs within a fixture
+    assert sum(map(len, LINKED_POOL.values())) == 173
+    for mods in LINKED_POOL.values():
+        assert all(M.one_entry_per_line for M in mods)
+    N = conjugate(realize_band(GP33, parse_word("a.a.b^-1.b^-1"), TWO), (1, 1))
+    assert not N.one_entry_per_line
+
+
+def test_the_path_flag_stays_out_of_equality_hash_repr_and_pickles():
+    X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
+    fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
+    assert X.one_entry_per_line
+    assert "one_entry_per_line" in X.__dict__ and "one_entry_per_line" not in fresh.__dict__
+    assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
+    assert pickle.dumps(X) == pickle.dumps(fresh)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_the_union_find_rank_equals_the_elimination_rank(name):
+    # equal parameters included: both ends may be the same band module
+    mods = LINKED_POOL[name]
+    for X in mods:
+        for Y in mods:
+            assert_linked_rank_is_the_elimination_rank(X, Y)
+
+
+SCALES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-11, 4))
+
+
+def rescale(M, scales):
+    """M in the basis c_i e_i: X'(a) = g X(a) g^-1 for g = diag(c_0, c_1, ...)."""
+    c = [Fraction(x) for x in scales]
+    cells = {a: [(i, j, x * c[i] / c[j]) for i, j, x in entries] for a, entries in M.entries.items()}
+    return MatrixModule(M.spec, M.vertex_of, cells, M.labels)
+
+
+@st.composite
+def rescaled_pair(draw):
+    mods = LINKED_POOL[draw(st.sampled_from(sorted(LINKED_POOL)))]
+    X, Y = (draw(st.sampled_from(mods)) for _ in range(2))
+    scales = (draw(st.lists(st.sampled_from(SCALES), min_size=M.dim, max_size=M.dim)) for M in (X, Y))
+    return X, Y, *(rescale(M, c) for M, c in zip((X, Y), scales))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rescaled_pair())
+def test_a_diagonal_change_of_basis_keeps_the_union_find_path_and_its_answers(pair):
+    X, Y, X2, Y2 = pair
+    assert X2.one_entry_per_line and Y2.one_entry_per_line
+    assert_linked_rank_is_the_elimination_rank(X2, Y2)
+    assert_linked_rank_is_the_elimination_rank(Y2, X2)
+    assert dim_hom(X2, Y2) == dim_hom(X, Y)
+    assert dim_hom(Y2, X2) == dim_hom(Y, X)
+    assert dim_ext1(X2, Y2) == dim_ext1(X, Y)
