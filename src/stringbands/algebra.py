@@ -3,16 +3,21 @@
 A presentation is a quiver plus a set of monomial relations (paths declared
 zero).  Paths use composition order: in a relation ``a1.a2. ... .ak`` the
 rightmost arrow is applied first and s(a_i) = t(a_{i+1}).
+
+Every string and seam check in `words` and `bands` is a lookup in
+`AlgebraSpec.string_windows`.  The axiom checks walk directed paths, as they
+run on presentations that need not be string algebras.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import product, takewhile
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidAlgebra, ParseError
-from .words import Letter, Word, _Frozen, trivial_word
+from .words import Letter, Word, _Frozen, letter_source, letter_target, trivial_word
 
 
 class ArrowDecl(NamedTuple):
@@ -120,19 +125,48 @@ class AlgebraSpec(_Frozen):
     def in_arrows(self, u: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows if a.target == u)
 
-    @cached_property
-    def _relations_by_length(self) -> dict[int, frozenset[tuple[str, ...]]]:
-        lengths = {len(r) for r in self.relations}
-        return {n: frozenset(r for r in self.relations if len(r) == n) for n in lengths}
-
     def path_in_ideal(self, path: Iterable[str]) -> bool:
         """True iff some relation occurs as a contiguous factor of path."""
         path = tuple(path)
-        for k, rels in self._relations_by_length.items():
-            for i in range(len(path) - k + 1):
-                if path[i : i + k] in rels:
-                    return True
-        return False
+        return any(
+            path[i : i + len(rel)] == rel
+            for rel in self.relations
+            for i in range(len(path) - len(rel) + 1)
+        )
+
+    @cached_property
+    def string_windows(self) -> tuple[int, frozenset[tuple[Letter, ...]]]:
+        """R = max(2, longest relation) and the set of every string of 1 to R
+        letters.  A word of n letters is a string exactly when each of its
+        windows of min(R, n) letters is in the set.
+
+        The pairs of a word lie inside its windows, and the ideal is
+        monomial, so any relation inside a directed run lies inside some
+        R-letter window, within one run of that window.  For a quasi-band of
+        mixed directions every run is shorter than the period, so every
+        cyclic run lies inside ``ls + ls[:R-1]``, its period ls read on.
+
+        Built letter by letter: a string followed by a letter that composes
+        with its last one and is not its inverse is a string unless the
+        directed run that the new letter ends lies in the ideal.
+        """
+        R = max(2, self.max_relation_length)
+        singles = [Letter(a, inv) for a in self.arrow_names for inv in (False, True)]
+        level = [(l,) for l in singles]
+        windows = set(level)
+        for _ in range(R - 1):
+            grown = []
+            for w, l in product(level, singles):
+                if letter_source(self, w[-1]) != letter_target(self, l) or l == w[-1].inv():
+                    continue
+                # the run that l ends, read leftwards from l: an inverse run
+                # read so is its path, a plain run its path reversed
+                run = [l, *takewhile(lambda x: x.inverted == l.inverted, reversed(w))]
+                if not self.path_in_ideal([x.arrow for x in (run if l.inverted else run[::-1])]):
+                    grown.append(w + (l,))
+            level = grown
+            windows.update(level)
+        return R, frozenset(windows)
 
 
 def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:

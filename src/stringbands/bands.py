@@ -6,8 +6,9 @@ cyclically, the same occurrence definition that strings use.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
-copy of it.  Each letter is traversed after the one to its right, matching
-the composition order of finite words.
+copy of it, as `is_quasi_band` does for the window test of
+`AlgebraSpec.string_windows`.  Each letter is traversed after the one to its
+right, matching the composition order of finite words.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .words import (
     Word,
     _Frozen,
     _check_arrows,
+    _windows_hold,
     format_word,
-    glues,
     inverse,
     inverse_letters,
-    is_string,
     letter_source,
     string_frontiers,
     tally,
@@ -100,24 +100,17 @@ def _as_letters(x) -> tuple[Letter, ...]:
 
 
 def is_quasi_band(spec, letters) -> bool:
-    """Every rotation and power of the cyclic word is a string: it has
-    mixed directions, its own seam (last letter glued to the first) passes
-    `words.glues`, and read linearly it is a string.
-
-    `is_string` covers every inner pair and every run that does not cross
-    the wrap; the seam covers the wrap pair and the one run that crosses
-    it.  The ideal is monomial and, with mixed directions, every run of a
-    rotation or power lies inside one of these.  Cheap rejections first.
-    """
+    """Every rotation and power of the cyclic word is a string: it has mixed
+    directions and ``ls + ls[:R-1]``, its period read on for R-1 more
+    letters, passes the window test of `AlgebraSpec.string_windows`.
+    Unknown arrows raise ParseError."""
     ls = _as_letters(letters)
     if not ls:
         raise NotQuasiBand("empty cyclic word")
     _check_arrows(spec, ls)
-    return (
-        any(l.inverted != ls[0].inverted for l in ls)
-        and glues(spec, ls, ls)
-        and is_string(spec, Word(None, ls))
-    )
+    R = spec.string_windows[0]
+    mixed = any(l.inverted != ls[0].inverted for l in ls)
+    return mixed and _windows_hold(spec, ls + ls[: R - 1])
 
 
 def _is_primitive(ls: tuple[Letter, ...]) -> bool:

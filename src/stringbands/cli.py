@@ -157,6 +157,9 @@ def cmd_hom(args) -> dict:
         "seed": args.seed,
     }
     if args.oracle:
+        # a string has no parameter: one given for it is echoed, never used
+        lam = lam if src_kind == "band" else None
+        mu = mu if dst_kind == "band" else None
         rng = random.Random(args.seed)
         if src_kind == "band" and lam is None:
             lam = rng.choice(_PARAMETER_POOL)

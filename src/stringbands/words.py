@@ -1,10 +1,11 @@
-"""Walks on a quiver, the gluing check, the flanked-occurrence engine and
-string tallies.
+"""Walks on a quiver, the string and gluing checks, the flanked-occurrence
+engine and string tallies.
 
-`glues` is the one check at a seam where two readings meet.  `flanked` is
-the one definition of an occurrence of a middle word with its two
-neighbours pointing the required ways; every substring and factorstring
-count, on strings here and on bands in `bands`, is a fold over it.
+`is_string`, and `glues`, the one check at a seam where two readings meet,
+are window tests on `AlgebraSpec.string_windows`.  `flanked` is the one
+definition of an occurrence of a middle word with its two neighbours
+pointing the required ways; every substring and factorstring count, on
+strings here and on bands in `bands`, is a fold over it.
 
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
@@ -155,53 +156,24 @@ def word_vertices(alg, word: Word) -> tuple[str, ...]:
     return tuple(verts)
 
 
-def _run_path(run: tuple[Letter, ...]) -> tuple[str, ...]:
-    # a directed run read as a path; inverse runs are paths of the reversed arrows
-    if run[0].inverted:
-        return tuple(l.arrow for l in reversed(run))
-    return tuple(l.arrow for l in run)
-
-
-def runs_avoid_ideal(alg, letters: tuple[Letter, ...]) -> bool:
-    """True iff no maximal directed run of letters, read as a path, lies in
-    the relation ideal."""
-    n, start = len(letters), 0
-    for i in range(1, n + 1):
-        if i == n or letters[i].inverted != letters[start].inverted:
-            if alg.path_in_ideal(_run_path(letters[start:i])):
-                return False
-            start = i
-    return True
+def _windows_hold(alg, letters: tuple[Letter, ...]) -> bool:
+    """Every window of min(R, n) of the n >= 1 letters is a string of
+    `AlgebraSpec.string_windows`; the caller checks the arrows."""
+    R, windows = alg.string_windows
+    k = min(R, len(letters))
+    return all(letters[i : i + k] in windows for i in range(len(letters) - k + 1))
 
 
 def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
     """The one gluing check, at the seam where left[-1] meets right[0]: the
-    pair composes, is reduced, and the directed run through the seam, the
-    maximal same-direction suffix of left joined to the maximal
-    same-direction prefix of right, avoids the ideal.
-
-    Every run of the glued word either lies inside one side or is the run
-    through the seam, and the ideal is monomial.  So for two strings,
-    left + right is a string exactly when they glue; `string_frontiers`
-    extends strings by this.  Readings of quasi-bands, and windows of one
-    that have mixed directions, have every directed stretch inside a
-    cyclic run of a quasi-band, so inside them nothing can fail; a cyclic
-    gluing of such parts has mixed directions itself and is a quasi-band
-    exactly when each of its seams glues.  That decides a quasi-band's own
-    seam (`bands.is_quasi_band`) and the witness gluings in `components`.
-    """
-    a, b = left[-1], right[0]
-    if letter_source(alg, a) != letter_target(alg, b):
-        return False
-    if a.inverted != b.inverted:
-        return a.arrow != b.arrow  # a letter next to its own inverse
-    i = len(left) - 1
-    while i > 0 and left[i - 1].inverted == a.inverted:
-        i -= 1
-    j = 1
-    while j < len(right) and right[j].inverted == a.inverted:
-        j += 1
-    return runs_avoid_ideal(alg, left[i:] + right[:j])
+    windows that cross it, those of left[-(R-1):] + right[:R-1], are strings.
+    Two strings glue exactly when left + right is a string, and a cyclic
+    gluing of quasi-band readings is a quasi-band exactly when each of its
+    seams glues.  Unknown arrows raise ParseError."""
+    R = alg.string_windows[0]
+    seam = left[-(R - 1) :] + right[: R - 1]
+    _check_arrows(alg, seam)
+    return _windows_hold(alg, seam)
 
 
 def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
@@ -219,16 +191,11 @@ def _check_word(alg, word: Word) -> None:
 
 
 def is_string(alg, word: Word) -> bool:
-    """Composable, reduced, and every directed run avoids the relation ideal.
-    A vertex or arrow alg lacks raises ParseError (_check_word)."""
+    """Every window of min(R, n) letters is a string (`AlgebraSpec.string_windows`);
+    a trivial word is one.  A vertex or arrow alg lacks raises ParseError
+    (_check_word)."""
     _check_word(alg, word)
-    letters = word.letters
-    for a, b in zip(letters, letters[1:]):
-        if letter_source(alg, a) != letter_target(alg, b):
-            return False
-        if a.arrow == b.arrow and a.inverted != b.inverted:
-            return False
-    return runs_avoid_ideal(alg, letters)
+    return word.is_trivial or _windows_hold(alg, word.letters)
 
 
 def concat(alg, left: Word, right: Word) -> Word:

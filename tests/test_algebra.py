@@ -4,18 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixture_algebras import ALL
 from stringbands import (
+    Letter,
     ParseError,
+    Word,
     format_word,
     gentle_vertices,
     is_gentle_algebra,
+    is_quasi_band,
+    is_string,
     is_member_monomial_ideal,
     parse_algebra,
     projective_word,
     validate_algebra,
 )
 from stringbands.algebra import _admissibility, _before
-from test_bands import monomial_quivers
+from stringbands.words import glues, letter_source, letter_target
+from strategies import monomial_quivers
 
 
 def test_fixture_algebras_are_valid(all_fixtures):
@@ -275,3 +281,111 @@ def _dfs_admissibility(spec):
 @given(monomial_quivers(max_relation_length=4))
 def test_the_peel_finds_the_bound_and_cycle_of_a_depth_first_search(spec):
     assert _admissibility(spec) == _dfs_admissibility(spec)
+
+
+# Reference copies of the string, seam and quasi-band checks as they stood
+# before AlgebraSpec.string_windows: the pairs first, then every maximal
+# directed run read as a path and scanned for a relation.
+
+
+def _ref_run_path(run):
+    if run[0].inverted:
+        return tuple(l.arrow for l in reversed(run))
+    return tuple(l.arrow for l in run)
+
+
+def _ref_runs_avoid_ideal(spec, letters):
+    n, start = len(letters), 0
+    for i in range(1, n + 1):
+        if i == n or letters[i].inverted != letters[start].inverted:
+            if _scan_path_in_ideal(spec, _ref_run_path(letters[start:i])):
+                return False
+            start = i
+    return True
+
+
+def _ref_is_string(spec, letters):
+    for a, b in zip(letters, letters[1:]):
+        if letter_source(spec, a) != letter_target(spec, b):
+            return False
+        if a.arrow == b.arrow and a.inverted != b.inverted:
+            return False
+    return _ref_runs_avoid_ideal(spec, letters)
+
+
+def _ref_glues(spec, left, right):
+    a, b = left[-1], right[0]
+    if letter_source(spec, a) != letter_target(spec, b):
+        return False
+    if a.inverted != b.inverted:
+        return a.arrow != b.arrow
+    i = len(left) - 1
+    while i > 0 and left[i - 1].inverted == a.inverted:
+        i -= 1
+    j = 1
+    while j < len(right) and right[j].inverted == a.inverted:
+        j += 1
+    return _ref_runs_avoid_ideal(spec, left[i:] + right[:j])
+
+
+def _ref_is_quasi_band(spec, ls):
+    return (
+        any(l.inverted != ls[0].inverted for l in ls)
+        and _ref_glues(spec, ls, ls)
+        and _ref_is_string(spec, ls)
+    )
+
+
+def _letters(spec):
+    return [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_string_windows_decide_strings_seams_and_quasi_bands(name):
+    spec = ALL[name]
+    R, windows = spec.string_windows
+    assert R == max(2, spec.max_relation_length)
+    strings = []
+    for n in range(1, R + 4):
+        for ls in product(_letters(spec), repeat=n):
+            ref = _ref_is_string(spec, ls)
+            assert is_string(spec, Word(None, ls)) == ref
+            assert is_quasi_band(spec, ls) == _ref_is_quasi_band(spec, ls)
+            if ref:
+                strings.append(ls)
+    assert windows == {ls for ls in strings if len(ls) <= R}
+    for left in strings:
+        for right in strings:
+            assert glues(spec, left, right) == _ref_glues(spec, left, right)
+    with pytest.raises(ParseError):
+        glues(spec, strings[0], (Letter("zz", False),))
+
+
+def _walk(data, spec, n):
+    """n letters; most steps continue a reduced walk, so that most draws
+    reach the run check and not only the pair one."""
+    letters = _letters(spec)
+    ls = [data.draw(st.sampled_from(letters))]
+    while len(ls) < n:
+        walk = [
+            l for l in letters
+            if letter_target(spec, l) == letter_source(spec, ls[-1]) and l != ls[-1].inv()
+        ]
+        free = data.draw(st.integers(0, 5)) == 0
+        ls.append(data.draw(st.sampled_from(letters if free or not walk else walk)))
+    return tuple(ls)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(monomial_quivers(max_relation_length=4), st.data())
+def test_string_windows_match_the_run_checks_on_random_quivers(spec, data):
+    R = spec.string_windows[0]
+    for _ in range(3):
+        ls = _walk(data, spec, data.draw(st.integers(1, 2 * (R + 3))))
+        assert is_string(spec, Word(None, ls)) == _ref_is_string(spec, ls)
+        assert is_quasi_band(spec, ls) == _ref_is_quasi_band(spec, ls)
+        # each split into two strings of at most R + 3 letters
+        for i in range(max(1, len(ls) - R - 3), min(len(ls), R + 4)):
+            left, right = ls[:i], ls[i:]
+            if _ref_is_string(spec, left) and _ref_is_string(spec, right):
+                assert glues(spec, left, right) == _ref_glues(spec, left, right)

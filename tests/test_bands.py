@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from strategies import monomial_quivers
 from stringbands import (
     AlgebraSpec,
     ArrowDecl,
@@ -273,29 +274,6 @@ def window_quasi_band(spec, ls):
         is_string(spec, Word(None, tuple(at(i + k) for k in range(w))))
         for i in range(1, m + 1)
     )
-
-
-@st.composite
-def monomial_quivers(draw, max_relation_length=3):
-    """At most 3 vertices, at most 4 arrows and relations of length 2 to
-    max_relation_length; not required to be a string algebra."""
-    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 3))))
-    arrows = tuple(
-        ArrowDecl(f"a{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
-        for i in range(draw(st.integers(1, 4)))
-    )
-    relations = []
-    for _ in range(draw(st.integers(0, 4))):
-        path = [draw(st.sampled_from(arrows))]
-        for _ in range(draw(st.integers(1, max_relation_length - 1))):
-            before = [a for a in arrows if a.target == path[-1].source]
-            if not before:
-                break
-            path.append(draw(st.sampled_from(before)))
-        rel = tuple(a.name for a in path)
-        if len(rel) >= 2 and rel not in relations:
-            relations.append(rel)
-    return AlgebraSpec(vertices, arrows, tuple(relations))
 
 
 @st.composite

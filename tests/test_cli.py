@@ -110,6 +110,23 @@ def test_hom_oracle_accepts_explicit_parameters():
     }
 
 
+@pytest.mark.parametrize("ends, given", [
+    (("--from", "band:a.b^-1", "--to", "string:a"), ("--mu", "2")),
+    (("--from", "string:a", "--to", "band:a.b^-1"), ("--lambda", "2")),
+])
+def test_hom_oracle_ignores_a_parameter_given_for_a_string(ends, given):
+    # the string's parameter is echoed in inputs, reported null in result,
+    # and leaves the band's draw as it is without it
+    argv = ("hom", KRON_FILE, *ends, "--oracle")
+    key = "mu" if given[0] == "--mu" else "lambda"
+    for seed in range(20):
+        plain = run_json(*argv, "--seed", str(seed))
+        doc = run_json(*argv, *given, "--seed", str(seed))
+        assert doc["result"] == plain["result"]
+        assert doc["result"][key] is None
+        assert doc["inputs"][key] == "2"
+
+
 def test_a_negative_fraction_parameter_is_given_with_an_equals_sign():
     # argparse reads a separate "-2/3" as an option, so the help names this form
     doc = run_json(
