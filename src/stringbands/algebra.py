@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import product, takewhile
+from itertools import takewhile
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidAlgebra, ParseError
@@ -24,6 +24,49 @@ class ArrowDecl(NamedTuple):
     name: str
     source: str
     target: str
+
+
+class StringWindows(dict):
+    """Maps a window, a word of 1 to R letters over known arrows, to whether
+    it is a string, where R = max(2, longest relation) is `length`.  A word
+    of n letters is a string exactly when each of its windows of min(R, n)
+    letters is one.
+
+    The pairs of a word lie inside its windows, and the ideal is monomial,
+    so any relation inside a directed run lies inside some R-letter window,
+    within one run of that window.  For a quasi-band of mixed directions
+    every run is shorter than the period, so every cyclic run lies inside
+    ``ls + ls[:R-1]``, its period ls read on.
+
+    A window is decided on its first lookup and kept with its prefixes, so
+    only what was asked is held: the strings of R letters can be
+    exponentially many in R.  A letter is a string; a longer window is one
+    when its prefix one letter shorter is and its last letter composes with
+    the one before, is not its inverse and ends a directed run that avoids
+    the ideal.
+    """
+
+    __slots__ = ("spec", "length")
+
+    def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
+        self.length = max(2, spec.max_relation_length)
+
+    def __missing__(self, window: tuple[Letter, ...]) -> bool:
+        # a string's prefixes are strings: decide the window's, shortest first
+        for j in range(1, len(window) + 1):
+            if (w := window[:j]) not in self:
+                self[w] = j == 1 or (self[w[:-1]] and self._last_letter_fits(w))
+        return self[window]
+
+    def _last_letter_fits(self, w: tuple[Letter, ...]) -> bool:
+        spec, l = self.spec, w[-1]
+        if letter_source(spec, w[-2]) != letter_target(spec, l) or l == w[-2].inv():
+            return False
+        # the run that l ends, read leftwards from l: an inverse run read so
+        # is its path, a plain run its path reversed
+        run = [l, *takewhile(lambda x: x.inverted == l.inverted, reversed(w[:-1]))]
+        return not spec.path_in_ideal([x.arrow for x in (run if l.inverted else run[::-1])])
 
 
 class AlgebraSpec(_Frozen):
@@ -134,39 +177,7 @@ class AlgebraSpec(_Frozen):
             for i in range(len(path) - len(rel) + 1)
         )
 
-    @cached_property
-    def string_windows(self) -> tuple[int, frozenset[tuple[Letter, ...]]]:
-        """R = max(2, longest relation) and the set of every string of 1 to R
-        letters.  A word of n letters is a string exactly when each of its
-        windows of min(R, n) letters is in the set.
-
-        The pairs of a word lie inside its windows, and the ideal is
-        monomial, so any relation inside a directed run lies inside some
-        R-letter window, within one run of that window.  For a quasi-band of
-        mixed directions every run is shorter than the period, so every
-        cyclic run lies inside ``ls + ls[:R-1]``, its period ls read on.
-
-        Built letter by letter: a string followed by a letter that composes
-        with its last one and is not its inverse is a string unless the
-        directed run that the new letter ends lies in the ideal.
-        """
-        R = max(2, self.max_relation_length)
-        singles = [Letter(a, inv) for a in self.arrow_names for inv in (False, True)]
-        level = [(l,) for l in singles]
-        windows = set(level)
-        for _ in range(R - 1):
-            grown = []
-            for w, l in product(level, singles):
-                if letter_source(self, w[-1]) != letter_target(self, l) or l == w[-1].inv():
-                    continue
-                # the run that l ends, read leftwards from l: an inverse run
-                # read so is its path, a plain run its path reversed
-                run = [l, *takewhile(lambda x: x.inverted == l.inverted, reversed(w))]
-                if not self.path_in_ideal([x.arrow for x in (run if l.inverted else run[::-1])]):
-                    grown.append(w + (l,))
-            level = grown
-            windows.update(level)
-        return R, frozenset(windows)
+    string_windows = cached_property(StringWindows)
 
 
 def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:

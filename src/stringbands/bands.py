@@ -108,7 +108,7 @@ def is_quasi_band(spec, letters) -> bool:
     if not ls:
         raise NotQuasiBand("empty cyclic word")
     _check_arrows(spec, ls)
-    R = spec.string_windows[0]
+    R = spec.string_windows.length
     mixed = any(l.inverted != ls[0].inverted for l in ls)
     return mixed and _windows_hold(spec, ls + ls[: R - 1])
 

@@ -157,11 +157,11 @@ def word_vertices(alg, word: Word) -> tuple[str, ...]:
 
 
 def _windows_hold(alg, letters: tuple[Letter, ...]) -> bool:
-    """Every window of min(R, n) of the n >= 1 letters is a string of
+    """Every window of min(R, n) of the n >= 1 letters is a string, by
     `AlgebraSpec.string_windows`; the caller checks the arrows."""
-    R, windows = alg.string_windows
-    k = min(R, len(letters))
-    return all(letters[i : i + k] in windows for i in range(len(letters) - k + 1))
+    windows = alg.string_windows
+    k = min(windows.length, len(letters))
+    return all(windows[letters[i : i + k]] for i in range(len(letters) - k + 1))
 
 
 def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
@@ -169,11 +169,9 @@ def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
     windows that cross it, those of left[-(R-1):] + right[:R-1], are strings.
     Two strings glue exactly when left + right is a string, and a cyclic
     gluing of quasi-band readings is a quasi-band exactly when each of its
-    seams glues.  Unknown arrows raise ParseError."""
-    R = alg.string_windows[0]
-    seam = left[-(R - 1) :] + right[: R - 1]
-    _check_arrows(alg, seam)
-    return _windows_hold(alg, seam)
+    seams glues.  The caller checks the arrows."""
+    R = alg.string_windows.length
+    return _windows_hold(alg, left[-(R - 1) :] + right[: R - 1])
 
 
 def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:

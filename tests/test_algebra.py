@@ -9,6 +9,7 @@ from stringbands import (
     Letter,
     ParseError,
     Word,
+    enumerate_strings,
     format_word,
     gentle_vertices,
     is_gentle_algebra,
@@ -343,7 +344,7 @@ def _letters(spec):
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_string_windows_decide_strings_seams_and_quasi_bands(name):
     spec = ALL[name]
-    R, windows = spec.string_windows
+    R = spec.string_windows.length
     assert R == max(2, spec.max_relation_length)
     strings = []
     for n in range(1, R + 4):
@@ -353,12 +354,36 @@ def test_string_windows_decide_strings_seams_and_quasi_bands(name):
             assert is_quasi_band(spec, ls) == _ref_is_quasi_band(spec, ls)
             if ref:
                 strings.append(ls)
-    assert windows == {ls for ls in strings if len(ls) <= R}
+    # every letter sequence of at most R letters was looked up, and only those
+    assert dict(spec.string_windows) == {
+        ls: _ref_is_string(spec, ls)
+        for n in range(1, R + 1)
+        for ls in product(_letters(spec), repeat=n)
+    }
     for left in strings:
         for right in strings:
             assert glues(spec, left, right) == _ref_glues(spec, left, right)
-    with pytest.raises(ParseError):
-        glues(spec, strings[0], (Letter("zz", False),))
+
+
+def test_string_windows_hold_only_the_windows_looked_up():
+    # two loops with a^20, b^20, a.b and b.a: strings alternate a-runs with
+    # B-runs or b-runs with A-runs, so there are 2^(n+1) of n < 20 letters,
+    # and a set of every window of 20 letters would hold millions
+    text = "vertex u\narrow a : u -> u\narrow b : u -> u\n"
+    text += "".join(f"relation {'.'.join(x * 20)}\n" for x in "ab") + "relation a.b\nrelation b.a\n"
+    spec = parse_algebra(text)
+    assert validate_algebra(spec).valid
+    windows = spec.string_windows
+    assert windows.length == 20
+    assert len(enumerate_strings(spec, 3)) == 1 + 2 + 4 + 8
+    # the letters, then each string of 1 and of 2 letters followed by a letter
+    assert len(windows) == 4 + 4 * 4 + 8 * 4
+    a, B = Letter("a", False), Letter("b", True)
+    for ls in [(a,) * 19, (a,) * 20, (a,) * 19 + (B,), (B,) + (a,) * 20 + (B,)]:
+        assert is_string(spec, Word(None, ls)) == _ref_is_string(spec, ls)
+    assert is_quasi_band(spec, (a,) * 19 + (B,) * 19)
+    assert not is_quasi_band(spec, (a,) * 20 + (B,))
+    assert all(0 < len(w) <= 20 and ok == _ref_is_string(spec, w) for w, ok in windows.items())
 
 
 def _walk(data, spec, n):
@@ -379,7 +404,7 @@ def _walk(data, spec, n):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(monomial_quivers(max_relation_length=4), st.data())
 def test_string_windows_match_the_run_checks_on_random_quivers(spec, data):
-    R = spec.string_windows[0]
+    R = spec.string_windows.length
     for _ in range(3):
         ls = _walk(data, spec, data.draw(st.integers(1, 2 * (R + 3))))
         assert is_string(spec, Word(None, ls)) == _ref_is_string(spec, ls)
@@ -389,3 +414,7 @@ def test_string_windows_match_the_run_checks_on_random_quivers(spec, data):
             left, right = ls[:i], ls[i:]
             if _ref_is_string(spec, left) and _ref_is_string(spec, right):
                 assert glues(spec, left, right) == _ref_glues(spec, left, right)
+    assert all(
+        0 < len(w) <= R and ok == _ref_is_string(spec, w)
+        for w, ok in spec.string_windows.items()
+    )
