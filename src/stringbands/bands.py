@@ -2,7 +2,8 @@
 occurrence counts (parti, sub, fac) that drive every hom formula.
 
 The sub and fac counts are band tallies: folds over `words.flanked` read
-cyclically, the same occurrence definition that strings use.
+cyclically, the same occurrence definition that strings use, one cached
+scan per band, side and cap.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -185,39 +186,17 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _bucket_tally(spec, letters: tuple[Letter, ...], left_inverted: bool, cap: int):
-    return tally(spec, letters, left_inverted, cap, cyclic=True)
-
-
-def _band_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[Word, int]:
-    """The cyclic tally of middles of length <= max_len, restricted from one
-    cached scan at the next power of two, so every cap of a bucket shares
-    one scan.
-
-    The restriction is exact.  A cyclic reading gives every start both
-    neighbours, so whether a middle of length l is flanked at a start does
-    not depend on the cap, and the occurrences of length <= k at any cap
-    K >= k are exactly those at cap k.  They are met in the same order of
-    start and length, so the restriction equals the tally at cap k,
-    insertion order included.
-    """
-    cap = 1 << max(max_len - 1, 0).bit_length()
-    scan = _bucket_tally(spec, _as_letters(qb), left_inverted, cap)
-    return {d: n for d, n in scan.items() if len(d) <= max_len}
-
-
-@lru_cache(maxsize=None)
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
     """sub counts of every canonical word of length <= max_len.
 
     Cached; treat the returned mapping as read-only.
     """
-    return _band_tally(spec, qb, True, max_len)
+    return tally(spec, _as_letters(qb), True, max_len, cyclic=True)
 
 
 @lru_cache(maxsize=None)
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    return _band_tally(spec, qb, False, max_len)
+    return tally(spec, _as_letters(qb), False, max_len, cyclic=True)
 
 
 def sub_counts(spec, c: Word, qb) -> int:
@@ -237,15 +216,15 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     out: list[BandClass] = []
     for _, frontier in zip(range(max_len), string_frontiers(spec)):
-        found: dict = {}
+        # a frontier is in letter order and holds every rotation of a band,
+        # so each class is kept once, where its canonical form comes up
         for w in frontier:
             try:
                 cls = canonical_class(spec, w.letters)
             except (NotQuasiBand, NotBand):
                 continue
-            key = tuple(spec.letter_key(l) for l in cls.letters)
-            found.setdefault(key, cls)
-        out.extend(found[k] for k in sorted(found))
+            if cls.letters == w.letters:
+                out.append(cls)
     return out
 
 
@@ -254,8 +233,11 @@ def band_dimension(qb) -> int:
 
 
 def dimension_vector(spec, qb) -> dict[str, int]:
-    """How many basis vectors sit at each vertex u: letters with source u."""
+    """How many basis vectors sit at each vertex u: letters with source u.
+    Unknown arrows raise ParseError."""
+    ls = _as_letters(qb)
+    _check_arrows(spec, ls)
     vec = {v: 0 for v in spec.vertices}
-    for l in _as_letters(qb):
+    for l in ls:
         vec[letter_source(spec, l)] += 1
     return vec

@@ -6,7 +6,7 @@ side.  Summing over representatives rather than over all words is what keeps
 endomorphism counts honest; both tallies already absorb the two orientations
 of d.  Every count is a fold over `words.flanked`, the one occurrence
 definition, so the four formulas are one pairing of a fac tally with a sub
-tally.
+tally; a band tally is read at a power-of-two cap (`_scan_cap`).
 """
 
 from __future__ import annotations
@@ -61,27 +61,39 @@ def hom_string_string(spec, c: Word, cp: Word) -> int:
     return _pair(string_fac_tally(spec, c), string_sub_tally(spec, cp))
 
 
+def _scan_cap(n: int) -> int:
+    """The least power of two >= n, the cap a pairing reads a band at, so
+    that caps in one bucket share one cached scan.  The longer middles the
+    scan holds never pair: a string tally has no key longer than its string,
+    and `hom_band_band` says why two band scans share none."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    return _pair(band_fac_tally(spec, B.canonical, len(c)), string_sub_tally(spec, c))
+    return _pair(band_fac_tally(spec, B.canonical, _scan_cap(len(c))), string_sub_tally(spec, c))
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, len(c)))
+    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, _scan_cap(len(c))))
 
 
 def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:
     """dim Hom(M(b,m,lambda), M(c,n,mu)).
 
     same_module adds the identity's contribution and is legal only for equal
-    classes (equal parameters are implied).  The sum over d is truncated at
-    2(m+n); any common occurrence longer than that would force the two
-    primitive periods to align, which cannot happen.
+    classes (equal parameters are implied).  Both scans reach 2(m+n), past
+    every common middle.  Two distinct classes share no flanked middle of
+    length >= m+n: by the Fine-Wilf lemma it would have period gcd(m, n),
+    so the two primitive periods would be one class.  A class shares none
+    of length >= m with itself: such a middle fixes both its neighbours, as
+    no band is a proper power or a rotation of its own inverse, and no
+    neighbours flank a middle for fac and for sub at once.
     """
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
-    cap = 2 * (B.period + C.period)
+    cap = _scan_cap(2 * (B.period + C.period))
     facs = band_fac_tally(spec, B.canonical, cap)
     subs = band_sub_tally(spec, C.canonical, cap)
     total = _pair(facs, subs)

@@ -283,23 +283,29 @@ def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
 
 @lru_cache(maxsize=None)
 def string_sub_tally(alg, c: Word) -> dict[Word, int]:
-    """sub(d, c) for every canonical d at once.  Cached; treat the returned
+    """sub(d, c) for every canonical d at once; a word that is not a string
+    raises NotAString.  Cached, so c is checked once; treat the returned
     mapping as read-only."""
+    if not is_string(alg, c):
+        raise NotAString(format_word(c))
     return _string_tally(alg, c, left_inverted=True)
 
 
 @lru_cache(maxsize=None)
 def string_fac_tally(alg, c: Word) -> dict[Word, int]:
-    """fac(d, c) for every canonical d at once.  Cached; read-only."""
+    """fac(d, c) for every canonical d at once, as `string_sub_tally`."""
+    if not is_string(alg, c):
+        raise NotAString(format_word(c))
     return _string_tally(alg, c, left_inverted=False)
 
 
 def count_sub(alg, d: Word, c: Word) -> int:
-    return tally_count(string_sub_tally(alg, c), d)
+    """sub(d, c) on any reduced word c, a string or not; uncached."""
+    return tally_count(_string_tally(alg, c, left_inverted=True), d)
 
 
 def count_fac(alg, d: Word, c: Word) -> int:
-    return tally_count(string_fac_tally(alg, c), d)
+    return tally_count(_string_tally(alg, c, left_inverted=False), d)
 
 
 def word_key(alg, word: Word):
@@ -335,9 +341,10 @@ def string_frontiers(alg):
     """Yield, for lengths 1, 2, ..., the list of every string of that length
     (both readings of each), until a length has none.
 
-    Each list extends the previous one by one letter on the right, in
-    declaration order, so the order is fixed for a fixed algebra.  A string
-    extended by one letter is a string exactly when the two glue (`glues`).
+    Each list extends the previous one by one letter on the right, and the
+    one-letter strings come in `letter_key` order, so every list is in
+    lexicographic `letter_key` order.  A string extended by one letter is a
+    string exactly when the two glue (`glues`).
     """
     singles = [(Letter(a, inv),) for a in alg.arrow_names for inv in (False, True)]
     frontier = [Word(None, l) for l in singles if is_string(alg, Word(None, l))]
@@ -361,12 +368,8 @@ def iter_strings(alg, max_len: int):
     for v in alg.vertices:
         yield trivial_word(v)
     for _, frontier in zip(range(max_len), string_frontiers(alg)):
-        reps = {}
-        for w in frontier:
-            cw = _canonical(alg, w)
-            reps.setdefault(word_key(alg, cw), cw)
-        for k in sorted(reps):
-            yield reps[k]
+        # a frontier is in letter order and holds both readings of a string
+        yield from (w for w in frontier if _canonical(alg, w) is w)
 
 
 def enumerate_strings(alg, max_len: int) -> list[Word]:

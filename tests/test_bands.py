@@ -218,6 +218,8 @@ def test_dimensions():
     L = canonical_class(LOOP, parse_word("x.a^-1.y.a"))
     assert band_dimension(L) == 4
     assert dimension_vector(LOOP, L) == {"1": 2, "2": 2}
+    with pytest.raises(ParseError, match="unknown arrow 'z'"):
+        dimension_vector(GP33, parse_word("a.z^-1"))
 
 
 ALL_CLASSES = [
@@ -542,9 +544,8 @@ def test_flanked_folds_match_the_old_counters(spec, data):
         assert count_sub(spec, d, c) == len(_triples(spec, d, c, True))
         assert count_fac(spec, d, c) == len(_triples(spec, d, c, False))
     band = QuasiBand(ls)
-    # descending caps, so a cap is also served by restricting a scan that a
-    # larger cap of its power-of-two bucket made; 0 and caps off the powers
-    # of two included
+    # each cap is its own cached scan; 0, caps off the powers of two and
+    # caps past the period included
     drawn = data.draw(st.integers(0, 2 * m + 3))
     for cap in sorted({0, 1, 3, m, m + 1, drawn, 2 * m + 3}, reverse=True):
         windows = [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fixture_algebras import GP22, GP33, KRON, LOOP
 from stringbands import (
     DimensionMismatch,
+    NotAString,
     SameModuleMismatch,
     band_fac_tally,
     band_sub_tally,
@@ -25,6 +26,8 @@ from stringbands import (
     parse_word,
     realize_band,
     realize_string,
+    string_fac_tally,
+    string_sub_tally,
 )
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
 from stringbands.words import trivial_word
@@ -40,6 +43,10 @@ def test_string_string_counts():
     assert hom_string_string(GP22, a, parse_word("b")) == 1
     assert hom_string_string(GP33, a, a) == 2
     assert hom_string_string(GP33, parse_word("a.a"), a) == 2
+    # a word that is not a string is refused, not counted
+    for w in ("a.a.a", "a.a^-1"):
+        with pytest.raises(NotAString):
+            hom_string_string(GP33, parse_word(w), parse_word(w))
 
 
 def test_band_string_counts():
@@ -64,7 +71,8 @@ def test_band_band_counts():
 
 
 def test_band_band_count_is_stable_under_longer_caps():
-    # doubling the 2(m+n) cap on the middle words adds no term
+    # doubling the 2(m+n) cap on the middle words adds no term, and a band
+    # read past the length of a string adds none against it
     for spec in (GP22, GP33, KRON, LOOP):
         classes = enumerate_bands(spec, 4)
         for B in classes:
@@ -74,6 +82,12 @@ def test_band_band_count_is_stable_under_longer_caps():
                     band_fac_tally(spec, B.canonical, cap), band_sub_tally(spec, C.canonical, cap)
                 )
                 assert longer == hom_band_band(spec, B, C)
+            for c in enumerate_strings(spec, 4):
+                cap = 2 * len(c) + 3
+                into = _pair(band_fac_tally(spec, B.canonical, cap), string_sub_tally(spec, c))
+                assert into == hom_band_string(spec, B, c)
+                out = _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, cap))
+                assert out == hom_string_band(spec, c, B)
 
 
 def test_sequence_counts_add_up():
