@@ -179,6 +179,11 @@ class AlgebraSpec(_Frozen):
 
     string_windows = cached_property(StringWindows)
 
+    @cached_property
+    def kept(self) -> dict:
+        """What `words.keep` computed for this object; not in its value, so copies start empty."""
+        return {}
+
 
 def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:
     """Ideal membership for a path given as a sequence of arrow names."""

@@ -2,8 +2,8 @@
 occurrence counts (parti, sub, fac) that drive every hom formula.
 
 The sub and fac counts are band tallies: folds over `words.flanked` read
-cyclically, the same occurrence definition that strings use, one cached
-scan per band, side and cap.
+cyclically, the same occurrence definition that strings use, one scan per
+letter tuple, side and power-of-two cap (`_scan_cap`), kept on the algebra.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -13,8 +13,6 @@ right, matching the composition order of finite words.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import NotBand, NotQuasiBand, TrivialWord
 from .words import (
@@ -26,6 +24,7 @@ from .words import (
     format_word,
     inverse,
     inverse_letters,
+    keep,
     letter_source,
     string_frontiers,
     tally,
@@ -57,18 +56,15 @@ class QuasiBand(_Frozen):
 
 class BandClass(_Frozen):
     """A band up to rotation and inverse-reversal, held in canonical form.
-    Like _hash, _spec (set by `canonical_class`), _members (by `class_members`)
-    and the witness answers for _spec, _negligible (a 1-tuple) and _extensions
-    (a dict by partner class), are not fields: copies and pickles lose them."""
+    A plain value: what is known about it for an algebra is kept on the
+    algebra (`AlgebraSpec.kept`), keyed by the class."""
 
-    __slots__ = ("canonical", "_hash", "_spec", "_members", "_negligible", "_extensions")
+    __slots__ = ("canonical", "_hash")
     _fields = ("canonical",)
 
     def __init__(self, canonical: QuasiBand):
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_hash", hash((canonical,)))
-        for slot in ("_spec", "_members", "_negligible", "_extensions"):
-            object.__setattr__(self, slot, None)
 
     @property
     def period(self) -> int:
@@ -138,11 +134,11 @@ def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
 def canonical_class(spec, letters) -> BandClass:
     """Lexicographically least among the 2m rotations of the word and of
     its inverse-reversal, under the declaration-order letter key; ties go
-    to the first in `_rotations` order.  A class this function built for
-    this spec object is returned as it is; any other input, a copied or
-    unpickled class included, is checked by `is_band` and canonicalised."""
-    if isinstance(letters, BandClass) and letters._spec is spec:
-        return letters
+    to the first in `_rotations` order.  Each class built for this spec
+    object is kept under itself in spec.kept and answers any equal class;
+    any other input is checked by `is_band` and canonicalised."""
+    if isinstance(letters, BandClass) and (cls := spec.kept.get(letters)) is not None:
+        return cls
     ls = _as_letters(letters)
     if not is_band(spec, ls):
         raise NotBand(f"{_fmt(ls)} is a proper power")
@@ -152,22 +148,18 @@ def canonical_class(spec, letters) -> BandClass:
     keys = (tuple(map(spec.letter_key, rots[0])), tuple(map(spec.letter_key, rots[m])))
     best = min(range(2 * m), key=lambda i: keys[i // m][i % m :] + keys[i // m][: i % m])
     cls = BandClass(QuasiBand(rots[best]))
-    object.__setattr__(cls, "_spec", spec)
-    return cls
+    return spec.kept.setdefault(cls, cls)
 
 
 def are_equivalent(spec, b, bp) -> bool:
     return canonical_class(spec, b) == canonical_class(spec, bp)
 
 
+@keep
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     """All distinct rotations of the class, canonical ones first, then the
-    rotations of the inverse-reversal.  Witness searches iterate this order.
-    Built on the first call and kept on B."""
-    if B._members is None:
-        members = tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
-        object.__setattr__(B, "_members", members)
-    return B._members
+    rotations of the inverse-reversal.  Witness searches iterate this order."""
+    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
@@ -185,28 +177,33 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     return occ(c.letters), occ(inverse(c).letters)
 
 
-@lru_cache(maxsize=None)
+@keep
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    """sub counts of every canonical word of length <= max_len.
-
-    Cached; treat the returned mapping as read-only.
-    """
+    """sub counts of every canonical word of length <= max_len, kept per qb
+    as passed; the package passes the letter tuple at a `_scan_cap`."""
     return tally(spec, _as_letters(qb), True, max_len, cyclic=True)
 
 
-@lru_cache(maxsize=None)
+@keep
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
     return tally(spec, _as_letters(qb), False, max_len, cyclic=True)
+
+
+def _scan_cap(n: int) -> int:
+    """The least power of two >= n: every band tally is read at one, so caps
+    in a bucket share a scan.  Its longer middles never pair: a string tally
+    has no longer key, and `hom.hom_band_band` says why two bands share none."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def sub_counts(spec, c: Word, qb) -> int:
     """Cyclic positions with an inverse letter, then l(c) letters spelling c
     or its inverse, then a plain arrow."""
-    return tally_count(band_sub_tally(spec, qb, len(c)), c)
+    return tally_count(band_sub_tally(spec, _as_letters(qb), _scan_cap(len(c))), c)
 
 
 def fac_counts(spec, c: Word, qb) -> int:
-    return tally_count(band_fac_tally(spec, qb, len(c)), c)
+    return tally_count(band_fac_tally(spec, _as_letters(qb), _scan_cap(len(c))), c)
 
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:

@@ -3,7 +3,7 @@ band sequence, the dimension formula, and the degeneration rewrites.
 
 Witness searches are deterministic (rotations in class-member order, canonical
 ones first; split positions and segment lengths ascending; first witness wins),
-and a class that `canonical_class` built for the spec keeps each answer.
+and the algebra object keeps each answer (`words.keep`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .words import (
     inverse,
     inverse_letters,
     is_string,
+    keep,
     letter_target,
     trivial_word,
     word_key,
@@ -136,25 +137,13 @@ def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[Extenda
     return ExtendabilityWitness(rot_b, rot_c, *fork, QuasiBand(c_ls + b_ls))
 
 
+@keep
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
-    if B._spec is spec and B._extensions is None:
-        object.__setattr__(B, "_extensions", {})
-    kept = B._extensions if B._spec is spec else {}
-    return kept[C] if C in kept else kept.setdefault(C, _search_extension(spec, B, C))
-
-
-def _search_extension(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
+    b_rots = (r for r in class_members(spec, B) if r.letters[-1].inverted)
     c_rots = [r for r in class_members(spec, C) if not r.letters[-1].inverted]
-    for rot_b in class_members(spec, B):
-        if not rot_b.letters[-1].inverted:
-            continue
-        for rot_c in c_rots:
-            wit = _try_extension(spec, rot_b, rot_c)
-            if wit is not None:
-                return wit
-    return None
+    return next(filter(None, (_try_extension(spec, b, c) for b in b_rots for c in c_rots)), None)
 
 
 def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
@@ -226,9 +215,8 @@ def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
     return None
 
 
+@keep
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
-    if B._spec is spec and B._negligible is not None:
-        return B._negligible[0]
     members = class_members(spec, B)
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
@@ -239,10 +227,7 @@ def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
         for n in range(1, rot.period)
     )
     case2 = (_case2_at(spec, rot) for rot in members)
-    wit = next(filter(None, chain(case1, case2)), None)
-    if B._spec is spec:
-        object.__setattr__(B, "_negligible", (wit,))
-    return wit
+    return next(filter(None, chain(case1, case2)), None)
 
 
 def negligible(spec, B) -> Optional[NegligibilityWitness]:

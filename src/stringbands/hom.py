@@ -6,7 +6,7 @@ side.  Summing over representatives rather than over all words is what keeps
 endomorphism counts honest; both tallies already absorb the two orientations
 of d.  Every count is a fold over `words.flanked`, the one occurrence
 definition, so the four formulas are one pairing of a fac tally with a sub
-tally; a band tally is read at a power-of-two cap (`_scan_cap`).
+tally; a band tally is read by its letter tuple at a `bands._scan_cap`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .bands import (
     BandClass,
+    _scan_cap,
     band_fac_tally,
     band_sub_tally,
     canonical_class,
@@ -61,22 +62,14 @@ def hom_string_string(spec, c: Word, cp: Word) -> int:
     return _pair(string_fac_tally(spec, c), string_sub_tally(spec, cp))
 
 
-def _scan_cap(n: int) -> int:
-    """The least power of two >= n, the cap a pairing reads a band at, so
-    that caps in one bucket share one cached scan.  The longer middles the
-    scan holds never pair: a string tally has no key longer than its string,
-    and `hom_band_band` says why two band scans share none."""
-    return 1 << max(n - 1, 0).bit_length()
-
-
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    return _pair(band_fac_tally(spec, B.canonical, _scan_cap(len(c))), string_sub_tally(spec, c))
+    return _pair(band_fac_tally(spec, B.canonical.letters, _scan_cap(len(c))), string_sub_tally(spec, c))
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, _scan_cap(len(c))))
+    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical.letters, _scan_cap(len(c))))
 
 
 def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:
@@ -94,8 +87,8 @@ def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
     cap = _scan_cap(2 * (B.period + C.period))
-    facs = band_fac_tally(spec, B.canonical, cap)
-    subs = band_sub_tally(spec, C.canonical, cap)
+    facs = band_fac_tally(spec, B.canonical.letters, cap)
+    subs = band_sub_tally(spec, C.canonical.letters, cap)
     total = _pair(facs, subs)
     return total + 1 if same_module else total
 

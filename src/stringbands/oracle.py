@@ -22,6 +22,8 @@ which eliminates an integer row against the gcd-normalised pivot rows found
 so far: a rank is the number of pivots, and a kernel is read off the same
 echelon form by back-substitution.  The syzygy's cover map is graded, so its
 one echelon form gives both the surjectivity check and the kernel, read vertex by vertex.
+Realizations are kept on their algebra (`words.keep`); dim_hom and syzygy,
+keyed by modules, are the package's two module-level caches.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -46,6 +48,7 @@ from .words import (
     _Frozen,
     format_word,
     is_string,
+    keep,
     left_divisors,
     letter_source,
     word_vertices,
@@ -195,7 +198,7 @@ def _validate(mod: MatrixModule) -> None:
             raise ValueError(f"relation {'.'.join(rel)} does not vanish")
 
 
-@lru_cache(maxsize=None)
+@keep
 def realize_string(spec, c: Word) -> MatrixModule:
     """Module on the left divisors of c, arrows sliding along the walk."""
     if not isinstance(c, Word) or not is_string(spec, c):
@@ -211,15 +214,15 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     """Module on e0..e(m-1) with the parameter on the seam crossing.
 
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
-    canonical rotation.
+    canonical rotation.  A float lam raises TypeError: Fraction(0.1) is not 1/10.
     """
+    if isinstance(lam, float):
+        raise TypeError(f"band parameter must be exact, not the float {lam!r}")
     return _realize_band(spec, _as_letters(qb), Fraction(lam))
 
 
-@lru_cache(maxsize=None)
+@keep
 def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
-    # the input is checked here, once per distinct key; a call that raises
-    # leaves nothing in the cache, so every bad call raises again
     if lam == 0:
         raise ZeroParameter("band parameter must be nonzero")
     if not is_quasi_band(spec, letters):

@@ -17,7 +17,7 @@ the target is t(a1).  "Starts with" refers to the rightmost letter and
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import wraps
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -274,6 +274,23 @@ def tally_count(counts: dict[Word, int], d: Word) -> int:
     return counts.get(d) or counts.get(inverse(d), 0)
 
 
+def keep(fn):
+    """fn(alg, *args), computed once per algebra object and kept, to be read
+    only, in alg.kept[the kept function][args].  A call that raises keeps
+    nothing; equal algebras that are other objects share nothing."""
+
+    @wraps(fn)
+    def kept(alg, *args):
+        try:
+            return alg.kept[kept][args]
+        except KeyError:
+            pass
+        value = fn(alg, *args)
+        return alg.kept.setdefault(kept, {}).setdefault(args, value)
+
+    return kept
+
+
 def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
     if c.is_trivial:
         _check_word(alg, c)
@@ -281,17 +298,16 @@ def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
     return tally(alg, c.letters, left_inverted, len(c))
 
 
-@lru_cache(maxsize=None)
+@keep
 def string_sub_tally(alg, c: Word) -> dict[Word, int]:
     """sub(d, c) for every canonical d at once; a word that is not a string
-    raises NotAString.  Cached, so c is checked once; treat the returned
-    mapping as read-only."""
+    raises NotAString.  Kept, so c is checked once."""
     if not is_string(alg, c):
         raise NotAString(format_word(c))
     return _string_tally(alg, c, left_inverted=True)
 
 
-@lru_cache(maxsize=None)
+@keep
 def string_fac_tally(alg, c: Word) -> dict[Word, int]:
     """fac(d, c) for every canonical d at once, as `string_sub_tally`."""
     if not is_string(alg, c):

@@ -1,7 +1,7 @@
 """Shared test algebras, loaded once from the fixture files.
 
-AlgebraSpec instances compare by value, so reloading elsewhere reuses the
-same operation caches.
+AlgebraSpec instances compare by value, but each object keeps its own
+answers (`AlgebraSpec.kept`), so a reloaded or copied algebra starts with none.
 """
 
 from pathlib import Path

@@ -34,6 +34,7 @@ from stringbands import (
     extendable,
     fac_counts,
     format_word,
+    hom_string_band,
     inverse,
     is_band,
     is_quasi_band,
@@ -209,6 +210,21 @@ def test_tallies_agree_with_single_counts():
         assert sub_counts(GP33, w, B4) == n
     for w, n in facs.items():
         assert fac_counts(GP33, w, B4) == n
+
+
+def test_one_band_scan_per_cyclic_word_and_bucket():
+    # sub_counts and hom read a band tally by its letter tuple at the
+    # power-of-two cap at or above len(c): caps 1, 2, 4 and 8 serve every
+    # string of length <= 6, whichever way the class is spelled
+    spec = copy.copy(GP33)
+    B = canonical_class(spec, parse_word("a.a.b^-1.b^-1"))
+    strings = enumerate_strings(spec, 6)
+    for qb in (B, B.canonical, B.letters):
+        for c in strings:
+            sub_counts(spec, c, qb)
+            hom_string_band(spec, c, B)
+    scans = sorted(spec.kept[band_sub_tally], key=lambda args: args[1])
+    assert scans == [(B.letters, cap) for cap in (1, 2, 4, 8)]
 
 
 def test_dimensions():

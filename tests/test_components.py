@@ -1,6 +1,8 @@
 import copy
+import gc
 import hashlib
 import pickle
+import weakref
 
 import pytest
 
@@ -31,11 +33,17 @@ from stringbands import (
     extendable_quadratic,
     find_separating_string,
     format_word,
+    hom_band_band,
+    hom_band_string,
+    hom_string_band,
+    hom_string_string,
     iter_strings,
     make_sequence,
     negligible,
     negligible_quadratic,
     parse_word,
+    realize_band,
+    realize_string,
     reverse_piece,
     split_band,
 )
@@ -327,11 +335,17 @@ def _verdict_line(name, seq, verdict):
 VERDICTS_SHA256 = "0ac628feafa1e0db2e85af54ef645dad50bd247ea1986b33547f77957a636803"
 
 
+def _kept(spec, search, *args):
+    """Whether spec keeps the answer of components.<search>(spec, *args)."""
+    return args in spec.kept.get(getattr(components, search), {})
+
+
 @pytest.mark.parametrize("order", ["forward", "reverse", "swapped first"])
 def test_kept_answers_equal_a_fresh_search_in_any_call_order(order):
     lines = []
-    for name, spec in ALL.items():
-        # enumerate_bands builds new classes, so nothing is kept on them yet
+    for name, fixture in ALL.items():
+        # a copy of the fixture is another object, so it keeps nothing yet
+        spec = copy.copy(fixture)
         classes = enumerate_bands(spec, 6)
         kept_neg, kept_ext = {}, {}
         for B, C in _call_orders(classes)[order]:
@@ -340,77 +354,119 @@ def test_kept_answers_equal_a_fresh_search_in_any_call_order(order):
             lines.append(_verdict_line(name, (B, C), decide_component(spec, [B, C])))
         for B in classes[::-1] if order == "reverse" else classes:
             lines.append(_verdict_line(name, (B,), decide_component(spec, [B])))
-        # a copy arrives with nothing kept, so it is searched afresh
+        # an equal algebra that is another object keeps nothing of spec's, so
+        # it searches afresh
+        fresh = copy.copy(spec)
         for B in classes:
-            assert B._negligible is not None and len(B._extensions) == len(classes)
-            assert kept_neg[B] == negligible(spec, B) == negligible(spec, copy.copy(B))
+            assert _kept(spec, "_negligible", B)
+            assert all(_kept(spec, "_extendable", B, C) for C in classes)
+            assert not _kept(fresh, "_negligible", B)
+            assert kept_neg[B] == negligible(spec, B) == negligible(fresh, B)
             for C in classes:
-                fresh = extendable(spec, copy.copy(B), copy.copy(C))
-                assert kept_ext[B, C] == extendable(spec, B, C) == fresh
+                assert kept_ext[B, C] == extendable(spec, B, C) == extendable(fresh, B, C)
     # the swapped-first order asks each self pair twice
     digest = hashlib.sha256("\n".join(sorted(set(lines))).encode()).hexdigest()
     assert digest == VERDICTS_SHA256
 
 
 def test_kept_answers_leave_the_class_value_unchanged():
-    for spec in ALL.values():
+    assert BandClass.__slots__ == ("canonical", "_hash")
+    for fixture in ALL.values():
+        spec = copy.copy(fixture)
         classes = enumerate_bands(spec, 6)
         before = [(copy.copy(B), hash(B), repr(B), pickle.dumps(B)) for B in classes]
+        spec_before = (hash(spec), repr(spec), pickle.dumps(spec))
         for B in classes:
             negligible(spec, B)
             for C in classes:
                 extendable(spec, B, C)
         for B, (twin, h, r, p) in zip(classes, before):
-            assert B._negligible is not None and B._extensions
+            assert _kept(spec, "_negligible", B) and _kept(spec, "_extendable", B, B)
             assert B == twin and hash(B) == h and repr(B) == r and pickle.dumps(B) == p
             for clone in (copy.copy(B), copy.deepcopy(B), pickle.loads(p)):
-                assert clone == B
-                assert clone._negligible is None and clone._extensions is None
+                assert clone == B and hash(clone) == h
+        # the algebra's value is unchanged too, and its copies keep nothing
+        assert (hash(spec), repr(spec), pickle.dumps(spec)) == spec_before
+        for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(spec_before[2])):
+            assert clone == spec and clone.kept == {}
 
 
 def test_the_replays_ignore_a_planted_answer():
-    B5b = canonical_class(GP33, parse_word("b.a^-1.b.b.a^-1"))
-    split = negligible(GP33, B5b)
+    spec = copy.copy(GP33)
+    B5b = canonical_class(spec, parse_word("b.a^-1.b.b.a^-1"))
+    split = negligible(spec, B5b)
     wrong_split = split._replace(n=split.n + 1)
-    object.__setattr__(B5b, "_negligible", (wrong_split,))
-    # the search trusts what the class keeps; the replay recomputes
-    assert negligible(GP33, B5b) is wrong_split
+    spec.kept[components._negligible][B5b,] = wrong_split
+    # the search trusts what the algebra keeps; the replay recomputes
+    assert negligible(spec, B5b) is wrong_split
     with pytest.raises(InvalidWitness):
-        split_band(GP33, wrong_split)
-    assert split_band(GP33, split) == split.pieces
+        split_band(spec, wrong_split)
+    assert split_band(spec, split) == split.pieces
 
-    B = canonical_class(GP33, parse_word("a^-1.b"))
-    ext = extendable(GP33, B, B)
+    B = canonical_class(spec, parse_word("a^-1.b"))
+    ext = extendable(spec, B, B)
     wrong_ext = ext._replace(rot_b=ext.rot_c, rot_c=ext.rot_b)
-    object.__setattr__(B, "_extensions", {B: wrong_ext})
-    assert extendable(GP33, B, B) is wrong_ext
+    spec.kept[components._extendable][B, B] = wrong_ext
+    assert extendable(spec, B, B) is wrong_ext
     with pytest.raises(InvalidWitness):
-        concat_extension(GP33, wrong_ext)
-    assert concat_extension(GP33, ext) == ext.d
+        concat_extension(spec, wrong_ext)
+    assert concat_extension(spec, ext) == ext.d
 
-    bad = canonical_class(LOOP, parse_word("x.a^-1.y^-1.a"))
-    case2 = negligible(LOOP, bad)
-    object.__setattr__(bad, "_negligible", (case2._replace(u=case2.v, v=case2.u),))
+    loop = copy.copy(LOOP)
+    bad = canonical_class(loop, parse_word("x.a^-1.y^-1.a"))
+    case2 = negligible(loop, bad)
+    loop.kept[components._negligible][bad,] = case2._replace(u=case2.v, v=case2.u)
     with pytest.raises(BadDecomposition):
-        reverse_piece(LOOP, case2.rot, case2.w, case2.v, case2.u)
-    assert reverse_piece(LOOP, case2.rot, case2.w, case2.u, case2.v).letters
+        reverse_piece(loop, case2.rot, case2.w, case2.v, case2.u)
+    assert reverse_piece(loop, case2.rot, case2.w, case2.u, case2.v).letters
 
 
 def test_answers_are_kept_only_for_the_spec_the_class_was_built_for():
-    cubic = canonical_class(GP33, parse_word("a.a.b^-1"))
-    # the same algebra with its arrows declared the other way round
-    swapped = AlgebraSpec(GP33.vertices, GP33.arrows[::-1], GP33.relations)
+    spec = copy.copy(GP33)
+    cubic = canonical_class(spec, parse_word("a.a.b^-1"))
     planted = negligible(LOOP, L_BAD)
-    object.__setattr__(cubic, "_negligible", (planted,))
-    object.__setattr__(cubic, "_extensions", {cubic: planted})
-    fresh = copy.copy(cubic)
-    assert components._negligible(swapped, cubic) == negligible(GP33, fresh)
-    assert components._extendable(swapped, cubic, cubic) == extendable(GP33, fresh, fresh)
-    # and a search for another spec keeps nothing on the class
-    other = canonical_class(GP33, parse_word("a.a.b^-1"))
-    components._negligible(swapped, other)
-    components._extendable(swapped, other, other)
-    assert other._negligible is None and other._extensions is None
+    spec.kept[components._negligible] = {(cubic,): planted}
+    spec.kept[components._extendable] = {(cubic, cubic): planted}
+    assert negligible(spec, cubic) is planted
+    truth = negligible(copy.copy(GP33), cubic), extendable(copy.copy(GP33), cubic, cubic)
+    assert planted not in truth
+    held = {k: copy.copy(v) for k, v in spec.kept.items()}
+    # an equal algebra that is another object, and the same algebra with its
+    # arrows declared the other way round, see nothing of what spec keeps
+    twin = copy.copy(spec)
+    swapped = AlgebraSpec(GP33.vertices, GP33.arrows[::-1], GP33.relations)
+    for other in (twin, swapped):
+        assert components._negligible(other, cubic) == truth[0]
+        assert components._extendable(other, cubic, cubic) == truth[1]
+        assert _kept(other, "_negligible", cubic)
+    # and what they searched is kept on them, not on spec
+    assert spec.kept == held
+
+
+def _use_and_drop(spec):
+    """A weak reference to spec after enumeration, every counted hom,
+    realizations and the witness searches on it."""
+    strings = enumerate_strings(spec, 4)
+    classes = enumerate_bands(spec, 5)
+    for c in strings:
+        for d in strings:
+            hom_string_string(spec, c, d)
+        realize_string(spec, c)
+    for B in classes:
+        realize_band(spec, B, 2)
+        for c in strings:
+            hom_band_string(spec, B, c)
+            hom_string_band(spec, c, B)
+        for C in classes:
+            hom_band_band(spec, B, C)
+            decide_component(spec, [B, C])
+    return weakref.ref(spec)
+
+
+def test_an_algebra_is_freed_with_what_it_kept():
+    ref = _use_and_drop(copy.copy(GP33))
+    gc.collect()
+    assert ref() is None
 
 
 _S = make_sequence(LOOP, [parse_word("x.a^-1.y.a")])

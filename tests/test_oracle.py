@@ -68,8 +68,19 @@ def test_band_realization_rejects_bad_input():
         realize_band(GP22, parse_word("a.b"), TWO)
 
 
+def test_band_parameters_are_exact():
+    # Fraction(0.1) is 3602879701896397/2**55, not 1/10, so a float is refused
+    # before it reaches the realization, even one with an exact value
+    for lam in (0.1, 2.0):
+        with pytest.raises(TypeError, match="float"):
+            realize_band(KRON, parse_word("a.b^-1"), lam)
+    # the seam letter b^-1 carries 1/lambda
+    X = realize_band(KRON, parse_word("a.b^-1"), "1/10")
+    assert X.entries["b"] == ((0, 1, Fraction(10)),)
+
+
 def test_band_realization_checks_every_bad_call():
-    # the check lives in the realization cache, and failures are not cached
+    # the check lives in the kept realization, and failures are not kept
     for _ in range(2):
         with pytest.raises(ZeroParameter):
             realize_band(KRON, parse_word("a.b^-1"), 0)

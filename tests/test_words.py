@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,22 @@ def test_string_tallies_count_canonical_middles():
     subs = {format_word(w): n for w, n in string_sub_tally(GP22, c).items()}
     assert facs == {"1_u": 1, "a": 1, "b": 1, "a.b^-1": 1}
     assert subs == {"1_u": 2, "a.b^-1": 1}
+
+
+def test_kept_tallies_belong_to_one_algebra_object():
+    spec = copy.copy(GP33)
+    c = parse_word("a.b^-1")
+    assert string_sub_tally(spec, c) is string_sub_tally(spec, c)
+    assert spec.kept == {string_sub_tally: {(c,): string_sub_tally(spec, c)}}
+    # an equal algebra that is another object computes its own
+    twin = copy.copy(spec)
+    assert string_sub_tally(twin, c) == string_sub_tally(spec, c)
+    assert string_sub_tally(twin, c) is not string_sub_tally(spec, c)
+    # a call that raises keeps nothing, so it raises again
+    for _ in range(2):
+        with pytest.raises(NotAString):
+            string_fac_tally(spec, parse_word("a.a.a"))
+    assert list(spec.kept) == [string_sub_tally]
 
 
 def test_occurrence_counts_small_cases():
