@@ -20,10 +20,9 @@ from .bands import (
     band_fac_tally,
     band_sub_tally,
     canonical_class,
-    parti_counts,
 )
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
-from .words import Letter, Word, _Frozen, iter_strings, string_fac_tally, string_sub_tally
+from .words import Word, _Frozen, iter_strings, string_fac_tally, string_sub_tally
 
 
 class BandSequence(_Frozen):
@@ -108,8 +107,7 @@ def family_rank(spec, alpha: str, S: BandSequence) -> int:
     of cyclic positions reading alpha or its inverse."""
     if not spec.has_arrow(alpha):
         raise ParseError(f"unknown arrow {alpha!r}")
-    w = Word(None, (Letter(alpha, False),))
-    return sum(sum(parti_counts(spec, w, B)) for B in S.classes)
+    return sum(l.arrow == alpha for B in S.classes for l in B.letters)
 
 
 class SeparationWitness(NamedTuple):

@@ -22,8 +22,9 @@ which eliminates an integer row against the gcd-normalised pivot rows found
 so far: a rank is the number of pivots, and a kernel is read off the same
 echelon form by back-substitution.  The syzygy's cover map is graded, so its
 one echelon form gives both the surjectivity check and the kernel, read vertex by vertex.
-Realizations are kept on their algebra (`words.keep`); dim_hom and syzygy,
-keyed by modules, are the package's two module-level caches.
+Realizations, dim_hom and syzygy are kept on the algebra of their first
+argument (`words.keep`), the last two keyed by the modules' values, so an
+algebra's answers go when it goes.
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -36,7 +37,7 @@ an isomorphic module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -306,10 +307,16 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[in
     return basis
 
 
-@lru_cache(maxsize=None)
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
-    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f."""
-    if X.spec is not Y.spec and X.spec != Y.spec:
+    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f, kept
+    on X.spec under (X, Y); Y may be over an equal algebra object."""
+    return _dim_hom(X.spec, X, Y)
+
+
+@keep
+def _dim_hom(spec, X: MatrixModule, Y: MatrixModule) -> int:
+    # checked on a miss only: a kept (X, Y) has Y over an algebra equal to spec
+    if spec is not Y.spec and spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     # the unknown f[i][k] (i in Y, k in X, both at vertex u) is numbered
     # offset[u] + place of i in Y_u * |X_u| + place of k in X_u
@@ -434,14 +441,17 @@ def _linked_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> in
     return merges + len(zero)
 
 
-@lru_cache(maxsize=None)
 def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
-    """Minimal projective cover P0 -> X and its kernel.
+    """Minimal projective cover P0 -> X and its kernel, kept on X.spec under X.
 
     Top generators are the first coordinate vectors that extend the radical
     span, so the presentation is reproducible.
     """
-    spec = X.spec
+    return _syzygy(X.spec, X)
+
+
+@keep
+def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     d = X.dim
     # the radical of X is spanned by the columns of the arrow matrices
     span: dict[int, dict[int, int]] = {}

@@ -274,19 +274,30 @@ def tally_count(counts: dict[Word, int], d: Word) -> int:
     return counts.get(d) or counts.get(inverse(d), 0)
 
 
+_MISSING = object()
+
+
 def keep(fn):
     """fn(alg, *args), computed once per algebra object and kept, to be read
-    only, in alg.kept[the kept function][args].  A call that raises keeps
-    nothing; equal algebras that are other objects share nothing."""
+    only, in alg.kept[the kept function][args], keyed by the arguments'
+    values.  This is the package's only memo: every kept answer, the
+    oracle's included (`oracle.dim_hom` and `syzygy` keep theirs on the
+    spec of their first module), lives on one algebra object and goes with
+    it.  A call that raises keeps nothing; equal algebras that are other
+    objects share nothing."""
 
     @wraps(fn)
     def kept(alg, *args):
+        # get, not a subscript: a miss raises no KeyError once fn has kept
+        # an answer on alg, and almost every dim_hom call misses
         try:
-            return alg.kept[kept][args]
+            value = alg.kept[kept].get(args, _MISSING)
         except KeyError:
-            pass
-        value = fn(alg, *args)
-        return alg.kept.setdefault(kept, {}).setdefault(args, value)
+            value = _MISSING
+        if value is _MISSING:
+            value = fn(alg, *args)
+            value = alg.kept.setdefault(kept, {}).setdefault(args, value)
+        return value
 
     return kept
 
