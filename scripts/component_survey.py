@@ -15,6 +15,7 @@ import sys
 from stringbands import (
     Case1Witness,
     InvalidAlgebra,
+    ParseError,
     band_dimension,
     decide_component,
     enumerate_bands,
@@ -51,6 +52,9 @@ def main(argv=None):
 
     try:
         spec = require_string_algebra(load_algebra(args.file))
+    except (OSError, ParseError) as exc:
+        print(f"{args.file}: cannot load algebra: {exc}", file=sys.stderr)
+        return 2
     except InvalidAlgebra as exc:
         print(f"{args.file}: invalid algebra: {exc}", file=sys.stderr)
         return 3

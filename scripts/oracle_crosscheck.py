@@ -6,7 +6,8 @@ every hom dimension twice (occurrence counting vs. exact rational linear
 algebra on realized modules) and reports mismatches.  Each band class is
 also checked against itself at one parameter, where both ends are the same
 module and the count includes the identity.  Exit status 1 on any
-disagreement.
+disagreement, 2 on a usage fault or an algebra file that cannot be read or
+parsed, 3 on an algebra that is not a string algebra.
 
     python3 scripts/oracle_crosscheck.py fixtures/kronecker.alg --max-len 5 --max-period 4
 """
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from stringbands import (
     InvalidAlgebra,
+    ParseError,
     dim_hom,
     enumerate_bands,
     enumerate_strings,
@@ -60,6 +62,9 @@ def main(argv=None):
 
     try:
         spec = require_string_algebra(load_algebra(args.file))
+    except (OSError, ParseError) as exc:
+        print(f"{args.file}: cannot load algebra: {exc}", file=sys.stderr)
+        return 2
     except InvalidAlgebra as exc:
         print(f"{args.file}: invalid algebra: {exc}", file=sys.stderr)
         return 3

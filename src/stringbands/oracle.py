@@ -22,9 +22,9 @@ which eliminates an integer row against the gcd-normalised pivot rows found
 so far: a rank is the number of pivots, and a kernel is read off the same
 echelon form by back-substitution.  The syzygy's cover map is graded, so its
 one echelon form gives both the surjectivity check and the kernel, read vertex by vertex.
-Realizations, dim_hom and syzygy are kept on the algebra of their first
-argument (`words.keep`), the last two keyed by the modules' values, so an
-algebra's answers go when it goes.
+Realizations and syzygy are kept on the algebra of their first argument
+(`words.keep`), so an algebra's answers go when it goes; dim_hom keeps
+nothing, and dim_ext1 reads Hom(P0, Y) off P0's tops (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -308,15 +308,9 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[in
 
 
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
-    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f, kept
-    on X.spec under (X, Y); Y may be over an equal algebra object."""
-    return _dim_hom(X.spec, X, Y)
-
-
-@keep
-def _dim_hom(spec, X: MatrixModule, Y: MatrixModule) -> int:
-    # checked on a miss only: a kept (X, Y) has Y over an algebra equal to spec
-    if spec is not Y.spec and spec != Y.spec:
+    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f; Y may be
+    over an equal algebra object.  Nothing is kept: callers seldom repeat a pair."""
+    if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     # the unknown f[i][k] (i in Y, k in X, both at vertex u) is numbered
     # offset[u] + place of i in Y_u * |X_u| + place of k in X_u
@@ -514,11 +508,16 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
 
 def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
-    """dim Ext^1 from the syzygy sequence 0 -> OX -> P0 -> X -> 0."""
+    """dim Ext^1 from the syzygy sequence 0 -> OX -> P0 -> X -> 0.  P0 is a sum
+    of projectives P(v), one per top, and Hom(P(v), Y) is Y_v (Yoneda); the
+    tops are P0's basis vectors that no arrow reaches."""
     if X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     P0, omega = syzygy(X)
-    return dim_hom(omega, Y) - dim_hom(P0, Y) + dim_hom(X, Y)
+    reached = {i for cells in P0.entries.values() for i, _, _ in cells}
+    blocks = Y._blocks
+    tops = sum(len(blocks[u]) for i, u in enumerate(P0.vertex_of) if i not in reached)
+    return dim_hom(omega, Y) - tops + dim_hom(X, Y)
 
 
 def rank_sum(X: MatrixModule) -> int:

@@ -281,15 +281,15 @@ def keep(fn):
     """fn(alg, *args), computed once per algebra object and kept, to be read
     only, in alg.kept[the kept function][args], keyed by the arguments'
     values.  This is the package's only memo: every kept answer, the
-    oracle's included (`oracle.dim_hom` and `syzygy` keep theirs on the
-    spec of their first module), lives on one algebra object and goes with
-    it.  A call that raises keeps nothing; equal algebras that are other
-    objects share nothing."""
+    oracle's included (its realizations and `syzygy` keep theirs on the spec
+    of their first module; `dim_hom` keeps nothing), lives on one algebra
+    object and goes with it.  A call that raises keeps nothing; equal
+    algebras that are other objects share nothing."""
 
     @wraps(fn)
     def kept(alg, *args):
         # get, not a subscript: a miss raises no KeyError once fn has kept
-        # an answer on alg, and almost every dim_hom call misses
+        # an answer on alg
         try:
             value = alg.kept[kept].get(args, _MISSING)
         except KeyError:

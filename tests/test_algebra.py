@@ -68,6 +68,8 @@ def test_projective_words(gp22, gp33, kron, loop):
     assert format_word(projective_word(kron, "2")) == "1_2"
     assert format_word(projective_word(loop, "1")) == "y.a.x.a^-1.y^-1"
     assert format_word(projective_word(loop, "2")) == "y"
+    with pytest.raises(ParseError, match="unknown vertex '9'"):
+        projective_word(kron, "9")
 
 
 def test_ideal_membership(gp33):
@@ -130,6 +132,20 @@ def test_parse_rejects_malformed_lines():
         parse_algebra("vertex u\narrow a : u -> w\n")
     with pytest.raises(ParseError):
         parse_algebra("vertex u\narrow a : u -> u\nrelation a.c\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex\n", "vertex directive needs a name"),
+    ("vertex u\narrow a : u -> u\nrelation a..a\n", "malformed relation"),
+    # the last three pass the parser and are refused by AlgebraSpec itself
+    ("vertex u\narrow a : u -> u\nrelation a\n", "shorter than 2"),
+    ("vertex u\narrow a : u -> u\nrelation a.a\nrelation a.a\n", "duplicate relation"),
+    ("vertex u v\narrow a : u -> v\nrelation a.a\n", "not a composable path"),
+], ids=["empty-vertex", "empty-relation-step", "short-relation", "duplicate-relation",
+        "non-composable-relation"])
+def test_parse_rejects_ill_formed_vertices_and_relations(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_algebra(text)
 
 
 def test_parse_rejects_duplicate_names():

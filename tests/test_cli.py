@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from stringbands import dim_hom, enumerate_bands, format_word, load_algebra, realize_band
+from stringbands import (
+    dim_hom,
+    enumerate_bands,
+    enumerate_strings,
+    format_word,
+    hom_string_band,
+    hom_string_string,
+    load_algebra,
+    realize_band,
+    realize_string,
+)
 from stringbands.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +161,24 @@ def test_hom_counts_on_one_band_at_equal_parameters_match_the_oracle(path):
         generic = run_json(*argv, "--lambda", "2", "--mu", "3")
         assert generic["result"]["dim"] == dim_hom(X, realize_band(spec, B, 3))
         assert run_json(*argv)["result"] == generic["result"]
+
+
+@pytest.mark.parametrize("path", [GP22_FILE, GP33_FILE, KRON_FILE, LOOP_FILE])
+def test_counted_hom_from_a_string_matches_the_counts_and_the_oracle(path):
+    spec = load_algebra(ROOT / path)
+    strings = enumerate_strings(spec, 2)
+    for c in strings:
+        X = realize_string(spec, c)
+        argv = ("hom", path, "--from", f"string:{format_word(c)}", "--to")
+        for d in strings:
+            doc = run_json(*argv, f"string:{format_word(d)}")
+            n = hom_string_string(spec, c, d)
+            assert doc["result"] == {"dim": n, "backend": "counts", "lambda": None, "mu": None}
+            assert n == dim_hom(X, realize_string(spec, d))
+        for B in enumerate_bands(spec, 4):
+            doc = run_json(*argv, f"band:{format_word(B.canonical.as_word())}")
+            assert doc["result"]["dim"] == hom_string_band(spec, c, B)
+            assert doc["result"]["dim"] == dim_hom(X, realize_band(spec, B, 3))
 
 
 KRON_SELF = ("hom", KRON_FILE, "--from", "band:a.b^-1", "--to", "band:a.b^-1", "--mu", "2")
@@ -378,6 +406,30 @@ def test_exit_code_three_on_domain_errors():
     }
 
 
+@pytest.mark.parametrize("argv, code, error", [
+    (("component", KRON_FILE, "--bands", ","), 2, "ParseError"),
+    (("degenerate", KRON_FILE, "--band", "a.b^-1", "--mode", "reverse"), 2, "ParseError"),
+    (("degenerate", KRON_FILE, "--band", "a.b^-1", "--mode", "concat"), 2, "ParseError"),
+    (("hom", KRON_FILE, "--from", "foo:a", "--to", "string:a"), 2, "ParseError"),
+    (("degenerate", KRON_FILE, "--band", "a.b^-1", "--mode", "split"), 3, "InvalidWitness"),
+    (("hom", KRON_FILE, "--from", "string:a.a^-1", "--to", "string:a"), 3, "NotAString"),
+], ids=["no-band-word", "reverse-without-pieces", "concat-without-with", "unknown-module-kind",
+        "split-without-case1", "hom-from-a-non-string"])
+def test_usage_and_domain_faults_exit_with_their_status(argv, code, error):
+    got, out, err = run_cli(*argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("option", ["--lambda", "--mu"])
+def test_a_parameter_that_is_not_a_rational_is_a_usage_error(option):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(["hom", KRON_FILE, "--from", "band:a.b^-1", "--to", "band:a.b^-1", option, "x/y"])
+    assert exit_info.value.code == 2
+    assert "not a rational: 'x/y'" in err.getvalue()
+
+
 def run_child_env():
     # the child finds the package from an uninstalled checkout too
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -443,6 +495,20 @@ def test_component_survey_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "unordered pairs" in proc.stdout
+
+
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+@pytest.mark.parametrize("script", ["scripts/oracle_crosscheck.py", "scripts/component_survey.py"])
+def test_scripts_exit_two_on_an_algebra_file_they_cannot_load(tmp_path, script, fault):
+    # 1 is the cross-check's status for a count that disagrees with the oracle
+    path = tmp_path / "bad.alg"
+    if fault == "malformed":
+        path.write_text("vertex u\narrow a u u\n")
+    proc = run_child(script, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{path}: cannot load algebra: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 # Two presentations that are not string algebras.  Before every subcommand

@@ -135,6 +135,12 @@ def test_component_dimension_guards():
         component_dimension(GP33, [B33])
 
 
+@pytest.mark.parametrize("seq", [[], BandSequence(())], ids=["list", "BandSequence"])
+def test_an_empty_band_sequence_is_refused(seq):
+    with pytest.raises(ValueError, match="empty band sequence"):
+        decide_component(GP22, seq)
+
+
 def test_verdict_reasons_mention_the_refutation():
     verdict = decide_component(LOOP, [L_BAD])
     assert any("negligible" in r for r in verdict.reasons)

@@ -8,6 +8,7 @@ from fixture_algebras import GP22, GP33, KRON, LOOP
 from stringbands import (
     DimensionMismatch,
     NotAString,
+    ParseError,
     SameModuleMismatch,
     band_fac_tally,
     band_sub_tally,
@@ -103,6 +104,8 @@ def test_sequence_counts_add_up():
     )
     assert family_rank(GP33, "a", seq) == 3
     assert family_rank(GP33, "b", seq) == 3
+    with pytest.raises(ParseError, match="unknown arrow 'z'"):
+        family_rank(GP33, "z", seq)
 
 
 def test_family_rank_matches_realized_matrices():

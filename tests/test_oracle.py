@@ -110,29 +110,23 @@ def test_equal_modules_built_apart_compare_and_hash_equal():
 
 
 def test_oracle_caches_stay_inspectable():
-    # dim_hom and syzygy are kept on the algebra object of their first
-    # module, keyed by the modules' values
+    # syzygy is kept on the algebra object of its module, keyed by the
+    # module's value; dim_hom keeps nothing
     spec = copy.copy(KRON)
     X = realize_string(spec, parse_word("a.b^-1"))
     P0, omega = syzygy(X)
     assert syzygy(X) is syzygy(X)
     n = dim_hom(X, X)
     assert spec.kept[oracle._syzygy] == {(X,): (P0, omega)}
-    assert spec.kept[oracle._dim_hom] == {(X, X): n}
-    # a module over an equal algebra object is accepted, and the answer is
-    # kept on the algebra of the first module
+    # a module over an equal algebra object is accepted
     twin = copy.copy(spec)
     Z = realize_string(twin, parse_word("a.b^-1"))
     assert dim_hom(Z, X) == n
-    assert twin.kept[oracle._dim_hom] == {(Z, X): n}
-    # a module over another algebra is refused, and nothing is kept
+    # a module over another algebra is refused
     with pytest.raises(SpecMismatch):
         dim_hom(X, realize_string(GP33, parse_word("a")))
-    assert spec.kept[oracle._dim_hom] == {(X, X): n}
-    # a second call, on equal modules built apart, answers from the memo
-    spec.kept[oracle._dim_hom][X, X] = -1
-    Y = MatrixModule(spec, X.vertex_of, dict(X.entries), X.labels)
-    assert Y is not X and dim_hom(Y, Y) == -1
+    assert set(spec.kept) == {realize_string, oracle._syzygy}
+    assert set(twin.kept) == {realize_string}
 
 
 def test_an_algebra_is_freed_with_its_oracle_answers():
@@ -214,6 +208,8 @@ def test_hom_requires_matching_algebra():
             realize_string(GP22, parse_word("a")),
             realize_string(GP33, parse_word("a")),
         )
+    with pytest.raises(SpecMismatch):
+        dim_ext1(realize_string(GP22, parse_word("a")), realize_string(GP33, parse_word("a")))
 
 
 def test_syzygy_of_the_simple_at_the_fat_vertex():
@@ -572,6 +568,19 @@ def test_the_union_find_rank_equals_the_elimination_rank(name):
     for X in mods:
         for Y in mods:
             assert_linked_rank_is_the_elimination_rank(X, Y)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_ext_reads_the_hom_from_the_cover_off_its_tops(name):
+    # dim_ext1 takes Hom(P0, Y) as the sum of |Y_v| over P0's tops; it must
+    # equal the hom system solved for the same pair.  Three conjugated
+    # modules per fixture are not one entry per line, on either end
+    mods = [N for M in CONJUGATION_POOL[name] if not (N := conjugate(M, LOWER[2:])).one_entry_per_line]
+    mods = LINKED_POOL[name] + mods[:3]
+    for X in mods:
+        P0, omega = syzygy(X)
+        for Y in mods:
+            assert dim_ext1(X, Y) == dim_hom(omega, Y) - dim_hom(P0, Y) + dim_hom(X, Y), (X, Y)
 
 
 SCALES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-11, 4))

@@ -125,7 +125,7 @@ import pickle, sys
 from stringbands import load_algebra, parse_word, realize_string
 spec = load_algebra(sys.argv[2])
 M = realize_string(spec, parse_word("x.a^-1.y^-1"))
-hash(M)  # as every dim_hom or syzygy cache lookup does
+hash(M)  # as every syzygy lookup does
 if sys.argv[1] == "dump":
     sys.stdout.buffer.write(pickle.dumps(M))
 else:

@@ -51,6 +51,17 @@ def test_parse_rejects_junk():
             parse_word(text)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: string_fac_tally(GP22, parse_word("a.a")), NotAString),
+    (lambda: string_sub_tally(GP22, parse_word("a.a")), NotAString),
+    (lambda: Word("u", parse_word("a").letters), ValueError),
+    (lambda: Word(None, ()), ValueError),
+], ids=["fac-tally-non-string", "sub-tally-non-string", "trivial-with-letters", "neither"])
+def test_refusals_of_words_and_tallies(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_trivial_word_basics():
     w = trivial_word("u")
     assert w.is_trivial
