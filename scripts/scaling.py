@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time counted hom against the matrix oracle on long inputs over dumbbell.
+
+Two series, each on a freshly loaded algebra per size, so every tally starts
+cold:
+
+- a string w of n = 100, 200, 400 letters repeating x.a^-1.y.a, counted by
+  hom_string_string(w, w) against dim_hom(M(w), M(w));
+- with p = x.a^-1.y.a and q = x.a^-1.y^-1.a, dumbbell's two bands of
+  period 4, the bands B = p^k q and C = q^k p for k = 8, 16, 32 (periods 36,
+  68, 132), counted by hom_band_band(B, C) against dim_hom of their
+  realizations at parameters 2 and 3.
+
+Each line gives the count and the seconds of the count and of dim_hom
+(realizing the modules is not timed).  Exit status 1 when a count differs
+from dim_hom.  --steps 1 runs the smallest size of each series only.
+
+    PYTHONPATH=src python3 scripts/scaling.py
+"""
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+from stringbands import (
+    canonical_class,
+    dim_hom,
+    hom_band_band,
+    hom_string_string,
+    load_algebra,
+    parse_word,
+    realize_band,
+    realize_string,
+)
+from stringbands.cli import _run_quietly
+
+DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
+P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
+
+
+def timed(fn):
+    started = time.perf_counter()
+    value = fn()
+    return value, time.perf_counter() - started
+
+
+def string_case(n: int):
+    spec = load_algebra(DUMBBELL)
+    w = parse_word(".".join([P] * (n // 4)))
+    X = realize_string(spec, w)
+    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X)
+
+
+def band_case(k: int):
+    spec = load_algebra(DUMBBELL)
+    B = canonical_class(spec, parse_word(".".join([P] * k + [Q])))
+    C = canonical_class(spec, parse_word(".".join([Q] * k + [P])))
+    modules = (realize_band(spec, B, 2), realize_band(spec, C, 3))
+    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--steps", type=int, choices=(1, 2, 3), default=3,
+                    help="sizes run per series, smallest first (default 3)")
+    args = ap.parse_args(argv)
+    cases = [(string_case, n) for n in (100, 200, 400)[: args.steps]]
+    cases += [(band_case, k) for k in (8, 16, 32)[: args.steps]]
+    bad = 0
+    for make, size in cases:
+        label, count, modules = make(size)
+        counted, counted_s = timed(count)
+        oracle, oracle_s = timed(lambda: dim_hom(*modules))
+        verdict = "" if counted == oracle else f"  MISMATCH: oracle {oracle}"
+        bad += counted != oracle
+        print(f"{label:<16} hom {counted:>4}  counted {counted_s:8.3f} s  "
+              f"oracle {oracle_s:8.3f} s{verdict}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_run_quietly(main))

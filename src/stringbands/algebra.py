@@ -381,7 +381,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
         arrow <name> : <src> -> <tgt>
         relation <a1>.<a2>[.<a3> ...]
 
-    Anything else is an error.
+    Anything else is an error, as is an arrow name a word cannot read back.
     """
     vertices: list[str] = []
     arrows: list[ArrowDecl] = []
@@ -403,6 +403,8 @@ def parse_algebra(text: str) -> AlgebraSpec:
                 raise ParseError(
                     f"line {lineno}: expected 'arrow <name> : <src> -> <tgt>'"
                 )
+            if "." in m[1] or "^" in m[1] or m[1].startswith("1_"):
+                raise ParseError(f"line {lineno}: arrow {m[1]!r} has '.' or '^' or starts with '1_'")
             arrows.append(ArrowDecl(*m.groups()))
         elif head == "relation":
             parts = tuple(p.strip() for p in rest.split("."))

@@ -177,22 +177,38 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     return occ(c.letters), occ(inverse(c).letters)
 
 
+def _checked_letters(spec, qb) -> tuple[Letter, ...]:
+    ls = _as_letters(qb)
+    if not is_quasi_band(spec, ls):
+        raise NotQuasiBand(_fmt(ls))
+    return ls
+
+
 @keep
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
     """sub counts of every canonical word of length <= max_len, kept per qb
-    as passed; the package passes the letter tuple at a `_scan_cap`."""
-    return tally(spec, _as_letters(qb), True, max_len, cyclic=True)
+    as passed; the package passes the letter tuple at a `_scan_cap`.  Kept,
+    so qb is checked once: a cyclic word that is no quasi-band raises
+    NotQuasiBand."""
+    return tally(spec, _checked_letters(spec, qb), True, max_len, cyclic=True)
 
 
 @keep
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    return tally(spec, _as_letters(qb), False, max_len, cyclic=True)
+    """fac counts, as `band_sub_tally`."""
+    return tally(spec, _checked_letters(spec, qb), False, max_len, cyclic=True)
 
 
 def _scan_cap(n: int) -> int:
-    """The least power of two >= n: every band tally is read at one, so caps
-    in a bucket share a scan.  Its longer middles never pair: a string tally
-    has no longer key, and `hom.hom_band_band` says why two bands share none."""
+    """The least power of two >= n, the reach of a pairing: every band tally
+    is read at one, so reaches in a bucket share a scan.  The reach is len(c)
+    against a string c, which has no longer key, and m+n between bands of
+    periods m and n.  Two distinct classes share no flanked middle of length
+    >= m+n: by the Fine-Wilf lemma it would have period gcd(m, n), so the
+    primitive periods would be one class.  A class shares none of length
+    >= m with itself: such a middle fixes both its neighbours, as no band is
+    a proper power or a rotation of its own inverse, and no neighbours flank
+    a middle for fac and for sub at once."""
     return 1 << max(n - 1, 0).bit_length()
 
 

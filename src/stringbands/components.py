@@ -240,11 +240,6 @@ def negligible(spec, B) -> Optional[NegligibilityWitness]:
     return _negligible(spec, canonical_class(spec, B))
 
 
-def _require_quadratic(spec):
-    if not spec.quadratic:
-        raise NotQuadratic("criterion needs relations of length exactly 2")
-
-
 def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool):
     """Flanked cyclic windows, grouped by middle word.
 
@@ -265,7 +260,17 @@ def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool
     return by_mid
 
 
-def _quadratic_search(spec, B: BandClass, C: BandClass, bound: int):
+def extendable_quadratic(spec, B, C, bound=None) -> Optional[QuadraticWitness]:
+    """Occurrence-based criterion equivalent to `extendable` over quadratic
+    relations: a shared middle word d flanked the opposite ways in B and C,
+    such that both recombined words are strings.  The default bound is m+n,
+    the periods' sum, where every shared middle ends (`bands._scan_cap`)."""
+    if not spec.quadratic:
+        raise NotQuadratic("criterion needs relations of length exactly 2")
+    B = canonical_class(spec, B)
+    C = canonical_class(spec, C)
+    if bound is None:
+        bound = B.period + C.period
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
     b_side = _window_triples(spec, B.canonical, bound, leftmost_inverted=True)
@@ -283,25 +288,10 @@ def _quadratic_search(spec, B: BandClass, C: BandClass, bound: int):
     return None
 
 
-def extendable_quadratic(spec, B, C, bound=None) -> Optional[QuadraticWitness]:
-    """Occurrence-based criterion equivalent to `extendable` over quadratic
-    relations: a shared middle word d flanked the opposite ways in B and C,
-    such that both recombined words are strings."""
-    _require_quadratic(spec)
-    B = canonical_class(spec, B)
-    C = canonical_class(spec, C)
-    if bound is None:
-        bound = 2 * (B.period + C.period)
-    return _quadratic_search(spec, B, C, bound)
-
-
 def negligible_quadratic(spec, B, bound=None) -> Optional[QuadraticWitness]:
-    """The same search with both sides read off the one band."""
-    _require_quadratic(spec)
-    B = canonical_class(spec, B)
-    if bound is None:
-        bound = 4 * B.period
-    return _quadratic_search(spec, B, B, bound)
+    """`extendable_quadratic` with both sides read off the one band, so to 2m
+    by default."""
+    return extendable_quadratic(spec, B, B, bound)
 
 
 def _dimension_formula(spec, seq: BandSequence) -> int:

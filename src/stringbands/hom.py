@@ -75,17 +75,12 @@ def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -
     """dim Hom(M(b,m,lambda), M(c,n,mu)).
 
     same_module adds the identity's contribution and is legal only for equal
-    classes (equal parameters are implied).  Both scans reach 2(m+n), past
-    every common middle.  Two distinct classes share no flanked middle of
-    length >= m+n: by the Fine-Wilf lemma it would have period gcd(m, n),
-    so the two primitive periods would be one class.  A class shares none
-    of length >= m with itself: such a middle fixes both its neighbours, as
-    no band is a proper power or a rotation of its own inverse, and no
-    neighbours flank a middle for fac and for sub at once.
+    classes (equal parameters are implied).  Both scans reach m+n, where
+    every shared middle ends (`bands._scan_cap` says why).
     """
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
-    cap = _scan_cap(2 * (B.period + C.period))
+    cap = _scan_cap(B.period + C.period)
     facs = band_fac_tally(spec, B.canonical.letters, cap)
     subs = band_sub_tally(spec, C.canonical.letters, cap)
     total = _pair(facs, subs)

@@ -259,9 +259,9 @@ def tally(
     alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
 ) -> dict[Word, int]:
     """Flanked occurrences counted by the canonical form of their middle
-    word; both orientations of a middle word land on one key.  The arrows
-    are checked once per scan, so the middles skip the check."""
-    _check_arrows(alg, letters)
+    word; both orientations of a middle word land on one key.  The caller
+    checks the word: the kept string and band tallies check it once, on a
+    miss, so the middles skip the check."""
     return Counter(
         _canonical(alg, mid)
         for _, mid, _ in flanked(alg, letters, left_inverted, max_mid, cyclic)
@@ -302,20 +302,13 @@ def keep(fn):
     return kept
 
 
-def _string_tally(alg, c: Word, left_inverted: bool) -> dict[Word, int]:
-    if c.is_trivial:
-        _check_word(alg, c)
-        return {c: 1}
-    return tally(alg, c.letters, left_inverted, len(c))
-
-
 @keep
 def string_sub_tally(alg, c: Word) -> dict[Word, int]:
     """sub(d, c) for every canonical d at once; a word that is not a string
     raises NotAString.  Kept, so c is checked once."""
     if not is_string(alg, c):
         raise NotAString(format_word(c))
-    return _string_tally(alg, c, left_inverted=True)
+    return {c: 1} if c.is_trivial else tally(alg, c.letters, True, len(c))
 
 
 @keep
@@ -323,16 +316,18 @@ def string_fac_tally(alg, c: Word) -> dict[Word, int]:
     """fac(d, c) for every canonical d at once, as `string_sub_tally`."""
     if not is_string(alg, c):
         raise NotAString(format_word(c))
-    return _string_tally(alg, c, left_inverted=False)
+    return {c: 1} if c.is_trivial else tally(alg, c.letters, False, len(c))
 
 
 def count_sub(alg, d: Word, c: Word) -> int:
-    """sub(d, c) on any reduced word c, a string or not; uncached."""
-    return tally_count(_string_tally(alg, c, left_inverted=True), d)
+    """sub(d, c), read off `string_sub_tally`: a word c that is not a string
+    raises NotAString."""
+    return tally_count(string_sub_tally(alg, c), d)
 
 
 def count_fac(alg, d: Word, c: Word) -> int:
-    return tally_count(_string_tally(alg, c, left_inverted=False), d)
+    """fac(d, c), read off `string_fac_tally`."""
+    return tally_count(string_fac_tally(alg, c), d)
 
 
 def word_key(alg, word: Word):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -145,6 +146,15 @@ def test_parse_rejects_malformed_lines():
         "non-composable-relation"])
 def test_parse_rejects_ill_formed_vertices_and_relations(text, message):
     with pytest.raises(ParseError, match=message):
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("name", ["1_a", "a.b", "a^b"])
+def test_parse_rejects_arrow_names_a_word_cannot_read_back(name):
+    # 1_a reads back as the trivial word at a, a.b as two letters, and a^b
+    # as no letter at all
+    text = f"vertex 1 2\narrow {name} : 1 -> 2\n"
+    with pytest.raises(ParseError, match=f"line 2: arrow '{re.escape(name)}' has"):
         parse_algebra(text)
 
 

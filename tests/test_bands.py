@@ -13,6 +13,7 @@ from stringbands import (
     ArrowDecl,
     BandClass,
     Letter,
+    NotAString,
     NotBand,
     NotQuasiBand,
     ParseError,
@@ -50,6 +51,8 @@ from stringbands.words import (
     glues,
     letter_source,
     letter_target,
+    tally,
+    tally_count,
     trivial_word,
     word_key,
     word_vertices,
@@ -200,6 +203,20 @@ def test_occurrence_counts_on_bands():
     assert sub_counts(GP33, trivial_word("u"), B4) == 1
     assert sub_counts(GP33, parse_word("a"), B4) == 1
     assert fac_counts(GP33, parse_word("z"), B4) == 0
+
+
+def test_band_tallies_refuse_a_cyclic_word_that_is_not_a_quasi_band():
+    # a.a.a.b^-1 turns, but reads a^3, which two_loops_cubic kills
+    ls = parse_word("a.a.a.b^-1").letters
+    assert not is_quasi_band(GP33, ls)
+    for call in (
+        lambda: band_sub_tally(GP33, ls, 4),
+        lambda: band_fac_tally(GP33, ls, 4),
+        lambda: sub_counts(GP33, parse_word("a"), ls),
+        lambda: fac_counts(GP33, parse_word("a"), ls),
+    ):
+        with pytest.raises(NotQuasiBand):
+            call()
 
 
 def test_tallies_agree_with_single_counts():
@@ -556,10 +573,21 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     c = Word(None, ls)
     trivials = [trivial_word(v) for v in spec.vertices]
     factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
+    # the engine reads every drawn word; the counts read only strings
+    subs, facs = tally(spec, ls, True, m), tally(spec, ls, False, m)
+    string = is_string(spec, c)
     for d in trivials + factors + [inverse(f) for f in factors]:
-        assert count_sub(spec, d, c) == len(_triples(spec, d, c, True))
-        assert count_fac(spec, d, c) == len(_triples(spec, d, c, False))
+        assert tally_count(subs, d) == len(_triples(spec, d, c, True))
+        assert tally_count(facs, d) == len(_triples(spec, d, c, False))
+        if string:
+            assert count_sub(spec, d, c) == tally_count(subs, d)
+            assert count_fac(spec, d, c) == tally_count(facs, d)
+    if not string:
+        for count in (count_sub, count_fac):
+            with pytest.raises(NotAString):
+                count(spec, trivials[0], c)
     band = QuasiBand(ls)
+    quasi_band = is_quasi_band(spec, ls)
     # each cap is its own cached scan; 0, caps off the powers of two and
     # caps past the period included
     drawn = data.draw(st.integers(0, 2 * m + 3))
@@ -567,13 +595,18 @@ def test_flanked_folds_match_the_old_counters(spec, data):
         windows = [
             Word(None, _window(band, i, n)) for i in range(m) for n in range(1, cap + 1)
         ]
-        for inv, tally in ((True, band_sub_tally), (False, band_fac_tally)):
+        for inv, kept in ((True, band_sub_tally), (False, band_fac_tally)):
             reference = {}
             for d in trivials + windows:
                 n = _flank_count(spec, d, band, inv)
                 if n:
                     reference[canonical_word(spec, d)] = n
-            assert tally(spec, band, cap) == reference
+            assert tally(spec, ls, inv, cap, cyclic=True) == reference
+            if quasi_band:
+                assert kept(spec, band, cap) == reference
+            else:
+                with pytest.raises(NotQuasiBand):
+                    kept(spec, band, cap)
             assert _window_triples(spec, band, cap, inv) == _reference_window_triples(
                 spec, band, cap, inv
             )

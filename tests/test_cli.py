@@ -497,6 +497,14 @@ def test_component_survey_script_runs():
     assert "unordered pairs" in proc.stdout
 
 
+def test_scaling_script_agrees_at_its_smallest_sizes():
+    proc = run_child("scripts/scaling.py", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["string", "n=100"], ["bands", "m=n=36"]]
+    assert not any("MISMATCH" in line for line in lines)
+
+
 @pytest.mark.parametrize("fault", ["missing", "malformed"])
 @pytest.mark.parametrize("script", ["scripts/oracle_crosscheck.py", "scripts/component_survey.py"])
 def test_scripts_exit_two_on_an_algebra_file_they_cannot_load(tmp_path, script, fault):

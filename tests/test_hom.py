@@ -1,10 +1,11 @@
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     DimensionMismatch,
     NotAString,
@@ -30,6 +31,7 @@ from stringbands import (
     string_fac_tally,
     string_sub_tally,
 )
+from stringbands.bands import _scan_cap
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
 from stringbands.words import trivial_word
 
@@ -72,8 +74,8 @@ def test_band_band_counts():
 
 
 def test_band_band_count_is_stable_under_longer_caps():
-    # doubling the 2(m+n) cap on the middle words adds no term, and a band
-    # read past the length of a string adds none against it
+    # reading past the m+n reach, to 4(m+n), adds no term, and a band read
+    # past the length of a string adds none against it
     for spec in (GP22, GP33, KRON, LOOP):
         classes = enumerate_bands(spec, 4)
         for B in classes:
@@ -89,6 +91,35 @@ def test_band_band_count_is_stable_under_longer_caps():
                 assert into == hom_band_string(spec, B, c)
                 out = _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, cap))
                 assert out == hom_string_band(spec, c, B)
+
+
+def test_shared_middles_end_before_the_reach():
+    # every shared middle of fac(B) and sub(C) is shorter than m+n, and
+    # shorter than m when B = C (`bands._scan_cap`); read here at three
+    # times the reach of the longest partner
+    for spec in ALL.values():
+        spec = copy.copy(spec)
+        classes = enumerate_bands(spec, 8)
+        longest = max(C.period for C in classes)
+        for B in classes:
+            facs = band_fac_tally(spec, B.canonical, 3 * (B.period + longest))
+            for C in classes:
+                subs = band_sub_tally(spec, C.canonical, 3 * (C.period + longest))
+                reach = B.period if B == C else B.period + C.period
+                assert all(len(d) < reach for d in facs.keys() & subs.keys())
+
+
+def test_band_band_scans_stop_at_the_reach():
+    # hom_band_band reads both bands at _scan_cap(m+n) and no further
+    for spec in ALL.values():
+        spec = copy.copy(spec)
+        classes = enumerate_bands(spec, 6)
+        for B in classes:
+            for C in classes:
+                hom_band_band(spec, B, C)
+                cap = _scan_cap(B.period + C.period)
+                for kept in (band_fac_tally, band_sub_tally):
+                    assert all(scan[1] <= cap for scan in spec.kept.pop(kept))
 
 
 def test_sequence_counts_add_up():

@@ -185,6 +185,11 @@ def test_occurrence_counts_small_cases():
     assert count_fac(GP22, parse_word("b^-1"), parse_word("a.b^-1")) == 1
     # a word over an arrow the quiver lacks occurs nowhere
     assert count_sub(GP22, parse_word("z"), parse_word("a")) == 0
+    # the counts read the kept string tallies, so a word that is not a
+    # string is refused there too, not counted
+    for count in (count_sub, count_fac):
+        with pytest.raises(NotAString):
+            count(GP33, parse_word("a"), parse_word("a.a.a"))
     # but a string over one is refused
     z = parse_word("z.a")
     for call in (
