@@ -69,6 +69,12 @@ class StringWindows(dict):
         return not spec.path_in_ideal([x.arrow for x in (run if l.inverted else run[::-1])])
 
 
+def _readable_name(name: str, arrow: bool) -> bool:
+    """Whether a word reads the name back: nonempty, no whitespace, and for an
+    arrow no '.' or '^' and no leading '1_' (1_a is the trivial word at a)."""
+    return re.fullmatch(r"(?!1_)[^\s.^]+" if arrow else r"\S+", name) is not None
+
+
 class AlgebraSpec(_Frozen):
     """Quiver and relations, in declaration order.
 
@@ -92,11 +98,15 @@ class AlgebraSpec(_Frozen):
         for v in self.vertices:
             if v in seen_v:
                 raise ParseError(f"duplicate vertex {v!r}")
+            if not _readable_name(v, arrow=False):
+                raise ParseError(f"vertex name {v!r} is empty or has whitespace")
             seen_v.add(v)
         names = set()
         for a in self.arrows:
             if a.name in names or a.name in seen_v:
                 raise ParseError(f"arrow name {a.name!r} is not unique")
+            if not _readable_name(a.name, arrow=True):
+                raise ParseError(f"arrow name {a.name!r} is not one a word can read back")
             names.add(a.name)
             if a.source not in seen_v or a.target not in seen_v:
                 raise ParseError(f"arrow {a.name!r} uses an undeclared vertex")
@@ -403,7 +413,7 @@ def parse_algebra(text: str) -> AlgebraSpec:
                 raise ParseError(
                     f"line {lineno}: expected 'arrow <name> : <src> -> <tgt>'"
                 )
-            if "." in m[1] or "^" in m[1] or m[1].startswith("1_"):
+            if not _readable_name(m[1], arrow=True):
                 raise ParseError(f"line {lineno}: arrow {m[1]!r} has '.' or '^' or starts with '1_'")
             arrows.append(ArrowDecl(*m.groups()))
         elif head == "relation":

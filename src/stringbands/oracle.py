@@ -12,16 +12,17 @@ summed, a syzygy or a copy, is validated.  Everything else is derived:
 dim, the vertex blocks (grading), each index's place in its block
 (position), dense matrices (mats) and int_tables, each arrow as
 X(a) = N / D with D the lcm of its denominators and N an integer matrix
-listed by columns and by rows.  dim_hom reads each equation straight from
-the columns of one module's N and the rows of the other's, scaled by the
-lcm of the two D.  If both modules have one_entry_per_line, as realized
-strings and bands do, an equation ties at most two unknowns, and the rank is
-the merges and zeroed components of a union-find (_linked_rank).  Every
-other system goes through _echelon, a loop over the fraction-free _reduce,
-which eliminates an integer row against the gcd-normalised pivot rows found
-so far: a rank is the number of pivots, and a kernel is read off the same
-echelon form by back-substitution.  The syzygy's cover map is graded, so its
-one echelon form gives both the surjectivity check and the kernel, read vertex by vertex.
+listed by columns and by rows.  If both modules have one_entry_per_line, as
+realized strings and bands do, each equation of dim_hom ties at most two
+unknowns, and a union-find (_linked_rank) reading one module's N by columns
+and the other's by rows ranks the system.  Any other pair has its equations
+read off entries (_row_rank), which shares only entries and _echelon with
+the union-find the tests check against it.  _echelon, a loop over the
+fraction-free _reduce, eliminates an integer row at a time against the
+gcd-normalised pivot rows found so far: a rank is the number of pivots, and
+a kernel is read off the same echelon form by back-substitution.  The
+syzygy's cover map is graded, so its one echelon form gives both the
+surjectivity check and the kernel, read vertex by vertex.
 Realizations and syzygy are kept on the algebra of their first argument
 (`words.keep`), so an algebra's answers go when it goes; dim_hom keeps
 nothing, and dim_ext1 reads Hom(P0, Y) off P0's tops (Yoneda).
@@ -308,12 +309,13 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[in
 
 
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
-    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f; Y may be
-    over an equal algebra object.  Nothing is kept: callers seldom repeat a pair."""
+    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f, ranked by
+    _linked_rank when both modules have one_entry_per_line, else by _row_rank;
+    Y may be over an equal algebra object.  Nothing is kept: callers seldom repeat a pair."""
     if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
-    # the unknown f[i][k] (i in Y, k in X, both at vertex u) is numbered
-    # offset[u] + place of i in Y_u * |X_u| + place of k in X_u
+    # the union-find numbers the unknown f[i][k] (i in Y, k in X, both at
+    # vertex u) offset[u] + place of i in Y_u * |X_u| + place of k in X_u
     xb, yb = X._blocks, Y._blocks
     offset: dict[str, int] = {}
     nu = 0
@@ -322,48 +324,22 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
         nu += len(xs) * len(yb.get(u, ()))
     if nu == 0:
         return 0
-    rank = _linked_rank if X.one_entry_per_line and Y.one_entry_per_line else _row_rank
-    return nu - rank(X, Y, offset)
+    linked = X.one_entry_per_line and Y.one_entry_per_line
+    return nu - (_linked_rank(X, Y, offset) if linked else _row_rank(X, Y))
 
 
-def _row_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> int:
-    """Rank of the hom system of any two modules, by eliminating its rows."""
-    xb, yb = X._blocks, Y._blocks
-    px, py = X.position, Y.position
-    xt, yt = X.int_tables, Y.int_tables
-    rows: list[dict[int, int]] = []
+def _row_rank(X: MatrixModule, Y: MatrixModule) -> int:
+    """Rank of the hom system of any two modules, read off their entries: the
+    unknown f[i][k] is the column (i, k), and for each arrow a: s -> t and (i, j)
+    in Y_t x X_s the row is sum_k X(a)[k][j] f[i][k] - sum_k Y(a)[i][k] f[k][j]."""
+    rows = []
     for name, s, t in X.spec.arrows:
-        dx, xcols, _ = xt[name]
-        dy, _, yrows = yt[name]
-        if not xcols and not yrows:
-            continue
-        # the equation at (i, j), i in Y_t and j in X_s for the arrow s -> t,
-        # reads sum_k f[i][k] X(a)[k][j] - sum_k Y(a)[i][k] f[k][j] = 0; times
-        # lcm(D_X, D_Y) its coefficients are the integers sx N_X and sy N_Y
-        d = lcm(dx, dy)
-        sx, sy = d // dx, -(d // dy)
-        xs = xb.get(s, ())
-        bt, wt = offset.get(t, 0), len(xb.get(t, ()))
-        bs, ws = offset.get(s, 0), len(xs)
-        stop = bt + len(yb.get(t, ())) * wt
-        for j, col in xcols.items():
-            # column j of X gives the equations (i, j) for all i in Y_t, in
-            # the order of Y_t: f[i][k] is bt + place of i * wt + place of k
-            eqs = [{f + px[k]: sx * n for k, n in col} for f in range(bt, stop, wt)]
-            # the rows of Y add their side: f[k][j] is fj + place of k * ws
-            fj = bs + px[j]
-            for i, yrow in yrows.items():
-                row = eqs[py[i]]
-                for k, n in yrow:
-                    c = fj + py[k] * ws
-                    n = row.pop(c, 0) + sy * n  # a loop's f[i][j] is on both sides
-                    if n:
-                        row[c] = n
-            rows.extend(eqs)
-        # the equations (i, j) where column j of X is zero have Y's side only
-        free = [bs + p for p, j in enumerate(xs) if j not in xcols]
-        for yrow in yrows.values():
-            rows.extend([{fj + py[k] * ws: sy * n for k, n in yrow} for fj in free])
+        eqs: dict = {(i, j): {} for i in Y._blocks[t] for j in X._blocks[s]}
+        terms = [(i, j, (i, k), x) for k, j, x in X.entries[name] for i in Y._blocks[t]]
+        terms += [(i, j, (k, j), -y) for i, k, y in Y.entries[name] for j in X._blocks[s]]
+        for i, j, c, x in terms:  # summed, so a loop's unknown on both sides cancels
+            eqs[i, j][c] = eqs[i, j].get(c, _ZERO) + x
+        rows += map(_integral, eqs.values())
     return len(_echelon(rows))
 
 

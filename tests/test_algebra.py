@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fixture_algebras import ALL
 from stringbands import (
+    AlgebraSpec,
+    ArrowDecl,
     Letter,
     ParseError,
     Word,
@@ -156,6 +158,19 @@ def test_parse_rejects_arrow_names_a_word_cannot_read_back(name):
     text = f"vertex 1 2\narrow {name} : 1 -> 2\n"
     with pytest.raises(ParseError, match=f"line 2: arrow '{re.escape(name)}' has"):
         parse_algebra(text)
+
+
+@pytest.mark.parametrize("vertices, arrows, message", [
+    # the string 1_a would read back as the trivial word at a
+    (("1", "2"), (ArrowDecl("1_a", "1", "2"),), "arrow name '1_a'"),
+    # parse_word refuses the string a b
+    (("u",), (ArrowDecl("a b", "u", "u"),), "arrow name 'a b'"),
+    (("",), (), "vertex name ''"),
+    (("u v",), (), "vertex name 'u v'"),
+], ids=["arrow-1_", "arrow-whitespace", "vertex-empty", "vertex-whitespace"])
+def test_the_constructor_refuses_names_a_word_cannot_read_back(vertices, arrows, message):
+    with pytest.raises(ParseError, match=message):
+        AlgebraSpec(vertices, arrows, ())
 
 
 def test_parse_rejects_duplicate_names():
