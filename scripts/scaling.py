@@ -4,16 +4,18 @@
 Two series, each on a freshly loaded algebra per size, so every tally starts
 cold:
 
-- a string w of n = 100, 200, 400 letters repeating x.a^-1.y.a, counted by
-  hom_string_string(w, w) against dim_hom(M(w), M(w));
+- a string w of n = 100, 200, 400, 800 letters repeating x.a^-1.y.a,
+  counted by hom_string_string(w, w) against dim_hom(M(w), M(w));
 - with p = x.a^-1.y.a and q = x.a^-1.y^-1.a, dumbbell's two bands of
-  period 4, the bands B = p^k q and C = q^k p for k = 8, 16, 32 (periods 36,
-  68, 132), counted by hom_band_band(B, C) against dim_hom of their
-  realizations at parameters 2 and 3.
+  period 4, the bands B = p^k q and C = q^k p for k = 8, 16, 32, 64
+  (periods 36, 68, 132, 260), counted by hom_band_band(B, C) against dim_hom
+  of their realizations at parameters 2 and 3.
 
 Each line gives the count and the seconds of the count and of dim_hom
-(realizing the modules is not timed).  Exit status 1 when a count differs
-from dim_hom.  --steps 1 runs the smallest size of each series only.
+(realizing the modules is not timed); a string line after the first also
+gives the exponent e with counted time growing as n^e since the size before.
+Exit status 1 when a count differs from dim_hom.  --steps s runs the s
+smallest sizes of each series.
 
     PYTHONPATH=src python3 scripts/scaling.py
 """
@@ -21,6 +23,7 @@ from dim_hom.  --steps 1 runs the smallest size of each series only.
 import argparse
 import sys
 import time
+from math import log
 from pathlib import Path
 
 from stringbands import (
@@ -62,20 +65,26 @@ def band_case(k: int):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--steps", type=int, choices=(1, 2, 3), default=3,
-                    help="sizes run per series, smallest first (default 3)")
+    ap.add_argument("--steps", type=int, choices=(1, 2, 3, 4), default=4,
+                    help="sizes run per series, smallest first (default 4)")
     args = ap.parse_args(argv)
-    cases = [(string_case, n) for n in (100, 200, 400)[: args.steps]]
-    cases += [(band_case, k) for k in (8, 16, 32)[: args.steps]]
+    cases = [(string_case, n) for n in (100, 200, 400, 800)[: args.steps]]
+    cases += [(band_case, k) for k in (8, 16, 32, 64)[: args.steps]]
     bad = 0
+    before = None  # (n, counted seconds) of the string size before
     for make, size in cases:
         label, count, modules = make(size)
         counted, counted_s = timed(count)
         oracle, oracle_s = timed(lambda: dim_hom(*modules))
+        growth = ""
+        if make is string_case:
+            if before:
+                growth = f"  growth n^{log(counted_s / before[1]) / log(size / before[0]):.2f}"
+            before = (size, counted_s)
         verdict = "" if counted == oracle else f"  MISMATCH: oracle {oracle}"
         bad += counted != oracle
         print(f"{label:<16} hom {counted:>4}  counted {counted_s:8.3f} s  "
-              f"oracle {oracle_s:8.3f} s{verdict}")
+              f"oracle {oracle_s:8.3f} s{growth}{verdict}")
     return 1 if bad else 0
 
 

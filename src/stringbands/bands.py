@@ -1,9 +1,11 @@
 """Cyclic words over the quiver: quasi-bands, bands, their classes, and the
 occurrence counts (parti, sub, fac) that drive every hom formula.
 
-The sub and fac counts are band tallies: folds over `words.flanked` read
-cyclically, the same occurrence definition that strings use, one scan per
-letter tuple, side and power-of-two cap (`_scan_cap`), kept on the algebra.
+The sub and fac counts are band tallies: `words.id_tally` read cyclically,
+the same fold over `words.flanked` that strings use, keyed by the ids of
+the same `words.middle_trie`; one scan per letter tuple, side and
+power-of-two cap (`_scan_cap`), kept on the algebra.  `band_sub_tally` and
+`band_fac_tally` are Word-keyed views of the scans.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -22,13 +24,14 @@ from .words import (
     _check_arrows,
     _windows_hold,
     format_word,
+    id_count,
+    id_tally,
     inverse,
     inverse_letters,
     keep,
     letter_source,
     string_frontiers,
-    tally,
-    tally_count,
+    word_tally,
 )
 
 
@@ -185,18 +188,23 @@ def _checked_letters(spec, qb) -> tuple[Letter, ...]:
 
 
 @keep
+def band_id_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[int, int]:
+    """The cyclic sub (left_inverted) or fac `id_tally` of qb to middles of
+    length max_len, kept per qb as passed; the package passes the letter
+    tuple at a `_scan_cap`.  Kept, so qb is checked once: a cyclic word
+    that is no quasi-band raises NotQuasiBand."""
+    return id_tally(spec, _checked_letters(spec, qb), left_inverted, max_len, cyclic=True)
+
+
 def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    """sub counts of every canonical word of length <= max_len, kept per qb
-    as passed; the package passes the letter tuple at a `_scan_cap`.  Kept,
-    so qb is checked once: a cyclic word that is no quasi-band raises
-    NotQuasiBand."""
-    return tally(spec, _checked_letters(spec, qb), True, max_len, cyclic=True)
+    """sub counts of every canonical word of length <= max_len, a view of
+    `band_id_tally`."""
+    return word_tally(spec, band_id_tally(spec, qb, True, max_len))
 
 
-@keep
 def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
     """fac counts, as `band_sub_tally`."""
-    return tally(spec, _checked_letters(spec, qb), False, max_len, cyclic=True)
+    return word_tally(spec, band_id_tally(spec, qb, False, max_len))
 
 
 def _scan_cap(n: int) -> int:
@@ -215,11 +223,11 @@ def _scan_cap(n: int) -> int:
 def sub_counts(spec, c: Word, qb) -> int:
     """Cyclic positions with an inverse letter, then l(c) letters spelling c
     or its inverse, then a plain arrow."""
-    return tally_count(band_sub_tally(spec, _as_letters(qb), _scan_cap(len(c))), c)
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), True, _scan_cap(len(c))), c)
 
 
 def fac_counts(spec, c: Word, qb) -> int:
-    return tally_count(band_fac_tally(spec, _as_letters(qb), _scan_cap(len(c))), c)
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), False, _scan_cap(len(c))), c)
 
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:

@@ -40,7 +40,9 @@ from .words import (
     inverse_letters,
     is_string,
     keep,
+    letter_source,
     letter_target,
+    reading,
     trivial_word,
     word_key,
 )
@@ -248,8 +250,10 @@ def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool
     along with each reading.
     """
     by_mid: dict[Word, list[tuple[str, str]]] = {}
-    occurrences = flanked(spec, band.letters, leftmost_inverted, max_mid, cyclic=True)
-    for first, mid, last in occurrences:
+    ls = reading(band.letters, max_mid, cyclic=True)
+    for k, j in flanked(band.letters, leftmost_inverted, max_mid, cyclic=True):
+        first, last = ls[k - 1], ls[j]
+        mid = Word(None, ls[k:j]) if j > k else trivial_word(letter_source(spec, first))
         for a, d, b in (
             (first.arrow, mid, last.arrow),
             (last.arrow, inverse(mid), first.arrow),

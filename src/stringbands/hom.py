@@ -7,6 +7,8 @@ endomorphism counts honest; both tallies already absorb the two orientations
 of d.  Every count is a fold over `words.flanked`, the one occurrence
 definition, so the four formulas are one pairing of a fac tally with a sub
 tally; a band tally is read by its letter tuple at a `bands._scan_cap`.
+The tallies paired are id tallies (`words.id_tally`), keyed by the int id of
+each middle's inversion class in the algebra's one `words.middle_trie`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .bands import (
-    BandClass,
-    _scan_cap,
-    band_fac_tally,
-    band_sub_tally,
-    canonical_class,
-)
+from .bands import BandClass, _scan_cap, band_id_tally, canonical_class
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
-from .words import Word, _Frozen, iter_strings, string_fac_tally, string_sub_tally
+from .words import Word, _Frozen, iter_strings, string_id_tally
 
 
 class BandSequence(_Frozen):
@@ -48,7 +44,7 @@ def make_sequence(spec, items) -> BandSequence:
     return BandSequence(tuple(canonical_class(spec, it) for it in items))
 
 
-def _pair(facs: dict[Word, int], subs: dict[Word, int]) -> int:
+def _pair(facs: dict[int, int], subs: dict[int, int]) -> int:
     """Sum over d of fac(d, source) * sub(d, target), walking the smaller
     tally with one probe of the other per term."""
     if len(subs) < len(facs):
@@ -58,17 +54,19 @@ def _pair(facs: dict[Word, int], subs: dict[Word, int]) -> int:
 
 def hom_string_string(spec, c: Word, cp: Word) -> int:
     """dim Hom(M(c), M(c')): fac counts on c against sub counts on c'."""
-    return _pair(string_fac_tally(spec, c), string_sub_tally(spec, cp))
+    return _pair(string_id_tally(spec, c, False), string_id_tally(spec, cp, True))
 
 
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    return _pair(band_fac_tally(spec, B.canonical.letters, _scan_cap(len(c))), string_sub_tally(spec, c))
+    facs = band_id_tally(spec, B.canonical.letters, False, _scan_cap(len(c)))
+    return _pair(facs, string_id_tally(spec, c, True))
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    return _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical.letters, _scan_cap(len(c))))
+    subs = band_id_tally(spec, B.canonical.letters, True, _scan_cap(len(c)))
+    return _pair(string_id_tally(spec, c, False), subs)
 
 
 def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:
@@ -81,8 +79,8 @@ def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
     cap = _scan_cap(B.period + C.period)
-    facs = band_fac_tally(spec, B.canonical.letters, cap)
-    subs = band_sub_tally(spec, C.canonical.letters, cap)
+    facs = band_id_tally(spec, B.canonical.letters, False, cap)
+    subs = band_id_tally(spec, C.canonical.letters, True, cap)
     total = _pair(facs, subs)
     return total + 1 if same_module else total
 

@@ -7,6 +7,13 @@ definition of an occurrence of a middle word with its two neighbours
 pointing the required ways; every substring and factorstring count, on
 strings here and on bands in `bands`, is a fold over it.
 
+Tally keys are interned middle ids: `id_tally` counts each occurrence under
+the id of its middle's inversion class, a node of the one `middle_trie`
+kept on the algebra, so no middle is built as a word.  `middle_word` reads
+an id back as a word, and the public tallies (`tally`, `string_sub_tally`,
+`string_fac_tally`) are Word-keyed views of the id tallies.  `count_sub` and
+`count_fac` find d's id by `middle_id`, a walk that never grows the trie.
+
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
 letters satisfy s(a_i) = t(a_{i+1}), the source of the word is s(an) and
@@ -16,7 +23,6 @@ the target is t(a1).  "Starts with" refers to the rightmost letter and
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import wraps
 from operator import attrgetter
 from typing import NamedTuple
@@ -87,14 +93,6 @@ class Word(_Frozen):
         object.__setattr__(self, "trivial_at", trivial_at)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash((trivial_at, letters)))
-
-    def __eq__(self, other):
-        # words are the keys of every tally; spelled out for the lookups
-        if other.__class__ is not Word:
-            return NotImplemented
-        return self.letters == other.letters and self.trivial_at == other.trivial_at
-
-    __hash__ = _Frozen.__hash__  # a class that defines __eq__ loses the inherited one
 
     @property
     def is_trivial(self) -> bool:
@@ -219,59 +217,36 @@ def left_divisors(alg, word: Word) -> list[Word]:
     return out
 
 
-def flanked(
-    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
-):
-    """Yield (left, mid, right) for every flanked occurrence of a middle word
-    of length at most max_mid: the left neighbour has inverted ==
-    left_inverted and the right neighbour does not.
+def reading(letters: tuple[Letter, ...], max_mid: int, cyclic=False) -> tuple[Letter, ...]:
+    """The letters `flanked` reads: a finite word as it is, a cyclic one
+    repeated until every middle of length at most max_mid, from each of its
+    starts, has a right neighbour."""
+    return letters * (max_mid // max(len(letters), 1) + 2) if cyclic else letters
+
+
+def flanked(letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False):
+    """Yield the span (k, j) of every flanked occurrence reading[k:j] of a
+    middle word of length at most max_mid, in `reading`: the left neighbour
+    reading[k-1] has inverted == left_inverted and the right neighbour
+    reading[j] does not.  Spans come by start, then by end, ascending.
 
     This is the one occurrence definition.  Substrings ask for an inverse
     letter on the left (left_inverted=True), factorstrings for a plain one.
-    A finite word has no neighbour past either end; it is None there and
-    imposes nothing.  A cyclic word is read periodically, with one
-    occurrence per left neighbour letter and both neighbours always present,
-    so a middle word may be longer than the period.  A trivial middle is the
-    vertex between its two neighbours.  A trivial finite word has no
-    letters to read and is left to the caller.
+    A finite word has no neighbour past either end, and none is asked for
+    there.  A cyclic word is read periodically, with one occurrence per
+    left neighbour letter (starts 1 to its period) and both neighbours
+    always present, so a middle word may be longer than the period.  A
+    trivial middle (k == j) is the vertex between its two neighbours.  A
+    trivial finite word has no letters to read and is left to the caller.
     """
-    n = len(letters)
-    if cyclic:
-        reading = letters * (max_mid // max(n, 1) + 2)
-        starts = range(1, n + 1)
-    else:
-        reading = letters
-        starts = range(n + 1)
-    for k in starts:
-        left = reading[k - 1] if k else None
-        if left is not None and left.inverted != left_inverted:
+    ls = reading(letters, max_mid, cyclic)
+    n = len(ls)
+    for k in range(1, len(letters) + 1) if cyclic else range(n + 1):
+        if k and ls[k - 1].inverted != left_inverted:
             continue
-        vertex = letter_source(alg, left) if k else letter_target(alg, reading[0])
-        for j in range(k, min(k + max_mid, len(reading)) + 1):
-            right = reading[j] if j < len(reading) else None
-            if right is not None and right.inverted == left_inverted:
-                continue
-            mid = Word(None, reading[k:j]) if j > k else trivial_word(vertex)
-            yield left, mid, right
-
-
-def tally(
-    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
-) -> dict[Word, int]:
-    """Flanked occurrences counted by the canonical form of their middle
-    word; both orientations of a middle word land on one key.  The caller
-    checks the word: the kept string and band tallies check it once, on a
-    miss, so the middles skip the check."""
-    return Counter(
-        _canonical(alg, mid)
-        for _, mid, _ in flanked(alg, letters, left_inverted, max_mid, cyclic)
-    )
-
-
-def tally_count(counts: dict[Word, int], d: Word) -> int:
-    """The count of d's inversion class in a tally.  Tally keys are
-    canonical, so one of d and its inverse is the key if any is."""
-    return counts.get(d) or counts.get(inverse(d), 0)
+        for j in range(k, min(k + max_mid, n) + 1):
+            if j == n or ls[j].inverted != left_inverted:
+                yield k, j
 
 
 _MISSING = object()
@@ -302,32 +277,179 @@ def keep(fn):
     return kept
 
 
+class MiddleTrie:
+    """Every middle word an algebra's tallies have read, one int id each.
+
+    A letter's code is 2 * its arrow's declaration index + inverted, so
+    code ^ 1 is the inverse letter.  Node 0 is the empty word, and the
+    child of node w by code c, grown on first use, is the word w.c: one
+    letter longer on the right.  parent and last read a node back."""
+
+    __slots__ = ("letters", "codes", "width", "child", "parent", "last")
+
+    def __init__(self, alg):
+        self.letters = tuple(Letter(a, inv) for a in alg.arrow_names for inv in (False, True))
+        self.codes = {l: c for c, l in enumerate(self.letters)}
+        self.width = len(self.letters)
+        self.child: dict[int, int] = {}  # node * width + code -> node
+        self.parent = [0]
+        self.last = [0]
+
+    def extend(self, chain: list[int], codes) -> None:
+        """Append to chain, whose last id is that of a word w, the ids of
+        w.c1, w.c1.c2, ... for the codes c1, c2, ..., growing the trie where
+        it ends."""
+        child, width, parent, last = self.child, self.width, self.parent, self.last
+        node = chain[-1]
+        for c in codes:
+            grown = child.get(node * width + c)
+            if grown is None:
+                grown = child[node * width + c] = len(parent)
+                parent.append(node)
+                last.append(c)
+            chain.append(grown)
+            node = grown
+
+    def find(self, codes) -> int | None:
+        """The id of the word of codes, or None if it has none; never grows."""
+        node = 0
+        for c in codes:
+            node = self.child.get(node * self.width + c)
+            if node is None:
+                return None
+        return node
+
+
 @keep
-def string_sub_tally(alg, c: Word) -> dict[Word, int]:
-    """sub(d, c) for every canonical d at once; a word that is not a string
-    raises NotAString.  Kept, so c is checked once."""
+def middle_trie(alg) -> MiddleTrie:
+    """The algebra's one trie, shared by its string and band tallies."""
+    return MiddleTrie(alg)
+
+
+def _vertex_id(alg, vertex: str) -> int:
+    return -1 - alg.vertex_index(vertex)
+
+
+def id_tally(
+    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
+) -> dict[int, int]:
+    """Flanked occurrences counted by the id of their middle's inversion
+    class, a fold over `flanked`: -1 - i for the trivial middle at vertex i,
+    else the smaller of the `middle_trie` ids of the middle and its inverse.
+
+    The id of span (k, j) is one trie step from that of (k, j-1), and its
+    inverse's one step, by an inverted code (code ^ 1), from that of
+    (k+1, j): the inverse read leftwards from j.  So no middle is built as
+    a word.  The caller checks the word: the kept string and band tallies
+    check it once, on a miss."""
+    trie = middle_trie(alg)
+    ls = reading(letters, max_mid, cyclic)
+    codes = [trie.codes[l] for l in ls]
+    inverted = [c ^ 1 for c in codes]
+    counts: dict[int, int] = {}
+    start = -1
+    # fwd[d] is the id of reading[start:start+d], backs[j][d] that of the
+    # inverse of reading[j-d:j]; each grows as far as a span asks
+    backs: dict[int, list[int]] = {}
+    for k, j in flanked(letters, left_inverted, max_mid, cyclic):
+        if k == j:
+            vertex = letter_source(alg, ls[k - 1]) if k else letter_target(alg, ls[0])
+            key = _vertex_id(alg, vertex)
+        else:
+            if k != start:
+                start, fwd = k, [0]
+            if len(fwd) <= j - k:
+                trie.extend(fwd, codes[k + len(fwd) - 1 : j])
+            back = backs.get(j)
+            if back is None:
+                back = backs[j] = [0]
+            if len(back) <= j - k:
+                trie.extend(back, reversed(inverted[k : j - len(back) + 1]))
+            key = min(fwd[j - k], back[j - k])
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def middle_id(alg, word: Word) -> int | None:
+    """The key of word's inversion class in every id tally (`id_tally`), or
+    None when the trie holds no reading of word, by a walk that never grows
+    the trie: a word over an unknown arrow or vertex, or one no tally has
+    met, has no key and counts 0."""
+    if word.is_trivial:
+        return _vertex_id(alg, word.trivial_at) if alg.has_vertex(word.trivial_at) else None
+    trie = middle_trie(alg)
+    codes = [trie.codes.get(l) for l in word.letters]
+    if None in codes:
+        return None
+    node = trie.find(codes)
+    back = trie.find(c ^ 1 for c in reversed(codes))
+    return None if node is None or back is None else min(node, back)
+
+
+def middle_word(alg, key: int) -> Word:
+    """The word of a tally key, one reading of its inversion class: the
+    trivial word at vertex i for -1 - i, a trie node read back through its
+    parent links."""
+    if key < 0:
+        return trivial_word(alg.vertices[-1 - key])
+    trie = middle_trie(alg)
+    codes = []
+    while key:
+        codes.append(trie.last[key])
+        key = trie.parent[key]
+    return Word(None, tuple(trie.letters[c] for c in reversed(codes)))
+
+
+def id_count(alg, ids: dict[int, int], d: Word) -> int:
+    """The count of d's inversion class in an id tally."""
+    # a word the trie has not met has the id None, which no tally holds
+    return ids.get(middle_id(alg, d), 0)
+
+
+def word_tally(alg, ids: dict[int, int]) -> dict[Word, int]:
+    """An id tally keyed by canonical middle words (`canonical_word`)."""
+    return {_canonical(alg, middle_word(alg, key)): n for key, n in ids.items()}
+
+
+def tally(
+    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
+) -> dict[Word, int]:
+    """`id_tally` keyed by canonical middle words; both orientations of a
+    middle word land on one key."""
+    return word_tally(alg, id_tally(alg, letters, left_inverted, max_mid, cyclic))
+
+
+@keep
+def string_id_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
+    """The sub (left_inverted) or fac id tally of c: sub(d, c) or fac(d, c)
+    for every d at once.  A word that is not a string raises NotAString.
+    Kept, so c is checked once."""
     if not is_string(alg, c):
         raise NotAString(format_word(c))
-    return {c: 1} if c.is_trivial else tally(alg, c.letters, True, len(c))
+    if c.is_trivial:
+        return {middle_id(alg, c): 1}
+    return id_tally(alg, c.letters, left_inverted, len(c))
 
 
-@keep
+def string_sub_tally(alg, c: Word) -> dict[Word, int]:
+    """sub(d, c) for every canonical d at once, a view of `string_id_tally`."""
+    return word_tally(alg, string_id_tally(alg, c, True))
+
+
 def string_fac_tally(alg, c: Word) -> dict[Word, int]:
     """fac(d, c) for every canonical d at once, as `string_sub_tally`."""
-    if not is_string(alg, c):
-        raise NotAString(format_word(c))
-    return {c: 1} if c.is_trivial else tally(alg, c.letters, False, len(c))
+    return word_tally(alg, string_id_tally(alg, c, False))
 
 
 def count_sub(alg, d: Word, c: Word) -> int:
-    """sub(d, c), read off `string_sub_tally`: a word c that is not a string
+    """sub(d, c), read off `string_id_tally`: a word c that is not a string
     raises NotAString."""
-    return tally_count(string_sub_tally(alg, c), d)
+    return id_count(alg, string_id_tally(alg, c, True), d)
 
 
 def count_fac(alg, d: Word, c: Word) -> int:
-    """fac(d, c), read off `string_fac_tally`."""
-    return tally_count(string_fac_tally(alg, c), d)
+    """fac(d, c), read off `string_id_tally`."""
+    return id_count(alg, string_id_tally(alg, c, False), d)
 
 
 def word_key(alg, word: Word):

@@ -45,15 +45,20 @@ from stringbands import (
     parti_counts,
     sub_counts,
 )
-from stringbands.bands import _rotations
+from stringbands.bands import _rotations, band_id_tally
 from stringbands.components import _case1_split, _try_extension, _window_triples
 from stringbands.words import (
     glues,
     letter_source,
     letter_target,
+    id_count,
+    id_tally,
+    middle_id,
+    middle_trie,
+    middle_word,
     tally,
-    tally_count,
     trivial_word,
+    word_tally,
     word_key,
     word_vertices,
 )
@@ -240,8 +245,8 @@ def test_one_band_scan_per_cyclic_word_and_bucket():
         for c in strings:
             sub_counts(spec, c, qb)
             hom_string_band(spec, c, B)
-    scans = sorted(spec.kept[band_sub_tally], key=lambda args: args[1])
-    assert scans == [(B.letters, cap) for cap in (1, 2, 4, 8)]
+    scans = sorted(spec.kept[band_id_tally], key=lambda args: args[2])
+    assert scans == [(B.letters, True, cap) for cap in (1, 2, 4, 8)]
 
 
 def test_dimensions():
@@ -577,11 +582,12 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     subs, facs = tally(spec, ls, True, m), tally(spec, ls, False, m)
     string = is_string(spec, c)
     for d in trivials + factors + [inverse(f) for f in factors]:
-        assert tally_count(subs, d) == len(_triples(spec, d, c, True))
-        assert tally_count(facs, d) == len(_triples(spec, d, c, False))
+        key = canonical_word(spec, d)
+        assert subs.get(key, 0) == len(_triples(spec, d, c, True))
+        assert facs.get(key, 0) == len(_triples(spec, d, c, False))
         if string:
-            assert count_sub(spec, d, c) == tally_count(subs, d)
-            assert count_fac(spec, d, c) == tally_count(facs, d)
+            assert count_sub(spec, d, c) == subs.get(key, 0)
+            assert count_fac(spec, d, c) == facs.get(key, 0)
     if not string:
         for count in (count_sub, count_fac):
             with pytest.raises(NotAString):
@@ -610,3 +616,50 @@ def test_flanked_folds_match_the_old_counters(spec, data):
             assert _window_triples(spec, band, cap, inv) == _reference_window_triples(
                 spec, band, cap, inv
             )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_id_tallies_read_back_as_the_old_counters(spec, data):
+    # the id engine against the reference counters above: its Word view,
+    # the read-back of every key, one key per inversion class, and lookups
+    # that never grow the trie
+    ls = data.draw(cyclic_words(spec))
+    assume(all(ls[k - 1] != ls[k].inv() for k in range(len(ls))))
+    m = len(ls)
+    c = Word(None, ls)
+    trivials = [trivial_word(v) for v in spec.vertices]
+    factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
+    band = QuasiBand(ls)
+    readings = [(False, m, lambda d, inv: len(_triples(spec, d, c, inv)), factors)]
+    for cap in (m, 2 * m + 3):
+        windows = [Word(None, _window(band, i, n)) for i in range(m) for n in range(1, cap + 1)]
+        readings.append((True, cap, lambda d, inv: _flank_count(spec, d, band, inv), windows))
+    for cyclic, cap, old_count, middles in readings:
+        for inv in (True, False):
+            ids = id_tally(spec, ls, inv, cap, cyclic)
+            reference = {}
+            for d in trivials + middles:
+                if n := old_count(d, inv):
+                    reference[canonical_word(spec, d)] = n
+            assert word_tally(spec, ids) == reference
+            for d in trivials + middles:
+                key = middle_id(spec, d)
+                assert key == middle_id(spec, inverse(d))
+                if canonical_word(spec, d) in reference:
+                    assert ids[key] == reference[canonical_word(spec, d)]
+                    assert canonical_word(spec, middle_word(spec, key)) == canonical_word(spec, d)
+    subs = id_tally(spec, ls, True, m)
+    trie = middle_trie(spec)
+    size = len(trie.parent)
+    # no node is as deep as the trie is large, and no arrow is named "zz"
+    absent = [
+        Word(None, ls * (size + 1)),
+        Word(None, ls + (Letter("zz", False),)),
+        Word(None, (Letter("zz", True),)),
+        trivial_word("nowhere"),
+    ]
+    for d in absent:
+        assert middle_id(spec, d) is None
+        assert id_count(spec, subs, d) == 0
+    assert len(trie.parent) == len(trie.child) + 1 == size

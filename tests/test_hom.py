@@ -31,7 +31,7 @@ from stringbands import (
     string_fac_tally,
     string_sub_tally,
 )
-from stringbands.bands import _scan_cap
+from stringbands.bands import _scan_cap, band_id_tally
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
 from stringbands.words import trivial_word
 
@@ -118,8 +118,10 @@ def test_band_band_scans_stop_at_the_reach():
             for C in classes:
                 hom_band_band(spec, B, C)
                 cap = _scan_cap(B.period + C.period)
-                for kept in (band_fac_tally, band_sub_tally):
-                    assert all(scan[1] <= cap for scan in spec.kept.pop(kept))
+                # (letters, left_inverted, cap): one fac scan and one sub scan
+                scans = spec.kept.pop(band_id_tally)
+                assert {scan[1] for scan in scans} == {False, True}
+                assert all(scan[2] <= cap for scan in scans)
 
 
 def test_sequence_counts_add_up():

@@ -25,6 +25,8 @@ from stringbands import (
     string_sub_tally,
 )
 from stringbands.words import (
+    middle_trie,
+    string_id_tally,
     trivial_word,
     word_key,
     word_source,
@@ -165,17 +167,23 @@ def test_string_tallies_count_canonical_middles():
 def test_kept_tallies_belong_to_one_algebra_object():
     spec = copy.copy(GP33)
     c = parse_word("a.b^-1")
-    assert string_sub_tally(spec, c) is string_sub_tally(spec, c)
-    assert spec.kept == {string_sub_tally: {(c,): string_sub_tally(spec, c)}}
-    # an equal algebra that is another object computes its own
+    assert string_id_tally(spec, c, True) is string_id_tally(spec, c, True)
+    assert spec.kept == {
+        middle_trie: {(): middle_trie(spec)},
+        string_id_tally: {(c, True): string_id_tally(spec, c, True)},
+    }
+    # an equal algebra that is another object computes its own, in its own trie
     twin = copy.copy(spec)
+    assert string_id_tally(twin, c, True) == string_id_tally(spec, c, True)
+    assert string_id_tally(twin, c, True) is not string_id_tally(spec, c, True)
+    assert middle_trie(twin) is not middle_trie(spec)
     assert string_sub_tally(twin, c) == string_sub_tally(spec, c)
-    assert string_sub_tally(twin, c) is not string_sub_tally(spec, c)
     # a call that raises keeps nothing, so it raises again
     for _ in range(2):
         with pytest.raises(NotAString):
             string_fac_tally(spec, parse_word("a.a.a"))
-    assert list(spec.kept) == [string_sub_tally]
+    assert list(spec.kept) == [middle_trie, string_id_tally]
+    assert list(spec.kept[string_id_tally]) == [(c, True)]
 
 
 def test_occurrence_counts_small_cases():
