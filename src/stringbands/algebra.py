@@ -138,10 +138,6 @@ class AlgebraSpec(_Frozen):
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _arrow_order(self) -> dict[str, int]:
-        return {a.name: i for i, a in enumerate(self.arrows)}
-
-    @cached_property
     def arrow_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows)
 
@@ -169,8 +165,21 @@ class AlgebraSpec(_Frozen):
     def vertex_index(self, v: str) -> int:
         return self._vertex_order[v]
 
-    def letter_key(self, letter: Letter) -> tuple[int, bool]:
-        return (self._arrow_order[letter.arrow], letter.inverted)
+    def letter_key(self, letter: Letter) -> int:
+        """The letter's code (`code_letters`): letters ordered by arrow
+        declaration, a plain letter before its inverse."""
+        return self.letter_codes[letter]
+
+    @cached_property
+    def code_letters(self) -> tuple[Letter, ...]:
+        """The code table: the letter of code 2 * arrow index + inverted, so
+        c ^ 1 is the inverse letter's code."""
+        return tuple(Letter(a, inv) for a in self.arrow_names for inv in (False, True))
+
+    @cached_property
+    def letter_codes(self) -> dict[Letter, int]:
+        """The code of each letter, the inverse of `code_letters`."""
+        return {l: c for c, l in enumerate(self.code_letters)}
 
     def out_arrows(self, u: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows if a.source == u)

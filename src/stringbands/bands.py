@@ -16,6 +16,8 @@ right, matching the composition order of finite words.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import NotBand, NotQuasiBand, TrivialWord
 from .words import (
     Letter,
@@ -24,6 +26,7 @@ from .words import (
     _check_arrows,
     _windows_hold,
     format_word,
+    glues,
     id_count,
     id_tally,
     inverse,
@@ -134,23 +137,31 @@ def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
     return [base[k:] + base[:k] for base in (ls, inverse_letters(ls)) for k in range(len(ls))]
 
 
+def _code_rotations(w: tuple[int, ...]):
+    """The m rotations of a code tuple, then the m of its inverse-reversal:
+    `_rotations` in letter codes (`AlgebraSpec.code_letters`)."""
+    inv = tuple(c ^ 1 for c in reversed(w))
+    return (base[k:] + base[:k] for base in (w, inv) for k in range(len(w)))
+
+
 def canonical_class(spec, letters) -> BandClass:
-    """Lexicographically least among the 2m rotations of the word and of
-    its inverse-reversal, under the declaration-order letter key; ties go
-    to the first in `_rotations` order.  Each class built for this spec
-    object is kept under itself in spec.kept and answers any equal class;
-    any other input is checked by `is_band` and canonicalised."""
+    """The reading with the least tuple of letter codes
+    (`AlgebraSpec.code_letters`, declaration order) among the 2m rotations
+    of the word and of its inverse-reversal.  Each class built for this
+    spec object is kept under itself in spec.kept and answers any equal
+    class; any other input is checked by `is_band` and canonicalised."""
     if isinstance(letters, BandClass) and (cls := spec.kept.get(letters)) is not None:
         return cls
     ls = _as_letters(letters)
     if not is_band(spec, ls):
         raise NotBand(f"{_fmt(ls)} is a proper power")
-    m = len(ls)
-    rots = _rotations(ls)
-    # key each letter once: rots[0] is the word and rots[m] its inverse-reversal
-    keys = (tuple(map(spec.letter_key, rots[0])), tuple(map(spec.letter_key, rots[m])))
-    best = min(range(2 * m), key=lambda i: keys[i // m][i % m :] + keys[i // m][: i % m])
-    cls = BandClass(QuasiBand(rots[best]))
+    best = min(_code_rotations(tuple(map(spec.letter_codes.__getitem__, ls))))
+    return _kept_class(spec, tuple(map(spec.code_letters.__getitem__, best)))
+
+
+def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
+    """The class of a canonical reading, kept under itself in spec.kept."""
+    cls = BandClass(QuasiBand(canonical))
     return spec.kept.setdefault(cls, cls)
 
 
@@ -232,20 +243,27 @@ def fac_counts(spec, c: Word, qb) -> int:
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     """All band classes of period <= max_len, shortest first, each period
-    block sorted by the canonical letter key."""
+    block in code order, as `canonical_class` builds and keeps them.
+
+    A string frontier (`string_frontiers`) holds every reading of a band, so
+    each class is listed once, at the reading w that is its canonical form:
+    w is below every other rotation of itself (so it is also primitive) and
+    at most every rotation of its inverse-reversal.  Such a w is a band
+    exactly when its letters have mixed directions and its seam glues: it
+    is already a string, so no other window needs a check."""
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
+    letters = spec.code_letters
     out: list[BandClass] = []
-    for _, frontier in zip(range(max_len), string_frontiers(spec)):
-        # a frontier is in letter order and holds every rotation of a band,
-        # so each class is kept once, where its canonical form comes up
+    for m, frontier in zip(range(1, max_len + 1), string_frontiers(spec)):
         for w in frontier:
-            try:
-                cls = canonical_class(spec, w.letters)
-            except (NotQuasiBand, NotBand):
+            rots = _code_rotations(w)
+            # the rotations of w after w itself, then those of its inverse
+            if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):
                 continue
-            if cls.letters == w.letters:
-                out.append(cls)
+            ls = tuple(map(letters.__getitem__, w))
+            if any((c ^ w[0]) & 1 for c in w) and glues(spec, ls, ls):
+                out.append(_kept_class(spec, ls))
     return out
 
 

@@ -23,9 +23,9 @@ gcd-normalised pivot rows found so far: a rank is the number of pivots, and
 a kernel is read off the same echelon form by back-substitution.  The
 syzygy's cover map is graded, so its one echelon form gives both the
 surjectivity check and the kernel, read vertex by vertex.
-Realizations and syzygy are kept on the algebra of their first argument
-(`words.keep`), so an algebra's answers go when it goes; dim_hom keeps
-nothing, and dim_ext1 reads Hom(P0, Y) off P0's tops (Yoneda).
+Realizations, projective covers and syzygy are kept on the algebra of their
+first argument (`words.keep`), so an algebra's answers go when it goes;
+dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off P0's tops (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -421,6 +421,14 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
 
 @keep
+def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule]:
+    """The words of the projectives P(v), v in tops, and their direct sum,
+    kept per nonempty tuple of tops: modules with the same tops share one P0."""
+    words = tuple(projective_word(spec, v) for v in tops)
+    return words, direct_sum(*(realize_string(spec, w) for w in words))
+
+
+@keep
 def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     d = X.dim
     # the radical of X is spanned by the columns of the arrow matrices
@@ -430,9 +438,8 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
             _reduce(span, dict(col))
     picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
-    words = [projective_word(spec, X.vertex_of[i]) for i in picks]
     # the zero module is its own projective cover
-    P0 = direct_sum(*(realize_string(spec, w) for w in words)) if words else X
+    words, P0 = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X)
     pi_cols: list[dict[int, Fraction]] = []  # columns of P0 -> X, sparse
     for pick, word in zip(picks, words):
         # the top generator is the left divisor that stops at the first inverse letter

@@ -280,17 +280,15 @@ def keep(fn):
 class MiddleTrie:
     """Every middle word an algebra's tallies have read, one int id each.
 
-    A letter's code is 2 * its arrow's declaration index + inverted, so
+    Letters are the algebra's codes (`AlgebraSpec.code_letters`), so
     code ^ 1 is the inverse letter.  Node 0 is the empty word, and the
     child of node w by code c, grown on first use, is the word w.c: one
     letter longer on the right.  parent and last read a node back."""
 
-    __slots__ = ("letters", "codes", "width", "child", "parent", "last")
+    __slots__ = ("width", "child", "parent", "last")
 
     def __init__(self, alg):
-        self.letters = tuple(Letter(a, inv) for a in alg.arrow_names for inv in (False, True))
-        self.codes = {l: c for c, l in enumerate(self.letters)}
-        self.width = len(self.letters)
+        self.width = len(alg.code_letters)
         self.child: dict[int, int] = {}  # node * width + code -> node
         self.parent = [0]
         self.last = [0]
@@ -344,7 +342,7 @@ def id_tally(
     check it once, on a miss."""
     trie = middle_trie(alg)
     ls = reading(letters, max_mid, cyclic)
-    codes = [trie.codes[l] for l in ls]
+    codes = list(map(alg.letter_codes.__getitem__, ls))
     inverted = [c ^ 1 for c in codes]
     counts: dict[int, int] = {}
     start = -1
@@ -378,7 +376,7 @@ def middle_id(alg, word: Word) -> int | None:
     if word.is_trivial:
         return _vertex_id(alg, word.trivial_at) if alg.has_vertex(word.trivial_at) else None
     trie = middle_trie(alg)
-    codes = [trie.codes.get(l) for l in word.letters]
+    codes = list(map(alg.letter_codes.get, word.letters))
     if None in codes:
         return None
     node = trie.find(codes)
@@ -397,7 +395,7 @@ def middle_word(alg, key: int) -> Word:
     while key:
         codes.append(trie.last[key])
         key = trie.parent[key]
-    return Word(None, tuple(trie.letters[c] for c in reversed(codes)))
+    return Word(None, tuple(alg.code_letters[c] for c in reversed(codes)))
 
 
 def id_count(alg, ids: dict[int, int], d: Word) -> int:
@@ -453,10 +451,11 @@ def count_fac(alg, d: Word, c: Word) -> int:
 
 
 def word_key(alg, word: Word):
-    """Total order: trivial words first by vertex, then length, then letters."""
+    """Total order: trivial words first by vertex, then length, then letter
+    codes (`AlgebraSpec.code_letters`)."""
     if word.is_trivial:
         return (0, alg.vertex_index(word.trivial_at), ())
-    return (len(word), 0, tuple(alg.letter_key(l) for l in word.letters))
+    return (len(word), 0, tuple(map(alg.letter_codes.__getitem__, word.letters)))
 
 
 def canonical_word(alg, word: Word) -> Word:
@@ -466,54 +465,70 @@ def canonical_word(alg, word: Word) -> Word:
     return _canonical(alg, word)
 
 
+def _least_reading(w: tuple[int, ...]) -> bool:
+    """Whether the code tuple w is <= that of its inverse, the codes reversed
+    and each inverted (c ^ 1)."""
+    return w <= tuple(c ^ 1 for c in reversed(w))
+
+
 def _canonical(alg, word: Word) -> Word:
     # word and its inverse have one length, so word_key orders them by their
-    # letter keys alone: letter i of the inverse is letter n+1-i of word,
-    # inverted.  The first pair that differs decides, and the inverse is
-    # built only when it wins.
-    if word.is_trivial:
+    # codes alone
+    if word.is_trivial or _least_reading(tuple(map(alg.letter_codes.__getitem__, word.letters))):
         return word
-    ls = word.letters
-    for a, b in zip(ls, reversed(ls)):
-        ka, kb = alg.letter_key(a), alg.letter_key(b.inv())
-        if ka != kb:
-            return word if ka < kb else inverse(word)
-    return word
+    return inverse(word)
 
 
 def string_frontiers(alg):
     """Yield, for lengths 1, 2, ..., the list of every string of that length
-    (both readings of each), until a length has none.
+    (both readings of each) as a tuple of letter codes
+    (`AlgebraSpec.code_letters`), until a length has none.
 
-    Each list extends the previous one by one letter on the right, and the
-    one-letter strings come in `letter_key` order, so every list is in
-    lexicographic `letter_key` order.  A string extended by one letter is a
-    string exactly when the two glue (`glues`).
+    Each list extends the previous one by one letter on the right.  Whether
+    a string w extended by a letter is a string depends only on the last R-1
+    letters of w (`glues`), so the codes that may follow w are read from a
+    successor list keyed by those letters: the out-edges of the window graph
+    at w's last window, worked out from `glues` the first time the walk
+    reaches it and held for this walk only.  The one-letter strings, every
+    letter, come in code order, and so every list is in lexicographic code
+    order.
     """
-    singles = [(Letter(a, inv),) for a in alg.arrow_names for inv in (False, True)]
-    frontier = [Word(None, l) for l in singles if is_string(alg, Word(None, l))]
+    letters = alg.code_letters
+    tail = alg.string_windows.length - 1
+    successors: dict[tuple[int, ...], list[tuple[int]]] = {}
+    frontier = [(c,) for c in range(len(letters))]
     while frontier:
         yield frontier
-        frontier = [
-            Word(None, w.letters + l) for w in frontier for l in singles if glues(alg, w.letters, l)
-        ]
+        grown = []
+        for w in frontier:
+            key = w[-tail:]
+            nxt = successors.get(key)
+            if nxt is None:
+                window = tuple(letters[c] for c in key)
+                nxt = [(c,) for c, l in enumerate(letters) if glues(alg, window, (l,))]
+                successors[key] = nxt
+            grown += [w + c for c in nxt]
+        frontier = grown
 
 
 def iter_strings(alg, max_len: int):
     """Yield one representative per {c, c inverse} class, length at most
-    max_len.
+    max_len: the reading whose code tuple is <= that of its inverse.
 
     Trivial words come first in vertex declaration order, then each length
-    in letter order.  Deterministic for a fixed algebra, and lazy: callers
+    in code order.  Deterministic for a fixed algebra, and lazy: callers
     that stop early never pay for the longer lengths.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     for v in alg.vertices:
         yield trivial_word(v)
+    letters = alg.code_letters
     for _, frontier in zip(range(max_len), string_frontiers(alg)):
-        # a frontier is in letter order and holds both readings of a string
-        yield from (w for w in frontier if _canonical(alg, w) is w)
+        # a frontier is in code order and holds both readings of a string
+        for w in frontier:
+            if _least_reading(w):
+                yield Word(None, tuple(map(letters.__getitem__, w)))
 
 
 def enumerate_strings(alg, max_len: int) -> list[Word]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -86,6 +87,27 @@ def test_enumerate_bands_payload():
     assert doc["result"] == {"count": 1, "entries": ["a.b^-1"]}
     doc = run_json("enumerate", GP33_FILE, "bands", "--max-len", "6")
     assert doc["result"]["count"] == 8
+
+
+# sha256 of the whole stdout of `enumerate <fixture> <kind> --max-len <n>`,
+# one line per fixture and kind; the CI console-script step checks the
+# installed entry point against the same file
+DIGEST_FILE = ROOT / "tests" / "enumerate_digests.txt"
+DIGESTS = [line.split() for line in DIGEST_FILE.read_text().splitlines()]
+
+
+def test_enumerate_digests_cover_every_fixture():
+    fixtures = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.alg"))
+    assert sorted((f, kind) for f, kind, _, _ in DIGESTS) == [
+        (f, kind) for f in fixtures for kind in ("bands", "strings")
+    ]
+
+
+@pytest.mark.parametrize("path, kind, max_len, digest", DIGESTS)
+def test_enumerate_output_matches_its_golden_digest(path, kind, max_len, digest):
+    code, out, err = run_cli("enumerate", path, kind, "--max-len", max_len)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hom_counts_backend_echoes_canonical_forms():

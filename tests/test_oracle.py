@@ -110,8 +110,8 @@ def test_equal_modules_built_apart_compare_and_hash_equal():
 
 
 def test_oracle_caches_stay_inspectable():
-    # syzygy is kept on the algebra object of its module, keyed by the
-    # module's value; dim_hom keeps nothing
+    # syzygy and the projective covers it builds are kept on the algebra
+    # object of its module, keyed by value; dim_hom keeps nothing
     spec = copy.copy(KRON)
     X = realize_string(spec, parse_word("a.b^-1"))
     P0, omega = syzygy(X)
@@ -125,8 +125,14 @@ def test_oracle_caches_stay_inspectable():
     # a module over another algebra is refused
     with pytest.raises(SpecMismatch):
         dim_hom(X, realize_string(GP33, parse_word("a")))
-    assert set(spec.kept) == {realize_string, oracle._syzygy}
+    assert set(spec.kept) == {realize_string, oracle._projective_cover, oracle._syzygy}
     assert set(twin.kept) == {realize_string}
+    # the projective cover is kept per tuple of tops: the strings a and b
+    # both have the one top at vertex 1, and share one P0 object
+    P_a, _ = syzygy(realize_string(spec, parse_word("a")))
+    P_b, _ = syzygy(realize_string(spec, parse_word("b")))
+    assert P_a is P_b
+    assert spec.kept[oracle._projective_cover][(("1",),)][1] is P_a
 
 
 def test_an_algebra_is_freed_with_its_oracle_answers():
