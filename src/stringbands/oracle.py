@@ -8,24 +8,30 @@ mod(A, d) and stores only that: the vertex of each basis vector
 read-only mapping), besides the algebra and optional basis labels.  Its
 one constructor sorts the entries and checks that they stay in their
 vertex blocks and satisfy every relation, so every module, realized,
-summed, a syzygy or a copy, is validated.  Everything else is derived:
-dim, the vertex blocks (grading), each index's place in its block
-(position), dense matrices (mats) and int_tables, each arrow as
-X(a) = N / D with D the lcm of its denominators and N an integer matrix
-listed by columns and by rows.  If both modules have one_entry_per_line, as
-realized strings and bands do, each equation of dim_hom ties at most two
-unknowns, and a union-find (_linked_rank) reading one module's N by columns
-and the other's by rows ranks the system.  Any other pair has its equations
-read off entries (_row_rank), which shares only entries and _echelon with
-the union-find the tests check against it.  _echelon, a loop over the
-fraction-free _reduce, eliminates an integer row at a time against the
-gcd-normalised pivot rows found so far: a rank is the number of pivots, and
-a kernel is read off the same echelon form by back-substitution.  The
-syzygy's cover map is graded, so its one echelon form gives both the
-surjectivity check and the kernel, read vertex by vertex.
+summed, a syzygy or a copy, is validated, and a float entry is refused.
+Everything else is derived: dim, the vertex blocks (grading), dense matrices
+(mats), the line table (lines) and int_tables.  Both integer views write
+each arrow as X(a) = N / D with D the lcm of its denominators.  The line
+table, built in one pass over vertex_of and entries, holds each vertex's
+block as the (in, out) arrow bit masks of its basis vectors, and each
+nonzero arrow's N as edges between places in blocks.  int_tables lists N
+by columns and by rows, for syzygy and rank_sum only.  If both modules
+have one_entry_per_line, as realized strings and bands do, each equation
+of dim_hom ties at most two unknowns, and _linked_rank ranks the system
+off the two line tables: a mask test zeroes the unknowns that have a
+one-sided equation, and a union-find links the two unknowns of each pair
+of same-arrow edges.  Any other pair has its equations read off entries
+(_row_rank), which shares only entries and _echelon with the union-find
+the tests check against it.  _echelon, a loop over the fraction-free
+_reduce, eliminates an integer row at a time against the gcd-normalised
+pivot rows found so far: a rank is the number of pivots, and a kernel is
+read off the same echelon form by back-substitution.  The syzygy's cover
+map is graded, so its one echelon form gives both the surjectivity check
+and the kernel, read vertex by vertex.
 Realizations, projective covers and syzygy are kept on the algebra of their
 first argument (`words.keep`), so an algebra's answers go when it goes;
-dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off P0's tops (Yoneda).
+dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops of P0's
+line table (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -59,6 +65,8 @@ from .words import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 Entries = tuple[tuple[int, int, Fraction], ...]
 IntTable = tuple[int, dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
+Edges = list[tuple[int, int, int]]
+Lines = tuple[dict[str, list[tuple[int, int]]], dict[str, tuple[str, str, int, Edges]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -76,7 +84,7 @@ class MatrixModule(_Frozen):
                 raise ValueError(f"the algebra has no arrow {a}")
         stored: dict[str, Entries] = {}
         for a in spec.arrow_names:
-            cells = sorted((i, j, Fraction(x)) for i, j, x in entries.get(a, ()))
+            cells = sorted((i, j, _exact(x)) for i, j, x in entries.get(a, ()))
             if any(p[:2] == q[:2] for p, q in zip(cells, cells[1:])):
                 raise ValueError(f"matrix of {a} repeats an entry")
             stored[a] = tuple(c for c in cells if c[2])
@@ -119,6 +127,42 @@ class MatrixModule(_Frozen):
         return tuple(out)
 
     @cached_property
+    def lines(self) -> Lines:
+        """The integer line table that dim_hom reads, built in one pass:
+        (blocks, arrows).  blocks maps each vertex with basis vectors to their
+        (in, out) arrow bit masks in place order (the bit of an arrow is
+        1 << its declaration index; in holds the arrows whose matrix has a
+        nonzero in the vector's row, out those with one in its column), so a
+        block's length is its vertex's width.  arrows maps each arrow that acts
+        nonzero to (s, t, D, edges) with X(a) = N / D as in int_tables and
+        edges the (place of j, place of k, N[k][j]) of its nonzeros."""
+        vof = self.vertex_of
+        width: dict[str, int] = {}
+        place = []
+        for u in vof:
+            p = width.get(u, 0)
+            place.append(p)
+            width[u] = p + 1
+        into, out = [0] * len(vof), [0] * len(vof)
+        arrows = {}
+        for n, (a, cells) in enumerate(self.entries.items()):
+            if not cells:
+                continue
+            bit = 1 << n
+            den = lcm(*(x.denominator for _, _, x in cells))
+            edges = []
+            for k, j, x in cells:
+                into[k] |= bit
+                out[j] |= bit
+                edges.append((place[j], place[k], x.numerator * (den // x.denominator)))
+            k, j, _ = cells[0]
+            arrows[a] = (vof[j], vof[k], den, edges)
+        blocks: dict[str, list[tuple[int, int]]] = {u: [] for u in width}
+        for u, m in zip(vof, zip(into, out)):
+            blocks[u].append(m)
+        return blocks, arrows
+
+    @cached_property
     def int_tables(self) -> dict[str, IntTable]:
         """Each arrow a as (D, columns, rows) with X(a) = N / D: D is the lcm
         of the entries' denominators, N an integer matrix kept as its columns
@@ -138,24 +182,24 @@ class MatrixModule(_Frozen):
     @cached_property
     def one_entry_per_line(self) -> bool:
         """Whether each arrow matrix has at most one nonzero per row and per column."""
-        tables = self.int_tables.values()
-        return all(len(v) == 1 for _, c, r in tables for v in (*c.values(), *r.values()))
+        return all(
+            len(cells) == len({i for i, _, _ in cells}) == len({j for _, j, _ in cells})
+            for cells in self.entries.values()
+        )
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.spec, self.vertex_of, tuple(self.entries.items()), self.labels))
 
-    @cached_property
-    def position(self) -> tuple[int, ...]:
-        """Each basis index's place inside its vertex block."""
-        out = [0] * self.dim
-        for idxs in self._blocks.values():
-            for p, i in enumerate(idxs):
-                out[i] = p
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"MatrixModule(dim={self.dim})"
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float raises TypeError: Fraction(0.1) is not 1/10."""
+    if isinstance(x, float):
+        raise TypeError(f"matrix entries must be exact, not the float {x!r}")
+    return Fraction(x)
 
 
 def _product(left: Entries, right: Entries) -> Entries:
@@ -220,16 +264,19 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     """
     if isinstance(lam, float):
         raise TypeError(f"band parameter must be exact, not the float {lam!r}")
-    return _realize_band(spec, _as_letters(qb), Fraction(lam))
+    if not isinstance(lam, Fraction):
+        lam = Fraction(lam)
+    # kept by the parameter's two ints: a Fraction hashes anew on every lookup
+    return _realize_band(spec, _as_letters(qb), lam.numerator, lam.denominator)
 
 
 @keep
-def _realize_band(spec, letters: tuple, lam: Fraction) -> MatrixModule:
-    if lam == 0:
+def _realize_band(spec, letters: tuple, num: int, den: int) -> MatrixModule:
+    if num == 0:
         raise ZeroParameter("band parameter must be nonzero")
     if not is_quasi_band(spec, letters):
         raise NotQuasiBand(format_word(Word(None, letters)))
-    m = len(letters)
+    m, lam = len(letters), Fraction(num, den)
     # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
     # letters[-1]
     vertex_of = [letter_source(spec, l) for l in letters[-1:] + letters[:-1]]
@@ -316,12 +363,14 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
         raise SpecMismatch("modules over different algebras")
     # the union-find numbers the unknown f[i][k] (i in Y, k in X, both at
     # vertex u) offset[u] + place of i in Y_u * |X_u| + place of k in X_u
-    xb, yb = X._blocks, Y._blocks
+    xb, yb = X.lines[0], Y.lines[0]
     offset: dict[str, int] = {}
     nu = 0
     for u, xs in xb.items():
-        offset[u] = nu
-        nu += len(xs) * len(yb.get(u, ()))
+        ys = yb.get(u)
+        if ys:
+            offset[u] = nu
+            nu += len(xs) * len(ys)
     if nu == 0:
         return 0
     linked = X.one_entry_per_line and Y.one_entry_per_line
@@ -344,48 +393,45 @@ def _row_rank(X: MatrixModule, Y: MatrixModule) -> int:
 
 
 def _linked_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> int:
-    """Rank of the hom system when both modules have one_entry_per_line: each
-    equation reads x f_p = y f_q, or has one side and zeroes its unknown.  A
-    union-find by size keeps f_v = a/b f_parent with integers a, b, and the
-    rank is its merges plus its components zeroed by one side or a cycle."""
-    xb, yb = X._blocks, Y._blocks
-    px, py = X.position, Y.position
-    xt, yt = X.int_tables, Y.int_tables
+    """Rank of the hom system when both modules have one_entry_per_line, read
+    off their line tables: each equation reads x f_p = y f_q, or has one side
+    and zeroes its unknown.  A mask test finds the zeroed unknowns; a
+    union-find by size, run over the pairs of same-arrow edges, keeps
+    f_v = a/b f_parent with integers a, b.  The rank is its merges plus its
+    components zeroed by one side or a cycle, their roots taken at the end."""
+    xb, xa = X.lines
+    yb, ya = Y.lines
+    # f[i][k] has a one-sided equation, so is zero, when an arrow reaches k
+    # in X but not i in Y, or leaves i in Y but not k in X
+    zero: list[int] = []
+    for u, xs in xb.items():
+        ys = yb.get(u)
+        if ys is None:
+            continue
+        v = offset[u]
+        for yin, yout in ys:
+            for xin, xout in xs:
+                if xin & ~yin or yout & ~xout:
+                    zero.append(v)
+                v += 1
     up: dict[int, tuple[int, int, int]] = {}  # v -> (parent, a, b): f_v = a/b f_parent
     size: dict[int, int] = {}  # each root's component size, when above 1
-    zero: set[int] = set()  # the roots of the components forced to zero
     merges = 0
-    for name, s, t in X.spec.arrows:
-        dx, xcols, _ = xt[name]
-        dy, _, yrows = yt[name]
-        if not xcols and not yrows:
+    for name, (s, t, dx, xedges) in xa.items():
+        yarrow = ya.get(name)
+        if yarrow is None:
             continue
+        dy, yedges = yarrow[2], yarrow[3]
         d = lcm(dx, dy)
         sx, sy = d // dx, d // dy
-        xs, ys = xb.get(s, ()), yb.get(t, ())
-        bt, wt = offset.get(t, 0), len(xb.get(t, ()))
-        bs, ws = offset.get(s, 0), len(xs)
-        for j in xs:
-            fj, col = bs + px[j], xcols.get(j)
-            if col is None:  # column j of X is zero: each row of Y zeroes its f[k][j]
-                for ((k, _),) in yrows.values():
-                    q = fj + py[k] * ws
-                    while q in up:
-                        q = up[q][0]
-                    zero.add(q)
-                continue
-            ((k, n),) = col
-            c, sn = bt + px[k], sx * n
-            for i in ys:
-                # _row_rank's equation (i, j) is x f[i][k] = y f[k'][j] for row i of Y at k'
-                p, yrow = c + py[i] * wt, yrows.get(i)
-                if yrow is None:
-                    while p in up:
-                        p = up[p][0]
-                    zero.add(p)
-                    continue
-                ((k, n),) = yrow
-                q, x, y = fj + py[k] * ws, sn, sy * n
+        bt, wt = offset[t], len(xb[t])
+        bs, ws = offset[s], len(xb[s])
+        for j, k, n in xedges:
+            c, fj, sn = bt + k, bs + j, sx * n
+            for h, i, m in yedges:
+                # _row_rank's equation (i, j) reads x f[i][k] = y f[h][j] for
+                # the edges j -> k of X and h -> i of Y
+                p, q, x, y = c + i * wt, fj + h * ws, sn, sy * m
                 while p in up:  # to the roots, keeping x f_p = y f_q
                     p, a, b = up[p]
                     x *= a
@@ -396,19 +442,24 @@ def _linked_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> in
                     x *= b
                 if p == q:
                     if x != y:  # an inconsistent cycle
-                        zero.add(p)
+                        zero.append(p)
                     continue
                 sp, sq = size.pop(p, 1), size.pop(q, 1)
                 if sp > sq:  # hang the smaller component under the larger
                     p, q, x, y = q, p, y, x
-                g = gcd(x, y)  # each link in lowest terms keeps the walks' products small
-                up[p] = (q, y // g, x // g)
+                if x == y:  # a unit ratio needs no gcd
+                    up[p] = (q, 1, 1)
+                else:
+                    g = gcd(x, y)  # each link in lowest terms keeps the walks' products small
+                    up[p] = (q, y // g, x // g)
                 size[q] = sp + sq
                 merges += 1
-                if p in zero:
-                    zero.remove(p)
-                    zero.add(q)
-    return merges + len(zero)
+    roots = set()
+    for v in zero:
+        while v in up:
+            v = up[v][0]
+        roots.add(v)
+    return merges + len(roots)
 
 
 def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
@@ -493,13 +544,12 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
     """dim Ext^1 from the syzygy sequence 0 -> OX -> P0 -> X -> 0.  P0 is a sum
     of projectives P(v), one per top, and Hom(P(v), Y) is Y_v (Yoneda); the
-    tops are P0's basis vectors that no arrow reaches."""
-    if X.spec != Y.spec:
+    tops are P0's basis vectors that no arrow reaches, their in-masks 0."""
+    if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     P0, omega = syzygy(X)
-    reached = {i for cells in P0.entries.values() for i, _, _ in cells}
-    blocks = Y._blocks
-    tops = sum(len(blocks[u]) for i, u in enumerate(P0.vertex_of) if i not in reached)
+    yb = Y.lines[0]
+    tops = sum(len(yb.get(u, ())) for u, b in P0.lines[0].items() for into, _ in b if not into)
     return dim_hom(omega, Y) - tops + dim_hom(X, Y)
 
 

@@ -184,6 +184,16 @@ def test_the_constructor_refuses_points_outside_the_variety(vertex_of, entries, 
         MatrixModule(GP22, vertex_of, entries)
 
 
+def test_the_constructor_refuses_float_entries():
+    # Fraction(0.1) is 3602879701896397/2**55, not 1/10; like a band
+    # parameter, a float entry is refused even when its value is exact
+    for x in (0.1, 2.0):
+        with pytest.raises(TypeError, match="float"):
+            MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, x)]})
+    M = MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, "1/10")], "b": [(1, 0, 2)]})
+    assert M.entries == {"a": ((1, 0, Fraction(1, 10)),), "b": ((1, 0, 2),)}
+
+
 def test_a_module_is_its_vertices_and_sorted_entries():
     M = MatrixModule(GP22, ["u", "u", "u"], {"b": [(2, 1, Fraction(1, 2)), (1, 0, 0), (0, 1, 3)]})
     assert M.vertex_of == ("u", "u", "u") and M.dim == 3
@@ -456,6 +466,42 @@ def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
     assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
     assert pickle.dumps(X) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(X)) == fresh
+
+
+def test_the_line_table_stays_out_of_equality_hash_repr_and_pickles():
+    X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
+    # one block at u of (in, out) masks, a being bit 1 and b bit 2; the edges
+    # of b are (place of j, place of k, N[k][j]) with X(b) = N / 2
+    assert X.lines == (
+        {"u": [(3, 0), (1, 1), (0, 3), (2, 2)]},
+        {"a": ("u", "u", 1, [(1, 0, 1), (2, 1, 1)]), "b": ("u", "u", 2, [(3, 0, 3), (2, 3, 2)])},
+    )
+    fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
+    assert "lines" in X.__dict__ and "lines" not in fresh.__dict__
+    assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
+    assert pickle.dumps(X) == pickle.dumps(fresh)
+    assert "lines" not in pickle.loads(pickle.dumps(X)).__dict__
+
+
+def test_hom_between_realized_modules_builds_only_the_line_table():
+    # a copied algebra keeps nothing yet, so no other test built these modules' views
+    spec = copy.copy(GP33)
+    X = realize_band(spec, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
+    Y = realize_string(spec, parse_word("a.b^-1"))
+    assert (dim_hom(X, Y), dim_hom(Y, X), dim_hom(X, X)) == (3, 3, 4)
+    for M in (X, Y):
+        assert "lines" in M.__dict__ and "int_tables" not in M.__dict__
+
+
+def test_one_sided_equations_zero_their_unknowns_by_the_arrow_masks():
+    S1, S2 = (realize_string(KRON, trivial_word(u)) for u in "12")
+    M = realize_string(KRON, parse_word("a"))
+    # a: 1 -> 2 reaches the vector of M at 2 and nothing of S2, so only the
+    # in-masks zero the one unknown of Hom(M, S2)
+    assert dim_hom(M, S2) == 0 and dim_hom(S2, M) == 1
+    # a leaves the vector of M at 1 and nothing of S1, so only the out-masks
+    # zero the one unknown of Hom(S1, M)
+    assert dim_hom(S1, M) == 0 and dim_hom(M, S1) == 1
 
 
 LOWER = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
