@@ -165,11 +165,6 @@ class AlgebraSpec(_Frozen):
     def vertex_index(self, v: str) -> int:
         return self._vertex_order[v]
 
-    def letter_key(self, letter: Letter) -> int:
-        """The letter's code (`code_letters`): letters ordered by arrow
-        declaration, a plain letter before its inverse."""
-        return self.letter_codes[letter]
-
     @cached_property
     def code_letters(self) -> tuple[Letter, ...]:
         """The code table: the letter of code 2 * arrow index + inverted, so

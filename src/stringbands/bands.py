@@ -4,8 +4,8 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 The sub and fac counts are band tallies: `words.id_tally` read cyclically,
 the same fold over `words.flanked` that strings use, keyed by the ids of
 the same `words.middle_trie`; one scan per letter tuple, side and
-power-of-two cap (`_scan_cap`), kept on the algebra.  `band_sub_tally` and
-`band_fac_tally` are Word-keyed views of the scans.
+power-of-two cap (`_scan_cap`), kept on the algebra.  Every count, and
+`dimension_vector`, refuses a cyclic word that is no quasi-band.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -34,7 +34,6 @@ from .words import (
     keep,
     letter_source,
     string_frontiers,
-    word_tally,
 )
 
 
@@ -176,26 +175,27 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
-def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
-    """Occurrences of c and of its inverse among the m cyclic windows."""
+def _checked_letters(spec, qb) -> tuple[Letter, ...]:
     ls = _as_letters(qb)
+    if not is_quasi_band(spec, ls):
+        raise NotQuasiBand(_fmt(ls))
+    return ls
+
+
+def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
+    """Occurrences of c and of its inverse among the m cyclic windows.  A
+    cyclic word that is no quasi-band raises NotQuasiBand."""
+    ls = _checked_letters(spec, qb)
     if c.is_trivial:
         raise TrivialWord("parti is defined for nonempty words only")
     m = len(ls)
 
     def occ(target: tuple[Letter, ...]) -> int:
         n = len(target)
-        reading = ls * (n // max(m, 1) + 2)
+        reading = ls * (n // m + 2)
         return sum(1 for i in range(m) if reading[i : i + n] == target)
 
     return occ(c.letters), occ(inverse(c).letters)
-
-
-def _checked_letters(spec, qb) -> tuple[Letter, ...]:
-    ls = _as_letters(qb)
-    if not is_quasi_band(spec, ls):
-        raise NotQuasiBand(_fmt(ls))
-    return ls
 
 
 @keep
@@ -205,17 +205,6 @@ def band_id_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[int, int]
     tuple at a `_scan_cap`.  Kept, so qb is checked once: a cyclic word
     that is no quasi-band raises NotQuasiBand."""
     return id_tally(spec, _checked_letters(spec, qb), left_inverted, max_len, cyclic=True)
-
-
-def band_sub_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    """sub counts of every canonical word of length <= max_len, a view of
-    `band_id_tally`."""
-    return word_tally(spec, band_id_tally(spec, qb, True, max_len))
-
-
-def band_fac_tally(spec, qb, max_len: int) -> dict[Word, int]:
-    """fac counts, as `band_sub_tally`."""
-    return word_tally(spec, band_id_tally(spec, qb, False, max_len))
 
 
 def _scan_cap(n: int) -> int:
@@ -273,9 +262,9 @@ def band_dimension(qb) -> int:
 
 def dimension_vector(spec, qb) -> dict[str, int]:
     """How many basis vectors sit at each vertex u: letters with source u.
-    Unknown arrows raise ParseError."""
-    ls = _as_letters(qb)
-    _check_arrows(spec, ls)
+    Unknown arrows raise ParseError, and a cyclic word that is no quasi-band
+    NotQuasiBand."""
+    ls = _checked_letters(spec, qb)
     vec = {v: 0 for v in spec.vertices}
     for l in ls:
         vec[letter_source(spec, l)] += 1

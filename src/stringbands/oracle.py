@@ -7,27 +7,28 @@ mod(A, d) and stores only that: the vertex of each basis vector
 (vertex_of) and each arrow's nonzero (i, j, x) entries (entries, a
 read-only mapping), besides the algebra and optional basis labels.  Its
 one constructor sorts the entries and checks that they stay in their
-vertex blocks and satisfy every relation, so every module, realized,
-summed, a syzygy or a copy, is validated, and a float entry is refused.
-Everything else is derived: dim, the vertex blocks (grading), dense matrices
-(mats), the line table (lines) and int_tables.  Both integer views write
-each arrow as X(a) = N / D with D the lcm of its denominators.  The line
-table, built in one pass over vertex_of and entries, holds each vertex's
-block as the (in, out) arrow bit masks of its basis vectors, and each
-nonzero arrow's N as edges between places in blocks.  int_tables lists N
-by columns and by rows, for syzygy and rank_sum only.  If both modules
-have one_entry_per_line, as realized strings and bands do, each equation
-of dim_hom ties at most two unknowns, and _linked_rank ranks the system
-off the two line tables: a mask test zeroes the unknowns that have a
-one-sided equation, and a union-find links the two unknowns of each pair
-of same-arrow edges.  Any other pair has its equations read off entries
-(_row_rank), which shares only entries and _echelon with the union-find
-the tests check against it.  _echelon, a loop over the fraction-free
-_reduce, eliminates an integer row at a time against the gcd-normalised
-pivot rows found so far: a rank is the number of pivots, and a kernel is
-read off the same echelon form by back-substitution.  The syzygy's cover
-map is graded, so its one echelon form gives both the surjectivity check
-and the kernel, read vertex by vertex.
+vertex blocks and satisfy every relation, and that labels, if given, name
+every basis vector, so every module, realized, summed, a syzygy or a copy,
+is validated, and a float entry is refused.  Everything else is derived:
+dim, the vertex blocks (grading), dense matrices (mats) and the line table
+(lines).  The line table, built in one pass over vertex_of and entries,
+holds each vertex's block as the (in, out) arrow bit masks of its basis
+vectors, and each nonzero arrow as X(a) = N / D, with D the lcm of its
+denominators and N's entries as edges between places in blocks.  syzygy
+and rank_sum read entries directly, a row or a column at a time, each
+scaled to integers (_integral).  If both modules have one_entry_per_line,
+as realized strings and bands do, each equation of dim_hom ties at most
+two unknowns, and _linked_rank ranks the system off the two line tables:
+a mask test zeroes the unknowns that have a one-sided equation, and a
+union-find links the two unknowns of each pair of same-arrow edges.  Any
+other pair has its equations read off entries (_row_rank), which shares
+only entries and _echelon with the union-find the tests check against it.
+_echelon, a loop over the fraction-free _reduce, eliminates an integer row
+at a time against the gcd-normalised pivot rows found so far: a rank is
+the number of pivots, and a kernel is read off the same echelon form by
+back-substitution.  The syzygy's cover map is graded, so its one echelon
+form gives both the surjectivity check and the kernel, read vertex by
+vertex.
 Realizations, projective covers and syzygy are kept on the algebra of their
 first argument (`words.keep`), so an algebra's answers go when it goes;
 dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops of P0's
@@ -64,7 +65,6 @@ from .words import (
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Entries = tuple[tuple[int, int, Fraction], ...]
-IntTable = tuple[int, dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 Edges = list[tuple[int, int, int]]
 Lines = tuple[dict[str, list[tuple[int, int]]], dict[str, tuple[str, str, int, Edges]]]
 
@@ -134,8 +134,9 @@ class MatrixModule(_Frozen):
         1 << its declaration index; in holds the arrows whose matrix has a
         nonzero in the vector's row, out those with one in its column), so a
         block's length is its vertex's width.  arrows maps each arrow that acts
-        nonzero to (s, t, D, edges) with X(a) = N / D as in int_tables and
-        edges the (place of j, place of k, N[k][j]) of its nonzeros."""
+        nonzero to (s, t, D, edges) with X(a) = N / D, D the lcm of its
+        denominators, and edges the (place of j, place of k, N[k][j]) of its
+        nonzeros."""
         vof = self.vertex_of
         width: dict[str, int] = {}
         place = []
@@ -163,23 +164,6 @@ class MatrixModule(_Frozen):
         return blocks, arrows
 
     @cached_property
-    def int_tables(self) -> dict[str, IntTable]:
-        """Each arrow a as (D, columns, rows) with X(a) = N / D: D is the lcm
-        of the entries' denominators, N an integer matrix kept as its columns
-        j -> [(k, N[k][j])] and its rows k -> [(j, N[k][j])], nonzeros only."""
-        out = {}
-        for a, entries in self.entries.items():
-            den = lcm(*(x.denominator for _, _, x in entries))
-            cols: dict[int, list[tuple[int, int]]] = {}
-            rows: dict[int, list[tuple[int, int]]] = {}
-            for i, j, x in entries:
-                n = x.numerator * (den // x.denominator)
-                cols.setdefault(j, []).append((i, n))
-                rows.setdefault(i, []).append((j, n))
-            out[a] = (den, cols, rows)
-        return out
-
-    @cached_property
     def one_entry_per_line(self) -> bool:
         """Whether each arrow matrix has at most one nonzero per row and per column."""
         return all(
@@ -198,7 +182,7 @@ class MatrixModule(_Frozen):
 def _exact(x) -> Fraction:
     """x as a Fraction; a float raises TypeError: Fraction(0.1) is not 1/10."""
     if isinstance(x, float):
-        raise TypeError(f"matrix entries must be exact, not the float {x!r}")
+        raise TypeError(f"entries and band parameters must be exact, not the float {x!r}")
     return Fraction(x)
 
 
@@ -230,6 +214,8 @@ def _validate(mod: MatrixModule) -> None:
         if not spec.has_vertex(u):
             raise ValueError(f"basis vector at unknown vertex {u}")
     d = len(vof)
+    if mod.labels is not None and len(mod.labels) != d:
+        raise ValueError(f"{len(mod.labels)} labels for {d} basis vectors")
     for name, src, tgt in spec.arrows:
         for i, j, _ in mod.entries[name]:
             if not (0 <= i < d and 0 <= j < d):
@@ -262,10 +248,8 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
     canonical rotation.  A float lam raises TypeError: Fraction(0.1) is not 1/10.
     """
-    if isinstance(lam, float):
-        raise TypeError(f"band parameter must be exact, not the float {lam!r}")
     if not isinstance(lam, Fraction):
-        lam = Fraction(lam)
+        lam = _exact(lam)
     # kept by the parameter's two ints: a Fraction hashes anew on every lookup
     return _realize_band(spec, _as_letters(qb), lam.numerator, lam.denominator)
 
@@ -293,6 +277,15 @@ def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The row scaled to integers by the lcm of its denominators, zeros dropped."""
     den = lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+
+
+def _integer_lines(cells: Entries, axis: int) -> list[dict[int, int]]:
+    """The nonzero rows (axis 0) or columns (axis 1) of the matrix with these
+    entries, each scaled to integers by `_integral`."""
+    lines: dict[int, dict[int, Fraction]] = {}
+    for cell in cells:
+        lines.setdefault(cell[axis], {})[cell[1 - axis]] = cell[2]
+    return list(map(_integral, lines.values()))
 
 
 def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
@@ -484,9 +477,9 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     d = X.dim
     # the radical of X is spanned by the columns of the arrow matrices
     span: dict[int, dict[int, int]] = {}
-    for _, cols, _ in X.int_tables.values():
-        for col in cols.values():
-            _reduce(span, dict(col))
+    for cells in X.entries.values():
+        for col in _integer_lines(cells, 1):
+            _reduce(span, col)
     picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     # the zero module is its own projective cover
@@ -554,8 +547,8 @@ def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
 
 
 def rank_sum(X: MatrixModule) -> int:
-    """Sum of the ranks of the arrow matrices, each read as its integer N."""
-    return sum(len(_echelon(map(dict, rows.values()))) for _, _, rows in X.int_tables.values())
+    """Sum of the ranks of the arrow matrices, each read by its rows."""
+    return sum(len(_echelon(_integer_lines(cells, 0))) for cells in X.entries.values())
 
 
 def is_regular(X: MatrixModule) -> bool:

@@ -9,9 +9,7 @@ strings here and on bands in `bands`, is a fold over it.
 
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
 the id of its middle's inversion class, a node of the one `middle_trie`
-kept on the algebra, so no middle is built as a word.  `middle_word` reads
-an id back as a word, and the public tallies (`tally`, `string_sub_tally`,
-`string_fac_tally`) are Word-keyed views of the id tallies.  `count_sub` and
+kept on the algebra, so no middle is built as a word.  `count_sub` and
 `count_fac` find d's id by `middle_id`, a walk that never grows the trie.
 
 Composition order is right to left throughout: in a word written
@@ -283,28 +281,24 @@ class MiddleTrie:
     Letters are the algebra's codes (`AlgebraSpec.code_letters`), so
     code ^ 1 is the inverse letter.  Node 0 is the empty word, and the
     child of node w by code c, grown on first use, is the word w.c: one
-    letter longer on the right.  parent and last read a node back."""
+    letter longer on the right, and takes the next free id."""
 
-    __slots__ = ("width", "child", "parent", "last")
+    __slots__ = ("width", "child")
 
     def __init__(self, alg):
         self.width = len(alg.code_letters)
         self.child: dict[int, int] = {}  # node * width + code -> node
-        self.parent = [0]
-        self.last = [0]
 
     def extend(self, chain: list[int], codes) -> None:
         """Append to chain, whose last id is that of a word w, the ids of
         w.c1, w.c1.c2, ... for the codes c1, c2, ..., growing the trie where
         it ends."""
-        child, width, parent, last = self.child, self.width, self.parent, self.last
+        child, width = self.child, self.width
         node = chain[-1]
         for c in codes:
             grown = child.get(node * width + c)
             if grown is None:
-                grown = child[node * width + c] = len(parent)
-                parent.append(node)
-                last.append(c)
+                grown = child[node * width + c] = len(child) + 1
             chain.append(grown)
             node = grown
 
@@ -384,37 +378,10 @@ def middle_id(alg, word: Word) -> int | None:
     return None if node is None or back is None else min(node, back)
 
 
-def middle_word(alg, key: int) -> Word:
-    """The word of a tally key, one reading of its inversion class: the
-    trivial word at vertex i for -1 - i, a trie node read back through its
-    parent links."""
-    if key < 0:
-        return trivial_word(alg.vertices[-1 - key])
-    trie = middle_trie(alg)
-    codes = []
-    while key:
-        codes.append(trie.last[key])
-        key = trie.parent[key]
-    return Word(None, tuple(alg.code_letters[c] for c in reversed(codes)))
-
-
 def id_count(alg, ids: dict[int, int], d: Word) -> int:
     """The count of d's inversion class in an id tally."""
     # a word the trie has not met has the id None, which no tally holds
     return ids.get(middle_id(alg, d), 0)
-
-
-def word_tally(alg, ids: dict[int, int]) -> dict[Word, int]:
-    """An id tally keyed by canonical middle words (`canonical_word`)."""
-    return {_canonical(alg, middle_word(alg, key)): n for key, n in ids.items()}
-
-
-def tally(
-    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
-) -> dict[Word, int]:
-    """`id_tally` keyed by canonical middle words; both orientations of a
-    middle word land on one key."""
-    return word_tally(alg, id_tally(alg, letters, left_inverted, max_mid, cyclic))
 
 
 @keep
@@ -427,16 +394,6 @@ def string_id_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
     if c.is_trivial:
         return {middle_id(alg, c): 1}
     return id_tally(alg, c.letters, left_inverted, len(c))
-
-
-def string_sub_tally(alg, c: Word) -> dict[Word, int]:
-    """sub(d, c) for every canonical d at once, a view of `string_id_tally`."""
-    return word_tally(alg, string_id_tally(alg, c, True))
-
-
-def string_fac_tally(alg, c: Word) -> dict[Word, int]:
-    """fac(d, c) for every canonical d at once, as `string_sub_tally`."""
-    return word_tally(alg, string_id_tally(alg, c, False))
 
 
 def count_sub(alg, d: Word, c: Word) -> int:

@@ -22,8 +22,6 @@ from stringbands import (
     Word,
     are_equivalent,
     band_dimension,
-    band_fac_tally,
-    band_sub_tally,
     canonical_class,
     canonical_word,
     class_members,
@@ -55,10 +53,7 @@ from stringbands.words import (
     id_tally,
     middle_id,
     middle_trie,
-    middle_word,
-    tally,
     trivial_word,
-    word_tally,
     word_key,
     word_vertices,
 )
@@ -215,23 +210,26 @@ def test_band_tallies_refuse_a_cyclic_word_that_is_not_a_quasi_band():
     ls = parse_word("a.a.a.b^-1").letters
     assert not is_quasi_band(GP33, ls)
     for call in (
-        lambda: band_sub_tally(GP33, ls, 4),
-        lambda: band_fac_tally(GP33, ls, 4),
+        lambda: band_id_tally(GP33, ls, True, 4),
+        lambda: band_id_tally(GP33, ls, False, 4),
         lambda: sub_counts(GP33, parse_word("a"), ls),
         lambda: fac_counts(GP33, parse_word("a"), ls),
+        # a.a.a does not turn at all
+        lambda: parti_counts(GP33, parse_word("a"), parse_word("a.a.a")),
+        lambda: dimension_vector(GP33, ls),
     ):
         with pytest.raises(NotQuasiBand):
             call()
 
 
 def test_tallies_agree_with_single_counts():
+    # every middle a band reads is a string, so the tallies to length 6 hold
+    # exactly the strings of length <= 6 that the single counts find
     B4 = canonical_class(GP33, parse_word("a.a.b^-1.b^-1"))
-    subs = band_sub_tally(GP33, B4, 6)
-    facs = band_fac_tally(GP33, B4, 6)
-    for w, n in subs.items():
-        assert sub_counts(GP33, w, B4) == n
-    for w, n in facs.items():
-        assert fac_counts(GP33, w, B4) == n
+    strings = enumerate_strings(GP33, 6)
+    for inv, count in ((True, sub_counts), (False, fac_counts)):
+        ids = band_id_tally(GP33, B4, inv, 6)
+        assert ids == {middle_id(GP33, w): n for w in strings if (n := count(GP33, w, B4))}
 
 
 def test_one_band_scan_per_cyclic_word_and_bucket():
@@ -380,7 +378,8 @@ def test_enumeration_matches_brute_force(spec):
         for ls in sequences
         if is_quasi_band(spec, ls) and is_band(spec, ls)
     }
-    expected = sorted(bands, key=lambda B: (B.period, tuple(map(spec.letter_key, B.letters))))
+    codes = spec.letter_codes
+    expected = sorted(bands, key=lambda B: (B.period, tuple(codes[l] for l in B.letters)))
     assert enumerate_bands(spec, top) == expected
 
 
@@ -402,7 +401,7 @@ def quasi_bands(draw, spec):
 def _reference_canonical_class(spec, ls):
     if not is_band(spec, ls):
         raise NotBand(f"{format_word(Word(None, ls))} is a proper power")
-    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_key(l) for l in c))
+    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_codes[l] for l in c))
     return BandClass(QuasiBand(best))
 
 
@@ -566,6 +565,14 @@ def _reference_window_triples(spec, band, max_mid, leftmost_inverted):
     return by_mid
 
 
+def assert_counts(spec, ids, reference):
+    """The id tally ids counts as reference, a dict from canonical words to
+    nonzero counts: no other key, and each word's count read by its id."""
+    assert len(ids) == len(reference)
+    for d, n in reference.items():
+        assert id_count(spec, ids, d) == n
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
 def test_flanked_folds_match_the_old_counters(spec, data):
@@ -578,15 +585,15 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     trivials = [trivial_word(v) for v in spec.vertices]
     factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
     # the engine reads every drawn word; the counts read only strings
-    subs, facs = tally(spec, ls, True, m), tally(spec, ls, False, m)
+    subs, facs = id_tally(spec, ls, True, m), id_tally(spec, ls, False, m)
     string = is_string(spec, c)
     for d in trivials + factors + [inverse(f) for f in factors]:
-        key = canonical_word(spec, d)
-        assert subs.get(key, 0) == len(_triples(spec, d, c, True))
-        assert facs.get(key, 0) == len(_triples(spec, d, c, False))
+        n_sub, n_fac = id_count(spec, subs, d), id_count(spec, facs, d)
+        assert n_sub == len(_triples(spec, d, c, True))
+        assert n_fac == len(_triples(spec, d, c, False))
         if string:
-            assert count_sub(spec, d, c) == subs.get(key, 0)
-            assert count_fac(spec, d, c) == facs.get(key, 0)
+            assert count_sub(spec, d, c) == n_sub
+            assert count_fac(spec, d, c) == n_fac
     if not string:
         for count in (count_sub, count_fac):
             with pytest.raises(NotAString):
@@ -600,18 +607,18 @@ def test_flanked_folds_match_the_old_counters(spec, data):
         windows = [
             Word(None, _window(band, i, n)) for i in range(m) for n in range(1, cap + 1)
         ]
-        for inv, kept in ((True, band_sub_tally), (False, band_fac_tally)):
+        for inv in (True, False):
             reference = {}
             for d in trivials + windows:
                 n = _flank_count(spec, d, band, inv)
                 if n:
                     reference[canonical_word(spec, d)] = n
-            assert tally(spec, ls, inv, cap, cyclic=True) == reference
+            assert_counts(spec, id_tally(spec, ls, inv, cap, cyclic=True), reference)
             if quasi_band:
-                assert kept(spec, band, cap) == reference
+                assert_counts(spec, band_id_tally(spec, band, inv, cap), reference)
             else:
                 with pytest.raises(NotQuasiBand):
-                    kept(spec, band, cap)
+                    band_id_tally(spec, band, inv, cap)
             assert _window_triples(spec, band, cap, inv) == _reference_window_triples(
                 spec, band, cap, inv
             )
@@ -620,9 +627,8 @@ def test_flanked_folds_match_the_old_counters(spec, data):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
 def test_id_tallies_read_back_as_the_old_counters(spec, data):
-    # the id engine against the reference counters above: its Word view,
-    # the read-back of every key, one key per inversion class, and lookups
-    # that never grow the trie
+    # the id engine against the reference counters above: one key per
+    # inversion class, its count, and lookups that never grow the trie
     ls = data.draw(cyclic_words(spec))
     assume(all(ls[k - 1] != ls[k].inv() for k in range(len(ls))))
     m = len(ls)
@@ -641,16 +647,16 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
             for d in trivials + middles:
                 if n := old_count(d, inv):
                     reference[canonical_word(spec, d)] = n
-            assert word_tally(spec, ids) == reference
+            assert len(ids) == len(reference)
             for d in trivials + middles:
                 key = middle_id(spec, d)
                 assert key == middle_id(spec, inverse(d))
                 if canonical_word(spec, d) in reference:
                     assert ids[key] == reference[canonical_word(spec, d)]
-                    assert canonical_word(spec, middle_word(spec, key)) == canonical_word(spec, d)
     subs = id_tally(spec, ls, True, m)
     trie = middle_trie(spec)
-    size = len(trie.parent)
+    # node 0, the empty word, and one more per child link
+    size = len(trie.child) + 1
     # no node is as deep as the trie is large, and no arrow is named "zz"
     absent = [
         Word(None, ls * (size + 1)),
@@ -661,4 +667,4 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
     for d in absent:
         assert middle_id(spec, d) is None
         assert id_count(spec, subs, d) == 0
-    assert len(trie.parent) == len(trie.child) + 1 == size
+    assert len(trie.child) + 1 == size

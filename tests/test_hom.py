@@ -11,8 +11,7 @@ from stringbands import (
     NotAString,
     ParseError,
     SameModuleMismatch,
-    band_fac_tally,
-    band_sub_tally,
+    Word,
     canonical_class,
     dim_hom,
     enumerate_bands,
@@ -28,12 +27,10 @@ from stringbands import (
     parse_word,
     realize_band,
     realize_string,
-    string_fac_tally,
-    string_sub_tally,
 )
 from stringbands.bands import _scan_cap, band_id_tally
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
-from stringbands.words import trivial_word
+from stringbands.words import middle_id, string_id_tally, trivial_word
 
 
 def fmtc(c):
@@ -82,15 +79,15 @@ def test_band_band_count_is_stable_under_longer_caps():
             for C in classes:
                 cap = 4 * (B.period + C.period)
                 longer = _pair(
-                    band_fac_tally(spec, B.canonical, cap), band_sub_tally(spec, C.canonical, cap)
+                    band_id_tally(spec, B.canonical, False, cap),
+                    band_id_tally(spec, C.canonical, True, cap),
                 )
                 assert longer == hom_band_band(spec, B, C)
             for c in enumerate_strings(spec, 4):
                 cap = 2 * len(c) + 3
-                into = _pair(band_fac_tally(spec, B.canonical, cap), string_sub_tally(spec, c))
-                assert into == hom_band_string(spec, B, c)
-                out = _pair(string_fac_tally(spec, c), band_sub_tally(spec, B.canonical, cap))
-                assert out == hom_string_band(spec, c, B)
+                facs, subs = (band_id_tally(spec, B.canonical, inv, cap) for inv in (False, True))
+                assert _pair(facs, string_id_tally(spec, c, True)) == hom_band_string(spec, B, c)
+                assert _pair(string_id_tally(spec, c, False), subs) == hom_string_band(spec, c, B)
 
 
 def test_shared_middles_end_before_the_reach():
@@ -102,11 +99,18 @@ def test_shared_middles_end_before_the_reach():
         classes = enumerate_bands(spec, 8)
         longest = max(C.period for C in classes)
         for B in classes:
-            facs = band_fac_tally(spec, B.canonical, 3 * (B.period + longest))
+            cap = 3 * (B.period + longest)
+            facs = band_id_tally(spec, B.canonical, False, cap)
+            # the length of each middle of B's fac tally, by its id
+            reading = B.letters * (cap // B.period + 2)
+            length = {middle_id(spec, trivial_word(v)): 0 for v in spec.vertices}
+            for i in range(B.period):
+                for n in range(1, cap + 1):
+                    length[middle_id(spec, Word(None, reading[i : i + n]))] = n
             for C in classes:
-                subs = band_sub_tally(spec, C.canonical, 3 * (C.period + longest))
+                subs = band_id_tally(spec, C.canonical, True, 3 * (C.period + longest))
                 reach = B.period if B == C else B.period + C.period
-                assert all(len(d) < reach for d in facs.keys() & subs.keys())
+                assert all(length[d] < reach for d in facs.keys() & subs.keys())
 
 
 def test_band_band_scans_stop_at_the_reach():

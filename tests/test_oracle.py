@@ -194,6 +194,15 @@ def test_the_constructor_refuses_float_entries():
     assert M.entries == {"a": ((1, 0, Fraction(1, 10)),), "b": ((1, 0, 2),)}
 
 
+def test_the_constructor_refuses_labels_that_miss_a_basis_vector():
+    # else direct_sum of two copies would carry 2 labels for 4 basis vectors
+    for labels in ((), ("x",), ("x", "y", "z")):
+        with pytest.raises(ValueError, match="labels for 2 basis vectors"):
+            MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, 1)]}, labels=labels)
+    M = MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, 1)]}, labels=("x", "y"))
+    assert direct_sum(M, M).labels == ("x", "y", "x", "y")
+
+
 def test_a_module_is_its_vertices_and_sorted_entries():
     M = MatrixModule(GP22, ["u", "u", "u"], {"b": [(2, 1, Fraction(1, 2)), (1, 0, 0), (0, 1, 3)]})
     assert M.vertex_of == ("u", "u", "u") and M.dim == 3
@@ -459,10 +468,16 @@ def test_unit_rows_settle_before_elimination(rows):
 
 def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
-    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2), so N(b) = 2 X(b)
-    assert X.int_tables["b"] == (2, {3: [(0, 3)], 2: [(3, 2)]}, {0: [(3, 3)], 3: [(2, 2)]})
+    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2); rank_sum and the
+    # syzygy read its rows and its columns each scaled to integers on its own
+    assert X.entries["b"] == ((0, 3, Fraction(3, 2)), (3, 2, 1))
+    assert oracle._integer_lines(X.entries["b"], 0) == [{3: 3}, {2: 1}]
+    assert oracle._integer_lines(X.entries["b"], 1) == [{0: 3}, {3: 1}]
+    # and build no view on X
+    views = set(X.__dict__) | {"_hash"}
+    assert rank_sum(X) == 4 and [M.dim for M in syzygy(X)] == [5, 1]
+    assert set(X.__dict__) == views
     fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
-    assert "int_tables" in X.__dict__ and "int_tables" not in fresh.__dict__
     assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
     assert pickle.dumps(X) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(X)) == fresh
@@ -490,7 +505,7 @@ def test_hom_between_realized_modules_builds_only_the_line_table():
     Y = realize_string(spec, parse_word("a.b^-1"))
     assert (dim_hom(X, Y), dim_hom(Y, X), dim_hom(X, X)) == (3, 3, 4)
     for M in (X, Y):
-        assert "lines" in M.__dict__ and "int_tables" not in M.__dict__
+        assert set(M.__dict__) - set(M._fields) == {"lines", "one_entry_per_line"}
 
 
 def test_one_sided_equations_zero_their_unknowns_by_the_arrow_masks():
@@ -564,7 +579,8 @@ def test_a_change_of_basis_keeps_hom_ext_and_ranks(pair):
 def test_conjugated_modules_reach_beyond_one_entry_per_column():
     M = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(7, 2))
     N = conjugate(M, (1, Fraction(1, 2), -1, 2, 3, 1))
-    assert max(len(col) for _, cols, _ in N.int_tables.values() for col in cols.values()) > 1
+    # some arrow matrix has two entries in one column
+    assert any(len(cells) > len({j for _, j, _ in cells}) for cells in N.entries.values())
     assert M != N and dim_hom(N, M) == dim_hom(M, M) and dim_ext1(N, N) == dim_ext1(M, M)
 
 

@@ -21,10 +21,9 @@ from stringbands import (
     is_string,
     left_divisors,
     parse_word,
-    string_fac_tally,
-    string_sub_tally,
 )
 from stringbands.words import (
+    id_count,
     middle_trie,
     string_id_tally,
     trivial_word,
@@ -54,8 +53,8 @@ def test_parse_rejects_junk():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: string_fac_tally(GP22, parse_word("a.a")), NotAString),
-    (lambda: string_sub_tally(GP22, parse_word("a.a")), NotAString),
+    (lambda: string_id_tally(GP22, parse_word("a.a"), False), NotAString),
+    (lambda: string_id_tally(GP22, parse_word("a.a"), True), NotAString),
     (lambda: Word("u", parse_word("a").letters), ValueError),
     (lambda: Word(None, ()), ValueError),
 ], ids=["fac-tally-non-string", "sub-tally-non-string", "trivial-with-letters", "neither"])
@@ -158,10 +157,14 @@ def test_enumerate_strings_counts_at_length_six():
 
 def test_string_tallies_count_canonical_middles():
     c = parse_word("a.b^-1")
-    facs = {format_word(w): n for w, n in string_fac_tally(GP22, c).items()}
-    subs = {format_word(w): n for w, n in string_sub_tally(GP22, c).items()}
-    assert facs == {"1_u": 1, "a": 1, "b": 1, "a.b^-1": 1}
-    assert subs == {"1_u": 2, "a.b^-1": 1}
+    for inv, expected in (
+        (False, {"1_u": 1, "a": 1, "b": 1, "a.b^-1": 1}),
+        (True, {"1_u": 2, "a.b^-1": 1}),
+    ):
+        ids = string_id_tally(GP22, c, inv)
+        assert len(ids) == len(expected)
+        for d, n in expected.items():
+            assert id_count(GP22, ids, parse_word(d)) == n
 
 
 def test_kept_tallies_belong_to_one_algebra_object():
@@ -177,11 +180,12 @@ def test_kept_tallies_belong_to_one_algebra_object():
     assert string_id_tally(twin, c, True) == string_id_tally(spec, c, True)
     assert string_id_tally(twin, c, True) is not string_id_tally(spec, c, True)
     assert middle_trie(twin) is not middle_trie(spec)
-    assert string_sub_tally(twin, c) == string_sub_tally(spec, c)
+    for d in map(parse_word, ("1_u", "a", "a.b^-1")):
+        assert count_sub(twin, d, c) == count_sub(spec, d, c)
     # a call that raises keeps nothing, so it raises again
     for _ in range(2):
         with pytest.raises(NotAString):
-            string_fac_tally(spec, parse_word("a.a.a"))
+            string_id_tally(spec, parse_word("a.a.a"), False)
     assert list(spec.kept) == [middle_trie, string_id_tally]
     assert list(spec.kept[string_id_tally]) == [(c, True)]
 
@@ -201,8 +205,8 @@ def test_occurrence_counts_small_cases():
     # but a string over one is refused
     z = parse_word("z.a")
     for call in (
-        lambda: string_sub_tally(KRON, z),
-        lambda: string_fac_tally(KRON, z),
+        lambda: string_id_tally(KRON, z, True),
+        lambda: string_id_tally(KRON, z, False),
         lambda: count_sub(KRON, parse_word("a"), z),
         lambda: count_fac(KRON, parse_word("a"), z),
     ):
@@ -213,8 +217,8 @@ def test_occurrence_counts_small_cases():
     assert count_sub(KRON, nine, parse_word("a")) == 0
     for call in (
         lambda: is_string(KRON, nine),
-        lambda: string_sub_tally(KRON, nine),
-        lambda: string_fac_tally(KRON, nine),
+        lambda: string_id_tally(KRON, nine, True),
+        lambda: string_id_tally(KRON, nine, False),
         lambda: count_fac(KRON, nine, nine),
         lambda: hom_string_string(KRON, nine, nine),
     ):
