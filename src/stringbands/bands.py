@@ -4,8 +4,10 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 The sub and fac counts are band tallies: `words.id_tally` read cyclically,
 the same fold over `words.flanked` that strings use, keyed by the ids of
 the same `words.middle_trie`; one scan per letter tuple, side and
-power-of-two cap (`_scan_cap`), kept on the algebra.  Every count, and
-`dimension_vector`, refuses a cyclic word that is no quasi-band.
+power-of-two cap (`_scan_cap`), kept on the algebra.  Every count,
+`dimension_vector`, `is_band` and `canonical_class` read a cyclic word
+through `_checked_letters`, the one place that refuses a word that is no
+quasi-band; `is_band` is the one test that it is no proper power.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -33,6 +35,7 @@ from .words import (
     inverse_letters,
     keep,
     letter_source,
+    reading,
     string_frontiers,
 )
 
@@ -84,8 +87,6 @@ class BandClass(_Frozen):
 
 
 def _fmt(letters: tuple[Letter, ...]) -> str:
-    if not letters:
-        return "(empty)"
     return format_word(Word(None, letters))
 
 
@@ -115,20 +116,18 @@ def is_quasi_band(spec, letters) -> bool:
     return mixed and _windows_hold(spec, ls + ls[: R - 1])
 
 
-def _is_primitive(ls: tuple[Letter, ...]) -> bool:
-    m = len(ls)
-    for p in range(1, m):
-        if m % p == 0 and all(ls[i] == ls[i % p] for i in range(m)):
-            return False
-    return True
+def _checked_letters(spec, qb) -> tuple[Letter, ...]:
+    ls = _as_letters(qb)
+    if not is_quasi_band(spec, ls):
+        raise NotQuasiBand(_fmt(ls))
+    return ls
 
 
 def is_band(spec, letters) -> bool:
-    """True iff the quasi-band is not a proper power of a shorter period."""
-    ls = _as_letters(letters)
-    if not is_quasi_band(spec, ls):
-        raise NotQuasiBand(_fmt(ls))
-    return _is_primitive(ls)
+    """True iff the quasi-band is not a proper power of a shorter period:
+    its letter codes differ from each of their other rotations."""
+    w = tuple(map(spec.letter_codes.__getitem__, _checked_letters(spec, letters)))
+    return w not in islice(_code_rotations(w), 1, len(w))
 
 
 def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
@@ -175,13 +174,6 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
-def _checked_letters(spec, qb) -> tuple[Letter, ...]:
-    ls = _as_letters(qb)
-    if not is_quasi_band(spec, ls):
-        raise NotQuasiBand(_fmt(ls))
-    return ls
-
-
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows.  A
     cyclic word that is no quasi-band raises NotQuasiBand."""
@@ -192,8 +184,8 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
 
     def occ(target: tuple[Letter, ...]) -> int:
         n = len(target)
-        reading = ls * (n // m + 2)
-        return sum(1 for i in range(m) if reading[i : i + n] == target)
+        read = reading(ls, n, cyclic=True)
+        return sum(1 for i in range(m) if read[i : i + n] == target)
 
     return occ(c.letters), occ(inverse(c).letters)
 

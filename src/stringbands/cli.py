@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document on stdout with a fixed key order,
-so outputs are byte-stable for golden tests.  Exit codes: 0 success, 2
-parse error, 3 domain-precondition error (an algebra that is not a string
-algebra among them: every subcommand but `validate` refuses one), 4
-internal invariant violation.  A reader that closes stdout early ends the
-run quietly.
+so outputs are byte-stable for golden tests.  `main` loads the algebra
+file once and, for every subcommand but `validate`, refuses one that is not
+a string algebra; each handler takes the loaded spec.  One `except` in
+`main` maps a failure to its exit code: 2 parse error (an unreadable file
+among them), 3 domain-precondition error, 4 internal invariant violation;
+0 is success.  A reader that closes stdout early ends the run quietly.
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ def _fmt_witness(wit) -> dict:
     return out
 
 
-def cmd_validate(args) -> dict:
-    spec = load_algebra(args.file)
+def cmd_validate(args, spec) -> dict:
     report = validate_algebra(spec)
     result = {
         "valid": report.valid,
@@ -114,8 +114,7 @@ def cmd_validate(args) -> dict:
     return _result("validate", {"file": args.file}, result)
 
 
-def cmd_enumerate(args) -> dict:
-    spec = require_string_algebra(load_algebra(args.file))
+def cmd_enumerate(args, spec) -> dict:
     if args.kind == "strings":
         entries = [format_word(w) for w in enumerate_strings(spec, args.max_len)]
     else:
@@ -141,8 +140,7 @@ def _check_parameter(value):
     return value
 
 
-def cmd_hom(args) -> dict:
-    spec = require_string_algebra(load_algebra(args.file))
+def cmd_hom(args, spec) -> dict:
     src_kind, src = _parse_module(spec, args.src)
     dst_kind, dst = _parse_module(spec, args.dst)
     lam = _check_parameter(args.lam)
@@ -190,8 +188,7 @@ def cmd_hom(args) -> dict:
     return _result("hom", inputs, result)
 
 
-def cmd_component(args) -> dict:
-    spec = require_string_algebra(load_algebra(args.file))
+def cmd_component(args, spec) -> dict:
     words = [parse_word(w) for w in args.bands.split(",") if w.strip()]
     if not words:
         raise ParseError("--bands needs at least one band word")
@@ -210,8 +207,7 @@ def cmd_component(args) -> dict:
     return _result("component", inputs, result, witnesses)
 
 
-def cmd_degenerate(args) -> dict:
-    spec = require_string_algebra(load_algebra(args.file))
+def cmd_degenerate(args, spec) -> dict:
     band_word = parse_word(args.band)
     inputs = {"file": args.file, "band": args.band, "mode": args.mode}
     if args.mode == "reverse":
@@ -268,19 +264,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="string and band module calculator for string algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    file_arg = argparse.ArgumentParser(add_help=False)
+    file_arg.add_argument("file")
 
-    p = sub.add_parser("validate", help="check the algebra axioms")
-    p.add_argument("file")
+    p = sub.add_parser("validate", parents=[file_arg], help="check the algebra axioms")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("enumerate", help="list strings or band classes")
-    p.add_argument("file")
+    p = sub.add_parser("enumerate", parents=[file_arg], help="list strings or band classes")
     p.add_argument("kind", choices=("strings", "bands"))
     p.add_argument("--max-len", type=nonnegative_int, required=True)
     p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("hom", help="hom dimension between two modules")
-    p.add_argument("file")
+    p = sub.add_parser("hom", parents=[file_arg], help="hom dimension between two modules")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--oracle", action="store_true")
@@ -292,13 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_hom)
 
-    p = sub.add_parser("component", help="decide a band sequence's closure")
-    p.add_argument("file")
+    p = sub.add_parser("component", parents=[file_arg], help="decide a band sequence's closure")
     p.add_argument("--bands", required=True, help="comma separated band words")
     p.set_defaults(handler=cmd_component)
 
-    p = sub.add_parser("degenerate", help="rewrite a band along a degeneration")
-    p.add_argument("file")
+    p = sub.add_parser("degenerate", parents=[file_arg], help="rewrite a band along a degeneration")
     p.add_argument("--band", required=True)
     p.add_argument("--mode", choices=("reverse", "split", "concat"), required=True)
     p.add_argument("--w", default=None)
@@ -314,21 +307,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "ParseError", "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        kind = type(exc).__name__
-        print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(json.dumps({"error": "ParseError", "detail": str(exc)}), file=sys.stderr)
-        return 2
+        spec = load_algebra(args.file)
+        if args.command != "validate":
+            require_string_algebra(spec)
+        payload = args.handler(args, spec)
     except Exception as exc:  # noqa: BLE001 -- invariant violations map to 4
         kind = type(exc).__name__
+        if isinstance(exc, (ParseError, OSError)):
+            status, kind = 2, "ParseError"
+        else:
+            status = 3 if isinstance(exc, DomainError) else 4
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
-        return 4
+        return status
     return _run_quietly(print, json.dumps(payload, indent=2))
 
 

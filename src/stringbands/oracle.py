@@ -91,7 +91,7 @@ class MatrixModule(_Frozen):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "vertex_of", tuple(vertex_of))
         object.__setattr__(self, "entries", MappingProxyType(stored))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", None if labels is None else tuple(labels))
         _validate(self)
 
     def __reduce__(self):

@@ -49,6 +49,9 @@ def test_admissibility_bounds(gp22, gp33, kron, loop):
     assert validate_algebra(gp33).admissibility_bound == 3
     assert validate_algebra(kron).admissibility_bound == 2
     assert validate_algebra(loop).admissibility_bound == 4
+    # no vertex, so no path at all: the empty presentation is valid
+    empty = validate_algebra(AlgebraSpec((), (), ()))
+    assert empty.valid and empty.admissibility_bound == 0
 
 
 def test_gentle_vertices_and_flag(gp22, gp33, kron, loop):

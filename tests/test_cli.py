@@ -20,6 +20,7 @@ from stringbands import (
     realize_band,
     realize_string,
 )
+from stringbands import cli
 from stringbands.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -358,6 +359,17 @@ def test_degenerate_split():
             "piece_classes": ["a.b^-1", "a.b^-1.b^-1"],
         },
     })
+    # the second piece is the square of b^-1.a.b^-1, so it has no class
+    band = "a.b^-1.a.b^-1.a.b^-1.a.b^-1.b^-1"
+    assert_golden(("degenerate", GP33_FILE, "--band", band, "--mode", "split"), {
+        "command": "degenerate",
+        "inputs": {"file": GP33_FILE, "band": band, "mode": "split"},
+        "result": {
+            "rot": "a.b^-1.a.b^-1.a.b^-1.b^-1.a.b^-1", "n": 3, "w": "1_u",
+            "pieces": ["a.b^-1.a", "b^-1.a.b^-1.b^-1.a.b^-1"],
+            "piece_classes": ["a.a.b^-1", None],
+        },
+    })
 
 
 def test_degenerate_concat():
@@ -441,6 +453,16 @@ def test_usage_and_domain_faults_exit_with_their_status(argv, code, error):
     got, out, err = run_cli(*argv)
     assert (got, out) == (code, "")
     assert json.loads(err)["error"] == error
+
+
+def test_an_internal_error_exits_with_status_four(monkeypatch):
+    def broken(args, spec):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_hom", broken)
+    code, out, err = run_cli("hom", KRON_FILE, "--from", "string:a", "--to", "string:a")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "RuntimeError", "detail": "invariant broken"}
 
 
 @pytest.mark.parametrize("option", ["--lambda", "--mu"])

@@ -215,6 +215,11 @@ def test_reverse_piece_rejects_bad_decompositions():
         reverse_piece(LOOP, wit.rot, wit.w, parse_word("x^-1"), wit.v)
     with pytest.raises(BadDecomposition):
         reverse_piece(LOOP, wit.rot, parse_word("a"), parse_word("a"), wit.v)
+    # a case 2 frame of a cyclic word that is no quasi-band: x.x is a relation
+    with pytest.raises(BadDecomposition, match="^rot is not a quasi-band$"):
+        reverse_piece(
+            LOOP, parse_word("a.x.x.a^-1.y^-1"), wit.w, parse_word("x.x"), wit.v,
+        )
     with pytest.raises(NotQuasiBand, match="^a trivial word has no cyclic reading$"):
         reverse_piece(LOOP, parse_word("1_1"), wit.w, wit.u, wit.v)
 
@@ -249,6 +254,11 @@ def test_concat_extension_revalidates_the_witness():
     )
     with pytest.raises(InvalidWitness):
         concat_extension(GP33, "not a witness")
+    # a.a.a is a relation, so neither rotation may read it
+    broken = QuasiBand(parse_word("a.a.a.b^-1").letters)
+    for tampered in (wit._replace(rot_b=broken), wit._replace(rot_c=broken)):
+        with pytest.raises(InvalidWitness, match="^rotations must be quasi-bands$"):
+            concat_extension(GP33, tampered)
 
 
 def _found_witnesses():

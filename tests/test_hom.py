@@ -164,6 +164,7 @@ def test_make_sequence_keeps_order_but_reorderings_agree_as_families():
     s1 = make_sequence(GP33, [B4, B2])
     s2 = make_sequence(GP33, [B2, B4])
     assert s1.total_dim == s2.total_dim == 6
+    assert len(s1) == len(s2) == 2
     assert [fmtc(c) for c in s1.classes] == ["a.a.b^-1.b^-1", "a.b^-1"]
     assert [fmtc(c) for c in s2.classes] == ["a.b^-1", "a.a.b^-1.b^-1"]
     # same multiset of classes, so nothing can tell the families apart
@@ -176,6 +177,8 @@ def test_separating_string_for_the_dumbbell_pair():
     wit = find_separating_string(LOOP, S, T, 12)
     assert format_word(wit.word) == "a"
     assert wit.counts == (0, 1, 0, 1)
+    # the witness has length 1, so a bound of 0 runs out before it
+    assert find_separating_string(LOOP, S, T, 0) is None
     assert find_separating_string(LOOP, S, S, 12) is None
 
 

@@ -203,6 +203,15 @@ def test_the_constructor_refuses_labels_that_miss_a_basis_vector():
     assert direct_sum(M, M).labels == ("x", "y", "x", "y")
 
 
+def test_labels_given_as_a_list_are_kept_as_a_tuple():
+    M = MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, 1)]}, labels=("x", "y"))
+    L = MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, 1)]}, labels=["x", "y"])
+    assert L.labels == ("x", "y")
+    assert L == M and hash(L) == hash(M)
+    assert syzygy(L) == syzygy(M)
+    assert pickle.loads(pickle.dumps(L)) == M
+
+
 def test_a_module_is_its_vertices_and_sorted_entries():
     M = MatrixModule(GP22, ["u", "u", "u"], {"b": [(2, 1, Fraction(1, 2)), (1, 0, 0), (0, 1, 3)]})
     assert M.vertex_of == ("u", "u", "u") and M.dim == 3

@@ -107,6 +107,7 @@ def test_left_divisors_ascend_from_trivial():
 def test_concat_joins_words_and_checks_endpoints():
     assert format_word(concat(GP22, parse_word("a"), parse_word("b^-1"))) == "a.b^-1"
     assert concat(GP22, trivial_word("u"), parse_word("a")) == parse_word("a")
+    assert concat(GP22, parse_word("a"), trivial_word("u")) == parse_word("a")
     # the product is a word either way; stringhood is a separate question
     assert not is_string(GP22, concat(GP22, parse_word("a"), parse_word("a")))
     with pytest.raises(NotAString):
