@@ -11,18 +11,21 @@ vertex blocks and satisfy every relation, and that labels, if given, name
 every basis vector, so every module, realized, summed, a syzygy or a copy,
 is validated, and a float entry is refused.  Everything else is derived:
 dim, the vertex blocks (grading), dense matrices (mats) and the line table
-(lines).  The line table, built in one pass over vertex_of and entries,
-holds each vertex's block as the (in, out) arrow bit masks of its basis
-vectors, and each nonzero arrow as X(a) = N / D, with D the lcm of its
-denominators and N's entries as edges between places in blocks.  syzygy
+(lines).  The line table, built in one pass over entries and keyed by basis
+index, holds each basis vector's arrow mask (the arrows that reach it and
+those that do not leave it), the number of tops and of socle vectors at
+each vertex, and each nonzero arrow, by its declaration index, as
+X(a) = N / D, with D the lcm of its denominators and N's entries as edges
+between basis vectors.  syzygy
 and rank_sum read entries directly, a row or a column at a time, each
 scaled to integers (_integral).  If both modules have one_entry_per_line,
 as realized strings and bands do, each equation of dim_hom ties at most
-two unknowns, and _linked_rank ranks the system off the two line tables:
-a mask test zeroes the unknowns that have a one-sided equation, and a
-union-find links the two unknowns of each pair of same-arrow edges.  Any
-other pair has its equations read off entries (_row_rank), which shares
-only entries and _echelon with the union-find the tests check against it.
+two unknowns, and dim_hom reads the answer off the two line tables: an
+unknown that no pair of same-arrow edges touches is free exactly at a top
+of X and a socle vector of Y, and a union-find over those pairs links the
+rest, each unknown getting one mask test when first met.  Any other pair
+has its equations read off entries (_row_rank), which shares only entries
+and _echelon with the union-find the tests check against it.
 _echelon, a loop over the fraction-free _reduce, eliminates an integer row
 at a time against the gcd-normalised pivot rows found so far: a rank is
 the number of pivots, and a kernel is read off the same echelon form by
@@ -31,8 +34,8 @@ form gives both the surjectivity check and the kernel, read vertex by
 vertex.
 Realizations, projective covers and syzygy are kept on the algebra of their
 first argument (`words.keep`), so an algebra's answers go when it goes;
-dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops of P0's
-line table (Yoneda).
+dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops that
+P0's line table counts (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -66,7 +69,7 @@ from .words import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 Entries = tuple[tuple[int, int, Fraction], ...]
 Edges = list[tuple[int, int, int]]
-Lines = tuple[dict[str, list[tuple[int, int]]], dict[str, tuple[str, str, int, Edges]]]
+Lines = tuple[list[int], dict[str, int], dict[str, int], dict[int, tuple[int, Edges]]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -128,25 +131,22 @@ class MatrixModule(_Frozen):
 
     @cached_property
     def lines(self) -> Lines:
-        """The integer line table that dim_hom reads, built in one pass:
-        (blocks, arrows).  blocks maps each vertex with basis vectors to their
-        (in, out) arrow bit masks in place order (the bit of an arrow is
-        1 << its declaration index; in holds the arrows whose matrix has a
-        nonzero in the vector's row, out those with one in its column), so a
-        block's length is its vertex's width.  arrows maps each arrow that acts
-        nonzero to (s, t, D, edges) with X(a) = N / D, D the lcm of its
-        denominators, and edges the (place of j, place of k, N[k][j]) of its
-        nonzeros."""
-        vof = self.vertex_of
-        width: dict[str, int] = {}
-        place = []
-        for u in vof:
-            p = width.get(u, 0)
-            place.append(p)
-            width[u] = p + 1
-        into, out = [0] * len(vof), [0] * len(vof)
+        """The integer line table that dim_hom reads, built in one pass over
+        entries: (masks, tops, socles, arrows).  With A arrows, arrow n has
+        the in-bit 1 << n and the stay-bit 1 << (A + n).  masks holds each
+        basis vector's arrow mask: the in-bits of the arrows that reach it (a
+        nonzero in its row) and the stay-bits of those that do not leave it
+        (no nonzero in its column), so that the mask of k is a submask of the
+        mask of i exactly when every arrow that reaches k reaches i and every
+        arrow that leaves i leaves k.  tops and socles count, per vertex, the
+        basis vectors that no arrow reaches and that no arrow leaves.  arrows
+        maps the declaration index of each arrow that acts nonzero to
+        (D, edges) with X(a) = N / D, D the lcm of its denominators, and edges
+        the (j, k, N[k][j]) of its nonzeros."""
+        d, na = len(self.vertex_of), len(self.entries)
+        into, out = [0] * d, [0] * d
         arrows = {}
-        for n, (a, cells) in enumerate(self.entries.items()):
+        for n, cells in enumerate(self.entries.values()):
             if not cells:
                 continue
             bit = 1 << n
@@ -155,13 +155,19 @@ class MatrixModule(_Frozen):
             for k, j, x in cells:
                 into[k] |= bit
                 out[j] |= bit
-                edges.append((place[j], place[k], x.numerator * (den // x.denominator)))
-            k, j, _ = cells[0]
-            arrows[a] = (vof[j], vof[k], den, edges)
-        blocks: dict[str, list[tuple[int, int]]] = {u: [] for u in width}
-        for u, m in zip(vof, zip(into, out)):
-            blocks[u].append(m)
-        return blocks, arrows
+                edges.append((j, k, x.numerator * (den // x.denominator)))
+            arrows[n] = (den, edges)
+        every = (1 << na) - 1
+        masks = []
+        tops: dict[str, int] = {}
+        socles: dict[str, int] = {}
+        for u, i, o in zip(self.vertex_of, into, out):
+            masks.append(i | (every ^ o) << na)
+            if not i:
+                tops[u] = tops.get(u, 0) + 1
+            if not o:
+                socles[u] = socles.get(u, 0) + 1
+        return masks, tops, socles, arrows
 
     @cached_property
     def one_entry_per_line(self) -> bool:
@@ -180,7 +186,10 @@ class MatrixModule(_Frozen):
 
 
 def _exact(x) -> Fraction:
-    """x as a Fraction; a float raises TypeError: Fraction(0.1) is not 1/10."""
+    """x as a Fraction, one given returned as it is; a float raises
+    TypeError: Fraction(0.1) is not 1/10."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"entries and band parameters must be exact, not the float {x!r}")
     return Fraction(x)
@@ -248,8 +257,7 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
     canonical rotation.  A float lam raises TypeError: Fraction(0.1) is not 1/10.
     """
-    if not isinstance(lam, Fraction):
-        lam = _exact(lam)
+    lam = _exact(lam)
     # kept by the parameter's two ints: a Fraction hashes anew on every lookup
     return _realize_band(spec, _as_letters(qb), lam.numerator, lam.denominator)
 
@@ -349,25 +357,88 @@ def _kernel(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[dict[in
 
 
 def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
-    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f, ranked by
-    _linked_rank when both modules have one_entry_per_line, else by _row_rank;
-    Y may be over an equal algebra object.  Nothing is kept: callers seldom repeat a pair."""
+    """Dimension of the space of maps f: X -> Y with f X(a) = Y(a) f; Y may be
+    over an equal algebra object.  Nothing is kept: callers seldom repeat a pair.
+
+    When both modules have one_entry_per_line, each equation reads
+    x f[i][k] = y f[h][j] for an edge j -> k of X and an edge h -> i of Y of
+    one arrow, or has one side and zeroes its unknown, and the answer is read
+    off the two line tables.  An unknown that no such pair of edges touches is
+    free exactly when k is a top of X and i a socle vector of Y.  A union-find
+    by size over the pairs of edges keeps f_v = a/b f_parent with integers
+    a, b, and gives each touched unknown one mask test, on first sight: it is
+    zero when an arrow reaches k in X but not i in Y, or leaves i in Y but not
+    k in X, that is when the mask of k is no submask of that of i.  Each
+    touched component is one free scalar unless it holds a zeroed unknown or
+    an inconsistent cycle, their roots taken at the end.  Any other
+    pair is ranked by _row_rank."""
     if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
-    # the union-find numbers the unknown f[i][k] (i in Y, k in X, both at
-    # vertex u) offset[u] + place of i in Y_u * |X_u| + place of k in X_u
-    xb, yb = X.lines[0], Y.lines[0]
-    offset: dict[str, int] = {}
-    nu = 0
-    for u, xs in xb.items():
-        ys = yb.get(u)
-        if ys:
-            offset[u] = nu
-            nu += len(xs) * len(ys)
-    if nu == 0:
-        return 0
-    linked = X.one_entry_per_line and Y.one_entry_per_line
-    return nu - (_linked_rank(X, Y, offset) if linked else _row_rank(X, Y))
+    if not (X.one_entry_per_line and Y.one_entry_per_line):
+        yb = Y._blocks
+        return sum(len(b) * len(yb[u]) for u, b in X._blocks.items()) - _row_rank(X, Y)
+    xm, xtops, _, xa = X.lines
+    ym, _, ysocles, ya = Y.lines
+    free = 0  # a loop: the vertices are few, and a generator costs more than the sum
+    for u, n in xtops.items():
+        if u in ysocles:
+            free += n * ysocles[u]
+    # the unknown f[i][k] is k * w + i: the pairs of one edge of X walk
+    # the edges of Y in order and meet nearby numbers
+    w = len(ym)
+    up: dict[int, tuple[int, int, int]] = {}  # v -> (parent, a, b): f_v = a/b f_parent
+    size: dict[int, int] = {}  # each touched root's component size
+    zero: list[int] = []
+    for n, (dx, xedges) in xa.items():
+        yarrow = ya.get(n)
+        if yarrow is None:
+            continue
+        dy, yedges = yarrow
+        d = lcm(dx, dy)
+        sx, sy = d // dx, d // dy
+        for j, k, nx in xedges:
+            sn = sx * nx
+            for h, i, m in yedges:
+                p, q, x, y = k * w + i, j * w + h, sn, sy * m
+                while p in up:  # to the roots, keeping x f_p = y f_q
+                    p, a, b = up[p]
+                    x *= a
+                    y *= b
+                while q in up:
+                    q, a, b = up[q]
+                    y *= a
+                    x *= b
+                sp = size.pop(p, 0)
+                if not sp:  # first sight of f[i][k]
+                    sp = 1
+                    if xm[k] & ~ym[i]:
+                        zero.append(p)
+                # a closed cycle, or a loop acting diagonally on both modules
+                # that ties f[i][k] to itself: one unknown, counted once
+                if p == q:
+                    size[p] = sp
+                    if x != y:  # an inconsistent cycle
+                        zero.append(p)
+                    continue
+                sq = size.pop(q, 0)
+                if not sq:  # first sight of f[h][j]
+                    sq = 1
+                    if xm[j] & ~ym[h]:
+                        zero.append(q)
+                if sp > sq:  # hang the smaller component under the larger
+                    p, q, x, y = q, p, y, x
+                if x == y:  # a unit ratio needs no gcd
+                    up[p] = (q, 1, 1)
+                else:
+                    g = gcd(x, y)  # each link in lowest terms keeps the walks' products small
+                    up[p] = (q, y // g, x // g)
+                size[q] = sp + sq
+    roots = set()
+    for v in zero:
+        while v in up:
+            v = up[v][0]
+        roots.add(v)
+    return free + len(size) - len(roots)
 
 
 def _row_rank(X: MatrixModule, Y: MatrixModule) -> int:
@@ -383,76 +454,6 @@ def _row_rank(X: MatrixModule, Y: MatrixModule) -> int:
             eqs[i, j][c] = eqs[i, j].get(c, _ZERO) + x
         rows += map(_integral, eqs.values())
     return len(_echelon(rows))
-
-
-def _linked_rank(X: MatrixModule, Y: MatrixModule, offset: dict[str, int]) -> int:
-    """Rank of the hom system when both modules have one_entry_per_line, read
-    off their line tables: each equation reads x f_p = y f_q, or has one side
-    and zeroes its unknown.  A mask test finds the zeroed unknowns; a
-    union-find by size, run over the pairs of same-arrow edges, keeps
-    f_v = a/b f_parent with integers a, b.  The rank is its merges plus its
-    components zeroed by one side or a cycle, their roots taken at the end."""
-    xb, xa = X.lines
-    yb, ya = Y.lines
-    # f[i][k] has a one-sided equation, so is zero, when an arrow reaches k
-    # in X but not i in Y, or leaves i in Y but not k in X
-    zero: list[int] = []
-    for u, xs in xb.items():
-        ys = yb.get(u)
-        if ys is None:
-            continue
-        v = offset[u]
-        for yin, yout in ys:
-            for xin, xout in xs:
-                if xin & ~yin or yout & ~xout:
-                    zero.append(v)
-                v += 1
-    up: dict[int, tuple[int, int, int]] = {}  # v -> (parent, a, b): f_v = a/b f_parent
-    size: dict[int, int] = {}  # each root's component size, when above 1
-    merges = 0
-    for name, (s, t, dx, xedges) in xa.items():
-        yarrow = ya.get(name)
-        if yarrow is None:
-            continue
-        dy, yedges = yarrow[2], yarrow[3]
-        d = lcm(dx, dy)
-        sx, sy = d // dx, d // dy
-        bt, wt = offset[t], len(xb[t])
-        bs, ws = offset[s], len(xb[s])
-        for j, k, n in xedges:
-            c, fj, sn = bt + k, bs + j, sx * n
-            for h, i, m in yedges:
-                # _row_rank's equation (i, j) reads x f[i][k] = y f[h][j] for
-                # the edges j -> k of X and h -> i of Y
-                p, q, x, y = c + i * wt, fj + h * ws, sn, sy * m
-                while p in up:  # to the roots, keeping x f_p = y f_q
-                    p, a, b = up[p]
-                    x *= a
-                    y *= b
-                while q in up:
-                    q, a, b = up[q]
-                    y *= a
-                    x *= b
-                if p == q:
-                    if x != y:  # an inconsistent cycle
-                        zero.append(p)
-                    continue
-                sp, sq = size.pop(p, 1), size.pop(q, 1)
-                if sp > sq:  # hang the smaller component under the larger
-                    p, q, x, y = q, p, y, x
-                if x == y:  # a unit ratio needs no gcd
-                    up[p] = (q, 1, 1)
-                else:
-                    g = gcd(x, y)  # each link in lowest terms keeps the walks' products small
-                    up[p] = (q, y // g, x // g)
-                size[q] = sp + sq
-                merges += 1
-    roots = set()
-    for v in zero:
-        while v in up:
-            v = up[v][0]
-        roots.add(v)
-    return merges + len(roots)
 
 
 def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
@@ -536,14 +537,13 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
 def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
     """dim Ext^1 from the syzygy sequence 0 -> OX -> P0 -> X -> 0.  P0 is a sum
-    of projectives P(v), one per top, and Hom(P(v), Y) is Y_v (Yoneda); the
-    tops are P0's basis vectors that no arrow reaches, their in-masks 0."""
+    of projectives P(v), one per top, and Hom(P(v), Y) is Y_v (Yoneda); P0's
+    line table counts its tops, the basis vectors that no arrow reaches."""
     if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     P0, omega = syzygy(X)
-    yb = Y.lines[0]
-    tops = sum(len(yb.get(u, ())) for u, b in P0.lines[0].items() for into, _ in b if not into)
-    return dim_hom(omega, Y) - tops + dim_hom(X, Y)
+    hom_p0 = sum(n * Y.vertex_of.count(u) for u, n in P0.lines[1].items())
+    return dim_hom(omega, Y) - hom_p0 + dim_hom(X, Y)
 
 
 def rank_sum(X: MatrixModule) -> int:

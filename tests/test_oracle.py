@@ -33,7 +33,7 @@ from stringbands import (
     syzygy,
 )
 from stringbands import oracle
-from stringbands.oracle import _echelon, _integral, _kernel, _linked_rank, _row_rank, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _row_rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -494,11 +494,16 @@ def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
 
 def test_the_line_table_stays_out_of_equality_hash_repr_and_pickles():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
-    # one block at u of (in, out) masks, a being bit 1 and b bit 2; the edges
-    # of b are (place of j, place of k, N[k][j]) with X(b) = N / 2
+    # the masks of e0..e3 with in-bits 1 (a) and 2 (b) and stay-bits 4 (a)
+    # and 8 (b): both arrows reach e0 and leave e2, e1 is reached by a and
+    # left by a, e3 reached by b and left by b.  Then the one top (e2) and
+    # the one socle vector (e0) at u; the edges of b are (j, k, N[k][j])
+    # with X(b) = N / 2, under b's declaration index
     assert X.lines == (
-        {"u": [(3, 0), (1, 1), (0, 3), (2, 2)]},
-        {"a": ("u", "u", 1, [(1, 0, 1), (2, 1, 1)]), "b": ("u", "u", 2, [(3, 0, 3), (2, 3, 2)])},
+        [3 | 12, 1 | 8, 0, 2 | 4],
+        {"u": 1},
+        {"u": 1},
+        {0: (1, [(1, 0, 1), (2, 1, 1)]), 1: (2, [(3, 0, 3), (2, 3, 2)])},
     )
     fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
     assert "lines" in X.__dict__ and "lines" not in fresh.__dict__
@@ -517,14 +522,68 @@ def test_hom_between_realized_modules_builds_only_the_line_table():
         assert set(M.__dict__) - set(M._fields) == {"lines", "one_entry_per_line"}
 
 
+def unknowns(X, Y):
+    """The number of unknowns f[i][k] of the hom system, i in Y and k in X at
+    one vertex, counted off the public grading."""
+    ys = dict(Y.grading)
+    return sum(len(xs) * len(ys[u]) for u, xs in X.grading)
+
+
+LOOP1 = parse_algebra("vertex u\narrow a: u -> u\n")
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        ([(0, 0, 2)], [(0, 0, 2)], 1),
+        ([(0, 0, 2)], [(0, 0, 3)], 0),
+        ([(0, 0, 2), (1, 1, 2)], [(0, 0, 2)], 2),
+        ([(0, 0, 2)], [(0, 0, 2), (1, 1, 2)], 2),
+        ([(0, 0, 2), (1, 1, 2)], [(0, 0, 2), (1, 1, 2)], 4),
+    ],
+    ids=["[2]-[2]", "[2]-[3]", "diag-[2]", "[2]-diag", "diag-diag"],
+)
+def test_a_diagonal_loop_entry_counts_its_unknown_once(x, y, expected):
+    # a relation-free loop acting by a nonzero diagonal entry on both modules
+    # gives an edge pair j = k, h = i that ties f[i][k] to itself: one
+    # unknown, free when the two entries agree and zero when they do not
+    X, Y = (MatrixModule(LOOP1, ("u",) * len(cells), {"a": cells}) for cells in (x, y))
+    assert X.one_entry_per_line and Y.one_entry_per_line
+    assert dim_hom(X, Y) == unknowns(X, Y) - _row_rank(X, Y) == expected
+
+
+def test_a_zeroed_unknown_zeroes_its_touched_component():
+    X = realize_string(KRON, parse_word("a"))
+    Y = realize_string(KRON, parse_word("a.b^-1"))
+    # X is x1 -a-> x0 and Y is y1 -a-> y0, y1 -b-> y2.  The edges of a tie
+    # f[0][0] to f[1][1]; b leaves y1 in Y but not x1 in X, so the mask test
+    # zeroes f[1][1] and with it the component.  f[2][0] is touched by no
+    # pair, and x0 is no top of X
+    assert X.lines[3].keys() & Y.lines[3].keys() == {0}
+    assert dim_hom(X, Y) == unknowns(X, Y) - _row_rank(X, Y) == 0
+    assert dim_hom(Y, X) == 1
+
+
+def test_without_a_same_arrow_edge_pair_hom_counts_tops_against_socles():
+    S1, S2 = (realize_string(KRON, trivial_word(u)) for u in "12")
+    M = realize_string(KRON, parse_word("a"))
+    # M has its top at 1 and its socle at 2, and S_u is both at u; no two of
+    # these share an arrow, so each unknown is free or zeroed by its masks
+    expected = {(S1, S1): 1, (S2, S2): 1, (S1, S2): 0, (S2, S1): 0,
+                (M, S1): 1, (S2, M): 1, (S1, M): 0, (M, S2): 0}
+    for (X, Y), dim in expected.items():
+        assert not X.lines[3].keys() & Y.lines[3].keys()
+        assert dim_hom(X, Y) == unknowns(X, Y) - _row_rank(X, Y) == dim, (X, Y)
+
+
 def test_one_sided_equations_zero_their_unknowns_by_the_arrow_masks():
     S1, S2 = (realize_string(KRON, trivial_word(u)) for u in "12")
     M = realize_string(KRON, parse_word("a"))
     # a: 1 -> 2 reaches the vector of M at 2 and nothing of S2, so only the
-    # in-masks zero the one unknown of Hom(M, S2)
+    # in-bits of the masks zero the one unknown of Hom(M, S2)
     assert dim_hom(M, S2) == 0 and dim_hom(S2, M) == 1
-    # a leaves the vector of M at 1 and nothing of S1, so only the out-masks
-    # zero the one unknown of Hom(S1, M)
+    # a leaves the vector of M at 1 and nothing of S1, so only the stay-bits
+    # of the masks zero the one unknown of Hom(S1, M)
     assert dim_hom(S1, M) == 0 and dim_hom(M, S1) == 1
 
 
@@ -603,20 +662,10 @@ def test_an_unknown_on_both_sides_of_an_equation_cancels():
     assert dim_ext1(M, M) == dim_ext1(Ma, Ma) == 1
 
 
-def unknown_offsets(X, Y):
-    """dim_hom's numbering of the unknowns: each vertex's first index, and
-    the number of unknowns."""
-    offset, nu = {}, 0
-    for u, xs in X.grading:
-        offset[u] = nu
-        nu += len(xs) * sum(len(ys) for v, ys in Y.grading if v == u)
-    return offset, nu
-
-
-def assert_linked_rank_is_the_elimination_rank(X, Y):
-    offset, nu = unknown_offsets(X, Y)
-    if nu:
-        assert _linked_rank(X, Y, offset) == _row_rank(X, Y), (X.entries, Y.entries)
+def assert_the_union_find_matches_the_elimination(X, Y):
+    # both ends have one entry per line, so dim_hom reads the line tables
+    assert X.one_entry_per_line and Y.one_entry_per_line
+    assert dim_hom(X, Y) == unknowns(X, Y) - _row_rank(X, Y), (X.entries, Y.entries)
 
 
 # every module the hom-grid and ext-survey workloads give dim_hom: strings
@@ -654,7 +703,7 @@ def test_the_union_find_rank_equals_the_elimination_rank(name):
     mods = LINKED_POOL[name]
     for X in mods:
         for Y in mods:
-            assert_linked_rank_is_the_elimination_rank(X, Y)
+            assert_the_union_find_matches_the_elimination(X, Y)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -693,8 +742,8 @@ def rescaled_pair(draw):
 def test_a_diagonal_change_of_basis_keeps_the_union_find_path_and_its_answers(pair):
     X, Y, X2, Y2 = pair
     assert X2.one_entry_per_line and Y2.one_entry_per_line
-    assert_linked_rank_is_the_elimination_rank(X2, Y2)
-    assert_linked_rank_is_the_elimination_rank(Y2, X2)
+    assert_the_union_find_matches_the_elimination(X2, Y2)
+    assert_the_union_find_matches_the_elimination(Y2, X2)
     assert dim_hom(X2, Y2) == dim_hom(X, Y)
     assert dim_hom(Y2, X2) == dim_hom(Y, X)
     assert dim_ext1(X2, Y2) == dim_ext1(X, Y)
