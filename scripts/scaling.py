@@ -11,7 +11,7 @@ cold:
   (periods 36, 68, 132, 260), counted by hom_band_band(B, C) against dim_hom
   of their realizations at parameters 2 and 3.
 
-Each line gives the count and the seconds of the count and of dim_hom
+Each line gives the count and the milliseconds of the count and of dim_hom
 (realizing the modules is not timed); a string line after the first also
 gives the exponent e with counted time growing as n^e since the size before.
 Exit status 1 when a count differs from dim_hom.  --steps s runs the s
@@ -83,8 +83,8 @@ def main(argv=None):
             before = (size, counted_s)
         verdict = "" if counted == oracle else f"  MISMATCH: oracle {oracle}"
         bad += counted != oracle
-        print(f"{label:<16} hom {counted:>4}  counted {counted_s:8.3f} s  "
-              f"oracle {oracle_s:8.3f} s{growth}{verdict}")
+        print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
+              f"oracle {oracle_s * 1e3:9.2f} ms{growth}{verdict}")
     return 1 if bad else 0
 
 

@@ -17,7 +17,7 @@ from itertools import takewhile
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidAlgebra, ParseError
-from .words import Letter, Word, _Frozen, letter_source, letter_target, trivial_word
+from .words import Letter, Word, _Frozen, keep, letter_source, letter_target, trivial_word
 
 
 class ArrowDecl(NamedTuple):
@@ -334,8 +334,10 @@ def require_string_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     return spec
 
 
-def gentle_vertices(spec: AlgebraSpec) -> set[str]:
-    """Vertices at which the ideal pairs arrows off uniquely.
+@keep
+def gentle_vertices(spec: AlgebraSpec) -> frozenset[str]:
+    """Vertices at which the ideal pairs arrows off uniquely, kept on the
+    algebra as a frozenset, so no caller can change what the next one reads.
 
     The zero products alpha.beta at u (alpha leaving u, beta entering it)
     form a partial matching: an alpha annihilates at most one beta, and a
@@ -347,7 +349,7 @@ def gentle_vertices(spec: AlgebraSpec) -> set[str]:
         zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
         if len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero}):
             out.add(u)
-    return out
+    return frozenset(out)
 
 
 def is_gentle_algebra(spec: AlgebraSpec) -> bool:

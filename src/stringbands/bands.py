@@ -32,9 +32,11 @@ from .words import (
     id_count,
     id_tally,
     inverse,
+    inverse_codes,
     inverse_letters,
     keep,
     letter_source,
+    letter_target,
     reading,
     string_frontiers,
 )
@@ -138,8 +140,12 @@ def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
 def _code_rotations(w: tuple[int, ...]):
     """The m rotations of a code tuple, then the m of its inverse-reversal:
     `_rotations` in letter codes (`AlgebraSpec.code_letters`)."""
-    inv = tuple(c ^ 1 for c in reversed(w))
-    return (base[k:] + base[:k] for base in (w, inv) for k in range(len(w)))
+    return (base[k:] + base[:k] for base in (w, inverse_codes(w)) for k in range(len(w)))
+
+
+def _turns(w: tuple[int, ...]) -> bool:
+    """Whether the letters of the code tuple w have both directions."""
+    return any((c ^ w[0]) & 1 for c in w)
 
 
 def canonical_class(spec, letters) -> BandClass:
@@ -167,11 +173,31 @@ def are_equivalent(spec, b, bp) -> bool:
     return canonical_class(spec, b) == canonical_class(spec, bp)
 
 
+class _Reading:
+    """A rotation as the witness searches test it: the quasi-band rot, its
+    letter codes (`AlgebraSpec.code_letters`), the target of its first
+    letter, and its first and last R-1 codes, the sides it offers a seam
+    (`words.CodeSeams`).  The caller checks rot's arrows."""
+
+    __slots__ = ("rot", "codes", "target", "head", "tail")
+
+    def __init__(self, spec, rot: QuasiBand):
+        codes = tuple(map(spec.letter_codes.__getitem__, rot.letters))
+        reach = spec.string_windows.length - 1
+        self.rot, self.codes, self.target = rot, codes, letter_target(spec, rot.letters[0])
+        self.head, self.tail = codes[:reach], codes[-reach:]
+
+
 @keep
+def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
+    """The class's one member table: `class_members`, each coded once."""
+    return tuple(_Reading(spec, QuasiBand(r)) for r in dict.fromkeys(_rotations(B.letters)))
+
+
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     """All distinct rotations of the class, canonical ones first, then the
     rotations of the inverse-reversal.  Witness searches iterate this order."""
-    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
+    return tuple(r.rot for r in _member_readings(spec, B))
 
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
@@ -243,7 +269,7 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
             if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):
                 continue
             ls = tuple(map(letters.__getitem__, w))
-            if any((c ^ w[0]) & 1 for c in w) and glues(spec, ls, ls):
+            if _turns(w) and glues(spec, ls, ls):
                 out.append(_kept_class(spec, ls))
     return out
 

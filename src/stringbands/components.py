@@ -4,6 +4,14 @@ band sequence, the dimension formula, and the degeneration rewrites.
 Witness searches are deterministic (rotations in class-member order, canonical
 ones first; split positions and segment lengths ascending; first witness wins),
 and the algebra object keeps each answer (`words.keep`).
+
+The searches read letter codes (`AlgebraSpec.code_letters`).  A class's one
+member table (`bands._member_readings`) codes each rotation once, with the
+target of its first letter and its first and last R-1 codes, and every seam
+is a lookup in the algebra's one `words.CodeSeams`, decided by `glues`.  The
+steps test vertices, divergence and seams on ints, and build the words and
+quasi-bands of a witness only for the pair or split they return.  The
+replays code the rotations they are given and run the same step.
 """
 
 from __future__ import annotations
@@ -16,8 +24,10 @@ from .bands import (
     BandClass,
     QuasiBand,
     _as_letters,
+    _member_readings,
+    _Reading,
+    _turns,
     canonical_class,
-    class_members,
     is_quasi_band,
 )
 from .errors import (
@@ -29,19 +39,20 @@ from .errors import (
 )
 from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
+    CodeSeams,
     Letter,
     Word,
     _check_arrows,
     _check_word,
+    code_seams,
     flanked,
     format_word,
-    glues,
     inverse,
+    inverse_codes,
     inverse_letters,
     is_string,
     keep,
     letter_source,
-    letter_target,
     reading,
     trivial_word,
     word_key,
@@ -99,53 +110,66 @@ class ComponentVerdict(NamedTuple):
     witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
 
 
-def _fork(
-    spec, x: tuple[Letter, ...], y: tuple[Letter, ...], cap: int
-) -> Optional[tuple[Word, str, str]]:
-    """(w, beta, delta) when the periodic words of x and y share a prefix w
-    and then diverge, within cap letters, with an arrow beta of x against an
-    inverse letter delta^-1 of y; w is trivial at t(x[0]) when they diverge
-    at once.  None otherwise."""
-    xs = x * (cap // len(x) + 1)
-    ys = y * (cap // len(y) + 1)
+def _fork(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[int]:
+    """The length k of the prefix w that the periodic words of the code
+    tuples x and y share, when they then diverge within cap letters with an
+    arrow of x against an inverse letter of y; None otherwise."""
+    m, n = len(x), len(y)
     k = 0
-    while k < cap and xs[k] == ys[k]:
+    while k < cap and x[k % m] == y[k % n]:
         k += 1
-    if k == cap or xs[k].inverted or not ys[k].inverted:
+    if k == cap or x[k % m] & 1 or not y[k % n] & 1:
         return None
-    w = Word(None, xs[:k]) if k else trivial_word(letter_target(spec, x[0]))
-    return w, xs[k].arrow, ys[k].arrow
+    return k
 
 
-def _try_extension(spec, rot_b: QuasiBand, rot_c: QuasiBand) -> Optional[ExtendabilityWitness]:
+def _prefix(r: _Reading, k: int) -> Word:
+    """The first k letters of the periodic word of r, which may run past a
+    period; the trivial word at the target of its first letter when k is 0."""
+    if not k:
+        return trivial_word(r.target)
+    return Word(None, reading(r.rot.letters, k, cyclic=True)[:k])
+
+
+def _try_extension(
+    seams: CodeSeams, b: _Reading, c: _Reading
+) -> Optional[ExtendabilityWitness]:
     """The extension of rot_b by rot_c, when rot_b ends with an inverse
     letter, rot_c with an arrow, their periodic words share a prefix w that
     diverges within period(B) + period(C) letters with an arrow beta of rot_b
     against an inverse letter delta^-1 of rot_c, and rot_c.rot_b is a
     quasi-band; None otherwise."""
-    b_ls, c_ls = rot_b.letters, rot_c.letters
-    if not b_ls[-1].inverted or c_ls[-1].inverted:
+    b_cs, c_cs = b.codes, c.codes
+    if not b_cs[-1] & 1 or c_cs[-1] & 1:
         return None
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
-    if letter_target(spec, b_ls[0]) != letter_target(spec, c_ls[0]):
+    if b.target != c.target:
         return None
-    fork = _fork(spec, b_ls, c_ls, len(b_ls) + len(c_ls))
-    if fork is None:
+    # both rotations are quasi-bands: only the two seams of rot_c.rot_b can
+    # fail.  They fail more often than the fork does, so they come first
+    if not (seams[c.tail, b.head] and seams[b.tail, c.head]):
         return None
-    # both rotations are quasi-bands: only the two seams of rot_c.rot_b can fail
-    if not (glues(spec, c_ls, b_ls) and glues(spec, b_ls, c_ls)):
+    k = _fork(b_cs, c_cs, len(b_cs) + len(c_cs))
+    if k is None:
         return None
-    return ExtendabilityWitness(rot_b, rot_c, *fork, QuasiBand(c_ls + b_ls))
+    b_ls, c_ls = b.rot.letters, c.rot.letters
+    beta, delta = b_ls[k % len(b_ls)].arrow, c_ls[k % len(c_ls)].arrow
+    return ExtendabilityWitness(b.rot, c.rot, _prefix(b, k), beta, delta, QuasiBand(c_ls + b_ls))
 
 
 @keep
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
+    seams = code_seams(spec)
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
-    b_rots = (r for r in class_members(spec, B) if r.letters[-1].inverted)
-    c_rots = [r for r in class_members(spec, C) if not r.letters[-1].inverted]
-    return next(filter(None, (_try_extension(spec, b, c) for b in b_rots for c in c_rots)), None)
+    c_rots = [r for r in _member_readings(spec, C) if not r.codes[-1] & 1]
+    for b in _member_readings(spec, B):
+        if b.codes[-1] & 1:
+            for c in c_rots:
+                if wit := _try_extension(seams, b, c):
+                    return wit
+    return None
 
 
 def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
@@ -161,74 +185,83 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     return _extendable(spec, canonical_class(spec, B), canonical_class(spec, C))
 
 
-def _case1_split(spec, rot: QuasiBand, n: int) -> Optional[Case1Witness]:
-    """The case 1 split of rot after its n-th letter, when 1 <= n < period,
-    rot ends with an inverse letter and letter n is an arrow, both windows
-    are quasi-bands, and the periodic word of rot diverges from its own shift
-    by n the right way; None otherwise."""
-    ls = rot.letters
-    if not 1 <= n < len(ls) or not ls[-1].inverted or ls[n - 1].inverted:
+def _case1_split(seams: CodeSeams, r: _Reading, n: int) -> Optional[Case1Witness]:
+    """The case 1 split of the rotation after its n-th letter, when
+    1 <= n < period, it ends with an inverse letter and letter n is an
+    arrow, both windows are quasi-bands, and its periodic word diverges from
+    its own shift by n the right way; None otherwise."""
+    cs = r.codes
+    if not 1 <= n < len(cs) or not cs[-1] & 1 or cs[n - 1] & 1:
         return None
-    left, right = ls[:n], ls[n:]
+    left, right = cs[:n], cs[n:]
     for piece in (left, right):
         # a window of rot is a quasi-band once it turns and its own seam passes
-        if all(l.inverted == piece[0].inverted for l in piece):
-            return None
-        if not glues(spec, piece, piece):
+        if not _turns(piece) or not seams.glue(piece, piece):
             return None
     # compare the periodic word against its own shift by n
-    fork = _fork(spec, ls, right + left, len(ls))
-    if fork is None:
+    k = _fork(cs, right + left, len(cs))
+    if k is None:
         return None
-    return Case1Witness(rot, n, fork[0], (QuasiBand(left), QuasiBand(right)))
+    ls = r.rot.letters
+    return Case1Witness(r.rot, n, _prefix(r, k), (QuasiBand(ls[:n]), QuasiBand(ls[n:])))
 
 
-def _case2_frame(ls: tuple[Letter, ...], p: int, q: int):
-    """The frame ls = w.u.w^-1.v with |w| = p and |u| = q, as the letters
-    (w, u, v), when u is nonempty and runs from an arrow to an arrow and v is
-    nonempty and runs from an inverse letter to an inverse letter; None
-    otherwise."""
-    w, u, v = ls[:p], ls[p : p + q], ls[2 * p + q :]
-    if not (u and v) or u[0].inverted or u[-1].inverted:
+def _case2_frame(cs: tuple[int, ...], p: int, q: int):
+    """The frame cs = w.u.w^-1.v with |w| = p and |u| = q, as the code
+    tuples (w, u, v), when u is nonempty and runs from an arrow to an arrow
+    and v is nonempty and runs from an inverse letter to an inverse letter;
+    None otherwise."""
+    j = 2 * p + q  # where v starts
+    if not (q and j < len(cs)) or cs[p] & 1 or cs[p + q - 1] & 1:
         return None
-    if not (v[0].inverted and v[-1].inverted):
+    if not (cs[j] & 1 and cs[-1] & 1):
         return None
-    if ls[p + q : 2 * p + q] != inverse_letters(w):
+    if cs[p + q : j] != inverse_codes(cs[:p]):
         return None
-    return w, u, v
+    return cs[:p], cs[p : p + q], cs[j:]
 
 
-def _case2_at(spec, rot: QuasiBand) -> Optional[Case2Witness]:
-    """The first case 2 frame of rot, by |w| then |u|, whose reversal
-    w.u^-1.w^-1.v is again a quasi-band."""
-    ls = rot.letters
-    for p in range(0, (rot.period - 2) // 2 + 1):
-        for q in range(1, rot.period - 2 * p):
-            frame = _case2_frame(ls, p, q)
+def _case2_at(seams: CodeSeams, r: _Reading) -> Optional[Case2Witness]:
+    """The first case 2 frame of the rotation, by |w| then |u|, whose
+    reversal w.u^-1.w^-1.v is again a quasi-band."""
+    cs = r.codes
+    for p in range(0, (len(cs) - 2) // 2 + 1):
+        for q in range(1, len(cs) - 2 * p):
+            frame = _case2_frame(cs, p, q)
             if frame is None:
                 continue
             w, u, v = frame
-            c_letters = w + inverse_letters(u) + inverse_letters(w) + v
-            if is_quasi_band(spec, c_letters):
-                w_word = Word(None, w) if w else trivial_word(letter_target(spec, ls[0]))
+            rev = w + inverse_codes(u) + inverse_codes(w) + v
+            # its four pieces are strings, so the reversal is a quasi-band
+            # exactly when it turns and glues at each cut between pieces and
+            # at its own seam
+            cuts = (j for j in (p, p + q, 2 * p + q) if j)
+            if (
+                _turns(rev)
+                and all(seams.glue(rev[:j], rev[j:]) for j in cuts)
+                and seams.glue(rev, rev)
+            ):
+                ls = r.rot.letters
+                w, u, v = ls[:p], ls[p : p + q], ls[2 * p + q :]
+                rev_ls = w + inverse_letters(u) + inverse_letters(w) + v
                 return Case2Witness(
-                    rot, w_word, Word(None, u), Word(None, v), QuasiBand(c_letters)
+                    r.rot, _prefix(r, p), Word(None, u), Word(None, v), QuasiBand(rev_ls)
                 )
     return None
 
 
 @keep
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
-    members = class_members(spec, B)
+    seams, members = code_seams(spec), _member_readings(spec, B)
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
     case1 = (
-        _case1_split(spec, rot, n)
-        for rot in members
-        if rot.letters[-1].inverted
-        for n in range(1, rot.period)
+        _case1_split(seams, r, n)
+        for r in members
+        if r.codes[-1] & 1
+        for n in range(1, len(r.codes))
     )
-    case2 = (_case2_at(spec, rot) for rot in members)
+    case2 = (_case2_at(seams, r) for r in members)
     return next(filter(None, chain(case1, case2)), None)
 
 
@@ -380,12 +413,13 @@ def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     _check_arrows(spec, ls)
     for word in (w, u, v):
         _check_word(spec, word)
-    pieces = (w.letters, u.letters, v.letters)
-    if _case2_frame(ls, len(w), len(u)) != pieces:
+    code = spec.letter_codes.__getitem__
+    pieces = tuple(tuple(map(code, x.letters)) for x in (w, u, v))
+    if _case2_frame(tuple(map(code, ls)), len(w), len(u)) != pieces:
         raise BadDecomposition("w, u and v are not a case 2 frame w.u.w^-1.v of rot")
     if not is_quasi_band(spec, ls):
         raise BadDecomposition("rot is not a quasi-band")
-    w_ls, u_ls, v_ls = pieces
+    w_ls, u_ls, v_ls = w.letters, u.letters, v.letters
     c_letters = w_ls + u_ls + inverse_letters(w_ls) + inverse_letters(v_ls)
     if not is_quasi_band(spec, c_letters):
         raise NotQuasiBand(format_word(Word(None, c_letters)))
@@ -402,7 +436,7 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
         raise InvalidWitness("rot must be a quasi-band")
     if not isinstance(witness.n, int):
         raise InvalidWitness("n must be an int")
-    if _case1_split(spec, rot, witness.n) != witness:
+    if _case1_split(code_seams(spec), _Reading(spec, rot), witness.n) != witness:
         raise InvalidWitness("witness is not the case 1 split of rot at n")
     return witness.pieces
 
@@ -415,6 +449,6 @@ def concat_extension(spec, witness) -> QuasiBand:
     rots = (witness.rot_b, witness.rot_c)
     if not all(isinstance(r, QuasiBand) and is_quasi_band(spec, r.letters) for r in rots):
         raise InvalidWitness("rotations must be quasi-bands")
-    if _try_extension(spec, *rots) != witness:
+    if _try_extension(code_seams(spec), *(_Reading(spec, r) for r in rots)) != witness:
         raise InvalidWitness("witness is not the extension of rot_b by rot_c")
     return witness.d

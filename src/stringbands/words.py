@@ -112,6 +112,11 @@ def inverse_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple(l.inv() for l in reversed(letters))
 
 
+def inverse_codes(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """`inverse_letters` in letter codes (`AlgebraSpec.code_letters`)."""
+    return tuple(c ^ 1 for c in reversed(codes))
+
+
 def inverse(word: Word) -> Word:
     """Reverse the letters and invert each one; trivial words are fixed."""
     if word.is_trivial:
@@ -168,6 +173,30 @@ def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
     seams glues.  The caller checks the arrows."""
     R = alg.string_windows.length
     return _windows_hold(alg, left[-(R - 1) :] + right[: R - 1])
+
+
+class CodeSeams(dict):
+    """`glues` on letter codes (`AlgebraSpec.code_letters`): maps a seam
+    (tail, head), the last R-1 codes of the left reading and the first R-1
+    of the right one (glues' own slices, so a reading shorter than R-1 comes
+    whole), to whether the two glue.  A seam is decided by `glues` on its
+    first lookup and kept."""
+
+    __slots__ = ("alg", "reach")
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.reach = alg.string_windows.length - 1
+
+    def __missing__(self, seam: tuple[tuple[int, ...], tuple[int, ...]]) -> bool:
+        letters = self.alg.code_letters
+        tail, head = (tuple(map(letters.__getitem__, side)) for side in seam)
+        ok = self[seam] = glues(self.alg, tail, head)
+        return ok
+
+    def glue(self, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+        """glues(left, right) for the letters of two code tuples."""
+        return self[left[-self.reach :], right[: self.reach]]
 
 
 def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
@@ -313,6 +342,13 @@ class MiddleTrie:
 
 
 @keep
+def code_seams(alg) -> CodeSeams:
+    """The algebra's one seam test on letter codes, read by the witness
+    searches."""
+    return CodeSeams(alg)
+
+
+@keep
 def middle_trie(alg) -> MiddleTrie:
     """The algebra's one trie, shared by its string and band tallies."""
     return MiddleTrie(alg)
@@ -341,7 +377,9 @@ def id_tally(
     counts: dict[int, int] = {}
     start = -1
     # fwd[d] is the id of reading[start:start+d], backs[j][d] that of the
-    # inverse of reading[j-d:j]; each grows as far as a span asks
+    # inverse of reading[j-d:j]; each grows as far as a span asks.  A cyclic
+    # reading repeats every chain one period on, so its chains are keyed by
+    # j modulo the period
     backs: dict[int, list[int]] = {}
     for k, j in flanked(letters, left_inverted, max_mid, cyclic):
         if k == j:
@@ -352,9 +390,10 @@ def id_tally(
                 start, fwd = k, [0]
             if len(fwd) <= j - k:
                 trie.extend(fwd, codes[k + len(fwd) - 1 : j])
-            back = backs.get(j)
+            end = j % len(letters) if cyclic else j
+            back = backs.get(end)
             if back is None:
-                back = backs[j] = [0]
+                back = backs[end] = [0]
             if len(back) <= j - k:
                 trie.extend(back, reversed(inverted[k : j - len(back) + 1]))
             key = min(fwd[j - k], back[j - k])
@@ -425,7 +464,7 @@ def canonical_word(alg, word: Word) -> Word:
 def _least_reading(w: tuple[int, ...]) -> bool:
     """Whether the code tuple w is <= that of its inverse, the codes reversed
     and each inverted (c ^ 1)."""
-    return w <= tuple(c ^ 1 for c in reversed(w))
+    return w <= inverse_codes(w)
 
 
 def _canonical(alg, word: Word) -> Word:

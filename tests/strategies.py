@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from stringbands import AlgebraSpec, ArrowDecl
+from stringbands import AlgebraSpec, ArrowDecl, Letter
+from stringbands.words import letter_source, letter_target
 
 
 @st.composite
@@ -26,3 +27,23 @@ def monomial_quivers(draw, max_relation_length=3):
         if len(rel) >= 2 and rel not in relations:
             relations.append(rel)
     return AlgebraSpec(vertices, arrows, tuple(relations))
+
+
+@st.composite
+def cyclic_words(draw, spec):
+    """Up to 7 letters.  Most steps continue a reduced walk and most last
+    letters close it, so the draws reach the run check and not only the
+    composability one."""
+    letters = [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
+    ls = [draw(st.sampled_from(letters))]
+    n = draw(st.integers(1, 7))
+    while len(ls) < n:
+        walk = [
+            l for l in letters
+            if letter_target(spec, l) == letter_source(spec, ls[-1]) and l != ls[-1].inv()
+        ]
+        if len(ls) == n - 1:
+            walk = [l for l in walk if letter_source(spec, l) == letter_target(spec, ls[0])]
+        free = draw(st.integers(0, 5)) == 0
+        ls.append(draw(st.sampled_from(letters if free or not walk else walk)))
+    return tuple(ls)

@@ -1,3 +1,4 @@
+import copy
 import re
 from itertools import product
 
@@ -65,6 +66,17 @@ def test_gentle_vertices_and_flag(gp22, gp33, kron, loop):
     # vertex passes the local counts
     assert not is_gentle_algebra(gp33)
     assert not is_gentle_algebra(gp22)
+
+
+def test_gentle_vertices_are_kept_read_only(gp33):
+    # a copy of the fixture is another object, so it keeps nothing yet
+    spec = copy.copy(gp33)
+    gentle = gentle_vertices(spec)
+    assert gentle_vertices(spec) is gentle
+    # the kept answer is a frozenset, so a caller cannot change it
+    with pytest.raises(AttributeError):
+        gentle.add("v")
+    assert gentle_vertices(spec) == {"u"} and not is_gentle_algebra(spec)
 
 
 def test_projective_words(gp22, gp33, kron, loop):

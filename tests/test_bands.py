@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
-from strategies import monomial_quivers
+from strategies import cyclic_words, monomial_quivers
 from stringbands import (
     AlgebraSpec,
     ArrowDecl,
@@ -43,9 +43,11 @@ from stringbands import (
     parti_counts,
     sub_counts,
 )
-from stringbands.bands import _rotations, band_id_tally
-from stringbands.components import _case1_split, _try_extension, _window_triples
+from stringbands import components
+from stringbands.bands import _Reading, _rotations, band_id_tally
+from stringbands.components import _window_triples
 from stringbands.words import (
+    code_seams,
     glues,
     letter_source,
     letter_target,
@@ -314,26 +316,6 @@ def window_quasi_band(spec, ls):
     )
 
 
-@st.composite
-def cyclic_words(draw, spec):
-    """Up to 7 letters.  Most steps continue a reduced walk and most last
-    letters close it, so the draws reach the run check and not only the
-    composability one."""
-    letters = [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
-    ls = [draw(st.sampled_from(letters))]
-    n = draw(st.integers(1, 7))
-    while len(ls) < n:
-        walk = [
-            l for l in letters
-            if letter_target(spec, l) == letter_source(spec, ls[-1]) and l != ls[-1].inv()
-        ]
-        if len(ls) == n - 1:
-            walk = [l for l in walk if letter_source(spec, l) == letter_target(spec, ls[0])]
-        free = draw(st.integers(0, 5)) == 0
-        ls.append(draw(st.sampled_from(letters if free or not walk else walk)))
-    return tuple(ls)
-
-
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
 def test_quasi_band_matches_the_window_definition(spec, data):
@@ -445,6 +427,20 @@ def test_canonical_class_and_members_match_the_reference(spec, data):
             assert _outcome(canonical_class, other, got) == _outcome(
                 _reference_canonical_class, other, got.letters
             )
+
+
+# The search steps take the algebra's seam test and coded readings
+# (`bands._Reading`); these two take the algebra and quasi-bands and pass
+# the steps what they read.
+
+
+def _try_extension(spec, rot_b, rot_c):
+    b, c = _Reading(spec, rot_b), _Reading(spec, rot_c)
+    return components._try_extension(code_seams(spec), b, c)
+
+
+def _case1_split(spec, rot, n):
+    return components._case1_split(code_seams(spec), _Reading(spec, rot), n)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

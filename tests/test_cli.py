@@ -541,6 +541,23 @@ def test_component_survey_script_runs():
     assert "unordered pairs" in proc.stdout
 
 
+SURVEY_DIGESTS = [
+    line.split() for line in (ROOT / "tests" / "survey_digests.txt").read_text().splitlines()
+]
+
+
+def test_survey_digests_cover_every_fixture():
+    fixtures = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.alg"))
+    assert sorted(f for f, _, _ in SURVEY_DIGESTS) == fixtures
+
+
+@pytest.mark.parametrize("path, max_period, digest", SURVEY_DIGESTS)
+def test_component_survey_output_matches_its_golden_digest(path, max_period, digest):
+    proc = run_child("scripts/component_survey.py", path, "--max-period", max_period, "--pairs")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_scaling_script_agrees_at_its_smallest_sizes():
     proc = run_child("scripts/scaling.py", "--steps", "1")
     assert proc.returncode == 0, proc.stderr
