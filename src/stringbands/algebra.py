@@ -4,8 +4,9 @@ A presentation is a quiver plus a set of monomial relations (paths declared
 zero).  Paths use composition order: in a relation ``a1.a2. ... .ak`` the
 rightmost arrow is applied first and s(a_i) = t(a_{i+1}).
 
-Every string and seam check in `words` and `bands` is a lookup in
-`AlgebraSpec.string_windows`.  The axiom checks walk directed paths, as they
+Every string and seam check in `words`, `bands` and `components` is a
+lookup in `AlgebraSpec.string_windows`, keyed by letter codes
+(`AlgebraSpec.encode`).  The axiom checks walk directed paths, as they
 run on presentations that need not be string algebras.
 """
 
@@ -27,23 +28,25 @@ class ArrowDecl(NamedTuple):
 
 
 class StringWindows(dict):
-    """Maps a window, a word of 1 to R letters over known arrows, to whether
-    it is a string, where R = max(2, longest relation) is `length`.  A word
-    of n letters is a string exactly when each of its windows of min(R, n)
-    letters is one.
+    """The algebra's one string test: maps a tuple of letter codes
+    (`AlgebraSpec.code_letters`) to whether it is a string, where
+    R = max(2, longest relation) is `length`.  A word of n letters is a
+    string exactly when each of its windows of min(R, n) letters is one, and
+    two strings glue exactly when their seam, the last R-1 codes of one
+    followed by the first R-1 of the other, is one.
 
     The pairs of a word lie inside its windows, and the ideal is monomial,
     so any relation inside a directed run lies inside some R-letter window,
     within one run of that window.  For a quasi-band of mixed directions
     every run is shorter than the period, so every cyclic run lies inside
-    ``ls + ls[:R-1]``, its period ls read on.
+    ``w + w[:R-1]``, its period w read on.
 
-    A window is decided on its first lookup and kept with its prefixes, so
-    only what was asked is held: the strings of R letters can be
-    exponentially many in R.  A letter is a string; a longer window is one
-    when its prefix one letter shorter is and its last letter composes with
-    the one before, is not its inverse and ends a directed run that avoids
-    the ideal.
+    A tuple is decided on its first lookup and kept with its prefixes, so
+    only what was asked is held, the windows (at most R codes) and seams (at
+    most 2R-2) looked up: the strings of R letters can be exponentially many
+    in R.  A letter is a string; a longer tuple is one when its prefix one
+    letter shorter is and its last letter composes with the one before, is
+    not its inverse and ends a directed run that avoids the ideal.
     """
 
     __slots__ = ("spec", "length")
@@ -52,21 +55,23 @@ class StringWindows(dict):
         self.spec = spec
         self.length = max(2, spec.max_relation_length)
 
-    def __missing__(self, window: tuple[Letter, ...]) -> bool:
-        # a string's prefixes are strings: decide the window's, shortest first
-        for j in range(1, len(window) + 1):
-            if (w := window[:j]) not in self:
+    def __missing__(self, codes: tuple[int, ...]) -> bool:
+        # a string's prefixes are strings: decide the tuple's, shortest first
+        for j in range(1, len(codes) + 1):
+            if (w := codes[:j]) not in self:
                 self[w] = j == 1 or (self[w[:-1]] and self._last_letter_fits(w))
-        return self[window]
+        return self[codes]
 
-    def _last_letter_fits(self, w: tuple[Letter, ...]) -> bool:
-        spec, l = self.spec, w[-1]
-        if letter_source(spec, w[-2]) != letter_target(spec, l) or l == w[-2].inv():
+    def _last_letter_fits(self, w: tuple[int, ...]) -> bool:
+        spec, c = self.spec, w[-1]
+        before, last = spec.code_letters[w[-2]], spec.code_letters[c]
+        if letter_source(spec, before) != letter_target(spec, last) or c == w[-2] ^ 1:
             return False
-        # the run that l ends, read leftwards from l: an inverse run read so
+        # the run that c ends, read leftwards from c: an inverse run read so
         # is its path, a plain run its path reversed
-        run = [l, *takewhile(lambda x: x.inverted == l.inverted, reversed(w[:-1]))]
-        return not spec.path_in_ideal([x.arrow for x in (run if l.inverted else run[::-1])])
+        run = [c, *takewhile(lambda x: not (x ^ c) & 1, reversed(w[:-1]))]
+        path = [spec.arrow_names[x >> 1] for x in run]
+        return not spec.path_in_ideal(path if c & 1 else path[::-1])
 
 
 def _readable_name(name: str, arrow: bool) -> bool:
@@ -175,6 +180,14 @@ class AlgebraSpec(_Frozen):
     def letter_codes(self) -> dict[Letter, int]:
         """The code of each letter, the inverse of `code_letters`."""
         return {l: c for c, l in enumerate(self.code_letters)}
+
+    def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
+        """The codes of letters (`code_letters`); a letter over an arrow the
+        algebra lacks raises ParseError."""
+        try:
+            return tuple(map(self.letter_codes.__getitem__, letters))
+        except KeyError as e:
+            raise ParseError(f"unknown arrow {e.args[0].arrow!r}") from None
 
     def out_arrows(self, u: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows if a.source == u)

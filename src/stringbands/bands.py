@@ -6,14 +6,14 @@ the same fold over `words.flanked` that strings use, keyed by the ids of
 the same `words.middle_trie`; one scan per letter tuple, side and
 power-of-two cap (`_scan_cap`), kept on the algebra.  Every count,
 `dimension_vector`, `is_band` and `canonical_class` read a cyclic word
-through `_checked_letters`, the one place that refuses a word that is no
-quasi-band; `is_band` is the one test that it is no proper power.
+through `_checked`, the one place that refuses a word that is no
+quasi-band, and `_primitive` is the one test that it is no proper power.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
-copy of it, as `is_quasi_band` does for the window test of
-`AlgebraSpec.string_windows`.  Each letter is traversed after the one to its
-right, matching the composition order of finite words.
+copy of it, as `is_quasi_band` does on its letter codes for the window
+test of `AlgebraSpec.string_windows`.  Each letter is traversed after the
+one to its right, matching the composition order of finite words.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .words import (
     Letter,
     Word,
     _Frozen,
-    _check_arrows,
     _windows_hold,
     format_word,
     glues,
@@ -104,32 +103,42 @@ def _as_letters(x) -> tuple[Letter, ...]:
     return tuple(x)
 
 
-def is_quasi_band(spec, letters) -> bool:
-    """Every rotation and power of the cyclic word is a string: it has mixed
-    directions and ``ls + ls[:R-1]``, its period read on for R-1 more
-    letters, passes the window test of `AlgebraSpec.string_windows`.
-    Unknown arrows raise ParseError."""
-    ls = _as_letters(letters)
+def _quasi_band_codes(spec, ls: tuple[Letter, ...]) -> tuple[int, ...] | None:
+    """The letter codes of the cyclic word ls (`AlgebraSpec.encode`) if it
+    is a quasi-band, else None: it is one when it has mixed directions and
+    ``w + w[:R-1]``, its period w read on for R-1 more letters, passes the
+    window test of `AlgebraSpec.string_windows`."""
     if not ls:
         raise NotQuasiBand("empty cyclic word")
-    _check_arrows(spec, ls)
+    w = spec.encode(ls)
     R = spec.string_windows.length
-    mixed = any(l.inverted != ls[0].inverted for l in ls)
-    return mixed and _windows_hold(spec, ls + ls[: R - 1])
+    return w if _turns(w) and _windows_hold(spec, w + w[: R - 1]) else None
 
 
-def _checked_letters(spec, qb) -> tuple[Letter, ...]:
+def is_quasi_band(spec, letters) -> bool:
+    """Every rotation and power of the cyclic word is a string
+    (`_quasi_band_codes`).  Unknown arrows raise ParseError."""
+    return _quasi_band_codes(spec, _as_letters(letters)) is not None
+
+
+def _checked(spec, qb) -> tuple[tuple[Letter, ...], tuple[int, ...]]:
+    """The letters of a quasi-band and their codes; any other cyclic word
+    raises NotQuasiBand."""
     ls = _as_letters(qb)
-    if not is_quasi_band(spec, ls):
+    if (w := _quasi_band_codes(spec, ls)) is None:
         raise NotQuasiBand(_fmt(ls))
-    return ls
+    return ls, w
+
+
+def _primitive(w: tuple[int, ...]) -> bool:
+    """Whether the code tuple w differs from each of its other rotations:
+    its cyclic word is no proper power."""
+    return w not in islice(_code_rotations(w), 1, len(w))
 
 
 def is_band(spec, letters) -> bool:
-    """True iff the quasi-band is not a proper power of a shorter period:
-    its letter codes differ from each of their other rotations."""
-    w = tuple(map(spec.letter_codes.__getitem__, _checked_letters(spec, letters)))
-    return w not in islice(_code_rotations(w), 1, len(w))
+    """True iff the quasi-band is not a proper power of a shorter period."""
+    return _primitive(_checked(spec, letters)[1])
 
 
 def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
@@ -156,11 +165,10 @@ def canonical_class(spec, letters) -> BandClass:
     class; any other input is checked by `is_band` and canonicalised."""
     if isinstance(letters, BandClass) and (cls := spec.kept.get(letters)) is not None:
         return cls
-    ls = _as_letters(letters)
-    if not is_band(spec, ls):
+    ls, w = _checked(spec, letters)
+    if not _primitive(w):
         raise NotBand(f"{_fmt(ls)} is a proper power")
-    best = min(_code_rotations(tuple(map(spec.letter_codes.__getitem__, ls))))
-    return _kept_class(spec, tuple(map(spec.code_letters.__getitem__, best)))
+    return _kept_class(spec, tuple(map(spec.code_letters.__getitem__, min(_code_rotations(w)))))
 
 
 def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
@@ -175,14 +183,13 @@ def are_equivalent(spec, b, bp) -> bool:
 
 class _Reading:
     """A rotation as the witness searches test it: the quasi-band rot, its
-    letter codes (`AlgebraSpec.code_letters`), the target of its first
-    letter, and its first and last R-1 codes, the sides it offers a seam
-    (`words.CodeSeams`).  The caller checks rot's arrows."""
+    letter codes (`AlgebraSpec.encode`), the target of its first letter, and
+    its first and last R-1 codes, the sides it offers a seam (`glues`)."""
 
     __slots__ = ("rot", "codes", "target", "head", "tail")
 
     def __init__(self, spec, rot: QuasiBand):
-        codes = tuple(map(spec.letter_codes.__getitem__, rot.letters))
+        codes = spec.encode(rot.letters)
         reach = spec.string_windows.length - 1
         self.rot, self.codes, self.target = rot, codes, letter_target(spec, rot.letters[0])
         self.head, self.tail = codes[:reach], codes[-reach:]
@@ -203,7 +210,7 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows.  A
     cyclic word that is no quasi-band raises NotQuasiBand."""
-    ls = _checked_letters(spec, qb)
+    ls = _checked(spec, qb)[0]
     if c.is_trivial:
         raise TrivialWord("parti is defined for nonempty words only")
     m = len(ls)
@@ -222,7 +229,7 @@ def band_id_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[int, int]
     length max_len, kept per qb as passed; the package passes the letter
     tuple at a `_scan_cap`.  Kept, so qb is checked once: a cyclic word
     that is no quasi-band raises NotQuasiBand."""
-    return id_tally(spec, _checked_letters(spec, qb), left_inverted, max_len, cyclic=True)
+    return id_tally(spec, _checked(spec, qb)[0], left_inverted, max_len, cyclic=True)
 
 
 def _scan_cap(n: int) -> int:
@@ -260,7 +267,6 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     is already a string, so no other window needs a check."""
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    letters = spec.code_letters
     out: list[BandClass] = []
     for m, frontier in zip(range(1, max_len + 1), string_frontiers(spec)):
         for w in frontier:
@@ -268,9 +274,8 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
             # the rotations of w after w itself, then those of its inverse
             if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):
                 continue
-            ls = tuple(map(letters.__getitem__, w))
-            if _turns(w) and glues(spec, ls, ls):
-                out.append(_kept_class(spec, ls))
+            if _turns(w) and glues(spec, w, w):
+                out.append(_kept_class(spec, tuple(map(spec.code_letters.__getitem__, w))))
     return out
 
 
@@ -282,7 +287,7 @@ def dimension_vector(spec, qb) -> dict[str, int]:
     """How many basis vectors sit at each vertex u: letters with source u.
     Unknown arrows raise ParseError, and a cyclic word that is no quasi-band
     NotQuasiBand."""
-    ls = _checked_letters(spec, qb)
+    ls = _checked(spec, qb)[0]
     vec = {v: 0 for v in spec.vertices}
     for l in ls:
         vec[letter_source(spec, l)] += 1

@@ -8,7 +8,7 @@ and the algebra object keeps each answer (`words.keep`).
 The searches read letter codes (`AlgebraSpec.code_letters`).  A class's one
 member table (`bands._member_readings`) codes each rotation once, with the
 target of its first letter and its first and last R-1 codes, and every seam
-is a lookup in the algebra's one `words.CodeSeams`, decided by `glues`.  The
+is `glues` on those codes, one lookup in `AlgebraSpec.string_windows`.  The
 steps test vertices, divergence and seams on ints, and build the words and
 quasi-bands of a witness only for the pair or split they return.  The
 replays code the rotations they are given and run the same step.
@@ -39,14 +39,12 @@ from .errors import (
 )
 from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
-    CodeSeams,
     Letter,
     Word,
-    _check_arrows,
     _check_word,
-    code_seams,
     flanked,
     format_word,
+    glues,
     inverse,
     inverse_codes,
     inverse_letters,
@@ -131,9 +129,7 @@ def _prefix(r: _Reading, k: int) -> Word:
     return Word(None, reading(r.rot.letters, k, cyclic=True)[:k])
 
 
-def _try_extension(
-    seams: CodeSeams, b: _Reading, c: _Reading
-) -> Optional[ExtendabilityWitness]:
+def _try_extension(spec, b: _Reading, c: _Reading) -> Optional[ExtendabilityWitness]:
     """The extension of rot_b by rot_c, when rot_b ends with an inverse
     letter, rot_c with an arrow, their periodic words share a prefix w that
     diverges within period(B) + period(C) letters with an arrow beta of rot_b
@@ -148,7 +144,7 @@ def _try_extension(
         return None
     # both rotations are quasi-bands: only the two seams of rot_c.rot_b can
     # fail.  They fail more often than the fork does, so they come first
-    if not (seams[c.tail, b.head] and seams[b.tail, c.head]):
+    if not (glues(spec, c.tail, b.head) and glues(spec, b.tail, c.head)):
         return None
     k = _fork(b_cs, c_cs, len(b_cs) + len(c_cs))
     if k is None:
@@ -160,14 +156,13 @@ def _try_extension(
 
 @keep
 def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
-    seams = code_seams(spec)
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
     c_rots = [r for r in _member_readings(spec, C) if not r.codes[-1] & 1]
     for b in _member_readings(spec, B):
         if b.codes[-1] & 1:
             for c in c_rots:
-                if wit := _try_extension(seams, b, c):
+                if wit := _try_extension(spec, b, c):
                     return wit
     return None
 
@@ -185,7 +180,7 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     return _extendable(spec, canonical_class(spec, B), canonical_class(spec, C))
 
 
-def _case1_split(seams: CodeSeams, r: _Reading, n: int) -> Optional[Case1Witness]:
+def _case1_split(spec, r: _Reading, n: int) -> Optional[Case1Witness]:
     """The case 1 split of the rotation after its n-th letter, when
     1 <= n < period, it ends with an inverse letter and letter n is an
     arrow, both windows are quasi-bands, and its periodic word diverges from
@@ -196,7 +191,7 @@ def _case1_split(seams: CodeSeams, r: _Reading, n: int) -> Optional[Case1Witness
     left, right = cs[:n], cs[n:]
     for piece in (left, right):
         # a window of rot is a quasi-band once it turns and its own seam passes
-        if not _turns(piece) or not seams.glue(piece, piece):
+        if not _turns(piece) or not glues(spec, piece, piece):
             return None
     # compare the periodic word against its own shift by n
     k = _fork(cs, right + left, len(cs))
@@ -221,7 +216,7 @@ def _case2_frame(cs: tuple[int, ...], p: int, q: int):
     return cs[:p], cs[p : p + q], cs[j:]
 
 
-def _case2_at(seams: CodeSeams, r: _Reading) -> Optional[Case2Witness]:
+def _case2_at(spec, r: _Reading) -> Optional[Case2Witness]:
     """The first case 2 frame of the rotation, by |w| then |u|, whose
     reversal w.u^-1.w^-1.v is again a quasi-band."""
     cs = r.codes
@@ -238,8 +233,8 @@ def _case2_at(seams: CodeSeams, r: _Reading) -> Optional[Case2Witness]:
             cuts = (j for j in (p, p + q, 2 * p + q) if j)
             if (
                 _turns(rev)
-                and all(seams.glue(rev[:j], rev[j:]) for j in cuts)
-                and seams.glue(rev, rev)
+                and all(glues(spec, rev[:j], rev[j:]) for j in cuts)
+                and glues(spec, rev, rev)
             ):
                 ls = r.rot.letters
                 w, u, v = ls[:p], ls[p : p + q], ls[2 * p + q :]
@@ -252,16 +247,16 @@ def _case2_at(seams: CodeSeams, r: _Reading) -> Optional[Case2Witness]:
 
 @keep
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
-    seams, members = code_seams(spec), _member_readings(spec, B)
+    members = _member_readings(spec, B)
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
     case1 = (
-        _case1_split(seams, r, n)
+        _case1_split(spec, r, n)
         for r in members
         if r.codes[-1] & 1
         for n in range(1, len(r.codes))
     )
-    case2 = (_case2_at(seams, r) for r in members)
+    case2 = (_case2_at(spec, r) for r in members)
     return next(filter(None, chain(case1, case2)), None)
 
 
@@ -410,12 +405,9 @@ def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     family of rot lies in the closure of the returned band's family.
     """
     ls = _as_letters(rot)
-    _check_arrows(spec, ls)
-    for word in (w, u, v):
-        _check_word(spec, word)
-    code = spec.letter_codes.__getitem__
-    pieces = tuple(tuple(map(code, x.letters)) for x in (w, u, v))
-    if _case2_frame(tuple(map(code, ls)), len(w), len(u)) != pieces:
+    codes = spec.encode(ls)
+    pieces = tuple(_check_word(spec, x) for x in (w, u, v))
+    if _case2_frame(codes, len(w), len(u)) != pieces:
         raise BadDecomposition("w, u and v are not a case 2 frame w.u.w^-1.v of rot")
     if not is_quasi_band(spec, ls):
         raise BadDecomposition("rot is not a quasi-band")
@@ -436,7 +428,7 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
         raise InvalidWitness("rot must be a quasi-band")
     if not isinstance(witness.n, int):
         raise InvalidWitness("n must be an int")
-    if _case1_split(code_seams(spec), _Reading(spec, rot), witness.n) != witness:
+    if _case1_split(spec, _Reading(spec, rot), witness.n) != witness:
         raise InvalidWitness("witness is not the case 1 split of rot at n")
     return witness.pieces
 
@@ -449,6 +441,6 @@ def concat_extension(spec, witness) -> QuasiBand:
     rots = (witness.rot_b, witness.rot_c)
     if not all(isinstance(r, QuasiBand) and is_quasi_band(spec, r.letters) for r in rots):
         raise InvalidWitness("rotations must be quasi-bands")
-    if _try_extension(code_seams(spec), *(_Reading(spec, r) for r in rots)) != witness:
+    if _try_extension(spec, *(_Reading(spec, r) for r in rots)) != witness:
         raise InvalidWitness("witness is not the extension of rot_b by rot_c")
     return witness.d

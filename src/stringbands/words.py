@@ -1,11 +1,12 @@
 """Walks on a quiver, the string and gluing checks, the flanked-occurrence
 engine and string tallies.
 
-`is_string`, and `glues`, the one check at a seam where two readings meet,
-are window tests on `AlgebraSpec.string_windows`.  `flanked` is the one
-definition of an occurrence of a middle word with its two neighbours
-pointing the required ways; every substring and factorstring count, on
-strings here and on bands in `bands`, is a fold over it.
+`is_string`, and `glues`, the one check at a seam where two code tuples
+meet, are lookups in `AlgebraSpec.string_windows`, keyed by letter codes
+(`AlgebraSpec.encode`).  `flanked` is the one definition of an occurrence
+of a middle word with its two neighbours pointing the required ways; every
+substring and factorstring count, on strings here and on bands in `bands`,
+is a fold over it.
 
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
 the id of its middle's inversion class, a node of the one `middle_trie`
@@ -157,68 +158,39 @@ def word_vertices(alg, word: Word) -> tuple[str, ...]:
     return tuple(verts)
 
 
-def _windows_hold(alg, letters: tuple[Letter, ...]) -> bool:
-    """Every window of min(R, n) of the n >= 1 letters is a string, by
-    `AlgebraSpec.string_windows`; the caller checks the arrows."""
+def _windows_hold(alg, codes: tuple[int, ...]) -> bool:
+    """Every window of min(R, n) of the n >= 1 letter codes is a string, by
+    `AlgebraSpec.string_windows`."""
     windows = alg.string_windows
-    k = min(windows.length, len(letters))
-    return all(windows[letters[i : i + k]] for i in range(len(letters) - k + 1))
+    k = min(windows.length, len(codes))
+    return all(windows[codes[i : i + k]] for i in range(len(codes) - k + 1))
 
 
-def glues(alg, left: tuple[Letter, ...], right: tuple[Letter, ...]) -> bool:
-    """The one gluing check, at the seam where left[-1] meets right[0]: the
-    windows that cross it, those of left[-(R-1):] + right[:R-1], are strings.
-    Two strings glue exactly when left + right is a string, and a cyclic
-    gluing of quasi-band readings is a quasi-band exactly when each of its
-    seams glues.  The caller checks the arrows."""
-    R = alg.string_windows.length
-    return _windows_hold(alg, left[-(R - 1) :] + right[: R - 1])
+def glues(alg, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """The one gluing check, at the seam where the code tuples left and right
+    meet: their seam left[-(R-1):] + right[:R-1] is a string, one lookup in
+    `AlgebraSpec.string_windows`.  Two strings glue exactly when left + right
+    is a string, and a cyclic gluing of quasi-band readings is a quasi-band
+    exactly when each of its seams glues."""
+    windows = alg.string_windows
+    reach = windows.length - 1
+    return windows[left[-reach:] + right[:reach]]
 
 
-class CodeSeams(dict):
-    """`glues` on letter codes (`AlgebraSpec.code_letters`): maps a seam
-    (tail, head), the last R-1 codes of the left reading and the first R-1
-    of the right one (glues' own slices, so a reading shorter than R-1 comes
-    whole), to whether the two glue.  A seam is decided by `glues` on its
-    first lookup and kept."""
-
-    __slots__ = ("alg", "reach")
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.reach = alg.string_windows.length - 1
-
-    def __missing__(self, seam: tuple[tuple[int, ...], tuple[int, ...]]) -> bool:
-        letters = self.alg.code_letters
-        tail, head = (tuple(map(letters.__getitem__, side)) for side in seam)
-        ok = self[seam] = glues(self.alg, tail, head)
-        return ok
-
-    def glue(self, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-        """glues(left, right) for the letters of two code tuples."""
-        return self[left[-self.reach :], right[: self.reach]]
-
-
-def _check_arrows(alg, letters: tuple[Letter, ...]) -> None:
-    """Raise ParseError on the first letter over an arrow alg lacks."""
-    for l in letters:
-        if not alg.has_arrow(l.arrow):
-            raise ParseError(f"unknown arrow {l.arrow!r}")
-
-
-def _check_word(alg, word: Word) -> None:
-    """_check_arrows, and for a trivial word a ParseError on a vertex alg lacks."""
+def _check_word(alg, word: Word) -> tuple[int, ...]:
+    """The word's letter codes (`AlgebraSpec.encode`); a vertex or arrow alg
+    lacks raises ParseError."""
     if word.is_trivial and not alg.has_vertex(word.trivial_at):
         raise ParseError(f"unknown vertex {word.trivial_at!r}")
-    _check_arrows(alg, word.letters)
+    return alg.encode(word.letters)
 
 
 def is_string(alg, word: Word) -> bool:
     """Every window of min(R, n) letters is a string (`AlgebraSpec.string_windows`);
     a trivial word is one.  A vertex or arrow alg lacks raises ParseError
     (_check_word)."""
-    _check_word(alg, word)
-    return word.is_trivial or _windows_hold(alg, word.letters)
+    codes = _check_word(alg, word)
+    return word.is_trivial or _windows_hold(alg, codes)
 
 
 def concat(alg, left: Word, right: Word) -> Word:
@@ -342,13 +314,6 @@ class MiddleTrie:
 
 
 @keep
-def code_seams(alg) -> CodeSeams:
-    """The algebra's one seam test on letter codes, read by the witness
-    searches."""
-    return CodeSeams(alg)
-
-
-@keep
 def middle_trie(alg) -> MiddleTrie:
     """The algebra's one trie, shared by its string and band tallies."""
     return MiddleTrie(alg)
@@ -372,7 +337,7 @@ def id_tally(
     check it once, on a miss."""
     trie = middle_trie(alg)
     ls = reading(letters, max_mid, cyclic)
-    codes = list(map(alg.letter_codes.__getitem__, ls))
+    codes = alg.encode(ls)
     inverted = [c ^ 1 for c in codes]
     counts: dict[int, int] = {}
     start = -1
@@ -451,14 +416,7 @@ def word_key(alg, word: Word):
     codes (`AlgebraSpec.code_letters`)."""
     if word.is_trivial:
         return (0, alg.vertex_index(word.trivial_at), ())
-    return (len(word), 0, tuple(map(alg.letter_codes.__getitem__, word.letters)))
-
-
-def canonical_word(alg, word: Word) -> Word:
-    """The smaller of word and its inverse under `word_key`, word itself on
-    a tie.  Unknown arrows and vertices raise ParseError."""
-    _check_word(alg, word)
-    return _canonical(alg, word)
+    return (len(word), 0, alg.encode(word.letters))
 
 
 def _least_reading(w: tuple[int, ...]) -> bool:
@@ -467,10 +425,13 @@ def _least_reading(w: tuple[int, ...]) -> bool:
     return w <= inverse_codes(w)
 
 
-def _canonical(alg, word: Word) -> Word:
+def canonical_word(alg, word: Word) -> Word:
+    """The smaller of word and its inverse under `word_key`, word itself on
+    a tie.  Unknown arrows and vertices raise ParseError."""
+    codes = _check_word(alg, word)
     # word and its inverse have one length, so word_key orders them by their
     # codes alone
-    if word.is_trivial or _least_reading(tuple(map(alg.letter_codes.__getitem__, word.letters))):
+    if word.is_trivial or _least_reading(codes):
         return word
     return inverse(word)
 
@@ -489,10 +450,10 @@ def string_frontiers(alg):
     letter, come in code order, and so every list is in lexicographic code
     order.
     """
-    letters = alg.code_letters
+    letters = [(c,) for c in range(len(alg.code_letters))]
     tail = alg.string_windows.length - 1
     successors: dict[tuple[int, ...], list[tuple[int]]] = {}
-    frontier = [(c,) for c in range(len(letters))]
+    frontier = letters
     while frontier:
         yield frontier
         grown = []
@@ -500,9 +461,7 @@ def string_frontiers(alg):
             key = w[-tail:]
             nxt = successors.get(key)
             if nxt is None:
-                window = tuple(letters[c] for c in key)
-                nxt = [(c,) for c, l in enumerate(letters) if glues(alg, window, (l,))]
-                successors[key] = nxt
+                nxt = successors[key] = [c for c in letters if glues(alg, key, c)]
             grown += [w + c for c in nxt]
         frontier = grown
 

@@ -397,9 +397,14 @@ def _letters(spec):
     return [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
 
 
+def _decoded(spec, codes):
+    return tuple(spec.code_letters[c] for c in codes)
+
+
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_string_windows_decide_strings_seams_and_quasi_bands(name):
-    spec = ALL[name]
+    # a copy keeps nothing yet, so earlier lookups on ALL[name] do not show
+    spec = copy.copy(ALL[name])
     R = spec.string_windows.length
     assert R == max(2, spec.max_relation_length)
     strings = []
@@ -412,13 +417,14 @@ def test_string_windows_decide_strings_seams_and_quasi_bands(name):
                 strings.append(ls)
     # every letter sequence of at most R letters was looked up, and only those
     assert dict(spec.string_windows) == {
-        ls: _ref_is_string(spec, ls)
+        spec.encode(ls): _ref_is_string(spec, ls)
         for n in range(1, R + 1)
         for ls in product(_letters(spec), repeat=n)
     }
     for left in strings:
         for right in strings:
-            assert glues(spec, left, right) == _ref_glues(spec, left, right)
+            glued = glues(spec, spec.encode(left), spec.encode(right))
+            assert glued == _ref_glues(spec, left, right)
 
 
 def test_string_windows_hold_only_the_windows_looked_up():
@@ -439,7 +445,22 @@ def test_string_windows_hold_only_the_windows_looked_up():
         assert is_string(spec, Word(None, ls)) == _ref_is_string(spec, ls)
     assert is_quasi_band(spec, (a,) * 19 + (B,) * 19)
     assert not is_quasi_band(spec, (a,) * 20 + (B,))
-    assert all(0 < len(w) <= 20 and ok == _ref_is_string(spec, w) for w, ok in windows.items())
+    assert all(
+        0 < len(w) <= 20 and ok == _ref_is_string(spec, _decoded(spec, w))
+        for w, ok in windows.items()
+    )
+    # a seam of two strings of 19 letters has 38 codes, and one gluing keeps
+    # only that seam and its prefixes the table did not hold yet
+    for left, right in [((a,) * 19, (B,) * 19), ((B,) * 19, (a,) * 19), ((a,) * 19, (a,) * 19)]:
+        assert is_string(spec, Word(None, left)) and is_string(spec, Word(None, right))
+        held = set(windows)
+        seam = spec.encode(left + right)
+        assert glues(spec, spec.encode(left), spec.encode(right)) == _ref_glues(spec, left, right)
+        assert set(windows) - held == {seam[:j] for j in range(1, 39)} - held
+    assert all(
+        0 < len(w) <= 38 and ok == _ref_is_string(spec, _decoded(spec, w))
+        for w, ok in windows.items()
+    )
 
 
 def _walk(data, spec, n):
@@ -469,8 +490,10 @@ def test_string_windows_match_the_run_checks_on_random_quivers(spec, data):
         for i in range(max(1, len(ls) - R - 3), min(len(ls), R + 4)):
             left, right = ls[:i], ls[i:]
             if _ref_is_string(spec, left) and _ref_is_string(spec, right):
-                assert glues(spec, left, right) == _ref_glues(spec, left, right)
+                glued = glues(spec, spec.encode(left), spec.encode(right))
+                assert glued == _ref_glues(spec, left, right)
+    # windows have at most R codes and seams, the longest keys, 2R - 2
     assert all(
-        0 < len(w) <= R and ok == _ref_is_string(spec, w)
+        0 < len(w) <= 2 * R - 2 and ok == _ref_is_string(spec, _decoded(spec, w))
         for w, ok in spec.string_windows.items()
     )
