@@ -23,7 +23,7 @@ from stringbands import (
     load_algebra,
     require_string_algebra,
 )
-from stringbands.cli import _run_quietly, nonnegative_int
+from stringbands.cli import nonnegative_int, run
 
 
 def class_name(cls):
@@ -95,4 +95,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(_run_quietly(main))
+    run(main)

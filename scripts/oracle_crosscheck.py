@@ -34,7 +34,7 @@ from stringbands import (
     realize_string,
     require_string_algebra,
 )
-from stringbands.cli import _fraction, _run_quietly, nonnegative_int
+from stringbands.cli import _fraction, nonnegative_int, run
 
 
 def parameter_pair(text: str) -> tuple[Fraction, Fraction]:
@@ -123,4 +123,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(_run_quietly(main))
+    run(main)

@@ -21,7 +21,6 @@ smallest sizes of each series.
 """
 
 import argparse
-import sys
 import time
 from math import log
 from pathlib import Path
@@ -36,7 +35,7 @@ from stringbands import (
     realize_band,
     realize_string,
 )
-from stringbands.cli import _run_quietly
+from stringbands.cli import run
 
 DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
 P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
@@ -89,4 +88,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(_run_quietly(main))
+    run(main)

@@ -1,5 +1,5 @@
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+# guarded: run ends the process, so an import (pydoc, a test) must not reach it
+if __name__ == "__main__":
+    run()

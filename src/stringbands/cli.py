@@ -6,7 +6,9 @@ file once and, for every subcommand but `validate`, refuses one that is not
 a string algebra; each handler takes the loaded spec.  One `except` in
 `main` maps a failure to its exit code: 2 parse error (an unreadable file
 among them), 3 domain-precondition error, 4 internal invariant violation;
-0 is success.  A reader that closes stdout early ends the run quietly.
+0 is success.  A process ends through `run`, which exits with `main`'s
+status as soon as the output is flushed; a reader that closes stdout early
+ends the run quietly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .algebra import (
     gentle_vertices,
@@ -319,21 +322,25 @@ def main(argv=None) -> int:
             status = 3 if isinstance(exc, DomainError) else 4
         print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
         return status
-    return _run_quietly(print, json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
+    return 0
 
 
-def _run_quietly(fn, *args) -> int:
-    """fn(*args) with stdout flushed, as an exit status (0 for None).  A
-    reader that closes stdout early ends the run quietly with status 0."""
+def run(fn=main) -> NoReturn:
+    """End the process with fn() as its exit status (0 for None), once
+    stdout and stderr are flushed.  os._exit skips the interpreter's
+    teardown, which takes longer than most commands, so atexit handlers do
+    not run.  A reader that closes stdout early ends the run quietly with
+    status 0.  Every process entry point ends here; `main` is for callers
+    that stay."""
     try:
-        status = fn(*args)
+        status = fn() or 0
         sys.stdout.flush()
     except BrokenPipeError:
-        # aim the interpreter's last flush at devnull so it cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    return status or 0
+        status = 0
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

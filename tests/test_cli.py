@@ -475,9 +475,13 @@ def test_a_parameter_that_is_not_a_rational_is_a_usage_error(option):
 
 
 def run_child_env():
-    # the child finds the package from an uninstalled checkout too
+    # the child finds the package from an uninstalled checkout too, and its
+    # stdout is block-buffered as a shell pipe gets it, so what it prints
+    # reaches the pipe only through cli.run's flush before os._exit
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def run_child(*argv):
@@ -502,6 +506,39 @@ def test_module_entry_point_runs():
     proc = run_child("-m", "stringbands", "validate", KRON_FILE)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["valid"] is True
+
+
+def test_importing_the_module_entry_point_leaves_the_process_running():
+    # cli.run ends the process, so __main__ must call it only when run as a script
+    proc = run_child("-c", "import stringbands.__main__; print('alive')")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "alive\n", "")
+
+
+def in_process(argv):
+    """stdout bytes, stderr and exit status of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return out.getvalue().encode(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv, status, size", [
+    (("enumerate", GP33_FILE, "strings", "--max-len", "13"), 0, 94_552),
+    (("hom", GP22_FILE, "--from", "band:a.a", "--to", "string:a"), 3, 0),
+    (("validate", "fixtures/missing.alg"), 2, 0),
+    (("enumerate", KRON_FILE, "strings"), 2, 0),
+], ids=["longer-than-a-pipe-buffer", "domain-error", "unreadable-file", "usage-error"])
+def test_the_module_entry_point_prints_and_exits_as_main_returns(argv, status, size):
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringbands", *argv], cwd=ROOT, capture_output=True,
+        env=run_child_env(),
+    )
+    out, err, code = in_process(argv)
+    assert (code, len(out)) == (status, size)
+    assert (proc.stdout, proc.stderr.decode(), proc.returncode) == (out, err, code)
 
 
 def test_oracle_crosscheck_script_finds_no_mismatch():

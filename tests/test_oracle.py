@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import pickle
 import weakref
@@ -380,16 +381,22 @@ def test_generic_value_is_stable_across_parameters():
     assert values == {1}
 
 
-SAMPLE_MODULES = {}
-for _spec, _name in ((GP22, "gp22"), (GP33, "gp33"), (LOOP, "loop")):
-    mods = [realize_string(_spec, w) for w in enumerate_strings(_spec, 3)]
-    mods += [realize_band(_spec, B, TWO) for B in enumerate_bands(_spec, 4)]
-    SAMPLE_MODULES[_name] = mods
+# The module pools below are built on first use, not at import, so a fault
+# in the package fails the tests that use a pool by name instead of stopping
+# this whole module at collection
+SAMPLE_SPECS = {"gp22": GP22, "gp33": GP33, "loop": LOOP}
+
+
+@functools.cache
+def sample_modules(name):
+    spec = SAMPLE_SPECS[name]
+    mods = [realize_string(spec, w) for w in enumerate_strings(spec, 3)]
+    return mods + [realize_band(spec, B, TWO) for B in enumerate_bands(spec, 4)]
 
 
 @st.composite
 def module_triple(draw):
-    mods = SAMPLE_MODULES[draw(st.sampled_from(sorted(SAMPLE_MODULES)))]
+    mods = sample_modules(draw(st.sampled_from(sorted(SAMPLE_SPECS))))
     return tuple(draw(st.sampled_from(mods)) for _ in range(3))
 
 
@@ -588,12 +595,14 @@ def test_one_sided_equations_zero_their_unknowns_by_the_arrow_masks():
 
 
 LOWER = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
-CONJUGATION_POOL = {}
-for _name, _spec in ALL.items():
-    mods = [realize_string(_spec, w) for w in enumerate_strings(_spec, 3)]
-    mods += [realize_band(_spec, B, lam) for B in enumerate_bands(_spec, 4)
-             for lam in (TWO, Fraction(7, 2))]
-    CONJUGATION_POOL[_name] = mods
+
+
+@functools.cache
+def conjugation_pool(name):
+    spec = ALL[name]
+    mods = [realize_string(spec, w) for w in enumerate_strings(spec, 3)]
+    return mods + [realize_band(spec, B, lam) for B in enumerate_bands(spec, 4)
+                   for lam in (TWO, Fraction(7, 2))]
 
 
 def conjugate(M, lower):
@@ -628,7 +637,7 @@ def conjugate(M, lower):
 
 @st.composite
 def conjugated_pair(draw):
-    mods = CONJUGATION_POOL[draw(st.sampled_from(sorted(CONJUGATION_POOL)))]
+    mods = conjugation_pool(draw(st.sampled_from(sorted(ALL))))
     X, Y = (draw(st.sampled_from(mods)) for _ in range(2))
     lowers = (draw(st.lists(st.sampled_from(LOWER), max_size=12)) for _ in range(2))
     return X, Y, *(conjugate(M, lower) for M, lower in zip((X, Y), lowers))
@@ -671,18 +680,19 @@ def assert_the_union_find_matches_the_elimination(X, Y):
 # every module the hom-grid and ext-survey workloads give dim_hom: strings
 # <= 4 and bands <= 6 at three parameters, one negative and one not an
 # integer, with each module's projective cover and syzygy
-LINKED_POOL = {}
-for _name, _spec in ALL.items():
-    mods = [realize_string(_spec, w) for w in enumerate_strings(_spec, 4)]
-    mods += [realize_band(_spec, B, lam) for B in enumerate_bands(_spec, 6)
+@functools.cache
+def linked_pool(name):
+    spec = ALL[name]
+    mods = [realize_string(spec, w) for w in enumerate_strings(spec, 4)]
+    mods += [realize_band(spec, B, lam) for B in enumerate_bands(spec, 6)
              for lam in (TWO, -1, Fraction(2, 3))]
-    LINKED_POOL[_name] = list(dict.fromkeys(mods + [M for X in mods for M in syzygy(X)]))
+    return list(dict.fromkeys(mods + [M for X in mods for M in syzygy(X)]))
 
 
 def test_realized_modules_and_their_syzygies_have_one_entry_per_line():
     # 173 distinct modules, so 10,027 ordered pairs within a fixture
-    assert sum(map(len, LINKED_POOL.values())) == 173
-    for mods in LINKED_POOL.values():
+    assert sum(len(linked_pool(name)) for name in ALL) == 173
+    for mods in map(linked_pool, ALL):
         assert all(M.one_entry_per_line for M in mods)
     N = conjugate(realize_band(GP33, parse_word("a.a.b^-1.b^-1"), TWO), (1, 1))
     assert not N.one_entry_per_line
@@ -700,7 +710,7 @@ def test_the_path_flag_stays_out_of_equality_hash_repr_and_pickles():
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_the_union_find_rank_equals_the_elimination_rank(name):
     # equal parameters included: both ends may be the same band module
-    mods = LINKED_POOL[name]
+    mods = linked_pool(name)
     for X in mods:
         for Y in mods:
             assert_the_union_find_matches_the_elimination(X, Y)
@@ -711,8 +721,8 @@ def test_ext_reads_the_hom_from_the_cover_off_its_tops(name):
     # dim_ext1 takes Hom(P0, Y) as the sum of |Y_v| over P0's tops; it must
     # equal the hom system solved for the same pair.  Three conjugated
     # modules per fixture are not one entry per line, on either end
-    mods = [N for M in CONJUGATION_POOL[name] if not (N := conjugate(M, LOWER[2:])).one_entry_per_line]
-    mods = LINKED_POOL[name] + mods[:3]
+    mods = [N for M in conjugation_pool(name) if not (N := conjugate(M, LOWER[2:])).one_entry_per_line]
+    mods = linked_pool(name) + mods[:3]
     for X in mods:
         P0, omega = syzygy(X)
         for Y in mods:
@@ -731,7 +741,7 @@ def rescale(M, scales):
 
 @st.composite
 def rescaled_pair(draw):
-    mods = LINKED_POOL[draw(st.sampled_from(sorted(LINKED_POOL)))]
+    mods = linked_pool(draw(st.sampled_from(sorted(ALL))))
     X, Y = (draw(st.sampled_from(mods)) for _ in range(2))
     scales = (draw(st.lists(st.sampled_from(SCALES), min_size=M.dim, max_size=M.dim)) for M in (X, Y))
     return X, Y, *(rescale(M, c) for M, c in zip((X, Y), scales))
