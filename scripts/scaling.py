@@ -9,12 +9,15 @@ cold:
 - with p = x.a^-1.y.a and q = x.a^-1.y^-1.a, dumbbell's two bands of
   period 4, the bands B = p^k q and C = q^k p for k = 8, 16, 32, 64
   (periods 36, 68, 132, 260), counted by hom_band_band(B, C) against dim_hom
-  of their realizations at parameters 2 and 3.
+  of their realizations at parameters 2 and 3, and the quadratic criterion
+  extendable_quadratic(B, C) against the search extendable(B, C).
 
 Each line gives the count and the milliseconds of the count and of dim_hom
 (realizing the modules is not timed); a string line after the first also
-gives the exponent e with counted time growing as n^e since the size before.
-Exit status 1 when a count differs from dim_hom.  --steps s runs the s
+gives the exponent e with counted time growing as n^e since the size before,
+and a band line the milliseconds of extendable_quadratic.  Exit status 1 when
+a count differs from dim_hom, or when extendable_quadratic finds a witness
+where extendable finds none or the other way round.  --steps s runs the s
 smallest sizes of each series.
 
     PYTHONPATH=src python3 scripts/scaling.py
@@ -28,6 +31,8 @@ from pathlib import Path
 from stringbands import (
     canonical_class,
     dim_hom,
+    extendable,
+    extendable_quadratic,
     hom_band_band,
     hom_string_string,
     load_algebra,
@@ -51,7 +56,7 @@ def string_case(n: int):
     spec = load_algebra(DUMBBELL)
     w = parse_word(".".join([P] * (n // 4)))
     X = realize_string(spec, w)
-    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X)
+    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X), None
 
 
 def band_case(k: int):
@@ -59,7 +64,7 @@ def band_case(k: int):
     B = canonical_class(spec, parse_word(".".join([P] * k + [Q])))
     C = canonical_class(spec, parse_word(".".join([Q] * k + [P])))
     modules = (realize_band(spec, B, 2), realize_band(spec, C, 3))
-    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules
+    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules, (spec, B, C)
 
 
 def main(argv=None):
@@ -72,18 +77,24 @@ def main(argv=None):
     bad = 0
     before = None  # (n, counted seconds) of the string size before
     for make, size in cases:
-        label, count, modules = make(size)
+        label, count, modules, pair = make(size)
         counted, counted_s = timed(count)
         oracle, oracle_s = timed(lambda: dim_hom(*modules))
-        growth = ""
+        extra = ""
         if make is string_case:
             if before:
-                growth = f"  growth n^{log(counted_s / before[1]) / log(size / before[0]):.2f}"
+                extra = f"  growth n^{log(counted_s / before[1]) / log(size / before[0]):.2f}"
             before = (size, counted_s)
+        else:
+            witness, quadratic_s = timed(lambda: extendable_quadratic(*pair))
+            extra = f"  quadratic {quadratic_s * 1e3:9.2f} ms"
+            if (witness is None) != (extendable(*pair) is None):
+                extra += "  MISMATCH: extendable"
+                bad += 1
         verdict = "" if counted == oracle else f"  MISMATCH: oracle {oracle}"
         bad += counted != oracle
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
-              f"oracle {oracle_s * 1e3:9.2f} ms{growth}{verdict}")
+              f"oracle {oracle_s * 1e3:9.2f} ms{extra}{verdict}")
     return 1 if bad else 0
 
 

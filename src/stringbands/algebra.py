@@ -189,6 +189,10 @@ class AlgebraSpec(_Frozen):
         except KeyError as e:
             raise ParseError(f"unknown arrow {e.args[0].arrow!r}") from None
 
+    def decode(self, codes: Iterable[int]) -> tuple[Letter, ...]:
+        """The letters of codes, the inverse of `encode`."""
+        return tuple(map(self.code_letters.__getitem__, codes))
+
     def out_arrows(self, u: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.arrows if a.source == u)
 

@@ -32,7 +32,6 @@ from .words import (
     id_tally,
     inverse,
     inverse_codes,
-    inverse_letters,
     keep,
     letter_source,
     letter_target,
@@ -141,14 +140,9 @@ def is_band(spec, letters) -> bool:
     return _primitive(_checked(spec, letters)[1])
 
 
-def _rotations(ls: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-    """The m rotations of the word, then the m of its inverse-reversal."""
-    return [base[k:] + base[:k] for base in (ls, inverse_letters(ls)) for k in range(len(ls))]
-
-
 def _code_rotations(w: tuple[int, ...]):
-    """The m rotations of a code tuple, then the m of its inverse-reversal:
-    `_rotations` in letter codes (`AlgebraSpec.code_letters`)."""
+    """The m rotations of a code tuple (`AlgebraSpec.code_letters`), then the
+    m of its inverse-reversal."""
     return (base[k:] + base[:k] for base in (w, inverse_codes(w)) for k in range(len(w)))
 
 
@@ -168,7 +162,7 @@ def canonical_class(spec, letters) -> BandClass:
     ls, w = _checked(spec, letters)
     if not _primitive(w):
         raise NotBand(f"{_fmt(ls)} is a proper power")
-    return _kept_class(spec, tuple(map(spec.code_letters.__getitem__, min(_code_rotations(w)))))
+    return _kept_class(spec, spec.decode(min(_code_rotations(w))))
 
 
 def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
@@ -188,8 +182,8 @@ class _Reading:
 
     __slots__ = ("rot", "codes", "target", "head", "tail")
 
-    def __init__(self, spec, rot: QuasiBand):
-        codes = spec.encode(rot.letters)
+    def __init__(self, spec, rot: QuasiBand, codes: tuple[int, ...] | None = None):
+        codes = spec.encode(rot.letters) if codes is None else codes
         reach = spec.string_windows.length - 1
         self.rot, self.codes, self.target = rot, codes, letter_target(spec, rot.letters[0])
         self.head, self.tail = codes[:reach], codes[-reach:]
@@ -197,8 +191,9 @@ class _Reading:
 
 @keep
 def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
-    """The class's one member table: `class_members`, each coded once."""
-    return tuple(_Reading(spec, QuasiBand(r)) for r in dict.fromkeys(_rotations(B.letters)))
+    """The class's one member table: `class_members`, each rotated as codes."""
+    rots = dict.fromkeys(_code_rotations(spec.encode(B.letters)))
+    return tuple(_Reading(spec, QuasiBand(spec.decode(w)), w) for w in rots)
 
 
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
@@ -229,7 +224,7 @@ def band_id_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[int, int]
     length max_len, kept per qb as passed; the package passes the letter
     tuple at a `_scan_cap`.  Kept, so qb is checked once: a cyclic word
     that is no quasi-band raises NotQuasiBand."""
-    return id_tally(spec, _checked(spec, qb)[0], left_inverted, max_len, cyclic=True)
+    return id_tally(spec, _checked(spec, qb)[1], left_inverted, max_len, cyclic=True)
 
 
 def _scan_cap(n: int) -> int:
@@ -275,7 +270,7 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
             if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):
                 continue
             if _turns(w) and glues(spec, w, w):
-                out.append(_kept_class(spec, tuple(map(spec.code_letters.__getitem__, w))))
+                out.append(_kept_class(spec, spec.decode(w)))
     return out
 
 

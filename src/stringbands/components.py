@@ -16,7 +16,7 @@ replays code the rotations they are given and run the same step.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from typing import NamedTuple, Optional, Union
 
 from .algebra import gentle_vertices
@@ -39,21 +39,17 @@ from .errors import (
 )
 from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
-    Letter,
     Word,
     _check_word,
     flanked,
     format_word,
     glues,
-    inverse,
     inverse_codes,
     inverse_letters,
-    is_string,
     keep,
     letter_source,
     reading,
     trivial_word,
-    word_key,
 )
 
 IS_COMPONENT = "IsComponent"
@@ -270,33 +266,42 @@ def negligible(spec, B) -> Optional[NegligibilityWitness]:
     return _negligible(spec, canonical_class(spec, B))
 
 
-def _window_triples(spec, band: QuasiBand, max_mid: int, leftmost_inverted: bool):
-    """Flanked cyclic windows, grouped by middle word.
-
-    Every window whose edge letters point the requested ways yields two
-    readings, one per orientation of the occurrence; the flank arrows come
-    along with each reading.
-    """
-    by_mid: dict[Word, list[tuple[str, str]]] = {}
-    ls = reading(band.letters, max_mid, cyclic=True)
-    for k, j in flanked(band.letters, leftmost_inverted, max_mid, cyclic=True):
-        first, last = ls[k - 1], ls[j]
-        mid = Word(None, ls[k:j]) if j > k else trivial_word(letter_source(spec, first))
-        for a, d, b in (
-            (first.arrow, mid, last.arrow),
-            (last.arrow, inverse(mid), first.arrow),
-        ):
-            pairs = by_mid.setdefault(d, [])
-            if (a, b) not in pairs:
-                pairs.append((a, b))
+def _flank_pairs(spec, codes: tuple[int, ...], bound: int, left_inverted: bool):
+    """The flanked middles (`flanked`) of length at most bound in the cyclic
+    word of codes, each in both orientations of its occurrence, keyed by
+    (length, vertex index, codes): the trivial middle at the i-th vertex is
+    (0, i, ()), any other (length, 0, codes).  Each key holds the arrow
+    indices (a, b) of its left and right neighbours, each pair once, in the
+    order first read."""
+    by_mid: dict[tuple, dict[tuple[int, int], None]] = {}
+    ls = reading(codes, bound, cyclic=True)
+    # the inverse of ls[k:j] is back[n-j:n-k]
+    n, back = len(ls), inverse_codes(ls)
+    for k, j in flanked(codes, left_inverted, bound, cyclic=True):
+        a, b = ls[k - 1] >> 1, ls[j] >> 1
+        if j > k:
+            mid, inv = (j - k, 0, ls[k:j]), (j - k, 0, back[n - j : n - k])
+        else:
+            vertex = letter_source(spec, spec.code_letters[ls[k - 1]])
+            mid = inv = (0, spec.vertex_index(vertex), ())
+        by_mid.setdefault(mid, {})[a, b] = None
+        by_mid.setdefault(inv, {})[b, a] = None
     return by_mid
 
 
 def extendable_quadratic(spec, B, C, bound=None) -> Optional[QuadraticWitness]:
     """Occurrence-based criterion equivalent to `extendable` over quadratic
-    relations: a shared middle word d flanked the opposite ways in B and C,
-    such that both recombined words are strings.  The default bound is m+n,
-    the periods' sum, where every shared middle ends (`bands._scan_cap`)."""
+    relations: a shared middle word d, read as alpha^-1.d.beta in B or its
+    inverse and as gamma.d.delta^-1 in C or its inverse, such that the
+    recombined words alpha^-1.d.delta^-1 and gamma.d.beta are strings.  The
+    default bound is m+n, the periods' sum, where every shared middle ends
+    (`bands._scan_cap`).
+
+    Every two-letter window of a recombined word around a nonempty d is a
+    window of B or of C, so with relations of length 2 both are strings;
+    only a trivial d is checked, by two lookups in `AlgebraSpec.string_windows`.
+    The witness is the least d, trivial ones first by vertex, then by length
+    and codes, with its first flank pairs in reading order."""
     if not spec.quadratic:
         raise NotQuadratic("criterion needs relations of length exactly 2")
     B = canonical_class(spec, B)
@@ -305,18 +310,17 @@ def extendable_quadratic(spec, B, C, bound=None) -> Optional[QuadraticWitness]:
         bound = B.period + C.period
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    b_side = _window_triples(spec, B.canonical, bound, leftmost_inverted=True)
-    c_side = _window_triples(spec, C.canonical, bound, leftmost_inverted=False)
-    shared = sorted(set(b_side) & set(c_side), key=lambda d: word_key(spec, d))
-    for d in shared:
-        for alpha, beta in b_side[d]:
-            for gamma, delta in c_side[d]:
-                crossed = (Letter(alpha, True),) + d.letters + (Letter(delta, True),)
-                straight = (Letter(gamma, False),) + d.letters + (Letter(beta, False),)
-                if is_string(spec, Word(None, crossed)) and is_string(
-                    spec, Word(None, straight)
-                ):
-                    return QuadraticWitness(d, alpha, beta, gamma, delta)
+    b_side = _flank_pairs(spec, spec.encode(B.letters), bound, left_inverted=True)
+    c_side = _flank_pairs(spec, spec.encode(C.letters), bound, left_inverted=False)
+    windows = spec.string_windows
+    for key in sorted(b_side.keys() & c_side.keys()):
+        length, v, codes = key
+        for (alpha, beta), (gamma, delta) in product(b_side[key], c_side[key]):
+            # alpha^-1.delta^-1 and gamma.beta, in codes
+            if length or windows[2 * alpha + 1, 2 * delta + 1] and windows[2 * gamma, 2 * beta]:
+                d = Word(None, spec.decode(codes)) if length else trivial_word(spec.vertices[v])
+                arrows = (spec.arrow_names[x] for x in (alpha, beta, gamma, delta))
+                return QuadraticWitness(d, *arrows)
     return None
 
 

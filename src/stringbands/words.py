@@ -4,9 +4,10 @@ engine and string tallies.
 `is_string`, and `glues`, the one check at a seam where two code tuples
 meet, are lookups in `AlgebraSpec.string_windows`, keyed by letter codes
 (`AlgebraSpec.encode`).  `flanked` is the one definition of an occurrence
-of a middle word with its two neighbours pointing the required ways; every
+of a middle word with its two neighbours pointing the required ways, and it
+reads letter codes, as `_check_word` and `bands._checked` return them; every
 substring and factorstring count, on strings here and on bands in `bands`,
-is a fold over it.
+and the quadratic criteria in `components` are folds over it.
 
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
 the id of its middle's inversion class, a node of the one `middle_trie`
@@ -216,18 +217,19 @@ def left_divisors(alg, word: Word) -> list[Word]:
     return out
 
 
-def reading(letters: tuple[Letter, ...], max_mid: int, cyclic=False) -> tuple[Letter, ...]:
-    """The letters `flanked` reads: a finite word as it is, a cyclic one
-    repeated until every middle of length at most max_mid, from each of its
-    starts, has a right neighbour."""
+def reading(letters: tuple, max_mid: int, cyclic=False) -> tuple:
+    """The letters or codes `flanked` reads: a finite word as it is, a
+    cyclic one repeated until every middle of length at most max_mid, from
+    each of its starts, has a right neighbour."""
     return letters * (max_mid // max(len(letters), 1) + 2) if cyclic else letters
 
 
-def flanked(letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False):
+def flanked(codes: tuple[int, ...], left_inverted: bool, max_mid: int, cyclic=False):
     """Yield the span (k, j) of every flanked occurrence reading[k:j] of a
-    middle word of length at most max_mid, in `reading`: the left neighbour
-    reading[k-1] has inverted == left_inverted and the right neighbour
-    reading[j] does not.  Spans come by start, then by end, ascending.
+    middle word of length at most max_mid, in the `reading` of the letter
+    codes (`AlgebraSpec.code_letters`): the left neighbour reading[k-1] is
+    inverted (odd) exactly when left_inverted and the right neighbour
+    reading[j] is not.  Spans come by start, then by end, ascending.
 
     This is the one occurrence definition.  Substrings ask for an inverse
     letter on the left (left_inverted=True), factorstrings for a plain one.
@@ -238,13 +240,13 @@ def flanked(letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cycl
     trivial middle (k == j) is the vertex between its two neighbours.  A
     trivial finite word has no letters to read and is left to the caller.
     """
-    ls = reading(letters, max_mid, cyclic)
+    ls = reading(codes, max_mid, cyclic)
     n = len(ls)
-    for k in range(1, len(letters) + 1) if cyclic else range(n + 1):
-        if k and ls[k - 1].inverted != left_inverted:
+    for k in range(1, len(codes) + 1) if cyclic else range(n + 1):
+        if k and ls[k - 1] & 1 != left_inverted:
             continue
         for j in range(k, min(k + max_mid, n) + 1):
-            if j == n or ls[j].inverted != left_inverted:
+            if j == n or ls[j] & 1 != left_inverted:
                 yield k, j
 
 
@@ -324,11 +326,12 @@ def _vertex_id(alg, vertex: str) -> int:
 
 
 def id_tally(
-    alg, letters: tuple[Letter, ...], left_inverted: bool, max_mid: int, cyclic=False
+    alg, codes: tuple[int, ...], left_inverted: bool, max_mid: int, cyclic=False
 ) -> dict[int, int]:
-    """Flanked occurrences counted by the id of their middle's inversion
-    class, a fold over `flanked`: -1 - i for the trivial middle at vertex i,
-    else the smaller of the `middle_trie` ids of the middle and its inverse.
+    """Flanked occurrences in the letter codes (`flanked`) counted by the id
+    of their middle's inversion class, a fold over `flanked`: -1 - i for the
+    trivial middle at vertex i, else the smaller of the `middle_trie` ids of
+    the middle and its inverse.
 
     The id of span (k, j) is one trie step from that of (k, j-1), and its
     inverse's one step, by an inverted code (code ^ 1), from that of
@@ -336,9 +339,9 @@ def id_tally(
     a word.  The caller checks the word: the kept string and band tallies
     check it once, on a miss."""
     trie = middle_trie(alg)
-    ls = reading(letters, max_mid, cyclic)
-    codes = alg.encode(ls)
-    inverted = [c ^ 1 for c in codes]
+    letters = alg.code_letters
+    ls = reading(codes, max_mid, cyclic)
+    inverted = [c ^ 1 for c in ls]
     counts: dict[int, int] = {}
     start = -1
     # fwd[d] is the id of reading[start:start+d], backs[j][d] that of the
@@ -346,16 +349,16 @@ def id_tally(
     # reading repeats every chain one period on, so its chains are keyed by
     # j modulo the period
     backs: dict[int, list[int]] = {}
-    for k, j in flanked(letters, left_inverted, max_mid, cyclic):
+    for k, j in flanked(codes, left_inverted, max_mid, cyclic):
         if k == j:
-            vertex = letter_source(alg, ls[k - 1]) if k else letter_target(alg, ls[0])
-            key = _vertex_id(alg, vertex)
+            v = letter_source(alg, letters[ls[k - 1]]) if k else letter_target(alg, letters[ls[0]])
+            key = _vertex_id(alg, v)
         else:
             if k != start:
                 start, fwd = k, [0]
             if len(fwd) <= j - k:
-                trie.extend(fwd, codes[k + len(fwd) - 1 : j])
-            end = j % len(letters) if cyclic else j
+                trie.extend(fwd, ls[k + len(fwd) - 1 : j])
+            end = j % len(codes) if cyclic else j
             back = backs.get(end)
             if back is None:
                 back = backs[end] = [0]
@@ -392,12 +395,13 @@ def id_count(alg, ids: dict[int, int], d: Word) -> int:
 def string_id_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
     """The sub (left_inverted) or fac id tally of c: sub(d, c) or fac(d, c)
     for every d at once.  A word that is not a string raises NotAString.
-    Kept, so c is checked once."""
-    if not is_string(alg, c):
-        raise NotAString(format_word(c))
+    Kept, so c is checked and encoded once."""
+    codes = _check_word(alg, c)
     if c.is_trivial:
         return {middle_id(alg, c): 1}
-    return id_tally(alg, c.letters, left_inverted, len(c))
+    if not _windows_hold(alg, codes):
+        raise NotAString(format_word(c))
+    return id_tally(alg, codes, left_inverted, len(c))
 
 
 def count_sub(alg, d: Word, c: Word) -> int:
@@ -411,14 +415,6 @@ def count_fac(alg, d: Word, c: Word) -> int:
     return id_count(alg, string_id_tally(alg, c, False), d)
 
 
-def word_key(alg, word: Word):
-    """Total order: trivial words first by vertex, then length, then letter
-    codes (`AlgebraSpec.code_letters`)."""
-    if word.is_trivial:
-        return (0, alg.vertex_index(word.trivial_at), ())
-    return (len(word), 0, alg.encode(word.letters))
-
-
 def _least_reading(w: tuple[int, ...]) -> bool:
     """Whether the code tuple w is <= that of its inverse, the codes reversed
     and each inverted (c ^ 1)."""
@@ -426,11 +422,10 @@ def _least_reading(w: tuple[int, ...]) -> bool:
 
 
 def canonical_word(alg, word: Word) -> Word:
-    """The smaller of word and its inverse under `word_key`, word itself on
-    a tie.  Unknown arrows and vertices raise ParseError."""
+    """The smaller of word and its inverse by their letter codes
+    (`AlgebraSpec.code_letters`), word itself on a tie.  Unknown arrows and
+    vertices raise ParseError."""
     codes = _check_word(alg, word)
-    # word and its inverse have one length, so word_key orders them by their
-    # codes alone
     if word.is_trivial or _least_reading(codes):
         return word
     return inverse(word)
@@ -478,12 +473,11 @@ def iter_strings(alg, max_len: int):
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     for v in alg.vertices:
         yield trivial_word(v)
-    letters = alg.code_letters
     for _, frontier in zip(range(max_len), string_frontiers(alg)):
         # a frontier is in code order and holds both readings of a string
         for w in frontier:
             if _least_reading(w):
-                yield Word(None, tuple(map(letters.__getitem__, w)))
+                yield Word(None, alg.decode(w))
 
 
 def enumerate_strings(alg, max_len: int) -> list[Word]:

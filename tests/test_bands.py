@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from letter_reference import reference_members, rotations, word_key
 from strategies import cyclic_words, monomial_quivers
 from stringbands import (
     AlgebraSpec,
@@ -44,8 +45,7 @@ from stringbands import (
     sub_counts,
 )
 from stringbands import components
-from stringbands.bands import _Reading, _rotations, band_id_tally
-from stringbands.components import _window_triples
+from stringbands.bands import _Reading, band_id_tally
 from stringbands.words import (
     glues,
     letter_source,
@@ -55,7 +55,6 @@ from stringbands.words import (
     middle_id,
     middle_trie,
     trivial_word,
-    word_key,
     word_vertices,
 )
 
@@ -371,12 +370,8 @@ def test_enumeration_matches_brute_force(spec):
 def _reference_canonical_class(spec, ls):
     if not is_band(spec, ls):
         raise NotBand(f"{format_word(Word(None, ls))} is a proper power")
-    best = min(_rotations(ls), key=lambda c: tuple(spec.letter_codes[l] for l in c))
+    best = min(rotations(ls), key=lambda c: tuple(spec.letter_codes[l] for l in c))
     return BandClass(QuasiBand(best))
-
-
-def _reference_class_members(B):
-    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
 
 
 def _outcome(f, spec, x):
@@ -409,7 +404,7 @@ def test_canonical_class_and_members_match_the_reference(spec, data):
                 continue
             assert canonical_class(s, got) is got
             for _ in range(2):
-                assert class_members(s, got) == _reference_class_members(got)
+                assert class_members(s, got) == reference_members(got)
             # an equal spec object and another spec take the full path
             assert canonical_class(copy.copy(s), got) is not got
             assert _outcome(canonical_class, other, got) == _outcome(
@@ -438,7 +433,7 @@ def test_seams_decide_gluings_and_split_pieces(spec, data):
     quasi = [ls for ls in words if is_quasi_band(spec, ls)]
     for left, right in product(quasi, repeat=2):
         # every reading of right that leaves from where left does
-        for z in _rotations(right):
+        for z in rotations(right):
             if letter_target(spec, z[0]) != letter_target(spec, left[0]):
                 continue
             glued = is_quasi_band(spec, left + z)
@@ -460,8 +455,8 @@ def test_seams_decide_gluings_and_split_pieces(spec, data):
 
 
 # Reference copies of the occurrence counters as they stood before the
-# flanked-occurrence engine: every count, band tally and quadratic window
-# below is checked against them.
+# flanked-occurrence engine: every count and band tally below is checked
+# against them.
 
 
 def _piece(alg, c, i, j):
@@ -527,31 +522,6 @@ def _flank_count(spec, c, band, inverted_before):
     return total
 
 
-def _reference_window_triples(spec, band, max_mid, leftmost_inverted):
-    by_mid = {}
-    m = band.period
-    for l in range(max_mid + 1):
-        for i in range(1, m + 1):
-            first = _at(band, i)
-            last = _at(band, i + l + 1)
-            if first.inverted != leftmost_inverted:
-                continue
-            if last.inverted == leftmost_inverted:
-                continue
-            if l == 0:
-                mid = trivial_word(letter_source(spec, first))
-            else:
-                mid = Word(None, _window(band, i + 1, l))
-            for a, d, b in (
-                (first.arrow, mid, last.arrow),
-                (last.arrow, inverse(mid), first.arrow),
-            ):
-                pairs = by_mid.setdefault(d, [])
-                if (a, b) not in pairs:
-                    pairs.append((a, b))
-    return by_mid
-
-
 def assert_counts(spec, ids, reference):
     """The id tally ids counts as reference, a dict from canonical words to
     nonzero counts: no other key, and each word's count read by its id."""
@@ -572,7 +542,8 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     trivials = [trivial_word(v) for v in spec.vertices]
     factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
     # the engine reads every drawn word; the counts read only strings
-    subs, facs = id_tally(spec, ls, True, m), id_tally(spec, ls, False, m)
+    codes = spec.encode(ls)
+    subs, facs = id_tally(spec, codes, True, m), id_tally(spec, codes, False, m)
     string = is_string(spec, c)
     for d in trivials + factors + [inverse(f) for f in factors]:
         n_sub, n_fac = id_count(spec, subs, d), id_count(spec, facs, d)
@@ -600,15 +571,12 @@ def test_flanked_folds_match_the_old_counters(spec, data):
                 n = _flank_count(spec, d, band, inv)
                 if n:
                     reference[canonical_word(spec, d)] = n
-            assert_counts(spec, id_tally(spec, ls, inv, cap, cyclic=True), reference)
+            assert_counts(spec, id_tally(spec, codes, inv, cap, cyclic=True), reference)
             if quasi_band:
                 assert_counts(spec, band_id_tally(spec, band, inv, cap), reference)
             else:
                 with pytest.raises(NotQuasiBand):
                     band_id_tally(spec, band, inv, cap)
-            assert _window_triples(spec, band, cap, inv) == _reference_window_triples(
-                spec, band, cap, inv
-            )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -629,7 +597,7 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
         readings.append((True, cap, lambda d, inv: _flank_count(spec, d, band, inv), windows))
     for cyclic, cap, old_count, middles in readings:
         for inv in (True, False):
-            ids = id_tally(spec, ls, inv, cap, cyclic)
+            ids = id_tally(spec, spec.encode(ls), inv, cap, cyclic)
             reference = {}
             for d in trivials + middles:
                 if n := old_count(d, inv):
@@ -640,7 +608,7 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
                 assert key == middle_id(spec, inverse(d))
                 if canonical_word(spec, d) in reference:
                     assert ids[key] == reference[canonical_word(spec, d)]
-    subs = id_tally(spec, ls, True, m)
+    subs = id_tally(spec, spec.encode(ls), True, m)
     trie = middle_trie(spec)
     # node 0, the empty word, and one more per child link
     size = len(trie.child) + 1

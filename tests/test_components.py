@@ -2,6 +2,7 @@ import copy
 import gc
 import hashlib
 import pickle
+import random
 import weakref
 from itertools import chain, product
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, QUADRATIC
+from letter_reference import reference_members, rotations, word_key
 from strategies import cyclic_words, monomial_quivers
 from stringbands import (
     AlgebraSpec,
@@ -21,11 +23,13 @@ from stringbands import (
     Case2Witness,
     ExtendabilityWitness,
     InvalidWitness,
+    Letter,
     NotAComponent,
     NotBand,
     NotQuadratic,
     NotQuasiBand,
     ParseError,
+    QuadraticWitness,
     QuasiBand,
     canonical_class,
     class_members,
@@ -44,6 +48,7 @@ from stringbands import (
     hom_string_string,
     is_band,
     is_quasi_band,
+    is_string,
     iter_strings,
     make_sequence,
     negligible,
@@ -53,14 +58,16 @@ from stringbands import (
     realize_string,
     reverse_piece,
     split_band,
+    validate_algebra,
 )
 from stringbands import components
-from stringbands.bands import _Reading, _rotations
+from stringbands.bands import _Reading
 from stringbands.words import (
     Word,
     glues,
     inverse,
     inverse_letters,
+    letter_source,
     letter_target,
     trivial_word,
 )
@@ -324,7 +331,7 @@ def test_every_found_witness_replays_and_a_tampered_copy_does_not():
         elif isinstance(wit, Case2Witness):
             out = reverse_piece(spec, wit.rot, wit.w, wit.u, wit.v)
             # w.u.w^-1.v^-1 reads the reversed band backwards
-            assert inverse(out.as_word()).letters in _rotations(wit.reversed_band.letters)
+            assert inverse(out.as_word()).letters in rotations(wit.reversed_band.letters)
             other = _another_word(spec, wit.w, wit.rot)
             with pytest.raises(BadDecomposition):
                 reverse_piece(spec, wit.rot, other, wit.u, wit.v)
@@ -526,10 +533,6 @@ def test_a_negative_bound_is_refused(call):
 # and the replays must give the same witnesses, field for field.
 
 
-def _ref_members(spec, B):
-    return tuple(QuasiBand(r) for r in dict.fromkeys(_rotations(B.canonical.letters)))
-
-
 def _ref_fork(spec, x, y, cap):
     xs = x * (cap // len(x) + 1)
     ys = y * (cap // len(y) + 1)
@@ -558,8 +561,8 @@ def _ref_try_extension(spec, rot_b, rot_c):
 
 
 def _ref_extendable(spec, B, C):
-    b_rots = (r for r in _ref_members(spec, B) if r.letters[-1].inverted)
-    c_rots = [r for r in _ref_members(spec, C) if not r.letters[-1].inverted]
+    b_rots = (r for r in reference_members(B) if r.letters[-1].inverted)
+    c_rots = [r for r in reference_members(C) if not r.letters[-1].inverted]
     found = (_ref_try_extension(spec, b, c) for b in b_rots for c in c_rots)
     return next(filter(None, found), None)
 
@@ -601,7 +604,7 @@ def _ref_case2_at(spec, rot):
 
 
 def _ref_negligible(spec, B):
-    members = _ref_members(spec, B)
+    members = reference_members(B)
     case1 = (
         _ref_case1_split(spec, rot, n)
         for rot in members
@@ -677,10 +680,10 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
     # the extension and split steps hold every condition they test, so they
     # agree on any cyclic words, quasi-bands or not
     x, y = (data.draw(cyclic_words(spec)) for _ in range(2))
-    for b, c in product(_rotations(x), _rotations(x) + _rotations(y)):
+    for b, c in product(rotations(x), rotations(x) + rotations(y)):
         got = components._try_extension(spec, _coded(spec, b), _coded(spec, c))
         _same(got, _ref_try_extension(spec, QuasiBand(b), QuasiBand(c)))
-    for z, n in product(_rotations(x), range(len(x) + 1)):
+    for z, n in product(rotations(x), range(len(x) + 1)):
         got = components._case1_split(spec, _coded(spec, z), n)
         _same(got, _ref_case1_split(spec, QuasiBand(z), n))
     classes = []
@@ -693,7 +696,7 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
                 break
     for B in classes:
         _same(components._negligible(spec, B), _ref_negligible(spec, B))
-        for rot in _ref_members(spec, B):
+        for rot in reference_members(B):
             r = _coded(spec, rot.letters)
             _same(components._case2_at(spec, r), _ref_case2_at(spec, rot))
             for n in range(1, rot.period):
@@ -706,8 +709,8 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
                     _same_outcome(split_band, _ref_split_band, spec, wit)
         for C in classes:
             _same(components._extendable(spec, B, C), _ref_extendable(spec, B, C))
-            for rot_b in _ref_members(spec, B):
-                for rot_c in _ref_members(spec, C):
+            for rot_b in reference_members(B):
+                for rot_c in reference_members(C):
                     ext = _ref_try_extension(spec, rot_b, rot_c)
                     b, c = _coded(spec, rot_b.letters), _coded(spec, rot_c.letters)
                     _same(components._try_extension(spec, b, c), ext)
@@ -716,3 +719,96 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
                     swapped = ext._replace(rot_b=rot_c, rot_c=rot_b)
                     for wit in (ext, swapped, ext._replace(beta=ext.delta)):
                         _same_outcome(concat_extension, _ref_concat_extension, spec, wit)
+
+
+# The quadratic criteria as they stood on letter tuples, before they read
+# the code scan: every flanked window of both bands built as a word, in both
+# orientations, grouped by middle word, and both recombined words of every
+# flank pair checked by `is_string`.  The criteria must give the same
+# witness, field for field.
+
+
+def _ref_window_triples(spec, band, max_mid, leftmost_inverted):
+    by_mid = {}
+    m = band.period
+    for l in range(max_mid + 1):
+        for i in range(1, m + 1):
+            first = _at(band, i)
+            last = _at(band, i + l + 1)
+            if first.inverted != leftmost_inverted:
+                continue
+            if last.inverted == leftmost_inverted:
+                continue
+            if l == 0:
+                mid = trivial_word(letter_source(spec, first))
+            else:
+                mid = Word(None, tuple(_at(band, i + 1 + k) for k in range(l)))
+            for a, d, b in (
+                (first.arrow, mid, last.arrow),
+                (last.arrow, inverse(mid), first.arrow),
+            ):
+                pairs = by_mid.setdefault(d, [])
+                if (a, b) not in pairs:
+                    pairs.append((a, b))
+    return by_mid
+
+
+def _ref_extendable_quadratic(spec, B, C, bound):
+    b_side = _ref_window_triples(spec, B.canonical, bound, True)
+    c_side = _ref_window_triples(spec, C.canonical, bound, False)
+    for d in sorted(set(b_side) & set(c_side), key=lambda d: word_key(spec, d)):
+        for alpha, beta in b_side[d]:
+            for gamma, delta in c_side[d]:
+                crossed = (Letter(alpha, True),) + d.letters + (Letter(delta, True),)
+                straight = (Letter(gamma, False),) + d.letters + (Letter(beta, False),)
+                if is_string(spec, Word(None, crossed)) and is_string(spec, Word(None, straight)):
+                    return QuadraticWitness(d, alpha, beta, gamma, delta)
+    return None
+
+
+def _band_rich_quadratic_algebras(count, seed):
+    """The first count string algebras drawn by random.Random(seed) with two
+    or more bands of period <= 6: at most 4 vertices and 2 to 6 arrows, each
+    composable pair of arrows a relation with probability 1/2."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        vertices = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+        arrows = tuple(
+            ArrowDecl(f"a{i}", rng.choice(vertices), rng.choice(vertices))
+            for i in range(rng.randint(2, 6))
+        )
+        relations = tuple(
+            (a.name, b.name)
+            for a, b in product(arrows, repeat=2)
+            if a.source == b.target and rng.random() < 0.5
+        )
+        spec = AlgebraSpec(vertices, arrows, relations)
+        if validate_algebra(spec).valid and len(enumerate_bands(spec, 6)) >= 2:
+            found.append(spec)
+    return found
+
+
+@pytest.mark.parametrize("source", ["fixtures", "random"])
+def test_quadratic_witnesses_match_the_letter_criteria(source):
+    # the quadratic fixtures' classes of period <= 8, or 40 random band-rich
+    # algebras' classes of period <= 6 (12,601 draws); each ordered pair and
+    # each class at the default bound, at 4(m+n) and at 0 and 1.  At the
+    # default bound the criterion also agrees with the search
+    if source == "fixtures":
+        cases = [(spec, enumerate_bands(spec, 8)) for spec in QUADRATIC.values()]
+    else:
+        cases = [(s, enumerate_bands(s, 6)) for s in _band_rich_quadratic_algebras(40, seed=18)]
+    for spec, classes in cases:
+        for B, C in product(classes, repeat=2):
+            default = B.period + C.period
+            for bound in (default, 4 * default, 0, 1):
+                got = extendable_quadratic(spec, B, C, bound)
+                _same(got, _ref_extendable_quadratic(spec, B, C, bound))
+                if B == C:
+                    _same(negligible_quadratic(spec, B, bound), got)
+            got = extendable_quadratic(spec, B, C)
+            _same(got, extendable_quadratic(spec, B, C, default))
+            assert (got is None) == (extendable(spec, B, C) is None)
+            if B == C:
+                _same(negligible_quadratic(spec, B), extendable_quadratic(spec, B, B))

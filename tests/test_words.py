@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from letter_reference import word_key
 from stringbands import (
     Letter,
     NotAString,
@@ -27,7 +28,6 @@ from stringbands.words import (
     middle_trie,
     string_id_tally,
     trivial_word,
-    word_key,
     word_source,
     word_target,
     word_vertices,
