@@ -46,10 +46,17 @@ def make_sequence(spec, items) -> BandSequence:
 
 def _pair(facs: dict[int, int], subs: dict[int, int]) -> int:
     """Sum over d of fac(d, source) * sub(d, target), walking the smaller
-    tally with one probe of the other per term."""
+    tally with one probe of the other per key and adding the probes that
+    hit."""
     if len(subs) < len(facs):
         facs, subs = subs, facs
-    return sum(n * subs.get(d, 0) for d, n in facs.items())
+    get = subs.get
+    total = 0  # a loop: a generator costs more than the sum
+    for d, n in facs.items():
+        m = get(d)
+        if m:
+            total += n * m
+    return total
 
 
 def hom_string_string(spec, c: Word, cp: Word) -> int:

@@ -284,26 +284,19 @@ class MiddleTrie:
     Letters are the algebra's codes (`AlgebraSpec.code_letters`), so
     code ^ 1 is the inverse letter.  Node 0 is the empty word, and the
     child of node w by code c, grown on first use, is the word w.c: one
-    letter longer on the right, and takes the next free id."""
+    letter longer on the right, and takes the next free id.  Only
+    `id_tally` grows it, one letter at a time.  A trivial middle has no
+    node: its id is -1 - i at vertex i, and source_ids[c] and target_ids[c]
+    are those of the vertices at code c's source and target."""
 
-    __slots__ = ("width", "child")
+    __slots__ = ("width", "child", "source_ids", "target_ids")
 
     def __init__(self, alg):
-        self.width = len(alg.code_letters)
+        letters = alg.code_letters
+        self.width = len(letters)
         self.child: dict[int, int] = {}  # node * width + code -> node
-
-    def extend(self, chain: list[int], codes) -> None:
-        """Append to chain, whose last id is that of a word w, the ids of
-        w.c1, w.c1.c2, ... for the codes c1, c2, ..., growing the trie where
-        it ends."""
-        child, width = self.child, self.width
-        node = chain[-1]
-        for c in codes:
-            grown = child.get(node * width + c)
-            if grown is None:
-                grown = child[node * width + c] = len(child) + 1
-            chain.append(grown)
-            node = grown
+        self.source_ids = tuple(_vertex_id(alg, letter_source(alg, l)) for l in letters)
+        self.target_ids = tuple(_vertex_id(alg, letter_target(alg, l)) for l in letters)
 
     def find(self, codes) -> int | None:
         """The id of the word of codes, or None if it has none; never grows."""
@@ -330,41 +323,53 @@ def id_tally(
 ) -> dict[int, int]:
     """Flanked occurrences in the letter codes (`flanked`) counted by the id
     of their middle's inversion class, a fold over `flanked`: -1 - i for the
-    trivial middle at vertex i, else the smaller of the `middle_trie` ids of
-    the middle and its inverse.
+    trivial middle at vertex i (`MiddleTrie.source_ids`, `.target_ids`),
+    else the smaller of the `middle_trie` ids of the middle and its inverse.
 
     The id of span (k, j) is one trie step from that of (k, j-1), and its
     inverse's one step, by an inverted code (code ^ 1), from that of
     (k+1, j): the inverse read leftwards from j.  So no middle is built as
-    a word.  The caller checks the word: the kept string and band tallies
-    check it once, on a miss."""
+    a word.  The trie grows one letter at a time, span by span, the middle's
+    letters before its inverse's, so the ids it hands out depend only on
+    the order of the calls.  The caller checks the word: the kept string
+    and band tallies check it once, on a miss."""
     trie = middle_trie(alg)
-    letters = alg.code_letters
+    child, width = trie.child, trie.width
+    get = child.get
+    source_ids, target_ids = trie.source_ids, trie.target_ids
     ls = reading(codes, max_mid, cyclic)
     inverted = [c ^ 1 for c in ls]
     counts: dict[int, int] = {}
     start = -1
     # fwd[d] is the id of reading[start:start+d], backs[j][d] that of the
-    # inverse of reading[j-d:j]; each grows as far as a span asks.  A cyclic
-    # reading repeats every chain one period on, so its chains are keyed by
-    # j modulo the period
+    # inverse of reading[j-d:j]; each grows as far as a span asks, one
+    # child step per letter.  A cyclic reading repeats every chain one
+    # period on, so its chains are keyed by j modulo the period
     backs: dict[int, list[int]] = {}
     for k, j in flanked(codes, left_inverted, max_mid, cyclic):
         if k == j:
-            v = letter_source(alg, letters[ls[k - 1]]) if k else letter_target(alg, letters[ls[0]])
-            key = _vertex_id(alg, v)
+            key = source_ids[ls[k - 1]] if k else target_ids[ls[0]]
         else:
+            d = j - k
             if k != start:
                 start, fwd = k, [0]
-            if len(fwd) <= j - k:
-                trie.extend(fwd, ls[k + len(fwd) - 1 : j])
+            while len(fwd) <= d:
+                step = fwd[-1] * width + ls[k + len(fwd) - 1]
+                node = get(step)
+                if node is None:
+                    node = child[step] = len(child) + 1
+                fwd.append(node)
             end = j % len(codes) if cyclic else j
             back = backs.get(end)
             if back is None:
                 back = backs[end] = [0]
-            if len(back) <= j - k:
-                trie.extend(back, reversed(inverted[k : j - len(back) + 1]))
-            key = min(fwd[j - k], back[j - k])
+            while len(back) <= d:
+                step = back[-1] * width + inverted[j - len(back)]
+                node = get(step)
+                if node is None:
+                    node = child[step] = len(child) + 1
+                back.append(node)
+            key = min(fwd[d], back[d])
         counts[key] = counts.get(key, 0) + 1
     return counts
 

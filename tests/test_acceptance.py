@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import acceptance_log
-from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, QUADRATIC
+from fixture_algebras import ALL, GP22, GP33, LOOP, QUADRATIC
 from stringbands import (
     Letter,
     Word,
@@ -28,7 +28,6 @@ from stringbands import (
     extendable,
     extendable_quadratic,
     find_separating_string,
-    format_word,
     hom_band_band,
     hom_band_string,
     hom_string_band,

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
-from letter_reference import reference_members, rotations, word_key
+from letter_reference import reference_id_tally, reference_members, rotations, word_key
 from strategies import cyclic_words, monomial_quivers
 from stringbands import (
     AlgebraSpec,
@@ -623,3 +623,23 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
         assert middle_id(spec, d) is None
         assert id_count(spec, subs, d) == 0
     assert len(trie.child) + 1 == size
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
+def test_id_tally_hands_out_the_reference_ids(spec, data):
+    # two copies of one algebra, each with its own trie, read the same scans
+    # in the same order, one by id_tally and one by the reference scan:
+    # equal tallies, keys included, and equal tries, so the ids depend only
+    # on the order of the calls.  Two words, so the second grows a trie the
+    # first has already grown
+    new, ref = copy.copy(spec), copy.copy(spec)
+    for _ in range(2):
+        codes = spec.encode(data.draw(cyclic_words(spec)))
+        m = len(codes)
+        for cyclic in (False, True):
+            for cap in (0, 1, m, 2 * m + 3):
+                for inv in (True, False):
+                    ids = id_tally(new, codes, inv, cap, cyclic)
+                    assert ids == reference_id_tally(ref, codes, inv, cap, cyclic)
+        assert middle_trie(new).child == middle_trie(ref).child

@@ -2,7 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
@@ -55,6 +55,21 @@ def test_band_string_counts():
     BK = canonical_class(KRON, parse_word("a.b^-1"))
     assert hom_band_string(KRON, BK, trivial_word("2")) == 0
     assert hom_string_band(KRON, trivial_word("2"), BK) == 1
+
+
+tallies = st.dictionaries(st.integers(-4, 12), st.integers(1, 6), max_size=10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tallies, tallies)
+@example({}, {})
+@example({}, {1: 2, -1: 1})
+@example({1: 2, 2: 3}, {3: 4, -1: 5})  # disjoint
+@example({1: 2, 2: 3}, {1: 5, 2: 7})  # equal sizes, every key shared
+@example({1: 2, 2: 3, -1: 4}, {1: 5, 2: 7, 9: 1})  # equal sizes, two keys shared
+@example({1: 2, 2: 3}, {1: 5, 2: 7, 9: 1})  # the smaller one first
+def test_pair_is_the_sum_over_either_tally(f, g):
+    assert _pair(f, g) == sum(f[d] * g.get(d, 0) for d in f) == _pair(g, f)
 
 
 def test_band_band_counts():

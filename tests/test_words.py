@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from letter_reference import word_key
 from stringbands import (
-    Letter,
     NotAString,
     ParseError,
     Word,
