@@ -12,13 +12,15 @@ cold:
   of their realizations at parameters 2 and 3, and the quadratic criterion
   extendable_quadratic(B, C) against the search extendable(B, C).
 
-Each line gives the count and the milliseconds of the count and of dim_hom
-(realizing the modules is not timed); a string line after the first also
-gives the exponent e with counted time growing as n^e since the size before,
-and a band line the milliseconds of extendable_quadratic.  Exit status 1 when
-a count differs from dim_hom, or when extendable_quadratic finds a witness
-where extendable finds none or the other way round.  --steps s runs the s
-smallest sizes of each series.
+Each line gives the count and the milliseconds of the count, of dim_hom and
+of syzygy of the realized modules, each cold (realizing the modules is not
+timed); a string line after the first also gives the exponent e with counted
+time growing as n^e since the size before, and a band line the milliseconds
+of extendable_quadratic.  Exit status 1 when a count differs from dim_hom,
+when extendable_quadratic finds a witness where extendable finds none or the
+other way round, or when a syzygy read off the line table differs from the
+one found by elimination (not timed).  --steps s runs the s smallest sizes
+of each series.
 
     PYTHONPATH=src python3 scripts/scaling.py
 """
@@ -39,8 +41,10 @@ from stringbands import (
     parse_word,
     realize_band,
     realize_string,
+    syzygy,
 )
 from stringbands.cli import run
+from stringbands.oracle import _presentation
 
 DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
 P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
@@ -80,6 +84,8 @@ def main(argv=None):
         label, count, modules, pair = make(size)
         counted, counted_s = timed(count)
         oracle, oracle_s = timed(lambda: dim_hom(*modules))
+        distinct = list(dict.fromkeys(modules))
+        syzygies, syzygy_s = timed(lambda: [syzygy(M) for M in distinct])
         extra = ""
         if make is string_case:
             if before:
@@ -93,8 +99,11 @@ def main(argv=None):
                 bad += 1
         verdict = "" if counted == oracle else f"  MISMATCH: oracle {oracle}"
         bad += counted != oracle
+        if syzygies != [_presentation(M, False) for M in distinct]:
+            verdict += "  MISMATCH: echelon syzygy"
+            bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
-              f"oracle {oracle_s * 1e3:9.2f} ms{extra}{verdict}")
+              f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
     return 1 if bad else 0
 
 

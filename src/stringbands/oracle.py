@@ -6,32 +6,41 @@ ever rounded, so there are no tolerances anywhere.  A module is a point of
 mod(A, d) and stores only that: the vertex of each basis vector
 (vertex_of) and each arrow's nonzero (i, j, x) entries (entries, a
 read-only mapping), besides the algebra and optional basis labels.  Its
-one constructor sorts the entries and checks that they stay in their
-vertex blocks and satisfy every relation, and that labels, if given, name
-every basis vector, so every module, realized, summed, a syzygy or a copy,
-is validated, and a float entry is refused.  Everything else is derived:
-dim, the vertex blocks (grading), dense matrices (mats) and the line table
-(lines).  The line table, built in one pass over entries and keyed by basis
-index, holds each basis vector's arrow mask (the arrows that reach it and
-those that do not leave it), the number of tops and of socle vectors at
-each vertex, and each nonzero arrow, by its declaration index, as
-X(a) = N / D, with D the lcm of its denominators and N's entries as edges
-between basis vectors.  syzygy
-and rank_sum read entries directly, a row or a column at a time, each
-scaled to integers (_integral).  If both modules have one_entry_per_line,
-as realized strings and bands do, each equation of dim_hom ties at most
-two unknowns, and dim_hom reads the answer off the two line tables: an
-unknown that no pair of same-arrow edges touches is free exactly at a top
-of X and a socle vector of Y, and a union-find over those pairs links the
-rest, each unknown getting one mask test when first met.  Any other pair
-has its equations read off entries (_row_rank), which shares only entries
-and _echelon with the union-find the tests check against it.
-_echelon, a loop over the fraction-free _reduce, eliminates an integer row
-at a time against the gcd-normalised pivot rows found so far: a rank is
-the number of pivots, and a kernel is read off the same echelon form by
-back-substitution.  The syzygy's cover map is graded, so its one echelon
-form gives both the surjectivity check and the kernel, read vertex by
-vertex.
+one constructor sorts the entries and makes one pass per arrow over them
+(_validate) that checks for repeated cells, indices outside the basis and
+entries outside their vertex blocks, and builds the integer line table
+(lines) and the flag one_entry_per_line; each relation is then checked on
+the integer matrices N = D X of the table, whose product vanishes exactly
+when that of the X does.  So every module, realized, summed, a syzygy or a
+copy, is validated, labels, if given, name every basis vector, and a float
+entry is refused.  The line table, keyed by basis index, holds each basis
+vector's arrow mask (the arrows that reach it and those that do not leave
+it), the number of tops and of socle vectors at each vertex, and each
+nonzero arrow, by its declaration index, as X(a) = N / D, with D the lcm of
+its denominators and N's entries as edges between basis vectors.  The
+table and the flag are views of entries, like dim, the vertex blocks
+(grading) and dense matrices (mats).  If both modules have
+one_entry_per_line, as realized strings and bands do, each equation of
+dim_hom ties at most two unknowns, and dim_hom reads the answer off the
+two line tables: an unknown that no pair of same-arrow edges touches is
+free exactly at a top of X and a socle vector of Y, and a union-find over
+those pairs links the rest, each unknown getting one mask test when first
+met.  Any other pair has its equations read off entries (_row_rank), which
+shares only entries and _echelon with the union-find the tests check
+against it.  _echelon, a loop over the fraction-free _reduce, eliminates an
+integer row at a time against the gcd-normalised pivot rows found so far:
+a rank is the number of pivots, and a kernel is read off the same echelon
+form by back-substitution.  rank_sum reads entries a row at a time, scaled
+to integers (_integral).
+syzygy walks the columns of the cover map P0 -> X through column maps
+read off the line table (_columns).  If X has one_entry_per_line, every
+column is a multiple of one basis vector: the tops are the basis vectors
+with no in-bit, and the kernel is read by grouping the columns by row
+(_line_kernel), exactly the vectors _kernel reads off _echelon's form.
+Any other X has its radical span, its surjectivity check and its kernel
+from one echelon form.  Both paths share the exactness check and the
+action on the kernel, and the tests check that they give the same
+presentation.
 Realizations, projective covers and syzygy are kept on the algebra of their
 first argument (`words.keep`), so an algebra's answers go when it goes;
 dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops that
@@ -61,7 +70,6 @@ from .words import (
     format_word,
     is_string,
     keep,
-    left_divisors,
     letter_source,
     word_vertices,
 )
@@ -85,17 +93,16 @@ class MatrixModule(_Frozen):
         for a in entries:
             if not spec.has_arrow(a):
                 raise ValueError(f"the algebra has no arrow {a}")
-        stored: dict[str, Entries] = {}
-        for a in spec.arrow_names:
-            cells = sorted((i, j, _exact(x)) for i, j, x in entries.get(a, ()))
-            if any(p[:2] == q[:2] for p, q in zip(cells, cells[1:])):
-                raise ValueError(f"matrix of {a} repeats an entry")
-            stored[a] = tuple(c for c in cells if c[2])
+        cells = {a: sorted((i, j, _exact(x)) for i, j, x in entries.get(a, ())) for a in spec.arrow_names}
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "vertex_of", tuple(vertex_of))
-        object.__setattr__(self, "entries", MappingProxyType(stored))
         object.__setattr__(self, "labels", None if labels is None else tuple(labels))
-        _validate(self)
+        stored, lines, flag = _validate(self, cells)
+        object.__setattr__(self, "entries", MappingProxyType(stored))
+        # lines and one_entry_per_line are views of entries: they stay out of
+        # _fields, so out of equality, hashing, repr and pickles
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "one_entry_per_line", flag)
 
     def __reduce__(self):
         # a mappingproxy does not pickle; the constructor takes a plain dict
@@ -130,54 +137,6 @@ class MatrixModule(_Frozen):
         return tuple(out)
 
     @cached_property
-    def lines(self) -> Lines:
-        """The integer line table that dim_hom reads, built in one pass over
-        entries: (masks, tops, socles, arrows).  With A arrows, arrow n has
-        the in-bit 1 << n and the stay-bit 1 << (A + n).  masks holds each
-        basis vector's arrow mask: the in-bits of the arrows that reach it (a
-        nonzero in its row) and the stay-bits of those that do not leave it
-        (no nonzero in its column), so that the mask of k is a submask of the
-        mask of i exactly when every arrow that reaches k reaches i and every
-        arrow that leaves i leaves k.  tops and socles count, per vertex, the
-        basis vectors that no arrow reaches and that no arrow leaves.  arrows
-        maps the declaration index of each arrow that acts nonzero to
-        (D, edges) with X(a) = N / D, D the lcm of its denominators, and edges
-        the (j, k, N[k][j]) of its nonzeros."""
-        d, na = len(self.vertex_of), len(self.entries)
-        into, out = [0] * d, [0] * d
-        arrows = {}
-        for n, cells in enumerate(self.entries.values()):
-            if not cells:
-                continue
-            bit = 1 << n
-            den = lcm(*(x.denominator for _, _, x in cells))
-            edges = []
-            for k, j, x in cells:
-                into[k] |= bit
-                out[j] |= bit
-                edges.append((j, k, x.numerator * (den // x.denominator)))
-            arrows[n] = (den, edges)
-        every = (1 << na) - 1
-        masks = []
-        tops: dict[str, int] = {}
-        socles: dict[str, int] = {}
-        for u, i, o in zip(self.vertex_of, into, out):
-            masks.append(i | (every ^ o) << na)
-            if not i:
-                tops[u] = tops.get(u, 0) + 1
-            if not o:
-                socles[u] = socles.get(u, 0) + 1
-        return masks, tops, socles, arrows
-
-    @cached_property
-    def one_entry_per_line(self) -> bool:
-        """Whether each arrow matrix has at most one nonzero per row and per column."""
-        return all(
-            len(cells) == len({i for i, _, _ in cells}) == len({j for _, j, _ in cells})
-            for cells in self.entries.values()
-        )
-
-    @cached_property
     def _hash(self) -> int:
         return hash((self.spec, self.vertex_of, tuple(self.entries.items()), self.labels))
 
@@ -195,29 +154,28 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _product(left: Entries, right: Entries) -> Entries:
-    """Nonzero entries of the matrix product left * right."""
-    by_row: dict[int, list] = {}
-    for k, j, y in right:
-        by_row.setdefault(k, []).append((j, y))
-    out: dict[tuple[int, int], Fraction] = {}
-    for i, k, x in left:
-        for j, y in by_row.get(k, ()):
-            out[i, j] = out.get((i, j), _ZERO) + x * y
-    return tuple((i, j, x) for (i, j), x in out.items() if x)
+def _validate(mod: MatrixModule, cells=None) -> tuple[dict[str, Entries], Lines, bool]:
+    """Check that mod is a module over its algebra, and return its entries
+    with the zeros dropped, its line table and whether each arrow matrix has
+    at most one nonzero per row and per column.  cells maps every arrow to
+    its (i, j, x) sorted, zeros allowed, and is mod.entries unless given.
 
-
-def _apply(entries: Entries, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The image of the sparse vector vec under the matrix with these entries."""
-    out: dict[int, Fraction] = {}
-    for i, j, x in entries:
-        v = vec.get(j)
-        if v:
-            out[i] = out.get(i, _ZERO) + x * v
-    return {i: v for i, v in out.items() if v}
-
-
-def _validate(mod: MatrixModule) -> None:
+    One pass per arrow over its cells checks for a repeated (i, j), an index
+    outside the basis and an entry outside its vertex block, and builds the
+    line table: (masks, tops, socles, arrows).  With A arrows, arrow n has
+    the in-bit 1 << n and the stay-bit 1 << (A + n).  masks holds each basis
+    vector's arrow mask: the in-bits of the arrows that reach it (a nonzero
+    in its row) and the stay-bits of those that do not leave it (no nonzero
+    in its column), so that the mask of k is a submask of the mask of i
+    exactly when every arrow that reaches k reaches i and every arrow that
+    leaves i leaves k.  tops and socles count, per vertex, the basis vectors
+    that no arrow reaches and that no arrow leaves.  arrows maps the
+    declaration index of each arrow that acts nonzero to (D, edges) with
+    X(a) = N / D, D the lcm of its denominators, and edges the (j, k, N[k][j])
+    of its nonzeros.  A nonzero met in a row or a column that the arrow has
+    already reached or left clears the flag.  Each relation is then checked
+    on the integer matrices N, whose product is a nonzero multiple of that
+    of the X."""
     spec, vof = mod.spec, mod.vertex_of
     for u in dict.fromkeys(vof):
         if not spec.has_vertex(u):
@@ -225,18 +183,79 @@ def _validate(mod: MatrixModule) -> None:
     d = len(vof)
     if mod.labels is not None and len(mod.labels) != d:
         raise ValueError(f"{len(mod.labels)} labels for {d} basis vectors")
-    for name, src, tgt in spec.arrows:
-        for i, j, _ in mod.entries[name]:
+    if cells is None:
+        cells = mod.entries
+    into, out = [0] * d, [0] * d
+    stored: dict[str, Entries] = {}
+    arrows: dict[int, tuple[int, Edges]] = {}
+    named: dict[str, Edges] = {}  # the edges again, by arrow name, for the relations
+    flag = True
+    for n, (name, src, tgt) in enumerate(spec.arrows):
+        bit = 1 << n
+        nonzero = []
+        den = 1
+        h = g = None  # the (i, j) before, for the repeat check on sorted cells
+        for cell in cells[name]:
+            i, j, x = cell
+            if i == h and j == g:
+                raise ValueError(f"matrix of {name} repeats an entry")
+            h, g = i, j
+            if not x:
+                continue
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"matrix of {name} has an entry outside the basis")
             if vof[i] != tgt or vof[j] != src:
                 raise ValueError(f"matrix of {name} leaves its block")
+            if into[i] & bit or out[j] & bit:
+                flag = False
+            into[i] |= bit
+            out[j] |= bit
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+            nonzero.append(cell)
+        stored[name] = tuple(nonzero)
+        if nonzero:
+            edges = [(j, k, x.numerator * (den // x.denominator)) for k, j, x in nonzero]
+            arrows[n] = den, edges
+            named[name] = edges
+    every = (1 << len(spec.arrows)) - 1
+    masks = []
+    tops: dict[str, int] = {}
+    socles: dict[str, int] = {}
+    for u, i, o in zip(vof, into, out):
+        masks.append(i | (every ^ o) << len(spec.arrows))
+        if not i:
+            tops[u] = tops.get(u, 0) + 1
+        if not o:
+            socles[u] = socles.get(u, 0) + 1
     for rel in spec.relations:
-        prod = mod.entries[rel[0]]
-        for name in rel[1:]:
-            prod = _product(prod, mod.entries[name])
-        if prod:
+        if not _vanishes(named, rel):
             raise ValueError(f"relation {'.'.join(rel)} does not vanish")
+    return stored, (masks, tops, socles, arrows), flag
+
+
+def _vanishes(named: dict[str, Edges], path: tuple[str, ...]) -> bool:
+    """Whether the product N(path[0]) ... N(path[-1]) of the integer matrices
+    is zero.  Its (k, j) entry sums the products of the walks from j to k
+    along edges of path[-1], ..., path[0]; it is zero when no walk runs the
+    whole path, as in a realized module, and else is summed out."""
+    ends: set[int] | None = None
+    for name in reversed(path):
+        edges = named.get(name, ())
+        ends = {k for j, k, _ in edges if ends is None or j in ends}
+        if not ends:
+            return True
+    walks = {(j, k): v for j, k, v in named[path[-1]]}
+    for name in reversed(path[:-1]):
+        step: dict[int, list] = {}
+        for j, k, w in named[name]:
+            step.setdefault(j, []).append((k, w))
+        longer: dict[tuple[int, int], int] = {}
+        for (s, j), v in walks.items():
+            for k, w in step.get(j, ()):
+                longer[s, k] = longer.get((s, k), 0) + v * w
+        walks = {key: v for key, v in longer.items() if v}
+    return not walks
 
 
 @keep
@@ -244,11 +263,17 @@ def realize_string(spec, c: Word) -> MatrixModule:
     """Module on the left divisors of c, arrows sliding along the walk."""
     if not isinstance(c, Word) or not is_string(spec, c):
         raise NotAString(format_word(c) if isinstance(c, Word) else repr(c))
-    labels = tuple(format_word(w) for w in left_divisors(spec, c))
+    vertex_of = word_vertices(spec, c)
+    # each label is format_word of a left divisor, the one before plus a letter
+    labels = [f"1_{vertex_of[0]}"]
+    prefix = ""
     entries: dict[str, list] = {}
     for j, l in enumerate(c.letters, start=1):
+        letter = l.arrow + "^-1" if l.inverted else l.arrow
+        prefix = f"{prefix}.{letter}" if prefix else letter
+        labels.append(prefix)
         entries.setdefault(l.arrow, []).append((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE))
-    return MatrixModule(spec, word_vertices(spec, c), entries, labels)
+    return MatrixModule(spec, vertex_of, entries, labels)
 
 
 def realize_band(spec, qb, lam) -> MatrixModule:
@@ -460,7 +485,9 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     """Minimal projective cover P0 -> X and its kernel, kept on X.spec under X.
 
     Top generators are the first coordinate vectors that extend the radical
-    span, so the presentation is reproducible.
+    span, so the presentation is reproducible.  A module with one entry per
+    line has it read off its line table, any other by elimination; both give
+    the same presentation.
     """
     return _syzygy(X.spec, X)
 
@@ -475,64 +502,121 @@ def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], Ma
 
 @keep
 def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
-    d = X.dim
-    # the radical of X is spanned by the columns of the arrow matrices
-    span: dict[int, dict[int, int]] = {}
-    for cells in X.entries.values():
-        for col in _integer_lines(cells, 1):
-            _reduce(span, col)
-    picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
+    return _presentation(X, X.one_entry_per_line)
+
+
+def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, MatrixModule]:
+    """P0 -> X and its kernel, read off X's line table when by_lines (X must
+    have one entry per line), else by elimination."""
+    spec, d = X.spec, X.dim
+    cols = _columns(X)
+    if by_lines:
+        # each arrow maps a basis vector to a multiple of one, so the radical
+        # is spanned by the basis vectors that some arrow reaches
+        reach = (1 << len(spec.arrows)) - 1
+        picks = [i for i, mask in enumerate(X.lines[0]) if not mask & reach]
+    else:
+        # the radical of X is spanned by the columns of the arrow matrices
+        span: dict[int, dict[int, int]] = {}
+        for cells in X.entries.values():
+            for col in _integer_lines(cells, 1):
+                _reduce(span, col)
+        picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     # the zero module is its own projective cover
     words, P0 = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X)
-    pi_cols: list[dict[int, Fraction]] = []  # columns of P0 -> X, sparse
+    pi_cols: list[dict] = []  # columns of P0 -> X, sparse
     for pick, word in zip(picks, words):
         # the top generator is the left divisor that stops at the first inverse letter
         gen = next((j for j, l in enumerate(word.letters) if l.inverted), len(word))
         cols_p: list = [None] * (len(word) + 1)
-        cols_p[gen] = {pick: _ONE}
+        cols_p[gen] = {pick: 1}
         for j in range(gen - 1, -1, -1):
-            cols_p[j] = _apply(X.entries[word.letters[j].arrow], cols_p[j + 1])
+            cols_p[j] = _push(cols.get(word.letters[j].arrow, {}), cols_p[j + 1])
         for j in range(gen + 1, len(cols_p)):
-            cols_p[j] = _apply(X.entries[word.letters[j - 1].arrow], cols_p[j - 1])
+            cols_p[j] = _push(cols.get(word.letters[j - 1].arrow, {}), cols_p[j - 1])
         pi_cols.extend(cols_p)
-    pi_rows: list[dict[int, Fraction]] = [{} for _ in range(d)]
-    for c, col in enumerate(pi_cols):
-        for i, x in col.items():
-            pi_rows[i][c] = x
 
-    pivots = _echelon(map(_integral, pi_rows))
-    if len(pivots) != d:
+    if by_lines:
+        kernel = _line_kernel(pi_cols, d)
+    else:
+        pi_rows: list[dict] = [{} for _ in range(d)]
+        for c, col in enumerate(pi_cols):
+            for i, x in col.items():
+                pi_rows[i][c] = x
+        pivots = _echelon(map(_integral, pi_rows))
+        kernel = _kernel(pivots, len(pi_cols)) if len(pivots) == d else None
+    if kernel is None:
         raise RuntimeError("projective cover fails to surject")
-    # the map is graded, so elimination never mixes vertex blocks and each
-    # kernel vector lives at the vertex of its free column; list them vertex
-    # by vertex, by free column within a vertex
-    kernel = sorted(_kernel(pivots, P0.dim), key=lambda k: spec.vertex_index(P0.vertex_of[k[1]]))
+    # the map is graded, so each kernel vector lives at the vertex of its
+    # free column; list them vertex by vertex, by free column within a vertex
+    kernel.sort(key=lambda k: spec.vertex_index(P0.vertex_of[k[1]]))
     # exactness at P0: pi maps every kernel vector to zero
+    pi = dict(enumerate(pi_cols))
     for vec, _ in kernel:
-        if _apply(((i, c, x) for c in vec for i, x in pi_cols[c].items()), vec):
+        if _push(pi, vec):
             raise RuntimeError("a kernel vector does not map to zero")
-    o_entries: dict[str, list] = {a: [] for a in spec.arrow_names}
-    sig = [free for _, free in kernel]
-    for a in spec.arrow_names:
-        entries = P0.entries[a]
+    sig = {free: n for n, (_, free) in enumerate(kernel)}
+    o_entries: dict[str, list] = {}
+    for a, p0 in _columns(P0).items():
+        cells = o_entries[a] = []
         for j, (vec, _) in enumerate(kernel):
-            img = _apply(entries, vec)
-            coords = [img.get(f, _ZERO) for f in sig]
+            img = _push(p0, vec)
             # the signature coordinates determine kernel vectors uniquely;
             # recombine and compare to catch any drift
-            check: dict[int, Fraction] = {}
-            for c, (kv, _) in zip(coords, kernel):
-                if c:
-                    for t, v in kv.items():
-                        check[t] = check.get(t, _ZERO) + c * v
+            coords = [(sig[f], c) for f, c in img.items() if f in sig]
+            check: dict[int, Fraction | int] = {}
+            for i, c in coords:
+                for t, v in kernel[i][0].items():
+                    check[t] = check.get(t, 0) + c * v
             if {t: v for t, v in check.items() if v} != img:
                 raise RuntimeError("radical action leaves the kernel")
-            for i, c in enumerate(coords):
-                if c:
-                    o_entries[a].append((i, j, c))
+            cells += [(i, j, c) for i, c in coords]
     omega = MatrixModule(spec, [P0.vertex_of[free] for free in sig], o_entries)
     return P0, omega
+
+
+def _columns(X: MatrixModule) -> dict[str, dict[int, dict]]:
+    """Each arrow that acts nonzero on X, by name, with its column map: each
+    column j with a nonzero to {k: X(a)[k][j]}, read off the line table, an
+    integral value as an int."""
+    names = X.spec.arrow_names
+    out = {}
+    for n, (den, edges) in X.lines[3].items():
+        cols: dict[int, dict] = {}
+        for j, k, v in edges:
+            cols.setdefault(j, {})[k] = v if den == 1 else Fraction(v, den)
+        out[names[n]] = cols
+    return out
+
+
+def _push(cols: dict[int, dict], vec: dict) -> dict:
+    """The image of the sparse vector vec under the matrix with the column map cols."""
+    out: dict = {}
+    for j, v in vec.items():
+        for k, x in cols.get(j, {}).items():
+            out[k] = out.get(k, 0) + x * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _line_kernel(pi_cols: list[dict], d: int) -> list[tuple[dict, int]] | None:
+    """The kernel of a map onto d rows whose columns have at most one nonzero
+    each, as _kernel reads it off _echelon's form, or None when some row is
+    hit by no column.  No two rows share a column, so no row is reduced: the
+    least column p of a row is its pivot, each other column c of the row, of
+    value x_c, gives the vector {c: 1, p: -x_c/x_p}, and a zero column the
+    vector {c: 1}."""
+    pivots: dict[int, tuple[int, Fraction | int]] = {}  # row -> (its least column, value)
+    kernel = []
+    for c, col in enumerate(pi_cols):
+        if not col:
+            kernel.append(({c: 1}, c))
+            continue
+        ((i, x),) = col.items()
+        p, y = pivots.setdefault(i, (c, x))
+        if p != c:
+            kernel.append(({c: 1, p: -x // y if not x % y else Fraction(-x, y)}, c))
+    return kernel if len(pivots) == d else None
 
 
 def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:

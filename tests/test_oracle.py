@@ -34,7 +34,7 @@ from stringbands import (
     syzygy,
 )
 from stringbands import oracle
-from stringbands.oracle import _echelon, _integral, _kernel, _row_rank, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _line_kernel, _row_rank, _validate
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -292,8 +292,10 @@ def test_syzygy_presentation_is_pinned(spec, word, lam, expected):
 
 
 def test_syzygy_refuses_a_kernel_vector_the_cover_does_not_kill(monkeypatch):
-    # on a fresh algebra object no syzygy is kept yet, so the bent _kernel runs
-    X = realize_band(copy.copy(GP22), parse_word("a.b^-1"), TWO)
+    # on a fresh algebra object no syzygy is kept yet, so the bent _kernel
+    # runs: X is conjugated off one entry per line, so it is eliminated
+    X = conjugate(realize_band(copy.copy(GP22), parse_word("a.b^-1"), TWO), (1,))
+    assert not X.one_entry_per_line
 
     def bent_kernel(pivots, ncols):
         basis = _kernel(pivots, ncols)
@@ -306,6 +308,50 @@ def test_syzygy_refuses_a_kernel_vector_the_cover_does_not_kill(monkeypatch):
 
     monkeypatch.setattr(oracle, "_kernel", bent_kernel)
     with pytest.raises(RuntimeError, match="^a kernel vector does not map to zero$"):
+        syzygy(X)
+
+
+def test_syzygy_refuses_a_kernel_vector_off_the_line_table_the_cover_does_not_kill(monkeypatch):
+    # the twin of the test above, on the line table's kernel
+    X = realize_band(copy.copy(GP22), parse_word("a.b^-1"), TWO)
+    assert X.one_entry_per_line
+
+    def bent_kernel(pi_cols, d):
+        basis = _line_kernel(pi_cols, d)
+        # moving a vector along its row's pivot column takes it out of the kernel
+        vec, free = next((vec, free) for vec, free in basis if len(vec) > 1)
+        pivot = next(c for c in vec if c != free)
+        vec[pivot] += 1
+        return basis
+
+    monkeypatch.setattr(oracle, "_line_kernel", bent_kernel)
+    with pytest.raises(RuntimeError, match="^a kernel vector does not map to zero$"):
+        syzygy(X)
+
+
+@pytest.mark.parametrize("cells", [[(0, 0, 2)], [(0, 0, 1), (0, 1, 1), (1, 1, 1)]], ids=["lines", "echelon"])
+def test_syzygy_refuses_a_module_its_radical_spans(cells):
+    # a relation-free loop acting invertibly: every basis vector is reached,
+    # so no top is picked and the empty cover hits no row.  The Jordan block
+    # has two entries in row 0, so it is eliminated
+    X = MatrixModule(LOOP1, ("u",) * (1 + max(j for _, j, _ in cells)), {"a": cells})
+    assert X.one_entry_per_line == (len(cells) == 1)
+    with pytest.raises(RuntimeError, match="^projective cover fails to surject$"):
+        syzygy(X)
+
+
+@pytest.mark.parametrize("kernel", ["_line_kernel", "_kernel"])
+def test_syzygy_refuses_a_kernel_that_the_radical_leaves(monkeypatch, kernel):
+    # M(x) on dumbbell: its syzygy has y acting, and the last kernel vector
+    # is reached by it, so the rest still map to zero but are not closed
+    # under the radical.  The conjugated copy is eliminated
+    X = realize_string(copy.copy(LOOP), parse_word("x"))
+    if kernel == "_kernel":
+        X = conjugate(X, LOWER[2:])
+    assert X.one_entry_per_line == (kernel == "_line_kernel")
+    whole = getattr(oracle, kernel)
+    monkeypatch.setattr(oracle, kernel, lambda *args: whole(*args)[:-1])
+    with pytest.raises(RuntimeError, match="^radical action leaves the kernel$"):
         syzygy(X)
 
 
@@ -513,10 +559,10 @@ def test_the_line_table_stays_out_of_equality_hash_repr_and_pickles():
         {0: (1, [(1, 0, 1), (2, 1, 1)]), 1: (2, [(3, 0, 3), (2, 3, 2)])},
     )
     fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
-    assert "lines" in X.__dict__ and "lines" not in fresh.__dict__
+    assert fresh.lines == X.lines
     assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
     assert pickle.dumps(X) == pickle.dumps(fresh)
-    assert "lines" not in pickle.loads(pickle.dumps(X)).__dict__
+    assert pickle.loads(pickle.dumps(X)).lines == X.lines
 
 
 def test_hom_between_realized_modules_builds_only_the_line_table():
@@ -698,11 +744,24 @@ def test_realized_modules_and_their_syzygies_have_one_entry_per_line():
     assert not N.one_entry_per_line
 
 
+@pytest.mark.parametrize(
+    "cells, flag",
+    [([(0, 0, 1), (1, 1, 2)], True), ([(0, 0, 1), (1, 0, 1)], False), ([(0, 0, 1), (0, 1, 1)], False),
+     ([(0, 1, 0), (1, 1, 1)], True)],
+    ids=["diagonal", "two-in-a-column", "two-in-a-row", "a-zero-cell"],
+)
+def test_the_path_flag_reads_rows_and_columns(cells, flag):
+    # a zero cell is dropped before the flag reads the cells
+    X = MatrixModule(LOOP1, ("u", "u"), {"a": cells})
+    assert X.one_entry_per_line == flag
+    assert dim_hom(X, X) == unknowns(X, X) - _row_rank(X, X)
+
+
 def test_the_path_flag_stays_out_of_equality_hash_repr_and_pickles():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
     fresh = MatrixModule(X.spec, X.vertex_of, X.entries, X.labels)
     assert X.one_entry_per_line
-    assert "one_entry_per_line" in X.__dict__ and "one_entry_per_line" not in fresh.__dict__
+    assert fresh.one_entry_per_line == X.one_entry_per_line
     assert X == fresh and hash(X) == hash(fresh) and repr(X) == repr(fresh)
     assert pickle.dumps(X) == pickle.dumps(fresh)
 
@@ -727,6 +786,21 @@ def test_ext_reads_the_hom_from_the_cover_off_its_tops(name):
         P0, omega = syzygy(X)
         for Y in mods:
             assert dim_ext1(X, Y) == dim_hom(omega, Y) - dim_hom(P0, Y) + dim_hom(X, Y), (X, Y)
+
+
+def assert_the_syzygy_paths_agree(X):
+    # X has one entry per line, so syzygy reads the line table
+    assert X.one_entry_per_line
+    lines, echelon = (oracle._presentation(X, by_lines) for by_lines in (True, False))
+    assert [(M.vertex_of, dict(M.entries), M.labels) for M in lines] == [
+        (M.vertex_of, dict(M.entries), M.labels) for M in echelon
+    ], X.entries
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_the_line_table_syzygy_equals_the_echelon_syzygy(name):
+    for X in linked_pool(name):
+        assert_the_syzygy_paths_agree(X)
 
 
 SCALES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-11, 4))
@@ -757,3 +831,11 @@ def test_a_diagonal_change_of_basis_keeps_the_union_find_path_and_its_answers(pa
     assert dim_hom(X2, Y2) == dim_hom(X, Y)
     assert dim_hom(Y2, X2) == dim_hom(Y, X)
     assert dim_ext1(X2, Y2) == dim_ext1(X, Y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rescaled_pair())
+def test_the_syzygy_paths_agree_after_a_diagonal_change_of_basis(pair):
+    # non-unit entries, some of them not integers
+    for M in pair[2:]:
+        assert_the_syzygy_paths_agree(M)
