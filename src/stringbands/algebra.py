@@ -373,6 +373,7 @@ def is_gentle_algebra(spec: AlgebraSpec) -> bool:
     return spec.quadratic and gentle_vertices(spec) == set(spec.vertices)
 
 
+@keep
 def projective_word(spec: AlgebraSpec, u: str) -> Word:
     """The word w1.w2^-1 built from the maximal relation-free paths out of u.
 
@@ -381,7 +382,8 @@ def projective_word(spec: AlgebraSpec, u: str) -> Word:
     spec is valid (the extension step then never branches).  There a path's
     first arrow fixes the one arrow before it, so a relation-free path
     longer than the arrow count plus the longest relation repeats a cycle
-    whose powers all avoid the ideal: that raises InvalidAlgebra.
+    whose powers all avoid the ideal: that raises InvalidAlgebra.  Kept per
+    vertex on the algebra (`words.keep`).
     """
     if not spec.has_vertex(u):
         raise ParseError(f"unknown vertex {u!r}")

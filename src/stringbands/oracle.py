@@ -32,19 +32,21 @@ integer row at a time against the gcd-normalised pivot rows found so far:
 a rank is the number of pivots, and a kernel is read off the same echelon
 form by back-substitution.  rank_sum reads entries a row at a time, scaled
 to integers (_integral).
-syzygy walks the columns of the cover map P0 -> X through column maps
-read off the line table (_columns).  If X has one_entry_per_line, every
-column is a multiple of one basis vector: the tops are the basis vectors
-with no in-bit, and the kernel is read by grouping the columns by row
-(_line_kernel), exactly the vectors _kernel reads off _echelon's form.
-Any other X has its radical span, its surjectivity check and its kernel
-from one echelon form.  Both paths share the exactness check and the
-action on the kernel, and the tests check that they give the same
-presentation.
-Realizations, projective covers and syzygy are kept on the algebra of their
-first argument (`words.keep`), so an algebra's answers go when it goes;
-dim_hom keeps nothing, and dim_ext1 reads Hom(P0, Y) off the tops that
-P0's line table counts (Yoneda).
+syzygy covers X by P0, the sum of the projective strings at its tops,
+kept per tuple of tops with their words and P0's line maps (_line_maps:
+each column of an arrow to its one (row, value)).  If X has
+one_entry_per_line, its line table is read throughout: the tops are the
+basis vectors with no in-bit, each column of the cover map P0 -> X is a
+multiple of one basis vector walked through X's line maps, and the kernel
+is read by grouping the columns by row (_line_kernel), exactly the vectors
+_kernel reads off _echelon's form.  Any other X walks the cover map
+through _columns and _push and has its radical span, its surjectivity
+check and its kernel from one echelon form.  Both paths share the
+exactness check and P0's action on the kernel through the cover's line
+maps, and the tests check that they give the same presentation.
+Realizations, projective words and covers and syzygy are kept on the
+algebra of their first argument (`words.keep`); dim_hom keeps nothing, and
+dim_ext1 reads Hom(P0, Y) off the tops P0's line table counts (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
@@ -493,11 +495,12 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
 
 @keep
-def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule]:
-    """The words of the projectives P(v), v in tops, and their direct sum,
-    kept per nonempty tuple of tops: modules with the same tops share one P0."""
+def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule, dict]:
+    """The words of the projectives P(v), v in tops, their direct sum P0 and its
+    line maps, kept per nonempty tuple of tops: modules with the same tops share one P0."""
     words = tuple(projective_word(spec, v) for v in tops)
-    return words, direct_sum(*(realize_string(spec, w) for w in words))
+    P0 = direct_sum(*(realize_string(spec, w) for w in words))
+    return words, P0, _line_maps(P0)
 
 
 @keep
@@ -509,12 +512,12 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
     """P0 -> X and its kernel, read off X's line table when by_lines (X must
     have one entry per line), else by elimination."""
     spec, d = X.spec, X.dim
-    cols = _columns(X)
     if by_lines:
         # each arrow maps a basis vector to a multiple of one, so the radical
         # is spanned by the basis vectors that some arrow reaches
         reach = (1 << len(spec.arrows)) - 1
         picks = [i for i, mask in enumerate(X.lines[0]) if not mask & reach]
+        steps = _line_maps(X)
     else:
         # the radical of X is spanned by the columns of the arrow matrices
         span: dict[int, dict[int, int]] = {}
@@ -522,19 +525,30 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
             for col in _integer_lines(cells, 1):
                 _reduce(span, col)
         picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
+        steps = _columns(X)
 
     # the zero module is its own projective cover
-    words, P0 = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X)
+    words, P0, maps = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X, {})
     pi_cols: list[dict] = []  # columns of P0 -> X, sparse
     for pick, word in zip(picks, words):
-        # the top generator is the left divisor that stops at the first inverse letter
-        gen = next((j for j, l in enumerate(word.letters) if l.inverted), len(word))
-        cols_p: list = [None] * (len(word) + 1)
+        letters = word.letters
+        # the top generator is the left divisor that stops at the first inverse
+        # letter; the arrows before it walk to the left, the inverse letters right
+        gen = next((j for j, l in enumerate(letters) if l.inverted), len(letters))
+        cols_p: list[dict] = [{}] * (len(letters) + 1)  # zero until reached
         cols_p[gen] = {pick: 1}
-        for j in range(gen - 1, -1, -1):
-            cols_p[j] = _push(cols.get(word.letters[j].arrow, {}), cols_p[j + 1])
-        for j in range(gen + 1, len(cols_p)):
-            cols_p[j] = _push(cols.get(word.letters[j - 1].arrow, {}), cols_p[j - 1])
+        for walk, shift in ((range(gen - 1, -1, -1), 0), (range(gen + 1, len(cols_p)), 1)):
+            if by_lines:
+                r, v = pick, 1  # each column is v times the basis vector r
+                for j in walk:
+                    if (hit := steps.get(letters[j - shift].arrow, {}).get(r)) is None:
+                        break  # the rest of the walk is zero
+                    r, v = hit[0], hit[1] * v
+                    cols_p[j] = {r: v}
+            else:
+                col = cols_p[gen]
+                for j in walk:
+                    col = cols_p[j] = _push(steps.get(letters[j - shift].arrow, {}), col)
         pi_cols.extend(cols_p)
 
     if by_lines:
@@ -552,16 +566,22 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
     # free column; list them vertex by vertex, by free column within a vertex
     kernel.sort(key=lambda k: spec.vertex_index(P0.vertex_of[k[1]]))
     # exactness at P0: pi maps every kernel vector to zero
-    pi = dict(enumerate(pi_cols))
     for vec, _ in kernel:
-        if _push(pi, vec):
+        out: dict = {}
+        for c, v in vec.items():
+            for i, x in pi_cols[c].items():
+                out[i] = out.get(i, 0) + x * v
+        if any(out.values()):
             raise RuntimeError("a kernel vector does not map to zero")
     sig = {free: n for n, (_, free) in enumerate(kernel)}
     o_entries: dict[str, list] = {}
-    for a, p0 in _columns(P0).items():
+    for a, m in maps.items():
         cells = o_entries[a] = []
         for j, (vec, _) in enumerate(kernel):
-            img = _push(p0, vec)
+            # P0 has one entry per line, so no two columns share a row
+            img = {m[c][0]: m[c][1] * v for c, v in vec.items() if c in m}
+            if not img:
+                continue
             # the signature coordinates determine kernel vectors uniquely;
             # recombine and compare to catch any drift
             coords = [(sig[f], c) for f, c in img.items() if f in sig]
@@ -580,14 +600,20 @@ def _columns(X: MatrixModule) -> dict[str, dict[int, dict]]:
     """Each arrow that acts nonzero on X, by name, with its column map: each
     column j with a nonzero to {k: X(a)[k][j]}, read off the line table, an
     integral value as an int."""
-    names = X.spec.arrow_names
-    out = {}
+    out: dict[str, dict[int, dict]] = {}
     for n, (den, edges) in X.lines[3].items():
-        cols: dict[int, dict] = {}
+        cols = out[X.spec.arrow_names[n]] = {}
         for j, k, v in edges:
             cols.setdefault(j, {})[k] = v if den == 1 else Fraction(v, den)
-        out[names[n]] = cols
     return out
+
+
+def _line_maps(X: MatrixModule) -> dict[str, dict[int, tuple]]:
+    """_columns when X has one entry per line: column j to its one (k, X(a)[k][j])."""
+    return {
+        X.spec.arrow_names[n]: {j: (k, v if den == 1 else Fraction(v, den)) for j, k, v in edges}
+        for n, (den, edges) in X.lines[3].items()
+    }
 
 
 def _push(cols: dict[int, dict], vec: dict) -> dict:
@@ -645,7 +671,9 @@ def orbit_dimension(X: MatrixModule) -> int:
 
 def direct_sum(X: MatrixModule, *rest: MatrixModule) -> MatrixModule:
     """X plus each module of rest, blocks in argument order; the labels are
-    concatenated when every summand has them."""
+    concatenated when every summand has them; with no rest, X itself."""
+    if not rest:
+        return X
     mods = (X, *rest)
     if any(Y.spec != X.spec for Y in rest):
         raise SpecMismatch("modules over different algebras")

@@ -23,6 +23,7 @@ from stringbands import (
     direct_sum,
     enumerate_bands,
     enumerate_strings,
+    format_word,
     is_regular,
     orbit_dimension,
     parse_algebra,
@@ -111,8 +112,9 @@ def test_equal_modules_built_apart_compare_and_hash_equal():
 
 
 def test_oracle_caches_stay_inspectable():
-    # syzygy and the projective covers it builds are kept on the algebra
-    # object of its module, keyed by value; dim_hom keeps nothing
+    # syzygy, the projective covers it builds and their projective words are
+    # kept on the algebra object of its module, keyed by value; dim_hom
+    # keeps nothing
     spec = copy.copy(KRON)
     X = realize_string(spec, parse_word("a.b^-1"))
     P0, omega = syzygy(X)
@@ -126,14 +128,20 @@ def test_oracle_caches_stay_inspectable():
     # a module over another algebra is refused
     with pytest.raises(SpecMismatch):
         dim_hom(X, realize_string(GP33, parse_word("a")))
-    assert set(spec.kept) == {realize_string, oracle._projective_cover, oracle._syzygy}
+    assert set(spec.kept) == {realize_string, projective_word, oracle._projective_cover, oracle._syzygy}
     assert set(twin.kept) == {realize_string}
     # the projective cover is kept per tuple of tops: the strings a and b
-    # both have the one top at vertex 1, and share one P0 object
+    # both have the one top at vertex 1, and share one P0 object.  The cover
+    # keeps the projective words, P0 (with one top, the realized word itself:
+    # a direct sum of one module is that module) and P0's line maps; the word
+    # is kept per vertex
     P_a, _ = syzygy(realize_string(spec, parse_word("a")))
     P_b, _ = syzygy(realize_string(spec, parse_word("b")))
     assert P_a is P_b
-    assert spec.kept[oracle._projective_cover][(("1",),)][1] is P_a
+    words, P0, maps = spec.kept[oracle._projective_cover][(("1",),)]
+    assert P0 is P_a and P0 is realize_string(spec, words[0]) is direct_sum(P0)
+    assert spec.kept[projective_word] == {("1",): words[0]} and format_word(words[0]) == "a.b^-1"
+    assert maps == {"a": {1: (0, 1)}, "b": {1: (2, 1)}} == oracle._line_maps(P0)
 
 
 def test_an_algebra_is_freed_with_its_oracle_answers():
@@ -355,6 +363,24 @@ def test_syzygy_refuses_a_kernel_that_the_radical_leaves(monkeypatch, kernel):
         syzygy(X)
 
 
+@pytest.mark.parametrize("by_lines", [True, False], ids=["lines", "echelon"])
+def test_syzygy_refuses_an_omega_outside_the_variety(by_lines):
+    # both paths push the kernel through the kept cover's maps, and Ω is
+    # validated by its constructor like any module.  A planted cover of the
+    # simple at vertex 1 whose y sends the column y of P(1) to the row y.a,
+    # at vertex 1, keeps every image in the kernel (each kernel vector is
+    # one zero column of the cover map), so only the constructor refuses it
+    spec = copy.copy(LOOP)
+    S = realize_string(spec, trivial_word("1"))
+    words = (projective_word(spec, "1"),)
+    P0 = realize_string(spec, words[0])
+    maps = {**oracle._line_maps(P0), "y": {1: (2, 1), 4: (5, 1)}}
+    assert oracle._line_maps(P0)["y"] == {1: (0, 1), 4: (5, 1)}
+    spec.kept[oracle._projective_cover] = {(("1",),): (words, P0, maps)}
+    with pytest.raises(ValueError, match="^matrix of y leaves its block$"):
+        oracle._presentation(S, by_lines)
+
+
 def test_projectives_have_no_self_extensions():
     P = realize_string(GP22, projective_word(GP22, "u"))
     X = realize_band(GP22, parse_word("a.b^-1"), TWO)
@@ -530,8 +556,9 @@ def test_unit_rows_settle_before_elimination(rows):
 
 def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
-    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2); rank_sum and the
-    # syzygy read its rows and its columns each scaled to integers on its own
+    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2); rank_sum reads its
+    # rows and the echelon syzygy its columns, each scaled to integers on its
+    # own.  X has one entry per line, so its own syzygy reads the line table
     assert X.entries["b"] == ((0, 3, Fraction(3, 2)), (3, 2, 1))
     assert oracle._integer_lines(X.entries["b"], 0) == [{3: 3}, {2: 1}]
     assert oracle._integer_lines(X.entries["b"], 1) == [{0: 3}, {3: 1}]
@@ -839,3 +866,37 @@ def test_the_syzygy_paths_agree_after_a_diagonal_change_of_basis(pair):
     # non-unit entries, some of them not integers
     for M in pair[2:]:
         assert_the_syzygy_paths_agree(M)
+
+
+def typed(M):
+    """M's fields with each entry's value type, so an int 1 and Fraction(1) differ."""
+    return M.vertex_of, {a: [(i, j, type(x), x) for i, j, x in e] for a, e in M.entries.items()}, M.labels
+
+
+def typed_maps(maps):
+    return {a: {j: (k, type(x), x) for j, (k, x) in m.items()} for a, m in maps.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_the_kept_cover_does_not_depend_on_the_call_order(name):
+    # the modules the ext-survey workload takes syzygies of, strings <= 3 and
+    # bands <= 7 at 2 and 7/2, on two fresh copies of the fixture: one takes
+    # the syzygies in order, the other in reverse, so the covers are built
+    # by different modules and then read by the rest
+    copies = copy.copy(ALL[name]), copy.copy(ALL[name])
+    answers = []
+    for step, spec in zip((1, -1), copies):
+        mods = [realize_string(spec, w) for w in enumerate_strings(spec, 3)]
+        mods += [realize_band(spec, B, lam) for B in enumerate_bands(spec, 7) for lam in (TWO, Fraction(7, 2))]
+        kept = {X: [typed(M) for M in syzygy(X)] for X in mods[::step]}
+        answers.append([kept[X] for X in mods])
+    assert answers[0] == answers[1]
+    covers = [spec.kept[oracle._projective_cover] for spec in copies]
+    assert set(covers[0]) == set(covers[1])
+    # every kept cover is only read: its words are the projectives at its
+    # tops, and its maps are still those of a fresh read of P0's line table
+    for spec, kept in zip(copies, covers):
+        for (tops,), (words, P0, maps) in kept.items():
+            assert words == tuple(projective_word(spec, v) for v in tops)
+            assert P0 == direct_sum(*(realize_string(spec, w) for w in words)) and P0.one_entry_per_line
+            assert typed_maps(maps) == typed_maps(oracle._line_maps(P0))
