@@ -18,8 +18,11 @@ timed); a string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
 of extendable_quadratic.  Exit status 1 when a count differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
-other way round, or when a syzygy read off the line table differs from the
-one found by elimination (not timed).  --steps s runs the s smallest sizes
+other way round, when a syzygy read off the line table differs from the
+one found by elimination, or when the line maps a kept projective cover
+holds differ from a fresh read of its P0 (`_columns`; neither check is
+timed).  Both syzygy paths read P0's action from the kept maps, so only
+the last check sees a fault in them.  --steps s runs the s smallest sizes
 of each series.
 
     PYTHONPATH=src python3 scripts/scaling.py
@@ -44,7 +47,7 @@ from stringbands import (
     syzygy,
 )
 from stringbands.cli import run
-from stringbands.oracle import _presentation
+from stringbands.oracle import _columns, _presentation, _projective_cover
 
 DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
 P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
@@ -101,6 +104,11 @@ def main(argv=None):
         bad += counted != oracle
         if syzygies != [_presentation(M, False) for M in distinct]:
             verdict += "  MISMATCH: echelon syzygy"
+            bad += 1
+        covers = distinct[0].spec.kept.get(_projective_cover, {}).values()
+        if any(_columns(P0) != {a: {j: {k: v} for j, (k, v) in m.items()} for a, m in maps.items()}
+               for _, P0, maps in covers):
+            verdict += "  MISMATCH: kept cover maps"
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")

@@ -3,11 +3,12 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 
 The sub and fac counts are band tallies: `words.id_tally` read cyclically,
 the same fold over `words.flanked` that strings use, keyed by the ids of
-the same `words.middle_trie`; one scan per letter tuple, side and
-power-of-two cap (`_scan_cap`), kept on the algebra.  Every count,
-`dimension_vector`, `is_band` and `canonical_class` read a cyclic word
-through `_checked`, the one place that refuses a word that is no
-quasi-band, and `_primitive` is the one test that it is no proper power.
+the same `words.middle_trie`.  One tally per letter tuple and side is kept
+on the algebra, scanned to a power of two (`_scan_cap`) and grown only when
+a pairing reaches further, so it holds every middle any pairing shares.
+Every count, `dimension_vector`, `is_band` and `canonical_class` read a
+cyclic word through `_checked`, the one place that refuses a word that is
+no quasi-band, and `_primitive` is the one test that it is no proper power.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -218,36 +219,45 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     return occ(c.letters), occ(inverse(c).letters)
 
 
-@keep
-def band_id_tally(spec, qb, left_inverted: bool, max_len: int) -> dict[int, int]:
-    """The cyclic sub (left_inverted) or fac `id_tally` of qb to middles of
-    length max_len, kept per qb as passed; the package passes the letter
-    tuple at a `_scan_cap`.  Kept, so qb is checked once: a cyclic word
-    that is no quasi-band raises NotQuasiBand."""
-    return id_tally(spec, _checked(spec, qb)[1], left_inverted, max_len, cyclic=True)
+def band_id_tally(spec, qb, left_inverted: bool, reach: int) -> dict[int, int]:
+    """The cyclic sub (left_inverted) or fac `id_tally` of qb, exact for every
+    middle of length <= reach; any other key is a longer middle.  One entry
+    per qb as passed and side is kept, in spec.kept[band_id_tally] as
+    (cap, ids), and only grows: a reach <= cap reads the kept ids, and a
+    longer one rescans at `_scan_cap(reach)` and replaces the entry.  The
+    package passes the letter tuple.  A cyclic word that is no quasi-band
+    raises NotQuasiBand and keeps nothing."""
+    key = (qb, left_inverted)
+    entry = spec.kept.get(band_id_tally, {}).get(key)
+    if entry is None or entry[0] < reach:
+        cap = _scan_cap(reach)
+        ids = id_tally(spec, _checked(spec, qb)[1], left_inverted, cap, cyclic=True)
+        entry = spec.kept.setdefault(band_id_tally, {})[key] = (cap, ids)
+    return entry[1]
 
 
 def _scan_cap(n: int) -> int:
-    """The least power of two >= n, the reach of a pairing: every band tally
-    is read at one, so reaches in a bucket share a scan.  The reach is len(c)
-    against a string c, which has no longer key, and m+n between bands of
-    periods m and n.  Two distinct classes share no flanked middle of length
-    >= m+n: by the Fine-Wilf lemma it would have period gcd(m, n), so the
-    primitive periods would be one class.  A class shares none of length
-    >= m with itself: such a middle fixes both its neighbours, as no band is
-    a proper power or a rotation of its own inverse, and no neighbours flank
-    a middle for fac and for sub at once."""
+    """The least power of two >= n, the length a band tally is scanned to
+    when a pairing reaches n: so a band side is rescanned at most once per
+    doubling of its longest reach.  The reach is len(c) against a string c,
+    which has no longer key, and m+n between bands of periods m and n, so a
+    key past the reach is never shared.  Two distinct classes share no
+    flanked middle of length >= m+n: by the Fine-Wilf lemma it would have
+    period gcd(m, n), so the primitive periods would be one class.  A class
+    shares none of length >= m with itself: such a middle fixes both its
+    neighbours, as no band is a proper power or a rotation of its own
+    inverse, and no neighbours flank a middle for fac and for sub at once."""
     return 1 << max(n - 1, 0).bit_length()
 
 
 def sub_counts(spec, c: Word, qb) -> int:
     """Cyclic positions with an inverse letter, then l(c) letters spelling c
     or its inverse, then a plain arrow."""
-    return id_count(spec, band_id_tally(spec, _as_letters(qb), True, _scan_cap(len(c))), c)
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), True, len(c)), c)
 
 
 def fac_counts(spec, c: Word, qb) -> int:
-    return id_count(spec, band_id_tally(spec, _as_letters(qb), False, _scan_cap(len(c))), c)
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), False, len(c)), c)
 
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:

@@ -6,7 +6,8 @@ side.  Summing over representatives rather than over all words is what keeps
 endomorphism counts honest; both tallies already absorb the two orientations
 of d.  Every count is a fold over `words.flanked`, the one occurrence
 definition, so the four formulas are one pairing of a fac tally with a sub
-tally; a band tally is read by its letter tuple at a `bands._scan_cap`.
+tally; a band tally is read by its letter tuple to the pairing's reach
+(`bands.band_id_tally`), len(c) against a string c and m+n between bands.
 The tallies paired are id tallies (`words.id_tally`), keyed by the int id of
 each middle's inversion class in the algebra's one `words.middle_trie`.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .bands import BandClass, _scan_cap, band_id_tally, canonical_class
+from .bands import BandClass, band_id_tally, canonical_class
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
 from .words import Word, _Frozen, iter_strings, string_id_tally
 
@@ -66,13 +67,13 @@ def hom_string_string(spec, c: Word, cp: Word) -> int:
 
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    facs = band_id_tally(spec, B.canonical.letters, False, _scan_cap(len(c)))
+    facs = band_id_tally(spec, B.canonical.letters, False, len(c))
     return _pair(facs, string_id_tally(spec, c, True))
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    subs = band_id_tally(spec, B.canonical.letters, True, _scan_cap(len(c)))
+    subs = band_id_tally(spec, B.canonical.letters, True, len(c))
     return _pair(string_id_tally(spec, c, False), subs)
 
 
@@ -80,14 +81,14 @@ def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -
     """dim Hom(M(b,m,lambda), M(c,n,mu)).
 
     same_module adds the identity's contribution and is legal only for equal
-    classes (equal parameters are implied).  Both scans reach m+n, where
-    every shared middle ends (`bands._scan_cap` says why).
+    classes (equal parameters are implied).  Both tallies are read to m+n,
+    where every shared middle ends (`bands._scan_cap` says why).
     """
     if same_module and B != C:
         raise SameModuleMismatch("same_module requires equal band classes")
-    cap = _scan_cap(B.period + C.period)
-    facs = band_id_tally(spec, B.canonical.letters, False, cap)
-    subs = band_id_tally(spec, C.canonical.letters, True, cap)
+    reach = B.period + C.period
+    facs = band_id_tally(spec, B.canonical.letters, False, reach)
+    subs = band_id_tally(spec, C.canonical.letters, True, reach)
     total = _pair(facs, subs)
     return total + 1 if same_module else total
 

@@ -256,11 +256,13 @@ _MISSING = object()
 def keep(fn):
     """fn(alg, *args), computed once per algebra object and kept, to be read
     only, in alg.kept[the kept function][args], keyed by the arguments'
-    values.  This is the package's only memo: every kept answer, the
-    oracle's included (its realizations and `syzygy` keep theirs on the spec
-    of their first module; `dim_hom` keeps nothing), lives on one algebra
-    object and goes with it.  A call that raises keeps nothing; equal
-    algebras that are other objects share nothing."""
+    values.  This is the package's only memo but one, `bands.band_id_tally`,
+    which keeps one grow-only entry per band spelling and side in
+    alg.kept[band_id_tally] itself: every kept answer, the oracle's included
+    (its realizations and `syzygy` keep theirs on the spec of their first
+    module; `dim_hom` keeps nothing), lives on one algebra object and goes
+    with it.  A call that raises keeps nothing; equal algebras that are
+    other objects share nothing."""
 
     @wraps(fn)
     def kept(alg, *args):

@@ -34,6 +34,7 @@ from stringbands import (
     extendable,
     fac_counts,
     format_word,
+    hom_band_string,
     hom_string_band,
     inverse,
     is_band,
@@ -44,6 +45,7 @@ from stringbands import (
     parti_counts,
     sub_counts,
 )
+import stringbands.bands
 from stringbands import components
 from stringbands.bands import _Reading, band_id_tally
 from stringbands.words import (
@@ -222,29 +224,57 @@ def test_band_tallies_refuse_a_cyclic_word_that_is_not_a_quasi_band():
             call()
 
 
+def _middle_lengths(spec, band, cap: int) -> dict:
+    """The length of every middle of the band's cyclic reading, to length
+    cap, by its id; words the trie has not met share the key None."""
+    length = {middle_id(spec, trivial_word(v)): 0 for v in spec.vertices}
+    for i in range(band.period):
+        for n in range(1, cap + 1):
+            length[middle_id(spec, Word(None, _window(band, i, n)))] = n
+    return length
+
+
 def test_tallies_agree_with_single_counts():
     # every middle a band reads is a string, so the tallies to length 6 hold
-    # exactly the strings of length <= 6 that the single counts find
-    B4 = canonical_class(GP33, parse_word("a.a.b^-1.b^-1"))
-    strings = enumerate_strings(GP33, 6)
+    # exactly the strings of length <= 6 that the single counts find, and
+    # past them only the middles of lengths 7 and 8 of the scan at cap 8
+    spec = copy.copy(GP33)
+    B4 = canonical_class(spec, parse_word("a.a.b^-1.b^-1"))
+    strings = enumerate_strings(spec, 6)
     for inv, count in ((True, sub_counts), (False, fac_counts)):
-        ids = band_id_tally(GP33, B4, inv, 6)
-        assert ids == {middle_id(GP33, w): n for w in strings if (n := count(GP33, w, B4))}
+        ids = band_id_tally(spec, B4, inv, 6)
+        length = _middle_lengths(spec, B4.canonical, 8)
+        assert {d: n for d, n in ids.items() if length[d] <= 6} == {
+            middle_id(spec, w): n for w in strings if (n := count(spec, w, B4))
+        }
+        assert all(length[d] <= 8 for d in ids)
 
 
-def test_one_band_scan_per_cyclic_word_and_bucket():
-    # sub_counts and hom read a band tally by its letter tuple at the
-    # power-of-two cap at or above len(c): caps 1, 2, 4 and 8 serve every
-    # string of length <= 6, whichever way the class is spelled
+def test_one_band_scan_per_cyclic_word_and_bucket(monkeypatch):
+    # the counts and hom read one band tally per letter tuple and side,
+    # whichever way the class is spelled, scanned at the power-of-two cap at
+    # or above the longest len(c) asked so far: strings of length <= 6, read
+    # shortest first, rescan each side once per bucket, at 1, 2, 4 and 8
     spec = copy.copy(GP33)
     B = canonical_class(spec, parse_word("a.a.b^-1.b^-1"))
-    strings = enumerate_strings(spec, 6)
+    strings = sorted(enumerate_strings(spec, 6), key=len)
+    scans = []
+
+    def counted(alg, codes, left_inverted, cap, cyclic):
+        scans.append((left_inverted, cap))
+        return id_tally(alg, codes, left_inverted, cap, cyclic)
+
+    monkeypatch.setattr(stringbands.bands, "id_tally", counted)
     for qb in (B, B.canonical, B.letters):
         for c in strings:
             sub_counts(spec, c, qb)
             hom_string_band(spec, c, B)
-    scans = sorted(spec.kept[band_id_tally], key=lambda args: args[2])
-    assert scans == [(B.letters, True, cap) for cap in (1, 2, 4, 8)]
+            fac_counts(spec, c, qb)
+            hom_band_string(spec, B, c)
+    assert scans == [(inv, cap) for cap in (1, 2, 4, 8) for inv in (True, False)]
+    kept = spec.kept[band_id_tally]
+    assert set(kept) == {(B.letters, True), (B.letters, False)}
+    assert all(cap == 8 for cap, _ in kept.values())
 
 
 def test_dimensions():
@@ -558,7 +588,8 @@ def test_flanked_folds_match_the_old_counters(spec, data):
                 count(spec, trivials[0], c)
     band = QuasiBand(ls)
     quasi_band = is_quasi_band(spec, ls)
-    # each cap is its own cached scan; 0, caps off the powers of two and
+    # each cap is its own scan, and the kept band tally is the one grown to
+    # the longest cap asked (read first); 0, caps off the powers of two and
     # caps past the period included
     drawn = data.draw(st.integers(0, 2 * m + 3))
     for cap in sorted({0, 1, 3, m, m + 1, drawn, 2 * m + 3}, reverse=True):
@@ -573,7 +604,13 @@ def test_flanked_folds_match_the_old_counters(spec, data):
                     reference[canonical_word(spec, d)] = n
             assert_counts(spec, id_tally(spec, codes, inv, cap, cyclic=True), reference)
             if quasi_band:
-                assert_counts(spec, band_id_tally(spec, band, inv, cap), reference)
+                # exact counts for every middle <= cap; every other key is
+                # a middle of the kept scan longer than cap
+                ids = band_id_tally(spec, band, inv, cap)
+                kept = spec.kept[band_id_tally][band, inv][0]
+                assert kept >= cap and ids == id_tally(spec, codes, inv, kept, cyclic=True)
+                length = _middle_lengths(spec, band, kept)
+                assert_counts(spec, {d: n for d, n in ids.items() if length[d] <= cap}, reference)
             else:
                 with pytest.raises(NotQuasiBand):
                     band_id_tally(spec, band, inv, cap)

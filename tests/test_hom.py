@@ -129,7 +129,8 @@ def test_shared_middles_end_before_the_reach():
 
 
 def test_band_band_scans_stop_at_the_reach():
-    # hom_band_band reads both bands at _scan_cap(m+n) and no further
+    # with no band tally kept, hom_band_band reads both bands at
+    # _scan_cap(m+n) and no further
     for spec in ALL.values():
         spec = copy.copy(spec)
         classes = enumerate_bands(spec, 6)
@@ -137,10 +138,39 @@ def test_band_band_scans_stop_at_the_reach():
             for C in classes:
                 hom_band_band(spec, B, C)
                 cap = _scan_cap(B.period + C.period)
-                # (letters, left_inverted, cap): one fac scan and one sub scan
+                # (letters, left_inverted) -> (cap, ids): B's fac and C's sub
                 scans = spec.kept.pop(band_id_tally)
-                assert {scan[1] for scan in scans} == {False, True}
-                assert all(scan[2] <= cap for scan in scans)
+                assert set(scans) == {(B.letters, False), (C.letters, True)}
+                assert all(kept <= cap for kept, _ in scans.values())
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_band_tallies_do_not_depend_on_the_order_of_reaches(name):
+    # every hom pair with a band (strings <= 5, bands <= 6) on two fresh
+    # copies of the fixture, asked in ascending order of reach on one and in
+    # descending order on the other: the answers agree, and each band side
+    # keeps one tally, grown to the scan cap of the longest reach asked
+    answers, longest = [], []
+    for descending in (False, True):
+        spec = copy.copy(ALL[name])
+        strings, classes = enumerate_strings(spec, 5), enumerate_bands(spec, 6)
+        # (reach, hom function, its arguments, the band sides it reads)
+        calls = [(len(c), hom_band_string, (B, c), [(B.letters, False)]) for B in classes for c in strings]
+        calls += [(len(c), hom_string_band, (c, B), [(B.letters, True)]) for B in classes for c in strings]
+        calls += [(B.period + C.period, hom_band_band, (B, C), [(B.letters, False), (C.letters, True)])
+                  for B in classes for C in classes]
+        calls.sort(key=lambda call: call[0], reverse=descending)
+        answers.append({(hom, args): hom(spec, *args) for _, hom, args, _ in calls})
+        asked: dict = {}
+        for reach, _, _, sides in calls:
+            for side in sides:
+                asked[side] = max(asked.get(side, 0), reach)
+        kept = spec.kept[band_id_tally]
+        assert set(kept) == set(asked)
+        assert all(kept[side][0] == _scan_cap(reach) for side, reach in asked.items())
+        longest.append(asked)
+    assert answers[0] == answers[1]
+    assert longest[0] == longest[1]
 
 
 def test_sequence_counts_add_up():
