@@ -19,11 +19,11 @@ time growing as n^e since the size before, and a band line the milliseconds
 of extendable_quadratic.  Exit status 1 when a count differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
 other way round, when a syzygy read off the line table differs from the
-one found by elimination, or when the line maps a kept projective cover
-holds differ from a fresh read of its P0 (`_columns`; neither check is
-timed).  Both syzygy paths read P0's action from the kept maps, so only
-the last check sees a fault in them.  --steps s runs the s smallest sizes
-of each series.
+one found by elimination, or when the columns a kept projective cover
+holds differ from a fresh read of its P0 (`_columns`, the oracle's one
+column view; neither check is timed).  Both syzygy paths read P0's action
+from the kept columns, so only the last check sees a fault in them.
+--steps s runs the s smallest sizes of each series.
 
     PYTHONPATH=src python3 scripts/scaling.py
 """
@@ -106,8 +106,7 @@ def main(argv=None):
             verdict += "  MISMATCH: echelon syzygy"
             bad += 1
         covers = distinct[0].spec.kept.get(_projective_cover, {}).values()
-        if any(_columns(P0) != {a: {j: {k: v} for j, (k, v) in m.items()} for a, m in maps.items()}
-               for _, P0, maps in covers):
+        if any(maps != _columns(P0) for _, P0, maps in covers):
             verdict += "  MISMATCH: kept cover maps"
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "

@@ -30,20 +30,23 @@ shares only entries and _echelon with the union-find the tests check
 against it.  _echelon, a loop over the fraction-free _reduce, eliminates an
 integer row at a time against the gcd-normalised pivot rows found so far:
 a rank is the number of pivots, and a kernel is read off the same echelon
-form by back-substitution.  rank_sum reads entries a row at a time, scaled
-to integers (_integral).
+form by back-substitution.
+A module has one column view (_columns: each column of an arrow to its
+(row, value) pairs, read off entries), and it is the only one: both
+syzygy paths, the kept cover, the radical span and rank_sum, which ranks
+each arrow's columns scaled to integers (_integral), read it.
 syzygy covers X by P0, the sum of the projective strings at its tops,
-kept per tuple of tops with their words and P0's line maps (_line_maps:
-each column of an arrow to its one (row, value)).  If X has
-one_entry_per_line, its line table is read throughout: the tops are the
-basis vectors with no in-bit, each column of the cover map P0 -> X is a
-multiple of one basis vector walked through X's line maps, and the kernel
-is read by grouping the columns by row (_line_kernel), exactly the vectors
-_kernel reads off _echelon's form.  Any other X walks the cover map
-through _columns and _push and has its radical span, its surjectivity
-check and its kernel from one echelon form.  Both paths share the
-exactness check and P0's action on the kernel through the cover's line
-maps, and the tests check that they give the same presentation.
+kept per tuple of tops with their words and P0's columns.  If X has
+one_entry_per_line, the tops are the basis vectors with no in-bit in the
+line table, each column of the cover map P0 -> X is a multiple of one
+basis vector walked through the one pair of each of X's columns, and the
+kernel is read by grouping the columns by row (_line_kernel), exactly the
+vectors _kernel reads off _echelon's form.  Any other X walks the cover
+map through its columns with _push, has its radical span from the
+echelon form of its columns, and its surjectivity check and kernel from
+that of the cover map.  Both paths share the exactness check and P0's
+action on the kernel through the cover's columns, and the tests check
+that they give the same presentation.
 Realizations, projective words and covers and syzygy are kept on the
 algebra of their first argument (`words.keep`); dim_hom keeps nothing, and
 dim_ext1 reads Hom(P0, Y) off the tops P0's line table counts (Yoneda).
@@ -156,11 +159,11 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
-def _validate(mod: MatrixModule, cells=None) -> tuple[dict[str, Entries], Lines, bool]:
+def _validate(mod: MatrixModule, cells: dict[str, list]) -> tuple[dict[str, Entries], Lines, bool]:
     """Check that mod is a module over its algebra, and return its entries
     with the zeros dropped, its line table and whether each arrow matrix has
     at most one nonzero per row and per column.  cells maps every arrow to
-    its (i, j, x) sorted, zeros allowed, and is mod.entries unless given.
+    its (i, j, x) sorted, zeros allowed.
 
     One pass per arrow over its cells checks for a repeated (i, j), an index
     outside the basis and an entry outside its vertex block, and builds the
@@ -185,8 +188,6 @@ def _validate(mod: MatrixModule, cells=None) -> tuple[dict[str, Entries], Lines,
     d = len(vof)
     if mod.labels is not None and len(mod.labels) != d:
         raise ValueError(f"{len(mod.labels)} labels for {d} basis vectors")
-    if cells is None:
-        cells = mod.entries
     into, out = [0] * d, [0] * d
     stored: dict[str, Entries] = {}
     arrows: dict[int, tuple[int, Edges]] = {}
@@ -312,15 +313,6 @@ def _integral(row: dict[int, Fraction]) -> dict[int, int]:
     """The row scaled to integers by the lcm of its denominators, zeros dropped."""
     den = lcm(*(x.denominator for x in row.values()))
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
-
-
-def _integer_lines(cells: Entries, axis: int) -> list[dict[int, int]]:
-    """The nonzero rows (axis 0) or columns (axis 1) of the matrix with these
-    entries, each scaled to integers by `_integral`."""
-    lines: dict[int, dict[int, Fraction]] = {}
-    for cell in cells:
-        lines.setdefault(cell[axis], {})[cell[1 - axis]] = cell[2]
-    return list(map(_integral, lines.values()))
 
 
 def _reduce(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
@@ -488,8 +480,8 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
     Top generators are the first coordinate vectors that extend the radical
     span, so the presentation is reproducible.  A module with one entry per
-    line has it read off its line table, any other by elimination; both give
-    the same presentation.
+    line has its tops read off its line table and its kernel by rows, any
+    other by elimination; both give the same presentation.
     """
     return _syzygy(X.spec, X)
 
@@ -497,10 +489,11 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 @keep
 def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule, dict]:
     """The words of the projectives P(v), v in tops, their direct sum P0 and its
-    line maps, kept per nonempty tuple of tops: modules with the same tops share one P0."""
+    columns (_columns), kept per nonempty tuple of tops: modules with the same
+    tops share one P0."""
     words = tuple(projective_word(spec, v) for v in tops)
     P0 = direct_sum(*(realize_string(spec, w) for w in words))
-    return words, P0, _line_maps(P0)
+    return words, P0, _columns(P0)
 
 
 @keep
@@ -509,23 +502,23 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
 
 
 def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, MatrixModule]:
-    """P0 -> X and its kernel, read off X's line table when by_lines (X must
-    have one entry per line), else by elimination."""
+    """P0 -> X and its kernel from X's columns: the tops off the line table
+    and the kernel by rows when by_lines (X must have one entry per line),
+    else both by elimination."""
     spec, d = X.spec, X.dim
+    steps = _columns(X)
     if by_lines:
         # each arrow maps a basis vector to a multiple of one, so the radical
         # is spanned by the basis vectors that some arrow reaches
         reach = (1 << len(spec.arrows)) - 1
         picks = [i for i, mask in enumerate(X.lines[0]) if not mask & reach]
-        steps = _line_maps(X)
     else:
         # the radical of X is spanned by the columns of the arrow matrices
         span: dict[int, dict[int, int]] = {}
-        for cells in X.entries.values():
-            for col in _integer_lines(cells, 1):
-                _reduce(span, col)
+        for cols in steps.values():
+            for col in cols.values():
+                _reduce(span, _integral(dict(col)))
         picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
-        steps = _columns(X)
 
     # the zero module is its own projective cover
     words, P0, maps = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X, {})
@@ -543,7 +536,8 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
                 for j in walk:
                     if (hit := steps.get(letters[j - shift].arrow, {}).get(r)) is None:
                         break  # the rest of the walk is zero
-                    r, v = hit[0], hit[1] * v
+                    ((r, x),) = hit
+                    v *= x
                     cols_p[j] = {r: v}
             else:
                 col = cols_p[gen]
@@ -579,7 +573,7 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
         cells = o_entries[a] = []
         for j, (vec, _) in enumerate(kernel):
             # P0 has one entry per line, so no two columns share a row
-            img = {m[c][0]: m[c][1] * v for c, v in vec.items() if c in m}
+            img = {m[c][0][0]: m[c][0][1] * v for c, v in vec.items() if c in m}
             if not img:
                 continue
             # the signature coordinates determine kernel vectors uniquely;
@@ -596,31 +590,25 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
     return P0, omega
 
 
-def _columns(X: MatrixModule) -> dict[str, dict[int, dict]]:
-    """Each arrow that acts nonzero on X, by name, with its column map: each
-    column j with a nonzero to {k: X(a)[k][j]}, read off the line table, an
-    integral value as an int."""
-    out: dict[str, dict[int, dict]] = {}
-    for n, (den, edges) in X.lines[3].items():
-        cols = out[X.spec.arrow_names[n]] = {}
-        for j, k, v in edges:
-            cols.setdefault(j, {})[k] = v if den == 1 else Fraction(v, den)
+def _columns(X: MatrixModule) -> dict[str, dict[int, list]]:
+    """The one column view of X: each arrow that acts nonzero, by name, with
+    each column j that has a nonzero mapped to the list of its
+    (k, X(a)[k][j]) by row, read off entries, an integral value as an int.
+    With one entry per line each column has one pair."""
+    out: dict[str, dict[int, list]] = {}
+    for a, cells in X.entries.items():
+        if cells:
+            cols = out[a] = {}
+            for k, j, x in cells:
+                cols.setdefault(j, []).append((k, x.numerator if x.denominator == 1 else x))
     return out
 
 
-def _line_maps(X: MatrixModule) -> dict[str, dict[int, tuple]]:
-    """_columns when X has one entry per line: column j to its one (k, X(a)[k][j])."""
-    return {
-        X.spec.arrow_names[n]: {j: (k, v if den == 1 else Fraction(v, den)) for j, k, v in edges}
-        for n, (den, edges) in X.lines[3].items()
-    }
-
-
-def _push(cols: dict[int, dict], vec: dict) -> dict:
-    """The image of the sparse vector vec under the matrix with the column map cols."""
+def _push(cols: dict[int, list], vec: dict) -> dict:
+    """The image of the sparse vector vec under the matrix with the columns cols."""
     out: dict = {}
     for j, v in vec.items():
-        for k, x in cols.get(j, {}).items():
+        for k, x in cols.get(j, ()):
             out[k] = out.get(k, 0) + x * v
     return {k: v for k, v in out.items() if v}
 
@@ -657,8 +645,8 @@ def dim_ext1(X: MatrixModule, Y: MatrixModule) -> int:
 
 
 def rank_sum(X: MatrixModule) -> int:
-    """Sum of the ranks of the arrow matrices, each read by its rows."""
-    return sum(len(_echelon(_integer_lines(cells, 0))) for cells in X.entries.values())
+    """Sum of the ranks of the arrow matrices, each read by its columns."""
+    return sum(len(_echelon(_integral(dict(col)) for col in cols.values())) for cols in _columns(X).values())
 
 
 def is_regular(X: MatrixModule) -> bool:

@@ -438,6 +438,13 @@ def test_exit_code_three_on_domain_errors():
     assert json.loads(err) == {
         "error": "NotQuasiBand", "detail": "a trivial word has no cyclic reading",
     }
+    # a valid frame whose rewrite a.b is no quasi-band
+    code, out, err = run_cli(
+        "degenerate", KRON_FILE, "--band", "a.b^-1", "--mode", "reverse",
+        "--w", "1_1", "--u", "a", "--v", "b^-1",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "NotQuasiBand", "detail": "a.b"}
 
 
 @pytest.mark.parametrize("argv, code, error", [

@@ -245,6 +245,14 @@ def test_reverse_piece_rejects_bad_decompositions():
         reverse_piece(LOOP, parse_word("1_1"), wit.w, wit.u, wit.v)
 
 
+def test_reverse_piece_refuses_a_rewrite_that_is_no_quasi_band():
+    # a.b^-1 over kronecker is the frame w.u.w^-1.v with w trivial, u = a and
+    # v = b^-1, but the rewrite w.u.w^-1.v^-1 is a.b, and b ends at 2 where
+    # a does not start
+    with pytest.raises(NotQuasiBand, match=r"^a\.b$"):
+        reverse_piece(KRON, parse_word("a.b^-1"), parse_word("1_1"), parse_word("a"), parse_word("b^-1"))
+
+
 def test_split_band_revalidates_the_witness():
     B5b = canonical_class(GP33, parse_word("b.a^-1.b.b.a^-1"))
     wit = negligible(GP33, B5b)

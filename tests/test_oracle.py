@@ -35,7 +35,7 @@ from stringbands import (
     syzygy,
 )
 from stringbands import oracle
-from stringbands.oracle import _echelon, _integral, _kernel, _line_kernel, _row_rank, _validate
+from stringbands.oracle import _echelon, _integral, _kernel, _line_kernel, _row_rank
 from stringbands.words import trivial_word
 
 TWO = Fraction(2)
@@ -133,7 +133,7 @@ def test_oracle_caches_stay_inspectable():
     # the projective cover is kept per tuple of tops: the strings a and b
     # both have the one top at vertex 1, and share one P0 object.  The cover
     # keeps the projective words, P0 (with one top, the realized word itself:
-    # a direct sum of one module is that module) and P0's line maps; the word
+    # a direct sum of one module is that module) and P0's columns; the word
     # is kept per vertex
     P_a, _ = syzygy(realize_string(spec, parse_word("a")))
     P_b, _ = syzygy(realize_string(spec, parse_word("b")))
@@ -141,7 +141,7 @@ def test_oracle_caches_stay_inspectable():
     words, P0, maps = spec.kept[oracle._projective_cover][(("1",),)]
     assert P0 is P_a and P0 is realize_string(spec, words[0]) is direct_sum(P0)
     assert spec.kept[projective_word] == {("1",): words[0]} and format_word(words[0]) == "a.b^-1"
-    assert maps == {"a": {1: (0, 1)}, "b": {1: (2, 1)}} == oracle._line_maps(P0)
+    assert maps == {"a": {1: [(0, 1)]}, "b": {1: [(2, 1)]}} == oracle._columns(P0)
 
 
 def test_an_algebra_is_freed_with_its_oracle_answers():
@@ -164,7 +164,7 @@ def test_endomorphisms_of_a_long_kronecker_string():
 
 def test_validation_rejects_broken_modules():
     M = realize_string(KRON, parse_word("a"))
-    _validate(M)
+    assert MatrixModule(M.spec, M.vertex_of, M.entries, M.labels) == M
     # entry outside the (target-rows, source-cols) block of b
     with pytest.raises(ValueError, match="leaves its block"):
         MatrixModule(M.spec, M.vertex_of, {**M.entries, "b": [(1, 1, 1)]})
@@ -374,8 +374,8 @@ def test_syzygy_refuses_an_omega_outside_the_variety(by_lines):
     S = realize_string(spec, trivial_word("1"))
     words = (projective_word(spec, "1"),)
     P0 = realize_string(spec, words[0])
-    maps = {**oracle._line_maps(P0), "y": {1: (2, 1), 4: (5, 1)}}
-    assert oracle._line_maps(P0)["y"] == {1: (0, 1), 4: (5, 1)}
+    maps = {**oracle._columns(P0), "y": {1: [(2, 1)], 4: [(5, 1)]}}
+    assert oracle._columns(P0)["y"] == {1: [(0, 1)], 4: [(5, 1)]}
     spec.kept[oracle._projective_cover] = {(("1",),): (words, P0, maps)}
     with pytest.raises(ValueError, match="^matrix of y leaves its block$"):
         oracle._presentation(S, by_lines)
@@ -486,7 +486,7 @@ def test_hom_and_ext_are_additive_over_direct_sums(triple):
 @given(module_triple())
 def test_realized_modules_pass_validation(triple):
     for M in triple:
-        _validate(M)
+        assert MatrixModule(M.spec, M.vertex_of, M.entries, M.labels) == M
 
 
 # band parameters of the benchmark pool, with small integers around them
@@ -556,12 +556,13 @@ def test_unit_rows_settle_before_elimination(rows):
 
 def test_a_module_with_its_integer_table_still_equals_a_fresh_one():
     X = realize_band(GP33, parse_word("a.a.b^-1.b^-1"), Fraction(2, 3))
-    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2); rank_sum reads its
-    # rows and the echelon syzygy its columns, each scaled to integers on its
-    # own.  X has one entry per line, so its own syzygy reads the line table
+    # X(b) has the entries 3/2 at (0, 3) and 1 at (3, 2); rank_sum and both
+    # syzygy paths read its columns, an integral value as an int.  X has one
+    # entry per line, so its own syzygy reads the line table
     assert X.entries["b"] == ((0, 3, Fraction(3, 2)), (3, 2, 1))
-    assert oracle._integer_lines(X.entries["b"], 0) == [{3: 3}, {2: 1}]
-    assert oracle._integer_lines(X.entries["b"], 1) == [{0: 3}, {3: 1}]
+    cols = oracle._columns(X)["b"]
+    assert cols == {3: [(0, Fraction(3, 2))], 2: [(3, 1)]}
+    assert [type(x) for pairs in cols.values() for _, x in pairs] == [Fraction, int]
     # and build no view on X
     views = set(X.__dict__) | {"_hash"}
     assert rank_sum(X) == 4 and [M.dim for M in syzygy(X)] == [5, 1]
@@ -734,6 +735,40 @@ def test_conjugated_modules_reach_beyond_one_entry_per_column():
     assert M != N and dim_hom(N, M) == dim_hom(M, M) and dim_ext1(N, N) == dim_ext1(M, M)
 
 
+def dense_rank(matrix):
+    """The rank of a dense matrix of Fractions, by Gauss-Jordan elimination."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for c in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r, row in enumerate(rows):
+            if r != rank and row[c]:
+                f = row[c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_rank_sum_matches_a_dense_elimination(name):
+    # the conjugated pool, two changes of basis per module: several entries
+    # per column, values that are not integers, and columns that are nonzero
+    # but dependent, so counting nonzero columns is not ranking them
+    wide = False
+    for M in conjugation_pool(name):
+        for lower in (LOWER * 3, LOWER[::-1] * 3):
+            N = conjugate(M, lower)
+            ranks = [dense_rank(m) for _, m in N.mats]
+            assert rank_sum(N) == sum(ranks) and is_regular(N) == (sum(ranks) == N.dim)
+            wide |= any(
+                len({j for _, j, _ in cells}) > r for cells, r in zip(N.entries.values(), ranks)
+            )
+    assert wide
+
+
 def test_an_unknown_on_both_sides_of_an_equation_cancels():
     # the loop a acts on M by [[1, 1], [-1, -1]], so the equation (0, 0) of
     # Hom(M, M) has f[0][0] on both sides; M is isomorphic to M(a)
@@ -874,7 +909,7 @@ def typed(M):
 
 
 def typed_maps(maps):
-    return {a: {j: (k, type(x), x) for j, (k, x) in m.items()} for a, m in maps.items()}
+    return {a: {j: [(k, type(x), x) for k, x in pairs] for j, pairs in m.items()} for a, m in maps.items()}
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -894,9 +929,9 @@ def test_the_kept_cover_does_not_depend_on_the_call_order(name):
     covers = [spec.kept[oracle._projective_cover] for spec in copies]
     assert set(covers[0]) == set(covers[1])
     # every kept cover is only read: its words are the projectives at its
-    # tops, and its maps are still those of a fresh read of P0's line table
+    # tops, and its maps are still those of a fresh read of P0's columns
     for spec, kept in zip(copies, covers):
         for (tops,), (words, P0, maps) in kept.items():
             assert words == tuple(projective_word(spec, v) for v in tops)
             assert P0 == direct_sum(*(realize_string(spec, w) for w in words)) and P0.one_entry_per_line
-            assert typed_maps(maps) == typed_maps(oracle._line_maps(P0))
+            assert typed_maps(maps) == typed_maps(oracle._columns(P0))

@@ -101,6 +101,8 @@ def test_word_endpoints_on_kronecker():
 def test_left_divisors_ascend_from_trivial():
     divs = left_divisors(KRON, parse_word("a.b^-1"))
     assert [format_word(d) for d in divs] == ["1_2", "a", "a.b^-1"]
+    # a trivial word is its own one left divisor
+    assert left_divisors(KRON, trivial_word("1")) == [trivial_word("1")]
 
 
 def test_concat_joins_words_and_checks_endpoints():
