@@ -23,9 +23,10 @@ table and the flag are views of entries, like dim, the vertex blocks
 one_entry_per_line, as realized strings and bands do, each equation of
 dim_hom ties at most two unknowns, and dim_hom reads the answer off the
 two line tables: an unknown that no pair of same-arrow edges touches is
-free exactly at a top of X and a socle vector of Y, and a union-find over
-those pairs links the rest, each unknown getting one mask test when first
-met.  Any other pair has its equations read off entries (_row_rank), which
+free exactly at a top of X and a socle vector of Y, and each pair is an
+equation whose two ends get the mask test: one dead end zeroes its partner
+without a union, two are skipped, and a union-find links the pairs of live
+ends.  Any other pair has its equations read off entries (_row_rank), which
 shares only entries and _echelon with the union-find the tests check
 against it.  _echelon, a loop over the fraction-free _reduce, eliminates an
 integer row at a time against the gcd-normalised pivot rows found so far:
@@ -383,14 +384,17 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     x f[i][k] = y f[h][j] for an edge j -> k of X and an edge h -> i of Y of
     one arrow, or has one side and zeroes its unknown, and the answer is read
     off the two line tables.  An unknown that no such pair of edges touches is
-    free exactly when k is a top of X and i a socle vector of Y.  A union-find
-    by size over the pairs of edges keeps f_v = a/b f_parent with integers
-    a, b, and gives each touched unknown one mask test, on first sight: it is
-    zero when an arrow reaches k in X but not i in Y, or leaves i in Y but not
-    k in X, that is when the mask of k is no submask of that of i.  Each
-    touched component is one free scalar unless it holds a zeroed unknown or
-    an inconsistent cycle, their roots taken at the end.  Any other
-    pair is ranked by _row_rank."""
+    free exactly when k is a top of X and i a socle vector of Y.  Each pair of
+    edges tests the masks of both its ends: f[i][k] is dead, zero by a
+    one-sided equation, when an arrow reaches k in X but not i in Y, or
+    leaves i in Y but not k in X, that is when the mask of k is no submask
+    of that of i.  One dead end zeroes its partner without a union, and two
+    dead ends add nothing.  A union-find by size over the pairs of live ends
+    keeps f_v = a/b f_parent with integers a, b, so it spans live unknowns
+    only.  Each of its components is one free scalar unless it holds a
+    zeroed unknown or an inconsistent cycle, their roots taken at the end; a
+    zeroed unknown outside it is no component.  Any other pair is ranked by
+    _row_rank."""
     if X.spec is not Y.spec and X.spec != Y.spec:
         raise SpecMismatch("modules over different algebras")
     if not (X.one_entry_per_line and Y.one_entry_per_line):
@@ -405,20 +409,33 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
     # the unknown f[i][k] is k * w + i: the pairs of one edge of X walk
     # the edges of Y in order and meet nearby numbers
     w = len(ym)
-    up: dict[int, tuple[int, int, int]] = {}  # v -> (parent, a, b): f_v = a/b f_parent
-    size: dict[int, int] = {}  # each touched root's component size
+    up: dict[int, tuple[int, int, int]] = {}  # live v -> (parent, a, b): f_v = a/b f_parent
+    size: dict[int, int] = {}  # each live root's component size
     zero: list[int] = []
     for n, (dx, xedges) in xa.items():
         yarrow = ya.get(n)
         if yarrow is None:
             continue
         dy, yedges = yarrow
-        d = lcm(dx, dy)
-        sx, sy = d // dx, d // dy
+        if dx == dy:
+            sx = sy = 1
+        else:
+            d = lcm(dx, dy)
+            sx, sy = d // dx, d // dy
         for j, k, nx in xedges:
-            sn = sx * nx
+            sn, mk, mj = sx * nx, xm[k], xm[j]
             for h, i, m in yedges:
-                p, q, x, y = k * w + i, j * w + h, sn, sy * m
+                p, q = k * w + i, j * w + h
+                # a dead end has a one-sided equation and is zero, and so is
+                # its partner; neither enters the union-find
+                if mk & ~ym[i]:
+                    if not mj & ~ym[h]:
+                        zero.append(q)
+                    continue
+                if mj & ~ym[h]:
+                    zero.append(p)
+                    continue
+                x, y = sn, sy * m
                 while p in up:  # to the roots, keeping x f_p = y f_q
                     p, a, b = up[p]
                     x *= a
@@ -427,11 +444,7 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
                     q, a, b = up[q]
                     y *= a
                     x *= b
-                sp = size.pop(p, 0)
-                if not sp:  # first sight of f[i][k]
-                    sp = 1
-                    if xm[k] & ~ym[i]:
-                        zero.append(p)
+                sp = size.pop(p, 1)
                 # a closed cycle, or a loop acting diagonally on both modules
                 # that ties f[i][k] to itself: one unknown, counted once
                 if p == q:
@@ -439,11 +452,7 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
                     if x != y:  # an inconsistent cycle
                         zero.append(p)
                     continue
-                sq = size.pop(q, 0)
-                if not sq:  # first sight of f[h][j]
-                    sq = 1
-                    if xm[j] & ~ym[h]:
-                        zero.append(q)
+                sq = size.pop(q, 1)
                 if sp > sq:  # hang the smaller component under the larger
                     p, q, x, y = q, p, y, x
                 if x == y:  # a unit ratio needs no gcd
@@ -457,7 +466,8 @@ def dim_hom(X: MatrixModule, Y: MatrixModule) -> int:
         while v in up:
             v = up[v][0]
         roots.add(v)
-    return free + len(size) - len(roots)
+    # a zeroed partner that no live equation touched is no component
+    return free + len(size) - len(roots & size.keys())
 
 
 def _row_rank(X: MatrixModule, Y: MatrixModule) -> int:

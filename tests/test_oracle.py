@@ -637,12 +637,73 @@ def test_a_zeroed_unknown_zeroes_its_touched_component():
     X = realize_string(KRON, parse_word("a"))
     Y = realize_string(KRON, parse_word("a.b^-1"))
     # X is x1 -a-> x0 and Y is y1 -a-> y0, y1 -b-> y2.  The edges of a tie
-    # f[0][0] to f[1][1]; b leaves y1 in Y but not x1 in X, so the mask test
-    # zeroes f[1][1] and with it the component.  f[2][0] is touched by no
-    # pair, and x0 is no top of X
+    # f[0][0] to f[1][1]; b leaves y1 in Y but not x1 in X, so f[1][1] fails
+    # the mask test: a dead end, which zeroes its partner f[0][0] without a
+    # union.  No equation with two live ends meets f[0][0], so it is no
+    # component.  f[2][0] is touched by no pair, and x0 is no top of X
     assert X.lines[3].keys() & Y.lines[3].keys() == {0}
     assert dim_hom(X, Y) == unknowns(X, Y) - _row_rank(X, Y) == 0
     assert dim_hom(Y, X) == 1
+
+
+# two sources, two sinks and a path: 1 -a-> 2 -d-> 4 <-g- 5 and 1 -c-> 3
+FORK = parse_algebra(
+    "vertex 1 2 3 4 5\narrow a : 1 -> 2\narrow c : 1 -> 3\narrow d : 2 -> 4\narrow g : 5 -> 4\n"
+)
+
+
+def line_module(vertex_of, **edges):
+    """A module over FORK with basis vectors at vertex_of and, for each arrow,
+    its edges (j, k, x): the arrow takes basis vector j to x times k."""
+    cells = {a: [(k, j, x) for j, k, x in es] for a, es in edges.items()}
+    return MatrixModule(FORK, tuple(vertex_of), cells)
+
+
+def assert_hom_by_lines(X, Y, expected):
+    assert_the_union_find_matches_the_elimination(X, Y)
+    assert dim_hom(X, Y) == expected
+
+
+def test_a_dead_k_end_zeroes_its_live_partner_and_its_component():
+    # X is x1 -a-> x2, x1 -c-> x3 and Y is y1 -a-> y2 -d-> y4, y1 -c-> y3.
+    # The a-equation ties f[y2][x2] to f[y1][x1]; d leaves y2 in Y but not x2
+    # in X, so its k-end is dead and zeroes f[y1][x1], which the c-equation
+    # joins to the live f[y3][x3]: that component holds no free scalar
+    X = line_module("123", a=[(0, 1, 2)], c=[(0, 2, 1)])
+    Y = line_module("1243", a=[(0, 1, 1)], d=[(1, 2, 3)], c=[(0, 3, Fraction(1, 2))])
+    assert_hom_by_lines(X, Y, 0)
+    assert_hom_by_lines(Y, X, 1)
+
+
+def test_a_dead_j_end_zeroes_its_live_partner_and_its_component():
+    # X is x1 -a-> x2 -d-> x4 <-g- x5 and Y is y2 -d-> y4 <-g- y5.  The
+    # d-equation ties f[y4][x4] to f[y2][x2]; a reaches x2 in X but not y2
+    # in Y, so its j-end is dead and zeroes f[y4][x4], which the g-equation
+    # joins to the live f[y5][x5]: that component holds no free scalar
+    X = line_module("1245", a=[(0, 1, 1)], d=[(1, 2, -1)], g=[(3, 2, 2)])
+    Y = line_module("245", d=[(0, 1, 1)], g=[(2, 1, 3)])
+    assert_hom_by_lines(X, Y, 0)
+    assert_hom_by_lines(Y, X, 1)
+
+
+def test_an_equation_with_two_dead_ends_adds_nothing():
+    # X is x1 -a-> x2 plus x3 alone and Y is y1 -a-> y2 -d-> y4, y1 -c-> y3.
+    # The a-equation ties f[y2][x2], which d leaves in Y but not in X, to
+    # f[y1][x1], which c leaves in Y but not in X: both dead, so it is
+    # skipped.  Only the top x3 against the socle y3 is free
+    X = line_module("123", a=[(0, 1, 1)])
+    Y = line_module("1243", a=[(0, 1, 1)], d=[(1, 2, 1)], c=[(0, 3, 1)])
+    assert_hom_by_lines(X, Y, 1)
+
+
+def test_a_zeroed_partner_that_no_live_equation_touches_is_no_component():
+    # X is x1 -a-> x2 plus x3 alone and Y is y1 -a-> y2 -d-> y4 plus y3
+    # alone.  The dead f[y2][x2] zeroes f[y1][x1], which meets no equation
+    # with two live ends, so there is no component to take away from the
+    # one free unknown f[y3][x3]
+    X = line_module("123", a=[(0, 1, 1)])
+    Y = line_module("1243", a=[(0, 1, 1)], d=[(1, 2, 1)])
+    assert_hom_by_lines(X, Y, 1)
 
 
 def test_without_a_same_arrow_edge_pair_hom_counts_tops_against_socles():
@@ -786,20 +847,20 @@ def assert_the_union_find_matches_the_elimination(X, Y):
 
 
 # every module the hom-grid and ext-survey workloads give dim_hom: strings
-# <= 4 and bands <= 6 at three parameters, one negative and one not an
+# <= 4 and bands <= 7 at three parameters, one negative and one not an
 # integer, with each module's projective cover and syzygy
 @functools.cache
 def linked_pool(name):
     spec = ALL[name]
     mods = [realize_string(spec, w) for w in enumerate_strings(spec, 4)]
-    mods += [realize_band(spec, B, lam) for B in enumerate_bands(spec, 6)
+    mods += [realize_band(spec, B, lam) for B in enumerate_bands(spec, 7)
              for lam in (TWO, -1, Fraction(2, 3))]
     return list(dict.fromkeys(mods + [M for X in mods for M in syzygy(X)]))
 
 
 def test_realized_modules_and_their_syzygies_have_one_entry_per_line():
-    # 173 distinct modules, so 10,027 ordered pairs within a fixture
-    assert sum(len(linked_pool(name)) for name in ALL) == 173
+    # 190 distinct modules, so 13,002 ordered pairs within a fixture
+    assert sum(len(linked_pool(name)) for name in ALL) == 190
     for mods in map(linked_pool, ALL):
         assert all(M.one_entry_per_line for M in mods)
     N = conjugate(realize_band(GP33, parse_word("a.a.b^-1.b^-1"), TWO), (1, 1))
