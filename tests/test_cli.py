@@ -90,17 +90,40 @@ def test_enumerate_bands_payload():
     assert doc["result"]["count"] == 8
 
 
+FIXTURES = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.alg"))
+
+
+def golden(name):
+    return [line.split() for line in (ROOT / "tests" / name).read_text().splitlines()]
+
+
+# sha256 of the whole stdout of `validate <fixture>`, one line per fixture;
+# the CI console-script step checks the installed entry point against the
+# same file
+VALIDATE_DIGESTS = golden("validate_digests.txt")
+
+
+def test_validate_digests_cover_every_fixture():
+    assert sorted(f for f, _ in VALIDATE_DIGESTS) == FIXTURES
+
+
+@pytest.mark.parametrize("path, digest", VALIDATE_DIGESTS)
+def test_validate_output_matches_its_golden_digest(path, digest):
+    code, out, err = run_cli("validate", path)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the whole stdout of `enumerate <fixture> <kind> --max-len <n>`,
-# one line per fixture and kind; the CI console-script step checks the
-# installed entry point against the same file
-DIGEST_FILE = ROOT / "tests" / "enumerate_digests.txt"
-DIGESTS = [line.split() for line in DIGEST_FILE.read_text().splitlines()]
+# one line per fixture and kind, strings to 8 letters and bands to period
+# 10; the CI console-script step checks both entry points against the same
+# file
+DIGESTS = golden("enumerate_digests.txt")
 
 
 def test_enumerate_digests_cover_every_fixture():
-    fixtures = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.alg"))
-    assert sorted((f, kind) for f, kind, _, _ in DIGESTS) == [
-        (f, kind) for f in fixtures for kind in ("bands", "strings")
+    assert sorted((f, kind, n) for f, kind, n, _ in DIGESTS) == [
+        (f, kind, n) for f in FIXTURES for kind, n in (("bands", "10"), ("strings", "8"))
     ]
 
 
@@ -585,14 +608,14 @@ def test_component_survey_script_runs():
     assert "unordered pairs" in proc.stdout
 
 
-SURVEY_DIGESTS = [
-    line.split() for line in (ROOT / "tests" / "survey_digests.txt").read_text().splitlines()
-]
+# sha256 of the whole stdout of `component_survey.py <fixture> --max-period 8
+# --pairs`, singles and pairs of every band class, one line per fixture; a
+# crash, a refused fixture or another verdict or witness fails the test
+SURVEY_DIGESTS = golden("survey_digests.txt")
 
 
 def test_survey_digests_cover_every_fixture():
-    fixtures = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "fixtures").glob("*.alg"))
-    assert sorted(f for f, _, _ in SURVEY_DIGESTS) == fixtures
+    assert sorted((f, n) for f, n, _ in SURVEY_DIGESTS) == [(f, "8") for f in FIXTURES]
 
 
 @pytest.mark.parametrize("path, max_period, digest", SURVEY_DIGESTS)
