@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PY = sys.executable
 CACHE = re.compile(r"lru_cache|functools\.cache\b|functools import.*\bcache\b")
+NAMED_TUPLE = re.compile(r"\bNamedTuple\b")
 IN_PROCESS = ("hom-grid", "hom-counts", "ext-survey")
 COUNTERS = ("dim_hom_calls", "unknowns_total", "rank_total", "module_nnz")
 
@@ -88,6 +89,9 @@ def source_size(root):
 
     Every memo is kept on its algebra object (words.keep); a module-level
     cache would keep every algebra it ever saw alive, so one fails the step.
+    So does typing.NamedTuple anywhere in src/: every import of the package
+    would compile one ForwardRef per field of such a class, so record types
+    are collections.namedtuple.
     So does dead code: a top-level private name that no code in src/ outside
     its own definition reads (as a name or an attribute, by the AST, so a
     mention in a docstring or comment does not count), or a public one that
@@ -113,10 +117,15 @@ def source_size(root):
     checked(root, "-c", "import types, stringbands; print('public names:', sum(not n.startswith('_')"
                         " and not isinstance(v, types.ModuleType) for n, v in vars(stringbands).items()))")
 
-    caches = [f"{path.relative_to(root)}:{i}" for path in sorted((root / "src").rglob("*.py"))
-              for i, line in enumerate(path.read_text().splitlines(), 1) if CACHE.search(line)]
-    if caches:
-        raise Fail(f"a module-level cache at {', '.join(caches)}; keep the answers on the algebra (words.keep)")
+    def lines_matching(pattern):
+        return ", ".join(f"{path.relative_to(root)}:{i}" for path in sorted((root / "src").rglob("*.py"))
+                         for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line))
+
+    if caches := lines_matching(CACHE):
+        raise Fail(f"a module-level cache at {caches}; keep the answers on the algebra (words.keep)")
+    if named := lines_matching(NAMED_TUPLE):
+        raise Fail(f"NamedTuple at {named}; every import compiles one ForwardRef per field of such a"
+                   " class, so define record types with collections.namedtuple")
 
     src_reads = {p: list(reads(t)) for p, t in trees.items()}
     users = Counter(name for d in ("scripts", "bench") for p in sorted((root / d).rglob("*.py"))

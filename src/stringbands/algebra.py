@@ -13,18 +13,16 @@ run on presentations that need not be string algebras.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
 from itertools import takewhile
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InvalidAlgebra, ParseError
 from .words import Letter, Word, _Frozen, keep, letter_source, letter_target, trivial_word
 
 
-class ArrowDecl(NamedTuple):
-    name: str
-    source: str
-    target: str
+ArrowDecl = namedtuple("ArrowDecl", "name source target")
 
 
 class StringWindows(dict):
@@ -225,20 +223,22 @@ def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:
     return spec.path_in_ideal(path)
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(
+    namedtuple(
+        "ValidationReport",
+        "valid violations quadratic admissibility_bound redundant_relations",
+    )
+):
     """Outcome of the axiom check.
 
+    violations holds one (kind, detail) pair of strings per failed axiom.
     admissibility_bound is the least N with every path of length N in the
     ideal, or None when no such N exists.  redundant_relations lists
     generators that contain a shorter generator as a factor; they are
     harmless but contribute nothing.
     """
 
-    valid: bool
-    violations: tuple[tuple[str, str], ...]
-    quadratic: bool
-    admissibility_bound: int | None
-    redundant_relations: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
 
 def _before(spec: AlgebraSpec, path: tuple[str, ...]) -> list[tuple[str, ...]]:

@@ -269,12 +269,21 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
     w is below every other rotation of itself (so it is also primitive) and
     at most every rotation of its inverse-reversal.  Such a w is a band
     exactly when its letters have mixed directions and its seam glues: it
-    is already a string, so no other window needs a check."""
+    is already a string, so no other window needs a check.
+
+    A canonical w starts with its least code, and that code is an arrow's
+    (even): a rotation starting at a lower code would read lower, and an
+    inverse letter w[0] puts w[0] ^ 1 = w[0] - 1 into the inverse-reversal,
+    whose rotation starting there reads lower.  So a w failing this first-code
+    test is dropped before its 2m rotations are built; the full test decides
+    the rest, and the list is the same."""
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     out: list[BandClass] = []
     for m, frontier in zip(range(1, max_len + 1), string_frontiers(spec)):
         for w in frontier:
+            if w[0] & 1 or w[0] != min(w):
+                continue
             rots = _code_rotations(w)
             # the rotations of w after w itself, then those of its inverse
             if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):

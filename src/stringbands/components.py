@@ -16,8 +16,9 @@ replays code the rotations they are given and run the same step.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, product
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .algebra import gentle_vertices
 from .bands import (
@@ -56,52 +57,25 @@ IS_COMPONENT = "IsComponent"
 NOT_COMPONENT = "NotComponent"
 UNKNOWN = "Unknown"
 
-
-class ExtendabilityWitness(NamedTuple):
-    rot_b: QuasiBand
-    rot_c: QuasiBand
-    w: Word
-    beta: str
-    delta: str
-    d: QuasiBand
-
-
-class Case1Witness(NamedTuple):
-    rot: QuasiBand
-    n: int
-    w: Word
-    pieces: tuple[QuasiBand, QuasiBand]
-
-
-class Case2Witness(NamedTuple):
-    rot: QuasiBand
-    w: Word
-    u: Word
-    v: Word
-    reversed_band: QuasiBand
-
-
+# In the witnesses, rot, rot_b, rot_c, reversed_band and an extension's
+# glued d are QuasiBands, and pieces is a pair of them; w, u, v and a
+# quadratic d are Words; alpha to delta are arrow names; n is a split position.
+ExtendabilityWitness = namedtuple("ExtendabilityWitness", "rot_b rot_c w beta delta d")
+Case1Witness = namedtuple("Case1Witness", "rot n w pieces")
+Case2Witness = namedtuple("Case2Witness", "rot w u v reversed_band")
 NegligibilityWitness = Union[Case1Witness, Case2Witness]
 Witness = Union[ExtendabilityWitness, Case1Witness, Case2Witness]
+QuadraticWitness = namedtuple("QuadraticWitness", "d alpha beta gamma delta")
 
 
-class QuadraticWitness(NamedTuple):
-    d: Word
-    alpha: str
-    beta: str
-    gamma: str
-    delta: str
-
-
-class ComponentVerdict(NamedTuple):
+class ComponentVerdict(
+    namedtuple("ComponentVerdict", "status reasons dimension witnesses", defaults=(None, ()))
+):
     """witnesses pairs each refutation, in the order of reasons, with the
     indices it concerns: (x, y) for an extendable ordered pair and (i,) for
-    a negligible class."""
+    a negligible class.  dimension is an int or None."""
 
-    status: str
-    reasons: tuple[str, ...]
-    dimension: int | None = None
-    witnesses: tuple[tuple[tuple[int, ...], Witness], ...] = ()
+    __slots__ = ()
 
 
 def _fork(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[int]:

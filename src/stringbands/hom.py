@@ -14,8 +14,7 @@ each middle's inversion class in the algebra's one `words.middle_trie`.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .bands import BandClass, band_id_tally, canonical_class
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
@@ -111,13 +110,13 @@ def family_rank(spec, alpha: str, S: BandSequence) -> int:
     return sum(l.arrow == alpha for B in S.classes for l in B.letters)
 
 
-class SeparationWitness(NamedTuple):
-    word: Word
-    counts: tuple[int, int, int, int]
+SeparationWitness = namedtuple("SeparationWitness", "word counts")
 
 
 def find_separating_string(spec, S: BandSequence, T: BandSequence, max_len: int):
-    """First string (length-lexicographic) whose counts tell S and T apart.
+    """First string (length-lexicographic) whose counts tell S and T apart:
+    a SeparationWitness of the string c and its counts
+    (`seq_count_into` c to S and to T, `seq_count_from` S and T to c).
 
     None when the sequences agree as multisets, or when no witness shows up
     within the length bound.

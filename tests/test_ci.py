@@ -43,6 +43,21 @@ def test_source_size_fails_on_a_module_level_cache(tmp_path):
         ci.source_size(root)
 
 
+def test_source_size_fails_on_a_typing_named_tuple(tmp_path):
+    root = copy_of(tmp_path, "src", "scripts", "bench")
+    line = plant(root / "src/stringbands/hom.py", (
+        "from typing import NamedTuple\n"
+        "class Planted(NamedTuple):\n"
+        "    n: int\n"
+    ))
+    with pytest.raises(ci.Fail) as info:
+        ci.source_size(root)
+    assert str(info.value).startswith(
+        f"NamedTuple at src/stringbands/hom.py:{line}, src/stringbands/hom.py:{line + 1}; "
+        "every import compiles one ForwardRef per field"
+    )
+
+
 def test_source_size_fails_on_dead_definitions(tmp_path):
     # source_size is a name only scripts/ci.py reads, and that read keeps no
     # public name of the package alive
