@@ -92,6 +92,10 @@ def source_size(root):
     So does typing.NamedTuple anywhere in src/: every import of the package
     would compile one ForwardRef per field of such a class, so record types
     are collections.namedtuple.
+    So does an import below module level in src/ (by the AST): an import on
+    first use binds whatever module sys.modules holds at that moment, so
+    after a re-import of the package an object made before it would read
+    the new module's classes.
     So does dead code: a top-level private name that no code in src/ outside
     its own definition reads (as a name or an attribute, by the AST, so a
     mention in a docstring or comment does not count), or a public one that
@@ -126,6 +130,13 @@ def source_size(root):
     if named := lines_matching(NAMED_TUPLE):
         raise Fail(f"NamedTuple at {named}; every import compiles one ForwardRef per field of such a"
                    " class, so define record types with collections.namedtuple")
+
+    nested = sorted({(str(path), n.lineno) for path, tree in trees.items() for scope in ast.walk(tree)
+                     if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     for n in ast.walk(scope) if isinstance(n, (ast.Import, ast.ImportFrom))})
+    if nested:
+        raise Fail(f"an import below module level at {', '.join(f'{p}:{i}' for p, i in nested)}; an import on"
+                   " first use binds whatever module sys.modules holds then, so import at module level")
 
     src_reads = {p: list(reads(t)) for p, t in trees.items()}
     users = Counter(name for d in ("scripts", "bench") for p in sorted((root / d).rglob("*.py"))

@@ -16,7 +16,10 @@ Each line gives the count and the milliseconds of the count, of dim_hom and
 of syzygy of the realized modules, each cold (realizing the modules is not
 timed); a string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
-of extendable_quadratic.  Exit status 1 when a count differs from dim_hom,
+of extendable_quadratic.  Under each line, what counting kept on the
+algebra object: its trie's nodes, and its kept string and band tallies with
+the ids they hold (nothing gates on these).  Exit status 1 when a count
+differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
 other way round, when a syzygy read off the line table differs from the
 one found by elimination, or when the columns a kept projective cover
@@ -46,6 +49,7 @@ from stringbands import (
     realize_string,
     syzygy,
 )
+from stringbands.bands import band_id_tally
 from stringbands.cli import run
 from stringbands.oracle import _columns, _presentation, _projective_cover
 
@@ -63,7 +67,7 @@ def string_case(n: int):
     spec = load_algebra(DUMBBELL)
     w = parse_word(".".join([P] * (n // 4)))
     X = realize_string(spec, w)
-    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X), None
+    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X), spec, None
 
 
 def band_case(k: int):
@@ -71,7 +75,16 @@ def band_case(k: int):
     B = canonical_class(spec, parse_word(".".join([P] * k + [Q])))
     C = canonical_class(spec, parse_word(".".join([Q] * k + [P])))
     modules = (realize_band(spec, B, 2), realize_band(spec, C, 3))
-    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules, (spec, B, C)
+    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules, spec, (spec, B, C)
+
+
+def kept(spec) -> str:
+    """The string and band tallies the algebra object keeps, each side
+    counted as entries and the ids they hold."""
+    strings = [*spec.fac_tallies.values(), *spec.sub_tallies.values()]
+    bands = [ids for _, ids in spec.kept.get(band_id_tally, {}).values()]
+    return ", ".join(f"{len(t)} {kind} tallies ({sum(map(len, t))} ids)"
+                     for kind, t in (("string", strings), ("band", bands)))
 
 
 def main(argv=None):
@@ -84,7 +97,7 @@ def main(argv=None):
     bad = 0
     before = None  # (n, counted seconds) of the string size before
     for make, size in cases:
-        label, count, modules, pair = make(size)
+        label, count, modules, spec, pair = make(size)
         counted, counted_s = timed(count)
         oracle, oracle_s = timed(lambda: dim_hom(*modules))
         distinct = list(dict.fromkeys(modules))
@@ -111,6 +124,7 @@ def main(argv=None):
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
+        print(f"{'':<16} kept: trie {len(spec.middle_trie.child) + 1} nodes, {kept(spec)}")
     return 1 if bad else 0
 
 

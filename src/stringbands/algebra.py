@@ -19,7 +19,17 @@ from itertools import takewhile
 from typing import Iterable
 
 from .errors import InvalidAlgebra, ParseError
-from .words import Letter, Word, _Frozen, keep, letter_source, letter_target, trivial_word
+from .words import (
+    Letter,
+    MiddleTrie,
+    StringTallies,
+    Word,
+    _Frozen,
+    keep,
+    letter_source,
+    letter_target,
+    trivial_word,
+)
 
 
 ArrowDecl = namedtuple("ArrowDecl", "name source target")
@@ -84,6 +94,13 @@ class AlgebraSpec(_Frozen):
     Declaration order is part of the data: enumeration, canonical forms and
     witness searches all break ties by it, so two presentations that differ
     only in ordering are distinct specs.
+
+    What the object computes is kept on it, outside its value, and made
+    with it, so a copy or unpickled spec starts empty: kept, what
+    `words.keep` and `bands.band_id_tally` computed; string_windows, the
+    string test (`StringWindows`); middle_trie, the ids of every middle
+    word the tallies read (`words.MiddleTrie`); fac_tallies and
+    sub_tallies, the kept string tallies (`words.StringTallies`).
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -127,6 +144,12 @@ class AlgebraSpec(_Frozen):
             for i in range(len(rel) - 1):
                 if self.arrow_source(rel[i]) != self.arrow_target(rel[i + 1]):
                     raise ParseError(f"relation {disp!r} is not a composable path")
+        # made here, not on first use, so threads sharing the object share one of each
+        object.__setattr__(self, "kept", {})
+        object.__setattr__(self, "string_windows", StringWindows(self))
+        object.__setattr__(self, "middle_trie", MiddleTrie(self))
+        object.__setattr__(self, "fac_tallies", StringTallies(self, False))
+        object.__setattr__(self, "sub_tallies", StringTallies(self, True))
 
     @cached_property
     def _hash(self) -> int:
@@ -205,13 +228,6 @@ class AlgebraSpec(_Frozen):
             for rel in self.relations
             for i in range(len(path) - len(rel) + 1)
         )
-
-    string_windows = cached_property(StringWindows)
-
-    @cached_property
-    def kept(self) -> dict:
-        """What `words.keep` computed for this object; not in its value, so copies start empty."""
-        return {}
 
 
 def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:

@@ -3,9 +3,11 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 
 The sub and fac counts are band tallies: `words.id_tally` read cyclically,
 the same fold over `words.flanked` that strings use, keyed by the ids of
-the same `words.middle_trie`.  One tally per letter tuple and side is kept
-on the algebra, scanned to a power of two (`_scan_cap`) and grown only when
-a pairing reaches further, so it holds every middle any pairing shares.
+the same trie (`AlgebraSpec.middle_trie`).  One tally per letter tuple and
+side is kept on the algebra, in spec.kept[band_id_tally] (the string
+tallies have tables of their own, `words.StringTallies`), scanned to a
+power of two (`_scan_cap`) and grown only when a pairing reaches further,
+so it holds every middle any pairing shares.
 Every count, `dimension_vector`, `is_band` and `canonical_class` read a
 cyclic word through `_checked`, the one place that refuses a word that is
 no quasi-band, and `_primitive` is the one test that it is no proper power.

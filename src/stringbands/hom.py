@@ -9,7 +9,10 @@ definition, so the four formulas are one pairing of a fac tally with a sub
 tally; a band tally is read by its letter tuple to the pairing's reach
 (`bands.band_id_tally`), len(c) against a string c and m+n between bands.
 The tallies paired are id tallies (`words.id_tally`), keyed by the int id of
-each middle's inversion class in the algebra's one `words.middle_trie`.
+each middle's inversion class in the algebra's one `words.MiddleTrie`.  A
+string side is read from the algebra's kept string tallies,
+spec.fac_tallies[c] or spec.sub_tallies[c] (`words.StringTallies`): one
+dict subscript once c has been scanned.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import Counter, namedtuple
 
 from .bands import BandClass, band_id_tally, canonical_class
 from .errors import DimensionMismatch, ParseError, SameModuleMismatch
-from .words import Word, _Frozen, iter_strings, string_id_tally
+from .words import Word, _Frozen, iter_strings
 
 
 class BandSequence(_Frozen):
@@ -61,19 +64,19 @@ def _pair(facs: dict[int, int], subs: dict[int, int]) -> int:
 
 def hom_string_string(spec, c: Word, cp: Word) -> int:
     """dim Hom(M(c), M(c')): fac counts on c against sub counts on c'."""
-    return _pair(string_id_tally(spec, c, False), string_id_tally(spec, cp, True))
+    return _pair(spec.fac_tallies[c], spec.sub_tallies[cp])
 
 
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
     facs = band_id_tally(spec, B.canonical.letters, False, len(c))
-    return _pair(facs, string_id_tally(spec, c, True))
+    return _pair(facs, spec.sub_tallies[c])
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
     subs = band_id_tally(spec, B.canonical.letters, True, len(c))
-    return _pair(string_id_tally(spec, c, False), subs)
+    return _pair(spec.fac_tallies[c], subs)
 
 
 def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:

@@ -10,9 +10,13 @@ substring and factorstring count, on strings here and on bands in `bands`,
 and the quadratic criteria in `components` are folds over it.
 
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
-the id of its middle's inversion class, a node of the one `middle_trie`
-kept on the algebra, so no middle is built as a word.  `count_sub` and
-`count_fac` find d's id by `middle_id`, a walk that never grows the trie.
+the id of its middle's inversion class, a node of the algebra's one
+`MiddleTrie` (`AlgebraSpec.middle_trie`), so no middle is built as a word.
+The string tallies are kept in two read-through tables made with the
+algebra, `AlgebraSpec.fac_tallies` and `.sub_tallies` (`StringTallies`):
+a read is one dict subscript, and only a miss checks and scans the string.
+`count_sub` and `count_fac` read them and find d's id by `middle_id`, a walk
+that never grows the trie.
 
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import wraps
+from itertools import count
 from operator import attrgetter
 
 from .errors import NotAString, ParseError
@@ -255,24 +260,26 @@ _MISSING = object()
 def keep(fn):
     """fn(alg, *args), computed once per algebra object and kept, to be read
     only, in alg.kept[the kept function][args], keyed by the arguments'
-    values.  This is the package's only memo but one, `bands.band_id_tally`,
-    which keeps one grow-only entry per band spelling and side in
-    alg.kept[band_id_tally] itself: every kept answer, the oracle's included
-    (its realizations and `syzygy` keep theirs on the spec of their first
-    module; `dim_hom` keeps nothing), lives on one algebra object and goes
-    with it.  A call that raises keeps nothing; equal algebras that are
-    other objects share nothing.
+    values.  Every kept answer, the oracle's included (its realizations and
+    `syzygy` keep theirs on the spec of their first module; `dim_hom` keeps
+    nothing), lives on one algebra object and goes with it: here, in
+    `bands.band_id_tally`'s grow-only entry per band spelling and side in
+    alg.kept[band_id_tally], or in what the algebra makes with itself, its
+    `MiddleTrie` and its string tallies (`StringTallies`).  A call that
+    raises keeps nothing; equal algebras that are other objects share
+    nothing, and copy.copy(spec) starts with nothing kept.
 
-    What an algebra object keeps grows without a lock, so two threads must
-    not use one object at once: with 4 threads sharing one object and a
-    1e-6 s switch interval, 170 of 10,000 counted homs came out wrong, every
-    one too low.  Each thread takes its own copy.copy(spec), which starts
-    with nothing kept."""
+    Threads of a GIL build may share one algebra object.  Every store is
+    made with the algebra, and each write to one is a single dict operation:
+    an answer is stored by setdefault, so two threads that miss at once may
+    both compute it and both read the one stored first, and the trie grows
+    by an atomic get-or-insert (`id_tally`)."""
 
     @wraps(fn)
     def kept(alg, *args):
         # get, not a subscript: a miss raises no KeyError once fn has kept
-        # an answer on alg
+        # an answer on alg; setdefault, so threads that missed at once read
+        # one answer
         try:
             value = alg.kept[kept].get(args, _MISSING)
         except KeyError:
@@ -286,22 +293,24 @@ def keep(fn):
 
 
 class MiddleTrie:
-    """Every middle word an algebra's tallies have read, one int id each.
+    """Every middle word an algebra's tallies have read, one int id each;
+    the algebra makes its one trie with itself (`AlgebraSpec.middle_trie`).
 
     Letters are the algebra's codes (`AlgebraSpec.code_letters`), so
     code ^ 1 is the inverse letter.  Node 0 is the empty word, and the
     child of node w by code c, grown on first use, is the word w.c: one
-    letter longer on the right, and takes the next free id.  Only
+    letter longer on the right, and takes the next id of ids.  Only
     `id_tally` grows it, one letter at a time.  A trivial middle has no
     node: its id is -1 - i at vertex i, and source_ids[c] and target_ids[c]
     are those of the vertices at code c's source and target."""
 
-    __slots__ = ("width", "child", "source_ids", "target_ids")
+    __slots__ = ("width", "child", "ids", "source_ids", "target_ids")
 
     def __init__(self, alg):
         letters = alg.code_letters
         self.width = len(letters)
         self.child: dict[int, int] = {}  # node * width + code -> node
+        self.ids = count(1)
         self.source_ids = tuple(_vertex_id(alg, letter_source(alg, l)) for l in letters)
         self.target_ids = tuple(_vertex_id(alg, letter_target(alg, l)) for l in letters)
 
@@ -315,12 +324,6 @@ class MiddleTrie:
         return node
 
 
-@keep
-def middle_trie(alg) -> MiddleTrie:
-    """The algebra's one trie, shared by its string and band tallies."""
-    return MiddleTrie(alg)
-
-
 def _vertex_id(alg, vertex: str) -> int:
     return -1 - alg.vertex_index(vertex)
 
@@ -331,18 +334,22 @@ def id_tally(
     """Flanked occurrences in the letter codes (`flanked`) counted by the id
     of their middle's inversion class, a fold over `flanked`: -1 - i for the
     trivial middle at vertex i (`MiddleTrie.source_ids`, `.target_ids`),
-    else the smaller of the `middle_trie` ids of the middle and its inverse.
+    else the smaller of the `AlgebraSpec.middle_trie` ids of the middle and
+    its inverse.
 
     The id of span (k, j) is one trie step from that of (k, j-1), and its
     inverse's one step, by an inverted code (code ^ 1), from that of
     (k+1, j): the inverse read leftwards from j.  So no middle is built as
     a word.  The trie grows one letter at a time, span by span, the middle's
     letters before its inverse's, so the ids it hands out depend only on
-    the order of the calls.  The caller checks the word: the kept string
-    and band tallies check it once, on a miss."""
-    trie = middle_trie(alg)
+    the order of the calls.  A step grows by one atomic get-or-insert, a
+    setdefault of the trie's next id, so a scan that inserts the same step
+    between this one's miss and its insert leaves the step one id.  The
+    caller checks the word: the kept string and band tallies check it once,
+    on a miss."""
+    trie = alg.middle_trie
     child, width = trie.child, trie.width
-    get = child.get
+    get, insert, ids = child.get, child.setdefault, trie.ids
     source_ids, target_ids = trie.source_ids, trie.target_ids
     ls = reading(codes, max_mid, cyclic)
     inverted = [c ^ 1 for c in ls]
@@ -364,7 +371,7 @@ def id_tally(
                 step = fwd[-1] * width + ls[k + len(fwd) - 1]
                 node = get(step)
                 if node is None:
-                    node = child[step] = len(child) + 1
+                    node = insert(step, next(ids))
                 fwd.append(node)
             end = j % len(codes) if cyclic else j
             back = backs.get(end)
@@ -374,7 +381,7 @@ def id_tally(
                 step = back[-1] * width + inverted[j - len(back)]
                 node = get(step)
                 if node is None:
-                    node = child[step] = len(child) + 1
+                    node = insert(step, next(ids))
                 back.append(node)
             key = min(fwd[d], back[d])
         counts[key] = counts.get(key, 0) + 1
@@ -388,7 +395,7 @@ def middle_id(alg, word: Word) -> int | None:
     met, has no key and counts 0."""
     if word.is_trivial:
         return _vertex_id(alg, word.trivial_at) if alg.has_vertex(word.trivial_at) else None
-    trie = middle_trie(alg)
+    trie = alg.middle_trie
     codes = list(map(alg.letter_codes.get, word.letters))
     if None in codes:
         return None
@@ -403,17 +410,37 @@ def id_count(alg, ids: dict[int, int], d: Word) -> int:
     return ids.get(middle_id(alg, d), 0)
 
 
-@keep
+class StringTallies(dict):
+    """One side of an algebra's kept string tallies, read through: maps a
+    string c to its sub (left_inverted) or fac `id_tally`, sub(d, c) or
+    fac(d, c) for every d at once.  The algebra makes one table per side
+    with itself (`AlgebraSpec.fac_tallies`, `.sub_tallies`), as it makes
+    its `AlgebraSpec.string_windows`, so a read is one dict subscript.  A
+    miss checks c, scans it and keeps its tally, so c is checked and
+    encoded once; a word that is not a string raises NotAString, a vertex
+    or arrow the algebra lacks ParseError, and either keeps nothing."""
+
+    __slots__ = ("alg", "left_inverted")
+
+    def __init__(self, alg, left_inverted: bool):
+        self.alg, self.left_inverted = alg, left_inverted
+
+    def __missing__(self, c: Word) -> dict[int, int]:
+        alg = self.alg
+        codes = _check_word(alg, c)
+        if c.is_trivial:
+            ids = {_vertex_id(alg, c.trivial_at): 1}
+        elif not _windows_hold(alg, codes):
+            raise NotAString(format_word(c))
+        else:
+            ids = id_tally(alg, codes, self.left_inverted, len(c))
+        # setdefault: threads that missed at once all read the first tally kept
+        return self.setdefault(c, ids)
+
+
 def string_id_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
-    """The sub (left_inverted) or fac id tally of c: sub(d, c) or fac(d, c)
-    for every d at once.  A word that is not a string raises NotAString.
-    Kept, so c is checked and encoded once."""
-    codes = _check_word(alg, c)
-    if c.is_trivial:
-        return {middle_id(alg, c): 1}
-    if not _windows_hold(alg, codes):
-        raise NotAString(format_word(c))
-    return id_tally(alg, codes, left_inverted, len(c))
+    """The kept sub (left_inverted) or fac id tally of c (`StringTallies`)."""
+    return (alg.sub_tallies if left_inverted else alg.fac_tallies)[c]
 
 
 def count_sub(alg, d: Word, c: Word) -> int:

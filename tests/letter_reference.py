@@ -11,7 +11,6 @@ from stringbands.words import (
     inverse_letters,
     letter_source,
     letter_target,
-    middle_trie,
     reading,
 )
 
@@ -38,20 +37,20 @@ def reference_members(B):
 def extend(trie, chain, codes):
     """Append to chain, whose last id is that of a word w, the ids of
     w.c1, w.c1.c2, ... for the codes c1, c2, ..., growing the trie where
-    it ends."""
+    it ends, each new node with the trie's next id."""
     child, width = trie.child, trie.width
     node = chain[-1]
     for c in codes:
         grown = child.get(node * width + c)
         if grown is None:
-            grown = child[node * width + c] = len(child) + 1
+            grown = child[node * width + c] = next(trie.ids)
         chain.append(grown)
         node = grown
 
 
 def reference_id_tally(alg, codes, left_inverted, max_mid, cyclic=False):
     """`words.id_tally`, growing alg's `middle_trie` through `extend`."""
-    trie = middle_trie(alg)
+    trie = alg.middle_trie
     letters = alg.code_letters
     ls = reading(codes, max_mid, cyclic)
     inverted = [c ^ 1 for c in ls]

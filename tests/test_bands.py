@@ -55,7 +55,6 @@ from stringbands.words import (
     id_count,
     id_tally,
     middle_id,
-    middle_trie,
     trivial_word,
     word_vertices,
 )
@@ -648,7 +647,7 @@ def test_id_tallies_read_back_as_the_old_counters(spec, data):
                 if canonical_word(spec, d) in reference:
                     assert ids[key] == reference[canonical_word(spec, d)]
     subs = id_tally(spec, spec.encode(ls), True, m)
-    trie = middle_trie(spec)
+    trie = spec.middle_trie
     # node 0, the empty word, and one more per child link
     size = len(trie.child) + 1
     # no node is as deep as the trie is large, and no arrow is named "zz"
@@ -681,4 +680,4 @@ def test_id_tally_hands_out_the_reference_ids(spec, data):
                 for inv in (True, False):
                     ids = id_tally(new, codes, inv, cap, cyclic)
                     assert ids == reference_id_tally(ref, codes, inv, cap, cyclic)
-        assert middle_trie(new).child == middle_trie(ref).child
+        assert new.middle_trie.child == ref.middle_trie.child

@@ -58,6 +58,20 @@ def test_source_size_fails_on_a_typing_named_tuple(tmp_path):
     )
 
 
+def test_source_size_fails_on_an_import_below_module_level(tmp_path):
+    root = copy_of(tmp_path, "src", "scripts", "bench")
+    line = plant(root / "src/stringbands/hom.py", (
+        "def planted():\n"
+        "    from .words import StringTallies\n"
+        "    return StringTallies\n"
+    ))
+    with pytest.raises(ci.Fail) as info:
+        ci.source_size(root)
+    assert str(info.value).startswith(
+        f"an import below module level at src/stringbands/hom.py:{line + 1}; an import on first use binds"
+    )
+
+
 def test_source_size_fails_on_dead_definitions(tmp_path):
     # source_size is a name only scripts/ci.py reads, and that read keeps no
     # public name of the package alive

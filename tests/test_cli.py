@@ -629,7 +629,10 @@ def test_scaling_script_agrees_at_its_smallest_sizes():
     proc = run_child("scripts/scaling.py", "--steps", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [["string", "n=100"], ["bands", "m=n=36"]]
+    # each count line is followed by one line of what counting kept
+    assert [line.split()[:2] for line in lines] == [
+        ["string", "n=100"], ["kept:", "trie"], ["bands", "m=n=36"], ["kept:", "trie"],
+    ]
     assert not any("MISMATCH" in line for line in lines)
 
 

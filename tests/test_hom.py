@@ -1,10 +1,16 @@
 import copy
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stringbands.bands
+import stringbands.hom
+import stringbands.words
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
     DimensionMismatch,
@@ -13,6 +19,8 @@ from stringbands import (
     SameModuleMismatch,
     Word,
     canonical_class,
+    count_fac,
+    count_sub,
     dim_hom,
     enumerate_bands,
     enumerate_strings,
@@ -30,7 +38,7 @@ from stringbands import (
 )
 from stringbands.bands import _scan_cap, band_id_tally
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
-from stringbands.words import middle_id, string_id_tally, trivial_word
+from stringbands.words import id_tally, middle_id, string_id_tally, trivial_word
 
 
 def fmtc(c):
@@ -55,6 +63,117 @@ def test_band_string_counts():
     BK = canonical_class(KRON, parse_word("a.b^-1"))
     assert hom_band_string(KRON, BK, trivial_word("2")) == 0
     assert hom_string_band(KRON, trivial_word("2"), BK) == 1
+
+
+def test_a_second_hom_call_scans_nothing(monkeypatch):
+    # each formula on a fresh copy: the first call scans every side it
+    # reads, string and band, and the second reads what the first kept
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return id_tally(*args, **kwargs)
+
+    monkeypatch.setattr(stringbands.words, "id_tally", counted)
+    monkeypatch.setattr(stringbands.bands, "id_tally", counted)
+    c, B = parse_word("a.b^-1"), canonical_class(GP33, parse_word("a.a.b^-1"))
+    for hom, x, y in ((hom_string_string, c, c), (hom_band_string, B, c),
+                      (hom_string_band, c, B), (hom_band_band, B, B)):
+        spec = copy.copy(GP33)
+        scans.clear()
+        first = hom(spec, x, y)
+        assert len(scans) == 2
+        scans.clear()
+        assert hom(spec, x, y) == first
+        assert scans == []
+
+
+def test_counts_read_the_entries_that_hom_reads(monkeypatch):
+    spec = copy.copy(GP33)
+    c, cp = parse_word("a.b^-1"), parse_word("a.a")
+    paired, counted = [], []
+    monkeypatch.setattr(stringbands.hom, "_pair", lambda facs, subs: paired.append((facs, subs)) or 0)
+    hom_string_string(spec, c, cp)
+    monkeypatch.setattr(stringbands.words, "id_count", lambda alg, ids, d: counted.append(ids) or 0)
+    count_fac(spec, parse_word("a"), c)
+    count_sub(spec, parse_word("a"), cp)
+    (facs, subs), = paired
+    assert facs is spec.fac_tallies[c] is string_id_tally(spec, c, False)
+    assert subs is spec.sub_tallies[cp] is string_id_tally(spec, cp, True)
+    assert counted[0] is facs and counted[1] is subs
+
+
+class _Interleaved(dict):
+    """A trie's child table whose k-th get miss runs another scan before it
+    returns, as a thread switch between a miss and its insert would."""
+
+    def __init__(self, k, scan):
+        super().__init__()
+        self.k, self.scan, self.ran = k, scan, False
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is None and not self.ran:
+            self.k -= 1
+            if self.k < 0:
+                self.ran = True
+                self.scan()
+        return value
+
+
+def test_a_scan_between_a_miss_and_its_insert_counts_exactly():
+    # hom(M(c), M(c')) scans the fac tally of c first; the sub tally of c'
+    # is scanned inside that scan, between its k-th trie miss and that
+    # step's insert, on a fresh copy per interleaving.  Every ordered pair
+    # of non-trivial strings <= 4 of two_loops_cubic, k < 4
+    ref = copy.copy(GP33)
+    strings = [c for c in enumerate_strings(ref, 4) if not c.is_trivial]
+    assert len(strings) == 22
+    wrong, ran = [], 0
+    for c in strings:
+        for cp in strings:
+            truth = hom_string_string(ref, c, cp)
+            for k in range(4):
+                spec = copy.copy(GP33)
+                child = spec.middle_trie.child = _Interleaved(k, lambda: string_id_tally(spec, cp, True))
+                if hom_string_string(spec, c, cp) != truth:
+                    wrong.append((format_word(c), format_word(cp), k))
+                ran += child.ran
+    assert wrong == []
+    assert ran > 1000
+
+
+def test_threads_sharing_one_algebra_object_count_exactly():
+    # 4 threads ask every counted hom of two_loops_cubic (strings <= 6,
+    # bands <= 7), each in its own order, of one fresh object, switching
+    # every microsecond; 8 fresh objects
+    ref = copy.copy(GP33)
+    strings, classes = enumerate_strings(ref, 6), enumerate_bands(ref, 7)
+    calls = [(hom_string_string, c, cp) for c in strings for cp in strings]
+    calls += [(hom_band_string, B, c) for B in classes for c in strings]
+    calls += [(hom_string_band, c, B) for B in classes for c in strings]
+    calls += [(hom_band_band, B, C) for B in classes for C in classes]
+    truth = {call: call[0](ref, *call[1:]) for call in calls}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(8):
+            spec, answers, start = copy.copy(GP33), [None] * 4, threading.Barrier(4, timeout=10)
+
+            def ask(i):
+                order = random.Random(4 * trial + i).sample(calls, len(calls))
+                start.wait()
+                answers[i] = {call: call[0](spec, *call[1:]) for call in order}
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert all(a == truth for a in answers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 tallies = st.dictionaries(st.integers(-4, 12), st.integers(1, 6), max_size=10)

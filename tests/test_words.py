@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from stringbands import (
 )
 from stringbands.words import (
     id_count,
-    middle_trie,
     string_id_tally,
     trivial_word,
     word_source,
@@ -172,24 +172,41 @@ def test_string_tallies_count_canonical_middles():
 def test_kept_tallies_belong_to_one_algebra_object():
     spec = copy.copy(GP33)
     c = parse_word("a.b^-1")
-    assert string_id_tally(spec, c, True) is string_id_tally(spec, c, True)
-    assert spec.kept == {
-        middle_trie: {(): middle_trie(spec)},
-        string_id_tally: {(c, True): string_id_tally(spec, c, True)},
-    }
+    subs = string_id_tally(spec, c, True)
+    assert string_id_tally(spec, c, True) is subs
+    # the tables the object made hold what was read and nothing else, and
+    # string counting keeps nothing in spec.kept
+    assert spec.sub_tallies == {c: subs} and spec.fac_tallies == {}
+    assert spec.kept == {}
     # an equal algebra that is another object computes its own, in its own trie
     twin = copy.copy(spec)
-    assert string_id_tally(twin, c, True) == string_id_tally(spec, c, True)
-    assert string_id_tally(twin, c, True) is not string_id_tally(spec, c, True)
-    assert middle_trie(twin) is not middle_trie(spec)
+    assert string_id_tally(twin, c, True) == subs
+    assert string_id_tally(twin, c, True) is not subs
+    assert twin.middle_trie is not spec.middle_trie
+    assert twin.sub_tallies is not spec.sub_tallies
     for d in map(parse_word, ("1_u", "a", "a.b^-1")):
         assert count_sub(twin, d, c) == count_sub(spec, d, c)
     # a call that raises keeps nothing, so it raises again
     for _ in range(2):
         with pytest.raises(NotAString):
             string_id_tally(spec, parse_word("a.a.a"), False)
-    assert list(spec.kept) == [middle_trie, string_id_tally]
-    assert list(spec.kept[string_id_tally]) == [(c, True)]
+    assert spec.fac_tallies == {} and list(spec.sub_tallies) == [c]
+    assert spec.kept == {}
+
+
+@pytest.mark.parametrize("clone", [copy.copy, lambda spec: pickle.loads(pickle.dumps(spec))],
+                         ids=["copy", "pickle"])
+def test_copies_and_pickles_start_with_empty_tables(clone):
+    spec = copy.copy(GP33)
+    for c in enumerate_strings(spec, 3):
+        hom_string_string(spec, c, c)
+    assert spec.fac_tallies and spec.sub_tallies and spec.middle_trie.child
+    twin = clone(spec)
+    assert twin == spec
+    assert twin.fac_tallies == {} and twin.sub_tallies == {} and twin.kept == {}
+    assert twin.middle_trie.child == {} and twin.string_windows == {}
+    # and each table reads through to its own algebra
+    assert twin.fac_tallies.alg is twin and twin.sub_tallies.alg is twin
 
 
 def test_occurrence_counts_small_cases():
