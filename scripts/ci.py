@@ -81,14 +81,17 @@ def reads(tree):
 
 
 def source_size(root):
-    """The size of each module in lines and in code lines, the number of @keep
-    functions and the number of public names the package exports: the
-    figures each change reports.  A code line is not blank, not a # comment
-    and not in a docstring (by the AST); it is reported only, so a change
-    that grows by its docstrings shows it.
+    """The size of each module in lines and in code lines, the number of
+    public names the package exports and the tables an algebra object keeps
+    (words.KEPT), by name: the figures each change reports.  A code line is
+    not blank, not a # comment and not in a docstring (by the AST); it is
+    reported only, so a change that grows by its docstrings shows it.
 
-    Every memo is kept on its algebra object (words.keep); a module-level
-    cache would keep every algebra it ever saw alive, so one fails the step.
+    Every memo is kept in a table on its algebra object (words.Table); a
+    module-level cache would keep every algebra it ever saw alive, so one
+    fails the step.  So does a class in src/ other than words.Table that
+    defines __missing__: one read-through type keeps one place to count,
+    own and reset what an algebra keeps.
     So does typing.NamedTuple anywhere in src/: every import of the package
     would compile one ForwardRef per field of such a class, so record types
     are collections.namedtuple.
@@ -102,7 +105,7 @@ def source_size(root):
     the package does not export and that nothing in src/, scripts/ or bench/
     reads.  The tests do not count, and neither does this script.
     """
-    trees, total, total_code, keep = {}, 0, 0, 0
+    trees, total, total_code = {}, 0, 0
     for path in sorted((root / "src/stringbands").glob("*.py")):
         text = path.read_text()
         tree = trees[path.relative_to(root)] = ast.parse(text)
@@ -114,22 +117,28 @@ def source_size(root):
                    if line.strip() and not line.strip().startswith("#") and i not in docs)
         lines = text.count("\n")
         total, total_code = total + lines, total_code + code
-        keep += len(re.findall("^@keep", text, re.M))
         print(f"{lines:6} lines {code:6} code lines {path.relative_to(root)}")
     print(f"{total:6} lines {total_code:6} code lines total")
-    print("@keep functions:", keep)
     checked(root, "-c", "import types, stringbands; print('public names:', sum(not n.startswith('_')"
-                        " and not isinstance(v, types.ModuleType) for n, v in vars(stringbands).items()))")
+                        " and not isinstance(v, types.ModuleType) for n, v in vars(stringbands).items()));"
+                        " from stringbands.words import KEPT; print(f'tables ({len(KEPT)}):', *KEPT)")
 
     def lines_matching(pattern):
         return ", ".join(f"{path.relative_to(root)}:{i}" for path in sorted((root / "src").rglob("*.py"))
                          for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line))
 
     if caches := lines_matching(CACHE):
-        raise Fail(f"a module-level cache at {caches}; keep the answers on the algebra (words.keep)")
+        raise Fail(f"a module-level cache at {caches}; keep the answers in a table on the algebra (words.Table)")
     if named := lines_matching(NAMED_TUPLE):
         raise Fail(f"NamedTuple at {named}; every import compiles one ForwardRef per field of such a"
                    " class, so define record types with collections.namedtuple")
+
+    missing = [f"{path}:{n.lineno}: {n.name}" for path, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef) and any(getattr(f, "name", None) == "__missing__" for f in n.body)
+               and (path, n.name) != (Path("src/stringbands/words.py"), "Table")]
+    if missing:
+        raise Fail(f"__missing__ outside words.Table at {', '.join(missing)}; read what an algebra keeps"
+                   " through its tables (words.Table)")
 
     nested = sorted({(str(path), n.lineno) for path, tree in trees.items() for scope in ast.walk(tree)
                      if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))

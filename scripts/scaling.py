@@ -16,10 +16,10 @@ Each line gives the count and the milliseconds of the count, of dim_hom and
 of syzygy of the realized modules, each cold (realizing the modules is not
 timed); a string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
-of extendable_quadratic.  Under each line, what counting kept on the
-algebra object: its trie's nodes, and its kept string and band tallies with
-the ids they hold (nothing gates on these).  Exit status 1 when a count
-differs from dim_hom,
+of extendable_quadratic.  Under each line, what the algebra object kept:
+its trie's nodes and its string and band tallies with the ids they hold,
+then the size of every table it keeps (`words.KEPT`); nothing gates on
+these.  Exit status 1 when a count differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
 other way round, when a syzygy read off the line table differs from the
 one found by elimination, or when the columns a kept projective cover
@@ -49,9 +49,9 @@ from stringbands import (
     realize_string,
     syzygy,
 )
-from stringbands.bands import band_id_tally
 from stringbands.cli import run
-from stringbands.oracle import _columns, _presentation, _projective_cover
+from stringbands.oracle import _columns, _presentation
+from stringbands.words import KEPT
 
 DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
 P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
@@ -82,9 +82,14 @@ def kept(spec) -> str:
     """The string and band tallies the algebra object keeps, each side
     counted as entries and the ids they hold."""
     strings = [*spec.fac_tallies.values(), *spec.sub_tallies.values()]
-    bands = [ids for _, ids in spec.kept.get(band_id_tally, {}).values()]
+    bands = [ids for _, ids in spec.band_tallies.values()]
     return ", ".join(f"{len(t)} {kind} tallies ({sum(map(len, t))} ids)"
                      for kind, t in (("string", strings), ("band", bands)))
+
+
+def tables(spec) -> str:
+    """The number of entries in each table the algebra object keeps."""
+    return ", ".join(f"{name} {len(getattr(spec, name))}" for name in KEPT)
 
 
 def main(argv=None):
@@ -118,13 +123,13 @@ def main(argv=None):
         if syzygies != [_presentation(M, False) for M in distinct]:
             verdict += "  MISMATCH: echelon syzygy"
             bad += 1
-        covers = distinct[0].spec.kept.get(_projective_cover, {}).values()
-        if any(maps != _columns(P0) for _, P0, maps in covers):
+        if any(maps != _columns(P0) for _, P0, maps in spec.covers.values()):
             verdict += "  MISMATCH: kept cover maps"
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
         print(f"{'':<16} kept: trie {len(spec.middle_trie.child) + 1} nodes, {kept(spec)}")
+        print(f"{'':<16} tables: {tables(spec)}")
     return 1 if bad else 0
 
 

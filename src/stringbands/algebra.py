@@ -6,8 +6,9 @@ rightmost arrow is applied first and s(a_i) = t(a_{i+1}).
 
 Every string and seam check in `words`, `bands` and `components` is a
 lookup in `AlgebraSpec.string_windows`, keyed by letter codes
-(`AlgebraSpec.encode`).  The axiom checks walk directed paths, as they
-run on presentations that need not be string algebras.
+(`AlgebraSpec.encode`), one of the tables (`words.Table`) in which an
+algebra object keeps what it computes.  The axiom checks walk directed
+paths, as they run on presentations that need not be string algebras.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from typing import Iterable
 
 from .errors import InvalidAlgebra, ParseError
 from .words import (
+    KEPT,
     Letter,
     MiddleTrie,
-    StringTallies,
+    Table,
     Word,
     _Frozen,
-    keep,
     letter_source,
     letter_target,
     trivial_word,
@@ -35,13 +36,13 @@ from .words import (
 ArrowDecl = namedtuple("ArrowDecl", "name source target")
 
 
-class StringWindows(dict):
-    """The algebra's one string test: maps a tuple of letter codes
-    (`AlgebraSpec.code_letters`) to whether it is a string, where
-    R = max(2, longest relation) is `length`.  A word of n letters is a
-    string exactly when each of its windows of min(R, n) letters is one, and
-    two strings glue exactly when their seam, the last R-1 codes of one
-    followed by the first R-1 of the other, is one.
+def _codes_are_string(spec: AlgebraSpec, codes: tuple[int, ...]) -> bool:
+    """The algebra's one string test, kept in `AlgebraSpec.string_windows`:
+    whether a tuple of letter codes (`AlgebraSpec.code_letters`) is a
+    string.  With R = max(2, longest relation), `AlgebraSpec.window_length`,
+    a word of n letters is a string exactly when each of its windows of
+    min(R, n) letters is one, and two strings glue exactly when their seam,
+    the last R-1 codes of one followed by the first R-1 of the other, is one.
 
     The pairs of a word lie inside its windows, and the ideal is monomial,
     so any relation inside a directed run lies inside some R-letter window,
@@ -56,30 +57,25 @@ class StringWindows(dict):
     letter shorter is and its last letter composes with the one before, is
     not its inverse and ends a directed run that avoids the ideal.
     """
-
-    __slots__ = ("spec", "length")
-
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
-        self.length = max(2, spec.max_relation_length)
-
-    def __missing__(self, codes: tuple[int, ...]) -> bool:
-        # a string's prefixes are strings: decide the tuple's, shortest first
-        for j in range(1, len(codes) + 1):
-            if (w := codes[:j]) not in self:
-                self[w] = j == 1 or (self[w[:-1]] and self._last_letter_fits(w))
-        return self[codes]
-
-    def _last_letter_fits(self, w: tuple[int, ...]) -> bool:
-        spec, c = self.spec, w[-1]
-        before, last = spec.code_letters[w[-2]], spec.code_letters[c]
-        if letter_source(spec, before) != letter_target(spec, last) or c == w[-2] ^ 1:
-            return False
-        # the run that c ends, read leftwards from c: an inverse run read so
-        # is its path, a plain run its path reversed
-        run = [c, *takewhile(lambda x: not (x ^ c) & 1, reversed(w[:-1]))]
-        path = [spec.arrow_names[x >> 1] for x in run]
-        return not spec.path_in_ideal(path if c & 1 else path[::-1])
+    if len(codes) == 1:
+        return True
+    windows, n = spec.string_windows, len(codes)
+    # a string's prefixes are strings, each decided and kept by its own read:
+    # those not held yet shortest first, so that no read recurses deeper
+    held = next((j for j in range(n - 1, 1, -1) if codes[:j] in windows), 1)
+    for j in range(held, n):
+        prefix_is_string = windows[codes[:j]]
+    if not prefix_is_string:
+        return False
+    c = codes[-1]
+    before, last = spec.code_letters[codes[-2]], spec.code_letters[c]
+    if letter_source(spec, before) != letter_target(spec, last) or c == codes[-2] ^ 1:
+        return False
+    # the run that c ends, read leftwards from c: an inverse run read so
+    # is its path, a plain run its path reversed
+    run = [c, *takewhile(lambda x: not (x ^ c) & 1, reversed(codes[:-1]))]
+    path = [spec.arrow_names[x >> 1] for x in run]
+    return not spec.path_in_ideal(path if c & 1 else path[::-1])
 
 
 def _readable_name(name: str, arrow: bool) -> bool:
@@ -96,11 +92,12 @@ class AlgebraSpec(_Frozen):
     only in ordering are distinct specs.
 
     What the object computes is kept on it, outside its value, and made
-    with it, so a copy or unpickled spec starts empty: kept, what
-    `words.keep` and `bands.band_id_tally` computed; string_windows, the
-    string test (`StringWindows`); middle_trie, the ids of every middle
-    word the tallies read (`words.MiddleTrie`); fac_tallies and
-    sub_tallies, the kept string tallies (`words.StringTallies`).
+    with it, so a copy or unpickled spec starts empty: one `words.Table`
+    per entry of `words.KEPT`, under its name, such as string_windows, the
+    string test of windows of window_length letters (`_codes_are_string`);
+    band_tallies (`bands.band_id_tally`); classes, every band class built
+    for it, under itself (`bands.canonical_class`); and middle_trie, the
+    ids of every middle word the tallies read (`words.MiddleTrie`).
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -144,12 +141,13 @@ class AlgebraSpec(_Frozen):
             for i in range(len(rel) - 1):
                 if self.arrow_source(rel[i]) != self.arrow_target(rel[i + 1]):
                     raise ParseError(f"relation {disp!r} is not a composable path")
+        object.__setattr__(self, "window_length", max(2, self.max_relation_length))
         # made here, not on first use, so threads sharing the object share one of each
-        object.__setattr__(self, "kept", {})
-        object.__setattr__(self, "string_windows", StringWindows(self))
+        for name, fn in KEPT.items():
+            object.__setattr__(self, name, Table(self, fn))
+        object.__setattr__(self, "band_tallies", {})
+        object.__setattr__(self, "classes", {})
         object.__setattr__(self, "middle_trie", MiddleTrie(self))
-        object.__setattr__(self, "fac_tallies", StringTallies(self, False))
-        object.__setattr__(self, "sub_tallies", StringTallies(self, True))
 
     @cached_property
     def _hash(self) -> int:
@@ -367,17 +365,22 @@ def require_string_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     return spec
 
 
-@keep
 def gentle_vertices(spec: AlgebraSpec) -> frozenset[str]:
     """Vertices at which the ideal pairs arrows off uniquely, kept on the
-    algebra as a frozenset, so no caller can change what the next one reads.
+    algebra as a frozenset (`_gentle`), so no caller can change what the
+    next one reads.
 
     The zero products alpha.beta at u (alpha leaving u, beta entering it)
     form a partial matching: an alpha annihilates at most one beta, and a
     beta is annihilated by at most one alpha.
     """
+    return spec.gentle[spec.vertices]
+
+
+def _gentle(spec: AlgebraSpec, vertices: tuple[str, ...]) -> frozenset[str]:
+    """The gentle vertices among vertices, kept in spec.gentle."""
     out = set()
-    for u in spec.vertices:
+    for u in vertices:
         outs, ins = spec.out_arrows(u), spec.in_arrows(u)
         zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
         if len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero}):
@@ -389,7 +392,6 @@ def is_gentle_algebra(spec: AlgebraSpec) -> bool:
     return spec.quadratic and gentle_vertices(spec) == set(spec.vertices)
 
 
-@keep
 def projective_word(spec: AlgebraSpec, u: str) -> Word:
     """The word w1.w2^-1 built from the maximal relation-free paths out of u.
 
@@ -399,8 +401,12 @@ def projective_word(spec: AlgebraSpec, u: str) -> Word:
     first arrow fixes the one arrow before it, so a relation-free path
     longer than the arrow count plus the longest relation repeats a cycle
     whose powers all avoid the ideal: that raises InvalidAlgebra.  Kept per
-    vertex on the algebra (`words.keep`).
+    vertex in spec.projective_words.
     """
+    return spec.projective_words[u]
+
+
+def _projective_word(spec: AlgebraSpec, u: str) -> Word:
     if not spec.has_vertex(u):
         raise ParseError(f"unknown vertex {u!r}")
     limit = len(spec.arrows) + spec.max_relation_length
@@ -418,6 +424,9 @@ def projective_word(spec: AlgebraSpec, u: str) -> Word:
     if len(branches) == 2:
         letters += tuple(Letter(b, True) for b in reversed(branches[1]))
     return Word(None, letters)
+
+
+KEPT.update(string_windows=_codes_are_string, gentle=_gentle, projective_words=_projective_word)
 
 
 _ARROW_RE = re.compile(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")

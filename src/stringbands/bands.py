@@ -4,10 +4,10 @@ occurrence counts (parti, sub, fac) that drive every hom formula.
 The sub and fac counts are band tallies: `words.id_tally` read cyclically,
 the same fold over `words.flanked` that strings use, keyed by the ids of
 the same trie (`AlgebraSpec.middle_trie`).  One tally per letter tuple and
-side is kept on the algebra, in spec.kept[band_id_tally] (the string
-tallies have tables of their own, `words.StringTallies`), scanned to a
-power of two (`_scan_cap`) and grown only when a pairing reaches further,
-so it holds every middle any pairing shares.
+side is kept on the algebra, in spec.band_tallies, a plain dict whose
+entries are replaced as they grow (the string tallies are tables,
+`words.Table`), scanned to a power of two (`_scan_cap`) and grown only when
+a pairing reaches further, so it holds every middle any pairing shares.
 Every count, `dimension_vector`, `is_band` and `canonical_class` read a
 cyclic word through `_checked`, the one place that refuses a word that is
 no quasi-band, and `_primitive` is the one test that it is no proper power.
@@ -25,6 +25,7 @@ from itertools import islice
 
 from .errors import NotBand, NotQuasiBand, TrivialWord
 from .words import (
+    KEPT,
     Letter,
     Word,
     _Frozen,
@@ -35,7 +36,6 @@ from .words import (
     id_tally,
     inverse,
     inverse_codes,
-    keep,
     letter_source,
     letter_target,
     reading,
@@ -68,7 +68,7 @@ class QuasiBand(_Frozen):
 class BandClass(_Frozen):
     """A band up to rotation and inverse-reversal, held in canonical form.
     A plain value: what is known about it for an algebra is kept on the
-    algebra (`AlgebraSpec.kept`), keyed by the class."""
+    algebra, in tables keyed by the class (`words.Table`)."""
 
     __slots__ = ("canonical", "_hash")
     _fields = ("canonical",)
@@ -113,7 +113,7 @@ def _quasi_band_codes(spec, ls: tuple[Letter, ...]) -> tuple[int, ...] | None:
     if not ls:
         raise NotQuasiBand("empty cyclic word")
     w = spec.encode(ls)
-    R = spec.string_windows.length
+    R = spec.window_length
     return w if _turns(w) and _windows_hold(spec, w + w[: R - 1]) else None
 
 
@@ -158,9 +158,9 @@ def canonical_class(spec, letters) -> BandClass:
     """The reading with the least tuple of letter codes
     (`AlgebraSpec.code_letters`, declaration order) among the 2m rotations
     of the word and of its inverse-reversal.  Each class built for this
-    spec object is kept under itself in spec.kept and answers any equal
+    spec object is kept under itself in spec.classes and answers any equal
     class; any other input is checked by `is_band` and canonicalised."""
-    if isinstance(letters, BandClass) and (cls := spec.kept.get(letters)) is not None:
+    if isinstance(letters, BandClass) and (cls := spec.classes.get(letters)) is not None:
         return cls
     ls, w = _checked(spec, letters)
     if not _primitive(w):
@@ -169,9 +169,9 @@ def canonical_class(spec, letters) -> BandClass:
 
 
 def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
-    """The class of a canonical reading, kept under itself in spec.kept."""
+    """The class of a canonical reading, kept under itself in spec.classes."""
     cls = BandClass(QuasiBand(canonical))
-    return spec.kept.setdefault(cls, cls)
+    return spec.classes.setdefault(cls, cls)
 
 
 def are_equivalent(spec, b, bp) -> bool:
@@ -187,22 +187,25 @@ class _Reading:
 
     def __init__(self, spec, rot: QuasiBand, codes: tuple[int, ...] | None = None):
         codes = spec.encode(rot.letters) if codes is None else codes
-        reach = spec.string_windows.length - 1
+        reach = spec.window_length - 1
         self.rot, self.codes, self.target = rot, codes, letter_target(spec, rot.letters[0])
         self.head, self.tail = codes[:reach], codes[-reach:]
 
 
-@keep
 def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
-    """The class's one member table: `class_members`, each rotated as codes."""
+    """The class's one member table, kept in spec.member_readings:
+    `class_members`, each rotated as codes."""
     rots = dict.fromkeys(_code_rotations(spec.encode(B.letters)))
     return tuple(_Reading(spec, QuasiBand(spec.decode(w)), w) for w in rots)
+
+
+KEPT.update(member_readings=_member_readings)
 
 
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
     """All distinct rotations of the class, canonical ones first, then the
     rotations of the inverse-reversal.  Witness searches iterate this order."""
-    return tuple(r.rot for r in _member_readings(spec, B))
+    return tuple(r.rot for r in spec.member_readings[B])
 
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
@@ -224,17 +227,17 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
 def band_id_tally(spec, qb, left_inverted: bool, reach: int) -> dict[int, int]:
     """The cyclic sub (left_inverted) or fac `id_tally` of qb, exact for every
     middle of length <= reach; any other key is a longer middle.  One entry
-    per qb as passed and side is kept, in spec.kept[band_id_tally] as
-    (cap, ids), and only grows: a reach <= cap reads the kept ids, and a
+    per qb as passed and side is kept, in spec.band_tallies[qb, left_inverted]
+    as (cap, ids), and only grows: a reach <= cap reads the kept ids, and a
     longer one rescans at `_scan_cap(reach)` and replaces the entry.  The
     package passes the letter tuple.  A cyclic word that is no quasi-band
     raises NotQuasiBand and keeps nothing."""
     key = (qb, left_inverted)
-    entry = spec.kept.get(band_id_tally, {}).get(key)
+    entry = spec.band_tallies.get(key)
     if entry is None or entry[0] < reach:
         cap = _scan_cap(reach)
         ids = id_tally(spec, _checked(spec, qb)[1], left_inverted, cap, cyclic=True)
-        entry = spec.kept.setdefault(band_id_tally, {})[key] = (cap, ids)
+        entry = spec.band_tallies[key] = (cap, ids)
     return entry[1]
 
 

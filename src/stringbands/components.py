@@ -3,10 +3,11 @@ band sequence, the dimension formula, and the degeneration rewrites.
 
 Witness searches are deterministic (rotations in class-member order, canonical
 ones first; split positions and segment lengths ascending; first witness wins),
-and the algebra object keeps each answer (`words.keep`).
+and the algebra object keeps each answer, in spec.extensions[B, C] and
+spec.negligibles[B] (`words.Table`).
 
 The searches read letter codes (`AlgebraSpec.code_letters`).  A class's one
-member table (`bands._member_readings`) codes each rotation once, with the
+member table (spec.member_readings[B]) codes each rotation once, with the
 target of its first letter and its first and last R-1 codes, and every seam
 is `glues` on those codes, one lookup in `AlgebraSpec.string_windows`.  The
 steps test vertices, divergence and seams on ints, and build the words and
@@ -25,7 +26,6 @@ from .bands import (
     BandClass,
     QuasiBand,
     _as_letters,
-    _member_readings,
     _Reading,
     _turns,
     canonical_class,
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .hom import BandSequence, make_sequence, seq_count_from, seq_count_into
 from .words import (
+    KEPT,
     Word,
     _check_word,
     flanked,
@@ -47,7 +48,6 @@ from .words import (
     glues,
     inverse_codes,
     inverse_letters,
-    keep,
     letter_source,
     reading,
     trivial_word,
@@ -124,12 +124,12 @@ def _try_extension(spec, b: _Reading, c: _Reading) -> Optional[ExtendabilityWitn
     return ExtendabilityWitness(b.rot, c.rot, _prefix(b, k), beta, delta, QuasiBand(c_ls + b_ls))
 
 
-@keep
-def _extendable(spec, B: BandClass, C: BandClass) -> Optional[ExtendabilityWitness]:
+def _extendable(spec, pair: tuple[BandClass, BandClass]) -> Optional[ExtendabilityWitness]:
+    B, C = pair
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
-    c_rots = [r for r in _member_readings(spec, C) if not r.codes[-1] & 1]
-    for b in _member_readings(spec, B):
+    c_rots = [r for r in spec.member_readings[C] if not r.codes[-1] & 1]
+    for b in spec.member_readings[B]:
         if b.codes[-1] & 1:
             for c in c_rots:
                 if wit := _try_extension(spec, b, c):
@@ -147,7 +147,7 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     inverse letter on the C side, and the cyclic concatenation of the two
     rotations must be a quasi-band.
     """
-    return _extendable(spec, canonical_class(spec, B), canonical_class(spec, C))
+    return spec.extensions[canonical_class(spec, B), canonical_class(spec, C)]
 
 
 def _case1_split(spec, r: _Reading, n: int) -> Optional[Case1Witness]:
@@ -215,9 +215,8 @@ def _case2_at(spec, r: _Reading) -> Optional[Case2Witness]:
     return None
 
 
-@keep
 def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
-    members = _member_readings(spec, B)
+    members = spec.member_readings[B]
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
     case1 = (
@@ -230,6 +229,9 @@ def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
     return next(filter(None, chain(case1, case2)), None)
 
 
+KEPT.update(extensions=_extendable, negligibles=_negligible)
+
+
 def negligible(spec, B) -> Optional[NegligibilityWitness]:
     """Decides negligibility from the definition, case 1 before case 2.
 
@@ -237,7 +239,7 @@ def negligible(spec, B) -> Optional[NegligibilityWitness]:
     periodic words diverge the right way; case 2 finds a palindromic frame
     w.u.w^-1.v whose u-reversal is again a quasi-band.
     """
-    return _negligible(spec, canonical_class(spec, B))
+    return spec.negligibles[canonical_class(spec, B)]
 
 
 def _flank_pairs(spec, codes: tuple[int, ...], bound: int, left_inverted: bool):
@@ -333,7 +335,7 @@ def decide_component(spec, S) -> ComponentVerdict:
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             for x, y in ((i, j), (j, i)):
-                wit = _extendable(spec, classes[x], classes[y])
+                wit = spec.extensions[classes[x], classes[y]]
                 if wit is not None:
                     reasons.append(
                         f"classes {x} and {y} are extendable via "
@@ -341,7 +343,7 @@ def decide_component(spec, S) -> ComponentVerdict:
                     )
                     found.append(((x, y), wit))
     for i, cls in enumerate(classes):
-        wit = _negligible(spec, cls)
+        wit = spec.negligibles[cls]
         if wit is not None:
             kind = "case 1 split" if isinstance(wit, Case1Witness) else "case 2 reversal"
             reasons.append(f"class {i} is negligible ({kind})")

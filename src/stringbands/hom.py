@@ -10,9 +10,9 @@ tally; a band tally is read by its letter tuple to the pairing's reach
 (`bands.band_id_tally`), len(c) against a string c and m+n between bands.
 The tallies paired are id tallies (`words.id_tally`), keyed by the int id of
 each middle's inversion class in the algebra's one `words.MiddleTrie`.  A
-string side is read from the algebra's kept string tallies,
-spec.fac_tallies[c] or spec.sub_tallies[c] (`words.StringTallies`): one
-dict subscript once c has been scanned.
+string side is read from the algebra's string tally tables,
+spec.fac_tallies[c] or spec.sub_tallies[c] (`words.Table`): one dict
+subscript once c has been scanned.
 """
 
 from __future__ import annotations

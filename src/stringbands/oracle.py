@@ -48,8 +48,8 @@ echelon form of its columns, and its surjectivity check and kernel from
 that of the cover map.  Both paths share the exactness check and P0's
 action on the kernel through the cover's columns, and the tests check
 that they give the same presentation.
-Realizations, projective words and covers and syzygy are kept on the
-algebra of their first argument (`words.keep`); dim_hom keeps nothing, and
+Realizations, projective covers and syzygies are kept in tables on the
+algebra of their first argument (`words.Table`); dim_hom keeps nothing, and
 dim_ext1 reads Hom(P0, Y) off the tops P0's line table counts (Yoneda).
 
 Basis indices are 0-based.  For a string c the basis vector at index i is
@@ -71,11 +71,11 @@ from .algebra import AlgebraSpec, projective_word
 from .bands import _as_letters, is_quasi_band
 from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
 from .words import (
+    KEPT,
     Word,
     _Frozen,
     format_word,
     is_string,
-    keep,
     letter_source,
     word_vertices,
 )
@@ -262,9 +262,13 @@ def _vanishes(named: dict[str, Edges], path: tuple[str, ...]) -> bool:
     return not walks
 
 
-@keep
 def realize_string(spec, c: Word) -> MatrixModule:
-    """Module on the left divisors of c, arrows sliding along the walk."""
+    """Module on the left divisors of c, arrows sliding along the walk, kept
+    in spec.realizations."""
+    return spec.realizations[c]
+
+
+def _realize_string(spec, c: Word) -> MatrixModule:
     if not isinstance(c, Word) or not is_string(spec, c):
         raise NotAString(format_word(c) if isinstance(c, Word) else repr(c))
     vertex_of = word_vertices(spec, c)
@@ -288,11 +292,11 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     """
     lam = _exact(lam)
     # kept by the parameter's two ints: a Fraction hashes anew on every lookup
-    return _realize_band(spec, _as_letters(qb), lam.numerator, lam.denominator)
+    return spec.band_realizations[_as_letters(qb), lam.numerator, lam.denominator]
 
 
-@keep
-def _realize_band(spec, letters: tuple, num: int, den: int) -> MatrixModule:
+def _realize_band(spec, key: tuple) -> MatrixModule:
+    letters, num, den = key
     if num == 0:
         raise ZeroParameter("band parameter must be nonzero")
     if not is_quasi_band(spec, letters):
@@ -493,22 +497,24 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     line has its tops read off its line table and its kernel by rows, any
     other by elimination; both give the same presentation.
     """
-    return _syzygy(X.spec, X)
+    return X.spec.syzygies[X]
 
 
-@keep
 def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule, dict]:
     """The words of the projectives P(v), v in tops, their direct sum P0 and its
-    columns (_columns), kept per nonempty tuple of tops: modules with the same
-    tops share one P0."""
+    columns (_columns), kept in spec.covers per nonempty tuple of tops:
+    modules with the same tops share one P0."""
     words = tuple(projective_word(spec, v) for v in tops)
     P0 = direct_sum(*(realize_string(spec, w) for w in words))
     return words, P0, _columns(P0)
 
 
-@keep
 def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     return _presentation(X, X.one_entry_per_line)
+
+
+KEPT.update(realizations=_realize_string, band_realizations=_realize_band,
+            covers=_projective_cover, syzygies=_syzygy)
 
 
 def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, MatrixModule]:
@@ -531,7 +537,7 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
         picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     # the zero module is its own projective cover
-    words, P0, maps = _projective_cover(spec, tuple(X.vertex_of[i] for i in picks)) if picks else ((), X, {})
+    words, P0, maps = spec.covers[tuple(X.vertex_of[i] for i in picks)] if picks else ((), X, {})
     pi_cols: list[dict] = []  # columns of P0 -> X, sparse
     for pick, word in zip(picks, words):
         letters = word.letters

@@ -9,14 +9,18 @@ reads letter codes, as `_check_word` and `bands._checked` return them; every
 substring and factorstring count, on strings here and on bands in `bands`,
 and the quadratic criteria in `components` are folds over it.
 
+What an algebra object keeps is read through a `Table`, a dict that
+computes an answer on its first read and keeps it.  `KEPT` names every
+table and its function, each module adding its own, and `AlgebraSpec`
+makes one table per name with itself.
+
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
 the id of its middle's inversion class, a node of the algebra's one
 `MiddleTrie` (`AlgebraSpec.middle_trie`), so no middle is built as a word.
-The string tallies are kept in two read-through tables made with the
-algebra, `AlgebraSpec.fac_tallies` and `.sub_tallies` (`StringTallies`):
-a read is one dict subscript, and only a miss checks and scans the string.
-`count_sub` and `count_fac` read them and find d's id by `middle_id`, a walk
-that never grows the trie.
+The string tallies are two tables, `AlgebraSpec.fac_tallies` and
+`.sub_tallies`: a read is one dict subscript, and only a miss checks and
+scans the string.  `count_sub` and `count_fac` read them and find d's id by
+`middle_id`, a walk that never grows the trie.
 
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
@@ -28,7 +32,7 @@ the target is t(a1).  "Starts with" refers to the rightmost letter and
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import wraps
+from functools import partial
 from itertools import count
 from operator import attrgetter
 
@@ -165,9 +169,9 @@ def word_vertices(alg, word: Word) -> tuple[str, ...]:
 
 def _windows_hold(alg, codes: tuple[int, ...]) -> bool:
     """Every window of min(R, n) of the n >= 1 letter codes is a string, by
-    `AlgebraSpec.string_windows`."""
+    `AlgebraSpec.string_windows`, R being `AlgebraSpec.window_length`."""
     windows = alg.string_windows
-    k = min(windows.length, len(codes))
+    k = min(alg.window_length, len(codes))
     return all(windows[codes[i : i + k]] for i in range(len(codes) - k + 1))
 
 
@@ -177,9 +181,8 @@ def glues(alg, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     `AlgebraSpec.string_windows`.  Two strings glue exactly when left + right
     is a string, and a cyclic gluing of quasi-band readings is a quasi-band
     exactly when each of its seams glues."""
-    windows = alg.string_windows
-    reach = windows.length - 1
-    return windows[left[-reach:] + right[:reach]]
+    reach = alg.window_length - 1
+    return alg.string_windows[left[-reach:] + right[:reach]]
 
 
 def _check_word(alg, word: Word) -> tuple[int, ...]:
@@ -254,42 +257,30 @@ def flanked(codes: tuple[int, ...], left_inverted: bool, max_mid: int, cyclic=Fa
                 yield k, j
 
 
-_MISSING = object()
+class Table(dict):
+    """One store of what an algebra object keeps, read through: maps a key
+    to fn(alg, key), computed on its first read and kept, to be read only.
+    A function of several arguments takes them as one tuple key.
+    `AlgebraSpec` makes one table per entry of `KEPT` with itself, so a
+    read is one dict subscript; equal algebras that are other objects share
+    nothing, and a copy or unpickled algebra starts with every table empty.
+
+    A miss stores its answer by setdefault, so threads of a GIL build that
+    share the algebra object and miss at once may both compute it, and both
+    read the one stored first.  A call that raises stores nothing."""
+
+    __slots__ = ("alg", "fn")
+
+    def __init__(self, alg, fn):
+        self.alg, self.fn = alg, fn
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fn(self.alg, key))
 
 
-def keep(fn):
-    """fn(alg, *args), computed once per algebra object and kept, to be read
-    only, in alg.kept[the kept function][args], keyed by the arguments'
-    values.  Every kept answer, the oracle's included (its realizations and
-    `syzygy` keep theirs on the spec of their first module; `dim_hom` keeps
-    nothing), lives on one algebra object and goes with it: here, in
-    `bands.band_id_tally`'s grow-only entry per band spelling and side in
-    alg.kept[band_id_tally], or in what the algebra makes with itself, its
-    `MiddleTrie` and its string tallies (`StringTallies`).  A call that
-    raises keeps nothing; equal algebras that are other objects share
-    nothing, and copy.copy(spec) starts with nothing kept.
-
-    Threads of a GIL build may share one algebra object.  Every store is
-    made with the algebra, and each write to one is a single dict operation:
-    an answer is stored by setdefault, so two threads that miss at once may
-    both compute it and both read the one stored first, and the trie grows
-    by an atomic get-or-insert (`id_tally`)."""
-
-    @wraps(fn)
-    def kept(alg, *args):
-        # get, not a subscript: a miss raises no KeyError once fn has kept
-        # an answer on alg; setdefault, so threads that missed at once read
-        # one answer
-        try:
-            value = alg.kept[kept].get(args, _MISSING)
-        except KeyError:
-            value = _MISSING
-        if value is _MISSING:
-            value = fn(alg, *args)
-            value = alg.kept.setdefault(kept, {}).setdefault(args, value)
-        return value
-
-    return kept
+# every table an algebra object keeps (`Table`), by attribute name, with the
+# function it reads through; each module adds its own
+KEPT = {}
 
 
 class MiddleTrie:
@@ -410,48 +401,33 @@ def id_count(alg, ids: dict[int, int], d: Word) -> int:
     return ids.get(middle_id(alg, d), 0)
 
 
-class StringTallies(dict):
-    """One side of an algebra's kept string tallies, read through: maps a
-    string c to its sub (left_inverted) or fac `id_tally`, sub(d, c) or
-    fac(d, c) for every d at once.  The algebra makes one table per side
-    with itself (`AlgebraSpec.fac_tallies`, `.sub_tallies`), as it makes
-    its `AlgebraSpec.string_windows`, so a read is one dict subscript.  A
-    miss checks c, scans it and keeps its tally, so c is checked and
-    encoded once; a word that is not a string raises NotAString, a vertex
-    or arrow the algebra lacks ParseError, and either keeps nothing."""
-
-    __slots__ = ("alg", "left_inverted")
-
-    def __init__(self, alg, left_inverted: bool):
-        self.alg, self.left_inverted = alg, left_inverted
-
-    def __missing__(self, c: Word) -> dict[int, int]:
-        alg = self.alg
-        codes = _check_word(alg, c)
-        if c.is_trivial:
-            ids = {_vertex_id(alg, c.trivial_at): 1}
-        elif not _windows_hold(alg, codes):
-            raise NotAString(format_word(c))
-        else:
-            ids = id_tally(alg, codes, self.left_inverted, len(c))
-        # setdefault: threads that missed at once all read the first tally kept
-        return self.setdefault(c, ids)
+def _string_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
+    """The sub (left_inverted) or fac `id_tally` of the string c, sub(d, c)
+    or fac(d, c) for every d at once, kept in `AlgebraSpec.sub_tallies` or
+    `.fac_tallies`, so c is checked and encoded once.  A word that is not a
+    string raises NotAString, one over a vertex or arrow the algebra lacks
+    ParseError."""
+    codes = _check_word(alg, c)
+    if c.is_trivial:
+        return {_vertex_id(alg, c.trivial_at): 1}
+    if not _windows_hold(alg, codes):
+        raise NotAString(format_word(c))
+    return id_tally(alg, codes, left_inverted, len(c))
 
 
-def string_id_tally(alg, c: Word, left_inverted: bool) -> dict[int, int]:
-    """The kept sub (left_inverted) or fac id tally of c (`StringTallies`)."""
-    return (alg.sub_tallies if left_inverted else alg.fac_tallies)[c]
+KEPT.update(fac_tallies=partial(_string_tally, left_inverted=False),
+            sub_tallies=partial(_string_tally, left_inverted=True))
 
 
 def count_sub(alg, d: Word, c: Word) -> int:
-    """sub(d, c), read off `string_id_tally`: a word c that is not a string
-    raises NotAString."""
-    return id_count(alg, string_id_tally(alg, c, True), d)
+    """sub(d, c), read off `AlgebraSpec.sub_tallies`: a word c that is not a
+    string raises NotAString."""
+    return id_count(alg, alg.sub_tallies[c], d)
 
 
 def count_fac(alg, d: Word, c: Word) -> int:
-    """fac(d, c), read off `string_id_tally`."""
-    return id_count(alg, string_id_tally(alg, c, False), d)
+    """fac(d, c), read off `AlgebraSpec.fac_tallies`."""
+    return id_count(alg, alg.fac_tallies[c], d)
 
 
 def _least_reading(w: tuple[int, ...]) -> bool:
@@ -490,7 +466,7 @@ def string_frontiers(alg):
     order.
     """
     letters = [(c,) for c in range(len(alg.code_letters))]
-    tail = alg.string_windows.length - 1
+    tail = alg.window_length - 1
     successors: dict[tuple[int, ...], list[tuple[int]]] = {}
     frontier = letters
     while frontier:

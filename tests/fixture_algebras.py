@@ -1,12 +1,14 @@
 """Shared test algebras, loaded once from the fixture files.
 
 AlgebraSpec instances compare by value, but each object keeps its own
-answers (`AlgebraSpec.kept`), so a reloaded or copied algebra starts with none.
+answers, in one table per entry of `words.KEPT` (`words.Table`) and in its
+band tallies and classes, so a reloaded or copied algebra starts with none.
 """
 
 from pathlib import Path
 
 from stringbands import load_algebra
+from stringbands.words import KEPT
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,3 +22,9 @@ ALL = {"two_loops_rad2": GP22, "two_loops_cubic": GP33,
 
 QUADRATIC = {name: spec for name, spec in ALL.items()
              if all(len(r) == 2 for r in spec.relations)}
+
+
+def kept(spec) -> dict:
+    """Everything the algebra object keeps but its trie, by name: each of its
+    tables, its band tallies and its band classes."""
+    return {name: getattr(spec, name) for name in (*KEPT, "band_tallies", "classes")}

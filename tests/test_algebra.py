@@ -415,7 +415,7 @@ def test_string_windows_decide_strings_seams_and_quasi_bands(name):
     # a copy keeps nothing yet, so earlier lookups on the shared algebra do not show
     spec = copy.copy(WINDOW_ALGEBRAS[name])
     assert validate_algebra(spec).valid
-    R = spec.string_windows.length
+    R = spec.window_length
     assert R == max(2, spec.max_relation_length)
     strings = []
     for n in range(1, R + 4):
@@ -446,7 +446,7 @@ def test_string_windows_hold_only_the_windows_looked_up():
     spec = parse_algebra(text)
     assert validate_algebra(spec).valid
     windows = spec.string_windows
-    assert windows.length == 20
+    assert spec.window_length == 20
     assert len(enumerate_strings(spec, 3)) == 1 + 2 + 4 + 8
     # the letters, then each string of 1 and of 2 letters followed by a letter
     assert len(windows) == 4 + 4 * 4 + 8 * 4
@@ -491,7 +491,7 @@ def _walk(data, spec, n):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(monomial_quivers(max_relation_length=4), st.data())
 def test_string_windows_match_the_run_checks_on_random_quivers(spec, data):
-    R = spec.string_windows.length
+    R = spec.window_length
     for _ in range(3):
         ls = _walk(data, spec, data.draw(st.integers(1, 2 * (R + 3))))
         assert is_string(spec, Word(None, ls)) == _ref_is_string(spec, ls)

@@ -271,7 +271,7 @@ def test_one_band_scan_per_cyclic_word_and_bucket(monkeypatch):
             fac_counts(spec, c, qb)
             hom_band_string(spec, B, c)
     assert scans == [(inv, cap) for cap in (1, 2, 4, 8) for inv in (True, False)]
-    kept = spec.kept[band_id_tally]
+    kept = spec.band_tallies
     assert set(kept) == {(B.letters, True), (B.letters, False)}
     assert all(cap == 8 for cap, _ in kept.values())
 
@@ -372,7 +372,7 @@ def test_enumeration_matches_brute_force(spec):
     # accepted ones.  Relations of length 4 make R = 4: the walk's successor
     # lists are keyed by 3 letters, strings of 5 letters extend past such a
     # key, and bands of periods 2 and 3 are shorter than it
-    top = max(4, spec.string_windows.length + 1)
+    top = max(4, spec.window_length + 1)
     letters = [Letter(a, inv) for a in spec.arrow_names for inv in (False, True)]
     sequences = [ls for n in range(1, top + 1) for ls in product(letters, repeat=n)]
     strings = {trivial_word(v) for v in spec.vertices}
@@ -608,7 +608,7 @@ def test_flanked_folds_match_the_old_counters(spec, data):
                 # exact counts for every middle <= cap; every other key is
                 # a middle of the kept scan longer than cap
                 ids = band_id_tally(spec, band, inv, cap)
-                kept = spec.kept[band_id_tally][band, inv][0]
+                kept = spec.band_tallies[band, inv][0]
                 assert kept >= cap and ids == id_tally(spec, codes, inv, kept, cyclic=True)
                 length = _middle_lengths(spec, band, kept)
                 assert_counts(spec, {d: n for d, n in ids.items() if length[d] <= cap}, reference)

@@ -62,13 +62,27 @@ def test_source_size_fails_on_an_import_below_module_level(tmp_path):
     root = copy_of(tmp_path, "src", "scripts", "bench")
     line = plant(root / "src/stringbands/hom.py", (
         "def planted():\n"
-        "    from .words import StringTallies\n"
-        "    return StringTallies\n"
+        "    from .words import Table\n"
+        "    return Table\n"
     ))
     with pytest.raises(ci.Fail) as info:
         ci.source_size(root)
     assert str(info.value).startswith(
         f"an import below module level at src/stringbands/hom.py:{line + 1}; an import on first use binds"
+    )
+
+
+def test_source_size_fails_on_a_second_read_through_type(tmp_path):
+    root = copy_of(tmp_path, "src", "scripts", "bench")
+    line = plant(root / "src/stringbands/hom.py", (
+        "class Planted(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        return self.setdefault(key, key)\n"
+    ))
+    with pytest.raises(ci.Fail) as info:
+        ci.source_size(root)
+    assert str(info.value).startswith(
+        f"__missing__ outside words.Table at src/stringbands/hom.py:{line}: Planted; read what an algebra keeps"
     )
 
 

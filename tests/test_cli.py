@@ -629,9 +629,11 @@ def test_scaling_script_agrees_at_its_smallest_sizes():
     proc = run_child("scripts/scaling.py", "--steps", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # each count line is followed by one line of what counting kept
+    # each count line is followed by one line of what counting kept and one
+    # of the size of every table the algebra object keeps
     assert [line.split()[:2] for line in lines] == [
-        ["string", "n=100"], ["kept:", "trie"], ["bands", "m=n=36"], ["kept:", "trie"],
+        ["string", "n=100"], ["kept:", "trie"], ["tables:", "fac_tallies"],
+        ["bands", "m=n=36"], ["kept:", "trie"], ["tables:", "fac_tallies"],
     ]
     assert not any("MISMATCH" in line for line in lines)
 

@@ -38,7 +38,7 @@ from stringbands import (
 )
 from stringbands.bands import _scan_cap, band_id_tally
 from stringbands.hom import _pair, family_rank, seq_count_from, seq_count_into
-from stringbands.words import id_tally, middle_id, string_id_tally, trivial_word
+from stringbands.words import id_tally, middle_id, trivial_word
 
 
 def fmtc(c):
@@ -98,8 +98,8 @@ def test_counts_read_the_entries_that_hom_reads(monkeypatch):
     count_fac(spec, parse_word("a"), c)
     count_sub(spec, parse_word("a"), cp)
     (facs, subs), = paired
-    assert facs is spec.fac_tallies[c] is string_id_tally(spec, c, False)
-    assert subs is spec.sub_tallies[cp] is string_id_tally(spec, cp, True)
+    assert facs is spec.fac_tallies[c]
+    assert subs is spec.sub_tallies[cp]
     assert counted[0] is facs and counted[1] is subs
 
 
@@ -135,7 +135,7 @@ def test_a_scan_between_a_miss_and_its_insert_counts_exactly():
             truth = hom_string_string(ref, c, cp)
             for k in range(4):
                 spec = copy.copy(GP33)
-                child = spec.middle_trie.child = _Interleaved(k, lambda: string_id_tally(spec, cp, True))
+                child = spec.middle_trie.child = _Interleaved(k, lambda: spec.sub_tallies[cp])
                 if hom_string_string(spec, c, cp) != truth:
                     wrong.append((format_word(c), format_word(cp), k))
                 ran += child.ran
@@ -220,8 +220,8 @@ def test_band_band_count_is_stable_under_longer_caps():
             for c in enumerate_strings(spec, 4):
                 cap = 2 * len(c) + 3
                 facs, subs = (band_id_tally(spec, B.canonical, inv, cap) for inv in (False, True))
-                assert _pair(facs, string_id_tally(spec, c, True)) == hom_band_string(spec, B, c)
-                assert _pair(string_id_tally(spec, c, False), subs) == hom_string_band(spec, c, B)
+                assert _pair(facs, spec.sub_tallies[c]) == hom_band_string(spec, B, c)
+                assert _pair(spec.fac_tallies[c], subs) == hom_string_band(spec, c, B)
 
 
 def test_shared_middles_end_before_the_reach():
@@ -258,7 +258,8 @@ def test_band_band_scans_stop_at_the_reach():
                 hom_band_band(spec, B, C)
                 cap = _scan_cap(B.period + C.period)
                 # (letters, left_inverted) -> (cap, ids): B's fac and C's sub
-                scans = spec.kept.pop(band_id_tally)
+                scans = dict(spec.band_tallies)
+                spec.band_tallies.clear()
                 assert set(scans) == {(B.letters, False), (C.letters, True)}
                 assert all(kept <= cap for kept, _ in scans.values())
 
@@ -284,7 +285,7 @@ def test_band_tallies_do_not_depend_on_the_order_of_reaches(name):
         for reach, _, _, sides in calls:
             for side in sides:
                 asked[side] = max(asked.get(side, 0), reach)
-        kept = spec.kept[band_id_tally]
+        kept = spec.band_tallies
         assert set(kept) == set(asked)
         assert all(kept[side][0] == _scan_cap(reach) for side, reach in asked.items())
         longest.append(asked)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, kept
 from stringbands import (
     InvalidAlgebra,
     MatrixModule,
@@ -120,7 +120,7 @@ def test_oracle_caches_stay_inspectable():
     P0, omega = syzygy(X)
     assert syzygy(X) is syzygy(X)
     n = dim_hom(X, X)
-    assert spec.kept[oracle._syzygy] == {(X,): (P0, omega)}
+    assert spec.syzygies == {X: (P0, omega)}
     # a module over an equal algebra object is accepted
     twin = copy.copy(spec)
     Z = realize_string(twin, parse_word("a.b^-1"))
@@ -128,8 +128,10 @@ def test_oracle_caches_stay_inspectable():
     # a module over another algebra is refused
     with pytest.raises(SpecMismatch):
         dim_hom(X, realize_string(GP33, parse_word("a")))
-    assert set(spec.kept) == {realize_string, projective_word, oracle._projective_cover, oracle._syzygy}
-    assert set(twin.kept) == {realize_string}
+    # the string test is kept too, as every realization checks its word
+    assert {n for n, v in kept(spec).items() if v} == {
+        "string_windows", "realizations", "projective_words", "covers", "syzygies"}
+    assert {n for n, v in kept(twin).items() if v} == {"string_windows", "realizations"}
     # the projective cover is kept per tuple of tops: the strings a and b
     # both have the one top at vertex 1, and share one P0 object.  The cover
     # keeps the projective words, P0 (with one top, the realized word itself:
@@ -138,9 +140,9 @@ def test_oracle_caches_stay_inspectable():
     P_a, _ = syzygy(realize_string(spec, parse_word("a")))
     P_b, _ = syzygy(realize_string(spec, parse_word("b")))
     assert P_a is P_b
-    words, P0, maps = spec.kept[oracle._projective_cover][(("1",),)]
+    words, P0, maps = spec.covers[("1",)]
     assert P0 is P_a and P0 is realize_string(spec, words[0]) is direct_sum(P0)
-    assert spec.kept[projective_word] == {("1",): words[0]} and format_word(words[0]) == "a.b^-1"
+    assert spec.projective_words == {"1": words[0]} and format_word(words[0]) == "a.b^-1"
     assert maps == {"a": {1: [(0, 1)]}, "b": {1: [(2, 1)]}} == oracle._columns(P0)
 
 
@@ -376,7 +378,7 @@ def test_syzygy_refuses_an_omega_outside_the_variety(by_lines):
     P0 = realize_string(spec, words[0])
     maps = {**oracle._columns(P0), "y": {1: [(2, 1)], 4: [(5, 1)]}}
     assert oracle._columns(P0)["y"] == {1: [(0, 1)], 4: [(5, 1)]}
-    spec.kept[oracle._projective_cover] = {(("1",),): (words, P0, maps)}
+    spec.covers[("1",)] = (words, P0, maps)
     with pytest.raises(ValueError, match="^matrix of y leaves its block$"):
         oracle._presentation(S, by_lines)
 
@@ -987,12 +989,12 @@ def test_the_kept_cover_does_not_depend_on_the_call_order(name):
         kept = {X: [typed(M) for M in syzygy(X)] for X in mods[::step]}
         answers.append([kept[X] for X in mods])
     assert answers[0] == answers[1]
-    covers = [spec.kept[oracle._projective_cover] for spec in copies]
+    covers = [spec.covers for spec in copies]
     assert set(covers[0]) == set(covers[1])
     # every kept cover is only read: its words are the projectives at its
     # tops, and its maps are still those of a fresh read of P0's columns
     for spec, kept in zip(copies, covers):
-        for (tops,), (words, P0, maps) in kept.items():
+        for tops, (words, P0, maps) in kept.items():
             assert words == tuple(projective_word(spec, v) for v in tops)
             assert P0 == direct_sum(*(realize_string(spec, w) for w in words)) and P0.one_entry_per_line
             assert typed_maps(maps) == typed_maps(oracle._columns(P0))

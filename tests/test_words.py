@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, kept
 from letter_reference import word_key
 from stringbands import (
     NotAString,
     ParseError,
     Word,
+    ZeroParameter,
+    canonical_class,
     canonical_word,
     concat,
     count_fac,
@@ -22,10 +24,12 @@ from stringbands import (
     is_string,
     left_divisors,
     parse_word,
+    realize_string,
 )
 from stringbands.words import (
+    KEPT,
+    Table,
     id_count,
-    string_id_tally,
     trivial_word,
     word_source,
     word_target,
@@ -52,8 +56,8 @@ def test_parse_rejects_junk():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: string_id_tally(GP22, parse_word("a.a"), False), NotAString),
-    (lambda: string_id_tally(GP22, parse_word("a.a"), True), NotAString),
+    (lambda: GP22.fac_tallies[parse_word("a.a")], NotAString),
+    (lambda: GP22.sub_tallies[parse_word("a.a")], NotAString),
     (lambda: Word("u", parse_word("a").letters), ValueError),
     (lambda: Word(None, ()), ValueError),
 ], ids=["fac-tally-non-string", "sub-tally-non-string", "trivial-with-letters", "neither"])
@@ -163,7 +167,7 @@ def test_string_tallies_count_canonical_middles():
         (False, {"1_u": 1, "a": 1, "b": 1, "a.b^-1": 1}),
         (True, {"1_u": 2, "a.b^-1": 1}),
     ):
-        ids = string_id_tally(GP22, c, inv)
+        ids = (GP22.sub_tallies if inv else GP22.fac_tallies)[c]
         assert len(ids) == len(expected)
         for d, n in expected.items():
             assert id_count(GP22, ids, parse_word(d)) == n
@@ -172,16 +176,16 @@ def test_string_tallies_count_canonical_middles():
 def test_kept_tallies_belong_to_one_algebra_object():
     spec = copy.copy(GP33)
     c = parse_word("a.b^-1")
-    subs = string_id_tally(spec, c, True)
-    assert string_id_tally(spec, c, True) is subs
+    subs = spec.sub_tallies[c]
+    assert spec.sub_tallies[c] is subs
     # the tables the object made hold what was read and nothing else, and
-    # string counting keeps nothing in spec.kept
+    # string counting keeps nothing in any other store but the string test
     assert spec.sub_tallies == {c: subs} and spec.fac_tallies == {}
-    assert spec.kept == {}
+    assert not any(v for n, v in kept(spec).items() if n not in ("sub_tallies", "string_windows"))
     # an equal algebra that is another object computes its own, in its own trie
     twin = copy.copy(spec)
-    assert string_id_tally(twin, c, True) == subs
-    assert string_id_tally(twin, c, True) is not subs
+    assert twin.sub_tallies[c] == subs
+    assert twin.sub_tallies[c] is not subs
     assert twin.middle_trie is not spec.middle_trie
     assert twin.sub_tallies is not spec.sub_tallies
     for d in map(parse_word, ("1_u", "a", "a.b^-1")):
@@ -189,9 +193,9 @@ def test_kept_tallies_belong_to_one_algebra_object():
     # a call that raises keeps nothing, so it raises again
     for _ in range(2):
         with pytest.raises(NotAString):
-            string_id_tally(spec, parse_word("a.a.a"), False)
+            spec.fac_tallies[parse_word("a.a.a")]
     assert spec.fac_tallies == {} and list(spec.sub_tallies) == [c]
-    assert spec.kept == {}
+    assert not any(v for n, v in kept(spec).items() if n not in ("sub_tallies", "string_windows"))
 
 
 @pytest.mark.parametrize("clone", [copy.copy, lambda spec: pickle.loads(pickle.dumps(spec))],
@@ -203,10 +207,55 @@ def test_copies_and_pickles_start_with_empty_tables(clone):
     assert spec.fac_tallies and spec.sub_tallies and spec.middle_trie.child
     twin = clone(spec)
     assert twin == spec
-    assert twin.fac_tallies == {} and twin.sub_tallies == {} and twin.kept == {}
+    assert twin.fac_tallies == {} and twin.sub_tallies == {} and all(v == {} for v in kept(twin).values())
     assert twin.middle_trie.child == {} and twin.string_windows == {}
     # and each table reads through to its own algebra
     assert twin.fac_tallies.alg is twin and twin.sub_tallies.alg is twin
+
+
+def _table_cases(spec) -> dict:
+    """Per table of spec: a key it answers, and a key whose computation
+    raises, with the error, or None where no key raises one of the
+    package's errors."""
+    c, not_string = parse_word("a.b^-1"), parse_word("a.a.a")
+    B = canonical_class(spec, parse_word("a.a.b^-1"))
+    return {
+        "fac_tallies": (c, (not_string, NotAString)),
+        "sub_tallies": (c, (not_string, NotAString)),
+        "string_windows": (spec.encode(c.letters), None),
+        "gentle": (spec.vertices, None),
+        "projective_words": ("u", ("9", ParseError)),
+        "member_readings": (B, None),
+        "extensions": ((B, B), None),
+        "negligibles": (B, None),
+        "realizations": (c, (not_string, NotAString)),
+        "band_realizations": ((B.letters, 2, 1), ((B.letters, 0, 1), ZeroParameter)),
+        "covers": (("u",), (("u", "9"), ParseError)),
+        "syzygies": (realize_string(spec, c), None),
+    }
+
+
+@pytest.mark.parametrize("name", list(KEPT))
+def test_every_table_reads_through_once_and_keeps_no_failure(name):
+    # a fresh algebra object, its copy and its unpickled copy each start
+    # with the table empty, reading through to itself
+    spec = copy.copy(GP33)
+    for twin in (spec, copy.copy(spec), pickle.loads(pickle.dumps(spec))):
+        table = getattr(twin, name)
+        assert type(table) is Table and table == {} and table.alg is twin
+    table, cases = getattr(spec, name), _table_cases(spec)
+    assert set(cases) == set(KEPT)
+    key, failure = cases[name]
+    # a second read returns the very object the first one kept
+    first = table[key]
+    assert table[key] is first and key in table
+    # a computation that raises stores nothing, so it raises again
+    if failure is not None:
+        bad, error = failure
+        for _ in range(2):
+            with pytest.raises(error):
+                table[bad]
+        assert bad not in table
 
 
 def test_occurrence_counts_small_cases():
@@ -224,8 +273,8 @@ def test_occurrence_counts_small_cases():
     # but a string over one is refused
     z = parse_word("z.a")
     for call in (
-        lambda: string_id_tally(KRON, z, True),
-        lambda: string_id_tally(KRON, z, False),
+        lambda: KRON.sub_tallies[z],
+        lambda: KRON.fac_tallies[z],
         lambda: count_sub(KRON, parse_word("a"), z),
         lambda: count_fac(KRON, parse_word("a"), z),
     ):
@@ -236,8 +285,8 @@ def test_occurrence_counts_small_cases():
     assert count_sub(KRON, nine, parse_word("a")) == 0
     for call in (
         lambda: is_string(KRON, nine),
-        lambda: string_id_tally(KRON, nine, True),
-        lambda: string_id_tally(KRON, nine, False),
+        lambda: KRON.sub_tallies[nine],
+        lambda: KRON.fac_tallies[nine],
         lambda: count_fac(KRON, nine, nine),
         lambda: hom_string_string(KRON, nine, nine),
     ):
