@@ -237,9 +237,11 @@ def quickstart(root):
 
 def crosscheck(root):
     """scripts/oracle_crosscheck.py on every fixture at strings <= 7 and bands
-    <= 8, the sizes the hom-counts workload counts at; the script exits 1 on
-    any disagreement.  The second pair of parameters is negative and
-    non-integer, so the oracle's hom systems carry signs and denominators."""
+    <= 8, the sizes the hom-counts workload counts at: count_hom against
+    dim_hom on every ordered pair of modules, each string and each band
+    class at both parameters; the script exits 1 on any disagreement.  The
+    second pair of parameters is negative and non-integer, so the oracle's
+    hom systems carry signs and denominators."""
     for path in sorted((root / "fixtures").glob("*.alg")):
         for params in ([], ["--params=-1,2/3"]):
             checked(root, "scripts/oracle_crosscheck.py", str(path.relative_to(root)),

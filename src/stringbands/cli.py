@@ -41,13 +41,7 @@ from .components import (
     split_band,
 )
 from .errors import DomainError, InvalidWitness, NotAString, NotBand, ParseError, ZeroParameter
-from .hom import (
-    hom_band_band,
-    hom_band_string,
-    hom_string_band,
-    hom_string_string,
-    make_sequence,
-)
+from .hom import count_hom, make_sequence
 from .oracle import dim_hom, realize_band, realize_string
 from .words import Word, canonical_word, enumerate_strings, format_word, is_string, parse_word
 
@@ -127,14 +121,22 @@ def cmd_enumerate(args, spec) -> dict:
 
 
 def _parse_module(spec, text: str):
+    """The module that string:<word> or band:<word> names: its canonical
+    string word or band class."""
     if text.startswith("string:"):
         word = parse_word(text[len("string:") :])
         if not is_string(spec, word):
             raise NotAString(text[len("string:") :])
-        return "string", canonical_word(spec, word)
+        return canonical_word(spec, word)
     if text.startswith("band:"):
-        return "band", canonical_class(spec, parse_word(text[len("band:") :]))
+        return canonical_class(spec, parse_word(text[len("band:") :]))
     raise ParseError(f"module must be string:<word> or band:<word>, got {text!r}")
+
+
+def _fmt_module(x) -> str:
+    if isinstance(x, BandClass):
+        return f"band:{_fmt_class(x)}"
+    return f"string:{format_word(x)}"
 
 
 def _check_parameter(value):
@@ -144,32 +146,33 @@ def _check_parameter(value):
 
 
 def cmd_hom(args, spec) -> dict:
-    src_kind, src = _parse_module(spec, args.src)
-    dst_kind, dst = _parse_module(spec, args.dst)
+    src = _parse_module(spec, args.src)
+    dst = _parse_module(spec, args.dst)
     lam = _check_parameter(args.lam)
     mu = _check_parameter(args.mu)
     inputs = {
         "file": args.file,
-        "from": f"{src_kind}:{format_word(src) if src_kind == 'string' else _fmt_class(src)}",
-        "to": f"{dst_kind}:{format_word(dst) if dst_kind == 'string' else _fmt_class(dst)}",
+        "from": _fmt_module(src),
+        "to": _fmt_module(dst),
         "oracle": args.oracle,
         "lambda": str(lam) if lam is not None else None,
         "mu": str(mu) if mu is not None else None,
         "seed": args.seed,
     }
     if args.oracle:
+        src_band, dst_band = isinstance(src, BandClass), isinstance(dst, BandClass)
         # a string has no parameter: one given for it is echoed, never used
-        lam = lam if src_kind == "band" else None
-        mu = mu if dst_kind == "band" else None
+        lam = lam if src_band else None
+        mu = mu if dst_band else None
         rng = random.Random(args.seed)
-        if src_kind == "band" and lam is None:
+        if src_band and lam is None:
             lam = rng.choice(_PARAMETER_POOL)
             if lam == mu:  # an explicit --mu: draw again from the rest of the pool
                 lam = rng.choice([p for p in _PARAMETER_POOL if p != mu])
-        if dst_kind == "band" and mu is None:
+        if dst_band and mu is None:
             mu = rng.choice([p for p in _PARAMETER_POOL if p != lam])
-        X = realize_string(spec, src) if src_kind == "string" else realize_band(spec, src, lam)
-        Y = realize_string(spec, dst) if dst_kind == "string" else realize_band(spec, dst, mu)
+        X = realize_band(spec, src, lam) if src_band else realize_string(spec, src)
+        Y = realize_band(spec, dst, mu) if dst_band else realize_string(spec, dst)
         result = {
             "dim": dim_hom(X, Y),
             "backend": "oracle",
@@ -177,17 +180,7 @@ def cmd_hom(args, spec) -> dict:
             "mu": str(mu) if mu is not None else None,
         }
     else:
-        if src_kind == "string" and dst_kind == "string":
-            dim = hom_string_string(spec, src, dst)
-        elif src_kind == "band" and dst_kind == "string":
-            dim = hom_band_string(spec, src, dst)
-        elif src_kind == "string" and dst_kind == "band":
-            dim = hom_string_band(spec, src, dst)
-        else:
-            # equal explicit parameters on one class make both ends the same module
-            same = src == dst and lam is not None and lam == mu
-            dim = hom_band_band(spec, src, dst, same_module=same)
-        result = {"dim": dim, "backend": "counts", "lambda": None, "mu": None}
+        result = {"dim": count_hom(spec, src, dst, lam, mu), "backend": "counts", "lambda": None, "mu": None}
     return _result("hom", inputs, result)
 
 
@@ -246,7 +239,8 @@ def cmd_degenerate(args, spec) -> dict:
     return _result("degenerate", inputs, result)
 
 
-def _fraction(text: str) -> Fraction:
+def rational(text: str) -> Fraction:
+    """argparse type for band parameters: an exact rational."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -282,10 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=_fraction, default=None,
+    p.add_argument("--lambda", dest="lam", type=rational, default=None,
                    help="parameter of a --from band, an exact rational; "
                         "write a negative fraction as --lambda=-2/3")
-    p.add_argument("--mu", dest="mu", type=_fraction, default=None,
+    p.add_argument("--mu", dest="mu", type=rational, default=None,
                    help="parameter of a --to band; write a negative fraction as --mu=-2/3")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_hom)

@@ -33,10 +33,6 @@ class TrivialWord(DomainError):
     """A trivial word arrived where only a nontrivial one makes sense."""
 
 
-class SameModuleMismatch(DomainError):
-    """same_module was asserted for a pair that is not literally the same module."""
-
-
 class DimensionMismatch(DomainError):
     """Two band sequences were compared whose total dimensions differ."""
 

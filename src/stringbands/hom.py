@@ -13,6 +13,12 @@ each middle's inversion class in the algebra's one `words.MiddleTrie`.  A
 string side is read from the algebra's string tally tables,
 spec.fac_tallies[c] or spec.sub_tallies[c] (`words.Table`): one dict
 subscript once c has been scanned.
+
+`count_hom` is the one entry point for a pair of modules, each a string or
+a band class at its parameter.  It picks the formula by the ends' types and
+owns the one rule the parameters add: one band class at one given
+parameter on both ends is one module, and its identity adds 1 (Krause,
+"Maps between tree and band modules", J. Algebra 137, 1991).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .bands import BandClass, band_id_tally, canonical_class
-from .errors import DimensionMismatch, ParseError, SameModuleMismatch
+from .errors import DimensionMismatch, ParseError
 from .words import Word, _Frozen, iter_strings
 
 
@@ -79,20 +85,32 @@ def hom_string_band(spec, c: Word, B: BandClass) -> int:
     return _pair(spec.fac_tallies[c], subs)
 
 
-def hom_band_band(spec, B: BandClass, C: BandClass, same_module: bool = False) -> int:
-    """dim Hom(M(b,m,lambda), M(c,n,mu)).
+def hom_band_band(spec, B: BandClass, C: BandClass) -> int:
+    """dim Hom(M(b,m,lambda), M(c,n,mu)), the generic value: without the
+    identity that one class adds at lambda = mu (`count_hom`).
 
-    same_module adds the identity's contribution and is legal only for equal
-    classes (equal parameters are implied).  Both tallies are read to m+n,
-    where every shared middle ends (`bands._scan_cap` says why).
+    Both tallies are read to m+n, where every shared middle ends
+    (`bands._scan_cap` says why).
     """
-    if same_module and B != C:
-        raise SameModuleMismatch("same_module requires equal band classes")
     reach = B.period + C.period
     facs = band_id_tally(spec, B.canonical.letters, False, reach)
     subs = band_id_tally(spec, C.canonical.letters, True, reach)
-    total = _pair(facs, subs)
-    return total + 1 if same_module else total
+    return _pair(facs, subs)
+
+
+def count_hom(spec, x, y, lam=None, mu=None) -> int:
+    """dim Hom(X, Y), each end a string `Word` or a `BandClass`, by its type;
+    lam and mu are the parameters of a band at x and at y.  A parameter
+    given for a string end is ignored.  One class at lam == mu, both given,
+    is one module on both ends, and its identity adds 1."""
+    if isinstance(x, BandClass):
+        if isinstance(y, BandClass):
+            total = hom_band_band(spec, x, y)
+            return total + 1 if x == y and lam is not None and lam == mu else total
+        return hom_band_string(spec, x, y)
+    if isinstance(y, BandClass):
+        return hom_string_band(spec, x, y)
+    return hom_string_string(spec, x, y)
 
 
 def seq_count_into(spec, c: Word, S: BandSequence) -> int:

@@ -576,13 +576,21 @@ def test_flanked_folds_match_the_old_counters(spec, data):
     codes = spec.encode(ls)
     subs, facs = id_tally(spec, codes, True, m), id_tally(spec, codes, False, m)
     string = is_string(spec, c)
+    # one key per inversion class: d and its inverse read one id
+    sub_reference, fac_reference = {}, {}
     for d in trivials + factors + [inverse(f) for f in factors]:
+        assert middle_id(spec, d) == middle_id(spec, inverse(d))
         n_sub, n_fac = id_count(spec, subs, d), id_count(spec, facs, d)
         assert n_sub == len(_triples(spec, d, c, True))
         assert n_fac == len(_triples(spec, d, c, False))
+        for reference, n in ((sub_reference, n_sub), (fac_reference, n_fac)):
+            if n:
+                reference[canonical_word(spec, d)] = n
         if string:
             assert count_sub(spec, d, c) == n_sub
             assert count_fac(spec, d, c) == n_fac
+    assert_counts(spec, subs, sub_reference)
+    assert_counts(spec, facs, fac_reference)
     if not string:
         for count in (count_sub, count_fac):
             with pytest.raises(NotAString):
@@ -600,6 +608,7 @@ def test_flanked_folds_match_the_old_counters(spec, data):
         for inv in (True, False):
             reference = {}
             for d in trivials + windows:
+                assert middle_id(spec, d) == middle_id(spec, inverse(d))
                 n = _flank_count(spec, d, band, inv)
                 if n:
                     reference[canonical_word(spec, d)] = n
@@ -615,42 +624,11 @@ def test_flanked_folds_match_the_old_counters(spec, data):
             else:
                 with pytest.raises(NotQuasiBand):
                     band_id_tally(spec, band, inv, cap)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(st.sampled_from(list(ALL.values())), monomial_quivers()), st.data())
-def test_id_tallies_read_back_as_the_old_counters(spec, data):
-    # the id engine against the reference counters above: one key per
-    # inversion class, its count, and lookups that never grow the trie
-    ls = data.draw(cyclic_words(spec))
-    assume(all(ls[k - 1] != ls[k].inv() for k in range(len(ls))))
-    m = len(ls)
-    c = Word(None, ls)
-    trivials = [trivial_word(v) for v in spec.vertices]
-    factors = [Word(None, ls[i:j]) for i in range(m) for j in range(i + 1, m + 1)]
-    band = QuasiBand(ls)
-    readings = [(False, m, lambda d, inv: len(_triples(spec, d, c, inv)), factors)]
-    for cap in (m, 2 * m + 3):
-        windows = [Word(None, _window(band, i, n)) for i in range(m) for n in range(1, cap + 1)]
-        readings.append((True, cap, lambda d, inv: _flank_count(spec, d, band, inv), windows))
-    for cyclic, cap, old_count, middles in readings:
-        for inv in (True, False):
-            ids = id_tally(spec, spec.encode(ls), inv, cap, cyclic)
-            reference = {}
-            for d in trivials + middles:
-                if n := old_count(d, inv):
-                    reference[canonical_word(spec, d)] = n
-            assert len(ids) == len(reference)
-            for d in trivials + middles:
-                key = middle_id(spec, d)
-                assert key == middle_id(spec, inverse(d))
-                if canonical_word(spec, d) in reference:
-                    assert ids[key] == reference[canonical_word(spec, d)]
-    subs = id_tally(spec, spec.encode(ls), True, m)
+    # lookups never grow the trie: a word deeper than it (node 0, the empty
+    # word, and one more per child link), an unknown arrow either way and an
+    # unknown vertex have no id and count 0
     trie = spec.middle_trie
-    # node 0, the empty word, and one more per child link
     size = len(trie.child) + 1
-    # no node is as deep as the trie is large, and no arrow is named "zz"
     absent = [
         Word(None, ls * (size + 1)),
         Word(None, ls + (Letter("zz", False),)),

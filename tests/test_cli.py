@@ -578,9 +578,9 @@ def test_oracle_crosscheck_script_finds_no_mismatch():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "MISMATCHES" not in proc.stdout
     assert "all counts agree with the oracle" in proc.stdout
-    # 8 strings and 1 band class: 64 string pairs, 16 band-string pairs, the
-    # band against itself at two parameters and once as one module
-    assert "82 hom dimensions checked" in proc.stdout
+    # 8 strings and 1 band class at two parameters make 10 modules: every
+    # ordered pair, the class against itself at each parameter included
+    assert "100 hom dimensions checked" in proc.stdout
 
 
 def test_oracle_crosscheck_script_takes_a_negative_parameter_after_an_equals_sign():

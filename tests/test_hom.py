@@ -13,13 +13,14 @@ import stringbands.hom
 import stringbands.words
 from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
 from stringbands import (
+    BandClass,
     DimensionMismatch,
     NotAString,
     ParseError,
-    SameModuleMismatch,
     Word,
     canonical_class,
     count_fac,
+    count_hom,
     count_sub,
     dim_hom,
     enumerate_bands,
@@ -194,14 +195,17 @@ def test_pair_is_the_sum_over_either_tally(f, g):
 def test_band_band_counts():
     B22 = canonical_class(GP22, parse_word("a.b^-1"))
     assert hom_band_band(GP22, B22, B22) == 1
-    assert hom_band_band(GP22, B22, B22, same_module=True) == 2
+    assert count_hom(GP22, B22, B22, 2, 2) == 2
     B2 = canonical_class(GP33, parse_word("a^-1.b"))
     B3 = canonical_class(GP33, parse_word("a.a.b^-1"))
     assert hom_band_band(GP33, B2, B2) == 1
-    assert hom_band_band(GP33, B2, B2, same_module=True) == 2
+    assert count_hom(GP33, B2, B2, 2, 2) == 2
     assert hom_band_band(GP33, B2, B3) == 1
-    with pytest.raises(SameModuleMismatch):
-        hom_band_band(GP33, B2, B3, same_module=True)
+    assert count_hom(GP33, B2, B3, 2, 2) == 1
+
+
+FORMULAS = {(False, False): hom_string_string, (True, False): hom_band_string,
+            (False, True): hom_string_band, (True, True): hom_band_band}
 
 
 def test_band_band_count_is_stable_under_longer_caps():
@@ -209,6 +213,16 @@ def test_band_band_count_is_stable_under_longer_caps():
     # past the length of a string adds none against it
     for spec in (GP22, GP33, KRON, LOOP):
         classes = enumerate_bands(spec, 4)
+        # count_hom on every ordered pair of modules (strings <= 3) is the
+        # formula of their kinds at any parameters, a string's ignored,
+        # plus the identity for one class at one given parameter
+        modules = classes + enumerate_strings(spec, 3)
+        for x in modules:
+            for y in modules:
+                n = FORMULAS[isinstance(x, BandClass), isinstance(y, BandClass)](spec, x, y)
+                assert count_hom(spec, x, y) == count_hom(spec, x, y, 2, 3) == n
+                assert count_hom(spec, x, y, 2, None) == count_hom(spec, x, y, None, 2) == n
+                assert count_hom(spec, x, y, 2, 2) == n + (x == y and isinstance(x, BandClass))
         for B in classes:
             for C in classes:
                 cap = 4 * (B.period + C.period)
