@@ -169,13 +169,13 @@ def source_size(root):
 
 
 def test_imports(root):
-    """A module-level import in tests/*.py that its module never reads.  A
-    read is a name or an attribute loaded (by the AST, so a docstring or
-    comment does not count) or a function parameter's name, so an imported
-    pytest fixture that a test takes as a parameter counts as read;
-    __future__ is skipped."""
+    """A module-level import in tests/*.py or scripts/*.py that its module
+    never reads.  A read is a name or an attribute loaded (by the AST, so a
+    docstring or comment does not count) or a function parameter's name, so
+    an imported pytest fixture that a test takes as a parameter counts as
+    read; __future__ is skipped."""
     unread = []
-    for path in sorted((root / "tests").glob("*.py")):
+    for path in sorted(p for d in ("tests", "scripts") for p in (root / d).glob("*.py")):
         tree = ast.parse(path.read_text())
         read = {name for name, _ in reads(tree)} | {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
         for node in tree.body:

@@ -26,15 +26,11 @@ from stringbands import (
 from stringbands.cli import nonnegative_int, run
 
 
-def class_name(cls):
-    return format_word(cls.canonical.as_word())
-
-
 def describe_negligible(wit):
     if wit is None:
         return "-"
     if isinstance(wit, Case1Witness):
-        pieces = " + ".join(format_word(p.as_word()) for p in wit.pieces)
+        pieces = " + ".join(format_word(p) for p in wit.pieces)
         return f"case1 n={wit.n} -> {pieces}"
     return (
         f"case2 w={format_word(wit.w)} u={format_word(wit.u)}"
@@ -61,12 +57,12 @@ def main(argv=None):
     classes = enumerate_bands(spec, args.max_period)
     print(f"{args.file}: {len(classes)} band classes of period <= {args.max_period}\n")
 
-    width = max((len(class_name(c)) for c in classes), default=10)
+    width = max((len(format_word(c)) for c in classes), default=10)
     print(f"{'class':<{width}}  dim  verdict       negligible")
     for cls in classes:
         verdict = decide_component(spec, [cls])
         line = (
-            f"{class_name(cls):<{width}}  {band_dimension(cls):>3}"
+            f"{format_word(cls):<{width}}  {band_dimension(cls):>3}"
             f"  {verdict.status:<12}"
         )
         if verdict.dimension is not None:
@@ -84,13 +80,9 @@ def main(argv=None):
         tag = verdict.status
         if verdict.dimension is not None:
             tag += f" dim {verdict.dimension}"
-        joins = [
-            format_word(wit.d.as_word())
-            for ix, wit in verdict.witnesses
-            if len(ix) == 2
-        ]
+        joins = [format_word(wit.d) for ix, wit in verdict.witnesses if len(ix) == 2]
         extra = f"  joins: {', '.join(joins)}" if joins else ""
-        print(f"  [{class_name(B)}, {class_name(C)}]  {tag}{extra}")
+        print(f"  [{format_word(B)}, {format_word(C)}]  {tag}{extra}")
     return 0
 
 

@@ -76,7 +76,7 @@ def main(argv=None):
     # (value, parameter, label, realization) of each string and each band
     # class at both parameters
     modules = [(w, None, format_word(w), realize_string(spec, w)) for w in strings]
-    modules += [(cls, p, f"{format_word(cls.canonical.as_word())}({p})", realize_band(spec, cls, p))
+    modules += [(cls, p, f"{format_word(cls)}({p})", realize_band(spec, cls, p))
                 for cls in bands for p in (lam, mu)]
 
     bad = []

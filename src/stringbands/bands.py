@@ -21,9 +21,10 @@ one to its right, matching the composition order of finite words.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
 
-from .errors import NotBand, NotQuasiBand, TrivialWord
+from .errors import NotBand, NotQuasiBand, TrivialWord, ZeroParameter
 from .words import (
     KEPT,
     Letter,
@@ -62,7 +63,7 @@ class QuasiBand(_Frozen):
         return Word(None, self.letters)
 
     def __repr__(self) -> str:
-        return f"QuasiBand({format_word(self.as_word())!r})"
+        return f"QuasiBand({format_word(self)!r})"
 
 
 class BandClass(_Frozen):
@@ -86,11 +87,7 @@ class BandClass(_Frozen):
         return self.canonical.letters
 
     def __repr__(self) -> str:
-        return f"BandClass({format_word(self.canonical.as_word())!r})"
-
-
-def _fmt(letters: tuple[Letter, ...]) -> str:
-    return format_word(Word(None, letters))
+        return f"BandClass({format_word(self)!r})"
 
 
 def _as_letters(x) -> tuple[Letter, ...]:
@@ -103,6 +100,26 @@ def _as_letters(x) -> tuple[Letter, ...]:
             raise NotQuasiBand("a trivial word has no cyclic reading")
         return x.letters
     return tuple(x)
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction, one given returned as it is; a float raises
+    TypeError: Fraction(0.1) is not 1/10.  Band parameters and the oracle's
+    matrix entries are read through it."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"entries and band parameters must be exact, not the float {x!r}")
+    return Fraction(x)
+
+
+def band_parameter(lam) -> Fraction:
+    """lam as the parameter of a band module, exact by `_exact`; zero raises
+    ZeroParameter.  The one check of a parameter, in realization and in
+    counting alike."""
+    if not (lam := _exact(lam)):
+        raise ZeroParameter("band parameter must be nonzero")
+    return lam
 
 
 def _quasi_band_codes(spec, ls: tuple[Letter, ...]) -> tuple[int, ...] | None:
@@ -128,7 +145,7 @@ def _checked(spec, qb) -> tuple[tuple[Letter, ...], tuple[int, ...]]:
     raises NotQuasiBand."""
     ls = _as_letters(qb)
     if (w := _quasi_band_codes(spec, ls)) is None:
-        raise NotQuasiBand(_fmt(ls))
+        raise NotQuasiBand(format_word(ls))
     return ls, w
 
 
@@ -164,7 +181,7 @@ def canonical_class(spec, letters) -> BandClass:
         return cls
     ls, w = _checked(spec, letters)
     if not _primitive(w):
-        raise NotBand(f"{_fmt(ls)} is a proper power")
+        raise NotBand(f"{format_word(ls)} is a proper power")
     return _kept_class(spec, spec.decode(min(_code_rotations(w))))
 
 

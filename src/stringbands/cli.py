@@ -28,7 +28,7 @@ from .algebra import (
     require_string_algebra,
     validate_algebra,
 )
-from .bands import BandClass, QuasiBand, canonical_class, enumerate_bands
+from .bands import BandClass, QuasiBand, band_parameter, canonical_class, enumerate_bands
 from .components import (
     Case1Witness,
     Case2Witness,
@@ -40,7 +40,7 @@ from .components import (
     reverse_piece,
     split_band,
 )
-from .errors import DomainError, InvalidWitness, NotAString, NotBand, ParseError, ZeroParameter
+from .errors import DomainError, InvalidWitness, NotAString, NotBand, ParseError
 from .hom import count_hom, make_sequence
 from .oracle import dim_hom, realize_band, realize_string
 from .words import Word, canonical_word, enumerate_strings, format_word, is_string, parse_word
@@ -55,17 +55,9 @@ def _result(command, inputs, result, witnesses=None):
     return out
 
 
-def _fmt_band(qb) -> str:
-    return format_word(qb.as_word())
-
-
-def _fmt_class(cls: BandClass) -> str:
-    return _fmt_band(cls.canonical)
-
-
 def _class_or_none(spec, qb):
     try:
-        return _fmt_class(canonical_class(spec, qb))
+        return format_word(canonical_class(spec, qb))
     except NotBand:
         return None
 
@@ -83,12 +75,10 @@ def _fmt_witness(wit) -> dict:
     reversed_band as reversed."""
     out = {}
     for key, value in wit._asdict().items():
-        if isinstance(value, QuasiBand):
-            value = _fmt_band(value)
-        elif isinstance(value, Word):
+        if isinstance(value, (QuasiBand, Word)):
             value = format_word(value)
         elif isinstance(value, tuple):
-            value = [_fmt_band(p) for p in value]
+            value = [format_word(p) for p in value]
         out[_RENAMED.get(key, key)] = value
     return out
 
@@ -112,10 +102,8 @@ def cmd_validate(args, spec) -> dict:
 
 
 def cmd_enumerate(args, spec) -> dict:
-    if args.kind == "strings":
-        entries = [format_word(w) for w in enumerate_strings(spec, args.max_len)]
-    else:
-        entries = [_fmt_class(b) for b in enumerate_bands(spec, args.max_len)]
+    listed = enumerate_strings if args.kind == "strings" else enumerate_bands
+    entries = [format_word(x) for x in listed(spec, args.max_len)]
     inputs = {"file": args.file, "kind": args.kind, "max_len": args.max_len}
     return _result("enumerate", inputs, {"count": len(entries), "entries": entries})
 
@@ -134,22 +122,13 @@ def _parse_module(spec, text: str):
 
 
 def _fmt_module(x) -> str:
-    if isinstance(x, BandClass):
-        return f"band:{_fmt_class(x)}"
-    return f"string:{format_word(x)}"
-
-
-def _check_parameter(value):
-    if value is not None and value == 0:
-        raise ZeroParameter("band parameter must be nonzero")
-    return value
+    return f"{'band' if isinstance(x, BandClass) else 'string'}:{format_word(x)}"
 
 
 def cmd_hom(args, spec) -> dict:
     src = _parse_module(spec, args.src)
     dst = _parse_module(spec, args.dst)
-    lam = _check_parameter(args.lam)
-    mu = _check_parameter(args.mu)
+    lam, mu = (None if p is None else band_parameter(p) for p in (args.lam, args.mu))
     inputs = {
         "file": args.file,
         "from": _fmt_module(src),
@@ -194,7 +173,7 @@ def cmd_component(args, spec) -> dict:
     for ix, wit in verdict.witnesses:
         at = {"class": ix[0]} if len(ix) == 1 else {"pair": list(ix)}
         witnesses.append({"kind": _KINDS[type(wit)], **at, **_fmt_witness(wit)})
-    inputs = {"file": args.file, "bands": [_fmt_class(c) for c in seq.classes]}
+    inputs = {"file": args.file, "bands": [format_word(c) for c in seq.classes]}
     result = {
         "status": verdict.status,
         "reasons": list(verdict.reasons),
@@ -218,7 +197,7 @@ def cmd_degenerate(args, spec) -> dict:
             parse_word(args.v),
         )
         result = {
-            "rotation": _fmt_band(out),
+            "rotation": format_word(out),
             "dominating": _class_or_none(spec, out),
         }
     elif args.mode == "split":

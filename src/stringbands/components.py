@@ -339,7 +339,7 @@ def decide_component(spec, S) -> ComponentVerdict:
                 if wit is not None:
                     reasons.append(
                         f"classes {x} and {y} are extendable via "
-                        f"{format_word(wit.d.as_word())}"
+                        f"{format_word(wit.d)}"
                     )
                     found.append(((x, y), wit))
     for i, cls in enumerate(classes):
@@ -394,7 +394,7 @@ def reverse_piece(spec, rot, w: Word, u: Word, v: Word) -> QuasiBand:
     w_ls, u_ls, v_ls = w.letters, u.letters, v.letters
     c_letters = w_ls + u_ls + inverse_letters(w_ls) + inverse_letters(v_ls)
     if not is_quasi_band(spec, c_letters):
-        raise NotQuasiBand(format_word(Word(None, c_letters)))
+        raise NotQuasiBand(format_word(c_letters))
     return QuasiBand(c_letters)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .bands import BandClass, band_id_tally, canonical_class
+from .bands import BandClass, band_id_tally, band_parameter, canonical_class
 from .errors import DimensionMismatch, ParseError
 from .words import Word, _Frozen, iter_strings
 
@@ -100,9 +100,15 @@ def hom_band_band(spec, B: BandClass, C: BandClass) -> int:
 
 def count_hom(spec, x, y, lam=None, mu=None) -> int:
     """dim Hom(X, Y), each end a string `Word` or a `BandClass`, by its type;
-    lam and mu are the parameters of a band at x and at y.  A parameter
-    given for a string end is ignored.  One class at lam == mu, both given,
-    is one module on both ends, and its identity adds 1."""
+    any other end raises TypeError.  lam and mu are the parameters of a band
+    at x and at y, each one given checked as the oracle's realization checks
+    it (`bands.band_parameter`) and otherwise ignored at a string end.  One
+    class at lam == mu, both given, is one module on both ends, and its
+    identity adds 1."""
+    for end in (x, y):
+        if not isinstance(end, (Word, BandClass)):
+            raise TypeError(f"a hom end is a string Word or a BandClass, not {type(end).__name__}")
+    lam, mu = (None if p is None else band_parameter(p) for p in (lam, mu))
     if isinstance(x, BandClass):
         if isinstance(y, BandClass):
             total = hom_band_band(spec, x, y)

@@ -68,12 +68,13 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .algebra import AlgebraSpec, projective_word
-from .bands import _as_letters, is_quasi_band
+from .bands import _as_letters, _exact, band_parameter, is_quasi_band
 from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
 from .words import (
     KEPT,
     Word,
     _Frozen,
+    _letter_text,
     format_word,
     is_string,
     letter_source,
@@ -148,16 +149,6 @@ class MatrixModule(_Frozen):
 
     def __repr__(self) -> str:
         return f"MatrixModule(dim={self.dim})"
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction, one given returned as it is; a float raises
-    TypeError: Fraction(0.1) is not 1/10."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"entries and band parameters must be exact, not the float {x!r}")
-    return Fraction(x)
 
 
 def _validate(mod: MatrixModule, cells: dict[str, list]) -> tuple[dict[str, Entries], Lines, bool]:
@@ -277,7 +268,7 @@ def _realize_string(spec, c: Word) -> MatrixModule:
     prefix = ""
     entries: dict[str, list] = {}
     for j, l in enumerate(c.letters, start=1):
-        letter = l.arrow + "^-1" if l.inverted else l.arrow
+        letter = _letter_text(l)
         prefix = f"{prefix}.{letter}" if prefix else letter
         labels.append(prefix)
         entries.setdefault(l.arrow, []).append((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE))
@@ -288,9 +279,10 @@ def realize_band(spec, qb, lam) -> MatrixModule:
     """Module on e0..e(m-1) with the parameter on the seam crossing.
 
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
-    canonical rotation.  A float lam raises TypeError: Fraction(0.1) is not 1/10.
+    canonical rotation.  lam is checked by `bands.band_parameter`: a float
+    raises TypeError (Fraction(0.1) is not 1/10), zero ZeroParameter.
     """
-    lam = _exact(lam)
+    lam = band_parameter(lam)
     # kept by the parameter's two ints: a Fraction hashes anew on every lookup
     return spec.band_realizations[_as_letters(qb), lam.numerator, lam.denominator]
 
@@ -300,7 +292,7 @@ def _realize_band(spec, key: tuple) -> MatrixModule:
     if num == 0:
         raise ZeroParameter("band parameter must be nonzero")
     if not is_quasi_band(spec, letters):
-        raise NotQuasiBand(format_word(Word(None, letters)))
+        raise NotQuasiBand(format_word(letters))
     m, lam = len(letters), Fraction(num, den)
     # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
     # letters[-1]

@@ -22,6 +22,9 @@ The string tallies are two tables, `AlgebraSpec.fac_tallies` and
 scans the string.  `count_sub` and `count_fac` read them and find d's id by
 `middle_id`, a walk that never grows the trie.
 
+`format_word` prints every word-like value as the text `parse_word` reads,
+each letter by one rule, `_letter_text`.
+
 Composition order is right to left throughout: in a word written
 ``a1.a2. ... .an`` the rightmost letter is traversed first, consecutive
 letters satisfy s(a_i) = t(a_{i+1}), the source of the word is s(an) and
@@ -528,7 +531,17 @@ def parse_word(text: str) -> Word:
     return Word(None, tuple(letters))
 
 
-def format_word(word: Word) -> str:
-    if word.is_trivial:
-        return f"1_{word.trivial_at}"
-    return ".".join(l.arrow + ("^-1" if l.inverted else "") for l in word.letters)
+def _letter_text(l: Letter) -> str:
+    """The one letter rule: `a` for an arrow, `a^-1` for its inverse."""
+    return l.arrow + "^-1" if l.inverted else l.arrow
+
+
+def format_word(word) -> str:
+    """The text `parse_word` reads, of any word-like value: a `Word` (a
+    trivial one as `1_<vertex>`), a `bands.QuasiBand`, a `bands.BandClass`
+    (its canonical reading) or a tuple of letters, each letter by
+    `_letter_text`, joined by dots."""
+    vertex = getattr(word, "trivial_at", None)
+    if vertex is not None:
+        return f"1_{vertex}"
+    return ".".join(map(_letter_text, getattr(word, "letters", word)))

@@ -108,6 +108,17 @@ def test_test_imports_fails_on_an_unread_import(tmp_path):
     assert str(info.value) == "module-level imports that their module never reads: tests/test_words.py:1: zipfile"
 
 
+def test_test_imports_fails_on_an_unread_import_in_a_script(tmp_path):
+    root = copy_of(tmp_path, "tests", "scripts")
+    path = root / "scripts/component_survey.py"
+    line = plant(path, "from stringbands import QuasiBand\n")
+    with pytest.raises(ci.Fail) as info:
+        ci.test_imports(root)
+    assert str(info.value) == (
+        f"module-level imports that their module never reads: scripts/component_survey.py:{line}: QuasiBand"
+    )
+
+
 def test_a_missing_entry_point_is_skipped_here_and_fails_under_github_actions(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.delenv("GITHUB_ACTIONS", raising=False)

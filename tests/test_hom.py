@@ -17,7 +17,9 @@ from stringbands import (
     DimensionMismatch,
     NotAString,
     ParseError,
+    QuasiBand,
     Word,
+    ZeroParameter,
     canonical_class,
     count_fac,
     count_hom,
@@ -202,6 +204,21 @@ def test_band_band_counts():
     assert count_hom(GP33, B2, B2, 2, 2) == 2
     assert hom_band_band(GP33, B2, B3) == 1
     assert count_hom(GP33, B2, B3, 2, 2) == 1
+    # a parameter the oracle refuses is refused by counting, by the same
+    # check, and so is an end that is neither a string Word nor a BandClass
+    BK = canonical_class(KRON, parse_word("a.b^-1"))
+    for bad, error in ((0, ZeroParameter), (2.0, TypeError)):
+        with pytest.raises(error):
+            realize_band(KRON, BK, bad)
+        for lam, mu in ((bad, bad), (bad, 2), (2, bad)):
+            with pytest.raises(error):
+                count_hom(KRON, BK, BK, lam, mu)
+        with pytest.raises(error):
+            count_hom(KRON, parse_word("a"), BK, bad)
+    for end in (QuasiBand(BK.letters), "a.b^-1"):
+        for x, y in ((end, BK), (BK, end)):
+            with pytest.raises(TypeError, match=f"not {type(end).__name__}$"):
+                count_hom(KRON, x, y)
 
 
 FORMULAS = {(False, False): hom_string_string, (True, False): hom_band_string,

@@ -10,6 +10,7 @@ from letter_reference import word_key
 from stringbands import (
     NotAString,
     ParseError,
+    QuasiBand,
     Word,
     ZeroParameter,
     canonical_class,
@@ -41,12 +42,18 @@ def test_parse_format_roundtrip():
     for text in ("a", "a^-1", "a.b^-1", "1_u", "y.a.x.a^-1.y^-1"):
         w = parse_word(text)
         assert format_word(w) == text
+        # a cyclic word and a bare letter tuple print as the word of their letters
+        if not w.is_trivial:
+            assert format_word(QuasiBand(w.letters)) == format_word(w.letters) == text
         # a word parsed again, or rebuilt from its fields, is the same key
         for twin in (parse_word(text), Word(w.trivial_at, w.letters)):
             assert twin == w and twin is not w
             assert hash(twin) == hash(w)
             assert {w: text}[twin] == text
             assert len({w, twin}) == 1
+    # a band class prints as its canonical reading
+    B = canonical_class(KRON, parse_word("b^-1.a"))
+    assert format_word(B) == format_word(B.canonical) == "a.b^-1"
 
 
 def test_parse_rejects_junk():
