@@ -16,9 +16,9 @@ Each line gives the count and the milliseconds of the count, of dim_hom and
 of syzygy of the realized modules, each cold (realizing the modules is not
 timed); a string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
-of extendable_quadratic.  Under each line, what the algebra object kept:
-its trie's nodes and its string and band tallies with the ids they hold,
-then the size of every table it keeps (`words.KEPT`); nothing gates on
+of extendable_quadratic.  Under each line, what the algebra object kept
+(`AlgebraSpec.kept_sizes`): its trie's nodes, band tallies and classes,
+then the entries of every table it keeps (`words.KEPT`); nothing gates on
 these.  Exit status 1 when a count differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
 other way round, when a syzygy read off the line table differs from the
@@ -51,7 +51,6 @@ from stringbands import (
 )
 from stringbands.cli import run
 from stringbands.oracle import _columns, _presentation
-from stringbands.words import KEPT
 
 DUMBBELL = Path(__file__).resolve().parent.parent / "fixtures" / "dumbbell.alg"
 P, Q = "x.a^-1.y.a", "x.a^-1.y^-1.a"
@@ -76,20 +75,6 @@ def band_case(k: int):
     C = canonical_class(spec, parse_word(".".join([Q] * k + [P])))
     modules = (realize_band(spec, B, 2), realize_band(spec, C, 3))
     return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules, spec, (spec, B, C)
-
-
-def kept(spec) -> str:
-    """The string and band tallies the algebra object keeps, each side
-    counted as entries and the ids they hold."""
-    strings = [*spec.fac_tallies.values(), *spec.sub_tallies.values()]
-    bands = [ids for _, ids in spec.band_tallies.values()]
-    return ", ".join(f"{len(t)} {kind} tallies ({sum(map(len, t))} ids)"
-                     for kind, t in (("string", strings), ("band", bands)))
-
-
-def tables(spec) -> str:
-    """The number of entries in each table the algebra object keeps."""
-    return ", ".join(f"{name} {len(getattr(spec, name))}" for name in KEPT)
 
 
 def main(argv=None):
@@ -128,8 +113,10 @@ def main(argv=None):
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
-        print(f"{'':<16} kept: trie {len(spec.middle_trie.child) + 1} nodes, {kept(spec)}")
-        print(f"{'':<16} tables: {tables(spec)}")
+        sizes = spec.kept_sizes()
+        print(f"{'':<16} kept: trie {sizes.pop('middle_trie')} nodes, band_tallies {sizes.pop('band_tallies')},"
+              f" classes {sizes.pop('classes')}")
+        print(f"{'':<16} tables: " + ", ".join(f"{name} {n}" for name, n in sizes.items()))
     return 1 if bad else 0
 
 

@@ -98,6 +98,7 @@ class AlgebraSpec(_Frozen):
     band_tallies (`bands.band_id_tally`); classes, every band class built
     for it, under itself (`bands.canonical_class`); and middle_trie, the
     ids of every middle word the tallies read (`words.MiddleTrie`).
+    `kept_sizes` counts what each of them holds.
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -153,6 +154,12 @@ class AlgebraSpec(_Frozen):
     def _hash(self) -> int:
         return hash(self._values)
 
+    def kept_sizes(self) -> dict[str, int]:
+        """The entries of each table, by name, its band tallies, its classes
+        and its trie's nodes: how much the object keeps."""
+        return {**{name: len(getattr(self, name)) for name in KEPT}, "band_tallies": len(self.band_tallies),
+                "classes": len(self.classes), "middle_trie": len(self.middle_trie.child) + 1}
+
     @cached_property
     def _arrow_map(self) -> dict[str, ArrowDecl]:
         return {a.name: a for a in self.arrows}
@@ -202,11 +209,13 @@ class AlgebraSpec(_Frozen):
 
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         """The codes of letters (`code_letters`); a letter over an arrow the
-        algebra lacks raises ParseError."""
+        algebra lacks raises ParseError, an item that is no `Letter` TypeError."""
         try:
             return tuple(map(self.letter_codes.__getitem__, letters))
         except KeyError as e:
-            raise ParseError(f"unknown arrow {e.args[0].arrow!r}") from None
+            if not isinstance(bad := e.args[0], Letter):
+                raise TypeError(f"a word's letters are Letters, not {type(bad).__name__}") from None
+            raise ParseError(f"unknown arrow {bad.arrow!r}") from None
 
     def decode(self, codes: Iterable[int]) -> tuple[Letter, ...]:
         """The letters of codes, the inverse of `encode`."""

@@ -8,9 +8,10 @@ side is kept on the algebra, in spec.band_tallies, a plain dict whose
 entries are replaced as they grow (the string tallies are tables,
 `words.Table`), scanned to a power of two (`_scan_cap`) and grown only when
 a pairing reaches further, so it holds every middle any pairing shares.
-Every count, `dimension_vector`, `is_band` and `canonical_class` read a
-cyclic word through `_checked`, the one place that refuses a word that is
-no quasi-band, and `_primitive` is the one test that it is no proper power.
+Every count, `dimension_vector`, `is_band`, `canonical_class` and a band
+realization read a cyclic word through `_checked`, the one place that
+refuses a word that is no quasi-band, by the codes kept per letter tuple in
+spec.quasi_band_codes; `_primitive` tests that it is no proper power.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -99,6 +100,8 @@ def _as_letters(x) -> tuple[Letter, ...]:
         if x.is_trivial:
             raise NotQuasiBand("a trivial word has no cyclic reading")
         return x.letters
+    if isinstance(x, str):
+        raise TypeError(f"a cyclic word is a QuasiBand, BandClass, Word or tuple of letters, not {type(x).__name__}")
     return tuple(x)
 
 
@@ -124,9 +127,10 @@ def band_parameter(lam) -> Fraction:
 
 def _quasi_band_codes(spec, ls: tuple[Letter, ...]) -> tuple[int, ...] | None:
     """The letter codes of the cyclic word ls (`AlgebraSpec.encode`) if it
-    is a quasi-band, else None: it is one when it has mixed directions and
-    ``w + w[:R-1]``, its period w read on for R-1 more letters, passes the
-    window test of `AlgebraSpec.string_windows`."""
+    is a quasi-band, else None, kept in spec.quasi_band_codes: it is one
+    when it has mixed directions and ``w + w[:R-1]``, its period w read on
+    for R-1 more letters, passes the window test of
+    `AlgebraSpec.string_windows`."""
     if not ls:
         raise NotQuasiBand("empty cyclic word")
     w = spec.encode(ls)
@@ -137,14 +141,14 @@ def _quasi_band_codes(spec, ls: tuple[Letter, ...]) -> tuple[int, ...] | None:
 def is_quasi_band(spec, letters) -> bool:
     """Every rotation and power of the cyclic word is a string
     (`_quasi_band_codes`).  Unknown arrows raise ParseError."""
-    return _quasi_band_codes(spec, _as_letters(letters)) is not None
+    return spec.quasi_band_codes[_as_letters(letters)] is not None
 
 
 def _checked(spec, qb) -> tuple[tuple[Letter, ...], tuple[int, ...]]:
     """The letters of a quasi-band and their codes; any other cyclic word
     raises NotQuasiBand."""
     ls = _as_letters(qb)
-    if (w := _quasi_band_codes(spec, ls)) is None:
+    if (w := spec.quasi_band_codes[ls]) is None:
         raise NotQuasiBand(format_word(ls))
     return ls, w
 
@@ -216,7 +220,7 @@ def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
     return tuple(_Reading(spec, QuasiBand(spec.decode(w)), w) for w in rots)
 
 
-KEPT.update(member_readings=_member_readings)
+KEPT.update(quasi_band_codes=_quasi_band_codes, member_readings=_member_readings)
 
 
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
@@ -248,7 +252,7 @@ def band_id_tally(spec, qb, left_inverted: bool, reach: int) -> dict[int, int]:
     as (cap, ids), and only grows: a reach <= cap reads the kept ids, and a
     longer one rescans at `_scan_cap(reach)` and replaces the entry.  The
     package passes the letter tuple.  A cyclic word that is no quasi-band
-    raises NotQuasiBand and keeps nothing."""
+    raises NotQuasiBand and keeps no tally."""
     key = (qb, left_inverted)
     entry = spec.band_tallies.get(key)
     if entry is None or entry[0] < reach:

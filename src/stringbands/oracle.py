@@ -56,8 +56,8 @@ Basis indices are 0-based.  For a string c the basis vector at index i is
 the left divisor of c with i letters; for a band realization of period m
 the basis is e0..e(m-1) and the wraparound action of the period's last
 letter carries the parameter (lambda when that letter is an arrow, its
-reciprocal when it is an inverse letter).  Any consistent seam choice gives
-an isomorphic module.
+reciprocal when it is an inverse letter); the rest is kept per letter tuple
+in spec.band_shapes.  Any consistent seam choice gives an isomorphic module.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .algebra import AlgebraSpec, projective_word
-from .bands import _as_letters, _exact, band_parameter, is_quasi_band
-from .errors import NotAString, NotQuasiBand, SpecMismatch, ZeroParameter
+from .bands import _as_letters, _checked, _exact, band_parameter
+from .errors import NotAString, SpecMismatch, ZeroParameter
 from .words import (
     KEPT,
     Word,
@@ -280,7 +280,9 @@ def realize_band(spec, qb, lam) -> MatrixModule:
 
     Accepts any quasi-band, primitive or not; a BandClass is realized on its
     canonical rotation.  lam is checked by `bands.band_parameter`: a float
-    raises TypeError (Fraction(0.1) is not 1/10), zero ZeroParameter.
+    raises TypeError (Fraction(0.1) is not 1/10), zero ZeroParameter.  Kept
+    per letter tuple and lam in spec.band_realizations; a new lam adds its
+    seam entry to the letter tuple's kept shape (`_band_shape`).
     """
     lam = band_parameter(lam)
     # kept by the parameter's two ints: a Fraction hashes anew on every lookup
@@ -291,19 +293,28 @@ def _realize_band(spec, key: tuple) -> MatrixModule:
     letters, num, den = key
     if num == 0:
         raise ZeroParameter("band parameter must be nonzero")
-    if not is_quasi_band(spec, letters):
-        raise NotQuasiBand(format_word(letters))
-    m, lam = len(letters), Fraction(num, den)
-    # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
-    # letters[-1]
-    vertex_of = [letter_source(spec, l) for l in letters[-1:] + letters[:-1]]
-    entries: dict[str, list] = {}
-    for j, l in enumerate(letters, 1):
-        x = (_ONE / lam if l.inverted else lam) if j == m else _ONE
-        cell = (j % m, j - 1, x) if l.inverted else (j - 1, j % m, x)
-        entries.setdefault(l.arrow, []).append(cell)
-    labels = tuple(f"e{j}" for j in range(m))
+    vertex_of, labels, units, seam = spec.band_shapes[letters]
+    m = len(letters)
+    # the seam letter carries lam when it is an arrow, 1/lam when inverted
+    cell = (0, m - 1, Fraction(den, num)) if seam.inverted else (m - 1, 0, Fraction(num, den))
+    entries = dict(units)
+    entries[seam.arrow] = entries.get(seam.arrow, ()) + (cell,)
     return MatrixModule(spec, vertex_of, entries, labels)
+
+
+def _band_shape(spec, letters: tuple) -> tuple:
+    """What a band realization of letters keeps free of lam, in
+    spec.band_shapes: the vertex of each basis vector, the labels, the unit
+    cells of letters[:-1] as read-only tuples by arrow and the seam letter
+    letters[-1].  A cyclic word that is no quasi-band raises NotQuasiBand."""
+    _checked(spec, letters)
+    # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
+    vertex_of = tuple(letter_source(spec, l) for l in letters[-1:] + letters[:-1])
+    units: dict[str, tuple] = {}
+    for j, l in enumerate(letters[:-1], 1):
+        units[l.arrow] = units.get(l.arrow, ()) + ((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE),)
+    labels = tuple(f"e{j}" for j in range(len(letters)))
+    return vertex_of, labels, MappingProxyType(units), letters[-1]
 
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
@@ -505,7 +516,7 @@ def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     return _presentation(X, X.one_entry_per_line)
 
 
-KEPT.update(realizations=_realize_string, band_realizations=_realize_band,
+KEPT.update(realizations=_realize_string, band_realizations=_realize_band, band_shapes=_band_shape,
             covers=_projective_cover, syzygies=_syzygy)
 
 

@@ -190,7 +190,9 @@ def glues(alg, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
 
 def _check_word(alg, word: Word) -> tuple[int, ...]:
     """The word's letter codes (`AlgebraSpec.encode`); a vertex or arrow alg
-    lacks raises ParseError."""
+    lacks raises ParseError, and a value that is no `Word` TypeError."""
+    if not isinstance(word, Word):
+        raise TypeError(f"a word is a Word, not {type(word).__name__}")
     if word.is_trivial and not alg.has_vertex(word.trivial_at):
         raise ParseError(f"unknown vertex {word.trivial_at!r}")
     return alg.encode(word.letters)

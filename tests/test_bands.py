@@ -28,6 +28,7 @@ from stringbands import (
     class_members,
     count_fac,
     count_sub,
+    decide_component,
     dimension_vector,
     enumerate_bands,
     enumerate_strings,
@@ -36,6 +37,7 @@ from stringbands import (
     format_word,
     hom_band_string,
     hom_string_band,
+    hom_string_string,
     inverse,
     is_band,
     is_quasi_band,
@@ -43,6 +45,7 @@ from stringbands import (
     negligible,
     parse_word,
     parti_counts,
+    realize_band,
     sub_counts,
 )
 import stringbands.bands
@@ -285,6 +288,37 @@ def test_dimensions():
     assert dimension_vector(LOOP, L) == {"1": 2, "2": 2}
     with pytest.raises(ParseError, match="unknown arrow 'z'"):
         dimension_vector(GP33, parse_word("a.z^-1"))
+
+
+def test_a_str_where_a_word_belongs_raises_type_error():
+    # a str is no word: read as characters it would give band_dimension 6,
+    # and its items reach the letter codes, which take Letters only
+    text = "a.b^-1"
+    for call in (
+        lambda: band_dimension(text),
+        lambda: is_quasi_band(KRON, text),
+        lambda: is_band(KRON, text),
+        lambda: dimension_vector(KRON, text),
+        lambda: sub_counts(KRON, parse_word("a"), text),
+        lambda: fac_counts(KRON, parse_word("a"), text),
+        lambda: parti_counts(KRON, parse_word("a"), text),
+        lambda: canonical_class(KRON, text),
+        lambda: realize_band(KRON, text, 2),
+        lambda: decide_component(KRON, [text]),
+        lambda: is_string(KRON, "a"),
+        lambda: canonical_word(KRON, "a"),
+        lambda: hom_string_string(KRON, "a", "a"),
+    ):
+        with pytest.raises(TypeError, match="not str"):
+            call()
+    # a tuple of names, not of Letters, is refused by the letter codes
+    with pytest.raises(TypeError, match="Letters, not str"):
+        is_quasi_band(KRON, ("a", "b"))
+    # which still refuse a Letter over an arrow the algebra lacks
+    with pytest.raises(ParseError, match="unknown arrow 'z'"):
+        is_quasi_band(KRON, (Letter("a", False), Letter("z", True)))
+    # nothing was kept for the refused inputs
+    assert not KRON.quasi_band_codes.keys() & {tuple(text), ("a", "b"), (text,)}
 
 
 ALL_CLASSES = [

@@ -636,6 +636,19 @@ def test_scaling_script_agrees_at_its_smallest_sizes():
         ["bands", "m=n=36"], ["kept:", "trie"], ["tables:", "fac_tallies"],
     ]
     assert not any("MISMATCH" in line for line in lines)
+    # the two lines print every size AlgebraSpec.kept_sizes reports, and
+    # nothing else
+    names = load_algebra(ROOT / LOOP_FILE).kept_sizes().keys()
+    sizes = []
+    for kept, tables in (lines[1:3], lines[4:6]):
+        pairs = [p.split() for p in kept.split(":", 1)[1].split(",") + tables.split(":", 1)[1].split(",")]
+        assert pairs[0][0] == "trie" and pairs[0][2] == "nodes"
+        sizes.append({"middle_trie" if name == "trie" else name: int(n) for name, n, *_ in pairs})
+        assert sizes[-1].keys() == names
+    # a string keeps no band, and the band pair one class, tally, shape and
+    # realization each
+    assert not any(sizes[0][name] for name in ("band_tallies", "classes", "band_shapes", "band_realizations"))
+    assert all(sizes[1][name] == 2 for name in ("band_tallies", "classes", "band_shapes", "band_realizations"))
 
 
 @pytest.mark.parametrize("fault", ["missing", "malformed"])

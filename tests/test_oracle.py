@@ -36,7 +36,8 @@ from stringbands import (
 )
 from stringbands import oracle
 from stringbands.oracle import _echelon, _integral, _kernel, _line_kernel, _row_rank
-from stringbands.words import trivial_word
+from stringbands.bands import band_id_tally
+from stringbands.words import letter_source, trivial_word
 
 TWO = Fraction(2)
 THREE = Fraction(3)
@@ -63,6 +64,51 @@ def test_band_realization_seam_carries_the_parameter():
     assert X.entries == {"a": ((1, 0, 1),), "b": ((1, 0, lam),)}
     Y = realize_band(GP33, canonical_class(GP33, parse_word("a^-1.b")), lam)
     assert Y.entries == {"a": ((0, 1, 1),), "b": ((0, 1, 1 / lam),)}
+
+
+def _band_by_definition(spec, letters, lam) -> MatrixModule:
+    """M(b, 1, lam) built straight from its definition: e_j sits at the
+    source of letters[j-1] (e_0 at that of the seam letter letters[-1]);
+    letter j, indices mod m, is an arrow mapping e_j to e_(j-1) or the
+    inverse of one mapping e_(j-1) to e_j, by 1, but across the seam by lam
+    for an arrow and by 1/lam for an inverse letter."""
+    m = len(letters)
+    entries = {}
+    for j, l in enumerate(letters, 1):
+        x = Fraction(1) if j < m else 1 / lam if l.inverted else lam
+        cell = (j % m, j - 1, x) if l.inverted else (j - 1, j % m, x)
+        entries.setdefault(l.arrow, []).append(cell)
+    vertex_of = [letter_source(spec, letters[j - 1]) for j in range(m)]
+    return MatrixModule(spec, vertex_of, entries, [f"e{j}" for j in range(m)])
+
+
+def test_band_realizations_match_the_definition():
+    params = (TWO, Fraction(-1), Fraction(2, 3), Fraction(11, 5))
+    seams = set()
+    for fixture in ALL.values():
+        spec = copy.copy(fixture)
+        classes = enumerate_bands(spec, 8)
+        for B in classes:
+            seams.add(B.letters[-1].inverted)
+            for lam in params:
+                M, R = realize_band(spec, B, lam), _band_by_definition(spec, B.letters, lam)
+                assert M == R and hash(M) == hash(R)
+                assert M.entries == R.entries and M.labels == R.labels
+                assert M.lines == R.lines and M.one_entry_per_line is R.one_entry_per_line is True
+            # the band tallies at every reach rescan at 1, 2, 4, ..., each
+            # reading the kept quasi-band check
+            for reach in range(1, 2 * B.period + 1):
+                for side in (True, False):
+                    band_id_tally(spec, B.letters, side, reach)
+        # each class was checked and shaped once, whatever its parameters
+        # and reaches
+        assert spec.quasi_band_codes.keys() == spec.band_shapes.keys() == {B.letters for B in classes}
+        sizes = spec.kept_sizes()
+        assert sizes["quasi_band_codes"] == sizes["band_shapes"] == sizes["classes"] == len(classes)
+        assert sizes["band_realizations"] == len(params) * len(classes)
+    # the seam letter, last of the canonical reading, is inverted on some
+    # classes and an arrow on others
+    assert seams == {True, False}
 
 
 def test_band_realization_rejects_bad_input():

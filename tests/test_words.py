@@ -9,6 +9,7 @@ from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, kept
 from letter_reference import word_key
 from stringbands import (
     NotAString,
+    NotQuasiBand,
     ParseError,
     QuasiBand,
     Word,
@@ -232,11 +233,13 @@ def _table_cases(spec) -> dict:
         "string_windows": (spec.encode(c.letters), None),
         "gentle": (spec.vertices, None),
         "projective_words": ("u", ("9", ParseError)),
+        "quasi_band_codes": (B.letters, ((), NotQuasiBand)),
         "member_readings": (B, None),
         "extensions": ((B, B), None),
         "negligibles": (B, None),
         "realizations": (c, (not_string, NotAString)),
         "band_realizations": ((B.letters, 2, 1), ((B.letters, 0, 1), ZeroParameter)),
+        "band_shapes": (B.letters, (not_string.letters, NotQuasiBand)),
         "covers": (("u",), (("u", "9"), ParseError)),
         "syzygies": (realize_string(spec, c), None),
     }
