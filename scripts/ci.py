@@ -16,7 +16,6 @@ import ast
 import hashlib
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -28,8 +27,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PY = sys.executable
-CACHE = re.compile(r"lru_cache|functools\.cache\b|functools import.*\bcache\b")
-NAMED_TUPLE = re.compile(r"\bNamedTuple\b")
 IN_PROCESS = ("hom-grid", "hom-counts", "ext-survey")
 COUNTERS = ("dim_hom_calls", "unknowns_total", "rank_total", "module_nnz")
 
@@ -89,12 +86,14 @@ def source_size(root):
 
     Every memo is kept in a table on its algebra object (words.Table); a
     module-level cache would keep every algebra it ever saw alive, so one
-    fails the step.  So does a class in src/ other than words.Table that
+    fails the step: an lru_cache read, functools.cache, or either imported
+    from functools.  So does a class in src/ other than words.Table that
     defines __missing__: one read-through type keeps one place to count,
     own and reset what an algebra keeps.
-    So does typing.NamedTuple anywhere in src/: every import of the package
-    would compile one ForwardRef per field of such a class, so record types
-    are collections.namedtuple.
+    So does typing.NamedTuple, read or imported anywhere in src/: every
+    import of the package would compile one ForwardRef per field of such a
+    class, so record types are collections.namedtuple.  These gates, like
+    the rest, read the AST, so a comment or docstring naming them passes.
     So does an import below module level in src/ (by the AST): an import on
     first use binds whatever module sys.modules holds at that moment, so
     after a re-import of the package an object made before it would read
@@ -123,13 +122,23 @@ def source_size(root):
                         " and not isinstance(v, types.ModuleType) for n, v in vars(stringbands).items()));"
                         " from stringbands.words import KEPT; print(f'tables ({len(KEPT)}):', *KEPT)")
 
-    def lines_matching(pattern):
-        return ", ".join(f"{path.relative_to(root)}:{i}" for path in sorted((root / "src").rglob("*.py"))
-                         for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line))
+    def at(hit):
+        """path:line of every node of src/ that hit accepts: by the AST, so no
+        comment, docstring or string counts"""
+        lines = sorted({(str(path), n.lineno) for path, tree in trees.items() for n in ast.walk(tree) if hit(n)})
+        return ", ".join(f"{p}:{i}" for p, i in lines)
 
-    if caches := lines_matching(CACHE):
+    def loads(n, name):
+        return isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load) \
+            and name in (getattr(n, "id", None), getattr(n, "attr", None))
+
+    def imports(n, module, names):
+        return isinstance(n, ast.ImportFrom) and n.module == module and any(a.name in names for a in n.names)
+
+    if caches := at(lambda n: loads(n, "lru_cache") or imports(n, "functools", {"cache", "lru_cache"})
+                    or isinstance(n, ast.Attribute) and n.attr == "cache" and getattr(n.value, "id", None) == "functools"):
         raise Fail(f"a module-level cache at {caches}; keep the answers in a table on the algebra (words.Table)")
-    if named := lines_matching(NAMED_TUPLE):
+    if named := at(lambda n: loads(n, "NamedTuple") or imports(n, "typing", {"NamedTuple"})):
         raise Fail(f"NamedTuple at {named}; every import compiles one ForwardRef per field of such a"
                    " class, so define record types with collections.namedtuple")
 

@@ -17,9 +17,9 @@ of syzygy of the realized modules, each cold (realizing the modules is not
 timed); a string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
 of extendable_quadratic.  Under each line, what the algebra object kept
-(`AlgebraSpec.kept_sizes`): its trie's nodes, band tallies and classes,
-then the entries of every table it keeps (`words.KEPT`); nothing gates on
-these.  Exit status 1 when a count differs from dim_hom,
+(`AlgebraSpec.kept_sizes`): its trie's nodes and band tallies, then the
+entries of every table it keeps (`words.KEPT`), its classes among them;
+nothing gates on these.  Exit status 1 when a count differs from dim_hom,
 when extendable_quadratic finds a witness where extendable finds none or the
 other way round, when a syzygy read off the line table differs from the
 one found by elimination, or when the columns a kept projective cover
@@ -108,14 +108,13 @@ def main(argv=None):
         if syzygies != [_presentation(M, False) for M in distinct]:
             verdict += "  MISMATCH: echelon syzygy"
             bad += 1
-        if any(maps != _columns(P0) for _, P0, maps in spec.covers.values()):
+        if any(maps != _columns(P0) for P0, maps in spec.covers.values()):
             verdict += "  MISMATCH: kept cover maps"
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
         sizes = spec.kept_sizes()
-        print(f"{'':<16} kept: trie {sizes.pop('middle_trie')} nodes, band_tallies {sizes.pop('band_tallies')},"
-              f" classes {sizes.pop('classes')}")
+        print(f"{'':<16} kept: trie {sizes.pop('middle_trie')} nodes, band_tallies {sizes.pop('band_tallies')}")
         print(f"{'':<16} tables: " + ", ".join(f"{name} {n}" for name, n in sizes.items()))
     return 1 if bad else 0
 

@@ -93,12 +93,13 @@ class AlgebraSpec(_Frozen):
 
     What the object computes is kept on it, outside its value, and made
     with it, so a copy or unpickled spec starts empty: one `words.Table`
-    per entry of `words.KEPT`, under its name, such as string_windows, the
-    string test of windows of window_length letters (`_codes_are_string`);
-    band_tallies (`bands.band_id_tally`); classes, every band class built
-    for it, under itself (`bands.canonical_class`); and middle_trie, the
-    ids of every middle word the tallies read (`words.MiddleTrie`).
-    `kept_sizes` counts what each of them holds.
+    per entry of `words.KEPT`, under its name and keyed by what it answers,
+    such as string_windows, the string test of windows of window_length
+    letters (`_codes_are_string`), or classes, every band class built for
+    it, under itself (`bands.canonical_class`); band_tallies, which grow
+    (`bands.band_id_tally`); and middle_trie, the ids of every middle word
+    the tallies read (`words.MiddleTrie`).  `kept_sizes` counts what each
+    of them holds.
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -147,7 +148,6 @@ class AlgebraSpec(_Frozen):
         for name, fn in KEPT.items():
             object.__setattr__(self, name, Table(self, fn))
         object.__setattr__(self, "band_tallies", {})
-        object.__setattr__(self, "classes", {})
         object.__setattr__(self, "middle_trie", MiddleTrie(self))
 
     @cached_property
@@ -155,10 +155,10 @@ class AlgebraSpec(_Frozen):
         return hash(self._values)
 
     def kept_sizes(self) -> dict[str, int]:
-        """The entries of each table, by name, its band tallies, its classes
-        and its trie's nodes: how much the object keeps."""
+        """The entries of each table, by name, its band tallies and its
+        trie's nodes: how much the object keeps."""
         return {**{name: len(getattr(self, name)) for name in KEPT}, "band_tallies": len(self.band_tallies),
-                "classes": len(self.classes), "middle_trie": len(self.middle_trie.child) + 1}
+                "middle_trie": len(self.middle_trie.child) + 1}
 
     @cached_property
     def _arrow_map(self) -> dict[str, ArrowDecl]:
@@ -375,30 +375,25 @@ def require_string_algebra(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def gentle_vertices(spec: AlgebraSpec) -> frozenset[str]:
-    """Vertices at which the ideal pairs arrows off uniquely, kept on the
-    algebra as a frozenset (`_gentle`), so no caller can change what the
-    next one reads.
+    """Vertices at which the ideal pairs arrows off uniquely, read off the
+    answer kept per vertex in spec.gentle (`_gentle`).
 
     The zero products alpha.beta at u (alpha leaving u, beta entering it)
     form a partial matching: an alpha annihilates at most one beta, and a
     beta is annihilated by at most one alpha.
     """
-    return spec.gentle[spec.vertices]
+    return frozenset(u for u in spec.vertices if spec.gentle[u])
 
 
-def _gentle(spec: AlgebraSpec, vertices: tuple[str, ...]) -> frozenset[str]:
-    """The gentle vertices among vertices, kept in spec.gentle."""
-    out = set()
-    for u in vertices:
-        outs, ins = spec.out_arrows(u), spec.in_arrows(u)
-        zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
-        if len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero}):
-            out.add(u)
-    return frozenset(out)
+def _gentle(spec: AlgebraSpec, u: str) -> bool:
+    """Whether u is a gentle vertex (`gentle_vertices`), kept in spec.gentle."""
+    outs, ins = spec.out_arrows(u), spec.in_arrows(u)
+    zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
+    return len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero})
 
 
 def is_gentle_algebra(spec: AlgebraSpec) -> bool:
-    return spec.quadratic and gentle_vertices(spec) == set(spec.vertices)
+    return spec.quadratic and all(spec.gentle[u] for u in spec.vertices)
 
 
 def projective_word(spec: AlgebraSpec, u: str) -> Word:

@@ -31,6 +31,7 @@ from .words import (
     Letter,
     Word,
     _Frozen,
+    _letters,
     _windows_hold,
     format_word,
     glues,
@@ -92,17 +93,17 @@ class BandClass(_Frozen):
 
 
 def _as_letters(x) -> tuple[Letter, ...]:
-    if isinstance(x, QuasiBand):
-        return x.letters
+    """The letters of a cyclic word; a letter that is no `Letter` raises
+    TypeError (`words._letters`).  A class holds the letters the package
+    decoded, so its own are read unchecked."""
     if isinstance(x, BandClass):
         return x.canonical.letters
-    if isinstance(x, Word):
-        if x.is_trivial:
-            raise NotQuasiBand("a trivial word has no cyclic reading")
-        return x.letters
+    if isinstance(x, Word) and x.is_trivial:
+        raise NotQuasiBand("a trivial word has no cyclic reading")
     if isinstance(x, str):
         raise TypeError(f"a cyclic word is a QuasiBand, BandClass, Word or tuple of letters, not {type(x).__name__}")
-    return tuple(x)
+    # a QuasiBand or Word has its letters, any other value is one
+    return _letters(getattr(x, "letters", x))
 
 
 def _exact(x) -> Fraction:
@@ -179,8 +180,9 @@ def canonical_class(spec, letters) -> BandClass:
     """The reading with the least tuple of letter codes
     (`AlgebraSpec.code_letters`, declaration order) among the 2m rotations
     of the word and of its inverse-reversal.  Each class built for this
-    spec object is kept under itself in spec.classes and answers any equal
-    class; any other input is checked by `is_band` and canonicalised."""
+    spec object is kept under itself in the table spec.classes and answers
+    any equal class; any other input is checked by `is_band` and
+    canonicalised."""
     if isinstance(letters, BandClass) and (cls := spec.classes.get(letters)) is not None:
         return cls
     ls, w = _checked(spec, letters)
@@ -191,8 +193,13 @@ def canonical_class(spec, letters) -> BandClass:
 
 def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
     """The class of a canonical reading, kept under itself in spec.classes."""
-    cls = BandClass(QuasiBand(canonical))
-    return spec.classes.setdefault(cls, cls)
+    return spec.classes[BandClass(QuasiBand(canonical))]
+
+
+def _itself(spec, B: BandClass) -> BandClass:
+    """What spec.classes keeps under a class: the class itself, so that
+    every equal class built later reads the first one."""
+    return B
 
 
 def are_equivalent(spec, b, bp) -> bool:
@@ -220,7 +227,7 @@ def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
     return tuple(_Reading(spec, QuasiBand(spec.decode(w)), w) for w in rots)
 
 
-KEPT.update(quasi_band_codes=_quasi_band_codes, member_readings=_member_readings)
+KEPT.update(classes=_itself, quasi_band_codes=_quasi_band_codes, member_readings=_member_readings)
 
 
 def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
@@ -320,7 +327,12 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
 
 
 def band_dimension(qb) -> int:
-    return len(_as_letters(qb))
+    """The period of the cyclic word, the dimension of its band modules.  An
+    empty one raises NotQuasiBand, and an item that is no `Letter`
+    TypeError."""
+    if not (ls := _as_letters(qb)):
+        raise NotQuasiBand("empty cyclic word")
+    return len(ls)
 
 
 def dimension_vector(spec, qb) -> dict[str, int]:

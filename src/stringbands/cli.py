@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import NoReturn
 
 from .algebra import (
-    gentle_vertices,
     is_gentle_algebra,
     load_algebra,
     require_string_algebra,
@@ -95,8 +94,7 @@ def cmd_validate(args, spec) -> dict:
         "gentle": None,
     }
     if report.valid:
-        gentle = gentle_vertices(spec)
-        result["gentle_vertices"] = [u for u in spec.vertices if u in gentle]
+        result["gentle_vertices"] = [u for u in spec.vertices if spec.gentle[u]]
         result["gentle"] = is_gentle_algebra(spec)
     return _result("validate", {"file": args.file}, result)
 

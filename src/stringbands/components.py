@@ -21,7 +21,6 @@ from collections import namedtuple
 from itertools import chain, product
 from typing import Optional, Union
 
-from .algebra import gentle_vertices
 from .bands import (
     BandClass,
     QuasiBand,
@@ -309,12 +308,10 @@ def negligible_quadratic(spec, B, bound=None) -> Optional[QuadraticWitness]:
 def _dimension_formula(spec, seq: BandSequence) -> int:
     d = seq.total_dim
     total = d * d
-    gentle = gentle_vertices(spec)
     for u in spec.vertices:
-        if u in gentle:
-            continue
-        t = trivial_word(u)
-        total -= seq_count_from(spec, seq, t) * seq_count_into(spec, t, seq)
+        if not spec.gentle[u]:
+            t = trivial_word(u)
+            total -= seq_count_from(spec, seq, t) * seq_count_into(spec, t, seq)
     return total
 
 

@@ -37,7 +37,8 @@ A module has one column view (_columns: each column of an arrow to its
 syzygy paths, the kept cover, the radical span and rank_sum, which ranks
 each arrow's columns scaled to integers (_integral), read it.
 syzygy covers X by P0, the sum of the projective strings at its tops,
-kept per tuple of tops with their words and P0's columns.  If X has
+kept per tuple of tops with P0's columns; the projective words are kept
+per vertex.  If X has
 one_entry_per_line, the tops are the basis vectors with no in-bit in the
 line table, each column of the cover map P0 -> X is a multiple of one
 basis vector walked through the one pair of each of X's columns, and the
@@ -260,8 +261,8 @@ def realize_string(spec, c: Word) -> MatrixModule:
 
 
 def _realize_string(spec, c: Word) -> MatrixModule:
-    if not isinstance(c, Word) or not is_string(spec, c):
-        raise NotAString(format_word(c) if isinstance(c, Word) else repr(c))
+    if not is_string(spec, c):
+        raise NotAString(format_word(c))
     vertex_of = word_vertices(spec, c)
     # each label is format_word of a left divisor, the one before plus a letter
     labels = [f"1_{vertex_of[0]}"]
@@ -503,13 +504,12 @@ def syzygy(X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
     return X.spec.syzygies[X]
 
 
-def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[tuple[Word, ...], MatrixModule, dict]:
-    """The words of the projectives P(v), v in tops, their direct sum P0 and its
-    columns (_columns), kept in spec.covers per nonempty tuple of tops:
-    modules with the same tops share one P0."""
-    words = tuple(projective_word(spec, v) for v in tops)
-    P0 = direct_sum(*(realize_string(spec, w) for w in words))
-    return words, P0, _columns(P0)
+def _projective_cover(spec, tops: tuple[str, ...]) -> tuple[MatrixModule, dict]:
+    """The direct sum P0 of the projectives P(v), v in tops, and its columns
+    (_columns), kept in spec.covers per nonempty tuple of tops: modules with
+    the same tops share one P0."""
+    P0 = direct_sum(*(realize_string(spec, projective_word(spec, v)) for v in tops))
+    return P0, _columns(P0)
 
 
 def _syzygy(spec, X: MatrixModule) -> tuple[MatrixModule, MatrixModule]:
@@ -540,10 +540,10 @@ def _presentation(X: MatrixModule, by_lines: bool) -> tuple[MatrixModule, Matrix
         picks = [i for i in range(d) if _reduce(span, {i: 1}) is not None]
 
     # the zero module is its own projective cover
-    words, P0, maps = spec.covers[tuple(X.vertex_of[i] for i in picks)] if picks else ((), X, {})
+    P0, maps = spec.covers[tuple(X.vertex_of[i] for i in picks)] if picks else (X, {})
     pi_cols: list[dict] = []  # columns of P0 -> X, sparse
-    for pick, word in zip(picks, words):
-        letters = word.letters
+    for pick in picks:
+        letters = projective_word(spec, X.vertex_of[pick]).letters
         # the top generator is the left divisor that stops at the first inverse
         # letter; the arrows before it walk to the left, the inverse letters right
         gen = next((j for j, l in enumerate(letters) if l.inverted), len(letters))

@@ -188,14 +188,26 @@ def glues(alg, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     return alg.string_windows[left[-reach:] + right[:reach]]
 
 
+def _letters(items) -> tuple[Letter, ...]:
+    """The items as a tuple of letters; an item that is no `Letter` raises
+    TypeError, a plain (arrow, inverted) tuple too, though it compares and
+    hashes equal to its letter."""
+    letters = tuple(items)
+    for l in letters:
+        if not isinstance(l, Letter):
+            raise TypeError(f"a word's letters are Letters, not {type(l).__name__}")
+    return letters
+
+
 def _check_word(alg, word: Word) -> tuple[int, ...]:
     """The word's letter codes (`AlgebraSpec.encode`); a vertex or arrow alg
-    lacks raises ParseError, and a value that is no `Word` TypeError."""
+    lacks raises ParseError, and a value that is no `Word`, or a letter that
+    is no `Letter`, TypeError."""
     if not isinstance(word, Word):
         raise TypeError(f"a word is a Word, not {type(word).__name__}")
     if word.is_trivial and not alg.has_vertex(word.trivial_at):
         raise ParseError(f"unknown vertex {word.trivial_at!r}")
-    return alg.encode(word.letters)
+    return alg.encode(_letters(word.letters))
 
 
 def is_string(alg, word: Word) -> bool:

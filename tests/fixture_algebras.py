@@ -1,8 +1,9 @@
 """Shared test algebras, loaded once from the fixture files.
 
 AlgebraSpec instances compare by value, but each object keeps its own
-answers, in one table per entry of `words.KEPT` (`words.Table`) and in its
-band tallies and classes, so a reloaded or copied algebra starts with none.
+answers, in one table per entry of `words.KEPT` (`words.Table`), its band
+classes among them, and in its band tallies, so a reloaded or copied
+algebra starts with none.
 """
 
 from pathlib import Path
@@ -26,5 +27,5 @@ QUADRATIC = {name: spec for name, spec in ALL.items()
 
 def kept(spec) -> dict:
     """Everything the algebra object keeps but its trie, by name: each of its
-    tables, its band tallies and its band classes."""
-    return {name: getattr(spec, name) for name in (*KEPT, "band_tallies", "classes")}
+    tables and its band tallies."""
+    return {name: getattr(spec, name) for name in (*KEPT, "band_tallies")}

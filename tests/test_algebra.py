@@ -68,15 +68,19 @@ def test_gentle_vertices_and_flag(gp22, gp33, kron, loop):
     assert not is_gentle_algebra(gp22)
 
 
-def test_gentle_vertices_are_kept_read_only(gp33):
-    # a copy of the fixture is another object, so it keeps nothing yet
-    spec = copy.copy(gp33)
-    gentle = gentle_vertices(spec)
-    assert gentle_vertices(spec) is gentle
-    # the kept answer is a frozenset, so a caller cannot change it
-    with pytest.raises(AttributeError):
-        gentle.add("v")
-    assert gentle_vertices(spec) == {"u"} and not is_gentle_algebra(spec)
+def test_gentle_vertices_are_kept_read_only(gp22, gp33):
+    for fixture, expected in ((gp22, set()), (gp33, {"u"})):
+        # a copy of the fixture is another object, so it keeps nothing yet
+        spec = copy.copy(fixture)
+        assert spec.gentle == {}
+        gentle = gentle_vertices(spec)
+        # each vertex's answer is kept, and every call returns an equal set
+        assert spec.gentle == {u: u in expected for u in spec.vertices}
+        assert gentle == gentle_vertices(spec) == expected
+        # the returned set is a frozenset, so a caller cannot change it
+        with pytest.raises(AttributeError):
+            gentle.add("v")
+        assert gentle_vertices(spec) == expected and not is_gentle_algebra(spec)
 
 
 def test_projective_words(gp22, gp33, kron, loop):

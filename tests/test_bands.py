@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import ALL, GP22, GP33, KRON, LOOP
+from fixture_algebras import ALL, GP22, GP33, KRON, LOOP, kept
 from letter_reference import reference_id_tally, reference_members, rotations, word_key
 from strategies import cyclic_words, monomial_quivers
 from stringbands import (
@@ -46,6 +46,7 @@ from stringbands import (
     parse_word,
     parti_counts,
     realize_band,
+    realize_string,
     sub_counts,
 )
 import stringbands.bands
@@ -131,6 +132,11 @@ def test_canonical_class_returns_the_classes_it_built():
             assert canonical_class(spec, cls) is cls
             # an equal spec that is another object takes the full path
             assert canonical_class(copy.copy(spec), cls) is not cls
+    # the table keeps each class under itself, so the first one read is the
+    # one every later reading gets
+    spec = copy.copy(KRON)
+    B = BandClass(QuasiBand(parse_word("a.b^-1").letters))
+    assert spec.classes[B] is B and canonical_class(spec, parse_word("b^-1.a")) is B
 
 
 def test_a_class_passed_with_another_spec_is_checked_in_full():
@@ -308,9 +314,15 @@ def test_a_str_where_a_word_belongs_raises_type_error():
         lambda: is_string(KRON, "a"),
         lambda: canonical_word(KRON, "a"),
         lambda: hom_string_string(KRON, "a", "a"),
+        lambda: realize_string(KRON, "a"),
     ):
         with pytest.raises(TypeError, match="not str"):
             call()
+    # as is a band class where a string belongs
+    B = canonical_class(KRON, parse_word("a.b^-1"))
+    with pytest.raises(TypeError, match="not BandClass"):
+        realize_string(KRON, B)
+    assert not KRON.realizations.keys() & {"a", B}
     # a tuple of names, not of Letters, is refused by the letter codes
     with pytest.raises(TypeError, match="Letters, not str"):
         is_quasi_band(KRON, ("a", "b"))
@@ -319,6 +331,33 @@ def test_a_str_where_a_word_belongs_raises_type_error():
         is_quasi_band(KRON, (Letter("a", False), Letter("z", True)))
     # nothing was kept for the refused inputs
     assert not KRON.quasi_band_codes.keys() & {tuple(text), ("a", "b"), (text,)}
+
+
+def test_a_plain_tuple_where_a_letter_belongs_raises_type_error():
+    # a Letter is a namedtuple, so a plain (arrow, inverted) tuple compares
+    # and hashes equal to it, and would reach the letter codes as one
+    spec = copy.copy(KRON)
+    plain = (("a", False), ("b", True))
+    w = Word(None, (("a", False),))
+    for call in (
+        lambda: is_quasi_band(spec, plain),
+        lambda: is_quasi_band(spec, QuasiBand(plain)),
+        lambda: dimension_vector(spec, plain),
+        lambda: realize_band(spec, plain, 2),
+        lambda: band_dimension(Word(None, plain)),
+        lambda: is_string(spec, w),
+        lambda: hom_string_string(spec, w, w),
+        lambda: realize_string(spec, w),
+    ):
+        with pytest.raises(TypeError, match="^a word's letters are Letters, not tuple$"):
+            call()
+    # band_dimension takes no algebra, and still refuses what the others do
+    with pytest.raises(TypeError, match="^a word's letters are Letters, not int$"):
+        band_dimension([1, 2, 3])
+    with pytest.raises(NotQuasiBand, match="^empty cyclic word$"):
+        band_dimension(())
+    # nothing was kept for the refused inputs
+    assert not any(kept(spec).values()) and spec.middle_trie.child == {}
 
 
 ALL_CLASSES = [

@@ -58,6 +58,16 @@ def test_source_size_fails_on_a_typing_named_tuple(tmp_path):
     )
 
 
+def test_source_size_passes_a_comment_and_a_docstring_naming_a_cache_and_a_named_tuple(tmp_path):
+    # the gates read the AST, so only code that reads or imports them counts
+    root = copy_of(tmp_path, "src", "scripts", "bench")
+    path = root / "src/stringbands/hom.py"
+    path.write_text(path.read_text().replace('"""', '"""No NamedTuple and no functools.cache or lru_cache:\n'
+                                             "from functools import cache is not code here.\n\n", 1))
+    plant(path, "# BandSequence is a _Frozen class, not a typing.NamedTuple or an lru_cache\n")
+    ci.source_size(root)
+
+
 def test_source_size_fails_on_an_import_below_module_level(tmp_path):
     root = copy_of(tmp_path, "src", "scripts", "bench")
     line = plant(root / "src/stringbands/hom.py", (

@@ -180,15 +180,15 @@ def test_oracle_caches_stay_inspectable():
     assert {n for n, v in kept(twin).items() if v} == {"string_windows", "realizations"}
     # the projective cover is kept per tuple of tops: the strings a and b
     # both have the one top at vertex 1, and share one P0 object.  The cover
-    # keeps the projective words, P0 (with one top, the realized word itself:
-    # a direct sum of one module is that module) and P0's columns; the word
-    # is kept per vertex
+    # keeps P0 (with one top, the realized word itself: a direct sum of one
+    # module is that module) and P0's columns; the word is kept per vertex
     P_a, _ = syzygy(realize_string(spec, parse_word("a")))
     P_b, _ = syzygy(realize_string(spec, parse_word("b")))
     assert P_a is P_b
-    words, P0, maps = spec.covers[("1",)]
-    assert P0 is P_a and P0 is realize_string(spec, words[0]) is direct_sum(P0)
-    assert spec.projective_words == {"1": words[0]} and format_word(words[0]) == "a.b^-1"
+    P0, maps = spec.covers[("1",)]
+    (word,) = spec.projective_words.values()
+    assert P0 is P_a and P0 is realize_string(spec, word) is direct_sum(P0)
+    assert list(spec.projective_words) == ["1"] and format_word(word) == "a.b^-1"
     assert maps == {"a": {1: [(0, 1)]}, "b": {1: [(2, 1)]}} == oracle._columns(P0)
 
 
@@ -420,11 +420,10 @@ def test_syzygy_refuses_an_omega_outside_the_variety(by_lines):
     # one zero column of the cover map), so only the constructor refuses it
     spec = copy.copy(LOOP)
     S = realize_string(spec, trivial_word("1"))
-    words = (projective_word(spec, "1"),)
-    P0 = realize_string(spec, words[0])
+    P0 = realize_string(spec, projective_word(spec, "1"))
     maps = {**oracle._columns(P0), "y": {1: [(2, 1)], 4: [(5, 1)]}}
     assert oracle._columns(P0)["y"] == {1: [(0, 1)], 4: [(5, 1)]}
-    spec.covers[("1",)] = (words, P0, maps)
+    spec.covers[("1",)] = (P0, maps)
     with pytest.raises(ValueError, match="^matrix of y leaves its block$"):
         oracle._presentation(S, by_lines)
 
@@ -1037,10 +1036,10 @@ def test_the_kept_cover_does_not_depend_on_the_call_order(name):
     assert answers[0] == answers[1]
     covers = [spec.covers for spec in copies]
     assert set(covers[0]) == set(covers[1])
-    # every kept cover is only read: its words are the projectives at its
+    # every kept cover is only read: its P0 sums the projectives at its
     # tops, and its maps are still those of a fresh read of P0's columns
     for spec, kept in zip(copies, covers):
-        for tops, (words, P0, maps) in kept.items():
-            assert words == tuple(projective_word(spec, v) for v in tops)
+        for tops, (P0, maps) in kept.items():
+            words = [projective_word(spec, v) for v in tops]
             assert P0 == direct_sum(*(realize_string(spec, w) for w in words)) and P0.one_entry_per_line
             assert typed_maps(maps) == typed_maps(oracle._columns(P0))

@@ -231,8 +231,9 @@ def _table_cases(spec) -> dict:
         "fac_tallies": (c, (not_string, NotAString)),
         "sub_tallies": (c, (not_string, NotAString)),
         "string_windows": (spec.encode(c.letters), None),
-        "gentle": (spec.vertices, None),
+        "gentle": ("u", None),
         "projective_words": ("u", ("9", ParseError)),
+        "classes": (B, None),
         "quasi_band_codes": (B.letters, ((), NotQuasiBand)),
         "member_readings": (B, None),
         "extensions": ((B, B), None),
