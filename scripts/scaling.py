@@ -12,9 +12,9 @@ cold:
   of their realizations at parameters 2 and 3, and the quadratic criterion
   extendable_quadratic(B, C) against the search extendable(B, C).
 
-Each line gives the count and the milliseconds of the count, of dim_hom and
-of syzygy of the realized modules, each cold (realizing the modules is not
-timed); a string line after the first also gives the exponent e with counted
+Each line gives the count and the milliseconds of the count, of realizing
+the modules, of dim_hom and of syzygy of the realized modules, each cold; a
+string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
 of extendable_quadratic.  Under each line, what the algebra object kept
 (`AlgebraSpec.kept_sizes`): its trie's nodes and band tallies, then the
@@ -65,16 +65,16 @@ def timed(fn):
 def string_case(n: int):
     spec = load_algebra(DUMBBELL)
     w = parse_word(".".join([P] * (n // 4)))
-    X = realize_string(spec, w)
-    return f"string n={n}", lambda: hom_string_string(spec, w, w), (X, X), spec, None
+    realize = lambda: (realize_string(spec, w),) * 2
+    return f"string n={n}", lambda: hom_string_string(spec, w, w), realize, spec, None
 
 
 def band_case(k: int):
     spec = load_algebra(DUMBBELL)
     B = canonical_class(spec, parse_word(".".join([P] * k + [Q])))
     C = canonical_class(spec, parse_word(".".join([Q] * k + [P])))
-    modules = (realize_band(spec, B, 2), realize_band(spec, C, 3))
-    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), modules, spec, (spec, B, C)
+    realize = lambda: (realize_band(spec, B, 2), realize_band(spec, C, 3))
+    return f"bands m=n={B.period}", lambda: hom_band_band(spec, B, C), realize, spec, (spec, B, C)
 
 
 def main(argv=None):
@@ -87,7 +87,8 @@ def main(argv=None):
     bad = 0
     before = None  # (n, counted seconds) of the string size before
     for make, size in cases:
-        label, count, modules, spec, pair = make(size)
+        label, count, realize, spec, pair = make(size)
+        modules, realize_s = timed(realize)
         counted, counted_s = timed(count)
         oracle, oracle_s = timed(lambda: dim_hom(*modules))
         distinct = list(dict.fromkeys(modules))
@@ -112,7 +113,8 @@ def main(argv=None):
             verdict += "  MISMATCH: kept cover maps"
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
-              f"oracle {oracle_s * 1e3:9.2f} ms  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
+              f"realize {realize_s * 1e3:8.2f} ms  oracle {oracle_s * 1e3:9.2f} ms  "
+              f"syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
         sizes = spec.kept_sizes()
         print(f"{'':<16} kept: trie {sizes.pop('middle_trie')} nodes, band_tallies {sizes.pop('band_tallies')}")
         print(f"{'':<16} tables: " + ", ".join(f"{name} {n}" for name, n in sizes.items()))

@@ -386,7 +386,10 @@ def gentle_vertices(spec: AlgebraSpec) -> frozenset[str]:
 
 
 def _gentle(spec: AlgebraSpec, u: str) -> bool:
-    """Whether u is a gentle vertex (`gentle_vertices`), kept in spec.gentle."""
+    """Whether u is a gentle vertex (`gentle_vertices`), kept in spec.gentle;
+    a vertex the algebra lacks raises ParseError."""
+    if not spec.has_vertex(u):
+        raise ParseError(f"unknown vertex {u!r}")
     outs, ins = spec.out_arrows(u), spec.in_arrows(u)
     zero = [(a, b) for a in outs for b in ins if spec.path_in_ideal((a, b))]
     return len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero})

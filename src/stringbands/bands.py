@@ -238,7 +238,10 @@ def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
     """Occurrences of c and of its inverse among the m cyclic windows.  A
-    cyclic word that is no quasi-band raises NotQuasiBand."""
+    cyclic word that is no quasi-band raises NotQuasiBand, and a c that is
+    no `Word` TypeError."""
+    if not isinstance(c, Word):
+        raise TypeError(f"a word is a Word, not {type(c).__name__}")
     ls = _checked(spec, qb)[0]
     if c.is_trivial:
         raise TrivialWord("parti is defined for nonempty words only")

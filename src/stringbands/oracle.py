@@ -3,21 +3,21 @@
 This is the brute-force side of the package: hom dimensions come from
 intertwiner linear systems, ext dimensions from a syzygy, and nothing is
 ever rounded, so there are no tolerances anywhere.  A module is a point of
-mod(A, d) and stores only that: the vertex of each basis vector
-(vertex_of) and each arrow's nonzero (i, j, x) entries (entries, a
-read-only mapping), besides the algebra and optional basis labels.  Its
+mod(A, d) and stores only that: the algebra (spec), the vertex of each
+basis vector (vertex_of) and each arrow's nonzero (i, j, x) entries
+(entries, a read-only mapping), so two equal points are one value.  Its
 one constructor sorts the entries and makes one pass per arrow over them
 (_validate) that checks for repeated cells, indices outside the basis and
 entries outside their vertex blocks, and builds the integer line table
 (lines) and the flag one_entry_per_line; each relation is then checked on
 the integer matrices N = D X of the table, whose product vanishes exactly
 when that of the X does.  So every module, realized, summed, a syzygy or a
-copy, is validated, labels, if given, name every basis vector, and a float
-entry is refused.  The line table, keyed by basis index, holds each basis
-vector's arrow mask (the arrows that reach it and those that do not leave
-it), the number of tops and of socle vectors at each vertex, and each
-nonzero arrow, by its declaration index, as X(a) = N / D, with D the lcm of
-its denominators and N's entries as edges between basis vectors.  The
+copy, is validated, and a float entry is refused.  The line table, keyed
+by basis index, holds each basis vector's arrow mask (the arrows that
+reach it and those that do not leave it), the number of tops and of socle
+vectors at each vertex, and each nonzero arrow, by its declaration index,
+as X(a) = N / D, with D the lcm of its denominators and N's entries as
+edges between basis vectors.  The
 table and the flag are views of entries, like dim, the vertex blocks
 (grading) and dense matrices (mats).  If both modules have
 one_entry_per_line, as realized strings and bands do, each equation of
@@ -58,7 +58,9 @@ the left divisor of c with i letters; for a band realization of period m
 the basis is e0..e(m-1) and the wraparound action of the period's last
 letter carries the parameter (lambda when that letter is an arrow, its
 reciprocal when it is an inverse letter); the rest is kept per letter tuple
-in spec.band_shapes.  Any consistent seam choice gives an isomorphic module.
+in spec.band_shapes.  Both write one unit cell per letter (_unit_cells) and
+read their vertices off `words.word_vertices`.  Any consistent seam choice
+gives an isomorphic module.
 """
 
 from __future__ import annotations
@@ -75,10 +77,8 @@ from .words import (
     KEPT,
     Word,
     _Frozen,
-    _letter_text,
     format_word,
     is_string,
-    letter_source,
     word_vertices,
 )
 
@@ -92,9 +92,9 @@ _ONE = Fraction(1)
 
 
 class MatrixModule(_Frozen):
-    _fields = ("spec", "vertex_of", "entries", "labels")
+    _fields = ("spec", "vertex_of", "entries")
 
-    def __init__(self, spec: AlgebraSpec, vertex_of, entries, labels=None):
+    def __init__(self, spec: AlgebraSpec, vertex_of, entries):
         """entries maps arrows to (row, column, value) triples in any order;
         an arrow left out acts by zero.  Raises ValueError unless the data is
         a module over spec."""
@@ -104,7 +104,6 @@ class MatrixModule(_Frozen):
         cells = {a: sorted((i, j, _exact(x)) for i, j, x in entries.get(a, ())) for a in spec.arrow_names}
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "vertex_of", tuple(vertex_of))
-        object.__setattr__(self, "labels", None if labels is None else tuple(labels))
         stored, lines, flag = _validate(self, cells)
         object.__setattr__(self, "entries", MappingProxyType(stored))
         # lines and one_entry_per_line are views of entries: they stay out of
@@ -114,7 +113,7 @@ class MatrixModule(_Frozen):
 
     def __reduce__(self):
         # a mappingproxy does not pickle; the constructor takes a plain dict
-        return MatrixModule, (self.spec, self.vertex_of, dict(self.entries), self.labels)
+        return MatrixModule, (self.spec, self.vertex_of, dict(self.entries))
 
     @property
     def dim(self) -> int:
@@ -146,7 +145,7 @@ class MatrixModule(_Frozen):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.spec, self.vertex_of, tuple(self.entries.items()), self.labels))
+        return hash((self.spec, self.vertex_of, tuple(self.entries.items())))
 
     def __repr__(self) -> str:
         return f"MatrixModule(dim={self.dim})"
@@ -179,8 +178,6 @@ def _validate(mod: MatrixModule, cells: dict[str, list]) -> tuple[dict[str, Entr
         if not spec.has_vertex(u):
             raise ValueError(f"basis vector at unknown vertex {u}")
     d = len(vof)
-    if mod.labels is not None and len(mod.labels) != d:
-        raise ValueError(f"{len(mod.labels)} labels for {d} basis vectors")
     into, out = [0] * d, [0] * d
     stored: dict[str, Entries] = {}
     arrows: dict[int, tuple[int, Edges]] = {}
@@ -255,25 +252,25 @@ def _vanishes(named: dict[str, Edges], path: tuple[str, ...]) -> bool:
 
 
 def realize_string(spec, c: Word) -> MatrixModule:
-    """Module on the left divisors of c, arrows sliding along the walk, kept
-    in spec.realizations."""
+    """Module on the left divisors of c, one unit cell per letter
+    (`_unit_cells`), kept in spec.realizations."""
     return spec.realizations[c]
 
 
 def _realize_string(spec, c: Word) -> MatrixModule:
     if not is_string(spec, c):
         raise NotAString(format_word(c))
-    vertex_of = word_vertices(spec, c)
-    # each label is format_word of a left divisor, the one before plus a letter
-    labels = [f"1_{vertex_of[0]}"]
-    prefix = ""
-    entries: dict[str, list] = {}
-    for j, l in enumerate(c.letters, start=1):
-        letter = _letter_text(l)
-        prefix = f"{prefix}.{letter}" if prefix else letter
-        labels.append(prefix)
-        entries.setdefault(l.arrow, []).append((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE))
-    return MatrixModule(spec, vertex_of, entries, labels)
+    return MatrixModule(spec, word_vertices(spec, c), _unit_cells(c.letters))
+
+
+def _unit_cells(letters: tuple) -> dict[str, list]:
+    """The cells of a walk along letters, by arrow: the j-th letter (from 1)
+    is one unit cell between e(j-1) and e(j), e(j) -> e(j-1) for an arrow and
+    e(j-1) -> e(j) for an inverse letter."""
+    cells: dict[str, list] = {}
+    for j, l in enumerate(letters, 1):
+        cells.setdefault(l.arrow, []).append((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE))
+    return cells
 
 
 def realize_band(spec, qb, lam) -> MatrixModule:
@@ -294,28 +291,26 @@ def _realize_band(spec, key: tuple) -> MatrixModule:
     letters, num, den = key
     if num == 0:
         raise ZeroParameter("band parameter must be nonzero")
-    vertex_of, labels, units, seam = spec.band_shapes[letters]
+    vertex_of, units, seam = spec.band_shapes[letters]
     m = len(letters)
     # the seam letter carries lam when it is an arrow, 1/lam when inverted
     cell = (0, m - 1, Fraction(den, num)) if seam.inverted else (m - 1, 0, Fraction(num, den))
     entries = dict(units)
     entries[seam.arrow] = entries.get(seam.arrow, ()) + (cell,)
-    return MatrixModule(spec, vertex_of, entries, labels)
+    return MatrixModule(spec, vertex_of, entries)
 
 
 def _band_shape(spec, letters: tuple) -> tuple:
     """What a band realization of letters keeps free of lam, in
-    spec.band_shapes: the vertex of each basis vector, the labels, the unit
-    cells of letters[:-1] as read-only tuples by arrow and the seam letter
-    letters[-1].  A cyclic word that is no quasi-band raises NotQuasiBand."""
+    spec.band_shapes: the vertex of each basis vector, the unit cells of
+    letters[:-1] (`_unit_cells`) as read-only tuples by arrow and the seam
+    letter letters[-1].  A cyclic word that is no quasi-band raises
+    NotQuasiBand."""
     _checked(spec, letters)
-    # e_j sits at the source of letters[j - 1], e0 at that of the seam letter
-    vertex_of = tuple(letter_source(spec, l) for l in letters[-1:] + letters[:-1])
-    units: dict[str, tuple] = {}
-    for j, l in enumerate(letters[:-1], 1):
-        units[l.arrow] = units.get(l.arrow, ()) + ((j, j - 1, _ONE) if l.inverted else (j - 1, j, _ONE),)
-    labels = tuple(f"e{j}" for j in range(len(letters)))
-    return vertex_of, labels, MappingProxyType(units), letters[-1]
+    # the walk along the period ends where it starts, at e0
+    vertex_of = word_vertices(spec, Word(None, letters))[:-1]
+    units = {a: tuple(cells) for a, cells in _unit_cells(letters[:-1]).items()}
+    return vertex_of, MappingProxyType(units), letters[-1]
 
 
 def _integral(row: dict[int, Fraction]) -> dict[int, int]:
@@ -677,21 +672,17 @@ def orbit_dimension(X: MatrixModule) -> int:
 
 
 def direct_sum(X: MatrixModule, *rest: MatrixModule) -> MatrixModule:
-    """X plus each module of rest, blocks in argument order; the labels are
-    concatenated when every summand has them; with no rest, X itself."""
+    """X plus each module of rest, blocks in argument order; with no rest, X
+    itself."""
     if not rest:
         return X
-    mods = (X, *rest)
     if any(Y.spec != X.spec for Y in rest):
         raise SpecMismatch("modules over different algebras")
     vertex_of: list[str] = []
     entries: dict[str, list] = {a: [] for a in X.spec.arrow_names}
-    for M in mods:
+    for M in (X, *rest):
         offset = len(vertex_of)
         for a, cells in M.entries.items():
             entries[a] += [(offset + i, offset + j, x) for i, j, x in cells]
         vertex_of += M.vertex_of
-    labels = None
-    if all(M.labels is not None for M in mods):
-        labels = sum((M.labels for M in mods), ())
-    return MatrixModule(X.spec, vertex_of, entries, labels)
+    return MatrixModule(X.spec, vertex_of, entries)

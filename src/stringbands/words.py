@@ -400,7 +400,10 @@ def middle_id(alg, word: Word) -> int | None:
     """The key of word's inversion class in every id tally (`id_tally`), or
     None when the trie holds no reading of word, by a walk that never grows
     the trie: a word over an unknown arrow or vertex, or one no tally has
-    met, has no key and counts 0."""
+    met, has no key and counts 0.  A value that is no `Word` raises
+    TypeError."""
+    if not isinstance(word, Word):
+        raise TypeError(f"a word is a Word, not {type(word).__name__}")
     if word.is_trivial:
         return _vertex_id(alg, word.trivial_at) if alg.has_vertex(word.trivial_at) else None
     trie = alg.middle_trie

@@ -83,6 +83,28 @@ def test_gentle_vertices_are_kept_read_only(gp22, gp33):
         assert gentle_vertices(spec) == expected and not is_gentle_algebra(spec)
 
 
+def test_a_vertex_with_two_zero_products_through_one_arrow_is_not_gentle():
+    # at u both arrows out annihilate the one arrow in, b: the pairs match
+    # off uniquely from the outgoing side but not from the incoming one
+    spec = parse_algebra(
+        "vertex v u x y\narrow b: v -> u\narrow c: u -> x\narrow d: u -> y\n"
+        "relation c.b\nrelation d.b\n"
+    )
+    assert validate_algebra(spec).valid
+    assert gentle_vertices(spec) == {"v", "x", "y"}
+    assert not is_gentle_algebra(spec)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_the_vertex_tables_refuse_a_vertex_the_algebra_lacks(name):
+    spec = copy.copy(ALL[name])
+    for table in (spec.gentle, spec.projective_words):
+        for _ in range(2):
+            with pytest.raises(ParseError, match="unknown vertex '9'"):
+                table["9"]
+        assert "9" not in table
+
+
 def test_projective_words(gp22, gp33, kron, loop):
     assert format_word(projective_word(gp22, "u")) == "a.b^-1"
     assert format_word(projective_word(gp33, "u")) == "a.a.b^-1.b^-1"

@@ -315,9 +315,17 @@ def test_a_str_where_a_word_belongs_raises_type_error():
         lambda: canonical_word(KRON, "a"),
         lambda: hom_string_string(KRON, "a", "a"),
         lambda: realize_string(KRON, "a"),
+        # the counted word too, where a Word over an unknown arrow counts 0
+        lambda: count_sub(KRON, "a", parse_word("a")),
+        lambda: count_fac(KRON, "a", parse_word("a")),
+        lambda: sub_counts(KRON, "a", parse_word("a.b^-1")),
+        lambda: fac_counts(KRON, "a", parse_word("a.b^-1")),
+        lambda: parti_counts(KRON, "a", parse_word("a.b^-1")),
     ):
         with pytest.raises(TypeError, match="not str"):
             call()
+    assert count_sub(KRON, parse_word("z"), parse_word("a")) == 0
+    assert sub_counts(KRON, parse_word("z"), parse_word("a.b^-1")) == 0
     # as is a band class where a string belongs
     B = canonical_class(KRON, parse_word("a.b^-1"))
     with pytest.raises(TypeError, match="not BandClass"):

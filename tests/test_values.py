@@ -51,7 +51,7 @@ FIELDS = {
     BandClass: ("canonical",),
     BandSequence: ("classes",),
     ComponentVerdict: ("status", "reasons", "dimension", "witnesses"),
-    MatrixModule: ("spec", "vertex_of", "entries", "labels"),
+    MatrixModule: ("spec", "vertex_of", "entries"),
     Letter: ("arrow", "inverted"),
     ArrowDecl: ("name", "source", "target"),
     SeparationWitness: ("word", "counts"),

@@ -231,7 +231,7 @@ def _table_cases(spec) -> dict:
         "fac_tallies": (c, (not_string, NotAString)),
         "sub_tallies": (c, (not_string, NotAString)),
         "string_windows": (spec.encode(c.letters), None),
-        "gentle": ("u", None),
+        "gentle": ("u", ("9", ParseError)),
         "projective_words": ("u", ("9", ParseError)),
         "classes": (B, None),
         "quasi_band_codes": (B.letters, ((), NotQuasiBand)),
