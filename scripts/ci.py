@@ -28,7 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PY = sys.executable
 IN_PROCESS = ("hom-grid", "hom-counts", "ext-survey")
-COUNTERS = ("dim_hom_calls", "unknowns_total", "rank_total", "module_nnz")
+# the exact counters of a traced run's detail line that bench-traced prints
+COUNTERS = (
+    "oracle.dim_hom_calls", "oracle.unknowns_total", "oracle.rank_total", "oracle.module_nnz",
+    "components.searches", "components.witnesses",
+)
 
 
 class Fail(Exception):
@@ -281,8 +285,9 @@ def bench_traced(root):
     """One traced round per in-process workload; a traced run fails its gate
     when the exact counters (hom systems, unknowns, ranks) differ between
     rounds, so a change to what the oracle solves shows up here.  The
-    oracle's exact counters from each run's detail line are printed, so a
-    log can be compared with the parent commit's."""
+    oracle's exact counters and the witness searches' (searches made,
+    witnesses found) from each run's detail line are printed, so a log can
+    be compared with the parent commit's."""
     for w in IN_PROCESS:
         proc = run(root, PY, "bench/run.py", "--workload", w, "--seed", "1", "--trace", "1")
         if proc.returncode:
@@ -290,7 +295,7 @@ def bench_traced(root):
         out = proc.stdout.decode()
         detail = "\n".join(line for line in out.splitlines() if line.startswith('{"detail"'))
         c = json.loads(detail)["detail"]["counters"]
-        print(w, "counters:", *(n + "=" + str(c["oracle." + n]) for n in COUNTERS))
+        print(w, "counters:", *(n + "=" + str(c[n]) for n in COUNTERS))
         gate(f"{w} traced", out)
 
 

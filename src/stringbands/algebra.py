@@ -27,8 +27,6 @@ from .words import (
     Table,
     Word,
     _Frozen,
-    letter_source,
-    letter_target,
     trivial_word,
 )
 
@@ -68,8 +66,7 @@ def _codes_are_string(spec: AlgebraSpec, codes: tuple[int, ...]) -> bool:
     if not prefix_is_string:
         return False
     c = codes[-1]
-    before, last = spec.code_letters[codes[-2]], spec.code_letters[c]
-    if letter_source(spec, before) != letter_target(spec, last) or c == codes[-2] ^ 1:
+    if spec.code_sources[codes[-2]] != spec.code_targets[c] or c == codes[-2] ^ 1:
         return False
     # the run that c ends, read leftwards from c: an inverse run read so
     # is its path, a plain run its path reversed
@@ -99,7 +96,10 @@ class AlgebraSpec(_Frozen):
     it, under itself (`bands.canonical_class`); band_tallies, which grow
     (`bands.band_id_tally`); and middle_trie, the ids of every middle word
     the tallies read (`words.MiddleTrie`).  `kept_sizes` counts what each
-    of them holds.
+    of them holds.  The vertex indices at each letter code's ends
+    (`code_letters`) are two tuples, code_sources and code_targets, read
+    wherever codes meet a vertex: the string test, the trie's trivial
+    middles and the witness searches.
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -201,6 +201,18 @@ class AlgebraSpec(_Frozen):
         """The code table: the letter of code 2 * arrow index + inverted, so
         c ^ 1 is the inverse letter's code."""
         return tuple(Letter(a, inv) for a in self.arrow_names for inv in (False, True))
+
+    @cached_property
+    def code_sources(self) -> tuple[int, ...]:
+        """The vertex index (`vertex_index`) at the source of each letter
+        code: an arrow's source, its inverse letter's target."""
+        return tuple(self._vertex_order[v] for a in self.arrows for v in (a.source, a.target))
+
+    @cached_property
+    def code_targets(self) -> tuple[int, ...]:
+        """The vertex index at the target of each letter code, the source of
+        its inverse (code ^ 1)."""
+        return tuple(self.code_sources[c ^ 1] for c in range(len(self.code_sources)))
 
     @cached_property
     def letter_codes(self) -> dict[Letter, int]:

@@ -12,6 +12,9 @@ Every count, `dimension_vector`, `is_band`, `canonical_class` and a band
 realization read a cyclic word through `_checked`, the one place that
 refuses a word that is no quasi-band, by the codes kept per letter tuple in
 spec.quasi_band_codes; `_primitive` tests that it is no proper power.
+The witness searches read a class's rotations from one member table,
+spec.member_readings[B], that keeps them as letter codes only;
+`class_members` decodes them when it is read.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
 and every reader slices that tuple; a read that wraps slices a repeated
@@ -33,14 +36,14 @@ from .words import (
     _Frozen,
     _letters,
     _windows_hold,
+    _word_letters,
     format_word,
     glues,
     id_count,
     id_tally,
-    inverse,
     inverse_codes,
+    inverse_letters,
     letter_source,
-    letter_target,
     reading,
     string_frontiers,
 )
@@ -206,44 +209,29 @@ def are_equivalent(spec, b, bp) -> bool:
     return canonical_class(spec, b) == canonical_class(spec, bp)
 
 
-class _Reading:
-    """A rotation as the witness searches test it: the quasi-band rot, its
-    letter codes (`AlgebraSpec.encode`), the target of its first letter, and
-    its first and last R-1 codes, the sides it offers a seam (`glues`)."""
-
-    __slots__ = ("rot", "codes", "target", "head", "tail")
-
-    def __init__(self, spec, rot: QuasiBand, codes: tuple[int, ...] | None = None):
-        codes = spec.encode(rot.letters) if codes is None else codes
-        reach = spec.window_length - 1
-        self.rot, self.codes, self.target = rot, codes, letter_target(spec, rot.letters[0])
-        self.head, self.tail = codes[:reach], codes[-reach:]
-
-
-def _member_readings(spec, B: BandClass) -> tuple[_Reading, ...]:
-    """The class's one member table, kept in spec.member_readings:
-    `class_members`, each rotated as codes."""
-    rots = dict.fromkeys(_code_rotations(spec.encode(B.letters)))
-    return tuple(_Reading(spec, QuasiBand(spec.decode(w)), w) for w in rots)
+def _member_readings(spec, B: BandClass) -> tuple[tuple[int, ...], ...]:
+    """The class's one member table, kept in spec.member_readings: the
+    distinct rotations of `class_members`, as letter codes."""
+    return tuple(dict.fromkeys(_code_rotations(spec.encode(B.letters))))
 
 
 KEPT.update(classes=_itself, quasi_band_codes=_quasi_band_codes, member_readings=_member_readings)
 
 
-def class_members(spec, B: BandClass) -> tuple[QuasiBand, ...]:
-    """All distinct rotations of the class, canonical ones first, then the
-    rotations of the inverse-reversal.  Witness searches iterate this order."""
-    return tuple(r.rot for r in spec.member_readings[B])
+def class_members(spec, B) -> tuple[QuasiBand, ...]:
+    """All distinct rotations of the class of B (`canonical_class`),
+    canonical ones first, then the rotations of the inverse-reversal,
+    decoded from the member table.  Witness searches iterate this order."""
+    return tuple(QuasiBand(spec.decode(w)) for w in spec.member_readings[canonical_class(spec, B)])
 
 
 def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
-    """Occurrences of c and of its inverse among the m cyclic windows.  A
-    cyclic word that is no quasi-band raises NotQuasiBand, and a c that is
-    no `Word` TypeError."""
-    if not isinstance(c, Word):
-        raise TypeError(f"a word is a Word, not {type(c).__name__}")
+    """Occurrences of c and of its inverse among the m cyclic windows.  A c
+    that `words._word_letters` refuses raises TypeError, and a cyclic word
+    that is no quasi-band NotQuasiBand."""
+    letters = _word_letters(c)
     ls = _checked(spec, qb)[0]
-    if c.is_trivial:
+    if not letters:
         raise TrivialWord("parti is defined for nonempty words only")
     m = len(ls)
 
@@ -252,7 +240,7 @@ def parti_counts(spec, c: Word, qb) -> tuple[int, int]:
         read = reading(ls, n, cyclic=True)
         return sum(1 for i in range(m) if read[i : i + n] == target)
 
-    return occ(c.letters), occ(inverse(c).letters)
+    return occ(letters), occ(inverse_letters(letters))
 
 
 def band_id_tally(spec, qb, left_inverted: bool, reach: int) -> dict[int, int]:
@@ -288,12 +276,13 @@ def _scan_cap(n: int) -> int:
 
 def sub_counts(spec, c: Word, qb) -> int:
     """Cyclic positions with an inverse letter, then l(c) letters spelling c
-    or its inverse, then a plain arrow."""
-    return id_count(spec, band_id_tally(spec, _as_letters(qb), True, len(c)), c)
+    or its inverse, then a plain arrow.  c is checked (`words._word_letters`)
+    before the band tally is read to its length."""
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), True, len(_word_letters(c))), c)
 
 
 def fac_counts(spec, c: Word, qb) -> int:
-    return id_count(spec, band_id_tally(spec, _as_letters(qb), False, len(c)), c)
+    return id_count(spec, band_id_tally(spec, _as_letters(qb), False, len(_word_letters(c))), c)
 
 
 def enumerate_bands(spec, max_len: int) -> list[BandClass]:

@@ -7,12 +7,13 @@ and the algebra object keeps each answer, in spec.extensions[B, C] and
 spec.negligibles[B] (`words.Table`).
 
 The searches read letter codes (`AlgebraSpec.code_letters`).  A class's one
-member table (spec.member_readings[B]) codes each rotation once, with the
-target of its first letter and its first and last R-1 codes, and every seam
-is `glues` on those codes, one lookup in `AlgebraSpec.string_windows`.  The
-steps test vertices, divergence and seams on ints, and build the words and
-quasi-bands of a witness only for the pair or split they return.  The
-replays code the rotations they are given and run the same step.
+member table (spec.member_readings[B]) holds each distinct rotation once as
+its tuple of codes, and nothing else: a rotation's first vertex is read off
+`AlgebraSpec.code_targets`, and every seam is `glues` on two whole code
+tuples, one lookup in `AlgebraSpec.string_windows`.  The steps test
+vertices, divergence and seams on ints, and decode letters only for the
+witness they return.  The replays encode the rotations they are given and
+run the same step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .bands import (
     BandClass,
     QuasiBand,
     _as_letters,
-    _Reading,
     _turns,
     canonical_class,
     is_quasi_band,
@@ -47,7 +47,6 @@ from .words import (
     glues,
     inverse_codes,
     inverse_letters,
-    letter_source,
     reading,
     trivial_word,
 )
@@ -90,46 +89,47 @@ def _fork(x: tuple[int, ...], y: tuple[int, ...], cap: int) -> Optional[int]:
     return k
 
 
-def _prefix(r: _Reading, k: int) -> Word:
-    """The first k letters of the periodic word of r, which may run past a
-    period; the trivial word at the target of its first letter when k is 0."""
+def _prefix(spec, cs: tuple[int, ...], k: int) -> Word:
+    """The first k letters of the periodic word of the codes cs, which may
+    run past a period; the trivial word at the target of its first letter
+    when k is 0."""
     if not k:
-        return trivial_word(r.target)
-    return Word(None, reading(r.rot.letters, k, cyclic=True)[:k])
+        return trivial_word(spec.vertices[spec.code_targets[cs[0]]])
+    return Word(None, spec.decode(reading(cs, k, cyclic=True)[:k]))
 
 
-def _try_extension(spec, b: _Reading, c: _Reading) -> Optional[ExtendabilityWitness]:
-    """The extension of rot_b by rot_c, when rot_b ends with an inverse
-    letter, rot_c with an arrow, their periodic words share a prefix w that
-    diverges within period(B) + period(C) letters with an arrow beta of rot_b
-    against an inverse letter delta^-1 of rot_c, and rot_c.rot_b is a
-    quasi-band; None otherwise."""
-    b_cs, c_cs = b.codes, c.codes
-    if not b_cs[-1] & 1 or c_cs[-1] & 1:
+def _try_extension(spec, b: tuple[int, ...], c: tuple[int, ...]) -> Optional[ExtendabilityWitness]:
+    """The extension of rot_b by rot_c, the rotations of codes b and c, when
+    rot_b ends with an inverse letter, rot_c with an arrow, their periodic
+    words share a prefix w that diverges within period(B) + period(C)
+    letters with an arrow beta of rot_b against an inverse letter delta^-1
+    of rot_c, and rot_c.rot_b is a quasi-band; None otherwise."""
+    if not b[-1] & 1 or c[-1] & 1:
         return None
     # both periodic words must leave from the same vertex for a common
     # prefix to exist at all
-    if b.target != c.target:
+    if spec.code_targets[b[0]] != spec.code_targets[c[0]]:
         return None
     # both rotations are quasi-bands: only the two seams of rot_c.rot_b can
     # fail.  They fail more often than the fork does, so they come first
-    if not (glues(spec, c.tail, b.head) and glues(spec, b.tail, c.head)):
+    if not (glues(spec, c, b) and glues(spec, b, c)):
         return None
-    k = _fork(b_cs, c_cs, len(b_cs) + len(c_cs))
+    k = _fork(b, c, len(b) + len(c))
     if k is None:
         return None
-    b_ls, c_ls = b.rot.letters, c.rot.letters
-    beta, delta = b_ls[k % len(b_ls)].arrow, c_ls[k % len(c_ls)].arrow
-    return ExtendabilityWitness(b.rot, c.rot, _prefix(b, k), beta, delta, QuasiBand(c_ls + b_ls))
+    b_ls, c_ls = spec.decode(b), spec.decode(c)
+    beta, delta = b_ls[k % len(b)].arrow, c_ls[k % len(c)].arrow
+    rot_b, rot_c = QuasiBand(b_ls), QuasiBand(c_ls)
+    return ExtendabilityWitness(rot_b, rot_c, _prefix(spec, b, k), beta, delta, QuasiBand(c_ls + b_ls))
 
 
 def _extendable(spec, pair: tuple[BandClass, BandClass]) -> Optional[ExtendabilityWitness]:
     B, C = pair
     # _try_extension tests the end letters itself; filtering here first
     # skips most pairs before the inner loop
-    c_rots = [r for r in spec.member_readings[C] if not r.codes[-1] & 1]
+    c_rots = [c for c in spec.member_readings[C] if not c[-1] & 1]
     for b in spec.member_readings[B]:
-        if b.codes[-1] & 1:
+        if b[-1] & 1:
             for c in c_rots:
                 if wit := _try_extension(spec, b, c):
                     return wit
@@ -149,12 +149,11 @@ def extendable(spec, B, C) -> Optional[ExtendabilityWitness]:
     return spec.extensions[canonical_class(spec, B), canonical_class(spec, C)]
 
 
-def _case1_split(spec, r: _Reading, n: int) -> Optional[Case1Witness]:
-    """The case 1 split of the rotation after its n-th letter, when
-    1 <= n < period, it ends with an inverse letter and letter n is an
+def _case1_split(spec, cs: tuple[int, ...], n: int) -> Optional[Case1Witness]:
+    """The case 1 split of the rotation of codes cs after its n-th letter,
+    when 1 <= n < period, it ends with an inverse letter and letter n is an
     arrow, both windows are quasi-bands, and its periodic word diverges from
     its own shift by n the right way; None otherwise."""
-    cs = r.codes
     if not 1 <= n < len(cs) or not cs[-1] & 1 or cs[n - 1] & 1:
         return None
     left, right = cs[:n], cs[n:]
@@ -166,8 +165,8 @@ def _case1_split(spec, r: _Reading, n: int) -> Optional[Case1Witness]:
     k = _fork(cs, right + left, len(cs))
     if k is None:
         return None
-    ls = r.rot.letters
-    return Case1Witness(r.rot, n, _prefix(r, k), (QuasiBand(ls[:n]), QuasiBand(ls[n:])))
+    ls = spec.decode(cs)
+    return Case1Witness(QuasiBand(ls), n, _prefix(spec, cs, k), (QuasiBand(ls[:n]), QuasiBand(ls[n:])))
 
 
 def _case2_frame(cs: tuple[int, ...], p: int, q: int):
@@ -185,10 +184,9 @@ def _case2_frame(cs: tuple[int, ...], p: int, q: int):
     return cs[:p], cs[p : p + q], cs[j:]
 
 
-def _case2_at(spec, r: _Reading) -> Optional[Case2Witness]:
-    """The first case 2 frame of the rotation, by |w| then |u|, whose
-    reversal w.u^-1.w^-1.v is again a quasi-band."""
-    cs = r.codes
+def _case2_at(spec, cs: tuple[int, ...]) -> Optional[Case2Witness]:
+    """The first case 2 frame of the rotation of codes cs, by |w| then |u|,
+    whose reversal w.u^-1.w^-1.v is again a quasi-band."""
     for p in range(0, (len(cs) - 2) // 2 + 1):
         for q in range(1, len(cs) - 2 * p):
             frame = _case2_frame(cs, p, q)
@@ -205,11 +203,11 @@ def _case2_at(spec, r: _Reading) -> Optional[Case2Witness]:
                 and all(glues(spec, rev[:j], rev[j:]) for j in cuts)
                 and glues(spec, rev, rev)
             ):
-                ls = r.rot.letters
+                ls = spec.decode(cs)
                 w, u, v = ls[:p], ls[p : p + q], ls[2 * p + q :]
                 rev_ls = w + inverse_letters(u) + inverse_letters(w) + v
                 return Case2Witness(
-                    r.rot, _prefix(r, p), Word(None, u), Word(None, v), QuasiBand(rev_ls)
+                    QuasiBand(ls), _prefix(spec, cs, p), Word(None, u), Word(None, v), QuasiBand(rev_ls)
                 )
     return None
 
@@ -219,12 +217,12 @@ def _negligible(spec, B: BandClass) -> Optional[NegligibilityWitness]:
     # _case1_split tests the last letter itself; skipping the rotations that
     # end with an arrow here saves a call per split position
     case1 = (
-        _case1_split(spec, r, n)
-        for r in members
-        if r.codes[-1] & 1
-        for n in range(1, len(r.codes))
+        _case1_split(spec, cs, n)
+        for cs in members
+        if cs[-1] & 1
+        for n in range(1, len(cs))
     )
-    case2 = (_case2_at(spec, r) for r in members)
+    case2 = (_case2_at(spec, cs) for cs in members)
     return next(filter(None, chain(case1, case2)), None)
 
 
@@ -257,8 +255,7 @@ def _flank_pairs(spec, codes: tuple[int, ...], bound: int, left_inverted: bool):
         if j > k:
             mid, inv = (j - k, 0, ls[k:j]), (j - k, 0, back[n - j : n - k])
         else:
-            vertex = letter_source(spec, spec.code_letters[ls[k - 1]])
-            mid = inv = (0, spec.vertex_index(vertex), ())
+            mid = inv = (0, spec.code_sources[ls[k - 1]], ())
         by_mid.setdefault(mid, {})[a, b] = None
         by_mid.setdefault(inv, {})[b, a] = None
     return by_mid
@@ -405,7 +402,7 @@ def split_band(spec, witness) -> tuple[QuasiBand, QuasiBand]:
         raise InvalidWitness("rot must be a quasi-band")
     if not isinstance(witness.n, int):
         raise InvalidWitness("n must be an int")
-    if _case1_split(spec, _Reading(spec, rot), witness.n) != witness:
+    if _case1_split(spec, spec.encode(rot.letters), witness.n) != witness:
         raise InvalidWitness("witness is not the case 1 split of rot at n")
     return witness.pieces
 
@@ -418,6 +415,6 @@ def concat_extension(spec, witness) -> QuasiBand:
     rots = (witness.rot_b, witness.rot_c)
     if not all(isinstance(r, QuasiBand) and is_quasi_band(spec, r.letters) for r in rots):
         raise InvalidWitness("rotations must be quasi-bands")
-    if _try_extension(spec, *(_Reading(spec, r) for r in rots)) != witness:
+    if _try_extension(spec, *(spec.encode(r.letters) for r in rots)) != witness:
         raise InvalidWitness("witness is not the extension of rot_b by rot_c")
     return witness.d

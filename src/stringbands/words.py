@@ -199,15 +199,23 @@ def _letters(items) -> tuple[Letter, ...]:
     return letters
 
 
-def _check_word(alg, word: Word) -> tuple[int, ...]:
-    """The word's letter codes (`AlgebraSpec.encode`); a vertex or arrow alg
-    lacks raises ParseError, and a value that is no `Word`, or a letter that
-    is no `Letter`, TypeError."""
+def _word_letters(word: Word) -> tuple[Letter, ...]:
+    """The one check of a word the package reads, counted words included:
+    its letters, where a value that is no `Word`, or a letter that is no
+    `Letter` (`_letters`), raises TypeError.  Its vertex and arrows are not
+    looked up, so a counted word over ones the algebra lacks counts 0."""
     if not isinstance(word, Word):
         raise TypeError(f"a word is a Word, not {type(word).__name__}")
+    return _letters(word.letters)
+
+
+def _check_word(alg, word: Word) -> tuple[int, ...]:
+    """The word's letter codes (`AlgebraSpec.encode`) once `_word_letters`
+    passes; a vertex or arrow alg lacks raises ParseError."""
+    letters = _word_letters(word)
     if word.is_trivial and not alg.has_vertex(word.trivial_at):
         raise ParseError(f"unknown vertex {word.trivial_at!r}")
-    return alg.encode(_letters(word.letters))
+    return alg.encode(letters)
 
 
 def is_string(alg, word: Word) -> bool:
@@ -310,17 +318,17 @@ class MiddleTrie:
     letter longer on the right, and takes the next id of ids.  Only
     `id_tally` grows it, one letter at a time.  A trivial middle has no
     node: its id is -1 - i at vertex i, and source_ids[c] and target_ids[c]
-    are those of the vertices at code c's source and target."""
+    are those of the vertices at code c's source and target, read off
+    `AlgebraSpec.code_sources` and `.code_targets`."""
 
     __slots__ = ("width", "child", "ids", "source_ids", "target_ids")
 
     def __init__(self, alg):
-        letters = alg.code_letters
-        self.width = len(letters)
+        self.width = len(alg.code_letters)
         self.child: dict[int, int] = {}  # node * width + code -> node
         self.ids = count(1)
-        self.source_ids = tuple(_vertex_id(alg, letter_source(alg, l)) for l in letters)
-        self.target_ids = tuple(_vertex_id(alg, letter_target(alg, l)) for l in letters)
+        self.source_ids = tuple(-1 - i for i in alg.code_sources)
+        self.target_ids = tuple(-1 - i for i in alg.code_targets)
 
     def find(self, codes) -> int | None:
         """The id of the word of codes, or None if it has none; never grows."""
@@ -400,14 +408,13 @@ def middle_id(alg, word: Word) -> int | None:
     """The key of word's inversion class in every id tally (`id_tally`), or
     None when the trie holds no reading of word, by a walk that never grows
     the trie: a word over an unknown arrow or vertex, or one no tally has
-    met, has no key and counts 0.  A value that is no `Word` raises
-    TypeError."""
-    if not isinstance(word, Word):
-        raise TypeError(f"a word is a Word, not {type(word).__name__}")
+    met, has no key and counts 0.  The word is checked first
+    (`_word_letters`)."""
+    letters = _word_letters(word)
     if word.is_trivial:
         return _vertex_id(alg, word.trivial_at) if alg.has_vertex(word.trivial_at) else None
     trie = alg.middle_trie
-    codes = list(map(alg.letter_codes.get, word.letters))
+    codes = list(map(alg.letter_codes.get, letters))
     if None in codes:
         return None
     node = trie.find(codes)

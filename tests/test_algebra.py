@@ -24,7 +24,7 @@ from stringbands import (
     projective_word,
     validate_algebra,
 )
-from stringbands.algebra import _admissibility, _before
+from stringbands.algebra import _admissibility
 from stringbands.words import glues, letter_source, letter_target
 from strategies import monomial_quivers
 
@@ -313,6 +313,15 @@ def test_validate_texts_follow_the_walk_order(name):
     assert report.admissibility_bound is None
 
 
+def _ref_before(spec, path):
+    """The reference's own successor rule, apart from the package's: b.path
+    for each arrow b, in declaration order, that leaves the target of
+    path[0] and makes no relation a factor (`_scan_path_in_ideal`)."""
+    end = next(a.target for a in spec.arrows if a.name == path[0])
+    grown = [(a.name,) + path for a in spec.arrows if a.source == end]
+    return [p for p in grown if not _scan_path_in_ideal(spec, p)]
+
+
 def _dfs_admissibility(spec):
     """The reference: a three-colour depth-first search over the walk graph
     of relation-free windows, with a trail for the cycle and a longest-walk
@@ -320,9 +329,9 @@ def _dfs_admissibility(spec):
     K = max(spec.max_relation_length - 1, 1)
     by_len = [[()], [(a,) for a in spec.arrow_names]]
     while len(by_len) <= K:
-        by_len.append([q for p in by_len[-1] for q in _before(spec, p)])
+        by_len.append([q for p in by_len[-1] for q in _ref_before(spec, p)])
     states = by_len[K]
-    edges = {p: [q[:K] for q in _before(spec, p)] for p in states}
+    edges = {p: [q[:K] for q in _ref_before(spec, p)] for p in states}
 
     color = {}
     longest = {}

@@ -51,7 +51,7 @@ from stringbands import (
 )
 import stringbands.bands
 from stringbands import components
-from stringbands.bands import _Reading, band_id_tally
+from stringbands.bands import band_id_tally
 from stringbands.words import (
     glues,
     letter_source,
@@ -124,6 +124,28 @@ def test_class_members_lists_every_reading():
     assert [format_word(q.as_word()) for q in members] == [
         "a.b^-1", "b^-1.a", "b.a^-1", "a^-1.b",
     ]
+
+
+def test_the_member_table_keeps_each_rotation_as_letter_codes():
+    for spec in ALL.values():
+        for cls in enumerate_bands(spec, 6):
+            members = class_members(spec, cls)
+            codes = spec.member_readings[cls]
+            assert all(type(w) is tuple and all(type(c) is int for c in w) for w in codes)
+            assert codes == tuple(spec.encode(q.letters) for q in members)
+
+
+def test_class_members_refuses_a_class_its_algebra_cannot_read():
+    # a.a.b^-1 is a band over two_loops_cubic, but a.a is a relation over
+    # two_loops_rad2
+    spec = copy.copy(GP22)
+    B = canonical_class(GP33, parse_word("a.a.b^-1"))
+    assert not is_quasi_band(spec, B)
+    with pytest.raises(NotQuasiBand):
+        class_members(spec, B)
+    assert spec.member_readings == {}
+    # a rotation of a class reads the members of its class
+    assert class_members(GP33, parse_word("b^-1.a.a")) == class_members(GP33, B)
 
 
 def test_canonical_class_returns_the_classes_it_built():
@@ -368,6 +390,32 @@ def test_a_plain_tuple_where_a_letter_belongs_raises_type_error():
     assert not any(kept(spec).values()) and spec.middle_trie.child == {}
 
 
+def test_a_counted_word_is_checked_before_any_tally_is_read():
+    # a plain (arrow, inverted) tuple inside a Word is refused as a counted
+    # word too, before a band tally is scanned to that word's length
+    spec = copy.copy(KRON)
+    plain = Word(None, (("a", False),))
+    c = parse_word("a.b^-1")
+    B = canonical_class(spec, c)
+    for call in (
+        lambda: count_sub(spec, plain, c),
+        lambda: count_fac(spec, plain, c),
+        lambda: sub_counts(spec, plain, B),
+        lambda: fac_counts(spec, plain, B),
+        lambda: parti_counts(spec, plain, B),
+    ):
+        with pytest.raises(TypeError, match="^a word's letters are Letters, not tuple$"):
+            call()
+    for counts in (sub_counts, fac_counts):
+        with pytest.raises(TypeError, match="not str"):
+            counts(spec, "x" * 100, B)
+    assert spec.band_tallies == {}
+    # a Word over an arrow the algebra lacks still counts 0
+    z = parse_word("z")
+    assert count_fac(spec, z, c) == sub_counts(spec, z, B) == fac_counts(spec, z, B) == 0
+    assert parti_counts(spec, z, B) == (0, 0)
+
+
 ALL_CLASSES = [
     (spec, c)
     for spec in (GP22, GP33, KRON, LOOP)
@@ -524,16 +572,16 @@ def test_canonical_class_and_members_match_the_reference(spec, data):
             )
 
 
-# The search steps read coded readings (`bands._Reading`); these two take
-# quasi-bands and pass the steps what they read.
+# The search steps read rotations as letter codes; these two take
+# quasi-bands and pass the steps their codes.
 
 
 def _try_extension(spec, rot_b, rot_c):
-    return components._try_extension(spec, _Reading(spec, rot_b), _Reading(spec, rot_c))
+    return components._try_extension(spec, spec.encode(rot_b.letters), spec.encode(rot_c.letters))
 
 
 def _case1_split(spec, rot, n):
-    return components._case1_split(spec, _Reading(spec, rot), n)
+    return components._case1_split(spec, spec.encode(rot.letters), n)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

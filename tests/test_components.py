@@ -61,7 +61,6 @@ from stringbands import (
     validate_algebra,
 )
 from stringbands import components
-from stringbands.bands import _Reading
 from stringbands.words import (
     Word,
     glues,
@@ -656,10 +655,6 @@ def _same_outcome(replay, reference, spec, witness):
         _same(replay(spec, witness), expected)
 
 
-def _coded(spec, letters):
-    return _Reading(spec, QuasiBand(letters))
-
-
 def test_the_extension_step_asks_both_readings_to_leave_one_vertex():
     # a square: rot_b = alpha.beta^-1 leaves from v and rot_c = gamma^-1.delta
     # from w; neither closes, but both seams of rot_c.rot_b glue and the
@@ -672,9 +667,9 @@ def test_the_extension_step_asks_both_readings_to_leave_one_vertex():
     )
     rot_b = QuasiBand(parse_word("alpha.beta^-1").letters)
     rot_c = QuasiBand(parse_word("gamma^-1.delta").letters)
-    b, c = _Reading(square, rot_b), _Reading(square, rot_c)
-    assert glues(square, c.codes, b.codes)
-    assert glues(square, b.codes, c.codes)
+    b, c = square.encode(rot_b.letters), square.encode(rot_c.letters)
+    assert glues(square, c, b)
+    assert glues(square, b, c)
     assert components._try_extension(square, b, c) is None
     assert _ref_try_extension(square, rot_b, rot_c) is None
 
@@ -689,10 +684,10 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
     # agree on any cyclic words, quasi-bands or not
     x, y = (data.draw(cyclic_words(spec)) for _ in range(2))
     for b, c in product(rotations(x), rotations(x) + rotations(y)):
-        got = components._try_extension(spec, _coded(spec, b), _coded(spec, c))
+        got = components._try_extension(spec, spec.encode(b), spec.encode(c))
         _same(got, _ref_try_extension(spec, QuasiBand(b), QuasiBand(c)))
     for z, n in product(rotations(x), range(len(x) + 1)):
-        got = components._case1_split(spec, _coded(spec, z), n)
+        got = components._case1_split(spec, spec.encode(z), n)
         _same(got, _ref_case1_split(spec, QuasiBand(z), n))
     classes = []
     for _ in range(2):
@@ -705,7 +700,7 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
     for B in classes:
         _same(spec.negligibles[B], _ref_negligible(spec, B))
         for rot in reference_members(B):
-            r = _coded(spec, rot.letters)
+            r = spec.encode(rot.letters)
             _same(components._case2_at(spec, r), _ref_case2_at(spec, rot))
             for n in range(1, rot.period):
                 split = _ref_case1_split(spec, rot, n)
@@ -720,7 +715,7 @@ def test_the_coded_searches_match_the_letter_searches(spec, data):
             for rot_b in reference_members(B):
                 for rot_c in reference_members(C):
                     ext = _ref_try_extension(spec, rot_b, rot_c)
-                    b, c = _coded(spec, rot_b.letters), _coded(spec, rot_c.letters)
+                    b, c = spec.encode(rot_b.letters), spec.encode(rot_c.letters)
                     _same(components._try_extension(spec, b, c), ext)
                     if ext is None:
                         continue
