@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import cached_property
 from itertools import takewhile
 from typing import Iterable
 
@@ -75,6 +74,12 @@ def _codes_are_string(spec: AlgebraSpec, codes: tuple[int, ...]) -> bool:
     return not spec.path_in_ideal(path if c & 1 else path[::-1])
 
 
+def _composable(arrow_map: dict[str, ArrowDecl], path: tuple[str, ...]) -> bool:
+    """Whether arrow names, each in arrow_map, compose in the order of a
+    relation: s(a_i) = t(a_{i+1})."""
+    return all(arrow_map[a].source == arrow_map[b].target for a, b in zip(path, path[1:]))
+
+
 def _readable_name(name: str, arrow: bool) -> bool:
     """Whether a word reads the name back: nonempty, no whitespace, and for an
     arrow no '.' or '^' and no leading '1_' (1_a is the trivial word at a)."""
@@ -88,6 +93,22 @@ class AlgebraSpec(_Frozen):
     witness searches all break ties by it, so two presentations that differ
     only in ordering are distinct specs.
 
+    The constructor checks the data and derives from it, once, everything
+    the object knows of it; nothing is made on first use:
+    - arrow_names, the arrow names in declaration order;
+    - quadratic, whether every relation has length exactly 2;
+    - max_relation_length, the longest relation's length, 0 with none;
+    - window_length, max(2, max_relation_length), the length of the windows
+      the string test reads (`_codes_are_string`);
+    - code_letters, the code table: the letter of code 2 * arrow index +
+      inverted, so c ^ 1 is the inverse letter's code;
+    - letter_codes, the code of each letter, the inverse of code_letters;
+    - code_sources and code_targets, the vertex index (`vertex_index`) at
+      the source and at the target of each letter code, read wherever codes
+      meet a vertex: the string test, the trie's trivial middles and the
+      witness searches;
+    - its hash, so a field given as a list raises TypeError.
+
     What the object computes is kept on it, outside its value, and made
     with it, so a copy or unpickled spec starts empty: one `words.Table`
     per entry of `words.KEPT`, under its name and keyed by what it answers,
@@ -96,10 +117,7 @@ class AlgebraSpec(_Frozen):
     it, under itself (`bands.canonical_class`); band_tallies, which grow
     (`bands.band_id_tally`); and middle_trie, the ids of every middle word
     the tallies read (`words.MiddleTrie`).  `kept_sizes` counts what each
-    of them holds.  The vertex indices at each letter code's ends
-    (`code_letters`) are two tuples, code_sources and code_targets, read
-    wherever codes meet a vertex: the string test, the trie's trivial
-    middles and the witness searches.
+    of them holds.
     """
 
     _fields = ("vertices", "arrows", "relations")
@@ -113,24 +131,24 @@ class AlgebraSpec(_Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "relations", relations)
-        seen_v = set()
-        for v in self.vertices:
-            if v in seen_v:
+        vertex_order: dict[str, int] = {}
+        for v in vertices:
+            if v in vertex_order:
                 raise ParseError(f"duplicate vertex {v!r}")
             if not _readable_name(v, arrow=False):
                 raise ParseError(f"vertex name {v!r} is empty or has whitespace")
-            seen_v.add(v)
-        names = set()
-        for a in self.arrows:
-            if a.name in names or a.name in seen_v:
+            vertex_order[v] = len(vertex_order)
+        arrow_map: dict[str, ArrowDecl] = {}
+        for a in arrows:
+            if a.name in arrow_map or a.name in vertex_order:
                 raise ParseError(f"arrow name {a.name!r} is not unique")
             if not _readable_name(a.name, arrow=True):
                 raise ParseError(f"arrow name {a.name!r} is not one a word can read back")
-            names.add(a.name)
-            if a.source not in seen_v or a.target not in seen_v:
+            if a.source not in vertex_order or a.target not in vertex_order:
                 raise ParseError(f"arrow {a.name!r} uses an undeclared vertex")
+            arrow_map[a.name] = a
         seen_r = set()
-        for rel in self.relations:
+        for rel in relations:
             disp = ".".join(rel)
             if len(rel) < 2:
                 raise ParseError(f"relation {disp!r} is shorter than 2")
@@ -138,48 +156,35 @@ class AlgebraSpec(_Frozen):
                 raise ParseError(f"duplicate relation {disp!r}")
             seen_r.add(rel)
             for name in rel:
-                if name not in names:
+                if name not in arrow_map:
                     raise ParseError(f"relation {disp!r} uses unknown arrow {name!r}")
-            for i in range(len(rel) - 1):
-                if self.arrow_source(rel[i]) != self.arrow_target(rel[i + 1]):
-                    raise ParseError(f"relation {disp!r} is not a composable path")
-        object.__setattr__(self, "window_length", max(2, self.max_relation_length))
+            if not _composable(arrow_map, rel):
+                raise ParseError(f"relation {disp!r} is not a composable path")
+        max_relation_length = max((len(r) for r in relations), default=0)
+        code_letters = tuple(Letter(a, inv) for a in arrow_map for inv in (False, True))
+        code_sources = tuple(vertex_order[v] for a in arrows for v in (a.source, a.target))
+        object.__setattr__(self, "_vertex_order", vertex_order)
+        object.__setattr__(self, "_arrow_map", arrow_map)
+        object.__setattr__(self, "arrow_names", tuple(arrow_map))
+        object.__setattr__(self, "quadratic", all(len(r) == 2 for r in relations))
+        object.__setattr__(self, "max_relation_length", max_relation_length)
+        object.__setattr__(self, "window_length", max(2, max_relation_length))
+        object.__setattr__(self, "code_letters", code_letters)
+        object.__setattr__(self, "code_sources", code_sources)
+        object.__setattr__(self, "code_targets", tuple(code_sources[c ^ 1] for c in range(len(code_sources))))
+        object.__setattr__(self, "letter_codes", {l: c for c, l in enumerate(code_letters)})
+        object.__setattr__(self, "_hash", hash(self._values))
         # made here, not on first use, so threads sharing the object share one of each
         for name, fn in KEPT.items():
             object.__setattr__(self, name, Table(self, fn))
         object.__setattr__(self, "band_tallies", {})
         object.__setattr__(self, "middle_trie", MiddleTrie(self))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._values)
-
     def kept_sizes(self) -> dict[str, int]:
         """The entries of each table, by name, its band tallies and its
         trie's nodes: how much the object keeps."""
         return {**{name: len(getattr(self, name)) for name in KEPT}, "band_tallies": len(self.band_tallies),
                 "middle_trie": len(self.middle_trie.child) + 1}
-
-    @cached_property
-    def _arrow_map(self) -> dict[str, ArrowDecl]:
-        return {a.name: a for a in self.arrows}
-
-    @cached_property
-    def _vertex_order(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
-
-    @cached_property
-    def quadratic(self) -> bool:
-        """Every relation has length exactly 2."""
-        return all(len(r) == 2 for r in self.relations)
-
-    @cached_property
-    def max_relation_length(self) -> int:
-        return max((len(r) for r in self.relations), default=0)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._vertex_order
@@ -195,29 +200,6 @@ class AlgebraSpec(_Frozen):
 
     def vertex_index(self, v: str) -> int:
         return self._vertex_order[v]
-
-    @cached_property
-    def code_letters(self) -> tuple[Letter, ...]:
-        """The code table: the letter of code 2 * arrow index + inverted, so
-        c ^ 1 is the inverse letter's code."""
-        return tuple(Letter(a, inv) for a in self.arrow_names for inv in (False, True))
-
-    @cached_property
-    def code_sources(self) -> tuple[int, ...]:
-        """The vertex index (`vertex_index`) at the source of each letter
-        code: an arrow's source, its inverse letter's target."""
-        return tuple(self._vertex_order[v] for a in self.arrows for v in (a.source, a.target))
-
-    @cached_property
-    def code_targets(self) -> tuple[int, ...]:
-        """The vertex index at the target of each letter code, the source of
-        its inverse (code ^ 1)."""
-        return tuple(self.code_sources[c ^ 1] for c in range(len(self.code_sources)))
-
-    @cached_property
-    def letter_codes(self) -> dict[Letter, int]:
-        """The code of each letter, the inverse of `code_letters`."""
-        return {l: c for c, l in enumerate(self.code_letters)}
 
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         """The codes of letters (`code_letters`); a letter over an arrow the
@@ -250,11 +232,17 @@ class AlgebraSpec(_Frozen):
 
 
 def is_member_monomial_ideal(spec: AlgebraSpec, path: Iterable[str]) -> bool:
-    """Ideal membership for a path given as a sequence of arrow names."""
+    """Ideal membership for a path given as a sequence of arrow names.  A
+    str raises TypeError, an unknown arrow or a sequence that does not
+    compose ParseError."""
+    if isinstance(path, str):
+        raise TypeError("a path is a sequence of arrow names, not a str")
     path = tuple(path)
     for name in path:
         if not spec.has_arrow(name):
             raise ParseError(f"unknown arrow {name!r}")
+    if not _composable(spec._arrow_map, path):
+        raise ParseError(f"path {'.'.join(path)!r} is not a composable path")
     return spec.path_in_ideal(path)
 
 

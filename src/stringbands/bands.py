@@ -50,15 +50,12 @@ from .words import (
 
 
 class QuasiBand(_Frozen):
-    __slots__ = _fields = ("letters",)
+    __slots__ = ("letters", "_hash")
+    _fields = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...]):
         object.__setattr__(self, "letters", letters)
-
-    def __hash__(self) -> int:
-        # not cached: the witness searches build many more rotations than
-        # are ever hashed
-        return hash((self.letters,))
+        object.__setattr__(self, "_hash", hash((letters,)))
 
     @property
     def period(self) -> int:

@@ -53,6 +53,13 @@ def make_sequence(spec, items) -> BandSequence:
     return BandSequence(tuple(canonical_class(spec, it) for it in items))
 
 
+def _check_sequence(S) -> None:
+    """Refuses with TypeError a family given as anything but a
+    `BandSequence`, such as a plain list of classes."""
+    if not isinstance(S, BandSequence):
+        raise TypeError(f"a band family is a BandSequence (make_sequence), not {type(S).__name__}")
+
+
 def _pair(facs: dict[int, int], subs: dict[int, int]) -> int:
     """Sum over d of fac(d, source) * sub(d, target), walking the smaller
     tally with one probe of the other per key and adding the probes that
@@ -121,17 +128,20 @@ def count_hom(spec, x, y, lam=None, mu=None) -> int:
 
 def seq_count_into(spec, c: Word, S: BandSequence) -> int:
     """dim Hom(M(c), X) for generic X in the family of S."""
+    _check_sequence(S)
     return sum(hom_string_band(spec, c, B) for B in S.classes)
 
 
 def seq_count_from(spec, S: BandSequence, c: Word) -> int:
     """dim Hom(X, M(c)) for generic X in the family of S."""
+    _check_sequence(S)
     return sum(hom_band_string(spec, B, c) for B in S.classes)
 
 
 def family_rank(spec, alpha: str, S: BandSequence) -> int:
     """rank of the matrix of alpha on any module in the family: total count
     of cyclic positions reading alpha or its inverse."""
+    _check_sequence(S)
     if not spec.has_arrow(alpha):
         raise ParseError(f"unknown arrow {alpha!r}")
     return sum(l.arrow == alpha for B in S.classes for l in B.letters)
@@ -148,6 +158,8 @@ def find_separating_string(spec, S: BandSequence, T: BandSequence, max_len: int)
     None when the sequences agree as multisets, or when no witness shows up
     within the length bound.
     """
+    _check_sequence(S)
+    _check_sequence(T)
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     if S.total_dim != T.total_dim:

@@ -56,8 +56,7 @@ class _Frozen:
     sets them in __init__ with object.__setattr__ (writing a __dict__
     directly would cost CPython its fast attribute lookups).  Its hash is
     _hash, computed once: the hash of _values, the tuple of field values,
-    unless a cheaper one agrees with equality.  A class built far more often
-    than hashed overrides __hash__ instead.  Equality compares every field
+    unless a cheaper one agrees with equality.  Equality compares every field
     and holds only within one class.  Copies and pickles are rebuilt through
     the constructor, so no hash leaves its process.
     """

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_algebras import ALL
+from fixture_algebras import ALL, FIXTURE_DIR
 from stringbands import (
     AlgebraSpec,
     ArrowDecl,
@@ -20,12 +20,13 @@ from stringbands import (
     is_quasi_band,
     is_string,
     is_member_monomial_ideal,
+    load_algebra,
     parse_algebra,
     projective_word,
     validate_algebra,
 )
 from stringbands.algebra import _admissibility
-from stringbands.words import glues, letter_source, letter_target
+from stringbands.words import KEPT, glues, letter_source, letter_target
 from strategies import monomial_quivers
 
 
@@ -116,7 +117,7 @@ def test_projective_words(gp22, gp33, kron, loop):
         projective_word(kron, "9")
 
 
-def test_ideal_membership(gp33):
+def test_ideal_membership(gp33, kron):
     assert is_member_monomial_ideal(gp33, ("a", "a", "a"))
     assert is_member_monomial_ideal(gp33, ("a", "b"))
     assert is_member_monomial_ideal(gp33, ("b", "a", "a"))
@@ -124,6 +125,13 @@ def test_ideal_membership(gp33):
     assert not is_member_monomial_ideal(gp33, ("b",))
     with pytest.raises(ParseError):
         is_member_monomial_ideal(gp33, ("a", "zz"))
+    # "aaa" would read as the three arrow names a, a, a
+    with pytest.raises(TypeError, match="not a str"):
+        is_member_monomial_ideal(gp33, "aaa")
+    # both Kronecker arrows run 1 -> 2, so a.a is no path
+    with pytest.raises(ParseError, match="'a.a' is not a composable path"):
+        is_member_monomial_ideal(kron, ("a", "a"))
+    assert not is_member_monomial_ideal(kron, ())
 
 
 def _scan_path_in_ideal(spec, path):
@@ -208,10 +216,27 @@ def test_parse_rejects_arrow_names_a_word_cannot_read_back(name):
     (("u",), (ArrowDecl("a b", "u", "u"),), "arrow name 'a b'"),
     (("",), (), "vertex name ''"),
     (("u v",), (), "vertex name 'u v'"),
-], ids=["arrow-1_", "arrow-whitespace", "vertex-empty", "vertex-whitespace"])
+    # the word u would name both the arrow and the vertex
+    (("u",), (ArrowDecl("u", "u", "u"),), "arrow name 'u' is not unique"),
+], ids=["arrow-1_", "arrow-whitespace", "vertex-empty", "vertex-whitespace", "arrow-named-like-a-vertex"])
 def test_the_constructor_refuses_names_a_word_cannot_read_back(vertices, arrows, message):
     with pytest.raises(ParseError, match=message):
         AlgebraSpec(vertices, arrows, ())
+
+
+DERIVED_VIEWS = {"_vertex_order", "_arrow_map", "arrow_names", "quadratic", "max_relation_length",
+                 "window_length", "code_letters", "code_sources", "code_targets", "letter_codes", "_hash"}
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_a_parsed_algebra_holds_every_derived_view_before_any_is_read(name):
+    spec = load_algebra(FIXTURE_DIR / f"{name}.alg")
+    stores = {*KEPT, "band_tallies", "middle_trie"}
+    assert set(vars(spec)) == {*spec._fields, *DERIVED_VIEWS, *stores}
+    assert spec._hash == hash(spec._values)
+    assert spec.arrow_names == tuple(a.name for a in spec.arrows)
+    assert spec._vertex_order == {v: i for i, v in enumerate(spec.vertices)}
+    assert all(spec.code_letters[c] == l for l, c in spec.letter_codes.items())
 
 
 def test_parse_rejects_duplicate_names():

@@ -341,6 +341,17 @@ def test_sequence_counts_add_up():
         family_rank(GP33, "z", seq)
 
 
+def test_a_band_family_given_as_a_list_raises_type_error():
+    B2 = canonical_class(GP33, parse_word("a.b^-1"))
+    seq, c = make_sequence(GP33, [B2]), parse_word("a")
+    calls = [lambda S: family_rank(GP33, "a", S), lambda S: seq_count_into(GP33, c, S),
+             lambda S: seq_count_from(GP33, S, c), lambda S: find_separating_string(GP33, S, seq, 3),
+             lambda S: find_separating_string(GP33, seq, S, 3)]
+    for call in calls:
+        with pytest.raises(TypeError, match="make_sequence"):
+            call([B2])
+
+
 def test_family_rank_matches_realized_matrices():
     B4 = canonical_class(GP33, parse_word("a.a.b^-1.b^-1"))
     seq = make_sequence(GP33, [B4])

@@ -143,6 +143,22 @@ def test_copies_and_pickles_are_equal_values(cls):
         )
 
 
+@pytest.mark.parametrize("cls", [Word, AlgebraSpec, QuasiBand, BandSequence, MatrixModule],
+                         ids=lambda c: c.__name__)
+def test_a_list_in_place_of_a_tuple_is_refused_or_copied(cls):
+    """A list could change after the value is hashed.  Each value hashed in
+    its constructor refuses one with TypeError; a MatrixModule, whose hash
+    is made on first use, copies its vertex_of to a tuple."""
+    value = VALUES[cls]
+    listed = [list(x) if type(x) is tuple else x for x in value._values]
+    if cls is MatrixModule:
+        copied = cls(*listed)
+        assert copied == value and type(copied.vertex_of) is tuple
+        return
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        cls(*listed)
+
+
 def test_reprs():
     assert repr(VALUES[Word]) == "Word('x.a^-1.y^-1')"
     assert repr(VALUES[QuasiBand]) == "QuasiBand('x.a^-1.y^-1.a')"
