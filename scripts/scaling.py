@@ -13,7 +13,8 @@ cold:
   extendable_quadratic(B, C) against the search extendable(B, C).
 
 Each line gives the count and the milliseconds of the count, of realizing
-the modules, of dim_hom and of syzygy of the realized modules, each cold; a
+the modules, of dim_hom and of syzygy of the realized modules, each cold,
+and the ratio of the counted time to the dim_hom time (counted/oracle); a
 string line after the first also gives the exponent e with counted
 time growing as n^e since the size before, and a band line the milliseconds
 of extendable_quadratic.  Under each line, what the algebra object kept
@@ -114,7 +115,7 @@ def main(argv=None):
             bad += 1
         print(f"{label:<16} hom {counted:>4}  counted {counted_s * 1e3:9.2f} ms  "
               f"realize {realize_s * 1e3:8.2f} ms  oracle {oracle_s * 1e3:9.2f} ms  "
-              f"syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
+              f"counted/oracle {counted_s / oracle_s:5.2f}  syzygy {syzygy_s * 1e3:8.2f} ms{extra}{verdict}")
         sizes = spec.kept_sizes()
         print(f"{'':<16} kept: trie {sizes.pop('middle_trie')} nodes, band_tallies {sizes.pop('band_tallies')}")
         print(f"{'':<16} tables: " + ", ".join(f"{name} {n}" for name, n in sizes.items()))

@@ -107,7 +107,8 @@ class AlgebraSpec(_Frozen):
       the source and at the target of each letter code, read wherever codes
       meet a vertex: the string test, the trie's trivial middles and the
       witness searches;
-    - its hash, so a field given as a list raises TypeError.
+    - its hash, so a field given as a list raises TypeError, as does a
+      relation that is no tuple, such as a str read as its characters.
 
     What the object computes is kept on it, outside its value, and made
     with it, so a copy or unpickled spec starts empty: one `words.Table`
@@ -149,6 +150,8 @@ class AlgebraSpec(_Frozen):
             arrow_map[a.name] = a
         seen_r = set()
         for rel in relations:
+            if type(rel) is not tuple:
+                raise TypeError(f"a relation is a tuple of arrow names, not {type(rel).__name__}")
             disp = ".".join(rel)
             if len(rel) < 2:
                 raise ParseError(f"relation {disp!r} is shorter than 2")

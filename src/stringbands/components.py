@@ -250,14 +250,16 @@ def _flank_pairs(spec, codes: tuple[int, ...], bound: int, left_inverted: bool):
     ls = reading(codes, bound, cyclic=True)
     # the inverse of ls[k:j] is back[n-j:n-k]
     n, back = len(ls), inverse_codes(ls)
-    for k, j in flanked(codes, left_inverted, bound, cyclic=True):
-        a, b = ls[k - 1] >> 1, ls[j] >> 1
-        if j > k:
-            mid, inv = (j - k, 0, ls[k:j]), (j - k, 0, back[n - j : n - k])
-        else:
-            mid = inv = (0, spec.code_sources[ls[k - 1]], ())
-        by_mid.setdefault(mid, {})[a, b] = None
-        by_mid.setdefault(inv, {})[b, a] = None
+    for k, row in flanked(codes, left_inverted, bound, cyclic=True):
+        a = ls[k - 1] >> 1
+        for j in row:
+            b = ls[j] >> 1
+            if j > k:
+                mid, inv = (j - k, 0, ls[k:j]), (j - k, 0, back[n - j : n - k])
+            else:
+                mid = inv = (0, spec.code_sources[ls[k - 1]], ())
+            by_mid.setdefault(mid, {})[a, b] = None
+            by_mid.setdefault(inv, {})[b, a] = None
     return by_mid
 
 

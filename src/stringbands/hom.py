@@ -62,16 +62,14 @@ def _check_sequence(S) -> None:
 
 def _pair(facs: dict[int, int], subs: dict[int, int]) -> int:
     """Sum over d of fac(d, source) * sub(d, target), walking the smaller
-    tally with one probe of the other per key and adding the probes that
-    hit."""
+    tally with one membership probe (`in`) of the other per key, so no call
+    is made per key, and multiplying only the keys that hit."""
     if len(subs) < len(facs):
         facs, subs = subs, facs
-    get = subs.get
     total = 0  # a loop: a generator costs more than the sum
     for d, n in facs.items():
-        m = get(d)
-        if m:
-            total += n * m
+        if d in subs:
+            total += n * subs[d]
     return total
 
 

@@ -5,9 +5,10 @@ engine and string tallies.
 meet, are lookups in `AlgebraSpec.string_windows`, keyed by letter codes
 (`AlgebraSpec.encode`).  `flanked` is the one definition of an occurrence
 of a middle word with its two neighbours pointing the required ways, and it
-reads letter codes, as `_check_word` and `bands._checked` return them; every
-substring and factorstring count, on strings here and on bands in `bands`,
-and the quadratic criteria in `components` are folds over it.
+reads letter codes, as `_check_word` and `bands._checked` return them,
+yielding each start with its row of ends; every substring and
+factorstring count, on strings here and on bands in `bands`, and the
+quadratic criteria in `components` are folds over its rows.
 
 What an algebra object keeps is read through a `Table`, a dict that
 computes an answer on its first read and keeps it.  `KEPT` names every
@@ -16,7 +17,8 @@ makes one table per name with itself.
 
 Tally keys are interned middle ids: `id_tally` counts each occurrence under
 the id of its middle's inversion class, a node of the algebra's one
-`MiddleTrie` (`AlgebraSpec.middle_trie`), so no middle is built as a word.
+`MiddleTrie` (`AlgebraSpec.middle_trie`), so no middle is built as a word;
+it walks each row with one running forward node.
 The string tallies are two tables, `AlgebraSpec.fac_tallies` and
 `.sub_tallies`: a read is one dict subscript, and only a miss checks and
 scans the string.  `count_sub` and `count_fac` read them and find d's id by
@@ -256,11 +258,12 @@ def reading(letters: tuple, max_mid: int, cyclic=False) -> tuple:
 
 
 def flanked(codes: tuple[int, ...], left_inverted: bool, max_mid: int, cyclic=False):
-    """Yield the span (k, j) of every flanked occurrence reading[k:j] of a
-    middle word of length at most max_mid, in the `reading` of the letter
-    codes (`AlgebraSpec.code_letters`): the left neighbour reading[k-1] is
-    inverted (odd) exactly when left_inverted and the right neighbour
-    reading[j] is not.  Spans come by start, then by end, ascending.
+    """Yield, start by start, each start k of a flanked occurrence
+    reading[k:j] of a middle word of length at most max_mid in the
+    `reading` of the letter codes (`AlgebraSpec.code_letters`), with its
+    row: the list of its ends j, ascending.  The left neighbour
+    reading[k-1] is inverted (odd) exactly when left_inverted and the right
+    neighbour reading[j] is not.  Starts come ascending.
 
     This is the one occurrence definition.  Substrings ask for an inverse
     letter on the left (left_inverted=True), factorstrings for a plain one.
@@ -270,15 +273,24 @@ def flanked(codes: tuple[int, ...], left_inverted: bool, max_mid: int, cyclic=Fa
     always present, so a middle word may be longer than the period.  A
     trivial middle (k == j) is the vertex between its two neighbours.  A
     trivial finite word has no letters to read and is left to the caller.
+
+    The ends that have a right neighbour as asked are listed once per
+    reading, and each row is a slice of that list, cut at k and k + max_mid
+    by two pointers that only move forward.
     """
     ls = reading(codes, max_mid, cyclic)
     n = len(ls)
+    ends = [j for j in range(n) if ls[j] & 1 != left_inverted]
+    ends += [n, n + max_mid + 1]  # the end of a finite word, then a stop past every cut
+    lo = hi = 0
     for k in range(1, len(codes) + 1) if cyclic else range(n + 1):
         if k and ls[k - 1] & 1 != left_inverted:
             continue
-        for j in range(k, min(k + max_mid, n) + 1):
-            if j == n or ls[j] & 1 != left_inverted:
-                yield k, j
+        while ends[lo] < k:
+            lo += 1
+        while ends[hi] <= k + max_mid:
+            hi += 1
+        yield k, ends[lo:hi]
 
 
 class Table(dict):
@@ -355,7 +367,9 @@ def id_tally(
     The id of span (k, j) is one trie step from that of (k, j-1), and its
     inverse's one step, by an inverted code (code ^ 1), from that of
     (k+1, j): the inverse read leftwards from j.  So no middle is built as
-    a word.  The trie grows one letter at a time, span by span, the middle's
+    a word: each start's row of ends is walked with one running forward
+    node, stepped up to each end in turn and never past the row's last.
+    The trie grows one letter at a time, span by span, the middle's
     letters before its inverse's, so the ids it hands out depend only on
     the order of the calls.  A step grows by one atomic get-or-insert, a
     setdefault of the trie's next id, so a scan that inserts the same step
@@ -369,37 +383,38 @@ def id_tally(
     ls = reading(codes, max_mid, cyclic)
     inverted = [c ^ 1 for c in ls]
     counts: dict[int, int] = {}
-    start = -1
-    # fwd[d] is the id of reading[start:start+d], backs[j][d] that of the
-    # inverse of reading[j-d:j]; each grows as far as a span asks, one
-    # child step per letter.  A cyclic reading repeats every chain one
-    # period on, so its chains are keyed by j modulo the period
+    # backs[j][d] is the id of the inverse of reading[j-d:j], grown as far
+    # as a span asks, one child step per letter.  A cyclic reading repeats
+    # every chain one period on, so its chains are keyed by j modulo the
+    # period
     backs: dict[int, list[int]] = {}
-    for k, j in flanked(codes, left_inverted, max_mid, cyclic):
-        if k == j:
-            key = source_ids[ls[k - 1]] if k else target_ids[ls[0]]
-        else:
-            d = j - k
-            if k != start:
-                start, fwd = k, [0]
-            while len(fwd) <= d:
-                step = fwd[-1] * width + ls[k + len(fwd) - 1]
-                node = get(step)
-                if node is None:
-                    node = insert(step, next(ids))
-                fwd.append(node)
-            end = j % len(codes) if cyclic else j
-            back = backs.get(end)
-            if back is None:
-                back = backs[end] = [0]
-            while len(back) <= d:
-                step = back[-1] * width + inverted[j - len(back)]
-                node = get(step)
-                if node is None:
-                    node = insert(step, next(ids))
-                back.append(node)
-            key = min(fwd[d], back[d])
-        counts[key] = counts.get(key, 0) + 1
+    for k, row in flanked(codes, left_inverted, max_mid, cyclic):
+        # node is the id of reading[k:i], stepped forward to each end
+        node, i = 0, k
+        for j in row:
+            if j == k:
+                key = source_ids[ls[k - 1]] if k else target_ids[ls[0]]
+            else:
+                while i < j:
+                    step = node * width + ls[i]
+                    node = get(step)
+                    if node is None:
+                        node = insert(step, next(ids))
+                    i += 1
+                d = j - k
+                end = j % len(codes) if cyclic else j
+                back = backs.get(end)
+                if back is None:
+                    back = backs[end] = [0]
+                while len(back) <= d:
+                    step = back[-1] * width + inverted[j - len(back)]
+                    b = get(step)
+                    if b is None:
+                        b = insert(step, next(ids))
+                    back.append(b)
+                b = back[d]
+                key = node if node < b else b
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 

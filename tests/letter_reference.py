@@ -57,7 +57,7 @@ def reference_id_tally(alg, codes, left_inverted, max_mid, cyclic=False):
     counts = {}
     start = -1
     backs = {}
-    for k, j in flanked(codes, left_inverted, max_mid, cyclic):
+    for k, j in ((k, j) for k, row in flanked(codes, left_inverted, max_mid, cyclic) for j in row):
         if k == j:
             v = letter_source(alg, letters[ls[k - 1]]) if k else letter_target(alg, letters[ls[0]])
             key = -1 - alg.vertex_index(v)

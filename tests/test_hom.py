@@ -191,7 +191,9 @@ tallies = st.dictionaries(st.integers(-4, 12), st.integers(1, 6), max_size=10)
 @example({1: 2, 2: 3, -1: 4}, {1: 5, 2: 7, 9: 1})  # equal sizes, two keys shared
 @example({1: 2, 2: 3}, {1: 5, 2: 7, 9: 1})  # the smaller one first
 def test_pair_is_the_sum_over_either_tally(f, g):
-    assert _pair(f, g) == sum(f[d] * g.get(d, 0) for d in f) == _pair(g, f)
+    # the plain definition: every key of either tally, a missing one counting 0
+    by_definition = sum(f.get(d, 0) * g.get(d, 0) for d in f.keys() | g.keys())
+    assert _pair(f, g) == by_definition == _pair(g, f)
 
 
 def test_band_band_counts():

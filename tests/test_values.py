@@ -159,6 +159,17 @@ def test_a_list_in_place_of_a_tuple_is_refused_or_copied(cls):
         cls(*listed)
 
 
+@pytest.mark.parametrize("relation", ["aa", ["a", "a"], ("a", 1)], ids=["str", "list", "int-name"])
+def test_a_relation_that_is_no_tuple_of_arrow_names_is_refused(relation):
+    """A str relation would be read as its characters while validating but
+    compared as a str when a path is tested against the ideal, so a.a would
+    not lie in the ideal of the relation "aa" it was built with."""
+    loop = (ArrowDecl("a", "u", "u"),)
+    with pytest.raises(TypeError):
+        AlgebraSpec(("u",), loop, (relation,))
+    assert AlgebraSpec(("u",), loop, (("a", "a"),)).max_relation_length == 2
+
+
 def test_reprs():
     assert repr(VALUES[Word]) == "Word('x.a^-1.y^-1')"
     assert repr(VALUES[QuasiBand]) == "QuasiBand('x.a^-1.y^-1.a')"

@@ -19,6 +19,7 @@ from stringbands import (
     concat,
     count_fac,
     count_sub,
+    enumerate_bands,
     enumerate_strings,
     format_word,
     hom_string_string,
@@ -31,6 +32,7 @@ from stringbands import (
 from stringbands.words import (
     KEPT,
     Table,
+    flanked,
     id_count,
     trivial_word,
     word_source,
@@ -303,6 +305,42 @@ def test_occurrence_counts_small_cases():
     ):
         with pytest.raises(ParseError, match="unknown vertex '9'"):
             call()
+
+
+def _spans_by_definition(codes, left_inverted, cap, cyclic):
+    """Every flanked span (k, j) by a double loop: a finite word read once,
+    starts 0 to its length; a cyclic one read around, starts 1 to its
+    period.  The left neighbour, where there is one, is odd exactly when
+    left_inverted, and the right one exactly when not."""
+    m = len(codes)
+    spans = []
+    for k in range(1, m + 1) if cyclic else range(m + 1):
+        for j in range(k, k + cap + 1 if cyclic else min(k + cap, m) + 1):
+            left = codes[(k - 1) % m] if k else None
+            right = codes[j % m] if cyclic or j < m else None
+            if left is not None and (left % 2 == 1) != left_inverted:
+                continue
+            if right is not None and (right % 2 == 1) == left_inverted:
+                continue
+            spans.append((k, j))
+    return spans
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_flanked_rows_are_the_spans_of_the_definition(name):
+    # rows flattened in order are the spans by start, then by end; strings
+    # <= 5 and band readings <= 6, each read finite and cyclic, both sides,
+    # at every cap from 0 to one past twice the length
+    spec = ALL[name]
+    words = [w.letters for w in enumerate_strings(spec, 5)]
+    words += [B.canonical.letters for B in enumerate_bands(spec, 6)]
+    for codes in map(spec.encode, words):
+        m = len(codes)
+        for cyclic in (False, True) if m else (False,):
+            for left_inverted in (True, False):
+                for cap in range(2 * m + 2):
+                    rows = [(k, j) for k, row in flanked(codes, left_inverted, cap, cyclic) for j in row]
+                    assert rows == _spans_by_definition(codes, left_inverted, cap, cyclic), (codes, cap)
 
 
 POOLS = {
