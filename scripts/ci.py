@@ -106,7 +106,11 @@ def source_size(root):
     its own definition reads (as a name or an attribute, by the AST, so a
     mention in a docstring or comment does not count), or a public one that
     the package does not export and that nothing in src/, scripts/ or bench/
-    reads.  The tests do not count, and neither does this script.
+    reads.  So does a dead class member: a def in a class body in src/,
+    dunders aside, whose name no code in src/ outside its own definition
+    reads and nothing in scripts/ or bench/ reads either, reported as
+    path:line: Class.name.  The tests do not count, and neither does this
+    script.
     """
     trees, total, total_code = {}, 0, 0
     for path in sorted((root / "src/stringbands").glob("*.py")):
@@ -165,18 +169,27 @@ def source_size(root):
                     if p != root / "scripts/ci.py" for name, _ in reads(ast.parse(p.read_text())))
     init = trees[Path("src/stringbands/__init__.py")]
     exported = {a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names}
+
+    def read(path, node, name):
+        """Whether code in src/ outside node, the definition at path, reads name"""
+        own = range(node.lineno, node.end_lineno + 1)
+        return any(r == name and not (p == path and line in own) for p, rs in src_reads.items() for r, line in rs)
+
     dead = []
     for path, tree in trees.items():
         for node in tree.body:
             targets = getattr(node, "targets", [getattr(node, "target", None)])
             names = [node.name] if hasattr(node, "name") else [t.id for t in targets if isinstance(t, ast.Name)]
-            own = range(node.lineno, node.end_lineno + 1)
             for name in names:
                 if name.startswith("__") or name in exported:
                     continue
-                read = sum(r == name and not (p == path and line in own) for p, rs in src_reads.items() for r, line in rs)
-                if not (read or not name.startswith("_") and users[name]):
+                if not (read(path, node, name) or not name.startswith("_") and users[name]):
                     dead.append(f"{path}:{node.lineno}: {name}")
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__") \
+                        and not (read(path, node, node.name) or users[node.name]):
+                    dead.append(f"{path}:{node.lineno}: {cls.name}.{node.name}")
     if dead:
         raise Fail("definitions that nothing outside their own reads: " + ", ".join(dead))
 

@@ -17,10 +17,12 @@ spec.member_readings[B], that keeps them as letter codes only;
 `class_members` decodes them when it is read.
 
 A quasi-band is stored as the plain tuple of the letters of one period,
-and every reader slices that tuple; a read that wraps slices a repeated
-copy of it, as `is_quasi_band` does on its letter codes for the window
-test of `AlgebraSpec.string_windows`.  Each letter is traversed after the
-one to its right, matching the composition order of finite words.
+and a band class is the quasi-band of its canonical reading (`BandClass`
+subclasses `QuasiBand`), so every reader slices that tuple; a read that
+wraps slices a repeated copy of it, as `is_quasi_band` does on its letter
+codes for the window test of `AlgebraSpec.string_windows`.  Each letter is
+traversed after the one to its right, matching the composition order of
+finite words.
 """
 
 from __future__ import annotations
@@ -68,25 +70,20 @@ class QuasiBand(_Frozen):
         return f"QuasiBand({format_word(self)!r})"
 
 
-class BandClass(_Frozen):
-    """A band up to rotation and inverse-reversal, held in canonical form.
-    A plain value: what is known about it for an algebra is kept on the
-    algebra, in tables keyed by the class (`words.Table`)."""
+class BandClass(QuasiBand):
+    """A band up to rotation and inverse-reversal, named by its canonical
+    reading: the `QuasiBand` of that reading, built as BandClass(letters).
+    It equals no plain QuasiBand, as equality holds within one class only;
+    `canonical` is its reading as one.  A plain value: what is known about
+    it for an algebra is kept on the algebra, in tables keyed by the class
+    (`words.Table`)."""
 
-    __slots__ = ("canonical", "_hash")
-    _fields = ("canonical",)
-
-    def __init__(self, canonical: QuasiBand):
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "_hash", hash((canonical,)))
+    __slots__ = ()
 
     @property
-    def period(self) -> int:
-        return self.canonical.period
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return self.canonical.letters
+    def canonical(self) -> QuasiBand:
+        """The canonical reading as a plain quasi-band."""
+        return QuasiBand(self.letters)
 
     def __repr__(self) -> str:
         return f"BandClass({format_word(self)!r})"
@@ -97,7 +94,7 @@ def _as_letters(x) -> tuple[Letter, ...]:
     TypeError (`words._letters`).  A class holds the letters the package
     decoded, so its own are read unchecked."""
     if isinstance(x, BandClass):
-        return x.canonical.letters
+        return x.letters
     if isinstance(x, Word) and x.is_trivial:
         raise NotQuasiBand("a trivial word has no cyclic reading")
     if isinstance(x, str):
@@ -188,12 +185,7 @@ def canonical_class(spec, letters) -> BandClass:
     ls, w = _checked(spec, letters)
     if not _primitive(w):
         raise NotBand(f"{format_word(ls)} is a proper power")
-    return _kept_class(spec, spec.decode(min(_code_rotations(w))))
-
-
-def _kept_class(spec, canonical: tuple[Letter, ...]) -> BandClass:
-    """The class of a canonical reading, kept under itself in spec.classes."""
-    return spec.classes[BandClass(QuasiBand(canonical))]
+    return spec.classes[BandClass(spec.decode(min(_code_rotations(w))))]
 
 
 def _itself(spec, B: BandClass) -> BandClass:
@@ -311,7 +303,7 @@ def enumerate_bands(spec, max_len: int) -> list[BandClass]:
             if not (all(w < r for r in islice(rots, 1, m)) and all(w <= r for r in rots)):
                 continue
             if _turns(w) and glues(spec, w, w):
-                out.append(_kept_class(spec, spec.decode(w)))
+                out.append(spec.classes[BandClass(spec.decode(w))])
     return out
 
 

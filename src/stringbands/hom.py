@@ -80,13 +80,13 @@ def hom_string_string(spec, c: Word, cp: Word) -> int:
 
 def hom_band_string(spec, B: BandClass, c: Word) -> int:
     """dim Hom(M(b,m,lambda), M(c)); independent of the parameter."""
-    facs = band_id_tally(spec, B.canonical.letters, False, len(c))
+    facs = band_id_tally(spec, B.letters, False, len(c))
     return _pair(facs, spec.sub_tallies[c])
 
 
 def hom_string_band(spec, c: Word, B: BandClass) -> int:
     """dim Hom(M(c), M(b,m,lambda))."""
-    subs = band_id_tally(spec, B.canonical.letters, True, len(c))
+    subs = band_id_tally(spec, B.letters, True, len(c))
     return _pair(spec.fac_tallies[c], subs)
 
 
@@ -98,8 +98,8 @@ def hom_band_band(spec, B: BandClass, C: BandClass) -> int:
     (`bands._scan_cap` says why).
     """
     reach = B.period + C.period
-    facs = band_id_tally(spec, B.canonical.letters, False, reach)
-    subs = band_id_tally(spec, C.canonical.letters, True, reach)
+    facs = band_id_tally(spec, B.letters, False, reach)
+    subs = band_id_tally(spec, C.letters, True, reach)
     return _pair(facs, subs)
 
 

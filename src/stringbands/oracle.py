@@ -155,7 +155,7 @@ def _validate(mod: MatrixModule, cells: dict[str, list]) -> tuple[dict[str, Entr
     """Check that mod is a module over its algebra, and return its entries
     with the zeros dropped, its line table and whether each arrow matrix has
     at most one nonzero per row and per column.  cells maps every arrow to
-    its (i, j, x) sorted, zeros allowed.
+    its (i, j, x) sorted; a zero is checked like any cell, then dropped.
 
     One pass per arrow over its cells checks for a repeated (i, j), an index
     outside the basis and an entry outside its vertex block, and builds the
@@ -193,12 +193,12 @@ def _validate(mod: MatrixModule, cells: dict[str, list]) -> tuple[dict[str, Entr
             if i == h and j == g:
                 raise ValueError(f"matrix of {name} repeats an entry")
             h, g = i, j
-            if not x:
-                continue
             if not (0 <= i < d and 0 <= j < d):
                 raise ValueError(f"matrix of {name} has an entry outside the basis")
             if vof[i] != tgt or vof[j] != src:
                 raise ValueError(f"matrix of {name} leaves its block")
+            if not x:
+                continue
             if into[i] & bit or out[j] & bit:
                 flag = False
             into[i] |= bit

@@ -134,6 +134,13 @@ def test_ideal_membership(gp33, kron):
     assert not is_member_monomial_ideal(kron, ())
 
 
+@pytest.mark.parametrize("item, kind", [(1, "int"), ("a", "str")])
+def test_encode_refuses_an_item_that_is_no_letter(kron, item, kind):
+    # an arrow's name is not its letter
+    with pytest.raises(TypeError, match=f"^a word's letters are Letters, not {kind}$"):
+        kron.encode([item])
+
+
 def _scan_path_in_ideal(spec, path):
     """path_in_ideal before the relations were grouped by length: every
     relation compared at every offset."""

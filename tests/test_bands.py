@@ -157,8 +157,18 @@ def test_canonical_class_returns_the_classes_it_built():
     # the table keeps each class under itself, so the first one read is the
     # one every later reading gets
     spec = copy.copy(KRON)
-    B = BandClass(QuasiBand(parse_word("a.b^-1").letters))
+    B = BandClass(parse_word("a.b^-1").letters)
     assert spec.classes[B] is B and canonical_class(spec, parse_word("b^-1.a")) is B
+
+
+def test_a_class_is_the_quasi_band_of_its_canonical_reading():
+    # one object, which equals no plain QuasiBand: canonical is that reading
+    for spec in ALL.values():
+        for B in enumerate_bands(spec, 6):
+            plain = QuasiBand(B.letters)
+            assert isinstance(B, QuasiBand) and B != plain and B.canonical == plain
+            for again in (copy.copy(B), copy.deepcopy(B), pickle.loads(pickle.dumps(B))):
+                assert type(again) is BandClass and again == B and hash(again) == hash(B)
 
 
 def test_a_class_passed_with_another_spec_is_checked_in_full():
@@ -531,7 +541,7 @@ def _reference_canonical_class(spec, ls):
     if not is_band(spec, ls):
         raise NotBand(f"{format_word(Word(None, ls))} is a proper power")
     best = min(rotations(ls), key=lambda c: tuple(spec.letter_codes[l] for l in c))
-    return BandClass(QuasiBand(best))
+    return BandClass(best)
 
 
 def _outcome(f, spec, x):

@@ -109,6 +109,23 @@ def test_source_size_fails_on_dead_definitions(tmp_path):
     )
 
 
+def test_source_size_fails_on_a_dead_class_member(tmp_path):
+    # a member that only its own body reads is dead (BandClass.canonical,
+    # which only bench/ reads, passes on this tree)
+    root = copy_of(tmp_path, "src", "scripts", "bench")
+    path = root / "src/stringbands/hom.py"
+    old = path.read_text()
+    anchor = "    def __len__(self) -> int:\n"
+    path.write_text(old.replace(anchor, "    def planted_member(self):\n        return self.planted_member()\n\n" + anchor))
+    line = old[: old.index(anchor)].count("\n") + 1
+    with pytest.raises(ci.Fail) as info:
+        ci.source_size(root)
+    assert str(info.value) == (
+        "definitions that nothing outside their own reads: "
+        f"src/stringbands/hom.py:{line}: BandSequence.planted_member"
+    )
+
+
 def test_test_imports_fails_on_an_unread_import(tmp_path):
     root = copy_of(tmp_path, "tests")
     path = root / "tests/test_words.py"

@@ -240,6 +240,17 @@ def test_the_constructor_refuses_points_outside_the_variety(vertex_of, entries, 
         MatrixModule(GP22, vertex_of, entries)
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [((99, 99, 0), "outside the basis"), ((-1, 0, 0), "outside the basis"), ((0, 1, 0), "leaves its block")],
+    ids=["index-past-dim", "negative-index", "outside-block"],
+)
+def test_the_constructor_checks_a_zero_cell_like_any_other(cell, message):
+    # a: 1 -> 2 on kronecker, so its block is row 1, column 0
+    with pytest.raises(ValueError, match=message):
+        MatrixModule(KRON, ("1", "2"), {"a": [(1, 0, 1), cell]})
+
+
 def test_the_constructor_refuses_float_entries():
     # Fraction(0.1) is 3602879701896397/2**55, not 1/10; like a band
     # parameter, a float entry is refused even when its value is exact

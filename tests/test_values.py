@@ -48,7 +48,7 @@ FIELDS = {
     ValidationReport: ("valid", "violations", "quadratic", "admissibility_bound",
                        "redundant_relations"),
     QuasiBand: ("letters",),
-    BandClass: ("canonical",),
+    BandClass: ("letters",),
     BandSequence: ("classes",),
     ComponentVerdict: ("status", "reasons", "dimension", "witnesses"),
     MatrixModule: ("spec", "vertex_of", "entries"),
